@@ -1,8 +1,9 @@
 """Command-line entry point for the solvers, checkers, tables, and figures.
 
-Exit codes: 0 success, 1 a verification failed, 2 usage error.  Numeric
-fields are rendered once and reused, so text and JSON output always agree
-and identical invocations (including the seed) are byte-identical.
+Exit codes: 0 success, 1 a verification or certification failed, 2 usage
+error.  Numeric fields are rendered once and reused, so text and JSON
+output always agree and identical invocations (including the seed) are
+byte-identical.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ from fractions import Fraction
 
 from . import delian, euclid, figures, proportio, pyramid
 from .scalar import (
+    CertificationError,
     DecimalScalar,
     PrecisionContext,
     as_rational,
@@ -61,6 +63,11 @@ def _residual_bound(r: DecimalScalar) -> str:
     if r.unscaled == 0:
         return "0"
     return f"1e-{r.scale - len(str(r.unscaled))}"
+
+
+def _residual_text(bound: str) -> str:
+    """The relation a rendered bound states: exactly zero, or below it."""
+    return "= 0" if bound == "0" else f"< {bound}"
 
 
 def _parse_scalar(text: str) -> DecimalScalar:
@@ -225,7 +232,7 @@ def _means_payload(result: delian.MeansResult, cfg: RunConfig) -> tuple[dict, li
         f"m2 = {m2}",
         f"arc parameter t = {theta}",
         f"iterations: {result.iterations}",
-        f"continued-proportion residual < {payload['residual_bound']}",
+        f"continued-proportion residual {_residual_text(payload['residual_bound'])}",
     ]
     return payload, lines
 
@@ -266,7 +273,7 @@ def _cmd_duplicate_cube(cfg: RunConfig, args) -> int:
     }
     lines = [
         f"edge {edge} -> doubled-volume edge {rounded}",
-        f"cube residual < {payload['volume_residual_bound']}",
+        f"cube residual {_residual_text(payload['volume_residual_bound'])}",
     ]
     _emit(cfg, payload, lines)
     return 0 if ok else 1
@@ -446,6 +453,9 @@ def main(argv=None) -> int:
             out_path=getattr(args, "out", None),
         )
         return args.func(cfg, args)
+    except CertificationError as exc:
+        sys.stderr.write(f"error: {exc}\n")
+        return 1
     except (ValueError, ZeroDivisionError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2

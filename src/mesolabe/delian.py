@@ -4,7 +4,7 @@ Both mechanisms share one geometric scene: a semicircle over AC = b, a
 ruler through A and the moving arc point D, a cursor fixed at distance
 AF = a along the ruler and perpendicular to it, and the perpendicular to
 AC through D with foot E.  Where they differ is the coincidence that stops
-the motion, so each solver drives its bisection with its own residual:
+the motion, so each solver certifies its root with its own residual:
 
 * finger-and-plumbline: the perpendicular foot E and the point where the
   cursor line crosses AC must coincide, measured along AC;
@@ -13,22 +13,29 @@ the motion, so each solver drives its bisection with its own residual:
 
 Both residuals vanish exactly when AF = b k^3 equals a (k the cosine of
 the inscribed angle at A), which interposes AE = b k^2 and AD = b k
-between a and b.  Arc positions use the rational tangent-half-angle
-parameter, so every residual sign is decided in exact rational arithmetic
-and a bisection bracket can never be lost to rounding.
+between a and b.  The closed form k = cbrt(a/b) seeds the arc parameter,
+and :func:`~mesolabe.scalar.certify_bracket` then finds the grid cell at
+10^-w where the mechanism's residual changes sign.  Arc positions use the
+rational tangent-half-angle parameter, so every residual sign is decided
+in exact rational arithmetic and the certified cell can never be lost to
+rounding; the seed only decides how many signs that takes.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .euclid import Point2
 from .scalar import (
     DEFAULT_CONTEXT,
+    CertificationError,
     DecimalScalar,
     PrecisionContext,
+    _icbrt,
     as_rational,
+    certify_bracket,
 )
 
 
@@ -104,7 +111,11 @@ class InstrumentState:
 
 @dataclass(frozen=True)
 class MeansResult:
-    """Solved means with the arc parameter and an exact residual bound."""
+    """Solved means with the arc parameter and an exact residual bound.
+
+    ``iterations`` counts the residual sign evaluations that certified the
+    arc parameter (0 when a == b needs none).
+    """
 
     m1: DecimalScalar
     m2: DecimalScalar
@@ -137,40 +148,42 @@ def _result(a: Fraction, b: Fraction, t: Fraction, iterations: int, method: str,
     return MeansResult(m1, m2, t, iterations, _ceil_to(defect, 3 * w), method)
 
 
+def _seed(a: Fraction, b: Fraction, w: int) -> int:
+    """Grid index at 10^-w just below the closed-form arc parameter.
+
+    k = cbrt(a/b) and t = sqrt((1 - k)/(1 + k)) are taken as floors at
+    w + 5 digits; the result only steers the certified search.
+    """
+    scale = 10 ** (w + 5)
+    k = _icbrt(a.numerator * b.denominator * scale**3 // (a.denominator * b.numerator))
+    t = math.isqrt((scale - k) * scale * scale // (scale + k))
+    return t // 10**5
+
+
 def _solve(a, b, ctx: PrecisionContext, method: str) -> MeansResult:
     af, bf = as_rational(a), as_rational(b)
     _validate(af, bf)
     if af == bf:
         return _result(af, bf, Fraction(0), 0, method, ctx)
 
+    grid = 10**ctx.work_digits
     if method == "instrument":
-        def sign_at(t: Fraction) -> int:
-            if t == 1:
+        def sign_at(g: int) -> int:
+            if g == grid:
                 return -1  # cursor crossing runs off to infinity with D at A
-            r = InstrumentState(af, bf, t).residual_instrument()
+            r = InstrumentState(af, bf, Fraction(g, grid)).residual_instrument()
             return (r > 0) - (r < 0)
         want_low = 1
     else:
-        def sign_at(t: Fraction) -> int:
-            r = InstrumentState(af, bf, t).residual_compass()
+        def sign_at(g: int) -> int:
+            r = InstrumentState(af, bf, Fraction(g, grid)).residual_compass()
             return (r > 0) - (r < 0)
         want_low = -1
 
-    grid = 10**ctx.work_digits
-    lo, hi = 0, grid
-    assert sign_at(Fraction(0)) == want_low and sign_at(Fraction(1)) == -want_low
-    iterations = 0
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        s = sign_at(Fraction(mid, grid))
-        iterations += 1
-        if s == 0:
-            return _result(af, bf, Fraction(mid, grid), iterations, method, ctx)
-        if s == want_low:
-            lo = mid
-        else:
-            hi = mid
-    return _result(af, bf, Fraction(lo + hi, 2 * grid), iterations, method, ctx)
+    seed = _seed(af, bf, ctx.work_digits)
+    g, exact, evaluations = certify_bracket(sign_at, seed, 0, grid, want_low)
+    t = Fraction(g, grid) if exact else Fraction(2 * g + 1, 2 * grid)
+    return _result(af, bf, t, evaluations, method, ctx)
 
 
 def two_means_instrument(a, b, ctx: PrecisionContext = DEFAULT_CONTEXT) -> MeansResult:
@@ -187,7 +200,8 @@ def two_means_compass(a, b, ctx: PrecisionContext = DEFAULT_CONTEXT) -> MeansRes
     """
     result = _solve(a, b, ctx, "compass")
     state = InstrumentState(as_rational(a), as_rational(b), result.theta_param)
-    assert state.on_semicircle()
+    if not state.on_semicircle():
+        raise CertificationError("compass point D left the semicircle")
     return result
 
 

@@ -23,6 +23,7 @@ from .scalar import (
     DecimalScalar,
     PrecisionContext,
     Rational,
+    certify_bracket,
     format_grouped,
     round_to,
     sqrt,
@@ -131,40 +132,55 @@ _PRODUCT_NOTES = {
 }
 
 
+def _unit_ratio(digits: int) -> int:
+    """10^digits * u, to a few units, for the root u of (1 - u)^3 = u (integer Newton).
+
+    u^3 - 3u^2 + 4u - 1 is increasing (its derivative has no real zero), so
+    Newton from u = 1/3 converges; the last step leaves an error of a few
+    units, which is all a seed needs.
+    """
+    s = 10**digits
+    u = s // 3
+    while True:
+        f = u**3 - 3 * u * u * s + 4 * u * s * s - s**3
+        step = f // (3 * u * u - 6 * u * s + 4 * s * s)
+        u -= step
+        if abs(step) <= 1:
+            return u
+
+
 def solve_continued_chords(
     d: DecimalScalar, ctx: PrecisionContext = DEFAULT_CONTEXT
 ) -> ChordConfig:
     """Chord configuration with AB : BC : BD : AD in continued proportion.
 
-    The cubic residual (d - x)^3 - d^2 x is strictly decreasing on [0, d]
-    and changes sign, so bisection on the work-precision grid cannot lose
-    the root; two exact-rational Newton steps then polish far past the
-    grid before the result is rounded back to work precision.
+    AB = d u with u the root of (1 - u)^3 = u, whose integer Newton value
+    seeds :func:`~mesolabe.scalar.certify_bracket`.  The cubic residual
+    (d - x)^3 - d^2 x is strictly decreasing on [0, d], so exact signs
+    certify the grid cell at 10^-w that holds the root, and one more sign
+    at the cell midpoint rounds AB correctly.  The root is irrational
+    (u^3 - 3u^2 + 4u - 1 has no rational root), so the midpoint is never
+    a tie.
     """
     if not d > 0:
         raise ValueError("diameter must be positive")
     w = ctx.work_digits
     df = _to_fraction(d)
+    p, q = df.numerator, df.denominator
 
-    def residual(x: Fraction) -> Fraction:
-        return (df - x) ** 3 - df * df * x
+    def sign(n: int, m: int) -> int:
+        """Sign of the cubic residual at x = n/m, cleared of denominators."""
+        r = (p * m - n * q) ** 3 - p * p * q * m * m * n
+        return (r > 0) - (r < 0)
 
     grid = 10**w
-    lo = 0
-    hi = df.numerator * grid // df.denominator + 1
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if residual(Fraction(mid, grid)) > 0:
-            lo = mid
-        else:
-            hi = mid
-    x = Fraction(lo + hi, 2 * grid)
-    for _ in range(2):
-        g = residual(x)
-        gp = -3 * (df - x) ** 2 - df * df
-        x = x - g / gp
+    seed = p * _unit_ratio(w + 5) // (q * 10**5)
+    hi = p * grid // q + 1
+    lo, exact, _ = certify_bracket(lambda g: sign(g, grid), seed, 0, hi, 1)
+    if not exact and sign(2 * lo + 1, 2 * grid) > 0:
+        lo += 1
 
-    ab = DecimalScalar.from_fraction(x, w)
+    ab = DecimalScalar(lo, w)
     ad = round_to(d, w) if isinstance(d, DecimalScalar) else DecimalScalar.from_fraction(df, w)
     bd = ad - ab
     root_ctx = PrecisionContext(w + ctx.guard_digits, w, ctx.guard_digits)

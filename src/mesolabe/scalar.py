@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 import re
+from collections.abc import Callable
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -60,6 +61,56 @@ def _icbrt(n: int) -> int:
     while (x + 1) ** 3 <= n:
         x += 1
     return x
+
+
+class CertificationError(ArithmeticError):
+    """A solver could not certify its root with exact residual signs."""
+
+
+def certify_bracket(
+    sign: Callable[[int], int], seed: int, lo: int, hi: int, want_low: int
+) -> tuple[int, bool, int]:
+    """Grid cell around the unique sign change of ``sign`` on ``[lo, hi]``.
+
+    ``sign(g)`` is the exact sign of a residual at grid point ``g``: it is
+    ``want_low`` below the root and ``-want_low`` above it.  The search
+    gallops out from ``seed`` with doubling steps until the sign change is
+    bracketed, then bisects, so a seed in the right cell costs two signs and
+    a poor one costs only time.  Returns ``(g, exact, evaluations)`` with
+    ``sign(g) == 0`` if ``exact``, else ``sign(g) == want_low`` and
+    ``sign(g + 1) == -want_low``.  That postcondition is checked against
+    the evaluated signs, and it or a search reaching ``lo`` or ``hi``
+    without a sign change raises :class:`CertificationError`.
+    """
+    signs: dict[int, int] = {}
+
+    def at(g: int) -> int:
+        if g not in signs:
+            signs[g] = sign(g)
+        return signs[g]
+
+    below = above = min(max(seed, lo), hi - 1)
+    step = 1
+    while at(below) == -want_low:
+        if below == lo:
+            raise CertificationError(f"no sign change down to grid point {lo}")
+        above, below, step = below, max(below - step, lo), 2 * step
+    while at(above) == want_low:
+        if above == hi:
+            raise CertificationError(f"no sign change up to grid point {hi}")
+        below, above, step = above, min(above + step, hi), 2 * step
+    while above - below > 1 and at(below) and at(above):
+        mid = (below + above) // 2
+        if at(mid) == want_low:
+            below = mid
+        else:
+            above = mid
+    for g in (below, above):
+        if at(g) == 0:
+            return g, True, len(signs)
+    if above != below + 1 or at(below) != want_low or at(above) != -want_low:
+        raise CertificationError(f"grid cell {below} does not bracket the root")
+    return below, False, len(signs)
 
 
 @dataclass(frozen=True)
@@ -327,9 +378,11 @@ def cbrt(a: DecimalScalar, ctx: PrecisionContext = DEFAULT_CONTEXT) -> DecimalSc
 def format_grouped(a: DecimalScalar) -> str:
     """Paper-table typography: fractional digits in groups of five.
 
-    ``2.0000000000`` renders as ``"2 00000 00000"`` and a zero integer part
-    is elided entirely, so ``0.6353443923`` renders as ``"63534 43923"``.
-    A five-digit leading token therefore always means a fractional group;
+    ``2.0000000000`` renders as ``"2 00000 00000"``, and a zero integer
+    part is elided when a full five-digit group follows, so
+    ``0.6353443923`` renders as ``"63534 43923"``; with fewer than five
+    fractional digits it stays, so ``0.7`` renders as ``"0 7"``.  A
+    five-digit leading token therefore always means a fractional group;
     values whose integer part has exactly five digits would be ambiguous
     and are rejected.
     """
@@ -341,10 +394,9 @@ def format_grouped(a: DecimalScalar) -> str:
         raise ValueError("five-digit integer part has no unambiguous grouped form")
     groups = [frac[i: i + 5] for i in range(0, len(frac), 5)]
     int_part = int_part.lstrip("0")
-    if not int_part and not groups:
-        return "0"
-    parts = ([int_part] if int_part else []) + groups
-    return sign + " ".join(parts)
+    if not int_part and len(frac) < 5:
+        int_part = "0"
+    return sign + " ".join(([int_part] if int_part else []) + groups)
 
 
 def parse_grouped(text: str) -> DecimalScalar:
@@ -355,17 +407,13 @@ def parse_grouped(text: str) -> DecimalScalar:
         sign = -1 if text[0] == "-" else 1
         text = text[1:].strip()
     tokens = text.split(" ")
-    if not tokens or not all(t.isdigit() for t in tokens):
+    if not all(t.isdigit() for t in tokens):
         raise ValueError(f"not a grouped decimal: {text!r}")
-    if all(len(t) == 5 for t in tokens):
+    if len(tokens[0]) == 5:
         int_part, frac_tokens = "0", tokens
     else:
         int_part, frac_tokens = tokens[0], tokens[1:]
-        if any(len(t) != 5 for t in frac_tokens[:-1]) or (
-            frac_tokens and len(frac_tokens[-1]) > 5
-        ):
-            raise ValueError(f"malformed fractional groups: {text!r}")
-        if len(int_part) == 5:
-            raise ValueError(f"ambiguous leading five-digit token: {text!r}")
+    if any(len(t) != 5 for t in frac_tokens[:-1]) or (frac_tokens and len(frac_tokens[-1]) > 5):
+        raise ValueError(f"malformed fractional groups: {text!r}")
     frac = "".join(frac_tokens)
     return DecimalScalar(sign * int(int_part + frac), len(frac))

@@ -1,8 +1,10 @@
 import json
+from fractions import Fraction
 
 import pytest
 
 from mesolabe.cli import main
+from mesolabe.delian import InstrumentState
 
 
 def run(capsys, *argv):
@@ -94,6 +96,22 @@ class TestMeans:
 
     def test_inverted_inputs_usage_error(self, capsys):
         assert main(["means", "--a", "3", "--b", "2"]) == 2
+
+    def test_exact_zero_residual_is_stated_as_zero(self, capsys):
+        code, text = run(capsys, "means", "--a", "1", "--b", "1")
+        assert code == 0
+        assert "continued-proportion residual = 0" in text
+        assert "residual <" not in text
+        _, blob = run(capsys, "means", "--a", "1", "--b", "1", "--json")
+        assert json.loads(blob)["residual_bound"] == "0"
+
+    def test_certification_failure_is_one_line_exit_1(self, capsys, monkeypatch):
+        monkeypatch.setattr(InstrumentState, "residual_compass", lambda self: Fraction(-1))
+        code = main(["means", "--a", "1", "--b", "2", "--method", "compass"])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
 
 
 class TestDuplicateCube:

@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mesolabe.delian import (
     InstrumentState,
@@ -10,7 +11,13 @@ from mesolabe.delian import (
     two_means_instrument,
 )
 from mesolabe.proportio import four_proportionals_planar, verify_continued_proportion
-from mesolabe.scalar import DecimalScalar, PrecisionContext, round_to, ulp
+from mesolabe.scalar import (
+    DecimalScalar,
+    PrecisionContext,
+    certify_bracket,
+    round_to,
+    ulp,
+)
 
 from oracles import newton_cbrt
 
@@ -141,3 +148,66 @@ class TestDuplicateCube:
     def test_positive_edge_required(self):
         with pytest.raises(ValueError):
             duplicate_cube(D("0"), CTX10)
+
+
+def _cube_defect(a: Fraction, b: Fraction, t: Fraction) -> Fraction:
+    """b k^3 - a at arc parameter t, k = (1 - t^2)/(1 + t^2): decreasing in t."""
+    k = (1 - t * t) / (1 + t * t)
+    return b * k**3 - a
+
+
+def _sign(x: Fraction) -> int:
+    return (x > 0) - (x < 0)
+
+
+ordered_pairs = st.tuples(
+    st.fractions(min_value=F(1, 1000), max_value=1000, max_denominator=1000),
+    st.fractions(min_value=F(1, 1000), max_value=1000, max_denominator=1000),
+).map(lambda p: (p[0], p[0] + p[1]))
+
+
+class TestCertifiedCell:
+    @settings(max_examples=40, deadline=None)
+    @given(ordered_pairs, st.integers(min_value=1, max_value=60))
+    def test_both_solvers_bracket_the_root(self, pair, digits):
+        a, b = pair
+        ctx = PrecisionContext.for_output(digits)
+        grid = 10**ctx.work_digits
+        for solve in (two_means_instrument, two_means_compass):
+            t = solve(a, b, ctx).theta_param
+            if (t * grid).denominator == 1:
+                assert _cube_defect(a, b, t) == 0
+                continue
+            cell = int(t * grid)
+            assert t == F(2 * cell + 1, 2 * grid)
+            assert _cube_defect(a, b, F(cell, grid)) > 0 > _cube_defect(a, b, F(cell + 1, grid))
+
+    @settings(max_examples=40, deadline=None)
+    @given(ordered_pairs, st.integers(min_value=1, max_value=30), st.randoms(use_true_random=False))
+    def test_cell_does_not_depend_on_the_seed(self, pair, digits, rng):
+        a, b = pair
+        grid = 10**digits
+
+        def sign(g):
+            return _sign(_cube_defect(a, b, F(g, grid)))
+
+        cells = {
+            certify_bracket(sign, seed, 0, grid, 1)[:2]
+            for seed in (0, grid - 1, rng.randrange(grid))
+        }
+        assert len(cells) == 1
+
+    def test_exact_grid_root_is_hit(self):
+        # 27 : 45 : 75 : 125, so k = 3/5 and t = 1/2 lies on the grid
+        for solve in (two_means_instrument, two_means_compass):
+            result = solve(F(27), F(125), CTX10)
+            assert result.theta_param == F(1, 2)
+            assert result.m1 == D("45") and result.m2 == D("75")
+            assert result.residual == 0
+
+    @pytest.mark.parametrize("digits", [300, 1000])
+    def test_sign_evaluations_per_solve_are_few(self, digits):
+        ctx = PrecisionContext.for_output(digits)
+        for a, b in ((D("3.217"), D("14.905")), (D("1"), D("1.000001")), (D("19.998"), D("20"))):
+            for solve in (two_means_instrument, two_means_compass):
+                assert 1 <= solve(a, b, ctx).iterations <= 8

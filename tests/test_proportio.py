@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from mesolabe import proportio
 from mesolabe.euclid import check_19_7, check_20_7
 from mesolabe.proportio import (
     ChordConfig,
@@ -23,6 +24,7 @@ from mesolabe.proportio import (
 from mesolabe.scalar import (
     DecimalScalar,
     PrecisionContext,
+    certify_bracket,
     round_to,
     sqrt,
     ulp,
@@ -95,6 +97,36 @@ class TestChordSolver:
         cfg = solve_continued_chords(d, CTX10)
         assert chords_pass(cfg, 10)
         assert cfg.ab + cfg.bd == cfg.ad
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.integers(min_value=1, max_value=10**6),
+        st.integers(min_value=0, max_value=4),
+        st.integers(min_value=1, max_value=60),
+    )
+    def test_ab_is_the_correctly_rounded_root(self, unscaled, scale, digits):
+        d = DecimalScalar(unscaled, scale)
+        ctx = PrecisionContext.for_output(digits)
+        w = ctx.work_digits
+        # the oracle's error is far below 10^-(w + 20); the root is irrational,
+        # so it never sits that close to a rounding midpoint
+        ab, _, _ = chord_lengths(d.as_fraction(), w + 20)
+        assert solve_continued_chords(d, ctx).ab == DecimalScalar.from_fraction(ab, w)
+
+    @pytest.mark.parametrize("digits", [300, 1000])
+    def test_sign_evaluations_per_solve_are_few(self, digits, monkeypatch):
+        counts = []
+
+        def counted(*args):
+            cell, exact, evaluations = certify_bracket(*args)
+            counts.append(evaluations)
+            return cell, exact, evaluations
+
+        monkeypatch.setattr(proportio, "certify_bracket", counted)
+        for d in ("2", "7.31", "19.999", "0.001"):
+            solve_continued_chords(D(d), PrecisionContext.for_output(digits))
+        assert len(counts) == 4
+        assert all(1 <= n <= 8 for n in counts)
 
 
 class TestPaperTable:

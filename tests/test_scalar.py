@@ -1,14 +1,21 @@
 import math
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
 
+import mesolabe
 from mesolabe.scalar import (
+    CertificationError,
     DecimalScalar,
     PrecisionContext,
     cbrt,
+    certify_bracket,
     div,
     format_grouped,
     mul_exact,
@@ -91,10 +98,64 @@ class TestGroupedFormat:
         # a leading five-digit token always reads as a fractional group
         assert parse_grouped("12345 67890") == D("0.1234567890")
 
+    def test_zero_integer_part_kept_below_one_group(self):
+        assert format_grouped(D("0.7")) == "0 7"
+        assert format_grouped(D("-0.993")) == "-0 993"
+        assert parse_grouped("0 7") == D("0.7")
+
+    def test_leading_five_digit_token_with_short_tail(self):
+        assert parse_grouped("12345 67") == D("0.1234567")
+        assert parse_grouped("00000 12") == D("0.0000012")
+        assert format_grouped(D("0.0000012")) == "00000 12"
+
     @given(st.integers(min_value=-9999, max_value=9999), st.integers(min_value=0, max_value=25))
     def test_round_trip_on_representable_values(self, int_part, scale):
         value = DecimalScalar(int_part * 10**scale + (7 if scale else 0), scale)
         assert parse_grouped(format_grouped(value)) == value
+
+
+#: Sign functions that break the contract of certify_bracket on [0, 100].
+LIARS = {
+    "never changes sign": lambda g: 1,
+    "always past the root": lambda g: -1,
+    "changes sign only below the seed": lambda g: 1 if g < 30 or g >= 60 else -1,
+    "answers outside -1, 0, 1": lambda g: 2,
+}
+
+
+class TestCertifyBracket:
+    def test_finds_the_cell_from_any_seed(self):
+        for seed in (0, 41, 42, 43, 99, -5, 500):
+            assert certify_bracket(lambda g: (g < 42) - (g > 42), seed, 0, 100, 1)[:2] == (42, True)
+            assert certify_bracket(lambda g: 1 if 2 * g < 85 else -1, seed, 0, 100, 1)[:2] == (42, False)
+            assert certify_bracket(lambda g: -1 if 2 * g < 85 else 1, seed, 0, 100, -1)[:2] == (42, False)
+
+    def test_good_seed_costs_two_signs(self):
+        assert certify_bracket(lambda g: 1 if 2 * g < 85 else -1, 42, 0, 100, 1) == (42, False, 2)
+
+    @pytest.mark.parametrize("liar", LIARS)
+    def test_lying_sign_is_refused(self, liar):
+        with pytest.raises(CertificationError):
+            certify_bracket(LIARS[liar], 70, 0, 100, 1)
+
+    def test_lying_sign_is_refused_without_asserts(self):
+        # python -O strips assert statements; the certificate must not need them
+        code = (
+            "from mesolabe.scalar import CertificationError, certify_bracket\n"
+            "print('debug', __debug__)\n"
+            "for liar in (lambda g: 1, lambda g: -1, lambda g: 2):\n"
+            "    try:\n"
+            "        certify_bracket(liar, 70, 0, 100, 1)\n"
+            "        print('accepted')\n"
+            "    except CertificationError:\n"
+            "        print('refused')\n"
+        )
+        src = str(Path(mesolabe.__file__).parent.parent)
+        out = subprocess.run(
+            [sys.executable, "-O", "-c", code], capture_output=True, text=True, check=True,
+            env={**os.environ, "PYTHONPATH": src},
+        ).stdout
+        assert out.split("\n") == ["debug False", "refused", "refused", "refused", ""]
 
 
 class TestMulExact:
