@@ -1,9 +1,18 @@
-"""Golden CLI corpus: current text, JSON and SVG output against frozen files.
+"""Golden corpus: CLI output and Euclid checker results against frozen files.
 
-Each case below has a frozen output under ``tests/golden/<name>.<ext>``.
+Each CLI case below has a frozen output under ``tests/golden/<name>.<ext>``.
 The solver's ``iterations`` count is masked on both sides, because it
 counts the solver's work rather than a certified value; every other byte
-must match.  To rewrite the corpus from the code on ``PYTHONPATH``:
+must match.
+
+``tests/golden/euclid-residuals.json`` holds explicit Fraction instances for
+every public checker in :mod:`mesolabe.euclid`, valid and perturbed ones,
+with the exact residual, truth value, volume triple or ``ValueError`` each
+gave.  The instances were drawn from the Fraction generators that preceded
+the integer-lattice ones, so they also pin the checkers on Fraction input.
+
+To rewrite the corpus (CLI outputs, and the results of the frozen
+instances) from the code on ``PYTHONPATH``:
 
     python tests/test_golden.py
 """
@@ -11,13 +20,17 @@ must match.  To rewrite the corpus from the code on ``PYTHONPATH``:
 from __future__ import annotations
 
 import io
+import json
 import re
 from contextlib import redirect_stdout
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
+from mesolabe import euclid
 from mesolabe.cli import main
+from mesolabe.euclid import Point2, Point3, Triangle
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -34,6 +47,12 @@ CASES = {
     "duplicate-cube-d20": CUBE + ("--digits", "20"),
     "duplicate-cube-d300": CUBE + ("--digits", "300"),
     "verify-table": ("verify-table",),
+    "check-props-s42-n200": ("check-props", "--seed", "42", "--instances", "200"),
+    "check-props-s7-n40": ("check-props", "--seed", "7", "--instances", "40"),
+    "pyramid-right": ("pyramid", "--edges", "3", "4", "12"),
+    "pyramid-oblique": ("pyramid", "--edges", "1", "1", "1", "--cosines", "1/2", "1/2", "1/2"),
+    "four-proportionals-planar": ("four-proportionals", "--ac", "2", "--t", "1/2"),
+    "four-proportionals-sphere": ("four-proportionals", "--ac", "2", "--t", "1/2", "--sphere"),
     "figure-6": ("figure", "--id", "6"),
     "figure-7": ("figure", "--id", "7"),
 }
@@ -71,7 +90,63 @@ def test_output_matches_golden(filename):
     assert _mask(_run(VARIANTS[filename])) == _mask(expected)
 
 
+RESIDUALS = GOLDEN / "euclid-residuals.json"
+
+
+def _decode(value):
+    """JSON argument -> Fraction, Point2, Point3, Triangle or tuple of those."""
+    if isinstance(value, str):
+        return Fraction(value)
+    if isinstance(value, dict):
+        return Triangle(*(_decode(v) for v in value["triangle"]))
+    if all(isinstance(v, str) for v in value):
+        return (Point2 if len(value) == 2 else Point3)(*(Fraction(v) for v in value))
+    return tuple(_decode(v) for v in value)
+
+
+def _outcome(case):
+    """What the checker gives on the case, in the file's encoding."""
+    fn = getattr(euclid, case["checker"])
+    try:
+        result = fn(*(_decode(a) for a in case["args"]))
+    except ValueError:
+        return {"raises": "ValueError"}
+    if isinstance(result, bool):
+        return result
+    if isinstance(result, tuple):
+        return [_exact(v) for v in result]
+    return _exact(result)
+
+
+def _exact(value) -> str:
+    assert isinstance(value, (int, Fraction)) and not isinstance(value, bool), repr(value)
+    return str(Fraction(value))
+
+
+def _residual_cases():
+    return json.loads(RESIDUALS.read_text(encoding="utf-8"))["cases"]
+
+
+def test_euclid_residuals_match_golden():
+    cases = _residual_cases()
+    assert {c["checker"] for c in cases} >= {
+        "check_47_1", "check_pappus", "check_12_2", "check_13_2", "check_3_3",
+        "check_clavius_31_3", "check_8_6_corollary", "check_31_6", "check_19_7",
+        "check_20_7", "check_4_11", "check_7_12", "prism_split_volumes",
+    }
+    mismatches = [(c, _outcome(c)) for c in cases if _outcome(c) != c["result"]]
+    assert not mismatches, mismatches[:3]
+
+
+def _write_residuals(cases) -> None:
+    for case in cases:
+        case["result"] = _outcome(case)
+    body = ",\n".join("  " + json.dumps(c) for c in cases)
+    RESIDUALS.write_text('{\n "cases": [\n' + body + "\n ]\n}\n", encoding="utf-8")
+
+
 if __name__ == "__main__":
     GOLDEN.mkdir(exist_ok=True)
     for filename, argv in VARIANTS.items():
         (GOLDEN / filename).write_text(_run(argv), encoding="utf-8")
+    _write_residuals(_residual_cases())
