@@ -305,6 +305,8 @@ def _cmd_four_proportionals(cfg: RunConfig, args) -> int:
 
 
 def _cmd_check_props(cfg: RunConfig, args) -> int:
+    if args.instances < 1:
+        raise ValueError("--instances must be at least 1")
     rows = euclid.run_proposition_suite(cfg.seed, args.instances)
     ok = all(r.passed for r in rows)
     lines = [f"proposition suite, seed {cfg.seed}, {args.instances} instances each", ""]

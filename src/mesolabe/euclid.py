@@ -1,9 +1,18 @@
 """Executable checkers for the Elements propositions the construction relies on.
 
-Every predicate here is exact over :class:`~fractions.Fraction`; a checker
-returns a residual Fraction (the claim holds iff it is 0) or a bool for
-incidence claims.  There are no epsilon comparisons in this module, which
-is what lets the rest of the package use these checkers as its oracle layer.
+Every predicate here is exact over ``int`` or :class:`~fractions.Fraction`
+coordinates; a checker returns a residual (the claim holds iff it is 0) or a
+bool for incidence claims, and never a float.  No coordinate is ever
+divided: midpoints, feet of perpendiculars, intersection points and volumes
+are compared in homogeneous form, multiplied through by their denominators,
+and a cleared residual is turned back into its plain value by one exact
+division at the end, only when it is non-zero.  Each claim is a homogeneous
+polynomial identity, so its verdict is unchanged when the instance is scaled
+by a positive integer.  The seeded suite behind ``check-props`` relies on
+that: it builds every instance on the integer lattice, as the rational
+instance times its common denominator, and runs on ``int`` throughout.
+There are no epsilon comparisons in this module, which is what lets the rest
+of the package use these checkers as its oracle layer.
 
 Conventions: a :class:`Triangle` carries its designated vertex first, so a
 "right angle at the designated vertex" means the angle at ``t.a``.
@@ -11,11 +20,12 @@ Conventions: a :class:`Triangle` carries its designated vertex first, so a
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .scalar import Rational
+from .scalar import CertificationError, Rational
 
 
 @dataclass(frozen=True)
@@ -92,6 +102,17 @@ def _require(condition: bool, message: str) -> None:
         raise ValueError(message)
 
 
+def _certify(condition: bool, message: str) -> None:
+    """Raise unless two independent exact evaluations of a claim agreed."""
+    if not condition:
+        raise CertificationError(message)
+
+
+def _uncleared(residual: Rational, k: Rational) -> Rational:
+    """``residual / k`` for a residual multiplied through by ``k > 0``."""
+    return Fraction(residual, k) if residual else residual
+
+
 # -- book I ------------------------------------------------------------------
 
 
@@ -111,29 +132,24 @@ def check_pappus(t: Triangle, offset_ab: Point2, offset_ac: Point2) -> Rational:
     at H; the parallelogram on BC with side equal and parallel to HA then
     matches the other two in combined area.  Returns
     area(on AB) + area(on AC) - area(on BC), exact, zero for the outward
-    configuration the proposition describes.
+    configuration the proposition describes.  The residual is homogeneous
+    of degree one in the triangle and of degree one in the two offsets.
     """
-    _require(not t.is_degenerate(), "degenerate triangle")
     ab, ac = t.legs()
+    den = ab.cross(ac)
+    _require(den != 0, "degenerate triangle")
     _require(ab.cross(offset_ab) != 0, "parallelogram on AB is flat")
     _require(ac.cross(offset_ac) != 0, "parallelogram on AC is flat")
-    # H solves A + offset_ab + s*AB = A + offset_ac + r*AC.
-    rhs = offset_ac - offset_ab
-    denom = ab.cross(ac)
-    s = rhs.cross(ac) / denom
-    h = t.a + offset_ab + ab.scaled(s)
-    area_ab = abs(ab.cross(offset_ab))
-    area_ac = abs(ac.cross(offset_ac))
-    area_bc = abs((t.c - t.b).cross(t.a - h))
-    return area_ab + area_ac - area_bc
+    # H = A + offset_ab + s*AB with s = num/den solves
+    # A + offset_ab + s*AB = A + offset_ac + r*AC; ``ha`` is den * (H - A).
+    num = (offset_ac - offset_ab).cross(ac)
+    ha = offset_ab.scaled(den) + ab.scaled(num)
+    k = abs(den)
+    areas = abs(ab.cross(offset_ab)) + abs(ac.cross(offset_ac))
+    return _uncleared(areas * k - abs((t.c - t.b).cross(ha)), k)
 
 
 # -- book II -----------------------------------------------------------------
-
-
-def _angle_dot(t: Triangle) -> Rational:
-    u, v = t.legs()
-    return u.dot(v)
 
 
 def check_12_2(t: Triangle) -> Rational:
@@ -143,17 +159,17 @@ def check_12_2(t: Triangle) -> Rational:
     off outside by the perpendicular, which over rationals is exactly
     ``|AB . AC|`` without extracting any root.
     """
-    d = _angle_dot(t)
-    _require(d < 0, "angle at the designated vertex is not obtuse")
     u, v = t.legs()
+    d = u.dot(v)
+    _require(d < 0, "angle at the designated vertex is not obtuse")
     return (t.c - t.b).norm_sq() - (u.norm_sq() + v.norm_sq() + 2 * (-d))
 
 
 def check_13_2(t: Triangle) -> Rational:
     """Acute case: BC^2 - (AB^2 + AC^2 - 2 * rectangle) with the angle at a."""
-    d = _angle_dot(t)
-    _require(d > 0, "angle at the designated vertex is not acute")
     u, v = t.legs()
+    d = u.dot(v)
+    _require(d > 0, "angle at the designated vertex is not acute")
     return (t.c - t.b).norm_sq() - (u.norm_sq() + v.norm_sq() - 2 * d)
 
 
@@ -165,18 +181,20 @@ def check_3_3(center: Point2, chord: tuple[Point2, Point2]) -> bool:
 
     Both directions are evaluated exactly: the diameter through the chord's
     midpoint must be perpendicular to it, and the foot of the perpendicular
-    from the centre must be that midpoint.
+    from the centre must be that midpoint.  The midpoint is compared as
+    ``p + q`` against twice the centre or twice the foot.
     """
     p, q = chord
     _require(p != q, "degenerate chord")
     _require((p - center).norm_sq() == (q - center).norm_sq(), "chord endpoints not equidistant from centre")
-    mid = Point2((p.x + q.x) / 2, (p.y + q.y) / 2)
-    _require((q - p).cross(center - p) != 0, "chord passes through the centre")
     along = q - p
-    bisect_implies_perp = (mid - center).dot(along) == 0
-    # foot of the perpendicular from the centre onto the chord
-    s = (center - p).dot(along) / along.norm_sq()
-    perp_implies_bisect = p + along.scaled(s) == mid
+    _require(along.cross(center - p) != 0, "chord passes through the centre")
+    twice_mid = p + q
+    bisect_implies_perp = (twice_mid - center.scaled(2)).dot(along) == 0
+    # foot of the perpendicular from the centre, p + s*along with s = num/den,
+    # times 2*den against the doubled midpoint times den
+    num, den = (center - p).dot(along), along.norm_sq()
+    perp_implies_bisect = (p.scaled(den) + along.scaled(num)).scaled(2) == twice_mid.scaled(den)
     return bisect_implies_perp and perp_implies_bisect
 
 
@@ -185,14 +203,14 @@ def check_clavius_31_3(p: Point2, q: Point2, r: Point2) -> bool:
 
     True iff the circle on ``pq`` as diameter passes through ``r``; the
     right angle at ``r`` and the incidence are verified independently and
-    must agree.
+    must agree, or :class:`~mesolabe.scalar.CertificationError` is raised.
     """
     _require(p != q, "degenerate diameter")
     right_angle = (r - p).dot(r - q) == 0
-    mid = Point2((p.x + q.x) / 2, (p.y + q.y) / 2)
-    on_circle = (r - mid).norm_sq() * 4 == (q - p).norm_sq()
-    assert right_angle == on_circle  # the scholium itself
-    return right_angle and on_circle
+    # |r - mid|^2 * 4 with mid = (p + q)/2
+    on_circle = (r.scaled(2) - p - q).norm_sq() == (q - p).norm_sq()
+    _certify(right_angle == on_circle, "Clavius on 31.3: right angle and incidence disagree")
+    return right_angle
 
 
 # -- book VI -----------------------------------------------------------------
@@ -202,18 +220,19 @@ def check_8_6_corollary(t: Triangle) -> Rational:
     """Altitude from the right angle squared minus the base-segment rectangle.
 
     Right angle at ``t.a``; the altitude foot divides BC into segments whose
-    product is computed exactly from the projection parameter, so no length
-    ever leaves the rationals.
+    product is computed exactly from the projection parameter ``num/den``,
+    so no length ever leaves the rationals.  Both terms are evaluated times
+    ``den^2``.
     """
     u, v = t.legs()
     _require(u.dot(v) == 0, "no right angle at the designated vertex")
     _require(not t.is_degenerate(), "degenerate triangle")
     base = t.c - t.b
-    s = (t.a - t.b).dot(base) / base.norm_sq()
-    foot = t.b + base.scaled(s)
-    altitude_sq = (t.a - foot).norm_sq()
-    segments_product = s * (1 - s) * base.norm_sq()
-    return altitude_sq - segments_product
+    ba = t.a - t.b
+    num, den = ba.dot(base), base.norm_sq()
+    altitude_sq = (ba.scaled(den) - base.scaled(num)).norm_sq()
+    segments_product = num * (den - num) * den
+    return _uncleared(altitude_sq - segments_product, den * den)
 
 
 def check_31_6(t: Triangle, aspect: Rational) -> Rational:
@@ -221,7 +240,8 @@ def check_31_6(t: Triangle, aspect: Rational) -> Rational:
 
     Similar-figure areas scale with the squares of the sides, so rectangles
     of a fixed rational aspect ratio keep the check exact: the figure on the
-    hypotenuse equals the two on the legs combined.
+    hypotenuse equals the two on the legs combined.  The residual is linear
+    in ``aspect``.
     """
     _require(aspect > 0, "aspect ratio must be positive")
     u, v = t.legs()
@@ -235,22 +255,23 @@ def check_31_6(t: Triangle, aspect: Rational) -> Rational:
 def check_19_7(a: Rational, b: Rational, c: Rational, d: Rational) -> bool:
     """Four terms are proportional iff the outer product equals the inner one.
 
-    Evaluates ``a:b = c:d`` and ``a*d = b*c`` independently, asserts the
-    equivalence (the proposition), and returns the shared truth value.
+    Evaluates ``a:b = c:d`` (both ratios in lowest terms) and ``a*d = b*c``
+    independently, raises :class:`~mesolabe.scalar.CertificationError` if
+    they disagree (the proposition), and returns the shared truth value.
     """
     _require(b != 0 and d != 0, "zero consequent in a ratio")
-    ratio_equal = Fraction(a, 1) / b == Fraction(c, 1) / d
+    ratio_equal = Fraction(a, b) == Fraction(c, d)
     products_equal = a * d == b * c
-    assert ratio_equal == products_equal
+    _certify(ratio_equal == products_equal, "19.7: ratios and products disagree")
     return products_equal
 
 
 def check_20_7(a: Rational, b: Rational, c: Rational) -> bool:
     """Three terms are proportional iff the extremes' product is the mean's square."""
     _require(b != 0 and c != 0, "zero consequent in a ratio")
-    ratio_equal = Fraction(a, 1) / b == Fraction(b, 1) / c
+    ratio_equal = Fraction(a, b) == Fraction(b, c)
     products_equal = a * c == b * b
-    assert ratio_equal == products_equal
+    _certify(ratio_equal == products_equal, "20.7: ratios and products disagree")
     return products_equal
 
 
@@ -260,50 +281,55 @@ def check_20_7(a: Rational, b: Rational, c: Rational) -> bool:
 def check_4_11(line_dir: Point3, u: Point3, v: Point3) -> bool:
     """A line orthogonal to two crossing lines is orthogonal to their plane.
 
-    Returns False as soon as ``line_dir`` fails against ``u``, ``v`` or any
-    sampled combination; bilinearity makes the samples conclusive.
+    Checking ``u`` and ``v`` is conclusive: by bilinearity
+    ``line_dir . (alpha*u + beta*v) = alpha*(line_dir . u) + beta*(line_dir . v)``.
     """
     _require(u.cross(v).norm_sq() != 0, "u and v are parallel")
-    if line_dir.dot(u) != 0 or line_dir.dot(v) != 0:
-        return False
-    for alpha, beta in ((1, 1), (1, -1), (2, 3), (-5, 7)):
-        if line_dir.dot(u.scaled(Fraction(alpha)) + v.scaled(Fraction(beta))) != 0:
-            return False
-    return True
+    return line_dir.dot(u) == 0 and line_dir.dot(v) == 0
 
 
 # -- book XII ----------------------------------------------------------------
 
 
-def _tetra_volume(p0: Point3, p1: Point3, p2: Point3, p3: Point3) -> Rational:
-    return abs((p1 - p0).cross(p2 - p0).dot(p3 - p0)) / 6
+def _six_volume(p0: Point3, p1: Point3, p2: Point3, p3: Point3) -> Rational:
+    """Six times the volume of the tetrahedron: its absolute triple product."""
+    return abs((p1 - p0).cross(p2 - p0).dot(p3 - p0))
+
+
+def _split_six_volumes(
+    base: tuple[Point3, Point3, Point3], top: tuple[Point3, Point3, Point3]
+) -> tuple[Rational, Rational, Rational]:
+    a, b, c = base
+    a2, b2, c2 = top
+    return (
+        _six_volume(a, b, c, c2),
+        _six_volume(a, b, b2, c2),
+        _six_volume(a, a2, b2, c2),
+    )
 
 
 def prism_split_volumes(
     base: tuple[Point3, Point3, Point3], top: tuple[Point3, Point3, Point3]
 ) -> tuple[Rational, Rational, Rational]:
     """Volumes of the canonical three-tetrahedron split of a (claimed) prism."""
-    a, b, c = base
-    a2, b2, c2 = top
-    return (
-        _tetra_volume(a, b, c, c2),
-        _tetra_volume(a, b, b2, c2),
-        _tetra_volume(a, a2, b2, c2),
-    )
+    v1, v2, v3 = _split_six_volumes(base, top)
+    return _uncleared(v1, 6), _uncleared(v2, 6), _uncleared(v3, 6)
 
 
 def check_7_12(prism_base: tuple[Point3, Point3, Point3], apex_offset: Point3) -> Rational:
     """A triangular prism splits into three equal tetrahedra.
 
-    Returns prism volume minus three times one tetrahedron, with the equality
-    of all three parts asserted; everything is a scalar triple product.
+    Returns prism volume minus three times one tetrahedron; the three parts
+    must be equal, or :class:`~mesolabe.scalar.CertificationError` is
+    raised.  Everything is a scalar triple product, compared as six times
+    the volume.
     """
     a, b, c = prism_base
     top = (a + apex_offset, b + apex_offset, c + apex_offset)
-    v1, v2, v3 = prism_split_volumes(prism_base, top)
-    assert v1 == v2 == v3
-    prism = abs((b - a).cross(c - a).dot(apex_offset)) / 2
-    return prism - 3 * v1
+    v1, v2, v3 = _split_six_volumes(prism_base, top)
+    _certify(v1 == v2 == v3, "7.12: the three tetrahedra of the prism differ")
+    six_prism = 3 * abs((b - a).cross(c - a).dot(apex_offset))
+    return _uncleared(six_prism - 3 * v1, 6)
 
 
 # -- constructive generators ---------------------------------------------------
@@ -311,7 +337,11 @@ def check_7_12(prism_base: tuple[Point3, Point3, Point3], apex_offset: Point3) -
 # Everything below builds *exact* witnesses for the checkers: rational points
 # on circles and spheres, right angles by construction, proportional tuples
 # by construction.  The seeded random.Random instance keeps the CLI's
-# property runs reproducible.
+# property runs reproducible.  Each suite generator draws the numerators and
+# denominators of small random fractions (numerators in [-8, 8], or [1, 8]
+# with a random sign, over denominators in [1, 9]) and returns the rational
+# instance they define times the product of its denominators, a positive
+# integer, so its coordinates are ints.
 
 
 def unit_circle_point(t: Rational) -> Point2:
@@ -326,87 +356,119 @@ def unit_sphere_point(m: Rational, n: Rational) -> Point3:
     return Point3(2 * m / d, 2 * n / d, (m * m + n * n - 1) / d)
 
 
-def rand_fraction(rng: random.Random, lo: int = -8, hi: int = 8, den_max: int = 9) -> Rational:
-    return Fraction(rng.randint(lo, hi), rng.randint(1, den_max))
+def _draw(rng: random.Random) -> tuple[int, int]:
+    """Numerator in [-8, 8] and denominator in [1, 9] of a random fraction."""
+    return rng.randint(-8, 8), rng.randint(1, 9)
 
 
-def rand_nonzero_fraction(rng: random.Random, hi: int = 8, den_max: int = 9) -> Rational:
-    f = Fraction(rng.randint(1, hi), rng.randint(1, den_max))
-    return -f if rng.random() < 0.5 else f
+def _draw_nonzero(rng: random.Random) -> tuple[int, int]:
+    """Numerator in +-[1, 8] and denominator in [1, 9] of a random fraction."""
+    n, d = rng.randint(1, 8), rng.randint(1, 9)
+    return (-n if rng.random() < 0.5 else n), d
 
 
-def rand_point2(rng: random.Random) -> Point2:
-    return Point2(rand_fraction(rng), rand_fraction(rng))
+def _lattice_point2(rng: random.Random) -> tuple[Point2, int]:
+    """A random point times the returned positive scale, on the integer lattice."""
+    (x, dx), (y, dy) = _draw(rng), _draw(rng)
+    return Point2(x * dy, y * dx), dx * dy
 
 
-def rand_point3(rng: random.Random) -> Point3:
-    return Point3(rand_fraction(rng), rand_fraction(rng), rand_fraction(rng))
+def _lattice_point3(rng: random.Random) -> tuple[Point3, int]:
+    (x, dx), (y, dy), (z, dz) = _draw(rng), _draw(rng), _draw(rng)
+    return Point3(x * dy * dz, y * dx * dz, z * dx * dy), dx * dy * dz
+
+
+def _common_lattice(scaled_points: list) -> list:
+    """``(point, scale)`` pairs brought to the product of all their scales."""
+    total = math.prod(k for _, k in scaled_points)
+    return [p.scaled(total // k) for p, k in scaled_points]
+
+
+def _circle_vector(rng: random.Random, radius: int) -> tuple[Point2, int]:
+    """``radius`` times :func:`unit_circle_point` of a random fraction, times the scale."""
+    n, d = _draw(rng)
+    return Point2((d * d - n * n) * radius, 2 * n * d * radius), n * n + d * d
+
+
+def _two_on_circle(rng: random.Random) -> tuple[Point2, Point2, int]:
+    """Two random points of a random circle about the origin, times the scale."""
+    r, dr = _draw_nonzero(rng)
+    (u, ku), (v, kv) = _circle_vector(rng, abs(r)), _circle_vector(rng, abs(r))
+    return u.scaled(kv), v.scaled(ku), dr * ku * kv
+
+
+def _circle_setup(rng: random.Random) -> tuple[Point2, Point2, Point2]:
+    """A random centre and two points on a random circle about it, on one lattice."""
+    center, kc = _lattice_point2(rng)
+    u, v, k = _two_on_circle(rng)
+    center = center.scaled(k)
+    return center, center + u.scaled(kc), center + v.scaled(kc)
 
 
 def rand_right_triangle(rng: random.Random) -> Triangle:
-    """Right angle at the designated vertex, rational by a rotated frame."""
-    while True:
-        t = rand_fraction(rng)
-        u = unit_circle_point(t)
-        v = Point2(-u.y, u.x)
-        p = rand_nonzero_fraction(rng)
-        q = rand_nonzero_fraction(rng)
-        a = rand_point2(rng)
-        tri = Triangle(a, a + u.scaled(p), a + v.scaled(q))
-        if not tri.is_degenerate():
-            return tri
+    """Right angle at the designated vertex, rational by a rotated frame.
+
+    The legs are non-zero multiples of two perpendicular unit vectors, so
+    the triangle is never degenerate.
+    """
+    u, ku = _circle_vector(rng, 1)
+    (p, dp), (q, dq) = _draw_nonzero(rng), _draw_nonzero(rng)
+    a, ka = _lattice_point2(rng)
+    a = a.scaled(ku * dp * dq)
+    v = Point2(-u.y, u.x)
+    return Triangle(a, a + u.scaled(p * dq * ka), a + v.scaled(q * dp * ka))
 
 
 def rand_classified_triangle(rng: random.Random) -> tuple[Triangle, int]:
     """Random non-degenerate triangle with the sign of the angle dot at ``a``."""
     while True:
-        tri = Triangle(rand_point2(rng), rand_point2(rng), rand_point2(rng))
-        if tri.is_degenerate():
+        a, b, c = _common_lattice([_lattice_point2(rng), _lattice_point2(rng), _lattice_point2(rng)])
+        u, v = b - a, c - a
+        if u.cross(v) == 0:
             continue
-        d = _angle_dot(tri)
+        d = u.dot(v)
         if d != 0:
-            return tri, (1 if d > 0 else -1)
+            return Triangle(a, b, c), (1 if d > 0 else -1)
 
 
-def rand_proportional_quad(rng: random.Random) -> tuple[Rational, Rational, Rational, Rational]:
-    p = rand_nonzero_fraction(rng)
-    q = rand_nonzero_fraction(rng)
-    k = rand_nonzero_fraction(rng)
-    return p, p * k, q, q * k
+def rand_proportional_quad(rng: random.Random) -> tuple[int, int, int, int]:
+    """``(p, p*k, q, q*k)`` for random non-zero fractions p, q, k."""
+    (p, dp), (q, dq), (k, dk) = _draw_nonzero(rng), _draw_nonzero(rng), _draw_nonzero(rng)
+    return p * dq * dk, p * k * dq, q * dp * dk, q * k * dp
 
 
-def rand_proportional_triple(rng: random.Random) -> tuple[Rational, Rational, Rational]:
-    p = rand_nonzero_fraction(rng)
-    k = rand_nonzero_fraction(rng)
-    return p, p * k, p * k * k
+def rand_proportional_triple(rng: random.Random) -> tuple[int, int, int]:
+    """``(p, p*k, p*k*k)`` for random non-zero fractions p, k."""
+    (p, dp), (k, dk) = _draw_nonzero(rng), _draw_nonzero(rng)
+    return p * dk * dk, p * k * dk, p * k * k
 
 
 def rand_prism(rng: random.Random) -> tuple[tuple[Point3, Point3, Point3], Point3]:
     while True:
-        base = (rand_point3(rng), rand_point3(rng), rand_point3(rng))
-        offset = rand_point3(rng)
-        if (base[1] - base[0]).cross(base[2] - base[0]).dot(offset) != 0:
-            return base, offset
+        a, b, c, offset = _common_lattice([_lattice_point3(rng) for _ in range(4)])
+        if (b - a).cross(c - a).dot(offset) != 0:
+            return (a, b, c), offset
 
 
 def rand_chord_setup(rng: random.Random) -> tuple[Point2, tuple[Point2, Point2]]:
     """Centre plus a non-central chord with both ends on a rational circle."""
     while True:
-        center = rand_point2(rng)
-        r = abs(rand_nonzero_fraction(rng))
-        p = center + unit_circle_point(rand_fraction(rng)).scaled(r)
-        q = center + unit_circle_point(rand_fraction(rng)).scaled(r)
+        center, p, q = _circle_setup(rng)
         if p != q and (q - p).cross(center - p) != 0:
             return center, (p, q)
 
 
 def rand_pappus_offsets(rng: random.Random, t: Triangle) -> tuple[Point2, Point2]:
-    """Outward parallelogram side vectors for :func:`check_pappus`."""
+    """Outward parallelogram side vectors for :func:`check_pappus`.
+
+    The two offsets share one integer lattice of their own; the triangle
+    keeps its scale, which changes no verdict, because the Pappus residual
+    is homogeneous in the triangle and in the offsets separately.
+    """
     ab, ac = t.legs()
     orientation = ab.cross(ac)
     while True:
-        u = rand_point2(rng)
-        v = rand_point2(rng)
+        u, v = _common_lattice([_lattice_point2(rng), _lattice_point2(rng)])
         if ab.cross(u) * orientation < 0 and ac.cross(v) * orientation > 0:
             return u, v
 
@@ -417,11 +479,13 @@ def rand_pappus_offsets(rng: random.Random, t: Triangle) -> tuple[Point2, Point2
 # check clean, and a perturbation that must be detected (nonzero residual,
 # False, or a precondition rejection; which one depends on what the checker
 # guards).  The CLI's check-props subcommand and the acceptance suite both
-# run this table.
+# run this table.  A perturbation by a small fraction n/m multiplies the
+# lattice instance by m, so it stays on the integer lattice.
 
 
-def _nudge(rng: random.Random) -> Fraction:
-    return Fraction(rng.randint(1, 7), rng.randint(89, 127))
+def _nudge(rng: random.Random) -> tuple[int, int]:
+    """Numerator and denominator of a small positive fraction n/m."""
+    return rng.randint(1, 7), rng.randint(89, 127)
 
 
 def _detects(fn) -> bool:
@@ -443,7 +507,8 @@ def _valid_47_1(rng):
 def _pert_47_1(rng):
     t = rand_right_triangle(rng)
     u, _ = t.legs()
-    bad = Triangle(t.a, t.b, t.c + u.scaled(_nudge(rng)))  # breaks the right angle
+    n, m = _nudge(rng)
+    bad = Triangle(t.a.scaled(m), t.b.scaled(m), t.c.scaled(m) + u.scaled(n))  # breaks the right angle
     return _detects(lambda: check_47_1(bad))
 
 
@@ -465,8 +530,9 @@ def _valid_3_3(rng):
 
 def _pert_3_3(rng):
     center, (p, q) = rand_chord_setup(rng)
-    off = center + (q - center).scaled(1 + _nudge(rng))  # leaves the circle radially
-    return _detects(lambda: check_3_3(center, (p, off)))
+    n, m = _nudge(rng)
+    off = center.scaled(m) + (q - center).scaled(m + n)  # leaves the circle radially
+    return _detects(lambda: check_3_3(center.scaled(m), (p.scaled(m), off)))
 
 
 def _valid_8_6(rng):
@@ -476,20 +542,29 @@ def _valid_8_6(rng):
 def _pert_8_6(rng):
     t = rand_right_triangle(rng)
     u, _ = t.legs()
-    bad = Triangle(t.a + u.scaled(_nudge(rng)), t.b, t.c)
+    n, m = _nudge(rng)
+    bad = Triangle(t.a.scaled(m) + u.scaled(n), t.b.scaled(m), t.c.scaled(m))
     return _detects(lambda: check_8_6_corollary(bad))
 
 
 def _valid_31_6(rng):
-    aspect = Fraction(rng.randint(1, 9), rng.randint(1, 9))
-    return check_31_6(rand_right_triangle(rng), aspect) == 0
+    num, den = rng.randint(1, 9), rng.randint(1, 9)
+    # the aspect num/den times den; the residual is linear in the aspect
+    return check_31_6(rand_right_triangle(rng), num) == 0
 
 
 def _pert_31_6(rng):
     t = rand_right_triangle(rng)
     _, v = t.legs()
-    bad = Triangle(t.a, t.b + v.scaled(_nudge(rng)), t.c)
-    return _detects(lambda: check_31_6(bad, Fraction(2, 3)))
+    n, m = _nudge(rng)
+    bad = Triangle(t.a.scaled(m), t.b.scaled(m) + v.scaled(n), t.c.scaled(m))
+    return _detects(lambda: check_31_6(bad, 2))  # the aspect 2/3, times 3
+
+
+# 19.7 and 20.7: moving the last term by any non-zero amount breaks the
+# product identity, because the first term is never zero.  The quad or triple
+# is multiplied by m and its last term moved by n, which cannot reach zero
+# since 0 < n < m.
 
 
 def _valid_19_7(rng):
@@ -498,10 +573,8 @@ def _valid_19_7(rng):
 
 def _pert_19_7(rng):
     a, b, c, d = rand_proportional_quad(rng)
-    d = d + _nudge(rng)
-    if d == 0:
-        d = d + 1
-    return _detects(lambda: check_19_7(a, b, c, d))
+    n, m = _nudge(rng)
+    return _detects(lambda: check_19_7(a * m, b * m, c * m, d * m + n))
 
 
 def _valid_20_7(rng):
@@ -510,15 +583,13 @@ def _valid_20_7(rng):
 
 def _pert_20_7(rng):
     a, b, c = rand_proportional_triple(rng)
-    c = c + _nudge(rng)  # a*c moves by a*nudge != 0
-    if c == 0:
-        c = c + 1
-    return _detects(lambda: check_20_7(a, b, c))
+    n, m = _nudge(rng)
+    return _detects(lambda: check_20_7(a * m, b * m, c * m + n))
 
 
 def _uv_pair(rng):
     while True:
-        u, v = rand_point3(rng), rand_point3(rng)
+        u, v = _common_lattice([_lattice_point3(rng), _lattice_point3(rng)])
         if u.cross(v).norm_sq() != 0:
             return u, v
 
@@ -540,10 +611,12 @@ def _valid_7_12(rng):
 
 def _pert_7_12(rng):
     base, offset = rand_prism(rng)
-    a, b, c = base
+    n, m = _nudge(rng)
+    a, b, c = (p.scaled(m) for p in base)
+    shift = offset.scaled(m)
     # stretching one lateral edge turns the prism into a frustum-like solid
-    top = (a + offset, b + offset, c + offset.scaled(1 + _nudge(rng)))
-    v1, v2, v3 = prism_split_volumes(base, top)
+    top = (a + shift, b + shift, c + offset.scaled(m + n))
+    v1, v2, v3 = _split_six_volumes((a, b, c), top)
     return not (v1 == v2 == v3)
 
 
@@ -559,24 +632,25 @@ def _pert_pappus(rng):
     return _detects(lambda: check_pappus(t, Point2(-u.x, -u.y), v))
 
 
+def _clavius_instance(rng: random.Random) -> tuple[Point2, Point2, Point2]:
+    """Ends ``p, q`` of a diameter and a third point ``r`` of the same circle."""
+    while True:
+        center, p, r = _circle_setup(rng)
+        q = center.scaled(2) - p
+        if r != p and r != q:
+            return p, q, r
+
+
 def _valid_clavius(rng):
-    center = rand_point2(rng)
-    radius = abs(rand_nonzero_fraction(rng))
-    v = unit_circle_point(rand_fraction(rng)).scaled(radius)
-    r = center + unit_circle_point(rand_fraction(rng)).scaled(radius)
-    p, q = center + v, center - v
-    if r == p or r == q:
-        return _valid_clavius(rng)
-    return check_clavius_31_3(p, q, r)
+    return check_clavius_31_3(*_clavius_instance(rng))
 
 
 def _pert_clavius(rng):
-    center = Point2(Fraction(0), Fraction(0))
-    radius = abs(rand_nonzero_fraction(rng))
-    v = unit_circle_point(rand_fraction(rng)).scaled(radius)
-    r = center + unit_circle_point(rand_fraction(rng)).scaled(radius)
-    bad = r.scaled(1 + _nudge(rng))  # radially off the circle
-    return _detects(lambda: check_clavius_31_3(center + v, center - v, bad))
+    v, r, _ = _two_on_circle(rng)  # about the origin
+    n, m = _nudge(rng)
+    v = v.scaled(m)
+    bad = r.scaled(m + n)  # radially off the circle
+    return _detects(lambda: check_clavius_31_3(v, Point2(-v.x, -v.y), bad))
 
 
 PROPOSITION_SUITE: tuple[tuple[str, object, object], ...] = (

@@ -64,7 +64,15 @@ def _icbrt(n: int) -> int:
 
 
 class CertificationError(ArithmeticError):
-    """A solver could not certify its root with exact residual signs."""
+    """An exact certification failed.
+
+    Raised when a solver could not certify its root with exact residual
+    signs, and when the two independent exact evaluations that a Euclid
+    checker compares (ratios and products, right angle and incidence, the
+    three tetrahedra of a prism) disagree.  It is not a ``ValueError``, so
+    the proposition suite never counts it as a detected perturbation; it is
+    raised explicitly, so ``python -O`` keeps it.
+    """
 
 
 def certify_bracket(

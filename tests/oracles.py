@@ -4,7 +4,8 @@ Every expected value frozen in the tests is computed by one of these
 routes, which deliberately avoid the code paths they are used to check:
 schoolbook digit-array multiplication, float-seeded Newton iterations over
 Fractions, bisection of the chord problem in a different variable, a
-Cramer-rule circumcenter, and explicit vector realizations of edge frames.
+Cramer-rule circumcenter, explicit vector realizations of edge frames, and
+Fraction builders of the proposition suite's instances.
 """
 
 from __future__ import annotations
@@ -145,3 +146,228 @@ def realized_frame(rng: random.Random):
     cos_bc = dot(dirs[1], dirs[2])
     cos_ca = dot(dirs[2], dirs[0])
     return lengths, (cos_ab, cos_bc, cos_ca), vecs
+
+
+# -- Fraction builders of the proposition suite's instances ---------------------
+#
+# Written from the rational formulas the suite's instances are defined by:
+# every coordinate is a Fraction, points are tuples, and each builder makes
+# the same ``rng`` draws in the same order as the suite entry it mirrors.
+# ``SUITE_INSTANCES`` maps a suite row name to two builders, for the valid
+# and the perturbed instance, each returning the checker's argument list.
+
+
+def _frac(rng: random.Random) -> Fraction:
+    return Fraction(rng.randint(-8, 8), rng.randint(1, 9))
+
+
+def _nonzero_frac(rng: random.Random) -> Fraction:
+    f = Fraction(rng.randint(1, 8), rng.randint(1, 9))
+    return -f if rng.random() < 0.5 else f
+
+
+def _nudge(rng: random.Random) -> Fraction:
+    return Fraction(rng.randint(1, 7), rng.randint(89, 127))
+
+
+def _pt2(rng):
+    return (_frac(rng), _frac(rng))
+
+
+def _pt3(rng):
+    return (_frac(rng), _frac(rng), _frac(rng))
+
+
+def _add(p, q):
+    return tuple(x + y for x, y in zip(p, q))
+
+
+def _sub(p, q):
+    return tuple(x - y for x, y in zip(p, q))
+
+
+def _mul(p, k):
+    return tuple(x * k for x in p)
+
+
+def _dot(p, q):
+    return sum(x * y for x, y in zip(p, q))
+
+
+def _cross2(p, q):
+    return p[0] * q[1] - p[1] * q[0]
+
+
+def _cross3(p, q):
+    return (p[1] * q[2] - p[2] * q[1], p[2] * q[0] - p[0] * q[2], p[0] * q[1] - p[1] * q[0])
+
+
+def _on_unit_circle(t: Fraction):
+    d = 1 + t * t
+    return ((1 - t * t) / d, 2 * t / d)
+
+
+def right_triangle(rng: random.Random):
+    """Right angle at the first vertex: legs along a rotated rational frame."""
+    while True:
+        u = _on_unit_circle(_frac(rng))
+        v = (-u[1], u[0])
+        p, q = _nonzero_frac(rng), _nonzero_frac(rng)
+        a = _pt2(rng)
+        tri = (a, _add(a, _mul(u, p)), _add(a, _mul(v, q)))
+        if _cross2(_sub(tri[1], a), _sub(tri[2], a)) != 0:
+            return tri
+
+
+def classified_triangle(rng: random.Random):
+    """Non-degenerate triangle and the sign of the angle dot at its first vertex."""
+    while True:
+        tri = (_pt2(rng), _pt2(rng), _pt2(rng))
+        u, v = _sub(tri[1], tri[0]), _sub(tri[2], tri[0])
+        if _cross2(u, v) == 0:
+            continue
+        d = _dot(u, v)
+        if d != 0:
+            return tri, (1 if d > 0 else -1)
+
+
+def proportional_quad(rng: random.Random):
+    p, q, k = _nonzero_frac(rng), _nonzero_frac(rng), _nonzero_frac(rng)
+    return p, p * k, q, q * k
+
+
+def proportional_triple(rng: random.Random):
+    p, k = _nonzero_frac(rng), _nonzero_frac(rng)
+    return p, p * k, p * k * k
+
+
+def prism(rng: random.Random):
+    while True:
+        base = (_pt3(rng), _pt3(rng), _pt3(rng))
+        offset = _pt3(rng)
+        edge1, edge2 = _sub(base[1], base[0]), _sub(base[2], base[0])
+        if _dot(_cross3(edge1, edge2), offset) != 0:
+            return base, offset
+
+
+def chord_setup(rng: random.Random):
+    """Centre and a chord not through it, both ends on a circle about it."""
+    while True:
+        center = _pt2(rng)
+        r = abs(_nonzero_frac(rng))
+        p = _add(center, _mul(_on_unit_circle(_frac(rng)), r))
+        q = _add(center, _mul(_on_unit_circle(_frac(rng)), r))
+        if p != q and _cross2(_sub(q, p), _sub(center, p)) != 0:
+            return center, (p, q)
+
+
+def pappus_offsets(rng: random.Random, tri):
+    """Side vectors of parallelograms erected outward on AB and AC."""
+    ab, ac = _sub(tri[1], tri[0]), _sub(tri[2], tri[0])
+    orientation = _cross2(ab, ac)
+    while True:
+        u, v = _pt2(rng), _pt2(rng)
+        if _cross2(ab, u) * orientation < 0 and _cross2(ac, v) * orientation > 0:
+            return u, v
+
+
+def uv_pair(rng: random.Random):
+    """Two non-parallel space vectors."""
+    while True:
+        u, v = _pt3(rng), _pt3(rng)
+        if _dot(_cross3(u, v), _cross3(u, v)) != 0:
+            return u, v
+
+
+def clavius_instance(rng: random.Random):
+    """Ends of a diameter of a circle and a third point on it."""
+    while True:
+        center = _pt2(rng)
+        radius = abs(_nonzero_frac(rng))
+        v = _mul(_on_unit_circle(_frac(rng)), radius)
+        r = _add(center, _mul(_on_unit_circle(_frac(rng)), radius))
+        p, q = _add(center, v), _sub(center, v)
+        if r != p and r != q:
+            return p, q, r
+
+
+def _pert_right(rng, vertex: int, leg: int):
+    """Right triangle with one vertex moved by a nudge times one leg."""
+    tri = list(right_triangle(rng))
+    legs = (_sub(tri[1], tri[0]), _sub(tri[2], tri[0]))
+    tri[vertex] = _add(tri[vertex], _mul(legs[leg], _nudge(rng)))
+    return tuple(tri)
+
+
+def _pert_3_3(rng):
+    center, (p, q) = chord_setup(rng)
+    return [center, (p, _add(center, _mul(_sub(q, center), 1 + _nudge(rng))))]
+
+
+def _pert_19_7(rng):
+    a, b, c, d = proportional_quad(rng)
+    d = d + _nudge(rng)
+    return [a, b, c, d if d != 0 else d + 1]
+
+
+def _pert_20_7(rng):
+    a, b, c = proportional_triple(rng)
+    c = c + _nudge(rng)
+    return [a, b, c if c != 0 else c + 1]
+
+
+def _pert_7_12(rng):
+    (a, b, c), offset = prism(rng)
+    top = (_add(a, offset), _add(b, offset), _add(c, _mul(offset, 1 + _nudge(rng))))
+    return [(a, b, c), top]
+
+
+def _valid_31_6(rng):
+    aspect = Fraction(rng.randint(1, 9), rng.randint(1, 9))
+    return [right_triangle(rng), aspect]
+
+
+def _valid_pappus(rng):
+    tri, _ = classified_triangle(rng)
+    return [tri, *pappus_offsets(rng, tri)]
+
+
+def _pert_pappus(rng):
+    tri, u, v = _valid_pappus(rng)
+    return [tri, _mul(u, -1), v]
+
+
+def _pert_clavius(rng):
+    radius = abs(_nonzero_frac(rng))
+    v = _mul(_on_unit_circle(_frac(rng)), radius)
+    r = _mul(_on_unit_circle(_frac(rng)), radius)
+    return [v, _mul(v, -1), _mul(r, 1 + _nudge(rng))]
+
+
+def _valid_4_11(rng):
+    u, v = uv_pair(rng)
+    return [_cross3(u, v), u, v]
+
+
+def _pert_4_11(rng):
+    u, v = uv_pair(rng)
+    return [_add(_cross3(u, v), u), u, v]
+
+
+def _classified(rng):
+    return [classified_triangle(rng)[0]]
+
+
+SUITE_INSTANCES = {
+    "47.1": (lambda rng: [right_triangle(rng)], lambda rng: [_pert_right(rng, 2, 0)]),
+    "12.2/13.2": (_classified, _classified),
+    "3.3": (lambda rng: list(chord_setup(rng)), _pert_3_3),
+    "coroll. 8.6": (lambda rng: [right_triangle(rng)], lambda rng: [_pert_right(rng, 0, 0)]),
+    "31.6": (_valid_31_6, lambda rng: [_pert_right(rng, 1, 1), Fraction(2, 3)]),
+    "19.7": (lambda rng: list(proportional_quad(rng)), _pert_19_7),
+    "20.7": (lambda rng: list(proportional_triple(rng)), _pert_20_7),
+    "4.11": (_valid_4_11, _pert_4_11),
+    "7.12": (lambda rng: list(prism(rng)), _pert_7_12),
+    "Pappus on 47.1": (_valid_pappus, _pert_pappus),
+    "Clavius on 31.3": (lambda rng: list(clavius_instance(rng)), _pert_clavius),
+}

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from mesolabe import euclid
 from mesolabe.cli import main
 from mesolabe.delian import InstrumentState
 
@@ -152,6 +153,23 @@ class TestCheckProps:
         payload = json.loads(out)
         assert payload["all_hold"] is True
         assert payload["seed"] == 9
+
+    @pytest.mark.parametrize("count", ["-5", "0"])
+    def test_non_positive_instances_is_usage_error(self, capsys, count):
+        code = main(["check-props", "--instances", count])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == "error: --instances must be at least 1\n"
+
+    def test_certification_failure_is_one_line_exit_1(self, capsys, monkeypatch):
+        volumes = iter(range(10**6))
+        monkeypatch.setattr(euclid, "_six_volume", lambda *points: next(volumes))
+        code = main(["check-props", "--instances", "3"])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err.startswith("error: 7.12") and captured.err.count("\n") == 1
 
 
 class TestFigureCommand:

@@ -1,9 +1,17 @@
+import itertools
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
 
+import mesolabe
+from mesolabe import euclid
+from mesolabe.scalar import CertificationError
 from mesolabe.euclid import (
     Point2,
     Point3,
@@ -218,3 +226,61 @@ class TestSuiteRunner:
         a = run_proposition_suite(seed=3, instances=20)
         b = run_proposition_suite(seed=3, instances=20)
         assert a == b
+
+
+_VOLUMES = itertools.count()
+
+#: checker -> (attribute patched to lie, the lie, a call the lie must break)
+LIARS = {
+    "check_clavius_31_3": ("Point2.norm_sq", lambda self: 0,
+                           lambda: check_clavius_31_3(pt(-1, 0), pt(1, 0), pt(0, 2))),
+    "check_19_7": ("Fraction", lambda a, b: 0, lambda: check_19_7(1, 2, 3, 5)),
+    "check_20_7": ("Fraction", lambda a, b: 0, lambda: check_20_7(1, 2, 3)),
+    "check_7_12": ("_six_volume", lambda *points: next(_VOLUMES),
+                   lambda: check_7_12((pt3(0, 0, 0), pt3(1, 0, 0), pt3(0, 1, 0)), pt3(0, 0, 1))),
+}
+
+
+class TestCertification:
+    """Two exact evaluations that disagree raise, and are never a detection."""
+
+    @pytest.mark.parametrize("checker", LIARS)
+    def test_disagreement_raises(self, checker, monkeypatch):
+        attribute, lie, call = LIARS[checker]
+        monkeypatch.setattr(f"mesolabe.euclid.{attribute}", lie)
+        with pytest.raises(CertificationError):
+            call()
+        with pytest.raises(CertificationError):
+            euclid._detects(call)
+
+    def test_disagreement_raises_without_asserts(self):
+        # python -O strips assert statements; the checks must not need them
+        code = (
+            "import itertools\n"
+            "from mesolabe import cli, euclid\n"
+            "from mesolabe.euclid import Point2, Point3\n"
+            "from mesolabe.scalar import CertificationError\n"
+            "print('debug', __debug__)\n"
+            "counter = itertools.count()\n"
+            "Point2.norm_sq = lambda self: 0\n"
+            "euclid.Fraction = lambda a, b: 0\n"
+            "euclid._six_volume = lambda *points: next(counter)\n"
+            "p3 = Point3\n"
+            "for call in (lambda: euclid.check_clavius_31_3(Point2(-1, 0), Point2(1, 0), Point2(0, 2)),\n"
+            "             lambda: euclid.check_19_7(1, 2, 3, 5),\n"
+            "             lambda: euclid.check_20_7(1, 2, 3),\n"
+            "             lambda: euclid.check_7_12((p3(0, 0, 0), p3(1, 0, 0), p3(0, 1, 0)), p3(0, 0, 1))):\n"
+            "    try:\n"
+            "        call()\n"
+            "        print('accepted')\n"
+            "    except CertificationError:\n"
+            "        print('refused')\n"
+            "print('exit', cli.main(['check-props', '--instances', '3']))\n"
+        )
+        src = str(Path(mesolabe.__file__).parent.parent)
+        done = subprocess.run(
+            [sys.executable, "-O", "-c", code], capture_output=True, text=True, check=True,
+            env={**os.environ, "PYTHONPATH": src},
+        )
+        assert done.stdout.split("\n") == ["debug False"] + ["refused"] * 4 + ["exit 1", ""]
+        assert done.stderr.startswith("error: ") and done.stderr.count("\n") == 1
