@@ -134,7 +134,7 @@ def test_euclid_residuals_match_golden():
         "check_clavius_31_3", "check_8_6_corollary", "check_31_6", "check_19_7",
         "check_20_7", "check_4_11", "check_7_12", "prism_split_volumes",
     }
-    mismatches = [(c, _outcome(c)) for c in cases if _outcome(c) != c["result"]]
+    mismatches = [(c, got) for c in cases if (got := _outcome(c)) != c["result"]]
     assert not mismatches, mismatches[:3]
 
 
