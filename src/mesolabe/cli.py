@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from dataclasses import dataclass
@@ -30,6 +31,22 @@ from .scalar import (
 ENV_DIGITS = "MESOLABE_DIGITS"
 ENV_GUARD = "MESOLABE_GUARD"
 
+#: Digits kept free of the work digits under the interpreter's limit on
+#: int-to-str conversion, for the integer part of a printed value and the
+#: one extra digit of the arc parameter.
+INT_PART_ROOM = 100
+
+
+def max_work_digits() -> int | None:
+    """Largest ``--digits`` + ``--guard`` a run accepts, or None without a limit.
+
+    Every value is printed through ``str(int)``, which CPython refuses above
+    ``sys.get_int_max_str_digits()`` digits (4300 by default, so the cap is
+    4200); 0 there means no limit.
+    """
+    limit = sys.get_int_max_str_digits()
+    return limit - INT_PART_ROOM if limit else None
+
 
 @dataclass(frozen=True)
 class RunConfig:
@@ -45,6 +62,9 @@ class RunConfig:
     def __post_init__(self):
         if self.digits < 1:
             raise ValueError("precision must be at least one digit")
+        cap = max_work_digits()
+        if cap is not None and self.digits + self.guard > cap:
+            raise ValueError(f"--digits + --guard must not exceed {cap} work digits")
 
     @property
     def context(self) -> PrecisionContext:
@@ -58,11 +78,19 @@ def _emit(cfg: RunConfig, payload: dict, lines: list[str]) -> None:
         sys.stdout.write("\n".join(lines) + "\n")
 
 
+def _decimal_digits(n: int) -> int:
+    """Decimal digits of a positive int, counted without ``str``."""
+    d = max(1, int((n.bit_length() - 1) * math.log10(2)))  # never above the count
+    while n >= 10**d:
+        d += 1
+    return d
+
+
 def _residual_bound(r: DecimalScalar) -> str:
     """Human-sized upper bound for a tiny nonnegative residual."""
     if r.unscaled == 0:
         return "0"
-    return f"1e-{r.scale - len(str(r.unscaled))}"
+    return f"1e-{r.scale - _decimal_digits(r.unscaled)}"
 
 
 def _residual_text(bound: str) -> str:

@@ -16,9 +16,10 @@ the inscribed angle at A), which interposes AE = b k^2 and AD = b k
 between a and b.  The closed form k = cbrt(a/b) seeds the arc parameter,
 and :func:`~mesolabe.scalar.certify_bracket` then finds the grid cell at
 10^-w where the mechanism's residual changes sign.  Arc positions use the
-rational tangent-half-angle parameter, so every residual sign is decided
-in exact rational arithmetic and the certified cell can never be lost to
-rounding; the seed only decides how many signs that takes.
+rational tangent-half-angle parameter t = n/m, so k = (m^2 - n^2)/(m^2 + n^2)
+and every residual, multiplied by a positive factor that clears its
+denominators, is an exact integer: the certified cell can never be lost
+to rounding, and the seed only decides how many signs that takes.
 """
 
 from __future__ import annotations
@@ -33,19 +34,17 @@ from .scalar import (
     CertificationError,
     DecimalScalar,
     PrecisionContext,
+    _half_even_div,
     _icbrt,
     as_rational,
     certify_bracket,
 )
 
 
-def _ceil_to(value: Fraction, digits: int) -> DecimalScalar:
-    n = value.numerator * 10**digits
-    return DecimalScalar(-((-n) // value.denominator), digits)
-
-
-def _k_of(t: Fraction) -> Fraction:
-    return (1 - t * t) / (1 + t * t)
+def _cleared_k(t: Fraction) -> tuple[int, int]:
+    """(K, S) = (m^2 - n^2, m^2 + n^2) for t = n/m, so that k = K/S."""
+    n, m = t.numerator, t.denominator
+    return m * m - n * n, m * m + n * n
 
 
 @dataclass(frozen=True)
@@ -62,7 +61,7 @@ class InstrumentState:
 
     @property
     def k(self) -> Fraction:
-        return _k_of(self.t)
+        return Fraction(*_cleared_k(self.t))
 
     @property
     def s(self) -> Fraction:
@@ -85,28 +84,43 @@ class InstrumentState:
         return self.b * self.k**3
 
     def on_semicircle(self) -> bool:
-        center = Point2(self.b / 2, Fraction(0))
-        return (self.d_point - center).norm_sq() == (self.b / 2) ** 2
+        """|D - centre|^2 == (b/2)^2, cleared of denominators.
 
-    def residual_instrument(self) -> Fraction:
-        """Foot of the plumbline minus the cursor's crossing of AC.
+        With t = n/m, K = m^2 - n^2 and S = m^2 + n^2, the identity reads
+        k^2 (k^2 + s^2 - 1) == 0, that is K^2 (K^2 + 4 n^2 m^2 - S^2) == 0.
+        """
+        n, m = self.t.numerator, self.t.denominator
+        big_k, big_s = _cleared_k(self.t)
+        return big_k * big_k * (big_k * big_k + 4 * n * n * m * m - big_s * big_s) == 0
+
+    def residual_instrument(self) -> int:
+        """Foot of the plumbline minus the cursor's crossing of AC, cleared.
 
         The cursor line (perpendicular to the ruler at AF = a) meets AC at
         distance a/k from A; at the stopping position that is exactly the
-        perpendicular foot E.  Decreasing in t, positive at t = 0 for a < b.
+        perpendicular foot E.  The residual b k^2 - a/k is decreasing in t
+        and positive at t = 0 for a < b.  With a = pa/qa, b = pb/qb and
+        k = K/S, this returns it times the positive factor qa qb K S^2:
+        pb qa K^3 - pa qb S^3, an int with the residual's exact sign.
         """
-        if self.k == 0:
+        big_k, big_s = _cleared_k(self.t)
+        if big_k == 0:
             raise ZeroDivisionError("cursor line is parallel to AC at t = 1")
-        return self.b * self.k**2 - self.a / self.k
+        return (self.b.numerator * self.a.denominator * big_k**3
+                - self.a.numerator * self.b.denominator * big_s**3)
 
-    def residual_compass(self) -> Fraction:
-        """Target AF minus the ruler distance cut off by the sliding square.
+    def residual_compass(self) -> int:
+        """Target AF minus the ruler distance cut off by the sliding square, cleared.
 
         Along the ruler, the perpendicular through D cuts off b k^3 from A;
-        the compass stops when the cursor at a sits exactly there.
-        Increasing in t, negative at t = 0 for a < b.
+        the compass stops when the cursor at a sits exactly there.  The
+        residual a - b k^3 is increasing in t and negative at t = 0 for
+        a < b.  This returns it times the positive factor qa qb S^3:
+        pa qb S^3 - pb qa K^3, an int with the residual's exact sign.
         """
-        return self.a - self.af_current
+        big_k, big_s = _cleared_k(self.t)
+        return (self.a.numerator * self.b.denominator * big_s**3
+                - self.b.numerator * self.a.denominator * big_k**3)
 
 
 @dataclass(frozen=True)
@@ -134,18 +148,27 @@ def _validate(a: Fraction, b: Fraction) -> None:
 
 def _result(a: Fraction, b: Fraction, t: Fraction, iterations: int, method: str,
             ctx: PrecisionContext) -> MeansResult:
+    """Means b k^2 and b k rounded at scale w, and the ceiling at scale 3w of
+    the largest continued-proportion defect of a, m1, m2, b.
+
+    Every quantity is an integer over a known denominator, so nothing is
+    reduced: with m1 = M1/10^w and m2 = M2/10^w the three defects share the
+    denominator qa qb 10^2w.
+    """
     w = ctx.work_digits
-    k = _k_of(t)
-    m1f = b * k * k
-    m2f = b * k
-    m1 = DecimalScalar.from_fraction(m1f, w)
-    m2 = DecimalScalar.from_fraction(m2f, w)
+    scale = 10**w
+    pa, qa, pb, qb = a.numerator, a.denominator, b.numerator, b.denominator
+    big_k, big_s = _cleared_k(t)
+    m1 = _half_even_div(pb * big_k * big_k * scale, qb * big_s * big_s)
+    m2 = _half_even_div(pb * big_k * scale, qb * big_s)
     defect = max(
-        abs(a * m2.as_fraction() - m1.as_fraction() ** 2),
-        abs(m1.as_fraction() * b - m2.as_fraction() ** 2),
-        abs(a * b - m1.as_fraction() * m2.as_fraction()),
+        qb * abs(pa * m2 * scale - qa * m1 * m1),
+        qa * abs(pb * m1 * scale - qb * m2 * m2),
+        abs(pa * pb * scale * scale - qa * qb * m1 * m2),
     )
-    return MeansResult(m1, m2, t, iterations, _ceil_to(defect, 3 * w), method)
+    residual = DecimalScalar(-(-defect * scale // (qa * qb)), 3 * w)
+    return MeansResult(DecimalScalar(m1, w), DecimalScalar(m2, w), t, iterations,
+                       residual, method)
 
 
 def _seed(a: Fraction, b: Fraction, w: int) -> int:

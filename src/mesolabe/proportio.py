@@ -20,9 +20,11 @@ from fractions import Fraction
 from .euclid import Point3, check_4_11
 from .scalar import (
     DEFAULT_CONTEXT,
+    CertificationError,
     DecimalScalar,
     PrecisionContext,
     Rational,
+    as_rational,
     certify_bracket,
     format_grouped,
     round_to,
@@ -30,12 +32,6 @@ from .scalar import (
     truncate_to,
     ulp,
 )
-
-
-def _to_fraction(value) -> Fraction:
-    if isinstance(value, DecimalScalar):
-        return value.as_fraction()
-    return Fraction(value)
 
 
 @dataclass(frozen=True)
@@ -137,10 +133,16 @@ def _unit_ratio(digits: int) -> int:
 
     u^3 - 3u^2 + 4u - 1 is increasing (its derivative has no real zero), so
     Newton from u = 1/3 converges; the last step leaves an error of a few
-    units, which is all a seed needs.
+    units, which is all a seed needs.  Above 40 digits Newton starts from
+    the root at half the digits, found the same way, so about two
+    full-precision steps finish it.
     """
     s = 10**digits
-    u = s // 3
+    if digits <= 40:
+        u = s // 3
+    else:
+        half = digits // 2
+        u = _unit_ratio(half) * 10 ** (digits - half)
     while True:
         f = u**3 - 3 * u * u * s + 4 * u * s * s - s**3
         step = f // (3 * u * u - 6 * u * s + 4 * s * s)
@@ -165,7 +167,7 @@ def solve_continued_chords(
     if not d > 0:
         raise ValueError("diameter must be positive")
     w = ctx.work_digits
-    df = _to_fraction(d)
+    df = as_rational(d)
     p, q = df.numerator, df.denominator
 
     def sign(n: int, m: int) -> int:
@@ -291,7 +293,8 @@ def sphere_construction(ac: Fraction, t: Fraction) -> dict[str, Point3]:
 
     G sits on the semicircle with diameter AD in that perpendicular plane,
     above the foot F, so FG^2 = AF * FD and AG doubles AE as the second
-    proportional.  The two planes are checked perpendicular exactly.
+    proportional.  The two planes are checked perpendicular exactly, and
+    a failed check raises :class:`~mesolabe.scalar.CertificationError`.
     """
     pts = planar_construction(ac, t)
     k = (1 - t * t) / (1 + t * t)
@@ -304,11 +307,11 @@ def sphere_construction(ac: Fraction, t: Fraction) -> dict[str, Point3]:
     n_base = Point3(Fraction(0), Fraction(0), Fraction(1))
     n_lift = (d - a).cross(g - a)
     if n_base.dot(n_lift) != 0:
-        raise AssertionError("lifted plane is not perpendicular to the base plane")
+        raise CertificationError("lifted plane is not perpendicular to the base plane")
     if not check_4_11(n_base, d - a, pts["E"] - a):
-        raise AssertionError("base-plane normal fails against the in-plane lines")
+        raise CertificationError("base-plane normal fails against the in-plane lines")
     if g.norm_sq() != (ac * k * k) ** 2:
-        raise AssertionError("AG does not reproduce AE")
+        raise CertificationError("AG does not reproduce AE")
     return pts
 
 
@@ -320,7 +323,7 @@ def four_proportionals_planar(
     ``t`` may be a Fraction (exact arc parameter) or any scalar convertible
     to one, e.g. a DecimalScalar obtained from a root extraction.
     """
-    af, ae, ad, acf = quad_exact(_to_fraction(ac), _to_fraction(t))
+    af, ae, ad, acf = quad_exact(as_rational(ac), as_rational(t))
     w = ctx.work_digits
     return ProportionalsQuad(
         DecimalScalar.from_fraction(af, w),
@@ -336,10 +339,11 @@ def four_proportionals_sphere(
     """Same quad realized through the spherical-cap construction.
 
     The values are plane-independent; what this adds over the planar route
-    is the exact 3D construction with its perpendicularity assertions, and
-    AE realized as the out-of-plane chord AG.
+    is the exact 3D construction with its perpendicularity checks, and AE
+    realized as the out-of-plane chord AG; a construction that disagrees
+    with the planar quad raises :class:`~mesolabe.scalar.CertificationError`.
     """
-    acf, tf = _to_fraction(ac), _to_fraction(t)
+    acf, tf = as_rational(ac), as_rational(t)
     pts = sphere_construction(acf, tf)
     w = ctx.work_digits
     af_sq = pts["F"].norm_sq()
@@ -347,7 +351,7 @@ def four_proportionals_sphere(
     ad_sq = pts["D"].norm_sq()
     quad = quad_exact(acf, tf)
     if (af_sq, ag_sq, ad_sq) != (quad[0] ** 2, quad[1] ** 2, quad[2] ** 2):
-        raise AssertionError("spherical construction disagrees with the planar quad")
+        raise CertificationError("spherical construction disagrees with the planar quad")
     return ProportionalsQuad(*(DecimalScalar.from_fraction(v, w) for v in quad))
 
 

@@ -12,15 +12,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .euclid import Point3
-from .scalar import DecimalScalar, Rational
+from .scalar import DecimalScalar, Rational, as_rational
 
 Length = Rational | DecimalScalar | int
-
-
-def _as_fraction(v: Length) -> Fraction:
-    if isinstance(v, DecimalScalar):
-        return v.as_fraction()
-    return Fraction(v)
 
 
 @dataclass(frozen=True)
@@ -38,7 +32,7 @@ class RightPyramid:
     def vertices(self) -> tuple[Point3, Point3, Point3, Point3]:
         """Exact realization (D, A, B, C) with D at the origin."""
         zero = Fraction(0)
-        da, db, dc = (_as_fraction(v) for v in (self.da, self.db, self.dc))
+        da, db, dc = (as_rational(v) for v in (self.da, self.db, self.dc))
         return (
             Point3(zero, zero, zero),
             Point3(da, zero, zero),

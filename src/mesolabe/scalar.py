@@ -44,13 +44,20 @@ def _icbrt(n: int) -> int:
 
     Newton iteration from an upper bound; integer division makes each step
     land at or above the true root, and the final clamp loops guard the
-    last step so the bracket is never lost.
+    last step so the bracket is never lost.  For large ``n`` the start is
+    the floor cube root of the top half of the bits, found the same way,
+    plus one and shifted back: an upper bound that already holds half the
+    digits, so about two full-precision steps finish the root.
     """
     if n < 0:
         raise ValueError("negative argument")
     if n == 0:
         return 0
-    x = 1 << -(-n.bit_length() // 3)  # 2^ceil(bits/3) >= cbrt(n)
+    if n.bit_length() <= 192:
+        x = 1 << -(-n.bit_length() // 3)  # 2^ceil(bits/3) >= cbrt(n)
+    else:
+        shift = n.bit_length() // 6
+        x = (_icbrt(n >> 3 * shift) + 1) << shift
     while True:
         y = (2 * x + n // (x * x)) // 3
         if y >= x:
@@ -67,11 +74,13 @@ class CertificationError(ArithmeticError):
     """An exact certification failed.
 
     Raised when a solver could not certify its root with exact residual
-    signs, and when the two independent exact evaluations that a Euclid
-    checker compares (ratios and products, right angle and incidence, the
-    three tetrahedra of a prism) disagree.  It is not a ``ValueError``, so
-    the proposition suite never counts it as a detected perturbation; it is
-    raised explicitly, so ``python -O`` keeps it.
+    signs or its point left the semicircle, when the two independent exact
+    evaluations that a Euclid checker compares (ratios and products, right
+    angle and incidence, the three tetrahedra of a prism) disagree, and when
+    the spherical four-proportionals construction fails one of its checks.
+    It is not a ``ValueError``, so the proposition suite never counts it as
+    a detected perturbation; it is raised explicitly, so ``python -O`` keeps
+    it.
     """
 
 

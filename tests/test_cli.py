@@ -1,10 +1,12 @@
 import json
+import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, strategies as st
 
 from mesolabe import euclid
-from mesolabe.cli import main
+from mesolabe.cli import INT_PART_ROOM, _decimal_digits, main, max_work_digits
 from mesolabe.delian import InstrumentState
 
 
@@ -217,3 +219,60 @@ class TestDeterminismAndConfig:
 
     def test_unknown_flag_is_usage_error(self, capsys):
         assert main(["means", "--a", "1", "--b", "2", "--frobnicate"]) == 2
+
+
+@pytest.fixture(params=[4300, 1000], ids=["default-limit", "lowered-limit"])
+def str_digits_limit(request):
+    """The interpreter's int-to-str digit limit, set for one test."""
+    saved = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(request.param)
+    try:
+        yield request.param
+    finally:
+        sys.set_int_max_str_digits(saved)
+
+
+class TestDigitCap:
+    """Work digits are capped below the interpreter's int-to-str limit."""
+
+    def test_cap_follows_the_interpreter_limit(self, str_digits_limit):
+        assert max_work_digits() == str_digits_limit - INT_PART_ROOM
+
+    def test_no_cap_without_a_limit(self):
+        saved = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)
+        try:
+            assert max_work_digits() is None
+        finally:
+            sys.set_int_max_str_digits(saved)
+
+    @pytest.mark.parametrize("argv", [
+        ("means", "--a", "1", "--b", "2", "--method", "both"),
+        ("duplicate-cube", "--edge", "1.5"),
+        ("solve-chords", "--diameter", "2"),
+    ])
+    def test_just_below_and_just_above_the_cap(self, capsys, str_digits_limit, argv):
+        cap = max_work_digits()
+        code, out = run(capsys, *argv, "--digits", str(cap - 10), "--json")
+        assert code == 0
+        payload = json.loads(out)
+        if argv[0] == "means":
+            assert payload["instrument"]["residual_bound"] == f"1e-{cap - 1}"
+        code = main([*argv, "--digits", str(cap - 9)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == f"error: --digits + --guard must not exceed {cap} work digits\n"
+
+    def test_guard_digits_count_against_the_cap(self, capsys):
+        cap = max_work_digits()
+        assert main(["check-props", "--digits", str(cap - 20), "--guard", "21"]) == 2
+        assert capsys.readouterr().err.count("\n") == 1
+
+    def test_decimal_digits_beside_powers_of_ten(self):
+        for k in [*range(1, 400), *range(400, 9000, 11)]:
+            assert (_decimal_digits(10**k - 1), _decimal_digits(10**k)) == (k, k + 1)
+
+    @given(st.integers(min_value=1, max_value=10**4000))
+    def test_decimal_digits_match_str(self, n):
+        assert _decimal_digits(n) == len(str(n))

@@ -1,17 +1,25 @@
+import math
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+import mesolabe
 from mesolabe.delian import (
     InstrumentState,
+    _result,
     duplicate_cube,
     two_means_compass,
     two_means_instrument,
 )
 from mesolabe.proportio import four_proportionals_planar, verify_continued_proportion
 from mesolabe.scalar import (
+    CertificationError,
     DecimalScalar,
     PrecisionContext,
     certify_bracket,
@@ -211,3 +219,71 @@ class TestCertifiedCell:
         for a, b in ((D("3.217"), D("14.905")), (D("1"), D("1.000001")), (D("19.998"), D("20"))):
             for solve in (two_means_instrument, two_means_compass):
                 assert 1 <= solve(a, b, ctx).iterations <= 8
+
+    def test_point_off_the_semicircle_is_refused(self, monkeypatch):
+        monkeypatch.setattr(InstrumentState, "on_semicircle", lambda self: False)
+        with pytest.raises(CertificationError):
+            two_means_compass(F(1), F(2), CTX10)
+
+    def test_point_off_the_semicircle_is_refused_without_asserts(self):
+        # python -O strips assert statements; the compass check must not need them
+        code = (
+            "from mesolabe import cli\n"
+            "from mesolabe.delian import InstrumentState\n"
+            "print('debug', __debug__)\n"
+            "InstrumentState.on_semicircle = lambda self: False\n"
+            "print('exit', cli.main(['means', '--a', '1', '--b', '2', '--method', 'compass']))\n"
+        )
+        src = str(Path(mesolabe.__file__).parent.parent)
+        done = subprocess.run(
+            [sys.executable, "-O", "-c", code], capture_output=True, text=True, check=True,
+            env={**os.environ, "PYTHONPATH": src},
+        )
+        assert done.stdout == "debug False\nexit 1\n"
+        assert done.stderr == "error: compass point D left the semicircle\n"
+
+
+arc_parameters = st.fractions(min_value=0, max_value=1, max_denominator=10**12).filter(
+    lambda t: t < 1
+)
+
+
+class TestClearedIntegers:
+    """The integer residuals and result bounds against their Fraction formulas."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(ordered_pairs, arc_parameters)
+    @example((F(27), F(125)), F(1, 2))
+    def test_residuals_are_the_fraction_residuals_times_their_factors(self, pair, t):
+        a, b = pair
+        state = InstrumentState(a, b, t)
+        k = (1 - t * t) / (1 + t * t)
+        big_k = t.denominator**2 - t.numerator**2
+        big_s = t.denominator**2 + t.numerator**2
+        qa, qb = a.denominator, b.denominator
+        instrument, compass = state.residual_instrument(), state.residual_compass()
+        assert type(instrument) is int and type(compass) is int
+        assert _sign(instrument) == _sign(_cube_defect(a, b, t)) == -_sign(compass)
+        assert instrument == (b * k * k - a / k) * qa * qb * big_k * big_s**2
+        assert compass == (a - b * k**3) * qa * qb * big_s**3
+        assert state.on_semicircle()
+
+    def test_instrument_residual_is_undefined_at_the_end_of_the_arc(self):
+        with pytest.raises(ZeroDivisionError):
+            InstrumentState(F(1), F(2), F(1)).residual_instrument()
+
+    @settings(max_examples=60, deadline=None)
+    @given(ordered_pairs, arc_parameters, st.integers(min_value=1, max_value=60))
+    def test_result_matches_the_fraction_formulas(self, pair, t, digits):
+        a, b = pair
+        ctx = PrecisionContext.for_output(digits)
+        w = ctx.work_digits
+        k = (1 - t * t) / (1 + t * t)
+        m1, m2 = round(b * k * k * 10**w), round(b * k * 10**w)  # half-even
+        f1, f2 = F(m1, 10**w), F(m2, 10**w)
+        defect = max(abs(a * f2 - f1 * f1), abs(f1 * b - f2 * f2), abs(a * b - f1 * f2))
+        result = _result(a, b, t, 2, "instrument", ctx)
+        assert (result.m1.unscaled, result.m1.scale) == (m1, w)
+        assert (result.m2.unscaled, result.m2.scale) == (m2, w)
+        assert result.residual.scale == 3 * w
+        assert result.residual.unscaled == math.ceil(defect * 10 ** (3 * w))

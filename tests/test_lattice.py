@@ -9,9 +9,11 @@ Fraction instance and on that instance scaled to integer coordinates.
 
 from __future__ import annotations
 
+import ast
 import math
 import random
 from fractions import Fraction
+from pathlib import Path
 
 from hypothesis import given, settings, strategies as st
 
@@ -147,3 +149,10 @@ def test_checker_verdicts_survive_clearing_denominators(seed, k, perturbed):
         lattice = [_to_checker_args(a, scale) for a in instance]
         for fn in CHECKERS[name][perturbed]:
             assert _verdict(fn, lattice) == _verdict(fn, exact), (name, fn.__name__)
+
+
+def test_oracles_import_nothing_from_the_package():
+    tree = ast.parse(Path(oracles.__file__).read_text(encoding="utf-8"))
+    modules = {a.name for n in ast.walk(tree) if isinstance(n, ast.Import) for a in n.names}
+    modules |= {n.module or "" for n in ast.walk(tree) if isinstance(n, ast.ImportFrom)}
+    assert modules and not any(m.split(".")[0] == "mesolabe" for m in modules)

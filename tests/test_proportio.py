@@ -1,11 +1,16 @@
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from mesolabe import proportio
-from mesolabe.euclid import check_19_7, check_20_7
+import mesolabe
+from mesolabe import cli, proportio
+from mesolabe.euclid import Point3, check_19_7, check_20_7
 from mesolabe.proportio import (
     ChordConfig,
     chord_residual,
@@ -22,6 +27,7 @@ from mesolabe.proportio import (
     verify_continued_proportion,
 )
 from mesolabe.scalar import (
+    CertificationError,
     DecimalScalar,
     PrecisionContext,
     certify_bracket,
@@ -127,6 +133,19 @@ class TestChordSolver:
             solve_continued_chords(D(d), PrecisionContext.for_output(digits))
         assert len(counts) == 4
         assert all(1 <= n <= 8 for n in counts)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(min_value=1, max_value=2500))
+    @example(41)
+    def test_unit_ratio_is_within_a_few_units_of_the_root(self, digits):
+        s = 10**digits
+        u = proportio._unit_ratio(digits)
+
+        def cubic(n):
+            """s^3 (x^3 - 3x^2 + 4x - 1) at x = n/s: increasing, zero at the root."""
+            return n**3 - 3 * n * n * s + 4 * n * s * s - s**3
+
+        assert cubic(u - 3) < 0 < cubic(u + 3)
 
 
 class TestPaperTable:
@@ -246,6 +265,17 @@ class TestPlanarConstruction:
         assert quad.check(ulp(20))
 
 
+#: One lie per check of the spherical construction, in the order they run:
+#: (attribute to replace, replacement).
+SPHERE_LIARS = {
+    "planes not perpendicular": ("mesolabe.euclid.Point3.cross",
+                                 lambda self, other: Point3(0, 0, 1)),
+    "normal off the base lines": ("mesolabe.proportio.check_4_11", lambda *args: False),
+    "AG is not AE": ("mesolabe.euclid.Point3.norm_sq", lambda self: -1),
+    "quad disagrees": ("mesolabe.proportio.quad_exact", lambda ac, t: (F(1),) * 4),
+}
+
+
 class TestSphereConstruction:
     @given(st.fractions(min_value=F(1, 30), max_value=F(29, 30), max_denominator=30))
     def test_quad_matches_planar_exactly(self, t):
@@ -267,6 +297,49 @@ class TestSphereConstruction:
         pts = sphere_construction(F(2), t)
         _, ae, _, _ = quad_exact(F(2), t)
         assert pts["G"].norm_sq() == ae * ae
+
+    @pytest.mark.parametrize("liar", SPHERE_LIARS)
+    def test_failed_check_is_refused(self, liar, monkeypatch, capsys):
+        target, lie = SPHERE_LIARS[liar]
+        monkeypatch.setattr(target, lie)
+        with pytest.raises(CertificationError):
+            four_proportionals_sphere(D("2"), F(1, 3), CTX10)
+        assert cli.main(["four-proportionals", "--ac", "2", "--t", "1/3", "--sphere"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+    def test_failed_check_is_refused_without_asserts(self):
+        # python -O strips assert statements; the sphere checks must not need them
+        code = (
+            "from mesolabe import cli, euclid, proportio\n"
+            "print('debug', __debug__)\n"
+            "for target, lie in (\n"
+            "    ('Point3.cross', lambda self, other: euclid.Point3(0, 0, 1)),\n"
+            "    ('check_4_11', lambda *args: False),\n"
+            "    ('Point3.norm_sq', lambda self: -1),\n"
+            "    ('quad_exact', lambda ac, t: (1, 1, 1, 1)),\n"
+            "):\n"
+            "    owner, _, name = target.rpartition('.')\n"
+            "    host = getattr(euclid, owner) if owner else proportio\n"
+            "    saved = getattr(host, name)\n"
+            "    setattr(host, name, lie)\n"
+            "    print('exit', cli.main(['four-proportionals', '--ac', '2', '--t', '1/3', '--sphere']))\n"
+            "    setattr(host, name, saved)\n"
+        )
+        src = str(Path(mesolabe.__file__).parent.parent)
+        done = subprocess.run(
+            [sys.executable, "-O", "-c", code], capture_output=True, text=True, check=True,
+            env={**os.environ, "PYTHONPATH": src},
+        )
+        assert done.stdout.split("\n") == ["debug False"] + ["exit 1"] * 4 + [""]
+        assert done.stderr.split("\n") == [
+            "error: lifted plane is not perpendicular to the base plane",
+            "error: base-plane normal fails against the in-plane lines",
+            "error: AG does not reproduce AE",
+            "error: spherical construction disagrees with the planar quad",
+            "",
+        ]
 
 
 class TestVerifyContinuedProportion:

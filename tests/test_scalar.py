@@ -7,13 +7,14 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import mesolabe
 from mesolabe.scalar import (
     CertificationError,
     DecimalScalar,
     PrecisionContext,
+    _icbrt,
     cbrt,
     certify_bracket,
     div,
@@ -266,6 +267,28 @@ class TestCbrt:
         a = DecimalScalar.from_fraction(f, 6)
         r = cbrt(a, ctx)
         assert abs(r.as_fraction() ** 3 - a.as_fraction()) < Fraction(3 * (1 + int(f)), 10**15)
+
+
+def sized_integers(max_bits: int):
+    """Integers of every bit length up to ``max_bits``, not just the long ones."""
+    return st.integers(min_value=0, max_value=max_bits).flatmap(
+        lambda bits: st.integers(min_value=0, max_value=2**bits)
+    )
+
+
+class TestIntegerCubeRoot:
+    # up to about 10^4000, so the recursive start above 192 bits runs at every depth
+    @settings(max_examples=200, deadline=None)
+    @given(sized_integers(13300))
+    @example(10**4000)
+    def test_floor_cube_root(self, n):
+        r = _icbrt(n)
+        assert r**3 <= n < (r + 1) ** 3
+
+    @settings(max_examples=200, deadline=None)
+    @given(sized_integers(4430).map(lambda n: n + 1))
+    def test_floor_cube_root_beside_exact_cubes(self, r):
+        assert (_icbrt(r**3 - 1), _icbrt(r**3), _icbrt(r**3 + 1)) == (r - 1, r, r)
 
 
 class TestDivision:
