@@ -140,7 +140,18 @@ class TestFourProportionals:
         assert json.loads(planar)["quad"] == json.loads(spherical)["quad"]
 
     def test_degenerate_position_usage_error(self, capsys):
-        assert main(["four-proportionals", "--ac", "2", "--t", "1"]) == 2
+        for argv in (
+            ["four-proportionals", "--ac", "2", "--t", "1"],
+            ["four-proportionals", "--ac", "2", "--t", "0"],
+            ["four-proportionals", "--ac", "2", "--t", "0", "--sphere"],
+            ["figure", "--id", "5", "--t", "0"],
+        ):
+            assert main(argv) == 2, argv
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == (
+                "error: parameter must lie strictly between 0 and 1 (D between A and C)\n"
+            )
 
 
 class TestCheckProps:

@@ -52,8 +52,16 @@ CASES = {
     "pyramid-oblique": ("pyramid", "--edges", "1", "1", "1", "--cosines", "1/2", "1/2", "1/2"),
     "four-proportionals-planar": ("four-proportionals", "--ac", "2", "--t", "1/2"),
     "four-proportionals-sphere": ("four-proportionals", "--ac", "2", "--t", "1/2", "--sphere"),
+    "figure-1": ("figure", "--id", "1"),
+    "figure-2": ("figure", "--id", "2"),
+    "figure-3": ("figure", "--id", "3"),
+    "figure-4": ("figure", "--id", "4"),
+    "figure-5": ("figure", "--id", "5"),
+    "figure-5-ac3-t1_3": ("figure", "--id", "5", "--ac", "3", "--t", "1/3"),
     "figure-6": ("figure", "--id", "6"),
+    "figure-6-a2-b2": ("figure", "--id", "6", "--a", "2", "--b", "2"),
     "figure-7": ("figure", "--id", "7"),
+    "figure-7-a2-b2": ("figure", "--id", "7", "--a", "2", "--b", "2"),
 }
 
 
