@@ -12,7 +12,6 @@ from .scalar import (
     cbrt,
     div,
     format_grouped,
-    mul_exact,
     parse_grouped,
     round_to,
     sqrt,
@@ -44,7 +43,6 @@ __all__ = [
     "cbrt",
     "div",
     "format_grouped",
-    "mul_exact",
     "parse_grouped",
     "round_to",
     "sqrt",

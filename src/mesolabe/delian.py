@@ -28,7 +28,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .euclid import Point2
 from .scalar import (
     DEFAULT_CONTEXT,
     CertificationError,
@@ -42,14 +41,21 @@ from .scalar import (
 
 
 def _cleared_k(t: Fraction) -> tuple[int, int]:
-    """(K, S) = (m^2 - n^2, m^2 + n^2) for t = n/m, so that k = K/S."""
+    """(K, S) = (m^2 - n^2, m^2 + n^2) for t = n/m, so that k = K/S.
+
+    k is the x of :func:`~mesolabe.euclid.unit_circle_point` at ``t``.
+    """
     n, m = t.numerator, t.denominator
     return m * m - n * n, m * m + n * n
 
 
 @dataclass(frozen=True)
 class InstrumentState:
-    """Scene at arc parameter ``t``: target AF = a against diameter AC = b."""
+    """Arc parameter ``t`` with target AF = a against diameter AC = b.
+
+    It carries only the stopping residuals; the scene's points come from
+    :func:`~mesolabe.proportio.planar_construction`.
+    """
 
     a: Fraction
     b: Fraction
@@ -58,30 +64,6 @@ class InstrumentState:
     def __post_init__(self):
         if not 0 <= self.t <= 1:
             raise ValueError("arc parameter must lie in [0, 1]")
-
-    @property
-    def k(self) -> Fraction:
-        return Fraction(*_cleared_k(self.t))
-
-    @property
-    def s(self) -> Fraction:
-        return 2 * self.t / (1 + self.t * self.t)
-
-    @property
-    def d_point(self) -> Point2:
-        return Point2(self.b * self.k**2, self.b * self.k * self.s)
-
-    @property
-    def e_foot(self) -> Point2:
-        return Point2(self.b * self.k**2, Fraction(0))
-
-    @property
-    def f_foot(self) -> Point2:
-        return Point2(self.b * self.k**4, self.b * self.k**3 * self.s)
-
-    @property
-    def af_current(self) -> Fraction:
-        return self.b * self.k**3
 
     def on_semicircle(self) -> bool:
         """|D - centre|^2 == (b/2)^2, cleared of denominators.

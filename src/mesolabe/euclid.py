@@ -350,12 +350,6 @@ def unit_circle_point(t: Rational) -> Point2:
     return Point2((1 - t * t) / d, 2 * t / d)
 
 
-def unit_sphere_point(m: Rational, n: Rational) -> Point3:
-    """Rational point on the unit sphere from two stereographic parameters."""
-    d = 1 + m * m + n * n
-    return Point3(2 * m / d, 2 * n / d, (m * m + n * n - 1) / d)
-
-
 def _draw(rng: random.Random) -> tuple[int, int]:
     """Numerator in [-8, 8] and denominator in [1, 9] of a random fraction."""
     return rng.randint(-8, 8), rng.randint(1, 9)

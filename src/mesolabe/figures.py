@@ -12,6 +12,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import delian, proportio
+from .euclid import Point2, Point3, unit_circle_point
 from .scalar import DEFAULT_CONTEXT, DecimalScalar, as_rational
 
 _OBLIQUE_X = Fraction(2, 5)
@@ -116,21 +117,16 @@ def _box_figure(spec: FigureSpec, defaults) -> str:
     dc = as_rational(spec.params.get("dc", defaults[2]))
     zero = Fraction(0)
     corners = {
-        "D": (zero, zero, zero),
-        "A": (da, zero, zero),
-        "B": (zero, db, zero),
-        "C": (zero, zero, dc),
-        "F": (da, zero, dc),
-        "G": (da, db, zero),
-        "E": (zero, db, dc),
-        "_": (da, db, dc),
+        "D": Point3(zero, zero, zero),
+        "A": Point3(da, zero, zero),
+        "B": Point3(zero, db, zero),
+        "C": Point3(zero, zero, dc),
+        "F": Point3(da, zero, dc),
+        "G": Point3(da, db, zero),
+        "E": Point3(zero, db, dc),
+        "_": Point3(da, db, dc),
     }
-
-    class _P:
-        def __init__(self, t):
-            self.x, self.y, self.z = t
-
-    pts = {k: _project(_P(v)) for k, v in corners.items()}
+    pts = {k: _project(v) for k, v in corners.items()}
     cv = _Canvas(spec.width, spec.height, [p[0] for p in pts.values()], [p[1] for p in pts.values()])
     box_edges = [
         ("D", "A"), ("D", "B"), ("D", "C"),
@@ -170,38 +166,19 @@ def _fig_sphere(spec: FigureSpec) -> str:
     ac = as_rational(spec.params.get("ac", 2))
     t = as_rational(spec.params.get("t", Fraction(1, 2)))
     pts3 = proportio.sphere_construction(ac, t)
-    k = (1 - t * t) / (1 + t * t)
-    s = 2 * t / (1 + t * t)
-    ad = ac * k
-    a3, d3 = pts3["A"], pts3["D"]
-    mid = ((a3.x + d3.x) / 2, (a3.y + d3.y) / 2, (a3.z + d3.z) / 2)
-    u = (k, s, Fraction(0))  # unit vector along AD
-    r = ad / 2
+    mid = pts3["D"].scaled(Fraction(1, 2))  # centre of AD, as A is the origin
+    r = ac * unit_circle_point(t).x / 2  # half of AD = AC k
 
-    def cap_point(c_par: Fraction, s_par: Fraction):
-        return (
-            mid[0] + r * (c_par * u[0]),
-            mid[1] + r * (c_par * u[1]),
-            mid[2] + r * s_par,
-        )
+    def cap_point(p: Point2) -> Point3:
+        """Cap over AD at unit-circle position ``p``: x along AD, y up from z = 0."""
+        return Point3(mid.x * (1 + p.x), mid.y * (1 + p.x), r * p.y)
 
-    samples = []
-    steps = [Fraction(i, 8) for i in range(9)]
-    for v in steps:  # quarter from D end up to the apex
-        den = 1 + v * v
-        samples.append(cap_point((1 - v * v) / den, 2 * v / den))
-    for v in reversed(steps[:-1]):  # mirrored quarter down to the A end
-        den = 1 + v * v
-        samples.append(cap_point(-(1 - v * v) / den, 2 * v / den))
-    h3 = cap_point(Fraction(0), Fraction(1))
-
-    class _P:
-        def __init__(self, t):
-            self.x, self.y, self.z = t
-
+    quarter = [unit_circle_point(Fraction(i, 8)) for i in range(9)]
+    samples = [cap_point(p) for p in quarter]  # from the D end up to the apex
+    samples += [cap_point(Point2(-p.x, p.y)) for p in reversed(quarter[:-1])]  # down to A
+    cap_flat = [_project(p) for p in samples]
     flat = {name: _project(p) for name, p in pts3.items()}
-    flat["H"] = _project(_P(h3))
-    cap_flat = [_project(_P(p)) for p in samples]
+    flat["H"] = cap_flat[len(quarter) - 1]  # the apex
     center = (ac / 2, Fraction(0))
     all_x = [p[0] for p in flat.values()] + [p[0] for p in cap_flat] + [Fraction(0), ac]
     all_y = [p[1] for p in flat.values()] + [p[1] for p in cap_flat] + [-ac / 2, ac / 2]
@@ -226,18 +203,15 @@ def _instrument_scene(spec: FigureSpec, method: str):
     b = as_rational(spec.params.get("b", 2))
     ctx = spec.params.get("ctx", DEFAULT_CONTEXT)
     solve = delian.two_means_instrument if method == "instrument" else delian.two_means_compass
-    result = solve(a, b, ctx)
-    state = delian.InstrumentState(a, b, result.theta_param)
-    return a, b, state
+    t = solve(a, b, ctx).theta_param
+    pts = proportio.planar_construction(b, t)
+    return a, b, unit_circle_point(t), {name: (p.x, p.y) for name, p in pts.items()}
 
 
 def _fig_plumbline(spec: FigureSpec) -> str:
-    a, b, st = _instrument_scene(spec, "instrument")
-    k, s = st.k, st.s
-    A, C = (Fraction(0), Fraction(0)), (b, Fraction(0))
-    D = (st.d_point.x, st.d_point.y)
-    E = (st.e_foot.x, st.e_foot.y)
-    F = (st.f_foot.x, st.f_foot.y)
+    a, b, u, pts = _instrument_scene(spec, "instrument")
+    k, s = u.x, u.y
+    A, C, D, E, F = (pts[name] for name in "ACDEF")
     Z = (b * Fraction(11, 10) * k, b * Fraction(11, 10) * s)
     S = (D[0] + Fraction(3, 10) * (D[0] - b / 2), D[1] + Fraction(3, 10) * D[1])
     X = (E[0], -b * Fraction(3, 25))
@@ -263,13 +237,10 @@ def _fig_plumbline(spec: FigureSpec) -> str:
 
 
 def _fig_compass(spec: FigureSpec) -> str:
-    a, b, st = _instrument_scene(spec, "compass")
-    k, s = st.k, st.s
-    A, C = (Fraction(0), Fraction(0)), (b, Fraction(0))
+    a, b, u, pts = _instrument_scene(spec, "compass")
+    k, s = u.x, u.y
+    A, C, D, E, F = (pts[name] for name in "ACDEF")
     O = (b / 2, Fraction(0))
-    D = (st.d_point.x, st.d_point.y)
-    E = (st.e_foot.x, st.e_foot.y)
-    F = (st.f_foot.x, st.f_foot.y)
     Z = (b * Fraction(11, 10) * k, b * Fraction(11, 10) * s)
     rail_x = -b * Fraction(3, 20)
     top = b * Fraction(4, 5)

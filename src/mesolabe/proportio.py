@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .euclid import Point3, check_4_11
+from .euclid import Point3, check_4_11, unit_circle_point
 from .scalar import (
     DEFAULT_CONTEXT,
     CertificationError,
@@ -207,6 +207,18 @@ def _canonical_table_config() -> ChordConfig:
     return ChordConfig(ab, bc, ad - ab, ad)
 
 
+def _products(c: ChordConfig) -> tuple[tuple[str, DecimalScalar], ...]:
+    """The six rectangles and squares of the printed tables, under their printed labels."""
+    return (
+        ("DAB", c.ad * c.ab),
+        ("CBD", c.bc * c.bd),
+        ("BC^2", c.bc * c.bc),
+        ("ABD", c.ab * c.bd),
+        ("BD^2", c.bd * c.bd),
+        ("ADBC", c.ad * c.bc),
+    )
+
+
 def reproduce_table(c: ChordConfig) -> PaperTable:
     """Exact products of the rounded chord values, annotated against the print.
 
@@ -218,16 +230,8 @@ def reproduce_table(c: ChordConfig) -> PaperTable:
     if any(v.scale != 10 for v in c.terms()):
         raise ValueError("table inputs must carry exactly 10 fractional digits")
     canonical = c == _canonical_table_config()
-    products = (
-        ("DAB", c.ad * c.ab),
-        ("CBD", c.bc * c.bd),
-        ("BC^2", c.bc * c.bc),
-        ("ABD", c.ab * c.bd),
-        ("BD^2", c.bd * c.bd),
-        ("ADBC", c.ad * c.bc),
-    )
     rows = []
-    for label, value in products:
+    for label, value in _products(c):
         printed = PRINTED_PRODUCTS[label] if canonical else None
         grouped = format_grouped(value)
         note = _PRODUCT_NOTES[label]
@@ -239,17 +243,9 @@ def reproduce_table(c: ChordConfig) -> PaperTable:
 
 def true_product_rows(full: ChordConfig, digits: int = 20) -> PaperTable:
     """The same six products taken from the unrounded root, for contrast."""
-    products = (
-        ("DAB", full.ad * full.ab),
-        ("CBD", full.bc * full.bd),
-        ("BC^2", full.bc * full.bc),
-        ("ABD", full.ab * full.bd),
-        ("BD^2", full.bd * full.bd),
-        ("ADBC", full.ad * full.bc),
-    )
     rows = tuple(
         TableRow(label, round_to(value, digits), format_grouped(round_to(value, digits)))
-        for label, value in products
+        for label, value in _products(full)
     )
     return PaperTable(f"products of the unrounded root, {digits} digits", rows)
 
@@ -257,27 +253,35 @@ def true_product_rows(full: ChordConfig, digits: int = 20) -> PaperTable:
 # -- four continued proportionals ---------------------------------------------
 
 
+_T_NOT_INTERIOR = "parameter must lie strictly between 0 and 1 (D between A and C)"
+
+
 def quad_exact(ac: Fraction, t: Fraction) -> tuple[Fraction, Fraction, Fraction, Fraction]:
     """Exact (AF, AE, AD, AC) for diameter ``ac`` and parameter ``t``.
 
     With k = cos of the inscribed angle at A, the chain is AD = AC*k,
-    AE = AC*k^2, AF = AC*k^3; t = tan(angle/2) makes k = (1-t^2)/(1+t^2)
-    rational, so the whole quad is rational.
+    AE = AC*k^2, AF = AC*k^3; t = tan(angle/2) makes k the rational x of
+    :func:`~mesolabe.euclid.unit_circle_point`, so the whole quad is rational.
     """
     if not 0 < t < 1:
-        raise ValueError("parameter must lie strictly between 0 and 1 (D between A and C)")
+        raise ValueError(_T_NOT_INTERIOR)
     if not ac > 0:
         raise ValueError("diameter must be positive")
-    k = (1 - t * t) / (1 + t * t)
+    k = unit_circle_point(t).x
     return ac * k**3, ac * k**2, ac * k, ac
 
 
 def planar_construction(ac: Fraction, t: Fraction) -> dict[str, Point3]:
-    """Exact coordinates of A, C, D, E, F in the great-circle plane z = 0."""
-    if not 0 < t < 1:
-        raise ValueError("parameter must lie strictly between 0 and 1 (D between A and C)")
-    k = (1 - t * t) / (1 + t * t)
-    s = 2 * t / (1 + t * t)
+    """Exact coordinates of A, C, D, E, F in the great-circle plane z = 0.
+
+    D = AC k (k, s) for (k, s) = :func:`~mesolabe.euclid.unit_circle_point`
+    of ``t``, E is its foot on AC and F the foot of the perpendicular from
+    E on AD.  ``t`` may be 0 (D at C) or 1 (D at A).
+    """
+    if not 0 <= t <= 1:
+        raise ValueError("arc parameter must lie in [0, 1]")
+    u = unit_circle_point(t)
+    k, s = u.x, u.y
     zero = Fraction(0)
     return {
         "A": Point3(zero, zero, zero),
@@ -296,21 +300,19 @@ def sphere_construction(ac: Fraction, t: Fraction) -> dict[str, Point3]:
     proportional.  The two planes are checked perpendicular exactly, and
     a failed check raises :class:`~mesolabe.scalar.CertificationError`.
     """
+    if not 0 < t < 1:
+        raise ValueError(_T_NOT_INTERIOR)
     pts = planar_construction(ac, t)
-    k = (1 - t * t) / (1 + t * t)
-    s = 2 * t / (1 + t * t)
-    f = pts["F"]
-    fg = ac * k * k * s
-    g = Point3(f.x, f.y, fg)
+    a, d, e, f = pts["A"], pts["D"], pts["E"], pts["F"]
+    g = Point3(f.x, f.y, e.x * unit_circle_point(t).y)  # FG = AC k^2 s
     pts["G"] = g
-    a, d = pts["A"], pts["D"]
     n_base = Point3(Fraction(0), Fraction(0), Fraction(1))
     n_lift = (d - a).cross(g - a)
     if n_base.dot(n_lift) != 0:
         raise CertificationError("lifted plane is not perpendicular to the base plane")
-    if not check_4_11(n_base, d - a, pts["E"] - a):
+    if not check_4_11(n_base, d - a, e - a):
         raise CertificationError("base-plane normal fails against the in-plane lines")
-    if g.norm_sq() != (ac * k * k) ** 2:
+    if g.norm_sq() != e.x**2:
         raise CertificationError("AG does not reproduce AE")
     return pts
 

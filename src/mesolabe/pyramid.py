@@ -75,18 +75,11 @@ def diagonal_sq(p: RightPyramid):
 
     This is the squared diagonal of the rectangular parallelepiped that
     encloses the pyramid, hence also the squared distance from either end
-    of that diagonal to the opposite corner.
+    of that diagonal to the opposite corner.  The sphere through the box's
+    corners passes through the pyramid's four vertices, so it is also the
+    squared diameter of the pyramid's circumscribed sphere.
     """
     return p.da * p.da + p.db * p.db + p.dc * p.dc
-
-
-def circumsphere_diameter_sq(p: RightPyramid):
-    """Squared diameter of the sphere through all four vertices.
-
-    The circumscribed sphere of the enclosing box is the circumscribed
-    sphere of the pyramid, so its diameter is the box diagonal.
-    """
-    return diagonal_sq(p)
 
 
 def prism_diagonal_check(p: RightPyramid) -> bool:

@@ -308,13 +308,6 @@ class DecimalScalar:
     def sign(self) -> int:
         return (self.unscaled > 0) - (self.unscaled < 0)
 
-    def is_integer(self) -> bool:
-        return self.unscaled % 10**self.scale == 0
-
-
-ZERO = DecimalScalar(0, 0)
-ONE = DecimalScalar(1, 0)
-
 
 def ulp(digits: int) -> DecimalScalar:
     """10**-digits, the unit in the last place at ``digits`` fractional digits."""
@@ -326,11 +319,6 @@ def as_rational(value) -> Fraction:
     if isinstance(value, DecimalScalar):
         return value.as_fraction()
     return Fraction(value)
-
-
-def mul_exact(a: DecimalScalar, b: DecimalScalar) -> DecimalScalar:
-    """Exact product; the result scale is the sum of the operand scales."""
-    return a * b
 
 
 def round_to(a: DecimalScalar, digits: int) -> DecimalScalar:

@@ -12,11 +12,13 @@ from hypothesis import example, given, settings, strategies as st
 import mesolabe
 from mesolabe.delian import (
     InstrumentState,
+    _cleared_k,
     _result,
     duplicate_cube,
     two_means_compass,
     two_means_instrument,
 )
+from mesolabe.euclid import unit_circle_point
 from mesolabe.proportio import four_proportionals_planar, verify_continued_proportion
 from mesolabe.scalar import (
     CertificationError,
@@ -37,21 +39,9 @@ CTX20 = PrecisionContext.for_output(20)
 
 
 class TestInstrumentGeometry:
-    def test_state_is_exact(self):
-        st = InstrumentState(F(1), F(2), F(1, 3))
-        assert st.on_semicircle()
-        assert st.e_foot.x == st.d_point.x and st.e_foot.y == 0
-        # EF perpendicular to the ruler AD, F on the ruler
-        ef = st.f_foot - st.e_foot
-        assert ef.dot(st.d_point) == 0
-        assert st.f_foot.cross(st.d_point) == 0
-        assert st.f_foot.norm_sq() == st.af_current**2
-
-    def test_af_strictly_decreasing_along_arc(self):
-        values = [
-            InstrumentState(F(1), F(2), F(i, 20)).af_current for i in range(0, 21)
-        ]
-        assert all(a > b for a, b in zip(values, values[1:]))
+    @given(st.fractions(min_value=0, max_value=1))
+    def test_cleared_k_is_the_circle_parameter(self, t):
+        assert Fraction(*_cleared_k(t)) == unit_circle_point(t).x
 
     def test_residuals_have_one_sign_change(self):
         st_lo = InstrumentState(F(1), F(2), F(1, 100))

@@ -36,7 +36,6 @@ from mesolabe.euclid import (
     rand_right_triangle,
     run_proposition_suite,
     unit_circle_point,
-    unit_sphere_point,
 )
 
 F = Fraction
@@ -209,11 +208,6 @@ class TestRationalParametrizations:
     def test_circle_points_on_unit_circle(self, t):
         p = unit_circle_point(t)
         assert p.x * p.x + p.y * p.y == 1
-
-    @given(st.fractions(max_denominator=40), st.fractions(max_denominator=40))
-    def test_sphere_points_on_unit_sphere(self, m, n):
-        p = unit_sphere_point(m, n)
-        assert p.norm_sq() == 1
 
 
 class TestSuiteRunner:

@@ -10,7 +10,7 @@ from hypothesis import example, given, settings, strategies as st
 
 import mesolabe
 from mesolabe import cli, proportio
-from mesolabe.euclid import Point3, check_19_7, check_20_7
+from mesolabe.euclid import Point3, check_19_7, check_20_7, unit_circle_point
 from mesolabe.proportio import (
     ChordConfig,
     chord_residual,
@@ -235,6 +235,34 @@ class TestPlanarConstruction:
         assert e.y == 0 and e.x == d.x
         assert (f - e).dot(d - a) == 0
         assert f.cross(d).norm_sq() == 0  # F lies on the line AD
+
+    def test_scene_is_exact(self):
+        b, t = F(2), F(1, 3)
+        pts = planar_construction(b, t)
+        a, c, d, e, f = pts["A"], pts["C"], pts["D"], pts["E"], pts["F"]
+        assert (a, c) == (Point3(F(0), F(0), F(0)), Point3(b, F(0), F(0)))
+        # D on the semicircle over AC
+        assert (d - (a + c).scaled(F(1, 2))).norm_sq() == (b / 2) ** 2 and d.y > 0
+        # E under D, EF perpendicular to the ruler AD, F on the ruler
+        assert e.x == d.x and e.y == 0
+        assert (f - e).dot(d) == 0
+        assert f.cross(d).norm_sq() == 0
+        k = unit_circle_point(t).x
+        assert f.norm_sq() == (b * k**3) ** 2
+
+    def test_af_strictly_decreasing_along_arc(self):
+        values = [planar_construction(F(2), F(i, 20))["F"].norm_sq() for i in range(0, 21)]
+        assert all(a > b for a, b in zip(values, values[1:]))
+
+    def test_arc_ends_are_in_range(self):
+        assert planar_construction(F(2), F(0))["D"] == Point3(F(2), F(0), F(0))
+        assert planar_construction(F(2), F(1))["D"] == Point3(F(0), F(0), F(0))
+        for bad in (F(-1, 2), F(3, 2)):
+            with pytest.raises(ValueError):
+                planar_construction(F(2), bad)
+        for bad in (F(0), F(1)):
+            with pytest.raises(ValueError):
+                sphere_construction(F(2), bad)
 
     def test_forty_five_degree_case(self):
         # t = tan(22.5 deg) = sqrt(2) - 1, taken from the root extraction

@@ -7,7 +7,6 @@ from hypothesis import given, strategies as st
 from mesolabe.pyramid import (
     ObliqueVertexFrame,
     RightPyramid,
-    circumsphere_diameter_sq,
     diagonal_sq,
     oblique_diagonal_sq,
     prism_diagonal_check,
@@ -69,8 +68,8 @@ class TestDiagonal:
 
 class TestCircumsphere:
     def test_examples(self):
-        assert circumsphere_diameter_sq(RightPyramid(1, 1, 1)) == 3
-        assert circumsphere_diameter_sq(RightPyramid(2, 3, 6)) == 49
+        assert diagonal_sq(RightPyramid(1, 1, 1)) == 3
+        assert diagonal_sq(RightPyramid(2, 3, 6)) == 49
 
     def test_against_circumcenter_oracle(self):
         rng = random.Random(404)
@@ -83,7 +82,7 @@ class TestCircumsphere:
             d, a, b, c = ((q.x, q.y, q.z) for q in p.vertices())
             center = circumcenter(d, a, b, c)
             radius_sq = sum((center[i] - d[i]) ** 2 for i in range(3))
-            assert 4 * radius_sq == circumsphere_diameter_sq(p)
+            assert 4 * radius_sq == diagonal_sq(p)
 
 
 class TestPrismCorollary:

@@ -19,7 +19,6 @@ from mesolabe.scalar import (
     certify_bracket,
     div,
     format_grouped,
-    mul_exact,
     parse_grouped,
     round_to,
     sqrt,
@@ -161,18 +160,18 @@ class TestCertifyBracket:
 
 class TestMulExact:
     def test_paper_row_cbd(self):
-        product = mul_exact(D("0.9311424637"), D("1.3646556077"))
+        product = D("0.9311424637") * D("1.3646556077")
         assert product.scale == 20
         assert str(product) == "1.27068878465579869049"
         assert format_grouped(product).endswith("55798 69049")
 
     def test_identity(self):
         x = D("0.9311424637")
-        assert mul_exact(x, D("1")) == x
+        assert x * D("1") == x
 
     def test_paper_row_abd_against_long_multiplication(self):
         a, b = "0.6353443923", "1.3646556077"
-        product = mul_exact(D(a), D(b))
+        product = D(a) * D(b)
         assert str(product) == long_multiply(a, b)
         assert format_grouped(product) == "86702 62877 72943 70071"
 
