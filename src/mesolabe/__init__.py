@@ -10,7 +10,6 @@ from .scalar import (
     PrecisionContext,
     Rational,
     cbrt,
-    div,
     format_grouped,
     parse_grouped,
     round_to,
@@ -41,7 +40,6 @@ __all__ = [
     "PrecisionContext",
     "Rational",
     "cbrt",
-    "div",
     "format_grouped",
     "parse_grouped",
     "round_to",

@@ -30,7 +30,6 @@ from fractions import Fraction
 
 from .scalar import (
     DEFAULT_CONTEXT,
-    CertificationError,
     DecimalScalar,
     PrecisionContext,
     _half_even_div,
@@ -64,16 +63,6 @@ class InstrumentState:
     def __post_init__(self):
         if not 0 <= self.t <= 1:
             raise ValueError("arc parameter must lie in [0, 1]")
-
-    def on_semicircle(self) -> bool:
-        """|D - centre|^2 == (b/2)^2, cleared of denominators.
-
-        With t = n/m, K = m^2 - n^2 and S = m^2 + n^2, the identity reads
-        k^2 (k^2 + s^2 - 1) == 0, that is K^2 (K^2 + 4 n^2 m^2 - S^2) == 0.
-        """
-        n, m = self.t.numerator, self.t.denominator
-        big_k, big_s = _cleared_k(self.t)
-        return big_k * big_k * (big_k * big_k + 4 * n * n * m * m - big_s * big_s) == 0
 
     def residual_instrument(self) -> int:
         """Foot of the plumbline minus the cursor's crossing of AC, cleared.
@@ -200,14 +189,10 @@ def two_means_compass(a, b, ctx: PrecisionContext = DEFAULT_CONTEXT) -> MeansRes
     """Prop-IV mechanism: one compass aperture b/2 from the midpoint of AC.
 
     The compass only re-expresses how D is held to the arc (its distance
-    from the midpoint stays b/2, which the state check confirms), while the
-    stopping coincidence is measured along the ruler.
+    from the midpoint stays b/2, which the rational arc parameter makes
+    exact), while the stopping coincidence is measured along the ruler.
     """
-    result = _solve(a, b, ctx, "compass")
-    state = InstrumentState(as_rational(a), as_rational(b), result.theta_param)
-    if not state.on_semicircle():
-        raise CertificationError("compass point D left the semicircle")
-    return result
+    return _solve(a, b, ctx, "compass")
 
 
 def duplicate_cube(edge, ctx: PrecisionContext = DEFAULT_CONTEXT) -> DecimalScalar:

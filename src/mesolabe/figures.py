@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from . import delian, proportio
+from . import delian, proportio, pyramid
 from .euclid import Point2, Point3, unit_circle_point
 from .scalar import DEFAULT_CONTEXT, DecimalScalar, as_rational
 
@@ -112,20 +112,9 @@ def _project(p3) -> tuple[Fraction, Fraction]:
 
 
 def _box_figure(spec: FigureSpec, defaults) -> str:
-    da = as_rational(spec.params.get("da", defaults[0]))
-    db = as_rational(spec.params.get("db", defaults[1]))
-    dc = as_rational(spec.params.get("dc", defaults[2]))
-    zero = Fraction(0)
-    corners = {
-        "D": Point3(zero, zero, zero),
-        "A": Point3(da, zero, zero),
-        "B": Point3(zero, db, zero),
-        "C": Point3(zero, zero, dc),
-        "F": Point3(da, zero, dc),
-        "G": Point3(da, db, zero),
-        "E": Point3(zero, db, dc),
-        "_": Point3(da, db, dc),
-    }
+    edges = [spec.params.get(k, v) for k, v in zip(("da", "db", "dc"), defaults)]
+    d, a, b, c = pyramid.RightPyramid(*edges).vertices()
+    corners = {"D": d, "A": a, "B": b, "C": c, "F": a + c, "G": a + b, "E": b + c, "_": a + b + c}
     pts = {k: _project(v) for k, v in corners.items()}
     cv = _Canvas(spec.width, spec.height, [p[0] for p in pts.values()], [p[1] for p in pts.values()])
     box_edges = [

@@ -17,10 +17,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .euclid import Point3, check_4_11, unit_circle_point
+from .euclid import Point3, unit_circle_point
 from .scalar import (
     DEFAULT_CONTEXT,
-    CertificationError,
     DecimalScalar,
     PrecisionContext,
     Rational,
@@ -253,7 +252,12 @@ def true_product_rows(full: ChordConfig, digits: int = 20) -> PaperTable:
 # -- four continued proportionals ---------------------------------------------
 
 
-_T_NOT_INTERIOR = "parameter must lie strictly between 0 and 1 (D between A and C)"
+def _require_interior(ac: Fraction, t: Fraction) -> None:
+    """Reject a position off the open arc or a non-positive diameter."""
+    if not 0 < t < 1:
+        raise ValueError("parameter must lie strictly between 0 and 1 (D between A and C)")
+    if not ac > 0:
+        raise ValueError("diameter must be positive")
 
 
 def quad_exact(ac: Fraction, t: Fraction) -> tuple[Fraction, Fraction, Fraction, Fraction]:
@@ -263,10 +267,7 @@ def quad_exact(ac: Fraction, t: Fraction) -> tuple[Fraction, Fraction, Fraction,
     AE = AC*k^2, AF = AC*k^3; t = tan(angle/2) makes k the rational x of
     :func:`~mesolabe.euclid.unit_circle_point`, so the whole quad is rational.
     """
-    if not 0 < t < 1:
-        raise ValueError(_T_NOT_INTERIOR)
-    if not ac > 0:
-        raise ValueError("diameter must be positive")
+    _require_interior(ac, t)
     k = unit_circle_point(t).x
     return ac * k**3, ac * k**2, ac * k, ac
 
@@ -297,24 +298,22 @@ def sphere_construction(ac: Fraction, t: Fraction) -> dict[str, Point3]:
 
     G sits on the semicircle with diameter AD in that perpendicular plane,
     above the foot F, so FG^2 = AF * FD and AG doubles AE as the second
-    proportional.  The two planes are checked perpendicular exactly, and
-    a failed check raises :class:`~mesolabe.scalar.CertificationError`.
+    proportional.  That plane is perpendicular to z = 0 and AG = AE for
+    every ``t``: both are identities of the parametrization, so nothing is
+    left here to check at run time.
     """
-    if not 0 < t < 1:
-        raise ValueError(_T_NOT_INTERIOR)
+    _require_interior(ac, t)
     pts = planar_construction(ac, t)
-    a, d, e, f = pts["A"], pts["D"], pts["E"], pts["F"]
-    g = Point3(f.x, f.y, e.x * unit_circle_point(t).y)  # FG = AC k^2 s
-    pts["G"] = g
-    n_base = Point3(Fraction(0), Fraction(0), Fraction(1))
-    n_lift = (d - a).cross(g - a)
-    if n_base.dot(n_lift) != 0:
-        raise CertificationError("lifted plane is not perpendicular to the base plane")
-    if not check_4_11(n_base, d - a, e - a):
-        raise CertificationError("base-plane normal fails against the in-plane lines")
-    if g.norm_sq() != e.x**2:
-        raise CertificationError("AG does not reproduce AE")
+    f = pts["F"]
+    pts["G"] = Point3(f.x, f.y, pts["E"].x * unit_circle_point(t).y)  # FG = AC k^2 s
     return pts
+
+
+def _decimal_quad(ac: DecimalScalar, t, ctx: PrecisionContext) -> ProportionalsQuad:
+    """:func:`quad_exact` rounded half-even at the work digits of ``ctx``."""
+    w = ctx.work_digits
+    quad = quad_exact(as_rational(ac), as_rational(t))
+    return ProportionalsQuad(*(DecimalScalar.from_fraction(v, w) for v in quad))
 
 
 def four_proportionals_planar(
@@ -325,36 +324,19 @@ def four_proportionals_planar(
     ``t`` may be a Fraction (exact arc parameter) or any scalar convertible
     to one, e.g. a DecimalScalar obtained from a root extraction.
     """
-    af, ae, ad, acf = quad_exact(as_rational(ac), as_rational(t))
-    w = ctx.work_digits
-    return ProportionalsQuad(
-        DecimalScalar.from_fraction(af, w),
-        DecimalScalar.from_fraction(ae, w),
-        DecimalScalar.from_fraction(ad, w),
-        DecimalScalar.from_fraction(acf, w),
-    )
+    return _decimal_quad(ac, t, ctx)
 
 
 def four_proportionals_sphere(
     ac: DecimalScalar, t, ctx: PrecisionContext = DEFAULT_CONTEXT
 ) -> ProportionalsQuad:
-    """Same quad realized through the spherical-cap construction.
+    """Same quad read off the spherical-cap construction.
 
-    The values are plane-independent; what this adds over the planar route
-    is the exact 3D construction with its perpendicularity checks, and AE
-    realized as the out-of-plane chord AG; a construction that disagrees
-    with the planar quad raises :class:`~mesolabe.scalar.CertificationError`.
+    :func:`sphere_construction` realizes AE as the out-of-plane chord AG,
+    and AF, AD as the chords of the planar route, so the lengths are
+    exactly those of :func:`quad_exact` and are taken from it.
     """
-    acf, tf = as_rational(ac), as_rational(t)
-    pts = sphere_construction(acf, tf)
-    w = ctx.work_digits
-    af_sq = pts["F"].norm_sq()
-    ag_sq = pts["G"].norm_sq()
-    ad_sq = pts["D"].norm_sq()
-    quad = quad_exact(acf, tf)
-    if (af_sq, ag_sq, ad_sq) != (quad[0] ** 2, quad[1] ** 2, quad[2] ** 2):
-        raise CertificationError("spherical construction disagrees with the planar quad")
-    return ProportionalsQuad(*(DecimalScalar.from_fraction(v, w) for v in quad))
+    return _decimal_quad(ac, t, ctx)
 
 
 def verify_continued_proportion(terms: list, tol) -> bool:
@@ -368,13 +350,6 @@ def verify_continued_proportion(terms: list, tol) -> bool:
         if not abs(terms[0] * terms[3] - terms[1] * terms[2]) <= tol:
             return False
     return True
-
-
-def chord_residual(c: ChordConfig) -> DecimalScalar:
-    """Exact |cubic residual| of the configuration's AB against its diameter."""
-    x, d = c.ab, c.ad
-    r = (d - x) * (d - x) * (d - x) - d * d * x
-    return abs(r)
 
 
 def chords_pass(c: ChordConfig, output_digits: int) -> bool:

@@ -74,13 +74,11 @@ class CertificationError(ArithmeticError):
     """An exact certification failed.
 
     Raised when a solver could not certify its root with exact residual
-    signs or its point left the semicircle, when the two independent exact
-    evaluations that a Euclid checker compares (ratios and products, right
-    angle and incidence, the three tetrahedra of a prism) disagree, and when
-    the spherical four-proportionals construction fails one of its checks.
-    It is not a ``ValueError``, so the proposition suite never counts it as
-    a detected perturbation; it is raised explicitly, so ``python -O`` keeps
-    it.
+    signs, and when the two independent exact evaluations that a Euclid
+    checker compares (ratios and products, right angle and incidence, the
+    three tetrahedra of a prism) disagree.  It is not a ``ValueError``, so
+    the CLI reports it as a failed verification (exit 1), never as a usage
+    error; it is raised explicitly, so ``python -O`` keeps it.
     """
 
 
@@ -341,13 +339,6 @@ def truncate_to(a: DecimalScalar, digits: int) -> DecimalScalar:
     if digits >= a.scale:
         return DecimalScalar(a.unscaled * 10 ** (digits - a.scale), digits)
     return DecimalScalar(_trunc_div(a.unscaled, 10 ** (a.scale - digits)), digits)
-
-
-def div(a: DecimalScalar, b: DecimalScalar, digits: int) -> DecimalScalar:
-    """Quotient rounded half-even to ``digits`` fractional digits."""
-    if b.unscaled == 0:
-        raise ZeroDivisionError("division by zero scalar")
-    return DecimalScalar.from_fraction(a.as_fraction() / b.as_fraction(), digits)
 
 
 def sqrt(a: DecimalScalar, ctx: PrecisionContext = DEFAULT_CONTEXT) -> DecimalScalar:

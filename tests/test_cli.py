@@ -153,6 +153,17 @@ class TestFourProportionals:
                 "error: parameter must lie strictly between 0 and 1 (D between A and C)\n"
             )
 
+    @pytest.mark.parametrize("argv", [
+        ("figure", "--id", "5", "--ac", "0"),
+        ("figure", "--id", "5", "--ac", "-2"),
+        ("four-proportionals", "--ac", "0", "--t", "1/2", "--sphere"),
+    ])
+    def test_non_positive_diameter_usage_error(self, capsys, argv):
+        assert main(list(argv)) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: diameter must be positive\n"
+
 
 class TestCheckProps:
     def test_small_run_reports_all_hold(self, capsys):
@@ -197,6 +208,13 @@ class TestFigureCommand:
         code, out = run(capsys, "figure", "--id", "4", "--out", "-")
         assert code == 0
         assert out.startswith("<svg")
+
+    @pytest.mark.parametrize("edges", [("0", "0", "0"), ("-1", "2", "3")])
+    def test_non_positive_edges_usage_error(self, capsys, edges):
+        assert main(["figure", "--id", "1", "--edges", *edges]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: pyramid edges must be positive\n"
 
 
 class TestDeterminismAndConfig:

@@ -1,15 +1,10 @@
 import math
-import os
 import random
-import subprocess
-import sys
 from fractions import Fraction
-from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-import mesolabe
 from mesolabe.delian import (
     InstrumentState,
     _cleared_k,
@@ -21,7 +16,6 @@ from mesolabe.delian import (
 from mesolabe.euclid import unit_circle_point
 from mesolabe.proportio import four_proportionals_planar, verify_continued_proportion
 from mesolabe.scalar import (
-    CertificationError,
     DecimalScalar,
     PrecisionContext,
     certify_bracket,
@@ -42,6 +36,13 @@ class TestInstrumentGeometry:
     @given(st.fractions(min_value=0, max_value=1))
     def test_cleared_k_is_the_circle_parameter(self, t):
         assert Fraction(*_cleared_k(t)) == unit_circle_point(t).x
+
+    @given(st.fractions(min_value=0, max_value=1))
+    def test_cleared_k_stays_on_the_circle(self, t):
+        # (K/S, 2nm/S) lies on the unit circle for every t = n/m, so D never
+        # leaves the semicircle and the solvers need not check it
+        big_k, big_s = _cleared_k(t)
+        assert big_k**2 + (2 * t.numerator * t.denominator) ** 2 == big_s**2
 
     def test_residuals_have_one_sign_change(self):
         st_lo = InstrumentState(F(1), F(2), F(1, 100))
@@ -210,28 +211,6 @@ class TestCertifiedCell:
             for solve in (two_means_instrument, two_means_compass):
                 assert 1 <= solve(a, b, ctx).iterations <= 8
 
-    def test_point_off_the_semicircle_is_refused(self, monkeypatch):
-        monkeypatch.setattr(InstrumentState, "on_semicircle", lambda self: False)
-        with pytest.raises(CertificationError):
-            two_means_compass(F(1), F(2), CTX10)
-
-    def test_point_off_the_semicircle_is_refused_without_asserts(self):
-        # python -O strips assert statements; the compass check must not need them
-        code = (
-            "from mesolabe import cli\n"
-            "from mesolabe.delian import InstrumentState\n"
-            "print('debug', __debug__)\n"
-            "InstrumentState.on_semicircle = lambda self: False\n"
-            "print('exit', cli.main(['means', '--a', '1', '--b', '2', '--method', 'compass']))\n"
-        )
-        src = str(Path(mesolabe.__file__).parent.parent)
-        done = subprocess.run(
-            [sys.executable, "-O", "-c", code], capture_output=True, text=True, check=True,
-            env={**os.environ, "PYTHONPATH": src},
-        )
-        assert done.stdout == "debug False\nexit 1\n"
-        assert done.stderr == "error: compass point D left the semicircle\n"
-
 
 arc_parameters = st.fractions(min_value=0, max_value=1, max_denominator=10**12).filter(
     lambda t: t < 1
@@ -256,7 +235,6 @@ class TestClearedIntegers:
         assert _sign(instrument) == _sign(_cube_defect(a, b, t)) == -_sign(compass)
         assert instrument == (b * k * k - a / k) * qa * qb * big_k * big_s**2
         assert compass == (a - b * k**3) * qa * qb * big_s**3
-        assert state.on_semicircle()
 
     def test_instrument_residual_is_undefined_at_the_end_of_the_arc(self):
         with pytest.raises(ZeroDivisionError):

@@ -57,8 +57,8 @@ class TestPythagoras:
         assert check_47_1(Triangle(pt(0, 0), pt(1, 0), pt(0, 1))) == 0
 
     def test_rejects_non_right(self):
-        with pytest.raises(ValueError):
-            check_47_1(Triangle(pt(0, 0), pt(2, 0), pt(1, 3)))
+        # the residual is -2 AB . AC = -2 * 2
+        assert check_47_1(Triangle(pt(0, 0), pt(2, 0), pt(1, 3))) == -4
 
     def test_generated_right_triangles(self):
         rng = random.Random(47)
@@ -74,10 +74,9 @@ class TestObtuseAcute:
         assert check_13_2(Triangle(pt(0, 0), pt(2, 0), pt(1, 2))) == 0
 
     def test_wrong_class_rejected(self):
-        with pytest.raises(ValueError):
-            check_12_2(Triangle(pt(0, 0), pt(2, 0), pt(1, 2)))
-        with pytest.raises(ValueError):
-            check_13_2(Triangle(pt(0, 0), pt(2, 0), pt(-1, 1)))
+        # the wrong checker gives -4 AB . AC, here with AB . AC = 2 and -2
+        assert check_12_2(Triangle(pt(0, 0), pt(2, 0), pt(1, 2))) == -8
+        assert check_13_2(Triangle(pt(0, 0), pt(2, 0), pt(-1, 1))) == 8
 
     def test_500_random_classified_dispatch(self):
         rng = random.Random(1213)
@@ -220,6 +219,19 @@ class TestSuiteRunner:
         a = run_proposition_suite(seed=3, instances=20)
         b = run_proposition_suite(seed=3, instances=20)
         assert a == b
+
+    @pytest.mark.parametrize("name, perturbed", [(n, p) for n, _, p in euclid.PROPOSITION_SUITE])
+    def test_perturbations_are_detected_by_residuals(self, name, perturbed):
+        # a perturbation that fell outside a checker's domain would raise
+        # ValueError here instead of counting as detected
+        for seed in range(5):
+            rng = random.Random(f"{seed}:{name}")
+            assert all(perturbed(rng) for _ in range(20))
+
+    def test_precondition_rejection_is_not_a_detection(self):
+        flat = Triangle(pt(0, 0), pt(1, 0), pt(2, 0))
+        with pytest.raises(ValueError):
+            euclid._detects(lambda: check_47_1(flat))
 
 
 _VOLUMES = itertools.count()

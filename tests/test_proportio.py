@@ -1,19 +1,13 @@
-import os
 import random
-import subprocess
-import sys
 from fractions import Fraction
-from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-import mesolabe
-from mesolabe import cli, proportio
+from mesolabe import proportio
 from mesolabe.euclid import Point3, check_19_7, check_20_7, unit_circle_point
 from mesolabe.proportio import (
     ChordConfig,
-    chord_residual,
     chord_table,
     chords_pass,
     four_proportionals_planar,
@@ -27,7 +21,6 @@ from mesolabe.proportio import (
     verify_continued_proportion,
 )
 from mesolabe.scalar import (
-    CertificationError,
     DecimalScalar,
     PrecisionContext,
     certify_bracket,
@@ -36,7 +29,7 @@ from mesolabe.scalar import (
     ulp,
 )
 
-from oracles import chord_lengths
+from oracles import _cross3, _dot, _on_unit_circle, _sub, chord_lengths
 
 D = DecimalScalar.from_str
 F = Fraction
@@ -69,7 +62,8 @@ class TestChordSolver:
         assert solved.table_values(10).ab + solved.table_values(10).bd == D("2")
 
     def test_cubic_residual_below_output_ulp(self, solved):
-        assert chord_residual(solved) < ulp(20)
+        x, d = solved.ab, solved.ad
+        assert abs((d - x) * (d - x) * (d - x) - d * d * x) < ulp(20)
 
     def test_continued_proportion_invariants(self, solved):
         assert chords_pass(solved, 20)
@@ -293,15 +287,24 @@ class TestPlanarConstruction:
         assert quad.check(ulp(20))
 
 
-#: One lie per check of the spherical construction, in the order they run:
-#: (attribute to replace, replacement).
-SPHERE_LIARS = {
-    "planes not perpendicular": ("mesolabe.euclid.Point3.cross",
-                                 lambda self, other: Point3(0, 0, 1)),
-    "normal off the base lines": ("mesolabe.proportio.check_4_11", lambda *args: False),
-    "AG is not AE": ("mesolabe.euclid.Point3.norm_sq", lambda self: -1),
-    "quad disagrees": ("mesolabe.proportio.quad_exact", lambda ac, t: (F(1),) * 4),
-}
+def _oracle_sphere_points(ac: Fraction, t: Fraction) -> dict:
+    """A, C, D, E, F, G as tuples, from the chain AD = AC k, AF = AC k^3, FG = AC k^2 s."""
+    k, s = _on_unit_circle(t)
+    ad, af = ac * k, ac * k**3
+    return {
+        "A": (0, 0, 0),
+        "D": (ad * k, ad * s, 0),
+        "E": (ad * k, 0, 0),
+        "F": (af * k, af * s, 0),
+        "G": (af * k, af * s, ac * k * k * s),
+        "C": (ac, 0, 0),
+    }
+
+
+positive_fractions = st.fractions(min_value=F(1, 1000), max_value=1000, max_denominator=1000)
+interior_parameters = st.fractions(min_value=0, max_value=1, max_denominator=10**6).filter(
+    lambda t: 0 < t < 1
+)
 
 
 class TestSphereConstruction:
@@ -326,48 +329,25 @@ class TestSphereConstruction:
         _, ae, _, _ = quad_exact(F(2), t)
         assert pts["G"].norm_sq() == ae * ae
 
-    @pytest.mark.parametrize("liar", SPHERE_LIARS)
-    def test_failed_check_is_refused(self, liar, monkeypatch, capsys):
-        target, lie = SPHERE_LIARS[liar]
-        monkeypatch.setattr(target, lie)
-        with pytest.raises(CertificationError):
-            four_proportionals_sphere(D("2"), F(1, 3), CTX10)
-        assert cli.main(["four-proportionals", "--ac", "2", "--t", "1/3", "--sphere"]) == 1
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    @settings(max_examples=60, deadline=None)
+    @given(positive_fractions, interior_parameters)
+    def test_points_match_the_oracle_construction(self, ac, t):
+        assert sphere_construction(ac, t) == {
+            name: Point3(*p) for name, p in _oracle_sphere_points(ac, t).items()
+        }
 
-    def test_failed_check_is_refused_without_asserts(self):
-        # python -O strips assert statements; the sphere checks must not need them
-        code = (
-            "from mesolabe import cli, euclid, proportio\n"
-            "print('debug', __debug__)\n"
-            "for target, lie in (\n"
-            "    ('Point3.cross', lambda self, other: euclid.Point3(0, 0, 1)),\n"
-            "    ('check_4_11', lambda *args: False),\n"
-            "    ('Point3.norm_sq', lambda self: -1),\n"
-            "    ('quad_exact', lambda ac, t: (1, 1, 1, 1)),\n"
-            "):\n"
-            "    owner, _, name = target.rpartition('.')\n"
-            "    host = getattr(euclid, owner) if owner else proportio\n"
-            "    saved = getattr(host, name)\n"
-            "    setattr(host, name, lie)\n"
-            "    print('exit', cli.main(['four-proportionals', '--ac', '2', '--t', '1/3', '--sphere']))\n"
-            "    setattr(host, name, saved)\n"
-        )
-        src = str(Path(mesolabe.__file__).parent.parent)
-        done = subprocess.run(
-            [sys.executable, "-O", "-c", code], capture_output=True, text=True, check=True,
-            env={**os.environ, "PYTHONPATH": src},
-        )
-        assert done.stdout.split("\n") == ["debug False"] + ["exit 1"] * 4 + [""]
-        assert done.stderr.split("\n") == [
-            "error: lifted plane is not perpendicular to the base plane",
-            "error: base-plane normal fails against the in-plane lines",
-            "error: AG does not reproduce AE",
-            "error: spherical construction disagrees with the planar quad",
-            "",
-        ]
+    @settings(max_examples=60, deadline=None)
+    @given(positive_fractions, interior_parameters)
+    def test_oracle_lift_is_perpendicular_and_reproduces_ae(self, ac, t):
+        # the identities the construction relies on, checked on points that
+        # share no code with it
+        pts = _oracle_sphere_points(ac, t)
+        a, d, e, f, g = (pts[name] for name in "ADEFG")
+        assert _cross3(_sub(d, a), _sub(g, a))[2] == 0
+        assert _dot(_sub(g, a), _sub(g, a)) == _dot(_sub(e, a), _sub(e, a))
+        # G on the semicircle over AD: FG^2 = AF * FD, both sides squared
+        fg_sq, af_sq, fd_sq = (_dot(_sub(p, q), _sub(p, q)) for p, q in ((g, f), (f, a), (d, f)))
+        assert fg_sq**2 == af_sq * fd_sq
 
 
 class TestVerifyContinuedProportion:

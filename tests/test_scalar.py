@@ -17,7 +17,6 @@ from mesolabe.scalar import (
     _icbrt,
     cbrt,
     certify_bracket,
-    div,
     format_grouped,
     parse_grouped,
     round_to,
@@ -288,19 +287,6 @@ class TestIntegerCubeRoot:
     @given(sized_integers(4430).map(lambda n: n + 1))
     def test_floor_cube_root_beside_exact_cubes(self, r):
         assert (_icbrt(r**3 - 1), _icbrt(r**3), _icbrt(r**3 + 1)) == (r - 1, r, r)
-
-
-class TestDivision:
-    def test_exact(self):
-        assert div(D("1"), D("8"), 4) == D("0.1250")
-
-    def test_half_even_quotient(self):
-        assert div(D("1"), D("3"), 5) == D("0.33333")
-        assert div(D("2"), D("3"), 5) == D("0.66667")
-
-    def test_zero_divisor(self):
-        with pytest.raises(ZeroDivisionError):
-            div(D("1"), D("0"), 5)
 
 
 class TestRationalExactness:
