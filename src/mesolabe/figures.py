@@ -13,7 +13,7 @@ from fractions import Fraction
 
 from . import delian, proportio, pyramid
 from .euclid import Point2, Point3, unit_circle_point
-from .scalar import DEFAULT_CONTEXT, DecimalScalar, as_rational
+from .scalar import DEFAULT_CONTEXT, DecimalScalar, _half_even_div, as_rational
 
 _OBLIQUE_X = Fraction(2, 5)
 _OBLIQUE_Y = Fraction(1, 5)
@@ -33,12 +33,19 @@ class FigureSpec:
             raise ValueError("figure_id must be between 1 and 7")
 
 
-def _fmt(value: Fraction) -> str:
-    return str(DecimalScalar.from_fraction(value, 2))
+def _fmt(value: tuple[int, int]) -> str:
+    """``n/d`` (d > 0) rounded half-even to hundredths, as ``from_fraction`` rounds."""
+    n, d = value
+    return str(DecimalScalar(_half_even_div(100 * n, d), 2))
 
 
 class _Canvas:
-    """Maps model-space rational points into the SVG viewport (y up)."""
+    """Maps model-space rational points into the SVG viewport (y up).
+
+    A mapped coordinate is an unreduced ``(numerator, denominator)`` pair of
+    ints: the affine map is cleared of the denominators of the scale, of the
+    origin and of the point, so no gcd is taken until :func:`_fmt` rounds it.
+    """
 
     def __init__(self, width, height, xs, ys, margin=40):
         self.width, self.height = width, height
@@ -47,15 +54,20 @@ class _Canvas:
         sx = Fraction(width - 2 * margin) / (xmax - xmin) if xmax > xmin else Fraction(1)
         sy = Fraction(height - 2 * margin) / (ymax - ymin) if ymax > ymin else Fraction(1)
         self.scale = min(sx, sy)
-        self.x0, self.y0 = xmin, ymin
-        self.margin = Fraction(margin)
+        sn, sd = self.scale.as_integer_ratio()
+        # margin + (x - xmin)·scale and height - margin - (y - ymin)·scale,
+        # each as (u·n + v·d) / (w·d) for a coordinate n/d
+        wx, wy = xmin.denominator * sd, ymin.denominator * sd
+        self._x = (xmin.denominator * sn, margin * wx - xmin.numerator * sn, wx)
+        self._y = (-ymin.denominator * sn, (height - margin) * wy + ymin.numerator * sn, wy)
         self.elements: list[str] = []
 
-    def map(self, p) -> tuple[Fraction, Fraction]:
+    def map(self, p) -> tuple[tuple[int, int], tuple[int, int]]:
         x, y = p
+        (ux, vx, wx), (uy, vy, wy) = self._x, self._y
         return (
-            self.margin + (x - self.x0) * self.scale,
-            Fraction(self.height) - self.margin - (y - self.y0) * self.scale,
+            (ux * x.numerator + vx * x.denominator, wx * x.denominator),
+            (uy * y.numerator + vy * y.denominator, wy * y.denominator),
         )
 
     def line(self, p, q, dashed=False):
@@ -72,17 +84,16 @@ class _Canvas:
 
     def circle(self, center, radius: Fraction, dashed=False):
         cx, cy = self.map(center)
+        r = _fmt((radius * self.scale).as_integer_ratio())
         dash = ' stroke-dasharray="4 3"' if dashed else ""
-        self.elements.append(
-            f'<circle cx="{_fmt(cx)}" cy="{_fmt(cy)}" r="{_fmt(radius * self.scale)}"{dash}/>'
-        )
+        self.elements.append(f'<circle cx="{_fmt(cx)}" cy="{_fmt(cy)}" r="{r}"{dash}/>')
 
     def arc_semicircle(self, left, right):
         """Upper semicircle from ``left`` to ``right`` on the segment as diameter."""
         (x1, y1), (x2, y2) = self.map(left), self.map(right)
-        r = (right[0] - left[0]) * self.scale / 2
+        r = _fmt(((right[0] - left[0]) * self.scale / 2).as_integer_ratio())
         self.elements.append(
-            f'<path d="M {_fmt(x1)} {_fmt(y1)} A {_fmt(r)} {_fmt(r)} 0 0 1 {_fmt(x2)} {_fmt(y2)}"/>'
+            f'<path d="M {_fmt(x1)} {_fmt(y1)} A {r} {r} 0 0 1 {_fmt(x2)} {_fmt(y2)}"/>'
         )
 
     def dot(self, p):
@@ -90,9 +101,9 @@ class _Canvas:
         self.elements.append(f'<circle cx="{_fmt(cx)}" cy="{_fmt(cy)}" r="2" fill="black"/>')
 
     def label(self, p, text, dx=5, dy=-5):
-        cx, cy = self.map(p)
+        (xn, xd), (yn, yd) = self.map(p)
         self.elements.append(
-            f'<text x="{_fmt(cx + dx)}" y="{_fmt(cy + dy)}">{text}</text>'
+            f'<text x="{_fmt((xn + dx * xd, xd))}" y="{_fmt((yn + dy * yd, yd))}">{text}</text>'
         )
 
     def document(self) -> str:

@@ -22,7 +22,6 @@ from .scalar import (
     DEFAULT_CONTEXT,
     DecimalScalar,
     PrecisionContext,
-    Rational,
     as_rational,
     certify_bracket,
     format_grouped,

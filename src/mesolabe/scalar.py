@@ -200,12 +200,20 @@ class DecimalScalar:
     def as_fraction(self) -> Fraction:
         return Fraction(self.unscaled, 10**self.scale)
 
-    def __str__(self) -> str:
-        digits = str(abs(self.unscaled)).zfill(self.scale + 1)
+    def _digits(self) -> tuple[str, str, str]:
+        """Sign, integer digits, and the ``scale`` fractional digits.
+
+        The two parts are converted to text apart, so that a value prints
+        while each part, rather than the whole digit string, stays within
+        the interpreter's limit on int-to-str conversion.
+        """
+        whole, frac = divmod(abs(self.unscaled), 10**self.scale)
         sign = "-" if self.unscaled < 0 else ""
-        if self.scale == 0:
-            return sign + digits
-        return f"{sign}{digits[:-self.scale]}.{digits[-self.scale:]}"
+        return sign, str(whole), str(frac).zfill(self.scale) if self.scale else ""
+
+    def __str__(self) -> str:
+        sign, whole, frac = self._digits()
+        return f"{sign}{whole}.{frac}" if frac else sign + whole
 
     def __repr__(self) -> str:
         return f"DecimalScalar('{self}')"
@@ -382,17 +390,13 @@ def format_grouped(a: DecimalScalar) -> str:
     values whose integer part has exactly five digits would be ambiguous
     and are rejected.
     """
-    digits = str(abs(a.unscaled)).zfill(a.scale + 1)
-    sign = "-" if a.unscaled < 0 else ""
-    int_part = digits[: len(digits) - a.scale] if a.scale else digits
-    frac = digits[len(digits) - a.scale:] if a.scale else ""
-    if len(int_part.lstrip("0") or "0") == 5:
+    sign, int_part, frac = a._digits()
+    if len(int_part) == 5:
         raise ValueError("five-digit integer part has no unambiguous grouped form")
     groups = [frac[i: i + 5] for i in range(0, len(frac), 5)]
-    int_part = int_part.lstrip("0")
-    if not int_part and len(frac) < 5:
-        int_part = "0"
-    return sign + " ".join(([int_part] if int_part else []) + groups)
+    if int_part == "0" and len(frac) >= 5:
+        return sign + " ".join(groups)
+    return sign + " ".join([int_part] + groups)
 
 
 def parse_grouped(text: str) -> DecimalScalar:

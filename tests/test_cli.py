@@ -1,13 +1,26 @@
 import json
+import os
+import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
 
-from mesolabe import euclid
-from mesolabe.cli import INT_PART_ROOM, _decimal_digits, main, max_work_digits
+from mesolabe import delian, euclid
+from mesolabe.cli import (
+    COMMON_ARGUMENTS,
+    INT_PART_ROOM,
+    SUBCOMMANDS,
+    _decimal_digits,
+    main,
+    max_work_digits,
+)
 from mesolabe.delian import InstrumentState
+from mesolabe.scalar import DecimalScalar, PrecisionContext, round_to
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def run(capsys, *argv):
@@ -250,6 +263,61 @@ class TestDeterminismAndConfig:
         assert main(["means", "--a", "1", "--b", "2", "--frobnicate"]) == 2
 
 
+#: A usage error, help, a subcommand's help and ops of several kinds, run in one process.
+MIXED_CALLS = [
+    ("means", "--a", "1"),
+    ("--help",),
+    ("means", "--help"),
+    ("figure", "--id", "1", "--edges", "1", "2", "3", "--out", "-"),
+    ("pyramid", "--edges", "3", "4", "12"),
+    ("pyramid", "--edges", "1", "1", "1", "--cosines", "1/2", "1/2", "1/2"),
+    ("means", "--a", "1", "--b", "2", "--method", "both", "--json"),
+    ("check-props", "--seed", "5", "--instances", "3"),
+]
+
+
+class TestRepeatedCalls:
+    """A call in a long-lived process behaves as the first call of a new one."""
+
+    @staticmethod
+    def first_call(argv):
+        """Exit code, stdout and stderr of ``argv`` as the first call of a new interpreter."""
+        env = {k: v for k, v in os.environ.items() if not k.startswith("MESOLABE_")}
+        done = subprocess.run(
+            [sys.executable, "-c", "import sys; from mesolabe.cli import main; "
+             "sys.exit(main(sys.argv[1:]))", *argv],
+            capture_output=True, text=True, env={**env, "PYTHONPATH": str(SRC), "COLUMNS": "80"},
+        )
+        return done.returncode, done.stdout, done.stderr
+
+    @pytest.mark.parametrize("name", SUBCOMMANDS)
+    def test_subcommand_help_lists_its_options(self, capsys, name):
+        assert main([name, "--help"]) == 0
+        out = capsys.readouterr().out
+        assert out.startswith(f"usage: mesolabe {name} [-h]")
+        listed = {line.split()[0] for line in out.splitlines() if line.startswith("  -")}
+        assert listed == {"-h,"} | {flag for flag, _ in COMMON_ARGUMENTS + SUBCOMMANDS[name][2]}
+
+    def test_mixed_calls_match_first_calls(self, capsys, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")  # the width argparse wraps help at
+        monkeypatch.delenv("MESOLABE_DIGITS", raising=False)
+        monkeypatch.delenv("MESOLABE_GUARD", raising=False)
+        fresh = [self.first_call(argv) for argv in MIXED_CALLS]
+        assert [code for code, _, _ in fresh] == [2, 0, 0, 0, 0, 0, 0, 0]
+        for _ in range(2):
+            for argv, expected in zip(MIXED_CALLS, fresh):
+                code = main(list(argv))
+                captured = capsys.readouterr()
+                assert (code, captured.out, captured.err) == expected, argv
+        # the environment is read per call, not at import
+        monkeypatch.setenv("MESOLABE_DIGITS", "7")
+        _, out = run(capsys, "means", "--a", "1", "--b", "2", "--json")
+        assert json.loads(out)["m1"] == "1.2599210"
+        monkeypatch.setenv("MESOLABE_GUARD", "3")
+        assert main(["means", "--a", "1", "--b", "2"]) == 2
+        assert capsys.readouterr().err == "error: guard_digits must be at least 5\n"
+
+
 @pytest.fixture(params=[4300, 1000], ids=["default-limit", "lowered-limit"])
 def str_digits_limit(request):
     """The interpreter's int-to-str digit limit, set for one test."""
@@ -292,6 +360,32 @@ class TestDigitCap:
         assert code == 2
         assert captured.out == ""
         assert captured.err == f"error: --digits + --guard must not exceed {cap} work digits\n"
+
+    @staticmethod
+    def printed(text: str) -> Fraction:
+        """Value of a printed decimal, read part by part as it was printed."""
+        whole, _, frac = text.partition(".")
+        return int(whole) + Fraction(int(frac), 10 ** len(frac))
+
+    def test_integer_parts_do_not_reach_the_limit(self, capsys, str_digits_limit):
+        # 201 integer digits on top of the work digits: the whole digit string
+        # of a printed value is over the limit, each of its parts is not
+        one, big = DecimalScalar.from_int(1), DecimalScalar.from_int(10**200)
+        digits = max_work_digits() - 10
+        code, out = run(capsys, "means", "--a", "1", "--b", str(big), "--digits", str(digits))
+        assert code == 0
+        shown = dict(line.split(" = ") for line in out.splitlines() if " = " in line)
+        solved = delian.two_means_instrument(one, big, PrecisionContext.for_output(digits))
+        assert self.printed(shown["m1"]) == round_to(solved.m1, digits).as_fraction()
+        assert self.printed(shown["m2"]) == round_to(solved.m2, digits).as_fraction()
+
+        digits = max_work_digits() - 100
+        code = main(["duplicate-cube", "--edge", str(big), "--digits", str(digits)])
+        captured = capsys.readouterr()
+        assert code != 2 and captured.err == ""
+        doubled = captured.out.split("doubled-volume edge ")[1].split()[0]
+        solved = delian.duplicate_cube(big, PrecisionContext.for_output(digits))
+        assert self.printed(doubled) == round_to(solved, digits).as_fraction()
 
     def test_guard_digits_count_against_the_cap(self, capsys):
         cap = max_work_digits()

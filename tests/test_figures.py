@@ -1,8 +1,9 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, strategies as st
 
-from mesolabe.figures import FigureSpec, render
+from mesolabe.figures import FigureSpec, _Canvas, _fmt, render
 from mesolabe.scalar import DecimalScalar
 
 F = Fraction
@@ -34,6 +35,43 @@ class TestStructure:
     def test_invalid_id_rejected(self):
         with pytest.raises(ValueError):
             FigureSpec(8)
+
+
+def hundredth_ties():
+    """Pairs n/d = (2k + 1)/200 exactly, unreduced by a common factor."""
+    return st.builds(
+        lambda k, m: ((2 * k + 1) * m, 200 * m),
+        st.integers(min_value=-(10**6), max_value=10**6),
+        st.integers(min_value=1, max_value=10**4),
+    )
+
+
+#: Model coordinates: Fractions, and the ints some figures place points at.
+rationals = st.one_of(
+    st.fractions(max_denominator=10**6).filter(lambda q: abs(q) < 10**6),
+    st.integers(min_value=-(10**6), max_value=10**6),
+)
+
+
+class TestCanvas:
+    @given(st.one_of(
+        st.tuples(st.integers(min_value=-(10**12), max_value=10**12),
+                  st.integers(min_value=1, max_value=10**9)),
+        hundredth_ties(),
+    ))
+    def test_pair_rounds_as_from_fraction(self, pair):
+        n, d = pair
+        assert _fmt(pair) == str(DecimalScalar.from_fraction(Fraction(n, d), 2))
+
+    @given(st.lists(st.tuples(rationals, rationals), min_size=1, max_size=6))
+    def test_map_is_the_affine_map(self, points):
+        xs, ys = [x for x, _ in points], [y for _, y in points]
+        cv = _Canvas(460, 360, xs, ys)
+        for x, y in points:
+            mx, my = cv.map((x, y))
+            assert Fraction(*mx) == 40 + (x - min(xs)) * cv.scale
+            assert Fraction(*my) == 360 - 40 - (y - min(ys)) * cv.scale
+            assert mx[1] > 0 and my[1] > 0
 
 
 class TestChordFigure:

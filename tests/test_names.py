@@ -1,4 +1,5 @@
-"""Every name the benchmark tracer wraps, and every exported name, exists.
+"""Every name the benchmark tracer wraps, and every exported name, exists,
+and every imported name is used.
 
 ``perfbench/spans.py`` wraps functions and methods of the package by name
 for ``perfbench/run.py --trace 1``.  Its smoke test runs outside the default
@@ -9,6 +10,7 @@ package.
 
 from __future__ import annotations
 
+import ast
 import importlib
 import importlib.util
 from pathlib import Path
@@ -17,7 +19,10 @@ import pytest
 
 import mesolabe
 
-SPANS = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
+ROOT = Path(__file__).resolve().parent.parent
+SPANS = ROOT / "perfbench" / "spans.py"
+#: Every module of the package and of the tests.
+MODULES = sorted([*(ROOT / "src" / "mesolabe").glob("*.py"), *(ROOT / "tests").glob("*.py")])
 
 
 def _traced() -> tuple:
@@ -42,3 +47,45 @@ def test_traced_name_resolves(module_name, path, span):
 @pytest.mark.parametrize("name", mesolabe.__all__)
 def test_exported_name_resolves(name):
     assert hasattr(mesolabe, name)
+
+
+def _imported(tree: ast.Module) -> dict[str, int]:
+    """Name each import binds -> its line, ``from __future__`` left out."""
+    bound = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                bound[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                bound[alias.asname or alias.name] = node.lineno
+    return bound
+
+
+def _used(tree: ast.Module) -> set[str]:
+    """Names the module reads, including those in quoted annotations."""
+    used = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            used.add(node.id)
+        elif isinstance(node, (ast.arg, ast.AnnAssign, ast.FunctionDef)):
+            note = node.returns if isinstance(node, ast.FunctionDef) else node.annotation
+            if isinstance(note, ast.Constant) and isinstance(note.value, str):
+                used |= _used(ast.parse(note.value, mode="eval"))
+    return used
+
+
+def _exported(tree: ast.Module) -> set[str]:
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            return set(ast.literal_eval(node.value))
+    return set()
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: f"{p.parent.name}/{p.name}")
+def test_every_import_is_used(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    unused = set(_imported(tree)) - _used(tree) - _exported(tree)
+    assert not unused, sorted(f"line {_imported(tree)[name]}: {name}" for name in unused)

@@ -1,4 +1,3 @@
-import random
 from fractions import Fraction
 
 import pytest
@@ -7,7 +6,6 @@ from hypothesis import example, given, settings, strategies as st
 from mesolabe import proportio
 from mesolabe.euclid import Point3, check_19_7, check_20_7, unit_circle_point
 from mesolabe.proportio import (
-    ChordConfig,
     chord_table,
     chords_pass,
     four_proportionals_planar,

@@ -75,6 +75,23 @@ class TestConstruction:
         x = D("-12.345")
         assert DecimalScalar.from_fraction(x.as_fraction(), 3) == x
 
+    @given(scalars(max_scale=40))
+    def test_text_is_the_zero_padded_digit_string(self, x):
+        digits = str(abs(x.unscaled)).zfill(x.scale + 1)
+        cut = len(digits) - x.scale
+        sign = "-" if x.unscaled < 0 else ""
+        expected = sign + digits[:cut] + ("." + digits[cut:] if x.scale else "")
+        assert str(x) == expected
+        assert D(str(x)) == x
+
+    def test_prints_past_the_int_to_str_limit_part_by_part(self):
+        scale = (sys.get_int_max_str_digits() or 4300) - 100
+        x = DecimalScalar(10 ** (scale + 200) + 7, scale)  # 201 + scale digits in all
+        text = str(x)
+        assert len(text) == 201 + 1 + scale
+        assert text.startswith("1" + "0" * 200 + ".") and text.endswith("07")
+        assert format_grouped(x).startswith("1" + "0" * 200 + " 00000 ")
+
 
 class TestGroupedFormat:
     def test_paper_strings_round_trip(self):
