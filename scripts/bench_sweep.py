@@ -7,9 +7,14 @@ Rows, each the fastest of ``--repeat`` calls after one warm-up call:
   and ``four-proportionals --sphere`` at ``--digits`` 20, 300, 1000 and the
   work-digit cap less the 10 default guard digits (4190 by default);
 - ``figure --id 1`` to ``7`` and ``check-props --instances 1000`` at the
-  default 20 digits;
+  default 20 digits; the ``check-props`` row, a few hundred ms a call, takes
+  ``SLOW_REPEAT`` times as many calls, because its fastest call moves with
+  the host's load more than the short rows' do;
 - the layers under them: building the argument parser
-  (``cli._build_parser()``) and ``figures.render`` for each figure.
+  (``cli._build_parser()``), ``figures.render`` for each figure,
+  ``euclid.run_proposition_suite(1, 40)`` (an oracle-suite op without the
+  CLI), each ``euclid.rand_*`` generator 1000 times from ``Random(0)``, and
+  ``POINTS`` constructions of a ``Point2`` and of a ``Point3``.
 
 Each ``--tree NAME=SRC`` names a directory holding a ``mesolabe`` package;
 without one, the sweep times this checkout's ``src``.  The trees are loaded
@@ -31,11 +36,16 @@ import io
 import json
 import os
 import platform
+import random
 import sys
 import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+#: Repeat multiplier of the ``check-props --instances 1000`` row.
+SLOW_REPEAT = 4
+#: Point constructions per call of the point rows.
+POINTS = 10_000
 
 #: (name, argv without ``--digits``), swept over the digit counts.
 SOLVES = (
@@ -45,15 +55,20 @@ SOLVES = (
     ("pyramid", ("pyramid", "--edges", "3", "4", "12")),
     ("four-proportionals sphere", ("four-proportionals", "--ac", "2", "--t", "1/2", "--sphere")),
 )
+#: The suite's instance generators, each timed 1000 times from one seed.
+GENERATORS = (
+    "rand_right_triangle", "rand_classified_triangle", "rand_proportional_quad",
+    "rand_proportional_triple", "rand_prism", "rand_chord_setup", "rand_pappus_offsets",
+)
 
 
 def load(src: str):
-    """The ``cli`` and ``figures`` modules of the package under ``src``, freshly imported."""
+    """The ``cli``, ``figures`` and ``euclid`` modules of the package under ``src``, reimported."""
     for name in [m for m in sys.modules if m == "mesolabe" or m.startswith("mesolabe.")]:
         del sys.modules[name]
     sys.path.insert(0, src)
     try:
-        return importlib.import_module("mesolabe.cli"), importlib.import_module("mesolabe.figures")
+        return tuple(importlib.import_module(f"mesolabe.{m}") for m in ("cli", "figures", "euclid"))
     finally:
         sys.path.remove(src)
 
@@ -67,25 +82,58 @@ def op(cli, argv):
     return call
 
 
-def rows(trees: dict) -> list[tuple[str, int | None, dict]]:
-    """(row, digits, tree name -> the call to time) for every row of the sweep."""
+def generate(euclid, name: str):
+    """1000 instances of ``euclid.<name>`` drawn from ``Random(0)``."""
+    gen = getattr(euclid, name)
+    extra = ()
+    if name == "rand_pappus_offsets":  # drawn for one fixed triangle
+        extra = (euclid.rand_classified_triangle(random.Random(0))[0],)
+
+    def call():
+        rng = random.Random(0)
+        for _ in range(1000):
+            gen(rng, *extra)
+    return call
+
+
+def construct(cls, coords):
+    """``POINTS`` constructions of ``cls(*coords)``, none of them kept."""
+    def call():
+        for _ in range(POINTS):
+            cls(*coords)
+    return call
+
+
+def rows(trees: dict) -> list[tuple[str, int | None, int, dict]]:
+    """(row, digits, repeat multiplier, tree name -> the call to time) for every row."""
     cap = next(iter(trees.values()))[0].max_work_digits()
     out = []
     for digits in (20, 300, 1000, cap - 10 if cap else 4190):
         for name, argv in SOLVES:
             argv = argv + ("--digits", str(digits))
-            out.append((name, digits, {t: op(cli, argv) for t, (cli, _) in trees.items()}))
+            out.append((name, digits, 1, {t: op(cli, argv) for t, (cli, _, _) in trees.items()}))
     for i in range(1, 8):
         argv = ("figure", "--id", str(i), "--out", "-")
-        out.append((f"figure {i}", 20, {t: op(cli, argv) for t, (cli, _) in trees.items()}))
+        out.append((f"figure {i}", 20, 1, {t: op(cli, argv) for t, (cli, _, _) in trees.items()}))
     argv = ("check-props", "--instances", "1000")
-    out.append(("check-props 1000", 20, {t: op(cli, argv) for t, (cli, _) in trees.items()}))
-    out.append(("layer cli._build_parser", None,
-                {t: cli._build_parser for t, (cli, _) in trees.items()}))
+    out.append(("check-props 1000", 20, SLOW_REPEAT,
+                {t: op(cli, argv) for t, (cli, _, _) in trees.items()}))
+    out.append(("layer cli._build_parser", None, 1,
+                {t: cli._build_parser for t, (cli, _, _) in trees.items()}))
     for i in range(1, 8):
-        out.append((f"layer figures.render {i}", None,
+        out.append((f"layer figures.render {i}", None, 1,
                     {t: (lambda f=figures, i=i: f.render(f.FigureSpec(i)))
-                     for t, (_, figures) in trees.items()}))
+                     for t, (_, figures, _) in trees.items()}))
+    out.append(("layer euclid.run_proposition_suite 40", None, 1,
+                {t: (lambda e=euclid: e.run_proposition_suite(1, 40))
+                 for t, (_, _, euclid) in trees.items()}))
+    for name in GENERATORS:
+        out.append((f"layer euclid.{name} x1000", None, 1,
+                    {t: generate(euclid, name) for t, (_, _, euclid) in trees.items()}))
+    for cls, coords in (("Point2", (3, -4)), ("Point3", (3, -4, 12))):
+        out.append((f"layer euclid.{cls} x{POINTS}", None, 1,
+                    {t: construct(getattr(euclid, cls), coords)
+                     for t, (_, _, euclid) in trees.items()}))
     return out
 
 
@@ -119,11 +167,12 @@ def main() -> None:
         "trees": [name for name, _ in specs],
         "rows": [],
     }
-    for name, digits, calls in rows(trees):
-        row = {"row": name, "digits": digits, "ms": best_ms(calls, args.repeat)}
+    for name, digits, slow, calls in rows(trees):
+        repeat = slow * args.repeat
+        row = {"row": name, "digits": digits, "repeat": repeat, "ms": best_ms(calls, repeat)}
         result["rows"].append(row)
         times = "  ".join(f"{ms:10.3f}" for ms in row["ms"].values())
-        print(f"{name:28} {digits or '':>5}  {times}  ms")
+        print(f"{name:44} {digits or '':>5}  {times}  ms")
     Path(args.out).write_text(json.dumps(result, indent=1) + "\n", encoding="utf-8")
 
 

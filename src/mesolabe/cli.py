@@ -87,10 +87,11 @@ def _decimal_digits(n: int) -> int:
 
 
 def _residual_bound(r: DecimalScalar) -> str:
-    """Human-sized upper bound for a tiny nonnegative residual."""
+    """Upper bound 1e-N, or 1e+N from 1 up, for a nonnegative residual."""
     if r.unscaled == 0:
         return "0"
-    return f"1e-{r.scale - _decimal_digits(r.unscaled)}"
+    exponent = _decimal_digits(r.unscaled) - r.scale
+    return f"1e+{exponent}" if exponent > 0 else f"1e-{-exponent}"
 
 
 def _residual_text(bound: str) -> str:

@@ -28,8 +28,16 @@ from fractions import Fraction
 from .scalar import CertificationError, Rational
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class Point2:
+    """A plane point or vector, compared and hashed by value.
+
+    Immutable by convention: nothing assigns to a coordinate after
+    construction.  The class is not frozen because a frozen dataclass sets
+    each field through ``object.__setattr__``, which makes construction,
+    the suite's commonest operation, more than twice as slow.
+    """
+
     x: Rational
     y: Rational
 
@@ -52,8 +60,10 @@ class Point2:
         return self.dot(self)
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class Point3:
+    """A space point or vector; immutable by convention, like :class:`Point2`."""
+
     x: Rational
     y: Rational
     z: Rational
@@ -81,9 +91,12 @@ class Point3:
         return self.dot(self)
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class Triangle:
-    """Vertices ``a, b, c``; ``a`` is the designated angle vertex."""
+    """Vertices ``a, b, c``; ``a`` is the designated angle vertex.
+
+    Immutable by convention, like :class:`Point2`.
+    """
 
     a: Point2
     b: Point2
@@ -353,14 +366,40 @@ def unit_circle_point(t: Rational) -> Point2:
     return Point2((1 - t * t) / d, 2 * t / d)
 
 
+def _randint(rng: random.Random, lo: int, hi: int) -> int:
+    """``rng.randint(lo, hi)``: the same value, leaving ``rng`` in the same state.
+
+    It draws as ``randint`` does, ``n.bit_length()`` bits of ``getrandbits``
+    until they fall below n = hi - lo + 1, without the argument checks and
+    the two calls ``randint`` makes on the way to that loop.
+    """
+    n = hi - lo + 1
+    k = n.bit_length()
+    r = rng.getrandbits(k)
+    while r >= n:
+        r = rng.getrandbits(k)
+    return lo + r
+
+
 def _draw(rng: random.Random) -> tuple[int, int]:
-    """Numerator in [-8, 8] and denominator in [1, 9] of a random fraction."""
-    return rng.randint(-8, 8), rng.randint(1, 9)
+    """Numerator in [-8, 8] and denominator in [1, 9] of a random fraction.
+
+    :func:`_randint` inlined for the suite's hottest draw: 17 values take
+    5 bits and 9 values take 4.
+    """
+    bits = rng.getrandbits
+    n = bits(5)
+    while n >= 17:
+        n = bits(5)
+    d = bits(4)
+    while d >= 9:
+        d = bits(4)
+    return n - 8, d + 1
 
 
 def _draw_nonzero(rng: random.Random) -> tuple[int, int]:
     """Numerator in +-[1, 8] and denominator in [1, 9] of a random fraction."""
-    n, d = rng.randint(1, 8), rng.randint(1, 9)
+    n, d = _randint(rng, 1, 8), _randint(rng, 1, 9)
     return (-n if rng.random() < 0.5 else n), d
 
 
@@ -483,7 +522,7 @@ def rand_pappus_offsets(rng: random.Random, t: Triangle) -> tuple[Point2, Point2
 
 def _nudge(rng: random.Random) -> tuple[int, int]:
     """Numerator and denominator of a small positive fraction n/m."""
-    return rng.randint(1, 7), rng.randint(89, 127)
+    return _randint(rng, 1, 7), _randint(rng, 89, 127)
 
 
 def _detects(fn) -> bool:
@@ -543,7 +582,7 @@ def _pert_8_6(rng):
 
 
 def _valid_31_6(rng):
-    num, den = rng.randint(1, 9), rng.randint(1, 9)
+    num, den = _randint(rng, 1, 9), _randint(rng, 1, 9)
     # the aspect num/den times den; the residual is linear in the aspect
     return check_31_6(rand_right_triangle(rng), num) == 0
 

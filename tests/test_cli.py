@@ -14,6 +14,7 @@ from mesolabe.cli import (
     INT_PART_ROOM,
     SUBCOMMANDS,
     _decimal_digits,
+    _residual_bound,
     main,
     max_work_digits,
 )
@@ -135,6 +136,37 @@ class TestDuplicateCube:
         code, out = run(capsys, "duplicate-cube", "--edge", "1", "--digits", "10")
         assert code == 0
         assert "1.2599210499" in out
+
+    @pytest.mark.parametrize("argv, bound", [
+        (("--edge", "10000000000"), "1e+1"),
+        (("--edge", "1000000", "--digits", "5"), "1e+4"),
+    ])
+    def test_bound_of_a_residual_above_one(self, capsys, argv, bound):
+        # the volume residual is still compared with 10^-digits absolutely,
+        # so these exit 1; the bound they print is well formed and true
+        code, out = run(capsys, "duplicate-cube", *argv)
+        assert code == 1
+        assert out.splitlines()[1] == f"cube residual < {bound}"
+        assert main(["duplicate-cube", *argv, "--json"]) == 1
+        assert json.loads(capsys.readouterr().out)["volume_residual_bound"] == bound
+        digits = int(argv[3]) if len(argv) > 2 else 20
+        edge = DecimalScalar.from_str(argv[1])
+        doubled = delian.duplicate_cube(edge, PrecisionContext.for_output(digits))
+        residual = abs(doubled * doubled * doubled - 2 * edge * edge * edge).as_fraction()
+        assert Fraction(10) ** (int(bound[3:]) - 1) <= residual < Fraction(10) ** int(bound[3:])
+
+    @given(st.integers(min_value=0, max_value=10**40), st.integers(min_value=0, max_value=40))
+    def test_residual_bound_is_the_next_power_of_ten(self, unscaled, scale):
+        bound = _residual_bound(DecimalScalar(unscaled, scale))
+        value = Fraction(unscaled, 10**scale)
+        if unscaled == 0:
+            assert bound == "0"
+            return
+        exponent = int(bound[2:])
+        assert bound == (f"1e+{exponent}" if exponent > 0 else f"1e-{-exponent}")
+        assert Fraction(10) ** (exponent - 1) <= value < Fraction(10) ** exponent
+        if value < 1:  # the form printed below 1 since the bound was introduced
+            assert bound == f"1e-{scale - _decimal_digits(unscaled)}"
 
 
 class TestFourProportionals:

@@ -209,6 +209,90 @@ class TestRationalParametrizations:
         assert p.x * p.x + p.y * p.y == 1
 
 
+class TestValueSemantics:
+    """The points are plain values: equal coordinates make equal, interchangeable objects."""
+
+    @given(st.fractions(), st.fractions(), st.fractions())
+    def test_equal_coordinates_give_equal_objects(self, x, y, z):
+        # an integral Fraction equals, and hashes as, the int it stands for
+        same = [(Point2(x, y), Point2(F(x), F(y))), (Point3(x, y, z), Point3(F(x), F(y), F(z)))]
+        if x.denominator == y.denominator == z.denominator == 1:
+            same += [(Point2(x, y), Point2(int(x), int(y))),
+                     (Point3(x, y, z), Point3(int(x), int(y), int(z)))]
+        for p, q in same:
+            assert p is not q and p == q and hash(p) == hash(q)
+            assert len({p, q}) == 1 and {p: 1}[q] == 1
+        assert Point2(x, y) != Point2(x, y + 1) and Point3(x, y, z) != Point3(x, y, z + 1)
+
+    def test_points_as_set_members_and_dict_keys(self):
+        points = [Point2(i % 3, i % 2) for i in range(12)]
+        assert len(set(points)) == 6
+        seen = {}
+        for p in points:
+            seen[p] = seen.get(p, 0) + 1
+        assert seen[Point2(F(2), F(0))] == 2 and Point2(1, 1) in seen
+        assert {Point3(1, 2, 3), Point3(F(1), 2, 3)} == {Point3(1, 2, 3)}
+
+    def test_repr(self):
+        assert repr(Point2(1, 2)) == "Point2(x=1, y=2)"
+        assert repr(Point3(F(1, 2), -3, 0)) == "Point3(x=Fraction(1, 2), y=-3, z=0)"
+        assert repr(Triangle(Point2(0, 0), Point2(1, 0), Point2(0, 1))) == (
+            "Triangle(a=Point2(x=0, y=0), b=Point2(x=1, y=0), c=Point2(x=0, y=1))"
+        )
+
+    def test_different_classes_are_unequal(self):
+        assert Point2(1, 2) != Point3(1, 2, 0)
+        assert Point2(1, 2) != (1, 2) and Point3(1, 2, 0) != (1, 2, 0)
+
+    def test_triangle_of_equal_points_equals_the_original(self):
+        t = rand_right_triangle(random.Random(5))
+        copy = Triangle(*(Point2(F(p.x), F(p.y)) for p in (t.a, t.b, t.c)))
+        assert copy is not t and copy == t and hash(copy) == hash(t)
+        assert copy != Triangle(t.a, t.c, t.b)
+
+
+#: Every (lo, hi) the suite draws from, then n = 1 and n a power of two.
+DRAW_RANGES = [(-8, 8), (1, 9), (1, 8), (1, 7), (89, 127), (4, 4), (-1, 0), (0, 2**16 - 1)]
+
+SEEDS = st.integers(min_value=0, max_value=2**64)
+
+
+def _replay_draw(rng):
+    return rng.randint(-8, 8), rng.randint(1, 9)
+
+
+def _replay_draw_nonzero(rng):
+    n, d = rng.randint(1, 8), rng.randint(1, 9)
+    return (-n if rng.random() < 0.5 else n), d
+
+
+def _replay_nudge(rng):
+    return rng.randint(1, 7), rng.randint(89, 127)
+
+
+class TestDraws:
+    """The suite's draws equal ``randint``'s, value for value and state for state."""
+
+    @given(SEEDS, st.sampled_from(DRAW_RANGES), st.integers(min_value=1, max_value=60))
+    def test_randint_helper_is_randint(self, seed, bounds, calls):
+        ours, theirs = random.Random(seed), random.Random(seed)
+        assert [euclid._randint(ours, *bounds) for _ in range(calls)] == [
+            theirs.randint(*bounds) for _ in range(calls)
+        ]
+        assert ours.getstate() == theirs.getstate()
+
+    @pytest.mark.parametrize("draw, replay", [
+        (euclid._draw, _replay_draw),
+        (euclid._draw_nonzero, _replay_draw_nonzero),
+        (euclid._nudge, _replay_nudge),
+    ])
+    @given(seed=SEEDS, calls=st.integers(min_value=1, max_value=60))
+    def test_draws_replay_randint(self, draw, replay, seed, calls):
+        ours, theirs = random.Random(seed), random.Random(seed)
+        assert [draw(ours) for _ in range(calls)] == [replay(theirs) for _ in range(calls)]
+        assert ours.getstate() == theirs.getstate()
+
+
 class TestSuiteRunner:
     def test_small_seeded_run_passes(self):
         rows = run_proposition_suite(seed=7, instances=50)
