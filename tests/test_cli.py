@@ -137,23 +137,20 @@ class TestDuplicateCube:
         assert code == 0
         assert "1.2599210499" in out
 
-    @pytest.mark.parametrize("argv, bound", [
-        (("--edge", "10000000000"), "1e+1"),
-        (("--edge", "1000000", "--digits", "5"), "1e+4"),
-    ])
-    def test_bound_of_a_residual_above_one(self, capsys, argv, bound):
+    @pytest.mark.parametrize("edge, digits, exponent", [("10000000000", 20, 1), ("1000000", 5, 4)])
+    def test_bound_of_a_residual_above_one(self, capsys, edge, digits, exponent):
         # the volume residual is still compared with 10^-digits absolutely,
         # so these exit 1; the bound they print is well formed and true
-        code, out = run(capsys, "duplicate-cube", *argv)
+        argv = ["duplicate-cube", "--edge", edge, "--digits", str(digits)]
+        code, out = run(capsys, *argv)
         assert code == 1
-        assert out.splitlines()[1] == f"cube residual < {bound}"
-        assert main(["duplicate-cube", *argv, "--json"]) == 1
-        assert json.loads(capsys.readouterr().out)["volume_residual_bound"] == bound
-        digits = int(argv[3]) if len(argv) > 2 else 20
-        edge = DecimalScalar.from_str(argv[1])
-        doubled = delian.duplicate_cube(edge, PrecisionContext.for_output(digits))
-        residual = abs(doubled * doubled * doubled - 2 * edge * edge * edge).as_fraction()
-        assert Fraction(10) ** (int(bound[3:]) - 1) <= residual < Fraction(10) ** int(bound[3:])
+        assert out.splitlines()[1] == f"cube residual < 1e+{exponent}"
+        assert main([*argv, "--json"]) == 1
+        assert json.loads(capsys.readouterr().out)["volume_residual_bound"] == f"1e+{exponent}"
+        side = DecimalScalar.from_str(edge)
+        doubled = delian.duplicate_cube(side, PrecisionContext.for_output(digits))
+        residual = abs(doubled * doubled * doubled - 2 * side * side * side).as_fraction()
+        assert Fraction(10) ** (exponent - 1) <= residual < Fraction(10) ** exponent
 
     @given(st.integers(min_value=0, max_value=10**40), st.integers(min_value=0, max_value=40))
     def test_residual_bound_is_the_next_power_of_ten(self, unscaled, scale):
