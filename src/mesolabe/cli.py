@@ -1,9 +1,11 @@
 """Command-line entry point for the solvers, checkers, tables, and figures.
 
 Exit codes: 0 success, 1 a verification or certification failed, 2 usage
-error.  Numeric fields are rendered once and reused, so text and JSON
-output always agree and identical invocations (including the seed) are
-byte-identical.
+error.  Each handler takes the parsed arguments and the run's precision and
+returns a :data:`Record`; :func:`main` alone resolves the precision and
+writes the record to stdout.  Numeric fields are rendered once and reused,
+so text and JSON output always agree and identical invocations (including
+the seed) are byte-identical.
 """
 
 from __future__ import annotations
@@ -13,7 +15,6 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 
 from . import delian, euclid, figures, proportio, pyramid
@@ -48,36 +49,6 @@ def max_work_digits() -> int | None:
     return limit - INT_PART_ROOM if limit else None
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Shared run options resolved from flags and environment."""
-
-    subcommand: str
-    digits: int
-    guard: int
-    json_output: bool
-    seed: int
-    out_path: str | None
-
-    def __post_init__(self):
-        if self.digits < 1:
-            raise ValueError("precision must be at least one digit")
-        cap = max_work_digits()
-        if cap is not None and self.digits + self.guard > cap:
-            raise ValueError(f"--digits + --guard must not exceed {cap} work digits")
-
-    @property
-    def context(self) -> PrecisionContext:
-        return PrecisionContext.for_output(self.digits, self.guard)
-
-
-def _emit(cfg: RunConfig, payload: dict, lines: list[str]) -> None:
-    if cfg.json_output:
-        sys.stdout.write(json.dumps(payload, indent=2) + "\n")
-    else:
-        sys.stdout.write("\n".join(lines) + "\n")
-
-
 def _decimal_digits(n: int) -> int:
     """Decimal digits of a positive int, counted without ``str``."""
     d = max(1, int((n.bit_length() - 1) * math.log10(2)))  # never above the count
@@ -99,10 +70,6 @@ def _residual_text(bound: str) -> str:
     return "= 0" if bound == "0" else f"< {bound}"
 
 
-def _parse_scalar(text: str) -> DecimalScalar:
-    return DecimalScalar.from_str(text)
-
-
 def _parse_rational(text: str) -> Fraction:
     if "/" in text:
         num, den = text.split("/", 1)
@@ -110,25 +77,39 @@ def _parse_rational(text: str) -> Fraction:
     return DecimalScalar.from_str(text).as_fraction()
 
 
+def _setting(flag: int | None, env: str, default: int) -> int:
+    """A precision setting: the flag, else the environment variable, else the default."""
+    if flag is not None:
+        return flag
+    text = os.environ.get(env, str(default))
+    try:
+        return int(text)
+    except ValueError:
+        raise ValueError(f"${env} must be an integer, not {text!r}") from None
+
+
 # -- subcommand handlers -------------------------------------------------------
 
+#: What a handler returns: exit code, JSON payload (None for text only) and text lines.
+Record = tuple[int, dict | None, list[str]]
 
-def _cmd_solve_chords(cfg: RunConfig, args) -> int:
-    d = _parse_scalar(args.diameter)
-    full = proportio.solve_continued_chords(d, cfg.context)
-    table_cfg = full.table_values(cfg.digits)
+
+def _cmd_solve_chords(args, ctx: PrecisionContext) -> Record:
+    d = DecimalScalar.from_str(args.diameter)
+    full = proportio.solve_continued_chords(d, ctx)
+    table_cfg = full.table_values(ctx.output_digits)
     table = proportio.chord_table(table_cfg)
-    ok = proportio.chords_pass(full, cfg.digits)
+    ok = proportio.chords_pass(full, ctx.output_digits)
     rows = {r.label: r for r in table.rows}
-    lines = [f"diameter {d}, {cfg.digits} fractional digits", ""]
+    lines = [f"diameter {d}, {ctx.output_digits} fractional digits", ""]
     width = max(len(r.grouped) for r in table.rows)
     for label in ("AD", "AB", "BC", "BD"):
         lines.append(f"  {label}   {rows[label].grouped:>{width}}")
     lines += ["", f"continued proportion verified: {'ok' if ok else 'FAILED'}"]
     payload = {
         "diameter": str(d),
-        "digits": cfg.digits,
-        "work_digits": cfg.context.work_digits,
+        "digits": ctx.output_digits,
+        "work_digits": ctx.work_digits,
         "chords": {
             label: {
                 "value": str(rows[label].value),
@@ -139,12 +120,12 @@ def _cmd_solve_chords(cfg: RunConfig, args) -> int:
         },
         "verified": ok,
     }
-    _emit(cfg, payload, lines)
-    return 0 if ok else 1
+    return (0 if ok else 1), payload, lines
 
 
-def _cmd_verify_table(cfg: RunConfig, args) -> int:
-    ctx = cfg.context if cfg.digits >= 10 else PrecisionContext.for_output(10, cfg.guard)
+def _cmd_verify_table(args, ctx: PrecisionContext) -> Record:
+    if ctx.output_digits < 10:
+        ctx = PrecisionContext.for_output(10, ctx.guard_digits)
     full = proportio.solve_continued_chords(DecimalScalar.from_int(2), ctx)
     table_cfg = full.table_values(10)
     chords = proportio.chord_table(table_cfg)
@@ -190,14 +171,12 @@ def _cmd_verify_table(cfg: RunConfig, args) -> int:
         ],
         "verified": ok,
     }
-    _emit(cfg, payload, lines)
-    return 0 if ok else 1
+    return (0 if ok else 1), payload, lines
 
 
-def _cmd_pyramid(cfg: RunConfig, args) -> int:
-    ctx = cfg.context
+def _cmd_pyramid(args, ctx: PrecisionContext) -> Record:
     if args.cosines:
-        edges = [as_rational(_parse_scalar(e)) for e in args.edges]
+        edges = [as_rational(DecimalScalar.from_str(e)) for e in args.edges]
         cosines = [_parse_rational(c) for c in args.cosines]
         frame = pyramid.ObliqueVertexFrame(*edges, *cosines)
         dsq = pyramid.oblique_diagonal_sq(frame)
@@ -214,9 +193,8 @@ def _cmd_pyramid(cfg: RunConfig, args) -> int:
             "diagonal_sq": str(dsq),
             "diagonal": str(diag),
         }
-        _emit(cfg, payload, lines)
-        return 0
-    edges = [_parse_scalar(e) for e in args.edges]
+        return 0, payload, lines
+    edges = [DecimalScalar.from_str(e) for e in args.edges]
     p = pyramid.RightPyramid(*edges)
     dsq = pyramid.diagonal_sq(p)
     diag = sqrt(dsq, ctx)
@@ -235,14 +213,13 @@ def _cmd_pyramid(cfg: RunConfig, args) -> int:
         "circumsphere_diameter_sq": str(dsq),
         "prism_check": prism_ok,
     }
-    _emit(cfg, payload, lines)
-    return 0 if prism_ok else 1
+    return (0 if prism_ok else 1), payload, lines
 
 
-def _means_payload(result: delian.MeansResult, cfg: RunConfig) -> tuple[dict, list[str]]:
-    m1 = round_to(result.m1, cfg.digits)
-    m2 = round_to(result.m2, cfg.digits)
-    theta = DecimalScalar.from_fraction(result.theta_param, cfg.context.work_digits + 1)
+def _means_payload(result: delian.MeansResult, ctx: PrecisionContext) -> tuple[dict, list[str]]:
+    m1 = round_to(result.m1, ctx.output_digits)
+    m2 = round_to(result.m2, ctx.output_digits)
+    theta = DecimalScalar.from_fraction(result.theta_param, ctx.work_digits + 1)
     payload = {
         "method": result.method,
         "m1": str(m1),
@@ -264,34 +241,30 @@ def _means_payload(result: delian.MeansResult, cfg: RunConfig) -> tuple[dict, li
     return payload, lines
 
 
-def _cmd_means(cfg: RunConfig, args) -> int:
-    a, b = _parse_scalar(args.a), _parse_scalar(args.b)
-    ctx = cfg.context
+def _cmd_means(args, ctx: PrecisionContext) -> Record:
+    a, b = DecimalScalar.from_str(args.a), DecimalScalar.from_str(args.b)
     if args.method == "both":
         r1 = delian.two_means_instrument(a, b, ctx)
         r2 = delian.two_means_compass(a, b, ctx)
         gap = abs(r1.theta_param - r2.theta_param)
         agree = gap <= Fraction(1, 10**ctx.work_digits)
-        p1, l1 = _means_payload(r1, cfg)
-        p2, l2 = _means_payload(r2, cfg)
+        p1, l1 = _means_payload(r1, ctx)
+        p2, l2 = _means_payload(r2, ctx)
         payload = {"instrument": p1, "compass": p2, "parameters_agree": agree}
         lines = l1 + [""] + l2 + ["", f"solver parameters agree: {'ok' if agree else 'FAILED'}"]
-        _emit(cfg, payload, lines)
-        return 0 if agree else 1
+        return (0 if agree else 1), payload, lines
     solver = delian.two_means_instrument if args.method == "instrument" else delian.two_means_compass
     result = solver(a, b, ctx)
-    payload, lines = _means_payload(result, cfg)
-    _emit(cfg, payload, lines)
-    return 0
+    payload, lines = _means_payload(result, ctx)
+    return 0, payload, lines
 
 
-def _cmd_duplicate_cube(cfg: RunConfig, args) -> int:
-    edge = _parse_scalar(args.edge)
-    ctx = cfg.context
+def _cmd_duplicate_cube(args, ctx: PrecisionContext) -> Record:
+    edge = DecimalScalar.from_str(args.edge)
     result = delian.duplicate_cube(edge, ctx)
-    rounded = round_to(result, cfg.digits)
+    rounded = round_to(result, ctx.output_digits)
     doubling = result * result * result - 2 * edge * edge * edge
-    ok = abs(doubling) < ulp(cfg.digits)
+    ok = abs(doubling) < ulp(ctx.output_digits)
     payload = {
         "edge": str(edge),
         "doubled_edge": str(rounded),
@@ -302,19 +275,17 @@ def _cmd_duplicate_cube(cfg: RunConfig, args) -> int:
         f"edge {edge} -> doubled-volume edge {rounded}",
         f"cube residual {_residual_text(payload['volume_residual_bound'])}",
     ]
-    _emit(cfg, payload, lines)
-    return 0 if ok else 1
+    return (0 if ok else 1), payload, lines
 
 
-def _cmd_four_proportionals(cfg: RunConfig, args) -> int:
-    ac = _parse_scalar(args.ac)
+def _cmd_four_proportionals(args, ctx: PrecisionContext) -> Record:
+    ac = DecimalScalar.from_str(args.ac)
     t = _parse_rational(args.t)
-    ctx = cfg.context
     build = proportio.four_proportionals_sphere if args.sphere else proportio.four_proportionals_planar
     quad = build(ac, t, ctx)
-    ok = quad.check(ulp(cfg.digits))
+    ok = quad.check(ulp(ctx.output_digits))
     shown = {
-        label: str(round_to(v, cfg.digits))
+        label: str(round_to(v, ctx.output_digits))
         for label, v in zip(("AF", "AE", "AD", "AC"), quad.terms())
     }
     lines = [f"{'spherical' if args.sphere else 'planar'} construction, t = {args.t}"]
@@ -327,16 +298,15 @@ def _cmd_four_proportionals(cfg: RunConfig, args) -> int:
         "quad_full": {k: str(v) for k, v in zip(("AF", "AE", "AD", "AC"), quad.terms())},
         "verified": ok,
     }
-    _emit(cfg, payload, lines)
-    return 0 if ok else 1
+    return (0 if ok else 1), payload, lines
 
 
-def _cmd_check_props(cfg: RunConfig, args) -> int:
+def _cmd_check_props(args, ctx: PrecisionContext) -> Record:
     if args.instances < 1:
         raise ValueError("--instances must be at least 1")
-    rows = euclid.run_proposition_suite(cfg.seed, args.instances)
+    rows = euclid.run_proposition_suite(args.seed, args.instances)
     ok = all(r.passed for r in rows)
-    lines = [f"proposition suite, seed {cfg.seed}, {args.instances} instances each", ""]
+    lines = [f"proposition suite, seed {args.seed}, {args.instances} instances each", ""]
     for r in rows:
         status = "ok" if r.passed else "FAILED"
         lines.append(
@@ -345,7 +315,7 @@ def _cmd_check_props(cfg: RunConfig, args) -> int:
         )
     lines += ["", "all propositions hold" if ok else "some propositions FAILED"]
     payload = {
-        "seed": cfg.seed,
+        "seed": args.seed,
         "instances": args.instances,
         "propositions": [
             {
@@ -360,35 +330,21 @@ def _cmd_check_props(cfg: RunConfig, args) -> int:
         ],
         "all_hold": ok,
     }
-    _emit(cfg, payload, lines)
-    return 0 if ok else 1
+    return (0 if ok else 1), payload, lines
 
 
-def _cmd_figure(cfg: RunConfig, args) -> int:
-    params: dict = {"ctx": cfg.context}
-    if args.edges:
-        params.update({"da": _parse_rational(args.edges[0]),
-                       "db": _parse_rational(args.edges[1]),
-                       "dc": _parse_rational(args.edges[2])})
-    if args.diameter:
-        params["diameter"] = args.diameter
-    if args.ac:
-        params["ac"] = _parse_rational(args.ac)
-    if args.t:
-        params["t"] = _parse_rational(args.t)
-    if args.a:
-        params["a"] = _parse_rational(args.a)
-    if args.b:
-        params["b"] = _parse_rational(args.b)
-    spec = figures.FigureSpec(args.id, params)
-    document = figures.render(spec)
-    if cfg.out_path in (None, "-"):
-        sys.stdout.write(document)
-    else:
-        with open(cfg.out_path, "w", encoding="utf-8") as fh:
-            fh.write(document)
-        sys.stdout.write(f"figure {args.id} written to {cfg.out_path}\n")
-    return 0
+def _cmd_figure(args, ctx: PrecisionContext) -> Record:
+    given = dict(zip(("da", "db", "dc"), args.edges or ()))
+    given.update((k, getattr(args, k)) for k in ("diameter", "ac", "t", "a", "b") if getattr(args, k))
+    # the figure parses its diameter itself, as a decimal
+    params = {k: v if k == "diameter" else _parse_rational(v) for k, v in given.items()}
+    params["ctx"] = ctx
+    document = figures.render(figures.FigureSpec(args.id, params))
+    if args.out in (None, "-"):
+        return 0, None, [document.removesuffix("\n")]
+    with open(args.out, "w", encoding="utf-8") as fh:
+        fh.write(document)
+    return 0, None, [f"figure {args.id} written to {args.out}"]
 
 
 # -- parser ----------------------------------------------------------------------
@@ -482,24 +438,26 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
-    digits = args.digits if args.digits is not None else int(os.environ.get(ENV_DIGITS, "20"))
-    guard = args.guard if args.guard is not None else int(os.environ.get(ENV_GUARD, "10"))
     try:
-        cfg = RunConfig(
-            subcommand=args.subcommand,
-            digits=digits,
-            guard=guard,
-            json_output=getattr(args, "json", False),
-            seed=getattr(args, "seed", 0),
-            out_path=getattr(args, "out", None),
-        )
-        return args.func(cfg, args)
+        digits = _setting(args.digits, ENV_DIGITS, 20)
+        guard = _setting(args.guard, ENV_GUARD, 10)
+        if digits < 1:
+            raise ValueError("precision must be at least one digit")
+        cap = max_work_digits()
+        if cap is not None and digits + guard > cap:
+            raise ValueError(f"--digits + --guard must not exceed {cap} work digits")
+        code, payload, lines = args.func(args, PrecisionContext.for_output(digits, guard))
     except CertificationError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 1
-    except (ValueError, ZeroDivisionError) as exc:
+    except (ValueError, ZeroDivisionError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
+    if payload is not None and args.json:
+        sys.stdout.write(json.dumps(payload, indent=2) + "\n")
+    else:
+        sys.stdout.write("\n".join(lines) + "\n")
+    return code
 
 
 if __name__ == "__main__":

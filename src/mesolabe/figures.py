@@ -17,6 +17,8 @@ from .scalar import DEFAULT_CONTEXT, DecimalScalar, _half_even_div, as_rational
 
 _OBLIQUE_X = Fraction(2, 5)
 _OBLIQUE_Y = Fraction(1, 5)
+#: SVG viewport size and the blank margin around the drawing, in SVG units.
+_WIDTH, _HEIGHT, _MARGIN = 460, 360, 40
 
 
 @dataclass(frozen=True)
@@ -25,8 +27,6 @@ class FigureSpec:
 
     figure_id: int
     params: dict = field(default_factory=dict)
-    width: int = 460
-    height: int = 360
 
     def __post_init__(self):
         if self.figure_id not in range(1, 8):
@@ -47,19 +47,18 @@ class _Canvas:
     origin and of the point, so no gcd is taken until :func:`_fmt` rounds it.
     """
 
-    def __init__(self, width, height, xs, ys, margin=40):
-        self.width, self.height = width, height
+    def __init__(self, xs, ys):
         xmin, xmax = min(xs), max(xs)
         ymin, ymax = min(ys), max(ys)
-        sx = Fraction(width - 2 * margin) / (xmax - xmin) if xmax > xmin else Fraction(1)
-        sy = Fraction(height - 2 * margin) / (ymax - ymin) if ymax > ymin else Fraction(1)
+        sx = Fraction(_WIDTH - 2 * _MARGIN) / (xmax - xmin) if xmax > xmin else Fraction(1)
+        sy = Fraction(_HEIGHT - 2 * _MARGIN) / (ymax - ymin) if ymax > ymin else Fraction(1)
         self.scale = min(sx, sy)
         sn, sd = self.scale.as_integer_ratio()
         # margin + (x - xmin)·scale and height - margin - (y - ymin)·scale,
         # each as (u·n + v·d) / (w·d) for a coordinate n/d
         wx, wy = xmin.denominator * sd, ymin.denominator * sd
-        self._x = (xmin.denominator * sn, margin * wx - xmin.numerator * sn, wx)
-        self._y = (-ymin.denominator * sn, (height - margin) * wy + ymin.numerator * sn, wy)
+        self._x = (xmin.denominator * sn, _MARGIN * wx - xmin.numerator * sn, wx)
+        self._y = (-ymin.denominator * sn, (_HEIGHT - _MARGIN) * wy + ymin.numerator * sn, wy)
         self.elements: list[str] = []
 
     def map(self, p) -> tuple[tuple[int, int], tuple[int, int]]:
@@ -109,8 +108,8 @@ class _Canvas:
     def document(self) -> str:
         body = "\n".join("    " + e for e in self.elements)
         return (
-            f'<svg xmlns="http://www.w3.org/2000/svg" width="{self.width}" '
-            f'height="{self.height}" viewBox="0 0 {self.width} {self.height}">\n'
+            f'<svg xmlns="http://www.w3.org/2000/svg" width="{_WIDTH}" '
+            f'height="{_HEIGHT}" viewBox="0 0 {_WIDTH} {_HEIGHT}">\n'
             '  <g stroke="black" fill="none" font-family="serif" font-size="13">\n'
             f"{body}\n"
             "  </g>\n"
@@ -127,7 +126,7 @@ def _box_figure(spec: FigureSpec, defaults) -> str:
     d, a, b, c = pyramid.RightPyramid(*edges).vertices()
     corners = {"D": d, "A": a, "B": b, "C": c, "F": a + c, "G": a + b, "E": b + c, "_": a + b + c}
     pts = {k: _project(v) for k, v in corners.items()}
-    cv = _Canvas(spec.width, spec.height, [p[0] for p in pts.values()], [p[1] for p in pts.values()])
+    cv = _Canvas([p[0] for p in pts.values()], [p[1] for p in pts.values()])
     box_edges = [
         ("D", "A"), ("D", "B"), ("D", "C"),
         ("A", "F"), ("A", "G"), ("C", "F"), ("C", "E"),
@@ -150,7 +149,7 @@ def _fig_chords(spec: FigureSpec) -> str:
     cfg = proportio.solve_continued_chords(d, ctx).table_values(10)
     df, ab, bc = d.as_fraction(), cfg.ab.as_fraction(), cfg.bc.as_fraction()
     a, dd, b, c = (Fraction(0), Fraction(0)), (df, Fraction(0)), (ab, Fraction(0)), (ab, bc)
-    cv = _Canvas(spec.width, spec.height, [0, df], [0, df / 2])
+    cv = _Canvas([0, df], [0, df / 2])
     cv.arc_semicircle(a, dd)
     cv.line(a, dd)
     cv.line(b, c)
@@ -182,7 +181,7 @@ def _fig_sphere(spec: FigureSpec) -> str:
     center = (ac / 2, Fraction(0))
     all_x = [p[0] for p in flat.values()] + [p[0] for p in cap_flat] + [Fraction(0), ac]
     all_y = [p[1] for p in flat.values()] + [p[1] for p in cap_flat] + [-ac / 2, ac / 2]
-    cv = _Canvas(spec.width, spec.height, all_x, all_y)
+    cv = _Canvas(all_x, all_y)
     cv.circle(center, ac / 2)
     cv.line(flat["A"], flat["C"])
     cv.line(flat["D"], flat["E"])
@@ -220,7 +219,7 @@ def _fig_plumbline(spec: FigureSpec) -> str:
     given_y = b * Fraction(13, 20)
     given_a = (-b * Fraction(3, 20), given_y)
     given_b = (-b * Fraction(3, 20) + a, given_y)
-    cv = _Canvas(spec.width, spec.height, [given_a[0], b, Z[0]], [X[1], Z[1], b / 2])
+    cv = _Canvas([given_a[0], b, Z[0]], [X[1], Z[1], b / 2])
     cv.arc_semicircle(A, C)
     cv.line(A, C)
     cv.line(A, Z)
@@ -247,7 +246,7 @@ def _fig_compass(spec: FigureSpec) -> str:
     K, L = (rail_x, Fraction(0)), (rail_x, top)
     M, N = (D[0], top), (D[0], Fraction(0))
     Y = (F[0] - b * Fraction(1, 5) * s, F[1] + b * Fraction(1, 5) * k)
-    cv = _Canvas(spec.width, spec.height, [rail_x, b, Z[0]], [Fraction(0), top, Z[1]])
+    cv = _Canvas([rail_x, b, Z[0]], [Fraction(0), top, Z[1]])
     cv.arc_semicircle(A, C)
     cv.line(A, C)
     cv.line(A, Z)

@@ -188,12 +188,12 @@ def solve_continued_chords(
     return ChordConfig(ab, bc, bd, ad)
 
 
-def chord_table(c: ChordConfig, annotate: bool = True) -> PaperTable:
+def chord_table(c: ChordConfig) -> PaperTable:
     """The chord lengths as a grouped table, matched to the printed one when it applies."""
     canonical = c == _canonical_table_config()
     rows = []
     for label, value in (("AD", c.ad), ("AB", c.ab), ("BC", c.bc), ("BD", c.bd)):
-        printed = PRINTED_CHORDS[label] if (annotate and canonical) else None
+        printed = PRINTED_CHORDS[label] if canonical else None
         rows.append(TableRow(label, value, format_grouped(value), printed))
     return PaperTable("successive lines in the semicircle", tuple(rows))
 

@@ -1,3 +1,4 @@
+import ast
 import json
 import os
 import subprocess
@@ -8,7 +9,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, strategies as st
 
-from mesolabe import delian, euclid
+from mesolabe import cli, delian, euclid
 from mesolabe.cli import (
     COMMON_ARGUMENTS,
     INT_PART_ROOM,
@@ -258,6 +259,21 @@ class TestFigureCommand:
         assert captured.out == ""
         assert captured.err == "error: pyramid edges must be positive\n"
 
+    def test_unwritable_out_is_usage_error(self, capsys, tmp_path):
+        target = tmp_path / "missing" / "fig1.svg"
+        assert main(["figure", "--id", "1", "--out", str(target)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert str(target) in captured.err
+        assert not target.parent.exists()
+
+    def test_svg_is_text_under_json(self, capsys, tmp_path):
+        assert run(capsys, "figure", "--id", "4", "--json") == run(capsys, "figure", "--id", "4")
+        target = tmp_path / "fig4.svg"
+        code, out = run(capsys, "figure", "--id", "4", "--out", str(target), "--json")
+        assert (code, out) == (0, f"figure 4 written to {target}\n")
+
 
 class TestDeterminismAndConfig:
     @pytest.mark.parametrize(
@@ -285,11 +301,39 @@ class TestDeterminismAndConfig:
         _, out = run(capsys, "means", "--a", "1", "--b", "2", "--digits", "10", "--json")
         assert json.loads(out)["m1"] == "1.2599210499"
 
+    @pytest.mark.parametrize("env, value, argv", [
+        ("MESOLABE_DIGITS", "abc", ("means", "--a", "1", "--b", "2")),
+        ("MESOLABE_GUARD", " ", ("check-props", "--instances", "2")),
+    ])
+    def test_bad_environment_value_is_usage_error(self, capsys, monkeypatch, env, value, argv):
+        monkeypatch.setenv(env, value)
+        assert main(list(argv)) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: ${env} must be an integer, not {value!r}\n"
+
+    def test_check_props_checks_the_guard(self, capsys):
+        assert main(["check-props", "--instances", "2", "--guard", "3"]) == 2
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", "error: guard_digits must be at least 5\n")
+
     def test_unknown_subcommand_is_usage_error(self, capsys):
         assert main(["florp"]) == 2
 
     def test_unknown_flag_is_usage_error(self, capsys):
         assert main(["means", "--a", "1", "--b", "2", "--frobnicate"]) == 2
+
+
+def test_only_main_writes_to_stdout():
+    """Handlers return a record; ``main`` is the one writer of stdout."""
+    tree = ast.parse(Path(cli.__file__).read_text(encoding="utf-8"))
+    writers = set()
+    for top in tree.body:
+        for node in ast.walk(top):
+            if (isinstance(node, ast.Attribute) and node.attr == "stdout"
+                    or isinstance(node, ast.Name) and node.id in ("print", "stdout")):
+                writers.add(getattr(top, "name", f"line {node.lineno}"))
+    assert writers == {"main"}
 
 
 #: A usage error, help, a subcommand's help and ops of several kinds, run in one process.

@@ -66,7 +66,7 @@ class TestCanvas:
     @given(st.lists(st.tuples(rationals, rationals), min_size=1, max_size=6))
     def test_map_is_the_affine_map(self, points):
         xs, ys = [x for x, _ in points], [y for _, y in points]
-        cv = _Canvas(460, 360, xs, ys)
+        cv = _Canvas(xs, ys)
         for x, y in points:
             mx, my = cv.map((x, y))
             assert Fraction(*mx) == 40 + (x - min(xs)) * cv.scale
