@@ -10,8 +10,9 @@ Rows, each the fastest of ``--repeat`` calls after one warm-up call:
   default 20 digits; the ``check-props`` row, a few hundred ms a call, takes
   ``SLOW_REPEAT`` times as many calls, because its fastest call moves with
   the host's load more than the short rows' do;
-- the layers under them: building the argument parser
-  (``cli._build_parser()``), ``figures.render`` for each figure,
+- the layers under them: parsing ``PARSED`` as ``cli.main`` does (with
+  ``cli._parse`` where the tree has it, else with the full tree from
+  ``cli._build_parser()``), ``figures.render`` for each figure,
   ``euclid.run_proposition_suite(1, 40)`` (an oracle-suite op without the
   CLI), each ``euclid.rand_*`` generator 1000 times from ``Random(0)``, and
   ``POINTS`` constructions of a ``Point2`` and of a ``Point3``.
@@ -55,6 +56,8 @@ SOLVES = (
     ("pyramid", ("pyramid", "--edges", "3", "4", "12")),
     ("four-proportionals sphere", ("four-proportionals", "--ac", "2", "--t", "1/2", "--sphere")),
 )
+#: The argv of the parser row.
+PARSED = ("means", "--a", "1", "--b", "2", "--method", "both")
 #: The suite's instance generators, each timed 1000 times from one seed.
 GENERATORS = (
     "rand_right_triangle", "rand_classified_triangle", "rand_proportional_quad",
@@ -80,6 +83,13 @@ def op(cli, argv):
         if code != 0:
             raise SystemExit(f"exit {code}: mesolabe {' '.join(argv)}")
     return call
+
+
+def parse(cli, argv):
+    """The parse ``cli.main`` makes of a valid ``argv``."""
+    if hasattr(cli, "_parse"):
+        return lambda: cli._parse(list(argv))
+    return lambda: cli._build_parser().parse_args(list(argv))
 
 
 def generate(euclid, name: str):
@@ -118,8 +128,8 @@ def rows(trees: dict) -> list[tuple[str, int | None, int, dict]]:
     argv = ("check-props", "--instances", "1000")
     out.append(("check-props 1000", 20, SLOW_REPEAT,
                 {t: op(cli, argv) for t, (cli, _, _) in trees.items()}))
-    out.append(("layer cli._build_parser", None, 1,
-                {t: cli._build_parser for t, (cli, _, _) in trees.items()}))
+    out.append(("layer cli parse means", None, 1,
+                {t: parse(cli, PARSED) for t, (cli, _, _) in trees.items()}))
     for i in range(1, 8):
         out.append((f"layer figures.render {i}", None, 1,
                     {t: (lambda f=figures, i=i: f.render(f.FigureSpec(i)))

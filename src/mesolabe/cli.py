@@ -72,8 +72,10 @@ def _residual_text(bound: str) -> str:
 
 def _parse_rational(text: str) -> Fraction:
     if "/" in text:
-        num, den = text.split("/", 1)
-        return Fraction(int(num), int(den))
+        num, den = (int(part) for part in text.split("/", 1))
+        if den == 0:
+            raise ValueError(f"zero denominator: {text!r}")
+        return Fraction(num, den)
     return DecimalScalar.from_str(text).as_fraction()
 
 
@@ -101,13 +103,14 @@ def _cmd_solve_chords(args, ctx: PrecisionContext) -> Record:
     table = proportio.chord_table(table_cfg)
     ok = proportio.chords_pass(full, ctx.output_digits)
     rows = {r.label: r for r in table.rows}
-    lines = [f"diameter {d}, {ctx.output_digits} fractional digits", ""]
+    shown_d = str(d)
+    lines = [f"diameter {shown_d}, {ctx.output_digits} fractional digits", ""]
     width = max(len(r.grouped) for r in table.rows)
     for label in ("AD", "AB", "BC", "BD"):
         lines.append(f"  {label}   {rows[label].grouped:>{width}}")
     lines += ["", f"continued proportion verified: {'ok' if ok else 'FAILED'}"]
     payload = {
-        "diameter": str(d),
+        "diameter": shown_d,
         "digits": ctx.output_digits,
         "work_digits": ctx.work_digits,
         "chords": {
@@ -181,49 +184,47 @@ def _cmd_pyramid(args, ctx: PrecisionContext) -> Record:
         frame = pyramid.ObliqueVertexFrame(*edges, *cosines)
         dsq = pyramid.oblique_diagonal_sq(frame)
         diag = sqrt(DecimalScalar.from_fraction(Fraction(dsq), ctx.work_digits), ctx)
-        lines = [
-            f"edges: {args.edges[0]} {args.edges[1]} {args.edges[2]}",
-            f"cosines: {args.cosines[0]} {args.cosines[1]} {args.cosines[2]}",
-            f"squared diagonal (exact): {dsq}",
-            f"diagonal: {diag}",
-        ]
         payload = {
             "edges": args.edges,
             "cosines": args.cosines,
             "diagonal_sq": str(dsq),
             "diagonal": str(diag),
         }
+        lines = [
+            f"edges: {' '.join(args.edges)}",
+            f"cosines: {' '.join(args.cosines)}",
+            f"squared diagonal (exact): {payload['diagonal_sq']}",
+            f"diagonal: {payload['diagonal']}",
+        ]
         return 0, payload, lines
     edges = [DecimalScalar.from_str(e) for e in args.edges]
     p = pyramid.RightPyramid(*edges)
     dsq = pyramid.diagonal_sq(p)
-    diag = sqrt(dsq, ctx)
     prism_ok = pyramid.prism_diagonal_check(p)
-    lines = [
-        f"edges: {p.da} {p.db} {p.dc}",
-        f"squared diagonal: {dsq}",
-        f"diagonal: {diag}",
-        f"circumscribed sphere diameter squared: {dsq}",
-        f"prism rectangle diagonal equals solid diagonal: {'ok' if prism_ok else 'FAILED'}",
-    ]
+    dsq_text = str(dsq)
     payload = {
-        "edges": [str(e) for e in edges],
-        "diagonal_sq": str(dsq),
-        "diagonal": str(diag),
-        "circumsphere_diameter_sq": str(dsq),
+        "edges": [str(e) for e in (p.da, p.db, p.dc)],
+        "diagonal_sq": dsq_text,
+        "diagonal": str(sqrt(dsq, ctx)),
+        "circumsphere_diameter_sq": dsq_text,
         "prism_check": prism_ok,
     }
+    lines = [
+        f"edges: {' '.join(payload['edges'])}",
+        f"squared diagonal: {dsq_text}",
+        f"diagonal: {payload['diagonal']}",
+        f"circumscribed sphere diameter squared: {dsq_text}",
+        f"prism rectangle diagonal equals solid diagonal: {'ok' if prism_ok else 'FAILED'}",
+    ]
     return (0 if prism_ok else 1), payload, lines
 
 
 def _means_payload(result: delian.MeansResult, ctx: PrecisionContext) -> tuple[dict, list[str]]:
-    m1 = round_to(result.m1, ctx.output_digits)
-    m2 = round_to(result.m2, ctx.output_digits)
     theta = DecimalScalar.from_fraction(result.theta_param, ctx.work_digits + 1)
     payload = {
         "method": result.method,
-        "m1": str(m1),
-        "m2": str(m2),
+        "m1": str(round_to(result.m1, ctx.output_digits)),
+        "m2": str(round_to(result.m2, ctx.output_digits)),
         "m1_full": str(result.m1),
         "m2_full": str(result.m2),
         "theta": str(theta),
@@ -232,9 +233,9 @@ def _means_payload(result: delian.MeansResult, ctx: PrecisionContext) -> tuple[d
     }
     lines = [
         f"method: {result.method}",
-        f"m1 = {m1}",
-        f"m2 = {m2}",
-        f"arc parameter t = {theta}",
+        f"m1 = {payload['m1']}",
+        f"m2 = {payload['m2']}",
+        f"arc parameter t = {payload['theta']}",
         f"iterations: {result.iterations}",
         f"continued-proportion residual {_residual_text(payload['residual_bound'])}",
     ]
@@ -262,17 +263,16 @@ def _cmd_means(args, ctx: PrecisionContext) -> Record:
 def _cmd_duplicate_cube(args, ctx: PrecisionContext) -> Record:
     edge = DecimalScalar.from_str(args.edge)
     result = delian.duplicate_cube(edge, ctx)
-    rounded = round_to(result, ctx.output_digits)
     doubling = result * result * result - 2 * edge * edge * edge
     ok = abs(doubling) < ulp(ctx.output_digits)
     payload = {
         "edge": str(edge),
-        "doubled_edge": str(rounded),
+        "doubled_edge": str(round_to(result, ctx.output_digits)),
         "doubled_edge_full": str(result),
         "volume_residual_bound": _residual_bound(abs(doubling)),
     }
     lines = [
-        f"edge {edge} -> doubled-volume edge {rounded}",
+        f"edge {payload['edge']} -> doubled-volume edge {payload['doubled_edge']}",
         f"cube residual {_residual_text(payload['volume_residual_bound'])}",
     ]
     return (0 if ok else 1), payload, lines
@@ -336,8 +336,7 @@ def _cmd_check_props(args, ctx: PrecisionContext) -> Record:
 def _cmd_figure(args, ctx: PrecisionContext) -> Record:
     given = dict(zip(("da", "db", "dc"), args.edges or ()))
     given.update((k, getattr(args, k)) for k in ("diameter", "ac", "t", "a", "b") if getattr(args, k))
-    # the figure parses its diameter itself, as a decimal
-    params = {k: v if k == "diameter" else _parse_rational(v) for k, v in given.items()}
+    params = {k: _parse_rational(v) for k, v in given.items()}
     params["ctx"] = ctx
     document = figures.render(figures.FigureSpec(args.id, params))
     if args.out in (None, "-"):
@@ -401,22 +400,13 @@ SUBCOMMANDS = {
 }
 
 
-class _Subcommand(argparse.ArgumentParser):
-    """A subcommand's parser, which adds its arguments only when it parses.
-
-    A call parses one subcommand, so it builds the arguments of that one and
-    not of all eight, which took about 0.3 ms of every call.
-    """
-
-    def __init__(self, *args, arguments=(), **kwargs):
-        super().__init__(*args, **kwargs)
-        self._pending = arguments
-
-    def parse_known_args(self, args=None, namespace=None):
-        for flag, kwargs in self._pending:
-            self.add_argument(flag, **kwargs)
-        self._pending = ()
-        return super().parse_known_args(args, namespace)
+def _with_options(parser: argparse.ArgumentParser, name: str) -> argparse.ArgumentParser:
+    """``parser`` with the options of subcommand ``name`` and its handler as ``func``."""
+    func, _, arguments = SUBCOMMANDS[name]
+    for flag, kwargs in COMMON_ARGUMENTS + arguments:
+        parser.add_argument(flag, **kwargs)
+    parser.set_defaults(func=func)
+    return parser
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -425,17 +415,31 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Continued proportions, right-pyramid diagonals, and two mean "
         "proportionals at arbitrary decimal precision.",
     )
-    sub = parser.add_subparsers(dest="subcommand", required=True, parser_class=_Subcommand)
-    for name, (func, help_text, arguments) in SUBCOMMANDS.items():
-        sub.add_parser(name, help=help_text,
-                       arguments=COMMON_ARGUMENTS + arguments).set_defaults(func=func)
+    sub = parser.add_subparsers(dest="subcommand", required=True)
+    for name, (_, help_text, _) in SUBCOMMANDS.items():
+        _with_options(sub.add_parser(name, help=help_text), name)
     return parser
 
 
+def _parse(argv: list[str]) -> argparse.Namespace:
+    """Parse with the named subcommand's parser alone; the full tree only for its own text.
+
+    The one parser has the prog, options and help of the tree's subparser, so
+    it parses, and fails, as the tree does.  Leftover arguments, and an argv
+    that does not start with a subcommand, go to the tree, whose usage line
+    the error then shows.
+    """
+    if argv and argv[0] in SUBCOMMANDS:
+        parser = _with_options(argparse.ArgumentParser(prog=f"mesolabe {argv[0]}"), argv[0])
+        args, extra = parser.parse_known_args(argv[1:])
+        if not extra:
+            return args
+    return _build_parser().parse_args(argv)
+
+
 def main(argv=None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parse(sys.argv[1:] if argv is None else list(argv))
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:

@@ -1,3 +1,4 @@
+import argparse
 import ast
 import json
 import os
@@ -268,6 +269,25 @@ class TestFigureCommand:
         assert str(target) in captured.err
         assert not target.parent.exists()
 
+    @pytest.mark.parametrize("argv", [
+        ("four-proportionals", "--ac", "2", "--t", "1/0"),
+        ("figure", "--id", "1", "--edges", "1/0", "1", "1", "--out", "-"),
+        ("pyramid", "--edges", "1", "1", "1", "--cosines", "1/2", "1/2", "0/0"),
+    ])
+    def test_zero_denominator_is_usage_error(self, capsys, argv):
+        assert main(list(argv)) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        bad = next(a for a in argv if a.endswith("/0"))
+        assert captured.err == f"error: zero denominator: {bad!r}\n"
+
+    def test_diameter_takes_a_ratio(self, capsys):
+        halves = [run(capsys, "figure", "--id", "4", "--diameter", d, "--out", "-")
+                  for d in ("1/2", "0.5", "0.50", "2/4")]
+        assert halves[0][0] == 0 and halves[0][1].startswith("<svg")
+        assert halves.count(halves[0]) == 4
+        assert run(capsys, "figure", "--id", "4", "--diameter", "2/1") == run(capsys, "figure", "--id", "4")
+
     def test_svg_is_text_under_json(self, capsys, tmp_path):
         assert run(capsys, "figure", "--id", "4", "--json") == run(capsys, "figure", "--id", "4")
         target = tmp_path / "fig4.svg"
@@ -472,3 +492,74 @@ class TestDigitCap:
     @given(st.integers(min_value=1, max_value=10**4000))
     def test_decimal_digits_match_str(self, n):
         assert _decimal_digits(n) == len(str(n))
+
+
+#: Argvs whose parse must not depend on which parser ``main`` takes: help, no
+#: arguments, top-level options, unknown and missing options, abbreviations,
+#: ``--``, negative numbers, extra positionals and bad option values.
+PARITY_ARGVS = [
+    (),
+    ("--help",),
+    ("-h",),
+    ("--guard", "3"),
+    ("--digits", "5", "means", "--a", "1", "--b", "2"),
+    ("florp",),
+    ("mean", "--a", "1", "--b", "2"),
+    *((name, "--help") for name in SUBCOMMANDS),
+    *((name,) for name in SUBCOMMANDS),
+    *((name, "--guard", "3") for name in SUBCOMMANDS),
+    ("means", "--a", "1", "--b", "2"),
+    ("means", "--a", "1", "--b", "2", "--bogus"),
+    ("means", "--a", "1", "--b", "2", "extra"),
+    ("means", "means", "--a", "1", "--b", "2"),
+    ("means", "--a", "1", "--b", "2", "--", "x"),
+    ("means", "--", "--a", "1", "--b", "2"),
+    ("means", "--a", "1", "--b", "2", "--meth", "both", "--j"),
+    ("means", "--a=-1", "--b", "-2.5", "--digits", "-3"),
+    ("means", "--a", "1", "--b", "2", "--method", "bogus"),
+    ("means", "--a", "1", "--b", "2", "--digits", "x"),
+    ("means", "--a", "1"),
+    ("means", "--a", "1", "--b", "2", "-h"),
+    ("means", "--a", "1", "--b", "2", "--a", "3", "--json"),
+    ("means", "--a", "1", "--b", "2", "-x"),
+    ("solve-chords", "--di", "2"),
+    ("solve-chords", "--diam", "2", "--dig", "5"),
+    ("pyramid", "--edges", "3", "4"),
+    ("pyramid", "--edges", "3", "4", "12", "13"),
+    ("pyramid", "--edges", "3", "4", "12", "--cosines", "-1/2", "1/2", "1/2"),
+    ("figure", "--id", "x"),
+    ("figure", "--id", "4", "--diameter", "3", "--out", "-", "--json"),
+    ("check-props", "--instances", "2", "--seed", "-3"),
+    ("four-proportionals", "--ac", "2", "--t", "1/2", "--sphere", "--sphere"),
+    ("verify-table", "extra"),
+    ("duplicate-cube", "--edge"),
+]
+
+
+@pytest.mark.parametrize("argv", PARITY_ARGVS, ids=lambda argv: " ".join(argv) or "(none)")
+def test_one_parser_parses_as_the_tree(capsys, monkeypatch, argv):
+    """The subcommand's own parser gives the tree's namespace, or its exit and text."""
+    monkeypatch.setenv("COLUMNS", "80")
+
+    def outcome(parse):
+        try:
+            namespace = vars(parse(list(argv)))
+        except SystemExit as exc:
+            return exc.code, capsys.readouterr()
+        namespace.pop("subcommand", None)
+        return namespace, capsys.readouterr()
+
+    assert outcome(cli._parse) == outcome(cli._build_parser().parse_args)
+
+
+def test_a_valid_call_builds_one_parser(capsys, monkeypatch):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+    assert main(["means", "--a", "1", "--b", "2"]) == 0
+    assert built == ["mesolabe means"]
