@@ -15,12 +15,20 @@ Rows, each the fastest of ``--repeat`` calls after one warm-up call:
   ``cli._build_parser()``), ``figures.render`` for each figure,
   ``euclid.run_proposition_suite(1, 40)`` (an oracle-suite op without the
   CLI), each ``euclid.rand_*`` generator 1000 times from ``Random(0)``, and
-  ``POINTS`` constructions of a ``Point2`` and of a ``Point3``.
+  ``POINTS`` constructions of a ``Point2``, a ``Point3``, a ``DecimalScalar``
+  and an ``InstrumentState``;
+- cold starts: the median wall time of ``COLD_STARTS`` interpreter starts
+  that run ``perfbench/run.py``'s cold-start command (import ``mesolabe.cli``,
+  run one op) on ``solve-chords --diameter 2`` and on
+  ``check-props --instances 40``.  Each tree's package runs from a copy
+  without ``__pycache__``, with bytecode writing off, so every start compiles
+  it as a fresh checkout does.
 
 Each ``--tree NAME=SRC`` names a directory holding a ``mesolabe`` package;
 without one, the sweep times this checkout's ``src``.  The trees are loaded
-side by side and every row alternates between them call by call, so a host
-whose speed drifts over minutes slows them alike::
+side by side and every row alternates between them call by call (start by
+start for the cold starts), so a host whose speed drifts over minutes slows
+them alike::
 
     python3 scripts/bench_sweep.py --tree before=path/to/other/src \\
         --tree after=src --out BENCH.json
@@ -38,15 +46,32 @@ import json
 import os
 import platform
 import random
+import shutil
+import statistics
+import subprocess
 import sys
+import tempfile
 import time
+from fractions import Fraction
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 #: Repeat multiplier of the ``check-props --instances 1000`` row.
 SLOW_REPEAT = 4
-#: Point constructions per call of the point rows.
+#: Constructions per call of the point and record rows.
 POINTS = 10_000
+#: Interpreter starts per tree of a cold-start row, after one untimed start.
+COLD_STARTS = 21
+#: ``perfbench/run.py``'s ``_COLD_START``: the package directory, then the argv.
+COLD_START = (
+    "import sys; sys.path.insert(0, sys.argv[1]); "
+    "from mesolabe.cli import main; sys.exit(main(sys.argv[2:]))"
+)
+#: (row, argv) of the cold-start rows: a deep-solve kind and an oracle-suite op.
+COLD_ARGVS = (
+    ("cold start solve-chords", ("solve-chords", "--diameter", "2")),
+    ("cold start check-props 40", ("check-props", "--instances", "40")),
+)
 
 #: (name, argv without ``--digits``), swept over the digit counts.
 SOLVES = (
@@ -144,7 +169,27 @@ def rows(trees: dict) -> list[tuple[str, int | None, int, dict]]:
         out.append((f"layer euclid.{cls} x{POINTS}", None, 1,
                     {t: construct(getattr(euclid, cls), coords)
                      for t, (_, _, euclid) in trees.items()}))
+    out.append((f"layer scalar.DecimalScalar x{POINTS}", None, 1,
+                {t: construct(cli.DecimalScalar, (12345, 3)) for t, (cli, _, _) in trees.items()}))
+    state = (Fraction(1), Fraction(2), Fraction(1, 3))
+    out.append((f"layer delian.InstrumentState x{POINTS}", None, 1,
+                {t: construct(cli.delian.InstrumentState, state)
+                 for t, (cli, _, _) in trees.items()}))
     return out
+
+
+def cold_start_ms(packages: dict, argv) -> dict:
+    """Median ms of ``COLD_STARTS`` starts per tree, the trees taking turns start by start."""
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
+    times = {tree: [] for tree in packages}
+    for k in range(COLD_STARTS + 1):
+        for tree in (list(packages) if k % 2 else list(packages)[::-1]):
+            start = time.perf_counter()
+            subprocess.run([sys.executable, "-c", COLD_START, packages[tree], *argv],
+                           stdout=subprocess.DEVNULL, env=env, check=True)
+            if k:  # the first round warms up
+                times[tree].append(time.perf_counter() - start)
+    return {tree: round(statistics.median(t) * 1e3, 2) for tree, t in times.items()}
 
 
 def best_ms(calls: dict, repeat: int) -> dict:
@@ -157,6 +202,13 @@ def best_ms(calls: dict, repeat: int) -> dict:
             if k:  # the first round warms up
                 best[tree] = min(best[tree], time.perf_counter() - start)
     return {tree: round(s * 1e3, 4) for tree, s in best.items()}
+
+
+def report(result: dict, row: dict) -> None:
+    """Add ``row`` to ``result`` and print it."""
+    result["rows"].append(row)
+    times = "  ".join(f"{ms:10.3f}" for ms in row["ms"].values())
+    print(f"{row['row']:44} {row['digits'] or '':>5}  {times}  ms")
 
 
 def main() -> None:
@@ -179,10 +231,17 @@ def main() -> None:
     }
     for name, digits, slow, calls in rows(trees):
         repeat = slow * args.repeat
-        row = {"row": name, "digits": digits, "repeat": repeat, "ms": best_ms(calls, repeat)}
-        result["rows"].append(row)
-        times = "  ".join(f"{ms:10.3f}" for ms in row["ms"].values())
-        print(f"{name:44} {digits or '':>5}  {times}  ms")
+        report(result, {"row": name, "digits": digits, "repeat": repeat,
+                        "ms": best_ms(calls, repeat)})
+    with tempfile.TemporaryDirectory() as tmp:
+        packages = {}
+        for name, src in specs:  # each tree's package, copied without bytecode
+            packages[name] = str(Path(tmp, str(len(packages))))
+            shutil.copytree(Path(src, "mesolabe"), Path(packages[name], "mesolabe"),
+                            ignore=shutil.ignore_patterns("__pycache__"))
+        for name, argv in COLD_ARGVS:
+            report(result, {"row": name, "digits": 20, "repeat": COLD_STARTS, "stat": "median",
+                            "ms": cold_start_ms(packages, argv)})
     Path(args.out).write_text(json.dumps(result, indent=1) + "\n", encoding="utf-8")
 
 

@@ -8,7 +8,6 @@ from .scalar import (
     DEFAULT_CONTEXT,
     DecimalScalar,
     PrecisionContext,
-    Rational,
     cbrt,
     format_grouped,
     parse_grouped,
@@ -38,7 +37,6 @@ __all__ = [
     "DEFAULT_CONTEXT",
     "DecimalScalar",
     "PrecisionContext",
-    "Rational",
     "cbrt",
     "format_grouped",
     "parse_grouped",

@@ -23,6 +23,7 @@ from .scalar import (
     DecimalScalar,
     PrecisionContext,
     as_rational,
+    parse_int,
     round_to,
     sqrt,
     ulp,
@@ -72,7 +73,7 @@ def _residual_text(bound: str) -> str:
 
 def _parse_rational(text: str) -> Fraction:
     if "/" in text:
-        num, den = (int(part) for part in text.split("/", 1))
+        num, den = (parse_int(part) for part in text.split("/", 1))
         if den == 0:
             raise ValueError(f"zero denominator: {text!r}")
         return Fraction(num, den)
@@ -264,7 +265,7 @@ def _cmd_duplicate_cube(args, ctx: PrecisionContext) -> Record:
     edge = DecimalScalar.from_str(args.edge)
     result = delian.duplicate_cube(edge, ctx)
     doubling = result * result * result - 2 * edge * edge * edge
-    ok = abs(doubling) < ulp(ctx.output_digits)
+    ok = abs(doubling) < result * result * ulp(ctx.output_digits)
     payload = {
         "edge": str(edge),
         "doubled_edge": str(round_to(result, ctx.output_digits)),
@@ -317,17 +318,7 @@ def _cmd_check_props(args, ctx: PrecisionContext) -> Record:
     payload = {
         "seed": args.seed,
         "instances": args.instances,
-        "propositions": [
-            {
-                "name": r.name,
-                "valid_ok": r.valid_ok,
-                "valid_total": r.valid_total,
-                "perturbed_detected": r.perturbed_detected,
-                "perturbed_total": r.perturbed_total,
-                "passed": r.passed,
-            }
-            for r in rows
-        ],
+        "propositions": [{**r.as_dict(), "passed": r.passed} for r in rows],
         "all_hold": ok,
     }
     return (0 if ok else 1), payload, lines

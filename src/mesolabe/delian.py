@@ -25,13 +25,13 @@ to rounding, and the seed only decides how many signs that takes.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .scalar import (
     DEFAULT_CONTEXT,
     DecimalScalar,
     PrecisionContext,
+    ValueRecord,
     _half_even_div,
     _icbrt,
     as_rational,
@@ -48,21 +48,26 @@ def _cleared_k(t: Fraction) -> tuple[int, int]:
     return m * m - n * n, m * m + n * n
 
 
-@dataclass(frozen=True)
-class InstrumentState:
+class InstrumentState(ValueRecord):
     """Arc parameter ``t`` with target AF = a against diameter AC = b.
 
     It carries only the stopping residuals; the scene's points come from
-    :func:`~mesolabe.proportio.planar_construction`.
+    :func:`~mesolabe.proportio.planar_construction`.  Immutable by convention.
     """
 
-    a: Fraction
-    b: Fraction
-    t: Fraction
+    __slots__ = ("a", "b", "t")
 
-    def __post_init__(self):
-        if not 0 <= self.t <= 1:
+    def __init__(self, a: Fraction, b: Fraction, t: Fraction):
+        if not 0 <= t <= 1:
             raise ValueError("arc parameter must lie in [0, 1]")
+        self.a, self.b, self.t = a, b, t
+
+    def __eq__(self, other):
+        return (type(other) is InstrumentState
+                and (self.a, self.b, self.t) == (other.a, other.b, other.t))
+
+    def __hash__(self):
+        return hash((self.a, self.b, self.t))
 
     def residual_instrument(self) -> int:
         """Foot of the plumbline minus the cursor's crossing of AC, cleared.
@@ -94,20 +99,14 @@ class InstrumentState:
                 - self.b.numerator * self.a.denominator * big_k**3)
 
 
-@dataclass(frozen=True)
-class MeansResult:
+class MeansResult(ValueRecord):
     """Solved means with the arc parameter and an exact residual bound.
 
     ``iterations`` counts the residual sign evaluations that certified the
-    arc parameter (0 when a == b needs none).
+    arc parameter (0 when a == b needs none).  Immutable by convention.
     """
 
-    m1: DecimalScalar
-    m2: DecimalScalar
-    theta_param: Fraction
-    iterations: int
-    residual: DecimalScalar
-    method: str
+    __slots__ = ("m1", "m2", "theta_param", "iterations", "residual", "method")
 
 
 def _validate(a: Fraction, b: Fraction) -> None:

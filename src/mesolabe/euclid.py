@@ -22,24 +22,24 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 
-from .scalar import CertificationError, Rational
+from .scalar import CertificationError, ValueRecord
 
 
-@dataclass(slots=True, unsafe_hash=True)
-class Point2:
-    """A plane point or vector, compared and hashed by value.
+class Point2(ValueRecord):
+    """A plane point or vector, compared and hashed by value; immutable by convention."""
 
-    Immutable by convention: nothing assigns to a coordinate after
-    construction.  The class is not frozen because a frozen dataclass sets
-    each field through ``object.__setattr__``, which makes construction,
-    the suite's commonest operation, more than twice as slow.
-    """
+    __slots__ = ("x", "y")
 
-    x: Rational
-    y: Rational
+    def __init__(self, x: Fraction, y: Fraction):
+        self.x, self.y = x, y
+
+    def __eq__(self, other):
+        return type(other) is Point2 and (self.x, self.y) == (other.x, other.y)
+
+    def __hash__(self):
+        return hash((self.x, self.y))
 
     def __sub__(self, other: "Point2") -> "Point2":
         return Point2(self.x - other.x, self.y - other.y)
@@ -47,26 +47,32 @@ class Point2:
     def __add__(self, other: "Point2") -> "Point2":
         return Point2(self.x + other.x, self.y + other.y)
 
-    def scaled(self, k: Rational) -> "Point2":
+    def scaled(self, k: Fraction) -> "Point2":
         return Point2(self.x * k, self.y * k)
 
-    def dot(self, other: "Point2") -> Rational:
+    def dot(self, other: "Point2") -> Fraction:
         return self.x * other.x + self.y * other.y
 
-    def cross(self, other: "Point2") -> Rational:
+    def cross(self, other: "Point2") -> Fraction:
         return self.x * other.y - self.y * other.x
 
-    def norm_sq(self) -> Rational:
+    def norm_sq(self) -> Fraction:
         return self.dot(self)
 
 
-@dataclass(slots=True, unsafe_hash=True)
-class Point3:
+class Point3(ValueRecord):
     """A space point or vector; immutable by convention, like :class:`Point2`."""
 
-    x: Rational
-    y: Rational
-    z: Rational
+    __slots__ = ("x", "y", "z")
+
+    def __init__(self, x: Fraction, y: Fraction, z: Fraction):
+        self.x, self.y, self.z = x, y, z
+
+    def __eq__(self, other):
+        return type(other) is Point3 and (self.x, self.y, self.z) == (other.x, other.y, other.z)
+
+    def __hash__(self):
+        return hash((self.x, self.y, self.z))
 
     def __sub__(self, other: "Point3") -> "Point3":
         return Point3(self.x - other.x, self.y - other.y, self.z - other.z)
@@ -74,10 +80,10 @@ class Point3:
     def __add__(self, other: "Point3") -> "Point3":
         return Point3(self.x + other.x, self.y + other.y, self.z + other.z)
 
-    def scaled(self, k: Rational) -> "Point3":
+    def scaled(self, k: Fraction) -> "Point3":
         return Point3(self.x * k, self.y * k, self.z * k)
 
-    def dot(self, other: "Point3") -> Rational:
+    def dot(self, other: "Point3") -> Fraction:
         return self.x * other.x + self.y * other.y + self.z * other.z
 
     def cross(self, other: "Point3") -> "Point3":
@@ -87,20 +93,26 @@ class Point3:
             self.x * other.y - self.y * other.x,
         )
 
-    def norm_sq(self) -> Rational:
+    def norm_sq(self) -> Fraction:
         return self.dot(self)
 
 
-@dataclass(slots=True, unsafe_hash=True)
-class Triangle:
+class Triangle(ValueRecord):
     """Vertices ``a, b, c``; ``a`` is the designated angle vertex.
 
     Immutable by convention, like :class:`Point2`.
     """
 
-    a: Point2
-    b: Point2
-    c: Point2
+    __slots__ = ("a", "b", "c")
+
+    def __init__(self, a: Point2, b: Point2, c: Point2):
+        self.a, self.b, self.c = a, b, c
+
+    def __eq__(self, other):
+        return type(other) is Triangle and (self.a, self.b, self.c) == (other.a, other.b, other.c)
+
+    def __hash__(self):
+        return hash((self.a, self.b, self.c))
 
     def legs(self) -> tuple[Point2, Point2]:
         return self.b - self.a, self.c - self.a
@@ -121,7 +133,7 @@ def _certify(condition: bool, message: str) -> None:
         raise CertificationError(message)
 
 
-def _uncleared(residual: Rational, k: Rational) -> Rational:
+def _uncleared(residual: Fraction, k: Fraction) -> Fraction:
     """``residual / k`` for a residual multiplied through by ``k > 0``."""
     return Fraction(residual, k) if residual else residual
 
@@ -129,7 +141,7 @@ def _uncleared(residual: Rational, k: Rational) -> Rational:
 # -- book I ------------------------------------------------------------------
 
 
-def check_47_1(t: Triangle) -> Rational:
+def check_47_1(t: Triangle) -> Fraction:
     """Square on the hypotenuse minus the squares on the legs, angle at a.
 
     The residual is -2 AB . AC, so it is 0 exactly when the angle at a is
@@ -140,7 +152,7 @@ def check_47_1(t: Triangle) -> Rational:
     return (t.c - t.b).norm_sq() - u.norm_sq() - v.norm_sq()
 
 
-def check_pappus(t: Triangle, offset_ab: Point2, offset_ac: Point2) -> Rational:
+def check_pappus(t: Triangle, offset_ab: Point2, offset_ac: Point2) -> Fraction:
     """Pappus' parallelogram generalization of 47.1.
 
     ``offset_ab``/``offset_ac`` are the side vectors of the parallelograms
@@ -168,7 +180,7 @@ def check_pappus(t: Triangle, offset_ab: Point2, offset_ac: Point2) -> Rational:
 # -- book II -----------------------------------------------------------------
 
 
-def check_12_2(t: Triangle) -> Rational:
+def check_12_2(t: Triangle) -> Fraction:
     """Obtuse case: BC^2 - (AB^2 + AC^2 + 2 * rectangle) with the angle at a.
 
     The rectangle is one side about the obtuse angle times the stretch cut
@@ -180,7 +192,7 @@ def check_12_2(t: Triangle) -> Rational:
     return (t.c - t.b).norm_sq() - (u.norm_sq() + v.norm_sq() + 2 * abs(u.dot(v)))
 
 
-def check_13_2(t: Triangle) -> Rational:
+def check_13_2(t: Triangle) -> Fraction:
     """Acute case: BC^2 - (AB^2 + AC^2 - 2 * rectangle) with the angle at a.
 
     The residual is 2 (|AB . AC| - AB . AC): 0 unless the angle at a is
@@ -233,7 +245,7 @@ def check_clavius_31_3(p: Point2, q: Point2, r: Point2) -> bool:
 # -- book VI -----------------------------------------------------------------
 
 
-def check_8_6_corollary(t: Triangle) -> Rational:
+def check_8_6_corollary(t: Triangle) -> Fraction:
     """Altitude from the right angle squared minus the base-segment rectangle.
 
     Right angle at ``t.a``; the altitude foot divides BC into segments whose
@@ -251,7 +263,7 @@ def check_8_6_corollary(t: Triangle) -> Rational:
     return _uncleared(altitude_sq - segments_product, den * den)
 
 
-def check_31_6(t: Triangle, aspect: Rational) -> Rational:
+def check_31_6(t: Triangle, aspect: Fraction) -> Fraction:
     """Similar figures on the sides of a right triangle (rectangles of one aspect).
 
     Similar-figure areas scale with the squares of the sides, so rectangles
@@ -268,7 +280,7 @@ def check_31_6(t: Triangle, aspect: Rational) -> Rational:
 # -- book VII ----------------------------------------------------------------
 
 
-def check_19_7(a: Rational, b: Rational, c: Rational, d: Rational) -> bool:
+def check_19_7(a: Fraction, b: Fraction, c: Fraction, d: Fraction) -> bool:
     """Four terms are proportional iff the outer product equals the inner one.
 
     Evaluates ``a:b = c:d`` (both ratios in lowest terms) and ``a*d = b*c``
@@ -282,7 +294,7 @@ def check_19_7(a: Rational, b: Rational, c: Rational, d: Rational) -> bool:
     return products_equal
 
 
-def check_20_7(a: Rational, b: Rational, c: Rational) -> bool:
+def check_20_7(a: Fraction, b: Fraction, c: Fraction) -> bool:
     """Three terms are proportional iff the extremes' product is the mean's square."""
     _require(b != 0 and c != 0, "zero consequent in a ratio")
     ratio_equal = Fraction(a, b) == Fraction(b, c)
@@ -307,14 +319,14 @@ def check_4_11(line_dir: Point3, u: Point3, v: Point3) -> bool:
 # -- book XII ----------------------------------------------------------------
 
 
-def _six_volume(p0: Point3, p1: Point3, p2: Point3, p3: Point3) -> Rational:
+def _six_volume(p0: Point3, p1: Point3, p2: Point3, p3: Point3) -> Fraction:
     """Six times the volume of the tetrahedron: its absolute triple product."""
     return abs((p1 - p0).cross(p2 - p0).dot(p3 - p0))
 
 
 def _split_six_volumes(
     base: tuple[Point3, Point3, Point3], top: tuple[Point3, Point3, Point3]
-) -> tuple[Rational, Rational, Rational]:
+) -> tuple[Fraction, Fraction, Fraction]:
     a, b, c = base
     a2, b2, c2 = top
     return (
@@ -326,13 +338,13 @@ def _split_six_volumes(
 
 def prism_split_volumes(
     base: tuple[Point3, Point3, Point3], top: tuple[Point3, Point3, Point3]
-) -> tuple[Rational, Rational, Rational]:
+) -> tuple[Fraction, Fraction, Fraction]:
     """Volumes of the canonical three-tetrahedron split of a (claimed) prism."""
     v1, v2, v3 = _split_six_volumes(base, top)
     return _uncleared(v1, 6), _uncleared(v2, 6), _uncleared(v3, 6)
 
 
-def check_7_12(prism_base: tuple[Point3, Point3, Point3], apex_offset: Point3) -> Rational:
+def check_7_12(prism_base: tuple[Point3, Point3, Point3], apex_offset: Point3) -> Fraction:
     """A triangular prism splits into three equal tetrahedra.
 
     Returns prism volume minus three times one tetrahedron; the three parts
@@ -360,7 +372,7 @@ def check_7_12(prism_base: tuple[Point3, Point3, Point3], apex_offset: Point3) -
 # integer, so its coordinates are ints.
 
 
-def unit_circle_point(t: Rational) -> Point2:
+def unit_circle_point(t: Fraction) -> Point2:
     """Rational point ((1-t^2)/(1+t^2), 2t/(1+t^2)) on the unit circle."""
     d = 1 + t * t
     return Point2((1 - t * t) / d, 2 * t / d)
@@ -702,13 +714,10 @@ PROPOSITION_SUITE: tuple[tuple[str, object, object], ...] = (
 )
 
 
-@dataclass(frozen=True)
-class SuiteRow:
-    name: str
-    valid_ok: int
-    valid_total: int
-    perturbed_detected: int
-    perturbed_total: int
+class SuiteRow(ValueRecord):
+    """Valid instances held and perturbed ones detected; immutable by convention."""
+
+    __slots__ = ("name", "valid_ok", "valid_total", "perturbed_detected", "perturbed_total")
 
     @property
     def passed(self) -> bool:

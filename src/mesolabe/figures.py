@@ -8,12 +8,11 @@ Solid projections use a fixed oblique projector with rational coefficients.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import delian, proportio, pyramid
 from .euclid import Point2, Point3, unit_circle_point
-from .scalar import DEFAULT_CONTEXT, DecimalScalar, _half_even_div, as_rational
+from .scalar import DEFAULT_CONTEXT, DecimalScalar, ValueRecord, _half_even_div, as_rational
 
 _OBLIQUE_X = Fraction(2, 5)
 _OBLIQUE_Y = Fraction(1, 5)
@@ -21,16 +20,15 @@ _OBLIQUE_Y = Fraction(1, 5)
 _WIDTH, _HEIGHT, _MARGIN = 460, 360, 40
 
 
-@dataclass(frozen=True)
-class FigureSpec:
-    """Which figure to draw and the model parameters that determine it."""
+class FigureSpec(ValueRecord):
+    """Which figure to draw and the model parameters that determine it; immutable by convention."""
 
-    figure_id: int
-    params: dict = field(default_factory=dict)
+    __slots__ = ("figure_id", "params")
 
-    def __post_init__(self):
-        if self.figure_id not in range(1, 8):
+    def __init__(self, figure_id: int, params: dict | None = None):
+        if figure_id not in range(1, 8):
             raise ValueError("figure_id must be between 1 and 7")
+        super().__init__(figure_id, {} if params is None else params)
 
 
 def _fmt(value: tuple[int, int]) -> str:
@@ -264,16 +262,6 @@ def _fig_compass(spec: FigureSpec) -> str:
 
 def render(spec: FigureSpec) -> str:
     """Byte-deterministic SVG document for the requested figure."""
-    if spec.figure_id == 1:
-        return _box_figure(spec, (1, 1, 1))
-    if spec.figure_id == 2:
-        return _box_figure(spec, (1, 2, 1))
-    if spec.figure_id == 3:
-        return _box_figure(spec, (2, 1, 3))
-    if spec.figure_id == 4:
-        return _fig_chords(spec)
-    if spec.figure_id == 5:
-        return _fig_sphere(spec)
-    if spec.figure_id == 6:
-        return _fig_plumbline(spec)
-    return _fig_compass(spec)
+    if spec.figure_id <= 3:  # the three boxes differ only in their default edges
+        return _box_figure(spec, ((1, 1, 1), (1, 2, 1), (2, 1, 3))[spec.figure_id - 1])
+    return (_fig_chords, _fig_sphere, _fig_plumbline, _fig_compass)[spec.figure_id - 4](spec)

@@ -14,7 +14,6 @@ trigonometric function is ever evaluated.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .euclid import Point3, unit_circle_point
@@ -22,6 +21,7 @@ from .scalar import (
     DEFAULT_CONTEXT,
     DecimalScalar,
     PrecisionContext,
+    ValueRecord,
     as_rational,
     certify_bracket,
     format_grouped,
@@ -32,14 +32,10 @@ from .scalar import (
 )
 
 
-@dataclass(frozen=True)
-class ChordConfig:
-    """The four collinear/chordal lengths AB, BC, BD, AD with AB + BD = AD."""
+class ChordConfig(ValueRecord):
+    """The collinear/chordal lengths AB, BC, BD, AD with AB + BD = AD; immutable by convention."""
 
-    ab: DecimalScalar
-    bc: DecimalScalar
-    bd: DecimalScalar
-    ad: DecimalScalar
+    __slots__ = ("ab", "bc", "bd", "ad")
 
     def terms(self) -> tuple[DecimalScalar, DecimalScalar, DecimalScalar, DecimalScalar]:
         return self.ab, self.bc, self.bd, self.ad
@@ -63,14 +59,10 @@ class ChordConfig:
         return ChordConfig(ab, truncate_to(self.bc, digits), ad - ab, ad)
 
 
-@dataclass(frozen=True)
-class ProportionalsQuad:
-    """The four continued proportionals AF, AE, AD, AC."""
+class ProportionalsQuad(ValueRecord):
+    """The four continued proportionals AF, AE, AD, AC; immutable by convention."""
 
-    af: DecimalScalar
-    ae: DecimalScalar
-    ad: DecimalScalar
-    ac: DecimalScalar
+    __slots__ = ("af", "ae", "ad", "ac")
 
     def terms(self) -> tuple[DecimalScalar, DecimalScalar, DecimalScalar, DecimalScalar]:
         return self.af, self.ae, self.ad, self.ac
@@ -79,23 +71,20 @@ class ProportionalsQuad:
         return verify_continued_proportion(list(self.terms()), tol)
 
 
-@dataclass(frozen=True)
-class TableRow:
-    label: str
-    value: DecimalScalar
-    grouped: str
-    printed: str | None = None
-    note: str | None = None
+class TableRow(ValueRecord):
+    """One labelled value of a table, with its printed text if any; immutable by convention."""
+
+    __slots__ = ("label", "value", "grouped", "printed", "note")
 
     @property
     def is_misprint(self) -> bool:
         return self.printed is not None and self.printed != self.grouped
 
 
-@dataclass(frozen=True)
-class PaperTable:
-    title: str
-    rows: tuple[TableRow, ...]
+class PaperTable(ValueRecord):
+    """A titled tuple of :class:`TableRow`; immutable by convention."""
+
+    __slots__ = ("title", "rows")
 
 
 #: The printed 10-digit chord table for diameter 2.
@@ -194,7 +183,7 @@ def chord_table(c: ChordConfig) -> PaperTable:
     rows = []
     for label, value in (("AD", c.ad), ("AB", c.ab), ("BC", c.bc), ("BD", c.bd)):
         printed = PRINTED_CHORDS[label] if canonical else None
-        rows.append(TableRow(label, value, format_grouped(value), printed))
+        rows.append(TableRow(label, value, format_grouped(value), printed, None))
     return PaperTable("successive lines in the semicircle", tuple(rows))
 
 
@@ -241,10 +230,8 @@ def reproduce_table(c: ChordConfig) -> PaperTable:
 
 def true_product_rows(full: ChordConfig, digits: int = 20) -> PaperTable:
     """The same six products taken from the unrounded root, for contrast."""
-    rows = tuple(
-        TableRow(label, round_to(value, digits), format_grouped(round_to(value, digits)))
-        for label, value in _products(full)
-    )
+    rounded = [(label, round_to(value, digits)) for label, value in _products(full)]
+    rows = tuple(TableRow(label, v, format_grouped(v), None, None) for label, v in rounded)
     return PaperTable(f"products of the unrounded root, {digits} digits", rows)
 
 

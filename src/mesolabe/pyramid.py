@@ -8,26 +8,23 @@ over exact Fractions or :class:`~mesolabe.scalar.DecimalScalar`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .euclid import Point3
-from .scalar import DecimalScalar, Rational, as_rational
+from .scalar import DecimalScalar, ValueRecord, as_rational
 
-Length = Rational | DecimalScalar | int
+Length = Fraction | DecimalScalar | int
 
 
-@dataclass(frozen=True)
-class RightPyramid:
-    """Edge lengths from the right-angle vertex, all positive."""
+class RightPyramid(ValueRecord):
+    """Edge lengths from the right-angle vertex, all positive; immutable by convention."""
 
-    da: Length
-    db: Length
-    dc: Length
+    __slots__ = ("da", "db", "dc")
 
-    def __post_init__(self):
-        if not (self.da > 0 and self.db > 0 and self.dc > 0):
+    def __init__(self, da: Length, db: Length, dc: Length):
+        if not (da > 0 and db > 0 and dc > 0):
             raise ValueError("pyramid edges must be positive")
+        super().__init__(da, db, dc)
 
     def vertices(self) -> tuple[Point3, Point3, Point3, Point3]:
         """Exact realization (D, A, B, C) with D at the origin."""
@@ -41,24 +38,20 @@ class RightPyramid:
         )
 
 
-@dataclass(frozen=True)
-class ObliqueVertexFrame:
+class ObliqueVertexFrame(ValueRecord):
     """Three edges at a vertex with pairwise angle cosines, not necessarily right.
 
-    Feasibility means the Gram matrix of the three edge directions is
-    positive semidefinite, which is decided exactly from principal minors.
+    Feasibility means the Gram matrix of the three edge directions is positive
+    semidefinite, decided exactly from principal minors.  Immutable by convention.
     """
 
-    a: Length
-    b: Length
-    c: Length
-    cos_ab: Rational
-    cos_bc: Rational
-    cos_ca: Rational
+    __slots__ = ("a", "b", "c", "cos_ab", "cos_bc", "cos_ca")
 
-    def __post_init__(self):
-        if not (self.a > 0 and self.b > 0 and self.c > 0):
+    def __init__(self, a: Length, b: Length, c: Length,
+                 cos_ab: Fraction, cos_bc: Fraction, cos_ca: Fraction):
+        if not (a > 0 and b > 0 and c > 0):
             raise ValueError("frame edges must be positive")
+        super().__init__(a, b, c, cos_ab, cos_bc, cos_ca)
         if not self.is_feasible():
             raise ValueError("cosine triple has no vector realization (Gram matrix not PSD)")
 

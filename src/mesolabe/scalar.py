@@ -12,13 +12,9 @@ from __future__ import annotations
 
 import math
 import re
+import sys
 from collections.abc import Callable
-from dataclasses import dataclass
 from fractions import Fraction
-
-# Exact rational carrier for all algebraic-identity checks.  fractions.Fraction
-# already guarantees lowest terms and a positive denominator.
-Rational = Fraction
 
 _PLAIN_RE = re.compile(r"^([+-]?)(\d+)(?:\.(\d+))?$")
 
@@ -68,6 +64,43 @@ def _icbrt(n: int) -> int:
     while (x + 1) ** 3 <= n:
         x += 1
     return x
+
+
+def parse_int(literal: str) -> int:
+    """``int(literal)``, or a one-line error past the interpreter's int-to-str digit limit."""
+    limit = sys.get_int_max_str_digits()
+    digits = sum(c.isdigit() for c in literal)
+    if limit and digits > limit:
+        raise ValueError(f"operand of {digits} digits exceeds the limit of {limit} digits")
+    return int(literal)
+
+
+class ValueRecord:
+    """A record whose fields are its ``__slots__``, compared, hashed and printed by value.
+
+    Immutable by convention: nothing assigns to a field after construction.
+    Records built per op write ``__init__``, ``__eq__`` and ``__hash__`` out.
+    """
+
+    __slots__ = ()
+
+    def __init__(self, *values):
+        for name, value in zip(self.__slots__, values, strict=True):
+            setattr(self, name, value)
+
+    def as_dict(self) -> dict:
+        """The fields by name, in ``__slots__`` order."""
+        return {name: getattr(self, name) for name in self.__slots__}
+
+    def __eq__(self, other):
+        return self.as_dict() == other.as_dict() if type(other) is type(self) else NotImplemented
+
+    def __hash__(self):
+        return hash(tuple(self.as_dict().values()))
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={value!r}" for name, value in self.as_dict().items())
+        return f"{type(self).__name__}({fields})"
 
 
 class CertificationError(ArithmeticError):
@@ -128,25 +161,23 @@ def certify_bracket(
     return below, False, len(signs)
 
 
-@dataclass(frozen=True)
-class PrecisionContext:
+class PrecisionContext(ValueRecord):
     """Working/reported fractional-digit budget for inexact operations.
 
-    ``work_digits`` are carried during iteration, ``output_digits`` are
-    reported, and ``guard_digits`` is the mandatory cushion between the two.
+    ``work_digits`` are carried during iteration, ``output_digits`` are reported,
+    and ``guard_digits`` is the mandatory cushion between the two.  Immutable by convention.
     """
 
-    work_digits: int = 30
-    output_digits: int = 20
-    guard_digits: int = 10
+    __slots__ = ("work_digits", "output_digits", "guard_digits")
 
-    def __post_init__(self):
-        if self.guard_digits < 5:
+    def __init__(self, work_digits: int = 30, output_digits: int = 20, guard_digits: int = 10):
+        if guard_digits < 5:
             raise ValueError("guard_digits must be at least 5")
-        if self.output_digits < 1:
+        if output_digits < 1:
             raise ValueError("output_digits must be at least 1")
-        if self.work_digits < self.output_digits + self.guard_digits:
+        if work_digits < output_digits + guard_digits:
             raise ValueError("work_digits must cover output_digits + guard_digits")
+        super().__init__(work_digits, output_digits, guard_digits)
 
     @classmethod
     def for_output(cls, output_digits: int, guard_digits: int = 10) -> "PrecisionContext":
@@ -157,20 +188,20 @@ class PrecisionContext:
 DEFAULT_CONTEXT = PrecisionContext(30, 20, 10)
 
 
-@dataclass(frozen=True, eq=False)
 class DecimalScalar:
     """Signed fixed-point decimal: ``unscaled * 10**-scale``.
 
-    ``scale`` counts fractional digits and is never negative.  Instances
-    compare by numeric value, not by representation, so ``2.0 == 2``.
+    ``scale`` counts fractional digits and is never negative.  Instances compare
+    by numeric value, not by representation, so ``2.0 == 2``.  Immutable by
+    convention: nothing assigns to a field after construction.
     """
 
-    unscaled: int
-    scale: int = 0
+    __slots__ = ("unscaled", "scale")
 
-    def __post_init__(self):
-        if self.scale < 0:
+    def __init__(self, unscaled: int, scale: int = 0):
+        if scale < 0:
             raise ValueError("scale must be non-negative")
+        self.unscaled, self.scale = unscaled, scale
 
     # -- construction ------------------------------------------------------
 
@@ -185,7 +216,7 @@ class DecimalScalar:
             raise ValueError(f"not a plain decimal literal: {text!r}")
         sign, int_part, frac_part = m.groups()
         frac_part = frac_part or ""
-        unscaled = int(int_part + frac_part)
+        unscaled = parse_int(int_part + frac_part)
         if sign == "-":
             unscaled = -unscaled
         return cls(unscaled, len(frac_part))

@@ -139,20 +139,40 @@ class TestDuplicateCube:
         assert code == 0
         assert "1.2599210499" in out
 
-    @pytest.mark.parametrize("edge, digits, exponent", [("10000000000", 20, 1), ("1000000", 5, 4)])
-    def test_bound_of_a_residual_above_one(self, capsys, edge, digits, exponent):
-        # the volume residual is still compared with 10^-digits absolutely,
-        # so these exit 1; the bound they print is well formed and true
+    @pytest.mark.parametrize("edge, digits, exponent, exit_code", [
+        # the ids leave the exit code out
+        pytest.param("10000000000", 20, 1, 1, id="10000000000-20-1"),
+        pytest.param("1000000", 5, 4, 0, id="1000000-5-4"),
+    ])
+    def test_bound_of_a_residual_above_one(self, capsys, edge, digits, exponent, exit_code):
+        # the volume residual is compared relative to the squared doubled edge:
+        # 10^6 at 5 digits is right to 6.2e-10 and exits 0, 10^10 at 20 digits
+        # is off by 1.56e-20 and exits 1; the bound they print is well formed and true
         argv = ["duplicate-cube", "--edge", edge, "--digits", str(digits)]
         code, out = run(capsys, *argv)
-        assert code == 1
+        assert code == exit_code
         assert out.splitlines()[1] == f"cube residual < 1e+{exponent}"
-        assert main([*argv, "--json"]) == 1
+        assert main([*argv, "--json"]) == exit_code
         assert json.loads(capsys.readouterr().out)["volume_residual_bound"] == f"1e+{exponent}"
         side = DecimalScalar.from_str(edge)
         doubled = delian.duplicate_cube(side, PrecisionContext.for_output(digits))
         residual = abs(doubled * doubled * doubled - 2 * side * side * side).as_fraction()
         assert Fraction(10) ** (exponent - 1) <= residual < Fraction(10) ** exponent
+
+    @pytest.mark.parametrize("edge, digits, exit_code", [
+        ("1000000", 20, 0), ("1000000000", 20, 0), ("10000000000", 20, 1),
+        ("1000000000000", 20, 1), ("1", 20, 0), ("1.5", 20, 0), ("0.000000001", 20, 0),
+    ])
+    def test_certifies_the_edge_relative_to_its_size(self, capsys, edge, digits, exit_code):
+        # exit 0 exactly when the full doubled edge r is within 10^-digits of
+        # cbrt(2) * edge, that is when 2 edge^3 lies strictly between (r - u)^3
+        # and (r + u)^3 for u = 10^-digits
+        argv = ["duplicate-cube", "--edge", edge, "--digits", str(digits)]
+        assert run(capsys, *argv)[0] == exit_code
+        side = DecimalScalar.from_str(edge)
+        r = delian.duplicate_cube(side, PrecisionContext.for_output(digits)).as_fraction()
+        u, volume = Fraction(1, 10**digits), 2 * side.as_fraction() ** 3
+        assert ((r - u) ** 3 < volume < (r + u) ** 3) == (exit_code == 0)
 
     @given(st.integers(min_value=0, max_value=10**40), st.integers(min_value=0, max_value=40))
     def test_residual_bound_is_the_next_power_of_ten(self, unscaled, scale):
@@ -479,6 +499,29 @@ class TestDigitCap:
         doubled = captured.out.split("doubled-volume edge ")[1].split()[0]
         solved = delian.duplicate_cube(big, PrecisionContext.for_output(digits))
         assert self.printed(doubled) == round_to(solved, digits).as_fraction()
+
+    @pytest.mark.parametrize("argv", [
+        ("means", "--a", "1", "--b", "{long}"),
+        ("duplicate-cube", "--edge", "1.{long}"),
+        ("four-proportionals", "--ac", "2", "--t", "1/{long}"),
+        ("figure", "--id", "1", "--edges", "1", "{long}/3", "1", "--out", "-"),
+    ])
+    def test_over_long_operand_is_usage_error(self, capsys, str_digits_limit, argv):
+        # through DecimalScalar.from_str and through cli._parse_rational, an
+        # operand one digit over the limit is refused before int() sees it
+        long = "1" + "0" * str_digits_limit
+        digits = str_digits_limit + (2 if argv[0] == "duplicate-cube" else 1)
+        assert main([a.format(long=long) for a in argv]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"error: operand of {digits} digits exceeds "
+                                f"the limit of {str_digits_limit} digits\n")
+
+    def test_operand_at_the_limit_is_read(self, str_digits_limit):
+        long = "7" * str_digits_limit
+        assert DecimalScalar.from_str(long).unscaled == int(long)
+        assert DecimalScalar.from_str("1." + long[1:]).scale == str_digits_limit - 1
+        assert cli._parse_rational(f"-{long}/{long}") == -1
 
     def test_guard_digits_count_against_the_cap(self, capsys):
         cap = max_work_digits()

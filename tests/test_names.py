@@ -1,5 +1,6 @@
 """Every name the benchmark tracer wraps, and every exported name, exists,
-and every imported name is used.
+every imported name is used, and ``import mesolabe.cli`` loads what the
+tracer needs and no more.
 
 ``perfbench/spans.py`` wraps functions and methods of the package by name
 for ``perfbench/run.py --trace 1``.  Its smoke test runs outside the default
@@ -13,6 +14,8 @@ from __future__ import annotations
 import ast
 import importlib
 import importlib.util
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -42,6 +45,21 @@ def test_traced_name_resolves(module_name, path, span):
         assert attr in vars(owner), f"{module_name}.{path} ({span})"
         return
     assert callable(getattr(owner, path, None)), f"{module_name}.{path} ({span})"
+
+
+def test_cli_import_set():
+    # The tracer looks each module of TRACED up in sys.modules after a pass
+    # that may not have run it, so every one must load with the CLI; the
+    # records are plain classes, so neither dataclasses nor the inspect module
+    # it imports is loaded at start-up.  -I -S keep site imports out.
+    code = (f"import sys; sys.path.insert(0, {str(ROOT / 'src')!r}); import mesolabe.cli; "
+            "print(*sorted(sys.modules))")
+    run = subprocess.run([sys.executable, "-I", "-S", "-c", code],
+                         capture_output=True, text=True, check=True)
+    loaded = set(run.stdout.split())
+    assert "mesolabe.cli" in loaded
+    assert not {"dataclasses", "inspect"} & loaded
+    assert {module for module, _, _ in _traced()} <= loaded
 
 
 @pytest.mark.parametrize("name", mesolabe.__all__)

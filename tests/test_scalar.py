@@ -10,6 +10,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import mesolabe
+from mesolabe.delian import InstrumentState
 from mesolabe.scalar import (
     CertificationError,
     DecimalScalar,
@@ -316,6 +317,25 @@ class TestRationalExactness:
         assert total - b == a
         assert math.gcd(total.numerator, total.denominator) == 1
         assert total.denominator > 0
+
+
+class TestValueRecord:
+    def test_records_compare_hash_and_print_by_value(self):
+        ctx = PrecisionContext(40, 30, 10)
+        same = PrecisionContext(40, 30, 10)
+        assert ctx is not same and ctx == same and hash(ctx) == hash(same)
+        assert ctx != PrecisionContext(41, 30, 10) and ctx != (40, 30, 10)
+        assert ctx.as_dict() == {"work_digits": 40, "output_digits": 30, "guard_digits": 10}
+        assert repr(ctx) == "PrecisionContext(work_digits=40, output_digits=30, guard_digits=10)"
+        state = InstrumentState(Fraction(1), Fraction(2), Fraction(1, 3))
+        assert state == InstrumentState(1, 2, Fraction(1, 3)) != ctx
+        assert hash(state) == hash(InstrumentState(1, 2, Fraction(1, 3)))
+        assert repr(state) == (
+            "InstrumentState(a=Fraction(1, 1), b=Fraction(2, 1), t=Fraction(1, 3))")
+
+    def test_slots_only(self):
+        for record in (PrecisionContext(), DecimalScalar(1), InstrumentState(1, 2, 0)):
+            assert not hasattr(record, "__dict__")
 
 
 class TestPrecisionContext:
