@@ -69,9 +69,10 @@ def _icbrt(n: int) -> int:
 def parse_int(literal: str) -> int:
     """``int(literal)``, or a one-line error past the interpreter's int-to-str digit limit."""
     limit = sys.get_int_max_str_digits()
-    digits = sum(c.isdigit() for c in literal)
-    if limit and digits > limit:
-        raise ValueError(f"operand of {digits} digits exceeds the limit of {limit} digits")
+    if limit and len(literal) > limit:  # else it cannot hold more digits than the limit
+        digits = sum(c.isdigit() for c in literal)
+        if digits > limit:
+            raise ValueError(f"operand of {digits} digits exceeds the limit of {limit} digits")
     return int(literal)
 
 
@@ -85,7 +86,9 @@ class ValueRecord:
     __slots__ = ()
 
     def __init__(self, *values):
-        for name, value in zip(self.__slots__, values, strict=True):
+        if len(values) != len(self.__slots__):
+            raise TypeError(f"{type(self).__name__} takes {len(self.__slots__)} values")
+        for name, value in zip(self.__slots__, values):
             setattr(self, name, value)
 
     def as_dict(self) -> dict:

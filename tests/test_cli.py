@@ -140,7 +140,7 @@ class TestDuplicateCube:
         assert "1.2599210499" in out
 
     @pytest.mark.parametrize("edge, digits, exponent, exit_code", [
-        # the ids leave the exit code out
+        # explicit ids keep the exit code out of the test names
         pytest.param("10000000000", 20, 1, 1, id="10000000000-20-1"),
         pytest.param("1000000", 5, 4, 0, id="1000000-5-4"),
     ])

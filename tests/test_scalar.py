@@ -11,6 +11,7 @@ from hypothesis import example, given, settings, strategies as st
 
 import mesolabe
 from mesolabe.delian import InstrumentState
+from mesolabe.proportio import ChordConfig
 from mesolabe.scalar import (
     CertificationError,
     DecimalScalar,
@@ -332,6 +333,13 @@ class TestValueRecord:
         assert hash(state) == hash(InstrumentState(1, 2, Fraction(1, 3)))
         assert repr(state) == (
             "InstrumentState(a=Fraction(1, 1), b=Fraction(2, 1), t=Fraction(1, 3))")
+
+    def test_fields_are_given_in_order(self):
+        config = ChordConfig(1, 2, 3, 4)
+        assert (config.ab, config.bc, config.bd, config.ad) == (1, 2, 3, 4)
+        for values in ((1, 2, 3), (1, 2, 3, 4, 5)):
+            with pytest.raises(TypeError, match="ChordConfig takes 4 values"):
+                ChordConfig(*values)
 
     def test_slots_only(self):
         for record in (PrecisionContext(), DecimalScalar(1), InstrumentState(1, 2, 0)):
