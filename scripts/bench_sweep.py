@@ -14,7 +14,9 @@ Rows, each the fastest of ``--repeat`` calls after one warm-up call:
   ``cli._parse`` where the tree has it, else with the full tree from
   ``cli._build_parser()``), ``figures.render`` for each figure,
   ``euclid.run_proposition_suite(1, 40)`` (an oracle-suite op without the
-  CLI), each ``euclid.rand_*`` generator 1000 times from ``Random(0)``, and
+  CLI), each ``euclid.rand_*`` generator 1000 times from ``Random(0)``, each
+  ``PROPOSITION_SUITE`` entry's valid and perturbed function (build one
+  instance, run its checker) ``SUITE_CALLS`` times from ``Random(0)``, and
   ``POINTS`` constructions of a ``Point2``, a ``Point3``, a ``DecimalScalar``
   and an ``InstrumentState``;
 - cold starts: the median wall time of ``COLD_STARTS`` interpreter starts
@@ -60,6 +62,8 @@ ROOT = Path(__file__).resolve().parent.parent
 SLOW_REPEAT = 4
 #: Constructions per call of the point and record rows.
 POINTS = 10_000
+#: Calls per row of a proposition-suite entry.
+SUITE_CALLS = 1000
 #: Interpreter starts per tree of a cold-start row, after one untimed start.
 COLD_STARTS = 21
 #: ``perfbench/run.py``'s ``_COLD_START``: the package directory, then the argv.
@@ -131,6 +135,17 @@ def generate(euclid, name: str):
     return call
 
 
+def suite_entry(euclid, name: str, perturbed: bool):
+    """``SUITE_CALLS`` calls of the valid or perturbed function of suite entry ``name``."""
+    fn = next(entry[1 + perturbed] for entry in euclid.PROPOSITION_SUITE if entry[0] == name)
+
+    def call():
+        rng = random.Random(0)
+        for _ in range(SUITE_CALLS):
+            fn(rng)
+    return call
+
+
 def construct(cls, coords):
     """``POINTS`` constructions of ``cls(*coords)``, none of them kept."""
     def call():
@@ -165,6 +180,11 @@ def rows(trees: dict) -> list[tuple[str, int | None, int, dict]]:
     for name in GENERATORS:
         out.append((f"layer euclid.{name} x1000", None, 1,
                     {t: generate(euclid, name) for t, (_, _, euclid) in trees.items()}))
+    for name, _, _ in next(iter(trees.values()))[2].PROPOSITION_SUITE:
+        for kind in ("valid", "perturbed"):
+            out.append((f"layer euclid suite {name} {kind} x{SUITE_CALLS}", None, 1,
+                        {t: suite_entry(euclid, name, kind == "perturbed")
+                         for t, (_, _, euclid) in trees.items()}))
     for cls, coords in (("Point2", (3, -4)), ("Point3", (3, -4, 12))):
         out.append((f"layer euclid.{cls} x{POINTS}", None, 1,
                     {t: construct(getattr(euclid, cls), coords)

@@ -8,7 +8,6 @@ from .scalar import (
     DEFAULT_CONTEXT,
     DecimalScalar,
     PrecisionContext,
-    cbrt,
     format_grouped,
     parse_grouped,
     round_to,
@@ -37,7 +36,6 @@ __all__ = [
     "DEFAULT_CONTEXT",
     "DecimalScalar",
     "PrecisionContext",
-    "cbrt",
     "format_grouped",
     "parse_grouped",
     "round_to",

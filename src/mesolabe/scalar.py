@@ -107,14 +107,14 @@ class ValueRecord:
 
 
 class CertificationError(ArithmeticError):
-    """An exact certification failed.
+    """A solver could not certify its root.
 
-    Raised when a solver could not certify its root with exact residual
-    signs, and when the two independent exact evaluations that a Euclid
-    checker compares (ratios and products, right angle and incidence, the
-    three tetrahedra of a prism) disagree.  It is not a ``ValueError``, so
-    the CLI reports it as a failed verification (exit 1), never as a usage
-    error; it is raised explicitly, so ``python -O`` keeps it.
+    Raised only by :func:`certify_bracket`, when the exact residual signs
+    do not bracket a root on the grid; a Euclid checker reports a failed
+    claim as a non-zero residual or False instead.  It is not a
+    ``ValueError``, so the CLI reports it as a failed verification (exit 1),
+    never as a usage error; it is raised explicitly, so ``python -O`` keeps
+    it.
     """
 
 
@@ -398,19 +398,6 @@ def sqrt(a: DecimalScalar, ctx: PrecisionContext = DEFAULT_CONTEXT) -> DecimalSc
     else:
         n = a.unscaled // 10**-shift
     return round_to(DecimalScalar(math.isqrt(n), w), ctx.output_digits)
-
-
-def cbrt(a: DecimalScalar, ctx: PrecisionContext = DEFAULT_CONTEXT) -> DecimalScalar:
-    """Cube root (odd root: the sign passes through), rounded like :func:`sqrt`."""
-    w = ctx.work_digits
-    shift = 3 * w - a.scale
-    mag = abs(a.unscaled)
-    if shift >= 0:
-        n = mag * 10**shift
-    else:
-        n = mag // 10**-shift
-    r = _icbrt(n)
-    return round_to(DecimalScalar(a.sign * r, w), ctx.output_digits)
 
 
 def format_grouped(a: DecimalScalar) -> str:

@@ -316,6 +316,11 @@ def _pert_20_7(rng):
     return [a, b, c if c != 0 else c + 1]
 
 
+def _valid_7_12(rng):
+    base, offset = prism(rng)
+    return [base, tuple(_add(p, offset) for p in base)]
+
+
 def _pert_7_12(rng):
     (a, b, c), offset = prism(rng)
     top = (_add(a, offset), _add(b, offset), _add(c, _mul(offset, 1 + _nudge(rng))))
@@ -367,7 +372,7 @@ SUITE_INSTANCES = {
     "19.7": (lambda rng: list(proportional_quad(rng)), _pert_19_7),
     "20.7": (lambda rng: list(proportional_triple(rng)), _pert_20_7),
     "4.11": (_valid_4_11, _pert_4_11),
-    "7.12": (lambda rng: list(prism(rng)), _pert_7_12),
+    "7.12": (_valid_7_12, _pert_7_12),
     "Pappus on 47.1": (_valid_pappus, _pert_pappus),
     "Clavius on 31.3": (lambda rng: list(clavius_instance(rng)), _pert_clavius),
 }

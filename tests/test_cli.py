@@ -250,14 +250,19 @@ class TestCheckProps:
         assert captured.out == ""
         assert captured.err == "error: --instances must be at least 1\n"
 
-    def test_certification_failure_is_one_line_exit_1(self, capsys, monkeypatch):
+    def test_lying_checker_fails_its_row(self, capsys, monkeypatch):
+        # a checker that errs shows as a FAILED row and exit 1, not as an error
         volumes = iter(range(10**6))
         monkeypatch.setattr(euclid, "_six_volume", lambda *points: next(volumes))
         code = main(["check-props", "--instances", "3"])
         captured = capsys.readouterr()
         assert code == 1
-        assert captured.out == ""
-        assert captured.err.startswith("error: 7.12") and captured.err.count("\n") == 1
+        assert captured.err == ""
+        rows = [" ".join(line.split()) for line in captured.out.splitlines()]
+        assert [row for row in rows if row.endswith("FAILED")] == [
+            "7.12 0/3 valid, 1/1 perturbed detected FAILED", "some propositions FAILED"
+        ]
+        assert captured.out.endswith("\nsome propositions FAILED\n")
 
 
 class TestFigureCommand:

@@ -44,7 +44,7 @@ CHECKERS = {
     "19.7": ([euclid.check_19_7],) * 2,
     "20.7": ([euclid.check_20_7],) * 2,
     "4.11": ([euclid.check_4_11],) * 2,
-    "7.12": ([euclid.check_7_12], [euclid.prism_split_volumes]),
+    "7.12": ([euclid.check_7_12, euclid.prism_split_volumes],) * 2,
     "Pappus on 47.1": ([euclid.check_pappus],) * 2,
     "Clavius on 31.3": ([euclid.check_clavius_31_3],) * 2,
 }

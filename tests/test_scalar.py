@@ -17,7 +17,6 @@ from mesolabe.scalar import (
     DecimalScalar,
     PrecisionContext,
     _icbrt,
-    cbrt,
     certify_bracket,
     format_grouped,
     parse_grouped,
@@ -27,7 +26,7 @@ from mesolabe.scalar import (
     ulp,
 )
 
-from oracles import long_multiply, newton_cbrt, newton_sqrt
+from oracles import long_multiply, newton_sqrt
 
 D = DecimalScalar.from_str
 
@@ -265,25 +264,6 @@ class TestSqrt:
             assert residual < bound
             if a <= 1:
                 assert residual < tol
-
-
-class TestCbrt:
-    def test_cbrt_two_against_newton_oracle(self):
-        expected = DecimalScalar.from_fraction(newton_cbrt(Fraction(2), 30), 10)
-        result = cbrt(D("2"), PrecisionContext.for_output(10))
-        assert result == expected == D("1.2599210499")
-
-    def test_trivial_cubes(self):
-        assert cbrt(D("1")) == D("1")
-        assert cbrt(D("8")) == D("2")
-        assert cbrt(D("-8")) == D("-2")
-
-    @given(st.fractions(min_value=0, max_value=1000, max_denominator=50))
-    def test_cube_residual(self, f):
-        ctx = PrecisionContext.for_output(15)
-        a = DecimalScalar.from_fraction(f, 6)
-        r = cbrt(a, ctx)
-        assert abs(r.as_fraction() ** 3 - a.as_fraction()) < Fraction(3 * (1 + int(f)), 10**15)
 
 
 def sized_integers(max_bits: int):
