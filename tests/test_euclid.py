@@ -337,9 +337,10 @@ def _six_volume(p0, p1, p2, p3):
 
 
 class TestSecondEvaluationsAgree:
-    """Each checker evaluates its claim once; the second evaluation it dropped
-    is, over the rationals, the same claim for every input.  The dropped side
-    is computed here on plain tuples."""
+    """Each evaluation a checker dropped is its claim again, for every input.
+
+    The dropped side is computed here on tuples of Fractions.
+    """
 
     @given(PLANE, PLANE, PLANE)
     def test_clavius_incidence_is_the_right_angle(self, p, q, r):
