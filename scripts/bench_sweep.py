@@ -4,8 +4,8 @@
 Rows, each the fastest of ``--repeat`` calls after one warm-up call:
 
 - ``solve-chords``, ``means --method both``, ``duplicate-cube``, ``pyramid``
-  and ``four-proportionals --sphere`` at ``--digits`` 20, 300, 1000 and the
-  work-digit cap less the 10 default guard digits (4190 by default);
+  and ``four-proportionals --sphere`` at ``--digits`` 20, 100, 300, 1000 and
+  the work-digit cap less the 10 default guard digits (4190 by default);
 - ``figure --id 1`` to ``7`` and ``check-props --instances 1000`` at the
   default 20 digits; the ``check-props`` row, a few hundred ms a call, takes
   ``SLOW_REPEAT`` times as many calls, because its fastest call moves with
@@ -18,7 +18,12 @@ Rows, each the fastest of ``--repeat`` calls after one warm-up call:
   ``PROPOSITION_SUITE`` entry's valid and perturbed function (build one
   instance, run its checker) ``SUITE_CALLS`` times from ``Random(0)``, and
   ``POINTS`` constructions of a ``Point2``, a ``Point3``, a ``DecimalScalar``
-  and an ``InstrumentState``;
+  and an ``InstrumentState``; and the deep-solve kernels at ``--digits`` 100,
+  300, 1000 and 4190, with w = digits + 10 work digits and the operands
+  (a, b) = (1, 2) of the ``means`` row: ``_icbrt`` of ``delian._seed``'s
+  radicand, ``proportio._unit_ratio(w + 5)``, ``delian._seed``,
+  ``delian._result`` at the certified arc parameter and one
+  ``residual_instrument`` sign at the seed's grid point;
 - cold starts: the median wall time of ``COLD_STARTS`` interpreter starts
   that run ``perfbench/run.py``'s cold-start command (import ``mesolabe.cli``,
   run one op) on ``solve-chords --diameter 2`` and on
@@ -55,6 +60,7 @@ import sys
 import tempfile
 import time
 from fractions import Fraction
+from functools import partial
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -154,11 +160,45 @@ def construct(cls, coords):
     return call
 
 
+def _means_operands(cli, w: int):
+    """(a, b, seed, t) of ``means --a 1 --b 2`` at w work digits."""
+    a, b = Fraction(1), Fraction(2)
+    ctx = cli.PrecisionContext(w, w - 10, 10)
+    return a, b, cli.delian._seed(a, b, w), cli.delian.two_means_instrument(a, b, ctx).theta_param
+
+
+def _result_call(cli, w: int):
+    a, b, _, t = _means_operands(cli, w)
+    result = cli.delian._result
+    if result.__code__.co_argcount == 6:  # older trees: (a, b, t, iterations, method, ctx)
+        ctx = cli.PrecisionContext(w, w - 10, 10)
+        return lambda: result(a, b, t, 0, "instrument", ctx)
+    return lambda: result(a, b, t, w)
+
+
+def _sign_call(cli, w: int):
+    a, b, seed, _ = _means_operands(cli, w)
+    state = cli.delian.InstrumentState
+    return lambda: state(a, b, Fraction(seed, 10**w)).residual_instrument()
+
+
+#: (row, tree's ``cli`` and work digits -> the call to time) of the kernel rows.
+KERNELS = (
+    ("scalar._icbrt seed radicand",  # delian._seed's, for a/b = 1/2
+     lambda cli, w: partial(cli.delian._icbrt, 10 ** (3 * (w + 5)) // 2)),
+    ("proportio._unit_ratio", lambda cli, w: partial(cli.proportio._unit_ratio, w + 5)),
+    ("delian._seed", lambda cli, w: partial(cli.delian._seed, Fraction(1), Fraction(2), w)),
+    ("delian._result", _result_call),
+    ("delian residual_instrument sign", _sign_call),
+)
+
+
 def rows(trees: dict) -> list[tuple[str, int | None, int, dict]]:
     """(row, digits, repeat multiplier, tree name -> the call to time) for every row."""
     cap = next(iter(trees.values()))[0].max_work_digits()
     out = []
-    for digits in (20, 300, 1000, cap - 10 if cap else 4190):
+    deepest = cap - 10 if cap else 4190
+    for digits in (20, 100, 300, 1000, deepest):
         for name, argv in SOLVES:
             argv = argv + ("--digits", str(digits))
             out.append((name, digits, 1, {t: op(cli, argv) for t, (cli, _, _) in trees.items()}))
@@ -195,6 +235,10 @@ def rows(trees: dict) -> list[tuple[str, int | None, int, dict]]:
     out.append((f"layer delian.InstrumentState x{POINTS}", None, 1,
                 {t: construct(cli.delian.InstrumentState, state)
                  for t, (cli, _, _) in trees.items()}))
+    for digits in (100, 300, 1000, deepest):
+        for name, make in KERNELS:
+            out.append((f"layer {name}", digits, 1,
+                        {t: make(cli, digits + 10) for t, (cli, _, _) in trees.items()}))
     return out
 
 

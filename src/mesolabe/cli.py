@@ -247,7 +247,7 @@ def _cmd_means(args, ctx: PrecisionContext) -> Record:
     a, b = DecimalScalar.from_str(args.a), DecimalScalar.from_str(args.b)
     if args.method == "both":
         r1 = delian.two_means_instrument(a, b, ctx)
-        r2 = delian.two_means_compass(a, b, ctx)
+        r2 = delian.two_means_compass(a, b, ctx, after=r1)
         gap = abs(r1.theta_param - r2.theta_param)
         agree = gap <= Fraction(1, 10**ctx.work_digits)
         p1, l1 = _means_payload(r1, ctx)

@@ -103,10 +103,14 @@ class MeansResult(ValueRecord):
     """Solved means with the arc parameter and an exact residual bound.
 
     ``iterations`` counts the residual sign evaluations that certified the
-    arc parameter (0 when a == b needs none).  Immutable by convention.
+    arc parameter (0 when a == b needs none).  ``seed`` is the grid index
+    the search started from (None when a == b) and ``solved_for`` the
+    operands and work digits (a, b, w); neither is printed.  Immutable by
+    convention.
     """
 
-    __slots__ = ("m1", "m2", "theta_param", "iterations", "residual", "method")
+    __slots__ = ("m1", "m2", "theta_param", "iterations", "residual", "method",
+                 "seed", "solved_for")
 
 
 def _validate(a: Fraction, b: Fraction) -> None:
@@ -116,8 +120,8 @@ def _validate(a: Fraction, b: Fraction) -> None:
         raise ValueError("the target AF must not exceed the diameter AC")
 
 
-def _result(a: Fraction, b: Fraction, t: Fraction, iterations: int, method: str,
-            ctx: PrecisionContext) -> MeansResult:
+def _result(a: Fraction, b: Fraction, t: Fraction,
+            w: int) -> tuple[DecimalScalar, DecimalScalar, DecimalScalar]:
     """Means b k^2 and b k rounded at scale w, and the ceiling at scale 3w of
     the largest continued-proportion defect of a, m1, m2, b.
 
@@ -125,7 +129,6 @@ def _result(a: Fraction, b: Fraction, t: Fraction, iterations: int, method: str,
     reduced: with m1 = M1/10^w and m2 = M2/10^w the three defects share the
     denominator qa qb 10^2w.
     """
-    w = ctx.work_digits
     scale = 10**w
     pa, qa, pb, qb = a.numerator, a.denominator, b.numerator, b.denominator
     big_k, big_s = _cleared_k(t)
@@ -137,8 +140,7 @@ def _result(a: Fraction, b: Fraction, t: Fraction, iterations: int, method: str,
         abs(pa * pb * scale * scale - qa * qb * m1 * m2),
     )
     residual = DecimalScalar(-(-defect * scale // (qa * qb)), 3 * w)
-    return MeansResult(DecimalScalar(m1, w), DecimalScalar(m2, w), t, iterations,
-                       residual, method)
+    return DecimalScalar(m1, w), DecimalScalar(m2, w), residual
 
 
 def _seed(a: Fraction, b: Fraction, w: int) -> int:
@@ -148,50 +150,69 @@ def _seed(a: Fraction, b: Fraction, w: int) -> int:
     w + 5 digits; the result only steers the certified search.
     """
     scale = 10 ** (w + 5)
-    k = _icbrt(a.numerator * b.denominator * scale**3 // (a.denominator * b.numerator))
-    t = math.isqrt((scale - k) * scale * scale // (scale + k))
+    k = _icbrt(a.numerator * b.denominator * 10 ** (3 * (w + 5))
+               // (a.denominator * b.numerator))
+    t = math.isqrt((scale - k) * (scale * scale) // (scale + k))
     return t // 10**5
 
 
-def _solve(a, b, ctx: PrecisionContext, method: str) -> MeansResult:
+def _solve(a, b, ctx: PrecisionContext, method: str, after: MeansResult | None) -> MeansResult:
+    """Certify t with ``method``'s own residual signs and read the means off it.
+
+    ``after`` is as in :func:`two_means_compass`.
+    """
     af, bf = as_rational(a), as_rational(b)
     _validate(af, bf)
+    w = ctx.work_digits
+    solved_for = (af, bf, w)
+    if after is not None and after.solved_for != solved_for:
+        after = None
     if af == bf:
-        return _result(af, bf, Fraction(0), 0, method, ctx)
-
-    grid = 10**ctx.work_digits
-    if method == "instrument":
-        def sign_at(g: int) -> int:
-            if g == grid:
-                return -1  # cursor crossing runs off to infinity with D at A
-            r = InstrumentState(af, bf, Fraction(g, grid)).residual_instrument()
-            return (r > 0) - (r < 0)
-        want_low = 1
+        seed, t, evaluations = None, Fraction(0), 0
     else:
-        def sign_at(g: int) -> int:
-            r = InstrumentState(af, bf, Fraction(g, grid)).residual_compass()
-            return (r > 0) - (r < 0)
-        want_low = -1
-
-    seed = _seed(af, bf, ctx.work_digits)
-    g, exact, evaluations = certify_bracket(sign_at, seed, 0, grid, want_low)
-    t = Fraction(g, grid) if exact else Fraction(2 * g + 1, 2 * grid)
-    return _result(af, bf, t, evaluations, method, ctx)
+        grid = 10**w
+        if method == "instrument":
+            def sign_at(g: int) -> int:
+                if g == grid:
+                    return -1  # cursor crossing runs off to infinity with D at A
+                r = InstrumentState(af, bf, Fraction(g, grid)).residual_instrument()
+                return (r > 0) - (r < 0)
+            want_low = 1
+        else:
+            def sign_at(g: int) -> int:
+                r = InstrumentState(af, bf, Fraction(g, grid)).residual_compass()
+                return (r > 0) - (r < 0)
+            want_low = -1
+        seed = _seed(af, bf, w) if after is None else after.seed
+        g, exact, evaluations = certify_bracket(sign_at, seed, 0, grid, want_low)
+        t = Fraction(g, grid) if exact else Fraction(2 * g + 1, 2 * grid)
+    if after is not None and after.theta_param == t:
+        m1, m2, residual = after.m1, after.m2, after.residual
+    else:
+        m1, m2, residual = _result(af, bf, t, w)
+    return MeansResult(m1, m2, t, evaluations, residual, method, seed, solved_for)
 
 
 def two_means_instrument(a, b, ctx: PrecisionContext = DEFAULT_CONTEXT) -> MeansResult:
     """Prop-III mechanism: slide the stylus until plumbline and cursor meet on AC."""
-    return _solve(a, b, ctx, "instrument")
+    return _solve(a, b, ctx, "instrument", None)
 
 
-def two_means_compass(a, b, ctx: PrecisionContext = DEFAULT_CONTEXT) -> MeansResult:
+def two_means_compass(a, b, ctx: PrecisionContext = DEFAULT_CONTEXT,
+                      after: MeansResult | None = None) -> MeansResult:
     """Prop-IV mechanism: one compass aperture b/2 from the midpoint of AC.
 
     The compass only re-expresses how D is held to the arc (its distance
     from the midpoint stays b/2, which the rational arc parameter makes
     exact), while the stopping coincidence is measured along the ruler.
+    Given ``after``, a result solved for the same a, b and work digits (say
+    the instrument's), the search starts from its seed, which depends on
+    nothing else, and keeps its means and residual bound, which depend on
+    t besides, if the compass certifies the same t.  The compass's own
+    residual signs still certify t, so the result equals a solve from
+    scratch.
     """
-    return _solve(a, b, ctx, "compass")
+    return _solve(a, b, ctx, "compass", after)
 
 
 def duplicate_cube(edge, ctx: PrecisionContext = DEFAULT_CONTEXT) -> DecimalScalar:

@@ -120,9 +120,11 @@ def _unit_ratio(digits: int) -> int:
 
     u^3 - 3u^2 + 4u - 1 is increasing (its derivative has no real zero), so
     Newton from u = 1/3 converges; the last step leaves an error of a few
-    units, which is all a seed needs.  Above 40 digits Newton starts from
-    the root at half the digits, found the same way, so about two
-    full-precision steps finish it.
+    units, which is all a seed needs.  With s = 10^digits the cubic and its
+    derivative are taken in Horner's form, ((u - 3s) u + 4s^2) u - s^3 and
+    (3u - 6s) u + 4s^2, with the powers of s formed once.  Above 40 digits
+    Newton starts from the root at half the digits, found the same way, so
+    about two full-precision steps finish it.
     """
     s = 10**digits
     if digits <= 40:
@@ -130,9 +132,10 @@ def _unit_ratio(digits: int) -> int:
     else:
         half = digits // 2
         u = _unit_ratio(half) * 10 ** (digits - half)
+    four_s2, s3 = 4 * s * s, s**3
     while True:
-        f = u**3 - 3 * u * u * s + 4 * u * s * s - s**3
-        step = f // (3 * u * u - 6 * u * s + 4 * s * s)
+        f = ((u - 3 * s) * u + four_s2) * u - s3
+        step = f // ((3 * u - 6 * s) * u + four_s2)
         u -= step
         if abs(step) <= 1:
             return u

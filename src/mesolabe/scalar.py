@@ -40,9 +40,11 @@ def _icbrt(n: int) -> int:
 
     Newton iteration from an upper bound; integer division makes each step
     land at or above the true root, and the final clamp loops guard the
-    last step so the bracket is never lost.  For large ``n`` the start is
-    the floor cube root of the top half of the bits, found the same way,
-    plus one and shifted back: an upper bound that already holds half the
+    last step so the bracket is never lost.  They form one full cube x^3
+    and reach the neighbouring cubes by their differences,
+    (x + 1)^3 = x^3 + 3x(x + 1) + 1.  For large ``n`` the start is the
+    floor cube root of the top half of the bits, found the same way, plus
+    one and shifted back: an upper bound that already holds half the
     digits, so about two full-precision steps finish the root.
     """
     if n < 0:
@@ -59,10 +61,12 @@ def _icbrt(n: int) -> int:
         if y >= x:
             break
         x = y
-    while x * x * x > n:
+    cube = x * x * x
+    while cube > n:
+        cube -= 3 * x * (x - 1) + 1
         x -= 1
-    while (x + 1) ** 3 <= n:
-        x += 1
+    while (above := cube + 3 * x * (x + 1) + 1) <= n:
+        x, cube = x + 1, above
     return x
 
 

@@ -1,14 +1,16 @@
 import argparse
 import ast
+import io
 import json
 import os
 import subprocess
 import sys
+from contextlib import redirect_stdout
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from mesolabe import cli, delian, euclid
 from mesolabe.cli import (
@@ -131,6 +133,58 @@ class TestMeans:
         assert code == 1
         assert captured.out == ""
         assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
+def _run_quiet(*argv):
+    """Exit code and stdout of one in-process call."""
+    out = io.StringIO()
+    with redirect_stdout(out):
+        code = main(list(argv))
+    return code, out.getvalue()
+
+
+def _decimal(n: int, places: int) -> str:
+    """n / 10^places as a plain decimal literal."""
+    whole, frac = divmod(n, 10**places)
+    return f"{whole}.{frac:0{places}d}" if places else str(whole)
+
+
+decimals = st.builds(_decimal, st.integers(min_value=1, max_value=10**6),
+                     st.integers(min_value=0, max_value=4))
+#: (a, b) operands: a < b, a == b, and pairs whose arc parameter lies on the grid
+#: (k = 3/5 gives t = 1/2, k = 15/17 gives t = 1/4).
+means_operands = st.one_of(
+    st.tuples(decimals, decimals).filter(lambda p: Fraction(p[0]) != Fraction(p[1])).map(
+        lambda p: tuple(sorted(p, key=Fraction))),
+    decimals.map(lambda a: (a, a)),
+    st.sampled_from([("27", "125"), ("0.216", "1"), ("2.7", "12.5"), ("3375", "4913")]),
+)
+
+
+class TestMeansBothEqualsEachMethod:
+    """Each section of ``--method both`` is the output of that method run alone."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(means_operands, st.sampled_from([1, 20, 300]))
+    @example(("27", "125"), 300)
+    @example(("0.216", "1"), 1)
+    @example(("3.5", "3.5"), 20)
+    def test_sections_are_the_single_method_outputs(self, operands, digits):
+        a, b = operands
+        argv = ["means", "--a", a, "--b", b, "--digits", str(digits)]
+        code, text = _run_quiet(*argv, "--method", "both")
+        assert code == 0
+        instrument, compass, verdict = text.split("\n\n")
+        assert verdict == "solver parameters agree: ok\n"
+        assert _run_quiet(*argv, "--method", "instrument") == (0, instrument + "\n")
+        assert _run_quiet(*argv, "--method", "compass") == (0, compass + "\n")
+
+        _, blob = _run_quiet(*argv, "--method", "both", "--json")
+        both = json.loads(blob, object_pairs_hook=list)
+        assert [key for key, _ in both] == ["instrument", "compass", "parameters_agree"]
+        for method, section in both[:2]:
+            _, single = _run_quiet(*argv, "--method", method, "--json")
+            assert json.loads(single, object_pairs_hook=list) == section
 
 
 class TestDuplicateCube:

@@ -1,3 +1,6 @@
+import collections
+import contextlib
+import io
 import math
 import random
 from fractions import Fraction
@@ -5,8 +8,11 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from mesolabe import delian
+from mesolabe.cli import main
 from mesolabe.delian import (
     InstrumentState,
+    MeansResult,
     _cleared_k,
     _result,
     duplicate_cube,
@@ -130,6 +136,58 @@ class TestTwoMeans:
         assert verify_continued_proportion(terms, ulp(20))
 
 
+class TestSharedSolve:
+    """``means --method both`` seeds and reads off the means once, and only when that is sound."""
+
+    def test_both_seeds_once_and_rounds_once(self, monkeypatch):
+        calls = collections.Counter()
+
+        def counted(owner, name):
+            original = getattr(owner, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return original(*args, **kwargs)
+            monkeypatch.setattr(owner, name, wrapper)
+
+        for name in ("_seed", "_result"):
+            counted(delian, name)
+        for name in ("residual_instrument", "residual_compass"):
+            counted(InstrumentState, name)
+        with contextlib.redirect_stdout(io.StringIO()):
+            code = main(["means", "--a", "1", "--b", "2", "--method", "both", "--digits", "300"])
+        assert code == 0
+        assert calls["_seed"] == calls["_result"] == 1
+        assert calls["residual_instrument"] >= 2 and calls["residual_compass"] >= 2
+
+    def test_shared_result_equals_a_solve_from_scratch(self):
+        for a, b in ((F(1), F(2)), (F(27), F(125)), (F(3), F(3))):
+            first = two_means_instrument(a, b, CTX20)
+            shared = two_means_compass(a, b, CTX20, after=first)
+            assert shared == two_means_compass(a, b, CTX20)
+            assert shared.seed == first.seed and shared.solved_for == first.solved_for
+
+    def test_result_for_other_operands_is_not_reused(self):
+        other = two_means_instrument(F(1), F(2), CTX20)
+        result = two_means_compass(F(2), F(4), CTX20, after=other)
+        assert result.theta_param == other.theta_param
+        assert result.m1 != other.m1
+        assert result == two_means_compass(F(2), F(4), CTX20)
+
+    def test_result_at_other_work_digits_is_not_reused(self):
+        other = two_means_instrument(F(1), F(2), CTX10)
+        result = two_means_compass(F(1), F(2), CTX20, after=other)
+        assert result == two_means_compass(F(1), F(2), CTX20)
+
+    def test_means_of_another_parameter_are_not_reused(self):
+        first = two_means_instrument(F(1), F(2), CTX20)
+        forged = MeansResult(D("9"), D("9"), first.theta_param + F(1, 10**30),
+                             first.iterations, D("0"), first.method, first.seed,
+                             first.solved_for)
+        result = two_means_compass(F(1), F(2), CTX20, after=forged)
+        assert result == two_means_compass(F(1), F(2), CTX20)
+
+
 class TestDuplicateCube:
     def test_unit_cube(self):
         assert round_to(duplicate_cube(D("1"), CTX10), 10) == D("1.2599210499")
@@ -250,8 +308,8 @@ class TestClearedIntegers:
         m1, m2 = round(b * k * k * 10**w), round(b * k * 10**w)  # half-even
         f1, f2 = F(m1, 10**w), F(m2, 10**w)
         defect = max(abs(a * f2 - f1 * f1), abs(f1 * b - f2 * f2), abs(a * b - f1 * f2))
-        result = _result(a, b, t, 2, "instrument", ctx)
-        assert (result.m1.unscaled, result.m1.scale) == (m1, w)
-        assert (result.m2.unscaled, result.m2.scale) == (m2, w)
-        assert result.residual.scale == 3 * w
-        assert result.residual.unscaled == math.ceil(defect * 10 ** (3 * w))
+        r1, r2, residual = _result(a, b, t, w)
+        assert (r1.unscaled, r1.scale) == (m1, w)
+        assert (r2.unscaled, r2.scale) == (m2, w)
+        assert residual.scale == 3 * w
+        assert residual.unscaled == math.ceil(defect * 10 ** (3 * w))

@@ -139,6 +139,21 @@ class TestChordSolver:
 
         assert cubic(u - 3) < 0 < cubic(u + 3)
 
+    def test_unit_ratio_is_the_expanded_newton(self):
+        # equal seeds, so equal grid points and sign-evaluation counts
+        def expanded(digits):
+            s = 10**digits
+            u = s // 3 if digits <= 40 else expanded(digits // 2) * 10 ** (digits - digits // 2)
+            while True:
+                f = u**3 - 3 * u * u * s + 4 * u * s * s - s**3
+                step = f // (3 * u * u - 6 * u * s + 4 * s * s)
+                u -= step
+                if abs(step) <= 1:
+                    return u
+
+        for digits in (*range(1, 121), 315, 1015, 4195):
+            assert proportio._unit_ratio(digits) == expanded(digits), digits
+
 
 class TestPaperTable:
     def test_chord_rows_annotated(self, solved):
