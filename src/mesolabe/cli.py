@@ -102,7 +102,7 @@ def _cmd_solve_chords(args, ctx: PrecisionContext) -> Record:
     full = proportio.solve_continued_chords(d, ctx)
     table_cfg = full.table_values(ctx.output_digits)
     table = proportio.chord_table(table_cfg)
-    ok = proportio.chords_pass(full, ctx.output_digits)
+    ok = proportio.verify_continued_proportion(full.terms(), ctx.output_digits)
     rows = {r.label: r for r in table.rows}
     shown_d = str(d)
     lines = [f"diameter {shown_d}, {ctx.output_digits} fractional digits", ""]
@@ -184,7 +184,8 @@ def _cmd_pyramid(args, ctx: PrecisionContext) -> Record:
         cosines = [_parse_rational(c) for c in args.cosines]
         frame = pyramid.ObliqueVertexFrame(*edges, *cosines)
         dsq = pyramid.oblique_diagonal_sq(frame)
-        diag = sqrt(DecimalScalar.from_fraction(Fraction(dsq), ctx.work_digits), ctx)
+        floor = dsq.numerator * 10 ** (2 * ctx.work_digits) // dsq.denominator
+        diag = sqrt(DecimalScalar(floor, 2 * ctx.work_digits), ctx)
         payload = {
             "edges": args.edges,
             "cosines": args.cosines,
@@ -265,7 +266,8 @@ def _cmd_duplicate_cube(args, ctx: PrecisionContext) -> Record:
     edge = DecimalScalar.from_str(args.edge)
     result = delian.duplicate_cube(edge, ctx)
     doubling = result * result * result - 2 * edge * edge * edge
-    ok = abs(doubling) < result * result * ulp(ctx.output_digits)
+    larger = max(result, edge)
+    ok = abs(doubling) < larger * larger * ulp(ctx.output_digits)
     payload = {
         "edge": str(edge),
         "doubled_edge": str(round_to(result, ctx.output_digits)),
@@ -284,7 +286,7 @@ def _cmd_four_proportionals(args, ctx: PrecisionContext) -> Record:
     t = _parse_rational(args.t)
     build = proportio.four_proportionals_sphere if args.sphere else proportio.four_proportionals_planar
     quad = build(ac, t, ctx)
-    ok = quad.check(ulp(ctx.output_digits))
+    ok = proportio.verify_continued_proportion(quad.terms(), ctx.output_digits)
     shown = {
         label: str(round_to(v, ctx.output_digits))
         for label, v in zip(("AF", "AE", "AD", "AC"), quad.terms())

@@ -62,13 +62,6 @@ class InstrumentState(ValueRecord):
             raise ValueError("arc parameter must lie in [0, 1]")
         self.a, self.b, self.t = a, b, t
 
-    def __eq__(self, other):
-        return (type(other) is InstrumentState
-                and (self.a, self.b, self.t) == (other.a, other.b, other.t))
-
-    def __hash__(self):
-        return hash((self.a, self.b, self.t))
-
     def residual_instrument(self) -> int:
         """Foot of the plumbline minus the cursor's crossing of AC, cleared.
 

@@ -108,12 +108,6 @@ class Triangle(ValueRecord):
     def __init__(self, a: Point2, b: Point2, c: Point2):
         self.a, self.b, self.c = a, b, c
 
-    def __eq__(self, other):
-        return type(other) is Triangle and (self.a, self.b, self.c) == (other.a, other.b, other.c)
-
-    def __hash__(self):
-        return hash((self.a, self.b, self.c))
-
     def legs(self) -> tuple[Point2, Point2]:
         return self.b - self.a, self.c - self.a
 

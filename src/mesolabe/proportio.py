@@ -28,7 +28,6 @@ from .scalar import (
     round_to,
     sqrt,
     truncate_to,
-    ulp,
 )
 
 
@@ -39,12 +38,6 @@ class ChordConfig(ValueRecord):
 
     def terms(self) -> tuple[DecimalScalar, DecimalScalar, DecimalScalar, DecimalScalar]:
         return self.ab, self.bc, self.bd, self.ad
-
-    def check(self, tol: DecimalScalar) -> bool:
-        """Complement identity exactly, half-chord relation within ``tol``."""
-        if self.ab + self.bd != self.ad:
-            return False
-        return abs(self.bc * self.bc - self.ab * self.bd) < tol
 
     def table_values(self, digits: int) -> "ChordConfig":
         """The values as the 1682 computation reported them.
@@ -66,9 +59,6 @@ class ProportionalsQuad(ValueRecord):
 
     def terms(self) -> tuple[DecimalScalar, DecimalScalar, DecimalScalar, DecimalScalar]:
         return self.af, self.ae, self.ad, self.ac
-
-    def check(self, tol: DecimalScalar) -> bool:
-        return verify_continued_proportion(list(self.terms()), tol)
 
 
 class TableRow(ValueRecord):
@@ -328,20 +318,26 @@ def four_proportionals_sphere(
     return _decimal_quad(ac, t, ctx)
 
 
-def verify_continued_proportion(terms: list, tol) -> bool:
-    """Adjacent cross-products agree within ``tol``; extremes too for quads."""
-    if len(terms) < 3:
+def verify_continued_proportion(terms, digits: int) -> bool:
+    """Whether ``terms`` run in continued proportion to ``digits`` fractional digits.
+
+    Every adjacent defect |x_i x_(i+2) - x_(i+1)^2|, and for four terms the
+    extremes' defect |x_0 x_3 - x_1 x_2| too, must be at most M 10^-digits,
+    where M is the largest |x_i|; all-zero terms pass.  The rule is relative
+    to the size of the terms, so it holds at any scale, and it compares
+    10^digits times a defect with M, so it takes DecimalScalar and Fraction
+    terms alike.
+
+    It never fails a correct result: if the terms lie on the grid 10^-w,
+    each within c grid units of an exact continued proportion, every defect
+    is at most (4c + 6c^2) M 10^-w (a non-zero M is at least 10^-w).  For
+    c <= 2 that is 32 M 10^-w, below M 10^-digits whenever w exceeds
+    ``digits`` by two or more guard digits.
+    """
+    n = len(terms)
+    if n < 3:
         raise ValueError("need at least three terms")
-    for i in range(len(terms) - 2):
-        if not abs(terms[i] * terms[i + 2] - terms[i + 1] * terms[i + 1]) <= tol:
-            return False
-    if len(terms) == 4:
-        if not abs(terms[0] * terms[3] - terms[1] * terms[2]) <= tol:
-            return False
-    return True
-
-
-def chords_pass(c: ChordConfig, output_digits: int) -> bool:
-    """Residual and continued-proportion checks at 10^-output_digits."""
-    tol = ulp(output_digits)
-    return c.check(tol) and verify_continued_proportion(list(c.terms()), tol)
+    defects = [terms[i] * terms[i + 2] - terms[i + 1] * terms[i + 1] for i in range(n - 2)]
+    if n == 4:
+        defects.append(terms[0] * terms[3] - terms[1] * terms[2])
+    return 10**digits * max(map(abs, defects)) <= max(map(abs, terms))

@@ -39,13 +39,12 @@ def _icbrt(n: int) -> int:
     """Floor cube root of a non-negative integer.
 
     Newton iteration from an upper bound; integer division makes each step
-    land at or above the true root, and the final clamp loops guard the
-    last step so the bracket is never lost.  They form one full cube x^3
-    and reach the neighbouring cubes by their differences,
-    (x + 1)^3 = x^3 + 3x(x + 1) + 1.  For large ``n`` the start is the
-    floor cube root of the top half of the bits, found the same way, plus
-    one and shifted back: an upper bound that already holds half the
-    digits, so about two full-precision steps finish the root.
+    land at or above the true root, and the final loop checks the
+    postcondition (x + 1)^3 > n.  It forms one full cube x^3 and reaches the
+    next by the difference (x + 1)^3 = x^3 + 3x(x + 1) + 1.  For large ``n``
+    the start is the floor cube root of the top half of the bits, found the
+    same way, plus one and shifted back: an upper bound that already holds
+    half the digits, so about two full-precision steps finish the root.
     """
     if n < 0:
         raise ValueError("negative argument")
@@ -61,10 +60,9 @@ def _icbrt(n: int) -> int:
         if y >= x:
             break
         x = y
+    # The loop never stops above the root: at x >= floor(cbrt(n)) + 1, x^3 > n
+    # gives n // x^2 <= x - 1, so y <= x - 1 < x.  Hence x^3 <= n here.
     cube = x * x * x
-    while cube > n:
-        cube -= 3 * x * (x - 1) + 1
-        x -= 1
     while (above := cube + 3 * x * (x + 1) + 1) <= n:
         x, cube = x + 1, above
     return x
@@ -84,7 +82,8 @@ class ValueRecord:
     """A record whose fields are its ``__slots__``, compared, hashed and printed by value.
 
     Immutable by convention: nothing assigns to a field after construction.
-    Records built per op write ``__init__``, ``__eq__`` and ``__hash__`` out.
+    Records built per op write ``__init__`` out, and those compared per op
+    ``__eq__`` and ``__hash__`` too.
     """
 
     __slots__ = ()

@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from mesolabe import cli, delian, euclid
+from mesolabe import cli, delian, euclid, proportio
 from mesolabe.cli import (
     COMMON_ARGUMENTS,
     INT_PART_ROOM,
@@ -32,6 +32,20 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out
+
+
+def _run_quiet(*argv):
+    """Exit code and stdout of one in-process call."""
+    out = io.StringIO()
+    with redirect_stdout(out):
+        code = main(list(argv))
+    return code, out.getvalue()
+
+
+def _decimal(n: int, places: int) -> str:
+    """n / 10^places as a plain decimal literal."""
+    whole, frac = divmod(n, 10**places)
+    return f"{whole}.{frac:0{places}d}" if places else str(whole)
 
 
 class TestSolveChords:
@@ -54,6 +68,26 @@ class TestSolveChords:
 
     def test_bad_diameter_is_usage_error(self, capsys):
         assert main(["solve-chords", "--diameter", "-2"]) == 2
+
+    @pytest.mark.parametrize("diameter", ["30000000000", "0.00000000000000000000000000000000001"])
+    def test_verdict_holds_at_any_scale(self, capsys, diameter):
+        code, out = run(capsys, "solve-chords", "--diameter", diameter)
+        assert code == 0
+        assert out.endswith("continued proportion verified: ok\n")
+
+    def test_a_term_off_by_two_output_units_fails(self, capsys, monkeypatch):
+        solve = proportio.solve_continued_chords
+
+        def off(d, ctx):
+            c = solve(d, ctx)
+            return proportio.ChordConfig(c.ab - DecimalScalar(2, ctx.output_digits), c.bc, c.bd, c.ad)
+
+        monkeypatch.setattr(proportio, "solve_continued_chords", off)
+        code, out = run(capsys, "solve-chords", "--diameter", "2", "--digits", "10")
+        assert code == 1
+        assert out.endswith("continued proportion verified: FAILED\n")
+        assert main(["solve-chords", "--diameter", "2", "--json"]) == 1
+        assert json.loads(capsys.readouterr().out)["verified"] is False
 
 
 class TestVerifyTable:
@@ -88,6 +122,29 @@ class TestPyramid:
         )
         assert code == 0
         assert "squared diagonal (exact): 6" in out
+
+    def test_oblique_root_of_a_right_frame_is_the_right_root(self, capsys):
+        # the diagonal is 1.000000000000000000015 + 2.5e-41, above the
+        # midpoint of ...01 and ...02, so it rounds to ...02 on both paths
+        edges = ["1.000000000000000000015", "0.00000000000000000001", "0.00000000000000000001"]
+        for extra in ([], ["--cosines", "0", "0", "0"]):
+            code, out = run(capsys, "pyramid", "--edges", *edges, *extra)
+            assert code == 0
+            assert "diagonal: 1.00000000000000000002\n" in out
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.lists(st.builds(_decimal, st.integers(min_value=1, max_value=10**35),
+                              st.integers(min_value=0, max_value=30)),
+                    min_size=3, max_size=3),
+           st.sampled_from([1, 20]))
+    @example(["1.000000000000000000015", "0.00000000000000000001", "0.00000000000000000001"], 20)
+    def test_oblique_path_with_zero_cosines_prints_the_right_diagonal(self, edges, digits):
+        # both paths take the root of the exact squared diagonal floored at 2w digits
+        argv = ["pyramid", "--edges", *edges, "--digits", str(digits)]
+        _, right = _run_quiet(*argv)
+        _, oblique = _run_quiet(*argv, "--cosines", "0", "0", "0")
+        diagonal = [line for line in right.splitlines() if line.startswith("diagonal: ")]
+        assert len(diagonal) == 1 and diagonal[0] in oblique.splitlines()
 
     def test_infeasible_cosines_usage_error(self, capsys):
         code = main(["pyramid", "--edges", "1", "1", "1", "--cosines", "1", "1", "-1"])
@@ -133,20 +190,6 @@ class TestMeans:
         assert code == 1
         assert captured.out == ""
         assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
-
-
-def _run_quiet(*argv):
-    """Exit code and stdout of one in-process call."""
-    out = io.StringIO()
-    with redirect_stdout(out):
-        code = main(list(argv))
-    return code, out.getvalue()
-
-
-def _decimal(n: int, places: int) -> str:
-    """n / 10^places as a plain decimal literal."""
-    whole, frac = divmod(n, 10**places)
-    return f"{whole}.{frac:0{places}d}" if places else str(whole)
 
 
 decimals = st.builds(_decimal, st.integers(min_value=1, max_value=10**6),
@@ -216,6 +259,7 @@ class TestDuplicateCube:
     @pytest.mark.parametrize("edge, digits, exit_code", [
         ("1000000", 20, 0), ("1000000000", 20, 0), ("10000000000", 20, 1),
         ("1000000000000", 20, 1), ("1", 20, 0), ("1.5", 20, 0), ("0.000000001", 20, 0),
+        ("0.0000000000000000000000000000001", 20, 0),
     ])
     def test_certifies_the_edge_relative_to_its_size(self, capsys, edge, digits, exit_code):
         # exit 0 exactly when the full doubled edge r is within 10^-digits of
@@ -256,6 +300,29 @@ class TestFourProportionals:
         _, spherical = run(capsys, "four-proportionals", "--ac", "2", "--t", "1/3",
                            "--digits", "10", "--sphere", "--json")
         assert json.loads(planar)["quad"] == json.loads(spherical)["quad"]
+
+    def test_verdict_holds_at_a_large_diameter(self, capsys):
+        code, out = run(capsys, "four-proportionals", "--ac", "10000000000", "--t", "2/5")
+        assert code == 0
+        assert out.endswith("continued proportion verified: ok\n")
+
+    @pytest.mark.parametrize("sphere", [[], ["--sphere"]])
+    def test_a_term_off_by_two_output_units_fails(self, capsys, monkeypatch, sphere):
+        name = "four_proportionals_sphere" if sphere else "four_proportionals_planar"
+        build = getattr(proportio, name)
+
+        def off(ac, t, ctx):
+            q = build(ac, t, ctx)
+            return proportio.ProportionalsQuad(q.af - DecimalScalar(2, ctx.output_digits),
+                                               q.ae, q.ad, q.ac)
+
+        monkeypatch.setattr(proportio, name, off)
+        argv = ["four-proportionals", "--ac", "2", "--t", "1/2", *sphere]
+        code, out = run(capsys, *argv)
+        assert code == 1
+        assert out.endswith("continued proportion verified: FAILED\n")
+        assert main([*argv, "--json"]) == 1
+        assert json.loads(capsys.readouterr().out)["verified"] is False
 
     def test_degenerate_position_usage_error(self, capsys):
         for argv in (

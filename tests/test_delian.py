@@ -133,7 +133,7 @@ class TestTwoMeans:
         assert quad.ad == result.m2
         assert abs(quad.af - D("1")) < ulp(20)
         terms = [D("1"), result.m1, result.m2, D("2")]
-        assert verify_continued_proportion(terms, ulp(20))
+        assert verify_continued_proportion(terms, 20)
 
 
 class TestSharedSolve:

@@ -7,7 +7,6 @@ from mesolabe import proportio
 from mesolabe.euclid import Point3, check_19_7, check_20_7, unit_circle_point
 from mesolabe.proportio import (
     chord_table,
-    chords_pass,
     four_proportionals_planar,
     four_proportionals_sphere,
     planar_construction,
@@ -64,8 +63,7 @@ class TestChordSolver:
         assert abs((d - x) * (d - x) * (d - x) - d * d * x) < ulp(20)
 
     def test_continued_proportion_invariants(self, solved):
-        assert chords_pass(solved, 20)
-        assert verify_continued_proportion(list(solved.terms()), ulp(20))
+        assert verify_continued_proportion(solved.terms(), 20)
 
     def test_uniqueness_bracketing(self, solved):
         # the cubic is strictly decreasing, so the root is the only sign change
@@ -93,7 +91,7 @@ class TestChordSolver:
     def test_random_diameters_pass_checks(self, hundredths):
         d = DecimalScalar(hundredths, 2)
         cfg = solve_continued_chords(d, CTX10)
-        assert chords_pass(cfg, 10)
+        assert verify_continued_proportion(cfg.terms(), 10)
         assert cfg.ab + cfg.bd == cfg.ad
 
     @settings(max_examples=40, deadline=None)
@@ -297,7 +295,7 @@ class TestPlanarConstruction:
 
     def test_quad_invariants_at_output_tolerance(self):
         quad = four_proportionals_planar(D("2"), F(2, 7), CTX20)
-        assert quad.check(ulp(20))
+        assert verify_continued_proportion(quad.terms(), 20)
 
 
 def _oracle_sphere_points(ac: Fraction, t: Fraction) -> dict:
@@ -365,16 +363,51 @@ class TestSphereConstruction:
 
 class TestVerifyContinuedProportion:
     def test_accepts_true_chain(self):
-        assert verify_continued_proportion([F(1), F(2), F(4), F(8)], F(0))
+        assert verify_continued_proportion([F(1), F(2), F(4), F(8)], 40)
 
     def test_rejects_broken_chain(self):
-        assert not verify_continued_proportion([F(1), F(2), F(4), F(9)], F(1, 100))
+        assert not verify_continued_proportion([F(1), F(2), F(4), F(9)], 2)
 
     def test_extremes_identity_checked_for_quads(self):
-        # adjacent defects sit inside the loose tolerance, the extremes
-        # defect does not, so only the quad-specific identity can reject
-        assert not verify_continued_proportion([F(1), F(1), F(2), F(4)], F(1))
+        # the adjacent defects 100 and 0 sit inside 1020100 * 10^-3, the
+        # extremes' defect 10100 does not, so only the quad-specific identity
+        # can reject
+        chain = [1, 100, 10100, 1020100]
+        adjacent = [chain[i] * chain[i + 2] - chain[i + 1] ** 2 for i in (0, 1)]
+        assert adjacent == [100, 0] and 10**3 * 100 <= chain[3]
+        assert not verify_continued_proportion(chain, 3)
 
     def test_short_lists_rejected(self):
         with pytest.raises(ValueError):
-            verify_continued_proportion([F(1), F(2)], F(0))
+            verify_continued_proportion([F(1), F(2)], 0)
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.fractions(min_value=F(1, 1000), max_value=1000, max_denominator=1000),
+        st.fractions(min_value=F(1, 50), max_value=50, max_denominator=50),
+        st.sampled_from([3, 4]),
+        st.integers(min_value=-60, max_value=60),
+        st.integers(min_value=1, max_value=40),
+        st.integers(min_value=2, max_value=14),
+    )
+    @example(F(1), F(2), 4, -60, 20, 10)  # all terms round to 0
+    @example(F(3), F(1, 7), 4, 60, 1, 2)
+    @example(F(5), F(17, 16), 4, 0, 1, 2)  # a defect of 1.66 M 10^-w
+    def test_scale_free(self, first, ratio, count, k, digits, guard):
+        # an exact continued proportion at any scale, rounded at w digits,
+        # passes at digits = w - guard; moving the term at the far end from
+        # the largest by two output units breaks the defect that pairs it
+        # with the largest, and the rule sees it
+        w = digits + guard
+        exact = [first * ratio**i * F(10) ** k for i in range(count)]
+        terms = [DecimalScalar.from_fraction(y, w) for y in exact]
+        assert verify_continued_proportion(terms, digits)
+        assert verify_continued_proportion([t.as_fraction() for t in terms], digits)
+        largest = max(terms)
+        if largest < DecimalScalar(2, digits):
+            return
+        far = 0 if terms[-1] == largest else count - 1
+        terms[far] -= DecimalScalar(2, digits)
+        assert max(abs(t) for t in terms) == largest
+        assert not verify_continued_proportion(terms, digits)
+        assert not verify_continued_proportion([t.as_fraction() for t in terms], digits)
