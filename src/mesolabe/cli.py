@@ -266,8 +266,8 @@ def _cmd_duplicate_cube(args, ctx: PrecisionContext) -> Record:
     edge = DecimalScalar.from_str(args.edge)
     result = delian.duplicate_cube(edge, ctx)
     doubling = result * result * result - 2 * edge * edge * edge
-    larger = max(result, edge)
-    ok = abs(doubling) < larger * larger * ulp(ctx.output_digits)
+    # r^2 + r e + e^2 <= r^2 + r r* + r*^2 = (r^3 - r*^3) / (r - r*), as r* = cbrt(2) e > e
+    ok = abs(doubling) < (result * result + result * edge + edge * edge) * ulp(ctx.output_digits)
     payload = {
         "edge": str(edge),
         "doubled_edge": str(round_to(result, ctx.output_digits)),

@@ -95,6 +95,9 @@ PRINTED_PRODUCTS = {
     "ADBC": "1 86228 49274 00000 00000",
 }
 
+#: Fractional digits of the products of the unrounded root, as printed.
+PRODUCT_DIGITS = 20
+
 _PRODUCT_NOTES = {
     "DAB": "product AD*AB",
     "CBD": "product BC*BD",
@@ -163,7 +166,7 @@ def solve_continued_chords(
         lo += 1
 
     ab = DecimalScalar(lo, w)
-    ad = round_to(d, w) if isinstance(d, DecimalScalar) else DecimalScalar.from_fraction(df, w)
+    ad = DecimalScalar.from_fraction(df, w)
     bd = ad - ab
     root_ctx = PrecisionContext(w + ctx.guard_digits, w, ctx.guard_digits)
     bc = sqrt(ab * bd, root_ctx)
@@ -221,11 +224,11 @@ def reproduce_table(c: ChordConfig) -> PaperTable:
     return PaperTable("rectangles and squares of the means", tuple(rows))
 
 
-def true_product_rows(full: ChordConfig, digits: int = 20) -> PaperTable:
+def true_product_rows(full: ChordConfig) -> PaperTable:
     """The same six products taken from the unrounded root, for contrast."""
-    rounded = [(label, round_to(value, digits)) for label, value in _products(full)]
+    rounded = [(label, round_to(value, PRODUCT_DIGITS)) for label, value in _products(full)]
     rows = tuple(TableRow(label, v, format_grouped(v), None, None) for label, v in rounded)
-    return PaperTable(f"products of the unrounded root, {digits} digits", rows)
+    return PaperTable(f"products of the unrounded root, {PRODUCT_DIGITS} digits", rows)
 
 
 # -- four continued proportionals ---------------------------------------------

@@ -410,13 +410,13 @@ def format_grouped(a: DecimalScalar) -> str:
     part is elided when a full five-digit group follows, so
     ``0.6353443923`` renders as ``"63534 43923"``; with fewer than five
     fractional digits it stays, so ``0.7`` renders as ``"0 7"``.  A
-    five-digit leading token therefore always means a fractional group;
-    values whose integer part has exactly five digits would be ambiguous
-    and are rejected.
+    five-digit leading token therefore always means a fractional group, and
+    an integer part of exactly five digits gets one leading zero:
+    ``70000.5`` renders as ``"070000 5"``.
     """
     sign, int_part, frac = a._digits()
     if len(int_part) == 5:
-        raise ValueError("five-digit integer part has no unambiguous grouped form")
+        int_part = "0" + int_part
     groups = [frac[i: i + 5] for i in range(0, len(frac), 5)]
     if int_part == "0" and len(frac) >= 5:
         return sign + " ".join(groups)

@@ -69,7 +69,8 @@ class TestSolveChords:
     def test_bad_diameter_is_usage_error(self, capsys):
         assert main(["solve-chords", "--diameter", "-2"]) == 2
 
-    @pytest.mark.parametrize("diameter", ["30000000000", "0.00000000000000000000000000000000001"])
+    @pytest.mark.parametrize("diameter", [
+        "30000000000", "0.00000000000000000000000000000000001", "70000"])
     def test_verdict_holds_at_any_scale(self, capsys, diameter):
         code, out = run(capsys, "solve-chords", "--diameter", diameter)
         assert code == 0
@@ -259,12 +260,15 @@ class TestDuplicateCube:
     @pytest.mark.parametrize("edge, digits, exit_code", [
         ("1000000", 20, 0), ("1000000000", 20, 0), ("10000000000", 20, 1),
         ("1000000000000", 20, 1), ("1", 20, 0), ("1.5", 20, 0), ("0.000000001", 20, 0),
-        ("0.0000000000000000000000000000001", 20, 0),
+        ("0.0000000000000000000000000000001", 20, 0), ("3280387013", 20, 0),
+        ("6669465877", 20, 1),
     ])
     def test_certifies_the_edge_relative_to_its_size(self, capsys, edge, digits, exit_code):
         # exit 0 exactly when the full doubled edge r is within 10^-digits of
         # cbrt(2) * edge, that is when 2 edge^3 lies strictly between (r - u)^3
-        # and (r + u)^3 for u = 10^-digits
+        # and (r + u)^3 for u = 10^-digits; a factor of max(r, e)^2 in place of
+        # r^2 + r e + e^2 fails 3280387013, and (r + e)^2, which exceeds
+        # r^2 + r r* + r*^2, passes 6669465877, whose edge is wrong
         argv = ["duplicate-cube", "--edge", edge, "--digits", str(digits)]
         assert run(capsys, *argv)[0] == exit_code
         side = DecimalScalar.from_str(edge)

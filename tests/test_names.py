@@ -1,6 +1,6 @@
-"""Every name the benchmark tracer wraps, and every exported name, exists,
-every imported name is used, and ``import mesolabe.cli`` loads what the
-tracer needs and no more.
+"""Every name the benchmark tracer wraps exists, every imported name is used,
+every name of the package is bound only in its own module, and
+``import mesolabe.cli`` loads what the tracer needs and no more.
 
 ``perfbench/spans.py`` wraps functions and methods of the package by name
 for ``perfbench/run.py --trace 1``.  Its smoke test runs outside the default
@@ -19,8 +19,6 @@ import sys
 from pathlib import Path
 
 import pytest
-
-import mesolabe
 
 ROOT = Path(__file__).resolve().parent.parent
 SPANS = ROOT / "perfbench" / "spans.py"
@@ -62,11 +60,6 @@ def test_cli_import_set():
     assert {module for module, _, _ in _traced()} <= loaded
 
 
-@pytest.mark.parametrize("name", mesolabe.__all__)
-def test_exported_name_resolves(name):
-    assert hasattr(mesolabe, name)
-
-
 def _imported(tree: ast.Module) -> dict[str, int]:
     """Name each import binds -> its line, ``from __future__`` left out."""
     bound = {}
@@ -93,17 +86,29 @@ def _used(tree: ast.Module) -> set[str]:
     return used
 
 
-def _exported(tree: ast.Module) -> set[str]:
-    for node in tree.body:
-        if isinstance(node, ast.Assign) and any(
-            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
-        ):
-            return set(ast.literal_eval(node.value))
-    return set()
-
-
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: f"{p.parent.name}/{p.name}")
 def test_every_import_is_used(path):
     tree = ast.parse(path.read_text(encoding="utf-8"))
-    unused = set(_imported(tree)) - _used(tree) - _exported(tree)
+    unused = set(_imported(tree)) - _used(tree)
     assert not unused, sorted(f"line {_imported(tree)[name]}: {name}" for name in unused)
+
+
+def _bound(tree: ast.Module) -> set[str]:
+    """Every name the module binds: imports, assignments, defs and classes."""
+    bound = set(_imported(tree))
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+            bound.add(node.id)
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            bound.add(node.name)
+    return bound
+
+
+def test_no_name_is_re_exported():
+    # Callers import each name from the module that defines it, so deleting a
+    # name is one edit: the package init re-exports nothing and no module
+    # keeps an export list.
+    package = ROOT / "src" / "mesolabe"
+    assert _bound(ast.parse((package / "__init__.py").read_text(encoding="utf-8"))) == {"__version__"}
+    for path in sorted(package.glob("*.py")):
+        assert "__all__" not in _bound(ast.parse(path.read_text(encoding="utf-8"))), path.name

@@ -109,6 +109,22 @@ class TestChordSolver:
         ab, _, _ = chord_lengths(d.as_fraction(), w + 20)
         assert solve_continued_chords(d, ctx).ab == DecimalScalar.from_fraction(ab, w)
 
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.integers(min_value=1, max_value=10**40),
+        st.integers(min_value=0, max_value=45),
+        st.integers(min_value=1, max_value=30),
+    )
+    @example(125, 12, 1)  # ties at the 11 work digits, one down and one up
+    @example(135, 12, 1)
+    def test_decimal_and_fraction_diameters_agree(self, unscaled, scale, digits):
+        # AD is the diameter rounded half-even to the work grid, whether the
+        # diameter comes as a DecimalScalar or as its Fraction, and whether
+        # its scale lies below or above the work digits
+        d = DecimalScalar(unscaled, scale)
+        ctx = PrecisionContext.for_output(digits)
+        assert solve_continued_chords(d, ctx) == solve_continued_chords(d.as_fraction(), ctx)
+
     @pytest.mark.parametrize("digits", [300, 1000])
     def test_sign_evaluations_per_solve_are_few(self, digits, monkeypatch):
         counts = []

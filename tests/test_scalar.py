@@ -110,8 +110,11 @@ class TestGroupedFormat:
         assert format_grouped(D("-0.50000")) == "-50000"
 
     def test_ambiguous_integer_part_rejected(self):
-        with pytest.raises(ValueError):
-            format_grouped(D("12345.1"))
+        # the ambiguous form is never printed: a five-digit integer part gets
+        # one leading zero, and six characters read as an integer part
+        assert format_grouped(D("12345.1")) == "012345 1"
+        assert format_grouped(D("-70000.000001")) == "-070000 00000 1"
+        assert parse_grouped("012345 1") == D("12345.1")
         # a leading five-digit token always reads as a fractional group
         assert parse_grouped("12345 67890") == D("0.1234567890")
 
@@ -125,7 +128,7 @@ class TestGroupedFormat:
         assert parse_grouped("00000 12") == D("0.0000012")
         assert format_grouped(D("0.0000012")) == "00000 12"
 
-    @given(st.integers(min_value=-9999, max_value=9999), st.integers(min_value=0, max_value=25))
+    @given(st.integers(min_value=-99999, max_value=99999), st.integers(min_value=0, max_value=25))
     def test_round_trip_on_representable_values(self, int_part, scale):
         value = DecimalScalar(int_part * 10**scale + (7 if scale else 0), scale)
         assert parse_grouped(format_grouped(value)) == value
