@@ -1,0 +1,200 @@
+#!/usr/bin/env python3
+"""Same-output sweep: run ``mesolabe.cli.main`` of two trees on the same calls and compare.
+
+The calls:
+
+- every op of the three ``perfbench/workloads.py`` pools at each ``--seeds``
+  seed, both as text and with ``--json``;
+- ``--random`` calls drawn from ``Random(RANDOM_SEED)`` over every
+  subcommand that takes numeric operands (``solve-chords``, ``means`` with
+  each method, ``duplicate-cube``, ``four-proportionals`` planar and
+  ``--sphere``, ``pyramid`` right-angled and oblique, and ``figure`` 1 to
+  7): decimal operands of 1 to 15 significant digits from 10^-45 to 10^45,
+  ratios n/d, ``--digits`` 1 to 40, ``--guard`` 5 to 14, half of them with
+  ``--json``.  A few draws are out of range on purpose (a > b, t outside
+  (0, 1), cosines with no realization), so usage errors are compared too.
+
+Each ``--tree NAME=SRC`` names a directory holding a ``mesolabe`` package;
+give exactly two.  Each tree runs every call in-process, in a process of its
+own, with stdout and stderr captured and ``$MESOLABE_DIGITS`` and
+``$MESOLABE_GUARD`` unset.  An exception that escapes ``cli.main`` is
+recorded as the exit code ``raised`` and its text as stderr.
+
+The sweep prints the exit-code transitions from the first tree to the
+second, then each call whose exit code, stdout or stderr differs, with the
+first differing line of each stream.  It exits 1 on any difference, else 0::
+
+    python3 scripts/same_output.py --tree before=path/to/other/src --tree after=src
+"""
+
+from __future__ import annotations
+
+import argparse
+import contextlib
+import io
+import json
+import os
+import random
+import subprocess
+import sys
+from collections import Counter
+from fractions import Fraction
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "perfbench"))
+import workloads  # noqa: E402  (perfbench/ is not a package)
+
+#: Seed of the random calls, so every sweep draws the same ones.
+RANDOM_SEED = 0
+#: The numeric subcommands of the random sweep, drawn with equal weight.
+RANDOM_KINDS = ("solve-chords", "means", "duplicate-cube", "four-proportionals", "pyramid",
+                "figure")
+
+
+def run_calls(src: str, argvs: list[list[str]]) -> list[list]:
+    """[exit code, stdout, stderr] of ``cli.main`` of the package under ``src``, per argv."""
+    sys.path.insert(0, src)
+    from mesolabe import cli
+
+    results = []
+    for argv in argvs:
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = cli.main(list(argv))
+            except Exception as exc:  # a crash is an output to compare, not the end of the sweep
+                code = "raised"
+                err.write(f"{type(exc).__name__}: {exc}\n")
+        results.append([code, out.getvalue(), err.getvalue()])
+    return results
+
+
+def _decimal(rng: random.Random) -> str:
+    """A positive plain decimal of 1 to 15 significant digits from 10^-45 to 10^45."""
+    size = rng.randint(1, 15)
+    n = rng.randrange(10 ** (size - 1), 10**size)
+    exp = rng.randint(-45, 45 - size)
+    if exp >= 0:
+        return str(n) + "0" * exp
+    digits = str(n).zfill(1 - exp)
+    return f"{digits[:exp]}.{digits[exp:]}"
+
+
+def _ratio(rng: random.Random) -> str:
+    return f"{rng.randint(1, 999)}/{rng.randint(1, 999)}"
+
+
+def _parameter(rng: random.Random) -> str:
+    """An arc parameter n/d, or a decimal of three digits, inside (0, 1) but for one draw in 20."""
+    den = rng.randint(2, 1000)
+    num = rng.randint(1, den - 1) if rng.random() < 0.95 else rng.randint(den, 2 * den)
+    if rng.random() < 0.8:
+        return f"{num}/{den}"
+    milli = num * 1000 // den
+    return f"{milli // 1000}.{milli % 1000:03d}"
+
+
+def _random_argv(rng: random.Random) -> list[str]:
+    kind = rng.choice(RANDOM_KINDS)
+    if kind == "solve-chords":
+        argv = [kind, "--diameter", _decimal(rng)]
+    elif kind == "means":
+        a, b = sorted((_decimal(rng), _decimal(rng)), key=Fraction)
+        if rng.random() < 0.05:
+            a, b = b, a
+        argv = [kind, "--a", a, "--b", b, "--method",
+                rng.choice(("instrument", "compass", "both"))]
+    elif kind == "duplicate-cube":
+        argv = [kind, "--edge", _decimal(rng)]
+    elif kind == "four-proportionals":
+        argv = [kind, "--ac", _decimal(rng), "--t", _parameter(rng)]
+        argv += ["--sphere"] * (rng.random() < 0.5)
+    elif kind == "pyramid":
+        argv = [kind, "--edges", *(_decimal(rng) for _ in range(3))]
+        if rng.random() < 0.5:  # non-negative: argparse reads "-1/3" as a flag
+            argv += ["--cosines", *(f"{rng.randint(0, 9)}/{rng.randint(9, 20)}" for _ in range(3))]
+    else:
+        fig = rng.randint(1, 7)
+        argv = [kind, "--id", str(fig), "--out", "-"]
+        if fig <= 3:
+            argv += ["--edges", *(_ratio(rng) for _ in range(3))]
+        elif fig == 4:
+            argv += ["--diameter", _decimal(rng)]
+        elif fig == 5:
+            argv += ["--ac", _decimal(rng), "--t", _parameter(rng)]
+        else:
+            a, b = sorted((_decimal(rng), _decimal(rng)), key=Fraction)
+            argv += ["--a", a, "--b", b]
+    argv += ["--digits", str(rng.randint(1, 40)), "--guard", str(rng.randint(5, 14))]
+    return argv + ["--json"] * (rng.random() < 0.5)
+
+
+def calls(seeds: list[int], random_calls: int) -> list[list[str]]:
+    """Every pool op at every seed, as text and as JSON, then the random calls."""
+    out = []
+    for workload in workloads.WORKLOADS:
+        for seed in seeds:
+            for op in workloads.pool(workload, seed):
+                text = [a for a in op.argv if a != "--json"]
+                out += [text, text + ["--json"]]
+    rng = random.Random(RANDOM_SEED)
+    return out + [_random_argv(rng) for _ in range(random_calls)]
+
+
+def tree_results(src: str, argvs: list[list[str]]) -> list[list]:
+    """``run_calls`` of ``src``, in a process of its own."""
+    env = {k: v for k, v in os.environ.items() if k not in ("MESOLABE_DIGITS", "MESOLABE_GUARD")}
+    run = subprocess.run([sys.executable, __file__, "--worker", src], input=json.dumps(argvs),
+                         capture_output=True, text=True, env=env)
+    if run.returncode != 0:
+        raise SystemExit(f"the worker for {src} failed:\n{run.stderr}")
+    return json.loads(run.stdout)
+
+
+def first_difference(before: str, after: str) -> str:
+    """The first line where two outputs differ, numbered from 1."""
+    old, new = before.split("\n"), after.split("\n")
+    i = next((i for i, (x, y) in enumerate(zip(old, new)) if x != y), min(len(old), len(new)))
+    shown = [repr(lines[i]) if i < len(lines) else "(no line)" for lines in (old, new)]
+    return f"line {i + 1}: {shown[0]} -> {shown[1]}"
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    parser.add_argument("--tree", action="append", metavar="NAME=SRC",
+                        help="a package directory to run (give two)")
+    parser.add_argument("--seeds", type=int, nargs="+", default=[1, 2, 3, 4, 5],
+                        help="pool seeds (default 1 to 5)")
+    parser.add_argument("--random", type=int, default=600, help="random calls (default 600)")
+    parser.add_argument("--worker", metavar="SRC", help=argparse.SUPPRESS)
+    args = parser.parse_args()
+    if args.worker:
+        json.dump(run_calls(args.worker, json.load(sys.stdin)), sys.stdout)
+        return 0
+    if not args.tree or len(args.tree) != 2 or not all("=" in t for t in args.tree):
+        parser.error("give exactly two --tree NAME=SRC")
+
+    (first, first_src), (second, second_src) = (t.split("=", 1) for t in args.tree)
+    argvs = calls(args.seeds, args.random)
+    old = tree_results(str(Path(first_src).resolve()), argvs)
+    new = tree_results(str(Path(second_src).resolve()), argvs)
+    print(f"{len(argvs)} calls: the pools at seeds {' '.join(map(str, args.seeds))}, "
+          f"{args.random} random")
+    print(f"exit codes, {first} -> {second}:")
+    for (a, b), n in sorted(Counter((o[0], n[0]) for o, n in zip(old, new)).items(), key=str):
+        print(f"  {a} -> {b}: {n}")
+    changed = [(argv, o, n) for argv, o, n in zip(argvs, old, new) if o != n]
+    print(f"changed calls: {len(changed)}")
+    for argv, o, n in changed:
+        print(f"\nmesolabe {' '.join(argv)}")
+        if o[0] != n[0]:
+            print(f"  exit {o[0]} -> {n[0]}")
+        for stream, k in (("stdout", 1), ("stderr", 2)):
+            if o[k] != n[k]:
+                print(f"  {stream} {first_difference(o[k], n[k])}")
+    return 1 if changed else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

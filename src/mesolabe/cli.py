@@ -22,11 +22,9 @@ from .scalar import (
     CertificationError,
     DecimalScalar,
     PrecisionContext,
-    as_rational,
     parse_int,
     round_to,
     sqrt,
-    ulp,
 )
 
 ENV_DIGITS = "MESOLABE_DIGITS"
@@ -130,7 +128,7 @@ def _cmd_solve_chords(args, ctx: PrecisionContext) -> Record:
 def _cmd_verify_table(args, ctx: PrecisionContext) -> Record:
     if ctx.output_digits < 10:
         ctx = PrecisionContext.for_output(10, ctx.guard_digits)
-    full = proportio.solve_continued_chords(DecimalScalar.from_int(2), ctx)
+    full = proportio.solve_continued_chords(2, ctx)
     table_cfg = full.table_values(10)
     chords = proportio.chord_table(table_cfg)
     products = proportio.reproduce_table(table_cfg)
@@ -179,8 +177,9 @@ def _cmd_verify_table(args, ctx: PrecisionContext) -> Record:
 
 
 def _cmd_pyramid(args, ctx: PrecisionContext) -> Record:
+    shown = [DecimalScalar.from_str(e) for e in args.edges]
+    edges = [e.as_fraction() for e in shown]
     if args.cosines:
-        edges = [as_rational(DecimalScalar.from_str(e)) for e in args.edges]
         cosines = [_parse_rational(c) for c in args.cosines]
         frame = pyramid.ObliqueVertexFrame(*edges, *cosines)
         dsq = pyramid.oblique_diagonal_sq(frame)
@@ -199,13 +198,13 @@ def _cmd_pyramid(args, ctx: PrecisionContext) -> Record:
             f"diagonal: {payload['diagonal']}",
         ]
         return 0, payload, lines
-    edges = [DecimalScalar.from_str(e) for e in args.edges]
     p = pyramid.RightPyramid(*edges)
-    dsq = pyramid.diagonal_sq(p)
+    # a sum of squares of the edges is exact at twice their largest scale
+    dsq = DecimalScalar.from_fraction(pyramid.diagonal_sq(p), 2 * max(e.scale for e in shown))
     prism_ok = pyramid.prism_diagonal_check(p)
     dsq_text = str(dsq)
     payload = {
-        "edges": [str(e) for e in (p.da, p.db, p.dc)],
+        "edges": [str(e) for e in shown],
         "diagonal_sq": dsq_text,
         "diagonal": str(sqrt(dsq, ctx)),
         "circumsphere_diameter_sq": dsq_text,
@@ -265,14 +264,17 @@ def _cmd_means(args, ctx: PrecisionContext) -> Record:
 def _cmd_duplicate_cube(args, ctx: PrecisionContext) -> Record:
     edge = DecimalScalar.from_str(args.edge)
     result = delian.duplicate_cube(edge, ctx)
-    doubling = result * result * result - 2 * edge * edge * edge
+    s = max(result.scale, edge.scale)  # r and e as integers at their common scale s
+    r, e = (x.unscaled * 10 ** (s - x.scale) for x in (result, edge))
+    doubling = abs(r * r * r - 2 * e * e * e)
+    # |r^3 - 2e^3| < (r^2 + r e + e^2) 10^-digits, with both sides times 10^(3s + digits);
     # r^2 + r e + e^2 <= r^2 + r r* + r*^2 = (r^3 - r*^3) / (r - r*), as r* = cbrt(2) e > e
-    ok = abs(doubling) < (result * result + result * edge + edge * edge) * ulp(ctx.output_digits)
+    ok = doubling * 10**ctx.output_digits < (r * r + r * e + e * e) * 10**s
     payload = {
         "edge": str(edge),
         "doubled_edge": str(round_to(result, ctx.output_digits)),
         "doubled_edge_full": str(result),
-        "volume_residual_bound": _residual_bound(abs(doubling)),
+        "volume_residual_bound": _residual_bound(DecimalScalar(doubling, 3 * s)),
     }
     lines = [
         f"edge {payload['edge']} -> doubled-volume edge {payload['doubled_edge']}",

@@ -49,7 +49,8 @@ class ChordConfig(ValueRecord):
         """
         ab = truncate_to(self.ab, digits)
         ad = round_to(self.ad, digits)
-        return ChordConfig(ab, truncate_to(self.bc, digits), ad - ab, ad)
+        bd = DecimalScalar(ad.unscaled - ab.unscaled, digits)
+        return ChordConfig(ab, truncate_to(self.bc, digits), bd, ad)
 
 
 class ProportionalsQuad(ValueRecord):
@@ -147,10 +148,10 @@ def solve_continued_chords(
     (u^3 - 3u^2 + 4u - 1 has no rational root), so the midpoint is never
     a tie.
     """
-    if not d > 0:
+    df = as_rational(d)
+    if not df > 0:
         raise ValueError("diameter must be positive")
     w = ctx.work_digits
-    df = as_rational(d)
     p, q = df.numerator, df.denominator
 
     def sign(n: int, m: int) -> int:
@@ -165,12 +166,11 @@ def solve_continued_chords(
     if not exact and sign(2 * lo + 1, 2 * grid) > 0:
         lo += 1
 
-    ab = DecimalScalar(lo, w)
     ad = DecimalScalar.from_fraction(df, w)
-    bd = ad - ab
+    bd = ad.unscaled - lo
     root_ctx = PrecisionContext(w + ctx.guard_digits, w, ctx.guard_digits)
-    bc = sqrt(ab * bd, root_ctx)
-    return ChordConfig(ab, bc, bd, ad)
+    bc = sqrt(DecimalScalar(lo * bd, 2 * w), root_ctx)
+    return ChordConfig(DecimalScalar(lo, w), bc, DecimalScalar(bd, w), ad)
 
 
 def chord_table(c: ChordConfig) -> PaperTable:
@@ -184,22 +184,27 @@ def chord_table(c: ChordConfig) -> PaperTable:
 
 
 def _canonical_table_config() -> ChordConfig:
-    ab = DecimalScalar.from_str("0.6353443923")
-    bc = DecimalScalar.from_str("0.9311424637")
-    ad = DecimalScalar.from_int(2, 10)
-    return ChordConfig(ab, bc, ad - ab, ad)
+    """The printed chords AB, BC, BD, AD, at their 10 fractional digits."""
+    return ChordConfig(*(DecimalScalar(n, 10)
+                         for n in (6353443923, 9311424637, 13646556077, 20000000000)))
 
 
 def _products(c: ChordConfig) -> tuple[tuple[str, DecimalScalar], ...]:
-    """The six rectangles and squares of the printed tables, under their printed labels."""
-    return (
-        ("DAB", c.ad * c.ab),
-        ("CBD", c.bc * c.bd),
-        ("BC^2", c.bc * c.bc),
-        ("ABD", c.ab * c.bd),
-        ("BD^2", c.bd * c.bd),
-        ("ADBC", c.ad * c.bc),
+    """The six rectangles and squares of the printed tables, under their printed labels.
+
+    Each product is exact: x y has the integer x.unscaled * y.unscaled at
+    the sum of the two scales.
+    """
+    pairs = (
+        ("DAB", c.ad, c.ab),
+        ("CBD", c.bc, c.bd),
+        ("BC^2", c.bc, c.bc),
+        ("ABD", c.ab, c.bd),
+        ("BD^2", c.bd, c.bd),
+        ("ADBC", c.ad, c.bc),
     )
+    return tuple((label, DecimalScalar(x.unscaled * y.unscaled, x.scale + y.scale))
+                 for label, x, y in pairs)
 
 
 def reproduce_table(c: ChordConfig) -> PaperTable:
@@ -327,9 +332,11 @@ def verify_continued_proportion(terms, digits: int) -> bool:
     Every adjacent defect |x_i x_(i+2) - x_(i+1)^2|, and for four terms the
     extremes' defect |x_0 x_3 - x_1 x_2| too, must be at most M 10^-digits,
     where M is the largest |x_i|; all-zero terms pass.  The rule is relative
-    to the size of the terms, so it holds at any scale, and it compares
-    10^digits times a defect with M, so it takes DecimalScalar and Fraction
-    terms alike.
+    to the size of the terms, so it holds at any scale.  It runs on the
+    terms' integers X_i at their common scale s: a defect of the X_i is
+    10^2s times the true one and M_X is 10^s M, so the test is
+    max |defect| <= M_X 10^(s - digits).  A common scale below ``digits``
+    raises ValueError.
 
     It never fails a correct result: if the terms lie on the grid 10^-w,
     each within c grid units of an exact continued proportion, every defect
@@ -340,7 +347,11 @@ def verify_continued_proportion(terms, digits: int) -> bool:
     n = len(terms)
     if n < 3:
         raise ValueError("need at least three terms")
-    defects = [terms[i] * terms[i + 2] - terms[i + 1] * terms[i + 1] for i in range(n - 2)]
+    s = max(x.scale for x in terms)
+    if s < digits:
+        raise ValueError(f"terms carry {s} fractional digits, fewer than the {digits} to verify")
+    xs = [x.unscaled * 10 ** (s - x.scale) for x in terms]
+    defects = [xs[i] * xs[i + 2] - xs[i + 1] * xs[i + 1] for i in range(n - 2)]
     if n == 4:
-        defects.append(terms[0] * terms[3] - terms[1] * terms[2])
-    return 10**digits * max(map(abs, defects)) <= max(map(abs, terms))
+        defects.append(xs[0] * xs[3] - xs[1] * xs[2])
+    return max(map(abs, defects)) <= max(map(abs, xs)) * 10 ** (s - digits)

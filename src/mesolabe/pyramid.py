@@ -2,8 +2,8 @@
 
 A pyramid is stored by its three edge lengths at the right-angle vertex;
 coordinate realizations (vertex at the origin, edges on the axes) are built
-on demand when a check needs actual points.  All operations work unchanged
-over exact Fractions or :class:`~mesolabe.scalar.DecimalScalar`.
+on demand when a check needs actual points.  Lengths are exact Fractions
+or ints.
 """
 
 from __future__ import annotations
@@ -11,9 +11,9 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .euclid import Point3
-from .scalar import DecimalScalar, ValueRecord, as_rational
+from .scalar import ValueRecord
 
-Length = Fraction | DecimalScalar | int
+Length = Fraction | int
 
 
 class RightPyramid(ValueRecord):
@@ -29,7 +29,7 @@ class RightPyramid(ValueRecord):
     def vertices(self) -> tuple[Point3, Point3, Point3, Point3]:
         """Exact realization (D, A, B, C) with D at the origin."""
         zero = Fraction(0)
-        da, db, dc = (as_rational(v) for v in (self.da, self.db, self.dc))
+        da, db, dc = (Fraction(v) for v in (self.da, self.db, self.dc))
         return (
             Point3(zero, zero, zero),
             Point3(da, zero, zero),

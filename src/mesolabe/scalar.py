@@ -1,11 +1,12 @@
-"""Fixed-point base-10 arithmetic with exact scales and grouped table formatting.
+"""Exact integer kernels, fixed-point decimal records and grouped table formatting.
 
-A :class:`DecimalScalar` is an immutable signed integer times a negative
-power of ten.  Addition, subtraction and multiplication are exact (the
-result scale is determined by the operands); division and integer roots
-round half-even at a precision taken from a :class:`PrecisionContext`.
-Everything is built on Python's arbitrary-precision ``int``, so there is
-no hidden binary floating point anywhere.
+A :class:`DecimalScalar` is a signed integer times a negative power of
+ten, kept only to be printed: every computation runs on ``int`` at a known
+scale or on :class:`~fractions.Fraction`.  Rounding to a scale and integer
+square roots round half-even at a precision taken from a
+:class:`PrecisionContext`.  Everything is built on Python's
+arbitrary-precision ``int``, so there is no hidden binary floating point
+anywhere.
 """
 
 from __future__ import annotations
@@ -194,12 +195,14 @@ class PrecisionContext(ValueRecord):
 DEFAULT_CONTEXT = PrecisionContext(30, 20, 10)
 
 
-class DecimalScalar:
-    """Signed fixed-point decimal: ``unscaled * 10**-scale``.
+class DecimalScalar(ValueRecord):
+    """Signed fixed-point decimal ``unscaled * 10**-scale``: a record to print.
 
-    ``scale`` counts fractional digits and is never negative.  Instances compare
-    by numeric value, not by representation, so ``2.0 == 2``.  Immutable by
-    convention: nothing assigns to a field after construction.
+    ``scale`` counts fractional digits and is never negative.  It has no
+    arithmetic and no ordering: callers compute on ``int`` at a known scale
+    or on :class:`~fractions.Fraction`, and wrap the result to print it.  It
+    compares and hashes by its fields, so ``DecimalScalar(20, 1)`` and
+    ``DecimalScalar(2, 0)`` differ.  Immutable by convention.
     """
 
     __slots__ = ("unscaled", "scale")
@@ -208,12 +211,6 @@ class DecimalScalar:
         if scale < 0:
             raise ValueError("scale must be non-negative")
         self.unscaled, self.scale = unscaled, scale
-
-    # -- construction ------------------------------------------------------
-
-    @classmethod
-    def from_int(cls, n: int, scale: int = 0) -> "DecimalScalar":
-        return cls(n * 10**scale, scale)
 
     @classmethod
     def from_str(cls, text: str) -> "DecimalScalar":
@@ -231,8 +228,6 @@ class DecimalScalar:
     def from_fraction(cls, value: Fraction, scale: int) -> "DecimalScalar":
         """Nearest fixed-point value at ``scale`` fractional digits, ties to even."""
         return cls(_half_even_div(value.numerator * 10**scale, value.denominator), scale)
-
-    # -- conversions -------------------------------------------------------
 
     def as_fraction(self) -> Fraction:
         return Fraction(self.unscaled, 10**self.scale)
@@ -254,107 +249,6 @@ class DecimalScalar:
 
     def __repr__(self) -> str:
         return f"DecimalScalar('{self}')"
-
-    # -- exact arithmetic ----------------------------------------------------
-
-    def _aligned(self, other: "DecimalScalar") -> tuple[int, int, int]:
-        s = max(self.scale, other.scale)
-        return (
-            self.unscaled * 10 ** (s - self.scale),
-            other.unscaled * 10 ** (s - other.scale),
-            s,
-        )
-
-    @staticmethod
-    def _coerce(value) -> "DecimalScalar":
-        if isinstance(value, DecimalScalar):
-            return value
-        if isinstance(value, int):
-            return DecimalScalar(value, 0)
-        return NotImplemented
-
-    def __add__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        a, b, s = self._aligned(other)
-        return DecimalScalar(a + b, s)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        a, b, s = self._aligned(other)
-        return DecimalScalar(a - b, s)
-
-    def __rsub__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return other - self
-
-    def __mul__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return DecimalScalar(self.unscaled * other.unscaled, self.scale + other.scale)
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return DecimalScalar(-self.unscaled, self.scale)
-
-    def __pos__(self):
-        return self
-
-    def __abs__(self):
-        return DecimalScalar(abs(self.unscaled), self.scale)
-
-    # -- ordering ------------------------------------------------------------
-
-    def _cmp(self, other) -> int:
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        a, b, _ = self._aligned(other)
-        return (a > b) - (a < b)
-
-    def __eq__(self, other):
-        c = self._cmp(other)
-        return c == 0 if c is not NotImplemented else NotImplemented
-
-    def __lt__(self, other):
-        c = self._cmp(other)
-        return c < 0 if c is not NotImplemented else NotImplemented
-
-    def __le__(self, other):
-        c = self._cmp(other)
-        return c <= 0 if c is not NotImplemented else NotImplemented
-
-    def __gt__(self, other):
-        c = self._cmp(other)
-        return c > 0 if c is not NotImplemented else NotImplemented
-
-    def __ge__(self, other):
-        c = self._cmp(other)
-        return c >= 0 if c is not NotImplemented else NotImplemented
-
-    def __hash__(self):
-        return hash(self.as_fraction())
-
-    def __bool__(self):
-        return self.unscaled != 0
-
-    @property
-    def sign(self) -> int:
-        return (self.unscaled > 0) - (self.unscaled < 0)
-
-
-def ulp(digits: int) -> DecimalScalar:
-    """10**-digits, the unit in the last place at ``digits`` fractional digits."""
-    return DecimalScalar(1, digits)
 
 
 def as_rational(value) -> Fraction:
@@ -421,23 +315,3 @@ def format_grouped(a: DecimalScalar) -> str:
     if int_part == "0" and len(frac) >= 5:
         return sign + " ".join(groups)
     return sign + " ".join([int_part] + groups)
-
-
-def parse_grouped(text: str) -> DecimalScalar:
-    """Inverse of :func:`format_grouped` on its own output and the paper's tables."""
-    text = text.strip()
-    sign = 1
-    if text.startswith(("-", "+")):
-        sign = -1 if text[0] == "-" else 1
-        text = text[1:].strip()
-    tokens = text.split(" ")
-    if not all(t.isdigit() for t in tokens):
-        raise ValueError(f"not a grouped decimal: {text!r}")
-    if len(tokens[0]) == 5:
-        int_part, frac_tokens = "0", tokens
-    else:
-        int_part, frac_tokens = tokens[0], tokens[1:]
-    if any(len(t) != 5 for t in frac_tokens[:-1]) or (frac_tokens and len(frac_tokens[-1]) > 5):
-        raise ValueError(f"malformed fractional groups: {text!r}")
-    frac = "".join(frac_tokens)
-    return DecimalScalar(sign * int(int_part + frac), len(frac))

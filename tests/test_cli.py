@@ -81,7 +81,8 @@ class TestSolveChords:
 
         def off(d, ctx):
             c = solve(d, ctx)
-            return proportio.ChordConfig(c.ab - DecimalScalar(2, ctx.output_digits), c.bc, c.bd, c.ad)
+            ab = DecimalScalar(c.ab.unscaled - 2 * 10 ** (c.ab.scale - ctx.output_digits), c.ab.scale)
+            return proportio.ChordConfig(ab, c.bc, c.bd, c.ad)
 
         monkeypatch.setattr(proportio, "solve_continued_chords", off)
         code, out = run(capsys, "solve-chords", "--diameter", "2", "--digits", "10")
@@ -107,6 +108,27 @@ class TestVerifyTable:
         assert by_label["BD^2"]["as_computed"] == "1 86228 49276 27056 29929"
         assert by_label["BD^2"]["misprint"] is True
         assert by_label["ADBC"]["misprint"] is False
+
+
+    def test_chords_match_the_print(self, capsys):
+        code, out = run(capsys, "verify-table", "--json")
+        assert code == 0
+        chords = json.loads(out)["chords"]
+        assert {row["label"]: row["as_printed"] for row in chords} == proportio.PRINTED_CHORDS
+        assert all(row["as_computed"] == row["as_printed"] for row in chords)
+
+    @pytest.mark.parametrize("diameter", ["2", "2.0", "2.000000000000000"])
+    def test_solved_chords_match_the_print_at_any_diameter_scale(self, capsys, diameter):
+        # the table is matched field by field at its 10 digits, which the
+        # scale of the given diameter does not reach
+        code, out = run(capsys, "solve-chords", "--diameter", diameter, "--digits", "10")
+        assert code == 0
+        shown = dict(line.split(None, 1) for line in out.splitlines()[2:6])
+        assert shown == proportio.PRINTED_CHORDS
+        full = proportio.solve_continued_chords(DecimalScalar.from_str(diameter),
+                                                PrecisionContext.for_output(10))
+        table = proportio.chord_table(full.table_values(10))
+        assert all(r.printed == r.grouped for r in table.rows)
 
 
 class TestPyramid:
@@ -254,7 +276,9 @@ class TestDuplicateCube:
         assert json.loads(capsys.readouterr().out)["volume_residual_bound"] == f"1e+{exponent}"
         side = DecimalScalar.from_str(edge)
         doubled = delian.duplicate_cube(side, PrecisionContext.for_output(digits))
-        residual = abs(doubled * doubled * doubled - 2 * side * side * side).as_fraction()
+        s = max(doubled.scale, side.scale)
+        r, e = doubled.unscaled * 10 ** (s - doubled.scale), side.unscaled * 10 ** (s - side.scale)
+        residual = Fraction(abs(r**3 - 2 * e**3), 10 ** (3 * s))
         assert Fraction(10) ** (exponent - 1) <= residual < Fraction(10) ** exponent
 
     @pytest.mark.parametrize("edge, digits, exit_code", [
@@ -317,8 +341,8 @@ class TestFourProportionals:
 
         def off(ac, t, ctx):
             q = build(ac, t, ctx)
-            return proportio.ProportionalsQuad(q.af - DecimalScalar(2, ctx.output_digits),
-                                               q.ae, q.ad, q.ac)
+            af = DecimalScalar(q.af.unscaled - 2 * 10 ** (q.af.scale - ctx.output_digits), q.af.scale)
+            return proportio.ProportionalsQuad(af, q.ae, q.ad, q.ac)
 
         monkeypatch.setattr(proportio, name, off)
         argv = ["four-proportionals", "--ac", "2", "--t", "1/2", *sphere]
@@ -613,7 +637,7 @@ class TestDigitCap:
     def test_integer_parts_do_not_reach_the_limit(self, capsys, str_digits_limit):
         # 201 integer digits on top of the work digits: the whole digit string
         # of a printed value is over the limit, each of its parts is not
-        one, big = DecimalScalar.from_int(1), DecimalScalar.from_int(10**200)
+        one, big = DecimalScalar(1), DecimalScalar(10**200)
         digits = max_work_digits() - 10
         code, out = run(capsys, "means", "--a", "1", "--b", str(big), "--digits", str(digits))
         assert code == 0

@@ -1,6 +1,7 @@
 """Every name the benchmark tracer wraps exists, every imported name is used,
-every name of the package is bound only in its own module, and
-``import mesolabe.cli`` loads what the tracer needs and no more.
+every name of the package is bound only in its own module,
+``import mesolabe.cli`` loads what the tracer needs and no more, and
+``DecimalScalar`` stays a record to print, not a second number type.
 
 ``perfbench/spans.py`` wraps functions and methods of the package by name
 for ``perfbench/run.py --trace 1``.  Its smoke test runs outside the default
@@ -22,6 +23,13 @@ import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 SPANS = ROOT / "perfbench" / "spans.py"
+#: Binary operators, each with its reflected and in-place method.
+BINARY_OPERATORS = ("add", "sub", "mul", "matmul", "truediv", "floordiv", "mod", "divmod",
+                    "pow", "lshift", "rshift", "and", "or", "xor")
+#: The methods of a number type: arithmetic, ordering and truth value.
+NUMBER_METHODS = {f"__{kind}{op}__" for op in BINARY_OPERATORS for kind in ("", "r", "i")} | {
+    "__neg__", "__pos__", "__abs__", "__invert__", "__lt__", "__le__", "__gt__", "__ge__",
+    "__bool__"}
 #: Every module of the package and of the tests.
 MODULES = sorted([*(ROOT / "src" / "mesolabe").glob("*.py"), *(ROOT / "tests").glob("*.py")])
 
@@ -112,3 +120,12 @@ def test_no_name_is_re_exported():
     assert _bound(ast.parse((package / "__init__.py").read_text(encoding="utf-8"))) == {"__version__"}
     for path in sorted(package.glob("*.py")):
         assert "__all__" not in _bound(ast.parse(path.read_text(encoding="utf-8"))), path.name
+
+
+def test_decimal_scalar_is_a_print_record():
+    # ints at a known scale and Fractions do the arithmetic; a DecimalScalar
+    # is built to be printed and compares by its fields alone
+    scalar = importlib.import_module("mesolabe.scalar")
+    defined = {name for cls in scalar.DecimalScalar.__mro__[:-1] for name in vars(cls)}
+    assert not defined & NUMBER_METHODS, sorted(defined & NUMBER_METHODS)
+    assert not hasattr(scalar, "ulp")

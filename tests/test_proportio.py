@@ -23,7 +23,6 @@ from mesolabe.scalar import (
     certify_bracket,
     round_to,
     sqrt,
-    ulp,
 )
 
 from oracles import _cross3, _dot, _on_unit_circle, _sub, chord_lengths
@@ -55,20 +54,22 @@ class TestChordSolver:
         assert str(t.ad) == "2.0000000000"
 
     def test_complement_is_exact(self, solved):
-        assert solved.ab + solved.bd == solved.ad
-        assert solved.table_values(10).ab + solved.table_values(10).bd == D("2")
+        ab, bd, ad = (v.as_fraction() for v in (solved.ab, solved.bd, solved.ad))
+        assert ab + bd == ad
+        table = solved.table_values(10)
+        assert table.ab.as_fraction() + table.bd.as_fraction() == 2
 
     def test_cubic_residual_below_output_ulp(self, solved):
-        x, d = solved.ab, solved.ad
-        assert abs((d - x) * (d - x) * (d - x) - d * d * x) < ulp(20)
+        x, d = solved.ab.as_fraction(), solved.ad.as_fraction()
+        assert abs((d - x) ** 3 - d * d * x) < F(1, 10**20)
 
     def test_continued_proportion_invariants(self, solved):
         assert verify_continued_proportion(solved.terms(), 20)
 
     def test_uniqueness_bracketing(self, solved):
         # the cubic is strictly decreasing, so the root is the only sign change
-        d, x = solved.ad, solved.ab
-        step = D("0.01")
+        d, x = solved.ad.as_fraction(), solved.ab.as_fraction()
+        step = F(1, 100)
         below = (d - (x - step)) * (d - (x - step)) * (d - (x - step)) - d * d * (x - step)
         above = (d - (x + step)) * (d - (x + step)) * (d - (x + step)) - d * d * (x + step)
         assert below > 0 > above
@@ -77,8 +78,8 @@ class TestChordSolver:
         half = solve_continued_chords(D("1"), CTX20)
         ab_half, _, _ = chord_lengths(F(1), 40)
         assert half.ab == DecimalScalar.from_fraction(ab_half, 30)
-        two_x = half.ab + half.ab
-        assert abs(two_x - solved.ab) <= DecimalScalar(2, 30)
+        two_x = 2 * half.ab.as_fraction()
+        assert abs(two_x - solved.ab.as_fraction()) <= F(2, 10**30)
 
     def test_rejects_nonpositive_diameter(self):
         with pytest.raises(ValueError):
@@ -92,7 +93,7 @@ class TestChordSolver:
         d = DecimalScalar(hundredths, 2)
         cfg = solve_continued_chords(d, CTX10)
         assert verify_continued_proportion(cfg.terms(), 10)
-        assert cfg.ab + cfg.bd == cfg.ad
+        assert cfg.ab.as_fraction() + cfg.bd.as_fraction() == cfg.ad.as_fraction()
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -288,7 +289,7 @@ class TestPlanarConstruction:
     def test_forty_five_degree_case(self):
         # t = tan(22.5 deg) = sqrt(2) - 1, taken from the root extraction
         ctx = PrecisionContext(40, 30, 10)
-        t = sqrt(D("2"), ctx) - D("1")
+        t = sqrt(D("2"), ctx).as_fraction() - 1
         quad = four_proportionals_planar(D("2"), t, CTX10)
         rounded = [round_to(v, 10) for v in quad.terms()]
         assert [str(v) for v in rounded] == [
@@ -304,10 +305,10 @@ class TestPlanarConstruction:
             quad = four_proportionals_planar(D("2"), t, CTX10)
             if previous is not None:
                 pairs = zip(previous.terms()[:3], quad.terms()[:3])
-                assert all(small < big for small, big in pairs)
-            assert quad.ac == D("2")
+                assert all(small.as_fraction() < big.as_fraction() for small, big in pairs)
+            assert quad.ac == DecimalScalar(2 * 10**20, 20)
             previous = quad
-        assert all(v <= D("2") for v in previous.terms())
+        assert all(v.as_fraction() <= 2 for v in previous.terms())
 
     def test_quad_invariants_at_output_tolerance(self):
         quad = four_proportionals_planar(D("2"), F(2, 7), CTX20)
@@ -377,12 +378,17 @@ class TestSphereConstruction:
         assert fg_sq**2 == af_sq * fd_sq
 
 
+def _at(scale: int, *values: int) -> list[DecimalScalar]:
+    """Integer ``values`` as terms of ``scale`` fractional digits."""
+    return [DecimalScalar(v * 10**scale, scale) for v in values]
+
+
 class TestVerifyContinuedProportion:
     def test_accepts_true_chain(self):
-        assert verify_continued_proportion([F(1), F(2), F(4), F(8)], 40)
+        assert verify_continued_proportion(_at(40, 1, 2, 4, 8), 40)
 
     def test_rejects_broken_chain(self):
-        assert not verify_continued_proportion([F(1), F(2), F(4), F(9)], 2)
+        assert not verify_continued_proportion(_at(2, 1, 2, 4, 9), 2)
 
     def test_extremes_identity_checked_for_quads(self):
         # the adjacent defects 100 and 0 sit inside 1020100 * 10^-3, the
@@ -391,11 +397,17 @@ class TestVerifyContinuedProportion:
         chain = [1, 100, 10100, 1020100]
         adjacent = [chain[i] * chain[i + 2] - chain[i + 1] ** 2 for i in (0, 1)]
         assert adjacent == [100, 0] and 10**3 * 100 <= chain[3]
-        assert not verify_continued_proportion(chain, 3)
+        assert not verify_continued_proportion(_at(3, *chain), 3)
 
     def test_short_lists_rejected(self):
         with pytest.raises(ValueError):
-            verify_continued_proportion([F(1), F(2)], 0)
+            verify_continued_proportion(_at(0, 1, 2), 0)
+
+    def test_terms_coarser_than_the_digits_rejected(self):
+        # at a common scale below the digits, 10^(s - digits) would be a float
+        with pytest.raises(ValueError, match="fewer than"):
+            verify_continued_proportion([D("1.0"), D("2.00"), D("4.0")], 3)
+        assert verify_continued_proportion([D("1.0"), D("2.000"), D("4.0")], 3)
 
     @settings(max_examples=150, deadline=None)
     @given(
@@ -418,12 +430,11 @@ class TestVerifyContinuedProportion:
         exact = [first * ratio**i * F(10) ** k for i in range(count)]
         terms = [DecimalScalar.from_fraction(y, w) for y in exact]
         assert verify_continued_proportion(terms, digits)
-        assert verify_continued_proportion([t.as_fraction() for t in terms], digits)
-        largest = max(terms)
-        if largest < DecimalScalar(2, digits):
+        largest = max(t.unscaled for t in terms)  # all positive, all at scale w
+        two_units = 2 * 10**guard
+        if largest < two_units:
             return
-        far = 0 if terms[-1] == largest else count - 1
-        terms[far] -= DecimalScalar(2, digits)
-        assert max(abs(t) for t in terms) == largest
+        far = 0 if terms[-1].unscaled == largest else count - 1
+        terms[far] = DecimalScalar(terms[far].unscaled - two_units, w)
+        assert max(abs(t.unscaled) for t in terms) == largest
         assert not verify_continued_proportion(terms, digits)
-        assert not verify_continued_proportion([t.as_fraction() for t in terms], digits)

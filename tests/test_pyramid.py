@@ -11,7 +11,6 @@ from mesolabe.pyramid import (
     oblique_diagonal_sq,
     prism_diagonal_check,
 )
-from mesolabe.scalar import DecimalScalar
 
 from oracles import circumcenter, realized_frame
 
@@ -31,10 +30,6 @@ class TestDiagonal:
 
     def test_3_4_12(self):
         assert diagonal_sq(RightPyramid(3, 4, 12)) == 169
-
-    def test_works_over_decimal_scalars(self):
-        p = RightPyramid(*(DecimalScalar.from_str(s) for s in ("3", "4", "12")))
-        assert diagonal_sq(p) == DecimalScalar.from_str("169")
 
     def test_positive_edges_required(self):
         with pytest.raises(ValueError):

@@ -11,7 +11,7 @@ from hypothesis import example, given, settings, strategies as st
 
 import mesolabe
 from mesolabe.delian import InstrumentState
-from mesolabe.proportio import ChordConfig
+from mesolabe.proportio import ChordConfig, reproduce_table
 from mesolabe.scalar import (
     CertificationError,
     DecimalScalar,
@@ -19,11 +19,9 @@ from mesolabe.scalar import (
     _icbrt,
     certify_bracket,
     format_grouped,
-    parse_grouped,
     round_to,
     sqrt,
     truncate_to,
-    ulp,
 )
 
 from oracles import long_multiply, newton_sqrt
@@ -53,6 +51,26 @@ def scalars(max_scale=12):
     )
 
 
+def parse_grouped(text: str) -> DecimalScalar:
+    """Inverse of :func:`format_grouped` on its own output and the paper's tables."""
+    text = text.strip()
+    sign = 1
+    if text.startswith(("-", "+")):
+        sign = -1 if text[0] == "-" else 1
+        text = text[1:].strip()
+    tokens = text.split(" ")
+    if not all(t.isdigit() for t in tokens):
+        raise ValueError(f"not a grouped decimal: {text!r}")
+    if len(tokens[0]) == 5:
+        int_part, frac_tokens = "0", tokens
+    else:
+        int_part, frac_tokens = tokens[0], tokens[1:]
+    if any(len(t) != 5 for t in frac_tokens[:-1]) or (frac_tokens and len(frac_tokens[-1]) > 5):
+        raise ValueError(f"malformed fractional groups: {text!r}")
+    frac = "".join(frac_tokens)
+    return DecimalScalar(sign * int(int_part + frac), len(frac))
+
+
 class TestConstruction:
     def test_from_str_round_trip(self):
         for text in ("0", "2", "-1.25", "0.6353443923", "13.000"):
@@ -67,10 +85,11 @@ class TestConstruction:
         with pytest.raises(ValueError):
             DecimalScalar(1, -1)
 
-    def test_numeric_equality_across_scales(self):
-        assert D("2.00") == D("2")
-        assert hash(D("2.00")) == hash(D("2"))
-        assert D("1.5") < D("2") < D("2.5")
+    def test_equality_is_by_fields(self):
+        # a print record: the same value at another scale prints otherwise
+        assert DecimalScalar(20, 1) != DecimalScalar(2, 0)
+        assert D("2.0") == DecimalScalar(20, 1) and hash(D("2.0")) == hash(DecimalScalar(20, 1))
+        assert DecimalScalar(2, 0) != 2 and DecimalScalar(0, 3) != DecimalScalar(0, 0)
 
     def test_fraction_round_trip(self):
         x = D("-12.345")
@@ -178,32 +197,45 @@ class TestCertifyBracket:
         assert out.split("\n") == ["debug False", "refused", "refused", "refused", ""]
 
 
+def ten_digit_values():
+    return st.integers(min_value=-(10**12), max_value=10**12).map(lambda n: DecimalScalar(n, 10))
+
+
+def _product_rows(config: ChordConfig) -> dict:
+    return {r.label: r for r in reproduce_table(config).rows}
+
+
 class TestMulExact:
+    # the products of the table are exact: the integers multiplied, the scales added
     def test_paper_row_cbd(self):
-        product = D("0.9311424637") * D("1.3646556077")
+        chords = ChordConfig(D("0.6353443923"), D("0.9311424637"), D("1.3646556077"),
+                             D("2.0000000000"))
+        product = _product_rows(chords)["CBD"].value
         assert product.scale == 20
         assert str(product) == "1.27068878465579869049"
         assert format_grouped(product).endswith("55798 69049")
 
     def test_identity(self):
+        # AD = 1 makes the DAB row AB itself, widened to 20 digits
         x = D("0.9311424637")
-        assert x * D("1") == x
+        one = DecimalScalar(10**10, 10)
+        assert _product_rows(ChordConfig(x, x, x, one))["DAB"].value == round_to(x, 20)
 
     def test_paper_row_abd_against_long_multiplication(self):
         a, b = "0.6353443923", "1.3646556077"
-        product = D(a) * D(b)
+        chords = ChordConfig(D(a), D("0.9311424637"), D(b), D("2.0000000000"))
+        product = _product_rows(chords)["ABD"].value
         assert str(product) == long_multiply(a, b)
         assert format_grouped(product) == "86702 62877 72943 70071"
 
-    @given(scalars(), scalars())
-    def test_commutative_with_exact_scales(self, a, b):
-        ab, ba = a * b, b * a
-        assert ab == ba
-        assert ab.scale == a.scale + b.scale
-
-    @given(scalars(), scalars())
-    def test_matches_digit_array_multiplication(self, a, b):
-        assert str(a * b) == long_multiply(str(a), str(b))
+    @given(ten_digit_values(), ten_digit_values(), ten_digit_values(), ten_digit_values())
+    def test_matches_digit_array_multiplication(self, ab, bc, bd, ad):
+        rows = _product_rows(ChordConfig(ab, bc, bd, ad))
+        pairs = {"DAB": (ad, ab), "CBD": (bc, bd), "BC^2": (bc, bc), "ABD": (ab, bd),
+                 "BD^2": (bd, bd), "ADBC": (ad, bc)}
+        for label, (x, y) in pairs.items():
+            assert str(rows[label].value) == long_multiply(str(x), str(y))
+            assert rows[label].grouped == format_grouped(rows[label].value)
 
 
 class TestRounding:
@@ -242,7 +274,7 @@ class TestSqrt:
         )
 
     def test_zero(self):
-        assert sqrt(D("0")) == D("0")
+        assert sqrt(D("0")) == DecimalScalar(0, 20)
 
     def test_sqrt_two_against_newton_oracle(self):
         expected = DecimalScalar.from_fraction(newton_sqrt(Fraction(2), 30), 10)
@@ -258,14 +290,14 @@ class TestSqrt:
         # for a <= 1 and below (2 sqrt(a) + 1) ulp in general
         rng = random.Random(1682)
         ctx = PrecisionContext.for_output(20)
-        tol = ulp(20).as_fraction()
+        tol = Fraction(1, 10**20)
         for _ in range(1000):
             a = DecimalScalar(rng.randint(0, 10**8), 4)  # [0, 10^4]
             r = sqrt(a, ctx)
             residual = abs(r.as_fraction() ** 2 - a.as_fraction())
             bound = tol * (2 * math.isqrt(int(a.as_fraction())) + 3)
             assert residual < bound
-            if a <= 1:
+            if a.as_fraction() <= 1:
                 assert residual < tol
 
 
