@@ -3,9 +3,10 @@
 
 Rows, each the fastest of ``--repeat`` calls after one warm-up call:
 
-- ``solve-chords``, ``means --method both``, ``duplicate-cube``, ``pyramid``
-  and ``four-proportionals --sphere`` at ``--digits`` 20, 100, 300, 1000 and
-  the work-digit cap less the 10 default guard digits (4190 by default);
+- ``solve-chords``, ``means --method both``, ``means --method instrument``,
+  ``duplicate-cube``, ``pyramid`` and ``four-proportionals --sphere`` at
+  ``--digits`` 20, 100, 300, 1000 and the work-digit cap less the 10 default
+  guard digits (4190 by default);
 - ``figure --id 1`` to ``7`` and ``check-props --instances 1000`` at the
   default 20 digits; the ``check-props`` row, a few hundred ms a call, takes
   ``SLOW_REPEAT`` times as many calls, because its fastest call moves with
@@ -87,6 +88,7 @@ COLD_ARGVS = (
 SOLVES = (
     ("solve-chords", ("solve-chords", "--diameter", "2")),
     ("means both", ("means", "--a", "1", "--b", "2", "--method", "both")),
+    ("means instrument", ("means", "--a", "1", "--b", "2", "--method", "instrument")),
     ("duplicate-cube", ("duplicate-cube", "--edge", "1.5")),
     ("pyramid", ("pyramid", "--edges", "3", "4", "12")),
     ("four-proportionals sphere", ("four-proportionals", "--ac", "2", "--t", "1/2", "--sphere")),

@@ -96,14 +96,10 @@ class MeansResult(ValueRecord):
     """Solved means with the arc parameter and an exact residual bound.
 
     ``iterations`` counts the residual sign evaluations that certified the
-    arc parameter (0 when a == b needs none).  ``seed`` is the grid index
-    the search started from (None when a == b) and ``solved_for`` the
-    operands and work digits (a, b, w); neither is printed.  Immutable by
-    convention.
+    arc parameter (0 when a == b needs none).  Immutable by convention.
     """
 
-    __slots__ = ("m1", "m2", "theta_param", "iterations", "residual", "method",
-                 "seed", "solved_for")
+    __slots__ = ("m1", "m2", "theta_param", "iterations", "residual", "method")
 
 
 def _validate(a: Fraction, b: Fraction) -> None:
@@ -149,19 +145,13 @@ def _seed(a: Fraction, b: Fraction, w: int) -> int:
     return t // 10**5
 
 
-def _solve(a, b, ctx: PrecisionContext, method: str, after: MeansResult | None) -> MeansResult:
-    """Certify t with ``method``'s own residual signs and read the means off it.
-
-    ``after`` is as in :func:`two_means_compass`.
-    """
+def _solve(a, b, ctx: PrecisionContext, method: str) -> MeansResult:
+    """Certify t with ``method``'s own residual signs and read the means off it."""
     af, bf = as_rational(a), as_rational(b)
     _validate(af, bf)
     w = ctx.work_digits
-    solved_for = (af, bf, w)
-    if after is not None and after.solved_for != solved_for:
-        after = None
     if af == bf:
-        seed, t, evaluations = None, Fraction(0), 0
+        t, evaluations = Fraction(0), 0
     else:
         grid = 10**w
         if method == "instrument":
@@ -176,36 +166,25 @@ def _solve(a, b, ctx: PrecisionContext, method: str, after: MeansResult | None) 
                 r = InstrumentState(af, bf, Fraction(g, grid)).residual_compass()
                 return (r > 0) - (r < 0)
             want_low = -1
-        seed = _seed(af, bf, w) if after is None else after.seed
-        g, exact, evaluations = certify_bracket(sign_at, seed, 0, grid, want_low)
+        g, exact, evaluations = certify_bracket(sign_at, _seed(af, bf, w), 0, grid, want_low)
         t = Fraction(g, grid) if exact else Fraction(2 * g + 1, 2 * grid)
-    if after is not None and after.theta_param == t:
-        m1, m2, residual = after.m1, after.m2, after.residual
-    else:
-        m1, m2, residual = _result(af, bf, t, w)
-    return MeansResult(m1, m2, t, evaluations, residual, method, seed, solved_for)
+    m1, m2, residual = _result(af, bf, t, w)
+    return MeansResult(m1, m2, t, evaluations, residual, method)
 
 
 def two_means_instrument(a, b, ctx: PrecisionContext = DEFAULT_CONTEXT) -> MeansResult:
     """Prop-III mechanism: slide the stylus until plumbline and cursor meet on AC."""
-    return _solve(a, b, ctx, "instrument", None)
+    return _solve(a, b, ctx, "instrument")
 
 
-def two_means_compass(a, b, ctx: PrecisionContext = DEFAULT_CONTEXT,
-                      after: MeansResult | None = None) -> MeansResult:
+def two_means_compass(a, b, ctx: PrecisionContext = DEFAULT_CONTEXT) -> MeansResult:
     """Prop-IV mechanism: one compass aperture b/2 from the midpoint of AC.
 
     The compass only re-expresses how D is held to the arc (its distance
     from the midpoint stays b/2, which the rational arc parameter makes
     exact), while the stopping coincidence is measured along the ruler.
-    Given ``after``, a result solved for the same a, b and work digits (say
-    the instrument's), the search starts from its seed, which depends on
-    nothing else, and keeps its means and residual bound, which depend on
-    t besides, if the compass certifies the same t.  The compass's own
-    residual signs still certify t, so the result equals a solve from
-    scratch.
     """
-    return _solve(a, b, ctx, "compass", after)
+    return _solve(a, b, ctx, "compass")
 
 
 def duplicate_cube(edge, ctx: PrecisionContext = DEFAULT_CONTEXT) -> DecimalScalar:

@@ -39,13 +39,18 @@ def _trunc_div(n: int, d: int) -> int:
 def _icbrt(n: int) -> int:
     """Floor cube root of a non-negative integer.
 
-    Newton iteration from an upper bound; integer division makes each step
-    land at or above the true root, and the final loop checks the
-    postcondition (x + 1)^3 > n.  It forms one full cube x^3 and reaches the
-    next by the difference (x + 1)^3 = x^3 + 3x(x + 1) + 1.  For large ``n``
-    the start is the floor cube root of the top half of the bits, found the
-    same way, plus one and shifted back: an upper bound that already holds
-    half the digits, so about two full-precision steps finish the root.
+    Up to 192 bits, Newton iteration from the upper bound 2^ceil(bits/3);
+    integer division makes each step land at or above the true root, so it
+    stops at the first step that does not decrease.  Above, the start is the
+    floor cube root of the top half of the bits, found the same way, plus
+    one and shifted back: an upper bound that holds half the root's digits,
+    so one full-precision Newton step leaves it a few units from the root.
+    Either way x is then corrected by differences, down by
+    (x - 1)^3 = x^3 - 3x(x - 1) - 1 while x^3 > n and up by
+    (x + 1)^3 = x^3 + 3x(x + 1) + 1 while that is <= n, so
+    x^3 <= n < (x + 1)^3 holds on return by construction.  A Newton step
+    never lands below the floor root (the mean of x, x, n/x^2 is at least
+    cbrt(n)), so the upward pass only confirms (x + 1)^3 > n.
     """
     if n < 0:
         raise ValueError("negative argument")
@@ -53,17 +58,15 @@ def _icbrt(n: int) -> int:
         return 0
     if n.bit_length() <= 192:
         x = 1 << -(-n.bit_length() // 3)  # 2^ceil(bits/3) >= cbrt(n)
+        while (y := (2 * x + n // (x * x)) // 3) < x:
+            x = y
     else:
         shift = n.bit_length() // 6
         x = (_icbrt(n >> 3 * shift) + 1) << shift
-    while True:
-        y = (2 * x + n // (x * x)) // 3
-        if y >= x:
-            break
-        x = y
-    # The loop never stops above the root: at x >= floor(cbrt(n)) + 1, x^3 > n
-    # gives n // x^2 <= x - 1, so y <= x - 1 < x.  Hence x^3 <= n here.
+        x = (2 * x + n // (x * x)) // 3
     cube = x * x * x
+    while cube > n:
+        x, cube = x - 1, cube - 3 * x * (x - 1) - 1
     while (above := cube + 3 * x * (x + 1) + 1) <= n:
         x, cube = x + 1, above
     return x

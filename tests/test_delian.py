@@ -8,11 +8,10 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from mesolabe import delian
+from mesolabe import cli, delian
 from mesolabe.cli import main
 from mesolabe.delian import (
     InstrumentState,
-    MeansResult,
     _cleared_k,
     _result,
     duplicate_cube,
@@ -22,13 +21,14 @@ from mesolabe.delian import (
 from mesolabe.euclid import unit_circle_point
 from mesolabe.proportio import four_proportionals_planar, verify_continued_proportion
 from mesolabe.scalar import (
+    CertificationError,
     DecimalScalar,
     PrecisionContext,
     certify_bracket,
     round_to,
 )
 
-from oracles import newton_cbrt
+from oracles import _on_unit_circle, newton_cbrt
 
 D = DecimalScalar.from_str
 F = Fraction
@@ -133,58 +133,6 @@ class TestTwoMeans:
         assert abs(quad.af.as_fraction() - 1) < F(1, 10**20)
         terms = [D("1"), result.m1, result.m2, D("2")]
         assert verify_continued_proportion(terms, 20)
-
-
-class TestSharedSolve:
-    """``means --method both`` seeds and reads off the means once, and only when that is sound."""
-
-    def test_both_seeds_once_and_rounds_once(self, monkeypatch):
-        calls = collections.Counter()
-
-        def counted(owner, name):
-            original = getattr(owner, name)
-
-            def wrapper(*args, **kwargs):
-                calls[name] += 1
-                return original(*args, **kwargs)
-            monkeypatch.setattr(owner, name, wrapper)
-
-        for name in ("_seed", "_result"):
-            counted(delian, name)
-        for name in ("residual_instrument", "residual_compass"):
-            counted(InstrumentState, name)
-        with contextlib.redirect_stdout(io.StringIO()):
-            code = main(["means", "--a", "1", "--b", "2", "--method", "both", "--digits", "300"])
-        assert code == 0
-        assert calls["_seed"] == calls["_result"] == 1
-        assert calls["residual_instrument"] >= 2 and calls["residual_compass"] >= 2
-
-    def test_shared_result_equals_a_solve_from_scratch(self):
-        for a, b in ((F(1), F(2)), (F(27), F(125)), (F(3), F(3))):
-            first = two_means_instrument(a, b, CTX20)
-            shared = two_means_compass(a, b, CTX20, after=first)
-            assert shared == two_means_compass(a, b, CTX20)
-            assert shared.seed == first.seed and shared.solved_for == first.solved_for
-
-    def test_result_for_other_operands_is_not_reused(self):
-        other = two_means_instrument(F(1), F(2), CTX20)
-        result = two_means_compass(F(2), F(4), CTX20, after=other)
-        assert result.theta_param == other.theta_param
-        assert result.m1 != other.m1
-        assert result == two_means_compass(F(2), F(4), CTX20)
-
-    def test_result_at_other_work_digits_is_not_reused(self):
-        other = two_means_instrument(F(1), F(2), CTX10)
-        result = two_means_compass(F(1), F(2), CTX20, after=other)
-        assert result == two_means_compass(F(1), F(2), CTX20)
-
-    def test_means_of_another_parameter_are_not_reused(self):
-        first = two_means_instrument(F(1), F(2), CTX20)
-        forged = MeansResult(D("9"), D("9"), first.theta_param + F(1, 10**30),
-                             first.iterations, D("0"), first.method, first.seed,
-                             first.solved_for)
-        result = two_means_compass(F(1), F(2), CTX20, after=forged)
-        assert result == two_means_compass(F(1), F(2), CTX20)
 
 
 class TestDuplicateCube:
@@ -312,3 +260,66 @@ class TestClearedIntegers:
         assert (r2.unscaled, r2.scale) == (m2, w)
         assert residual.scale == 3 * w
         assert residual.unscaled == math.ceil(defect * 10 ** (3 * w))
+
+
+class TestSingleCertification:
+    """``means --method both`` certifies once: the compass would visit the same cells."""
+
+    def test_both_certifies_once(self, monkeypatch):
+        calls = collections.Counter()
+
+        def counted(owner, name):
+            original = getattr(owner, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return original(*args, **kwargs)
+            monkeypatch.setattr(owner, name, wrapper)
+
+        for name in ("_seed", "_result"):
+            counted(delian, name)
+        counted(cli, "_means_payload")
+        for name in ("residual_instrument", "residual_compass"):
+            counted(InstrumentState, name)
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = main(["means", "--a", "1", "--b", "2", "--method", "both", "--digits", "300"])
+        assert code == 0
+        iterations = {int(line.split(": ")[1]) for line in out.getvalue().splitlines()
+                      if line.startswith("iterations: ")}
+        assert len(iterations) == 1
+        assert calls["_seed"] == calls["_result"] == calls["_means_payload"] == 1
+        assert calls["residual_compass"] == 0
+        assert calls["residual_instrument"] == iterations.pop() >= 2
+
+    @settings(max_examples=80, deadline=None)
+    @given(ordered_pairs, arc_parameters)
+    @example((F(27), F(125)), F(1, 2))
+    def test_compass_residual_is_the_instrument_residual_negated(self, pair, t):
+        a, b = pair
+        k, _ = _on_unit_circle(t)
+        state = InstrumentState(a, b, t)
+        assert state.residual_compass() == -state.residual_instrument()
+        assert _sign(state.residual_compass()) == _sign(a - b * k**3)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.sampled_from([-1, 0, 1]), min_size=2, max_size=40), st.data())
+    def test_negated_signs_visit_the_same_cells(self, signs, data):
+        lo = data.draw(st.integers(0, len(signs) - 2))
+        hi = data.draw(st.integers(lo + 1, len(signs) - 1))
+        seed = data.draw(st.integers(-1, len(signs)))
+        want_low = data.draw(st.sampled_from([-1, 1]))
+
+        def search(flip):
+            visited = []
+
+            def sign(g):
+                visited.append(g)
+                return flip * signs[g]
+            try:
+                outcome = certify_bracket(sign, seed, lo, hi, flip * want_low)
+            except CertificationError as exc:
+                outcome = str(exc)
+            return outcome, visited
+
+        assert search(1) == search(-1)

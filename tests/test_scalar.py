@@ -313,12 +313,21 @@ class TestIntegerCubeRoot:
     @settings(max_examples=200, deadline=None)
     @given(sized_integers(13300))
     @example(10**4000)
+    @example(2**192 - 1)  # the last radicand of the plain Newton loop
+    @example(2**192)  # the first of the one-step start
+    @example(2**192 + 1)
+    @example(2**193 - 1)
     def test_floor_cube_root(self, n):
         r = _icbrt(n)
         assert r**3 <= n < (r + 1) ** 3
 
+    # r^3 for r near 2^64 straddles the 192-bit switch
     @settings(max_examples=200, deadline=None)
     @given(sized_integers(4430).map(lambda n: n + 1))
+    @example(2**64 - 1)
+    @example(2**64)
+    @example(2**64 + 1)
+    @example(2**64 + 2)
     def test_floor_cube_root_beside_exact_cubes(self, r):
         assert (_icbrt(r**3 - 1), _icbrt(r**3), _icbrt(r**3 + 1)) == (r - 1, r, r)
 
