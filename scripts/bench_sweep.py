@@ -165,7 +165,7 @@ def construct(cls, coords):
 def _means_operands(cli, w: int):
     """(a, b, seed, t) of ``means --a 1 --b 2`` at w work digits."""
     a, b = Fraction(1), Fraction(2)
-    ctx = cli.PrecisionContext(w, w - 10, 10)
+    ctx = cli.PrecisionContext.for_output(w - 10, 10)
     return a, b, cli.delian._seed(a, b, w), cli.delian.two_means_instrument(a, b, ctx).theta_param
 
 
@@ -173,7 +173,7 @@ def _result_call(cli, w: int):
     a, b, _, t = _means_operands(cli, w)
     result = cli.delian._result
     if result.__code__.co_argcount == 6:  # older trees: (a, b, t, iterations, method, ctx)
-        ctx = cli.PrecisionContext(w, w - 10, 10)
+        ctx = cli.PrecisionContext.for_output(w - 10, 10)
         return lambda: result(a, b, t, 0, "instrument", ctx)
     return lambda: result(a, b, t, w)
 

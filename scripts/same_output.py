@@ -5,6 +5,8 @@ The calls:
 
 - every op of the three ``perfbench/workloads.py`` pools at each ``--seeds``
   seed, both as text and with ``--json``;
+- the ``FIXED`` calls, each as text and with ``--json``: values beside a
+  rounding midpoint, where a value rounded twice prints a wrong last digit;
 - ``--random`` calls drawn from ``Random(RANDOM_SEED)`` over every
   subcommand that takes numeric operands (``solve-chords``, ``means`` with
   each method, ``duplicate-cube``, ``four-proportionals`` planar and
@@ -47,6 +49,16 @@ import workloads  # noqa: E402  (perfbench/ is not a package)
 
 #: Seed of the random calls, so every sweep draws the same ones.
 RANDOM_SEED = 0
+#: Calls whose printed value lies within 10^-15 of a rounding midpoint at ``--digits 1``:
+#: m1 = 1.25 + 10^-35 (b = m1^3), AD = 0.25 + 10^-15, the doubled edge
+#: 1.2500000000000004..., and the diagonal 0.25 + 4 10^-18.  Each rounds up to 0.3 or 1.3.
+FIXED = (
+    ("means", "--a", "1", "--b", "1.953125" + "0" * 28 + "46875" + "0" * 30 + "375" + "0" * 32 + "1",
+     "--digits", "1"),
+    ("four-proportionals", "--ac", "0.3125000000000012500", "--t", "1/3", "--digits", "1"),
+    ("duplicate-cube", "--edge", "0.992125657480125", "--digits", "1"),
+    ("pyramid", "--edges", "0.25", "0.000000001", "0.000000001", "--digits", "1"),
+)
 #: The numeric subcommands of the random sweep, drawn with equal weight.
 RANDOM_KINDS = ("solve-chords", "means", "duplicate-cube", "four-proportionals", "pyramid",
                 "figure")
@@ -131,13 +143,11 @@ def _random_argv(rng: random.Random) -> list[str]:
 
 
 def calls(seeds: list[int], random_calls: int) -> list[list[str]]:
-    """Every pool op at every seed, as text and as JSON, then the random calls."""
-    out = []
-    for workload in workloads.WORKLOADS:
-        for seed in seeds:
-            for op in workloads.pool(workload, seed):
-                text = [a for a in op.argv if a != "--json"]
-                out += [text, text + ["--json"]]
+    """The pool ops at every seed and the fixed calls, as text and as JSON, then the random calls."""
+    texts = [[a for a in op.argv if a != "--json"]
+             for workload in workloads.WORKLOADS for seed in seeds
+             for op in workloads.pool(workload, seed)]
+    out = [argv for text in texts + [list(f) for f in FIXED] for argv in (text, text + ["--json"])]
     rng = random.Random(RANDOM_SEED)
     return out + [_random_argv(rng) for _ in range(random_calls)]
 
@@ -180,7 +190,7 @@ def main() -> int:
     old = tree_results(str(Path(first_src).resolve()), argvs)
     new = tree_results(str(Path(second_src).resolve()), argvs)
     print(f"{len(argvs)} calls: the pools at seeds {' '.join(map(str, args.seeds))}, "
-          f"{args.random} random")
+          f"{2 * len(FIXED)} fixed, {args.random} random")
     print(f"exit codes, {first} -> {second}:")
     for (a, b), n in sorted(Counter((o[0], n[0]) for o, n in zip(old, new)).items(), key=str):
         print(f"  {a} -> {b}: {n}")

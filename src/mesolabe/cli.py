@@ -178,18 +178,15 @@ def _cmd_verify_table(args, ctx: PrecisionContext) -> Record:
 
 def _cmd_pyramid(args, ctx: PrecisionContext) -> Record:
     shown = [DecimalScalar.from_str(e) for e in args.edges]
-    edges = [e.as_fraction() for e in shown]
     if args.cosines:
         cosines = [_parse_rational(c) for c in args.cosines]
-        frame = pyramid.ObliqueVertexFrame(*edges, *cosines)
+        frame = pyramid.ObliqueVertexFrame(*(e.as_fraction() for e in shown), *cosines)
         dsq = pyramid.oblique_diagonal_sq(frame)
-        floor = dsq.numerator * 10 ** (2 * ctx.work_digits) // dsq.denominator
-        diag = sqrt(DecimalScalar(floor, 2 * ctx.work_digits), ctx)
         payload = {
             "edges": args.edges,
             "cosines": args.cosines,
             "diagonal_sq": str(dsq),
-            "diagonal": str(diag),
+            "diagonal": str(sqrt(dsq, ctx.output_digits)),
         }
         lines = [
             f"edges: {' '.join(args.edges)}",
@@ -198,15 +195,16 @@ def _cmd_pyramid(args, ctx: PrecisionContext) -> Record:
             f"diagonal: {payload['diagonal']}",
         ]
         return 0, payload, lines
-    p = pyramid.RightPyramid(*edges)
-    # a sum of squares of the edges is exact at twice their largest scale
-    dsq = DecimalScalar.from_fraction(pyramid.diagonal_sq(p), 2 * max(e.scale for e in shown))
+    # the edges as integers at their largest scale s, so their squares sum exactly at 2s
+    s = max(e.scale for e in shown)
+    p = pyramid.RightPyramid(*(e.unscaled * 10 ** (s - e.scale) for e in shown))
+    dsq = DecimalScalar(pyramid.diagonal_sq(p), 2 * s)
     prism_ok = pyramid.prism_diagonal_check(p)
     dsq_text = str(dsq)
     payload = {
         "edges": [str(e) for e in shown],
         "diagonal_sq": dsq_text,
-        "diagonal": str(sqrt(dsq, ctx)),
+        "diagonal": str(sqrt(dsq, ctx.output_digits)),
         "circumsphere_diameter_sq": dsq_text,
         "prism_check": prism_ok,
     }
@@ -288,12 +286,13 @@ def _cmd_four_proportionals(args, ctx: PrecisionContext) -> Record:
     ac = DecimalScalar.from_str(args.ac)
     t = _parse_rational(args.t)
     build = proportio.four_proportionals_sphere if args.sphere else proportio.four_proportionals_planar
-    quad = build(ac, t, ctx)
-    ok = proportio.verify_continued_proportion(quad.terms(), ctx.output_digits)
-    shown = {
-        label: str(round_to(v, ctx.output_digits))
-        for label, v in zip(("AF", "AE", "AD", "AC"), quad.terms())
-    }
+    terms = build(ac, t).terms()
+    # each exact term is rounded once to the printed digits and once to the work digits
+    full = [DecimalScalar.from_fraction(v, ctx.work_digits) for v in terms]
+    ok = proportio.verify_continued_proportion(full, ctx.output_digits)
+    labels = ("AF", "AE", "AD", "AC")
+    shown = {k: str(DecimalScalar.from_fraction(v, ctx.output_digits))
+             for k, v in zip(labels, terms)}
     lines = [f"{'spherical' if args.sphere else 'planar'} construction, t = {args.t}"]
     lines += [f"  {label} = {value}" for label, value in shown.items()]
     lines += ["", f"continued proportion verified: {'ok' if ok else 'FAILED'}"]
@@ -301,7 +300,7 @@ def _cmd_four_proportionals(args, ctx: PrecisionContext) -> Record:
         "construction": "sphere" if args.sphere else "planar",
         "t": args.t,
         "quad": shown,
-        "quad_full": {k: str(v) for k, v in zip(("AF", "AE", "AD", "AC"), quad.terms())},
+        "quad_full": {k: str(v) for k, v in zip(labels, full)},
         "verified": ok,
     }
     return (0 if ok else 1), payload, lines

@@ -54,11 +54,11 @@ class ChordConfig(ValueRecord):
 
 
 class ProportionalsQuad(ValueRecord):
-    """The four continued proportionals AF, AE, AD, AC; immutable by convention."""
+    """The four continued proportionals AF, AE, AD, AC, exact; immutable by convention."""
 
     __slots__ = ("af", "ae", "ad", "ac")
 
-    def terms(self) -> tuple[DecimalScalar, DecimalScalar, DecimalScalar, DecimalScalar]:
+    def terms(self) -> tuple[Fraction, Fraction, Fraction, Fraction]:
         return self.af, self.ae, self.ad, self.ac
 
 
@@ -168,8 +168,7 @@ def solve_continued_chords(
 
     ad = DecimalScalar.from_fraction(df, w)
     bd = ad.unscaled - lo
-    root_ctx = PrecisionContext(w + ctx.guard_digits, w, ctx.guard_digits)
-    bc = sqrt(DecimalScalar(lo * bd, 2 * w), root_ctx)
+    bc = sqrt(DecimalScalar(lo * bd, 2 * w), w)
     return ChordConfig(DecimalScalar(lo, w), bc, DecimalScalar(bd, w), ad)
 
 
@@ -296,34 +295,23 @@ def sphere_construction(ac: Fraction, t: Fraction) -> dict[str, Point3]:
     return pts
 
 
-def _decimal_quad(ac: DecimalScalar, t, ctx: PrecisionContext) -> ProportionalsQuad:
-    """:func:`quad_exact` rounded half-even at the work digits of ``ctx``."""
-    w = ctx.work_digits
-    quad = quad_exact(as_rational(ac), as_rational(t))
-    return ProportionalsQuad(*(DecimalScalar.from_fraction(v, w) for v in quad))
+def four_proportionals_planar(ac, t) -> ProportionalsQuad:
+    """The exact quad (AF, AE, AD, AC) of :func:`quad_exact` for a position ``t``.
 
-
-def four_proportionals_planar(
-    ac: DecimalScalar, t, ctx: PrecisionContext = DEFAULT_CONTEXT
-) -> ProportionalsQuad:
-    """Decimal quad (AF, AE, AD, AC) at work precision for a position ``t``.
-
-    ``t`` may be a Fraction (exact arc parameter) or any scalar convertible
-    to one, e.g. a DecimalScalar obtained from a root extraction.
+    ``ac`` and ``t`` may be Fractions, ints or DecimalScalars; a caller
+    rounds each term once to the digits it prints.
     """
-    return _decimal_quad(ac, t, ctx)
+    return ProportionalsQuad(*quad_exact(as_rational(ac), as_rational(t)))
 
 
-def four_proportionals_sphere(
-    ac: DecimalScalar, t, ctx: PrecisionContext = DEFAULT_CONTEXT
-) -> ProportionalsQuad:
+def four_proportionals_sphere(ac, t) -> ProportionalsQuad:
     """Same quad read off the spherical-cap construction.
 
     :func:`sphere_construction` realizes AE as the out-of-plane chord AG,
     and AF, AD as the chords of the planar route, so the lengths are
     exactly those of :func:`quad_exact` and are taken from it.
     """
-    return _decimal_quad(ac, t, ctx)
+    return ProportionalsQuad(*quad_exact(as_rational(ac), as_rational(t)))
 
 
 def verify_continued_proportion(terms, digits: int) -> bool:

@@ -2,11 +2,10 @@
 
 A :class:`DecimalScalar` is a signed integer times a negative power of
 ten, kept only to be printed: every computation runs on ``int`` at a known
-scale or on :class:`~fractions.Fraction`.  Rounding to a scale and integer
-square roots round half-even at a precision taken from a
-:class:`PrecisionContext`.  Everything is built on Python's
-arbitrary-precision ``int``, so there is no hidden binary floating point
-anywhere.
+scale or on :class:`~fractions.Fraction`.  Rounding to a scale and square
+roots round half-even once, from the exact value, to the digits asked for.
+Everything is built on Python's arbitrary-precision ``int``, so there is no
+hidden binary floating point anywhere.
 """
 
 from __future__ import annotations
@@ -172,30 +171,32 @@ def certify_bracket(
 
 
 class PrecisionContext(ValueRecord):
-    """Working/reported fractional-digit budget for inexact operations.
+    """Reported and guard fractional digits of a run; immutable by convention.
 
-    ``work_digits`` are carried during iteration, ``output_digits`` are reported,
-    and ``guard_digits`` is the mandatory cushion between the two.  Immutable by convention.
+    ``output_digits`` are reported, and ``guard_digits`` more are carried
+    during iteration: ``work_digits`` is their sum.
     """
 
-    __slots__ = ("work_digits", "output_digits", "guard_digits")
+    __slots__ = ("output_digits", "guard_digits")
 
-    def __init__(self, work_digits: int = 30, output_digits: int = 20, guard_digits: int = 10):
+    def __init__(self, output_digits: int = 20, guard_digits: int = 10):
         if guard_digits < 5:
             raise ValueError("guard_digits must be at least 5")
         if output_digits < 1:
             raise ValueError("output_digits must be at least 1")
-        if work_digits < output_digits + guard_digits:
-            raise ValueError("work_digits must cover output_digits + guard_digits")
-        super().__init__(work_digits, output_digits, guard_digits)
+        super().__init__(output_digits, guard_digits)
+
+    @property
+    def work_digits(self) -> int:
+        return self.output_digits + self.guard_digits
 
     @classmethod
     def for_output(cls, output_digits: int, guard_digits: int = 10) -> "PrecisionContext":
-        return cls(output_digits + guard_digits, output_digits, guard_digits)
+        return cls(output_digits, guard_digits)
 
 
 #: Paper tables carry 20 fractional digits; 10 guard digits on top.
-DEFAULT_CONTEXT = PrecisionContext(30, 20, 10)
+DEFAULT_CONTEXT = PrecisionContext(20, 10)
 
 
 class DecimalScalar(ValueRecord):
@@ -283,21 +284,29 @@ def truncate_to(a: DecimalScalar, digits: int) -> DecimalScalar:
     return DecimalScalar(_trunc_div(a.unscaled, 10 ** (a.scale - digits)), digits)
 
 
-def sqrt(a: DecimalScalar, ctx: PrecisionContext = DEFAULT_CONTEXT) -> DecimalScalar:
-    """Square root, computed at work precision and rounded to output precision.
+def sqrt(value, digits: int) -> DecimalScalar:
+    """Square root of an exact Fraction, int or DecimalScalar, rounded half-even to ``digits``.
 
-    The work-precision digits come from an exact integer square root
-    (floor), so the only inexactness is the final half-even rounding.
+    With value 10^(2 digits) = n/d, m = isqrt(n // d) is the floor of the
+    scaled root, and the root lies above m + 1/2 exactly when
+    4n > (2m + 1)^2 d: one integer comparison picks the last digit, and
+    equality is a tie, which goes to the even m.  For a DecimalScalar, n is
+    its integer times 10^(2 digits - scale) when scale <= 2 digits, and
+    else its integer over d = 10^(scale - 2 digits): nothing is reduced.
     """
-    if a.unscaled < 0:
-        raise ValueError("square root of a negative scalar")
-    w = ctx.work_digits
-    shift = 2 * w - a.scale
-    if shift >= 0:
-        n = a.unscaled * 10**shift
+    if isinstance(value, DecimalScalar):
+        shift = 2 * digits - value.scale
+        n, d = (value.unscaled * 10**shift, 1) if shift >= 0 else (value.unscaled, 10**-shift)
     else:
-        n = a.unscaled // 10**-shift
-    return round_to(DecimalScalar(math.isqrt(n), w), ctx.output_digits)
+        value = Fraction(value)
+        n, d = value.numerator * 10 ** (2 * digits), value.denominator
+    if n < 0:
+        raise ValueError("square root of a negative value")
+    m = math.isqrt(n // d)
+    above = 4 * n - (2 * m + 1) ** 2 * d
+    if above > 0 or (above == 0 and m % 2):
+        m += 1
+    return DecimalScalar(m, digits)
 
 
 def format_grouped(a: DecimalScalar) -> str:

@@ -65,6 +65,30 @@ def newton_sqrt(value: Fraction, digits: int) -> Fraction:
     return x
 
 
+def rounded(value: Fraction, digits: int) -> Fraction:
+    """``value`` rounded half-even to ``digits`` fractional digits, by the built-in ``round``."""
+    return Fraction(round(value * 10**digits), 10**digits)
+
+
+def rounded_sqrt(value: Fraction, digits: int) -> Fraction:
+    """sqrt(value) rounded half-even to ``digits`` fractional digits, exactly.
+
+    ``lo`` is the floor of the root on the grid 10^-digits, from ``math.isqrt``
+    of the floored scaled value; the root lies beyond the midpoint
+    lo + 10^-digits / 2 exactly when ``value`` exceeds that midpoint squared,
+    and on it exactly when ``value`` equals it, a tie that goes to the even
+    neighbour.
+    """
+    if value < 0:
+        raise ValueError("negative")
+    unit = Fraction(1, 10**digits)
+    lo = math.isqrt(math.floor(value / (unit * unit)))
+    mid = (lo + Fraction(1, 2)) * unit
+    if value > mid * mid or (value == mid * mid and lo % 2 == 1):
+        lo += 1
+    return lo * unit
+
+
 def newton_cbrt(value: Fraction, digits: int) -> Fraction:
     """Float-seeded Newton cube root (sign passes through)."""
     if value == 0:

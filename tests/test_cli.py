@@ -25,6 +25,8 @@ from mesolabe.cli import (
 from mesolabe.delian import InstrumentState
 from mesolabe.scalar import DecimalScalar, PrecisionContext, round_to
 
+from oracles import rounded
+
 SRC = Path(__file__).resolve().parent.parent / "src"
 
 
@@ -162,7 +164,7 @@ class TestPyramid:
            st.sampled_from([1, 20]))
     @example(["1.000000000000000000015", "0.00000000000000000001", "0.00000000000000000001"], 20)
     def test_oblique_path_with_zero_cosines_prints_the_right_diagonal(self, edges, digits):
-        # both paths take the root of the exact squared diagonal floored at 2w digits
+        # both paths round the root of the exact squared diagonal once
         argv = ["pyramid", "--edges", *edges, "--digits", str(digits)]
         _, right = _run_quiet(*argv)
         _, oblique = _run_quiet(*argv, "--cosines", "0", "0", "0")
@@ -172,6 +174,14 @@ class TestPyramid:
     def test_infeasible_cosines_usage_error(self, capsys):
         code = main(["pyramid", "--edges", "1", "1", "1", "--cosines", "1", "1", "-1"])
         assert code == 2
+
+    def test_a_diagonal_beside_a_midpoint_is_rounded_once(self, capsys):
+        # the diagonal is 0.25 + 4 10^-18, which the work digits alone would floor to 0.25
+        argv = ["pyramid", "--edges", "0.25", "0.000000001", "0.000000001", "--digits", "1"]
+        code, out = run(capsys, *argv)
+        assert code == 0 and "\ndiagonal: 0.3\n" in out
+        code, out = run(capsys, *argv, "--json")
+        assert code == 0 and json.loads(out)["diagonal"] == "0.3"
 
 
 class TestMeans:
@@ -330,6 +340,47 @@ class TestFourProportionals:
                            "--digits", "10", "--sphere", "--json")
         assert json.loads(planar)["quad"] == json.loads(spherical)["quad"]
 
+    def test_a_term_beside_a_midpoint_is_rounded_once(self, capsys):
+        # AD is 0.25 + 10^-15, which the work digits alone would round to 0.25
+        argv = ["four-proportionals", "--ac", "0.3125000000000012500", "--t", "1/3", "--digits", "1"]
+        code, out = run(capsys, *argv)
+        assert code == 0 and "\n  AD = 0.3\n" in out
+        code, out = run(capsys, *argv, "--json")
+        payload = json.loads(out)
+        assert code == 0 and payload["quad"]["AD"] == "0.3"
+        assert payload["quad_full"]["AD"] == "0.25000000000"
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        st.integers(min_value=0, max_value=10**12),
+        st.integers(min_value=1, max_value=25),
+        st.integers(min_value=0, max_value=20),
+        st.sampled_from((-1, 0, 1)),
+        st.sampled_from(("AD", "AE")),
+        st.booleans(),
+    )
+    @example(2, 1, 14, 1, "AD", False)  # the 0.25 + 10^-15 above
+    def test_terms_beside_midpoints_match_the_oracle(self, m, digits, gap, side, label, sphere):
+        # at t = 1/3, k = 4/5, so AC = x (5/4)^power is a decimal whenever x is,
+        # and AD (power 1) or AE (power 2) is x exactly
+        x = Fraction(2 * m + 1, 2 * 10**digits) + side * Fraction(1, 10 ** (digits + gap + 1))
+        ac = x * Fraction(5, 4) ** (1 if label == "AD" else 2)
+        places = digits + gap + 6
+        assert (ac * 10**places).denominator == 1
+        argv = ["four-proportionals", "--ac", _decimal(int(ac * 10**places), places), "--t", "1/3",
+                "--digits", str(digits), "--json"] + ["--sphere"] * sphere
+        code, out = _run_quiet(*argv)
+        assert code == 0
+        payload = json.loads(out)
+        shown = Fraction(payload["quad"][label]) * 10**digits
+        assert shown == (m + (m % 2) if side == 0 else m + (side > 0))
+        k = Fraction(4, 5)
+        for name, term in zip(("AF", "AE", "AD", "AC"), (ac * k**3, ac * k**2, ac * k, ac)):
+            for key, scale in (("quad", digits), ("quad_full", digits + 10)):
+                text = payload[key][name]
+                assert len(text.partition(".")[2]) == scale
+                assert Fraction(text) == rounded(term, scale)
+
     def test_verdict_holds_at_a_large_diameter(self, capsys):
         code, out = run(capsys, "four-proportionals", "--ac", "10000000000", "--t", "2/5")
         assert code == 0
@@ -340,10 +391,9 @@ class TestFourProportionals:
         name = "four_proportionals_sphere" if sphere else "four_proportionals_planar"
         build = getattr(proportio, name)
 
-        def off(ac, t, ctx):
-            q = build(ac, t, ctx)
-            af = DecimalScalar(q.af.unscaled - 2 * 10 ** (q.af.scale - ctx.output_digits), q.af.scale)
-            return proportio.ProportionalsQuad(af, q.ae, q.ad, q.ac)
+        def off(ac, t):
+            q = build(ac, t)
+            return proportio.ProportionalsQuad(q.af - Fraction(2, 10**20), q.ae, q.ad, q.ac)
 
         monkeypatch.setattr(proportio, name, off)
         argv = ["four-proportionals", "--ac", "2", "--t", "1/2", *sphere]

@@ -127,10 +127,11 @@ class TestTwoMeans:
 
     def test_consistency_with_four_proportionals(self):
         result = two_means_instrument(D("1"), D("2"), CTX20)
-        quad = four_proportionals_planar(D("2"), result.theta_param, CTX20)
-        assert quad.ae == result.m1
-        assert quad.ad == result.m2
-        assert abs(quad.af.as_fraction() - 1) < F(1, 10**20)
+        quad = four_proportionals_planar(D("2"), result.theta_param)
+        w = CTX20.work_digits
+        assert DecimalScalar.from_fraction(quad.ae, w) == result.m1
+        assert DecimalScalar.from_fraction(quad.ad, w) == result.m2
+        assert abs(quad.af - 1) < F(1, 10**20)
         terms = [D("1"), result.m1, result.m2, D("2")]
         assert verify_continued_proportion(terms, 20)
 

@@ -1,0 +1,140 @@
+"""Every printed diagonal and quad term is the correct rounding of its exact value.
+
+A seeded slice of calls to ``pyramid`` (right-angled and oblique) and
+``four-proportionals`` (planar and ``--sphere``) runs through ``cli.main``
+with ``--json``.  The exact value of each printed number is computed from the
+argv alone, with ``Fraction`` and the rounding oracles of ``tests/oracles.py``,
+and the printed digits must be its half-even rounding.  Some operands are drawn
+at or beside rounding midpoints, where a value rounded twice goes wrong.
+"""
+
+import contextlib
+import io
+import json
+import random
+from fractions import Fraction
+
+import pytest
+
+from mesolabe.cli import main
+
+from oracles import rounded, rounded_sqrt
+
+SEED = 1682
+CALLS = 50
+#: Pythagorean quadruples a^2 + b^2 + c^2 = n^2 with n odd.
+QUADRUPLES = ((1, 2, 2, 3), (2, 3, 6, 7), (1, 4, 8, 9), (4, 4, 7, 9), (2, 6, 9, 11), (3, 4, 12, 13))
+
+
+def _literal(value: Fraction, places: int) -> str:
+    """A positive ``value`` with at most ``places`` fractional digits, as a plain decimal."""
+    n = value * 10**places
+    if n.denominator != 1:
+        raise ValueError(f"{value} has more than {places} fractional digits")
+    whole, frac = divmod(n.numerator, 10**places)
+    return f"{whole}.{frac:0{places}d}" if places else str(whole)
+
+
+def _decimal(rng: random.Random) -> str:
+    """A positive decimal of 1 to 12 significant digits from 10^-12 to 10^12."""
+    size = rng.randint(1, 12)
+    places = rng.randint(0, 12 + size - 1)
+    return _literal(Fraction(rng.randrange(10 ** (size - 1), 10**size), 10**places), places)
+
+
+def _cosines(rng: random.Random) -> list[str]:
+    """Three non-negative ratios whose Gram determinant is non-negative."""
+    while True:
+        p, q, r = (Fraction(rng.randint(0, 9), rng.randint(9, 20)) for _ in range(3))
+        if 1 + 2 * p * q * r - p * p - q * q - r * r >= 0:
+            return [str(c) for c in (p, q, r)]
+
+
+def _pyramid(rng: random.Random, digits: int) -> list[str]:
+    kind = rng.randrange(3)
+    if kind == 0:
+        edges = [_decimal(rng) for _ in range(3)]
+    elif kind == 1:  # the diagonal is the midpoint n/2 10^-digits exactly: a tie
+        *legs, _ = rng.choice(QUADRUPLES)
+        scale = Fraction(rng.randrange(1, 10**4, 2), 2 * 10**digits)
+        edges = [_literal(leg * scale, digits + 1) for leg in legs]
+    else:  # the diagonal is a midpoint plus about 10^-2k / midpoint
+        mid = Fraction(2 * rng.randint(0, 10**6) + 1, 2 * 10**digits)
+        small = _literal(Fraction(1, 10 ** rng.randint(digits + 1, digits + 15)), 2 * digits + 15)
+        edges = [_literal(mid, digits + 1), small, small]
+    argv = ["pyramid", "--edges", *edges]
+    return argv + ["--cosines", *_cosines(rng)] * (rng.random() < 0.5)
+
+
+def _four_proportionals(rng: random.Random, digits: int) -> list[str]:
+    if rng.random() < 0.5:
+        ac = _decimal(rng)
+        t = f"{rng.randint(1, 999)}/1000" if rng.random() < 0.5 else "0." + str(rng.randint(1, 999))
+    else:  # t = 1/3 gives k = 4/5: AD or AE is a midpoint, or one ulp of 10^-(digits + gap) off
+        gap = rng.randint(1, 20)
+        x = Fraction(2 * rng.randint(0, 10**6) + 1, 2 * 10**digits)
+        x += rng.choice((-1, 0, 1)) * Fraction(1, 10 ** (digits + gap))
+        ac, t = _literal(x * Fraction(5, 4) ** rng.randint(1, 2), digits + gap + 5), "1/3"
+    return ["four-proportionals", "--ac", ac, "--t", t] + ["--sphere"] * (rng.random() < 0.5)
+
+
+def _calls() -> list[list[str]]:
+    rng = random.Random(SEED)
+    out = []
+    for i in range(CALLS):
+        digits, guard = rng.randint(1, 30), rng.randint(5, 12)
+        build = _pyramid if i % 2 else _four_proportionals
+        out.append(build(rng, digits) + ["--digits", str(digits), "--guard", str(guard), "--json"])
+    return out
+
+
+def _options(argv: list[str]) -> dict[str, list[str]]:
+    """Each ``--flag`` of ``argv`` with the values that follow it."""
+    out: dict[str, list[str]] = {}
+    for token in argv[1:]:
+        if token.startswith("--"):
+            key = token
+            out[key] = []
+        else:
+            out[key].append(token)
+    return out
+
+
+def _assert_rounded(text: str, exact: Fraction, digits: int) -> None:
+    assert len(text.partition(".")[2]) == digits, text
+    assert Fraction(text) == exact, (text, exact)
+
+
+def _check_pyramid(opts: dict, payload: dict, digits: int) -> None:
+    a, b, c = (Fraction(e) for e in opts["--edges"])
+    p, q, r = (Fraction(x) for x in opts.get("--cosines", ["0", "0", "0"]))
+    dsq = a * a + b * b + c * c + 2 * (a * b * p + b * c * q + c * a * r)
+    assert Fraction(payload["diagonal_sq"]) == dsq
+    if "--cosines" not in opts:
+        assert Fraction(payload["circumsphere_diameter_sq"]) == dsq
+    _assert_rounded(payload["diagonal"], rounded_sqrt(dsq, digits), digits)
+
+
+def _check_four_proportionals(opts: dict, payload: dict, digits: int, guard: int) -> None:
+    ac, t = Fraction(opts["--ac"][0]), Fraction(opts["--t"][0])
+    k = (1 - t * t) / (1 + t * t)
+    terms = dict(zip(("AF", "AE", "AD", "AC"), (ac * k**3, ac * k**2, ac * k, ac)))
+    assert payload["verified"] is True
+    for label, term in terms.items():
+        _assert_rounded(payload["quad"][label], rounded(term, digits), digits)
+        _assert_rounded(payload["quad_full"][label], rounded(term, digits + guard), digits + guard)
+
+
+@pytest.mark.parametrize("argv", _calls(), ids=" ".join)
+def test_printed_values_are_correctly_rounded(argv):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(argv)
+    assert code == 0
+    payload = json.loads(out.getvalue())
+    opts = _options(argv)
+    digits, guard = int(opts["--digits"][0]), int(opts["--guard"][0])
+    if argv[0] == "pyramid":
+        _check_pyramid(opts, payload, digits)
+    else:
+        _check_four_proportionals(opts, payload, digits, guard)

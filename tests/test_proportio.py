@@ -21,7 +21,6 @@ from mesolabe.scalar import (
     DecimalScalar,
     PrecisionContext,
     certify_bracket,
-    round_to,
     sqrt,
 )
 
@@ -288,10 +287,9 @@ class TestPlanarConstruction:
 
     def test_forty_five_degree_case(self):
         # t = tan(22.5 deg) = sqrt(2) - 1, taken from the root extraction
-        ctx = PrecisionContext(40, 30, 10)
-        t = sqrt(D("2"), ctx).as_fraction() - 1
-        quad = four_proportionals_planar(D("2"), t, CTX10)
-        rounded = [round_to(v, 10) for v in quad.terms()]
+        t = sqrt(D("2"), 30).as_fraction() - 1
+        quad = four_proportionals_planar(D("2"), t)
+        rounded = [DecimalScalar.from_fraction(v, 10) for v in quad.terms()]
         assert [str(v) for v in rounded] == [
             "0.7071067812",
             "1.0000000000",
@@ -302,17 +300,22 @@ class TestPlanarConstruction:
     def test_limit_toward_c_is_monotone(self):
         previous = None
         for t in (F(1, 10), F(1, 100), F(1, 1000)):
-            quad = four_proportionals_planar(D("2"), t, CTX10)
+            quad = four_proportionals_planar(D("2"), t)
             if previous is not None:
                 pairs = zip(previous.terms()[:3], quad.terms()[:3])
-                assert all(small.as_fraction() < big.as_fraction() for small, big in pairs)
-            assert quad.ac == DecimalScalar(2 * 10**20, 20)
+                assert all(small < big for small, big in pairs)
+            assert quad.ac == 2
             previous = quad
-        assert all(v.as_fraction() <= 2 for v in previous.terms())
+        assert all(v <= 2 for v in previous.terms())
+
+    def test_quad_is_exact(self):
+        quad = four_proportionals_planar(D("2.5"), F(1, 3))
+        assert quad.terms() == quad_exact(F(5, 2), F(1, 3)) == (F(32, 25), F(8, 5), F(2), F(5, 2))
 
     def test_quad_invariants_at_output_tolerance(self):
-        quad = four_proportionals_planar(D("2"), F(2, 7), CTX20)
-        assert verify_continued_proportion(quad.terms(), 20)
+        quad = four_proportionals_planar(D("2"), F(2, 7))
+        terms = [DecimalScalar.from_fraction(v, CTX20.work_digits) for v in quad.terms()]
+        assert verify_continued_proportion(terms, 20)
 
 
 def _oracle_sphere_points(ac: Fraction, t: Fraction) -> dict:
@@ -338,8 +341,8 @@ interior_parameters = st.fractions(min_value=0, max_value=1, max_denominator=10*
 class TestSphereConstruction:
     @given(st.fractions(min_value=F(1, 30), max_value=F(29, 30), max_denominator=30))
     def test_quad_matches_planar_exactly(self, t):
-        planar = four_proportionals_planar(D("2"), t, CTX10)
-        spherical = four_proportionals_sphere(D("2"), t, CTX10)
+        planar = four_proportionals_planar(D("2"), t)
+        spherical = four_proportionals_sphere(D("2"), t)
         assert planar == spherical
 
     @given(st.fractions(min_value=F(1, 30), max_value=F(29, 30), max_denominator=30))

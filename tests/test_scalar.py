@@ -24,7 +24,7 @@ from mesolabe.scalar import (
     truncate_to,
 )
 
-from oracles import long_multiply, newton_sqrt
+from oracles import long_multiply, newton_sqrt, rounded_sqrt
 
 D = DecimalScalar.from_str
 
@@ -269,31 +269,70 @@ class TestRounding:
 class TestSqrt:
     def test_paper_square_root(self):
         # the BC^2 table entry is an exact square of the printed BC
-        assert sqrt(D("0.86702628770530581769"), PrecisionContext.for_output(10)) == D(
-            "0.9311424637"
-        )
+        assert sqrt(D("0.86702628770530581769"), 10) == D("0.9311424637")
 
     def test_zero(self):
-        assert sqrt(D("0")) == DecimalScalar(0, 20)
+        assert sqrt(D("0"), 20) == DecimalScalar(0, 20)
 
     def test_sqrt_two_against_newton_oracle(self):
         expected = DecimalScalar.from_fraction(newton_sqrt(Fraction(2), 30), 10)
-        result = sqrt(D("2"), PrecisionContext.for_output(10))
-        assert result == expected == D("1.4142135624")
+        for two in (D("2"), 2, Fraction(2)):
+            assert sqrt(two, 10) == expected == D("1.4142135624")
 
     def test_negative_rejected(self):
-        with pytest.raises(ValueError):
-            sqrt(D("-1"))
+        for negative in (D("-1"), D("-0.000001"), -1, Fraction(-1, 3)):
+            with pytest.raises(ValueError):
+                sqrt(negative, 5)
+
+    def test_true_ties_go_to_even(self):
+        # sqrt(0.0625) = 0.25 and sqrt(0.1225) = 0.35 are midpoints at one digit
+        assert sqrt(D("0.0625"), 1) == D("0.2")
+        assert sqrt(D("0.1225"), 1) == D("0.4")
+        assert sqrt(Fraction(1, 16), 1) == D("0.2")
+
+    def test_a_root_beside_a_midpoint_is_rounded_once(self):
+        # 0.25 + 4 10^-18: a floor at 11 digits lands on the midpoint 0.25
+        assert sqrt(D("0.062500000000000002"), 1) == D("0.3")
+        assert sqrt(D("0.062499999999999998"), 1) == D("0.2")
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.integers(min_value=0, max_value=10**30),
+        st.integers(min_value=1, max_value=40),
+        st.integers(min_value=1, max_value=30),
+        st.sampled_from((-1, 0, 1)),
+        st.booleans(),
+    )
+    @example(2, 1, 1, 0, True)  # sqrt(0.0625)
+    def test_roots_beside_midpoints_match_the_oracle(self, m, digits, gap, side, as_decimal):
+        # root = (m + 1/2 + side 10^-gap) 10^-digits, so its square is exact
+        # at 2 (digits + gap) + 2 fractional digits
+        root = Fraction(2 * m + 1, 2 * 10**digits) + side * Fraction(1, 10 ** (digits + gap))
+        value = root * root
+        if as_decimal:
+            value = DecimalScalar.from_fraction(value, 2 * (digits + gap) + 2)
+            assert value.as_fraction() == root * root
+        expected = rounded_sqrt(root * root, digits)
+        assert expected * 10**digits == (m + (m % 2) if side == 0 else m + (side > 0))
+        result = sqrt(value, digits)
+        assert result.scale == digits and result.as_fraction() == expected
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.fractions(min_value=0, max_value=10**12, max_denominator=10**12),
+        st.integers(min_value=0, max_value=40),
+    )
+    def test_any_rational_matches_the_oracle(self, value, digits):
+        assert sqrt(value, digits).as_fraction() == rounded_sqrt(value, digits)
 
     def test_residual_bound_random(self):
         # the half-even rounding of the root keeps |r^2 - a| below one ulp
         # for a <= 1 and below (2 sqrt(a) + 1) ulp in general
         rng = random.Random(1682)
-        ctx = PrecisionContext.for_output(20)
         tol = Fraction(1, 10**20)
         for _ in range(1000):
             a = DecimalScalar(rng.randint(0, 10**8), 4)  # [0, 10^4]
-            r = sqrt(a, ctx)
+            r = sqrt(a, 20)
             residual = abs(r.as_fraction() ** 2 - a.as_fraction())
             bound = tol * (2 * math.isqrt(int(a.as_fraction())) + 3)
             assert residual < bound
@@ -346,12 +385,12 @@ class TestRationalExactness:
 
 class TestValueRecord:
     def test_records_compare_hash_and_print_by_value(self):
-        ctx = PrecisionContext(40, 30, 10)
-        same = PrecisionContext(40, 30, 10)
+        ctx = PrecisionContext(30, 10)
+        same = PrecisionContext(30, 10)
         assert ctx is not same and ctx == same and hash(ctx) == hash(same)
-        assert ctx != PrecisionContext(41, 30, 10) and ctx != (40, 30, 10)
-        assert ctx.as_dict() == {"work_digits": 40, "output_digits": 30, "guard_digits": 10}
-        assert repr(ctx) == "PrecisionContext(work_digits=40, output_digits=30, guard_digits=10)"
+        assert ctx != PrecisionContext(31, 10) and ctx != (30, 10)
+        assert ctx.as_dict() == {"output_digits": 30, "guard_digits": 10}
+        assert repr(ctx) == "PrecisionContext(output_digits=30, guard_digits=10)"
         state = InstrumentState(Fraction(1), Fraction(2), Fraction(1, 3))
         assert state == InstrumentState(1, 2, Fraction(1, 3)) != ctx
         assert hash(state) == hash(InstrumentState(1, 2, Fraction(1, 3)))
@@ -377,10 +416,14 @@ class TestPrecisionContext:
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            PrecisionContext(12, 10, 5)
+            PrecisionContext(0, 10)
         with pytest.raises(ValueError):
-            PrecisionContext(30, 20, 4)
+            PrecisionContext(20, 4)
 
     def test_for_output(self):
         ctx = PrecisionContext.for_output(20)
         assert ctx.work_digits == 30
+
+    def test_work_digits_are_output_plus_guard(self):
+        ctx = PrecisionContext(7, 5)
+        assert ctx.work_digits == 12 and ctx == PrecisionContext.for_output(7, 5)
