@@ -166,7 +166,10 @@ def _means_operands(cli, w: int):
     """(a, b, seed, t) of ``means --a 1 --b 2`` at w work digits."""
     a, b = Fraction(1), Fraction(2)
     ctx = cli.PrecisionContext.for_output(w - 10, 10)
-    return a, b, cli.delian._seed(a, b, w), cli.delian.two_means_instrument(a, b, ctx).theta_param
+    seed = cli.delian._seed(a, b, w)
+    if isinstance(seed, tuple):  # newer trees: (index, bracket low, bracket high)
+        seed = seed[0]
+    return a, b, seed, cli.delian.two_means_instrument(a, b, ctx).theta_param
 
 
 def _result_call(cli, w: int):

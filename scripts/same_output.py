@@ -6,7 +6,9 @@ The calls:
 - every op of the three ``perfbench/workloads.py`` pools at each ``--seeds``
   seed, both as text and with ``--json``;
 - the ``FIXED`` calls, each as text and with ``--json``: values beside a
-  rounding midpoint, where a value rounded twice prints a wrong last digit;
+  rounding midpoint, where a value rounded twice prints a wrong last digit,
+  and ``means`` inputs that evaluate the mechanisms' residuals, which random
+  draws rarely do;
 - ``--random`` calls drawn from ``Random(RANDOM_SEED)`` over every
   subcommand that takes numeric operands (``solve-chords``, ``means`` with
   each method, ``duplicate-cube``, ``four-proportionals`` planar and
@@ -52,12 +54,20 @@ RANDOM_SEED = 0
 #: Calls whose printed value lies within 10^-15 of a rounding midpoint at ``--digits 1``:
 #: m1 = 1.25 + 10^-35 (b = m1^3), AD = 0.25 + 10^-15, the doubled edge
 #: 1.2500000000000004..., and the diagonal 0.25 + 4 10^-18.  Each rounds up to 0.3 or 1.3.
+#: Then ``means`` calls whose signs the seed's bracket cannot all decide, so the
+#: residuals run: the arc parameter t = 1/2 on the grid (27 : 125, each method) and
+#: b/a = 1 + 10^-21, whose tiny t widens the bracket over many grid points; and
+#: a << b, where the bracket's lower bound lies nearly 2s below its upper one.
 FIXED = (
     ("means", "--a", "1", "--b", "1.953125" + "0" * 28 + "46875" + "0" * 30 + "375" + "0" * 32 + "1",
      "--digits", "1"),
     ("four-proportionals", "--ac", "0.3125000000000012500", "--t", "1/3", "--digits", "1"),
     ("duplicate-cube", "--edge", "0.992125657480125", "--digits", "1"),
     ("pyramid", "--edges", "0.25", "0.000000001", "0.000000001", "--digits", "1"),
+    ("means", "--a", "27", "--b", "125", "--method", "instrument"),
+    ("means", "--a", "27", "--b", "125", "--method", "compass"),
+    ("means", "--a", "1", "--b", "1.000000000000000000001"),
+    ("means", "--a", "0.000000001", "--b", "1"),
 )
 #: The numeric subcommands of the random sweep, drawn with equal weight.
 RANDOM_KINDS = ("solve-chords", "means", "duplicate-cube", "four-proportionals", "pyramid",

@@ -20,6 +20,25 @@ rational tangent-half-angle parameter t = n/m, so k = (m^2 - n^2)/(m^2 + n^2)
 and every residual, multiplied by a positive factor that clears its
 denominators, is an exact integer: the certified cell can never be lost
 to rounding, and the seed only decides how many signs that takes.
+
+Most signs need no residual.  Both residuals change sign only at the root
+t*, where (1 - t*^2)/(1 + t*^2) = cbrt(a/b), so a sign is known as soon as
+t is known to lie on one side of t*.  With s = 10^(w + 5) and
+X(u) = s^2 (s - u)/(s + u), decreasing in u, the root satisfies
+(s t*)^2 = X(s cbrt(a/b)).  The seed computes c = floor(s cbrt(a/b)) and
+q = floor(X(c)) exactly; as c <= s cbrt(a/b) < c + 1 and
+X(c) - X(c + 1) = 2 s^3/((s + c)(s + c + 1)) < 2s,
+
+    q - 2s < X(c + 1) < (s t*)^2 <= X(c) < q + 1.
+
+So at a grid point t = g/10^w, x = (s t)^2 = g^2 10^10 > q puts t above the
+root and x <= q - 2s puts it below: one w-digit square decides the sign.
+Only a point whose x falls in that window of width 2s, which spans about
+10^-5/t* grid units around t*, evaluates the mechanism's residual: an arc
+parameter on the grid, as for a : b = 27 : 125, or a root t* so small that
+the window spans grid points, as for b/a = 1 + 10^-21.  The decided signs
+are the residuals' own, so the search visits the same grid points and the
+same cell either way.
 """
 
 from __future__ import annotations
@@ -95,8 +114,9 @@ class InstrumentState(ValueRecord):
 class MeansResult(ValueRecord):
     """Solved means with the arc parameter and an exact residual bound.
 
-    ``iterations`` counts the residual sign evaluations that certified the
-    arc parameter (0 when a == b needs none).  Immutable by convention.
+    ``iterations`` counts the grid points whose exact sign certified the arc
+    parameter, decided by the seed's bracket or by the residual (0 when
+    a == b needs none).  Immutable by convention.
     """
 
     __slots__ = ("m1", "m2", "theta_param", "iterations", "residual", "method")
@@ -132,21 +152,29 @@ def _result(a: Fraction, b: Fraction, t: Fraction,
     return DecimalScalar(m1, w), DecimalScalar(m2, w), residual
 
 
-def _seed(a: Fraction, b: Fraction, w: int) -> int:
-    """Grid index at 10^-w just below the closed-form arc parameter.
+def _seed(a: Fraction, b: Fraction, w: int) -> tuple[int, int, int]:
+    """Grid index at 10^-w just below the closed-form arc parameter, and the
+    root's bracket ``(low, high)`` on x = (s t)^2, s = 10^(w + 5).
 
     k = cbrt(a/b) and t = sqrt((1 - k)/(1 + k)) are taken as floors at
-    w + 5 digits; the result only steers the certified search.
+    w + 5 digits: c = floor(s k) and q = floor(s^2 (s - c)/(s + c)), so
+    t's floor is isqrt(q).  The index only steers the certified search.  The
+    bracket is (q - 2s, q): every x <= q - 2s lies below (s t*)^2 and every
+    x > q above it, as the module docstring proves.
     """
     scale = 10 ** (w + 5)
-    k = _icbrt(a.numerator * b.denominator * 10 ** (3 * (w + 5))
+    c = _icbrt(a.numerator * b.denominator * 10 ** (3 * (w + 5))
                // (a.denominator * b.numerator))
-    t = math.isqrt((scale - k) * (scale * scale) // (scale + k))
-    return t // 10**5
+    q = (scale - c) * (scale * scale) // (scale + c)
+    return math.isqrt(q) // 10**5, q - 2 * scale, q
 
 
 def _solve(a, b, ctx: PrecisionContext, method: str) -> MeansResult:
-    """Certify t with ``method``'s own residual signs and read the means off it."""
+    """Certify t with ``method``'s own residual signs and read the means off it.
+
+    A sign that the seed's bracket decides is the residual's sign without
+    the residual; only a grid point inside the bracket evaluates it.
+    """
     af, bf = as_rational(a), as_rational(b)
     _validate(af, bf)
     w = ctx.work_digits
@@ -154,19 +182,22 @@ def _solve(a, b, ctx: PrecisionContext, method: str) -> MeansResult:
         t, evaluations = Fraction(0), 0
     else:
         grid = 10**w
-        if method == "instrument":
-            def sign_at(g: int) -> int:
-                if g == grid:
-                    return -1  # cursor crossing runs off to infinity with D at A
-                r = InstrumentState(af, bf, Fraction(g, grid)).residual_instrument()
-                return (r > 0) - (r < 0)
-            want_low = 1
-        else:
-            def sign_at(g: int) -> int:
-                r = InstrumentState(af, bf, Fraction(g, grid)).residual_compass()
-                return (r > 0) - (r < 0)
-            want_low = -1
-        g, exact, evaluations = certify_bracket(sign_at, _seed(af, bf, w), 0, grid, want_low)
+        seed, low, high = _seed(af, bf, w)
+        instrument = method == "instrument"
+        want_low = 1 if instrument else -1  # the sign below the root
+
+        def sign_at(g: int) -> int:
+            if g == grid and instrument:
+                return -1  # cursor crossing runs off to infinity with D at A
+            x = g * g * 10**10  # (s t)^2 at t = g/10^w
+            if x > high:
+                return -want_low
+            if x <= low:
+                return want_low
+            state = InstrumentState(af, bf, Fraction(g, grid))
+            r = state.residual_instrument() if instrument else state.residual_compass()
+            return (r > 0) - (r < 0)
+        g, exact, evaluations = certify_bracket(sign_at, seed, 0, grid, want_low)
         t = Fraction(g, grid) if exact else Fraction(2 * g + 1, 2 * grid)
     m1, m2, residual = _result(af, bf, t, w)
     return MeansResult(m1, m2, t, evaluations, residual, method)

@@ -287,12 +287,14 @@ def truncate_to(a: DecimalScalar, digits: int) -> DecimalScalar:
 def sqrt(value, digits: int) -> DecimalScalar:
     """Square root of an exact Fraction, int or DecimalScalar, rounded half-even to ``digits``.
 
-    With value 10^(2 digits) = n/d, m = isqrt(n // d) is the floor of the
-    scaled root, and the root lies above m + 1/2 exactly when
-    4n > (2m + 1)^2 d: one integer comparison picks the last digit, and
-    equality is a tie, which goes to the even m.  For a DecimalScalar, n is
-    its integer times 10^(2 digits - scale) when scale <= 2 digits, and
-    else its integer over d = 10^(scale - 2 digits): nothing is reduced.
+    With value 10^(2 digits) = n/d and r its root, s = isqrt(4n // d) is the
+    floor of 2r, so m = (s + 1) // 2 = floor(r + 1/2) rounds r half up.  r
+    lies on a midpoint exactly when 2r is an odd integer: 4n/d is an integer
+    (d divides 4n), odd, and s^2.  Only then is the root squared, and only
+    when m is odd, to step down to the even neighbour; with d = 1, 4n is
+    even and it never is.  For a DecimalScalar, n is its integer times
+    10^(2 digits - scale) when scale <= 2 digits, and else its integer over
+    d = 10^(scale - 2 digits): nothing is reduced.
     """
     if isinstance(value, DecimalScalar):
         shift = 2 * digits - value.scale
@@ -302,10 +304,11 @@ def sqrt(value, digits: int) -> DecimalScalar:
         n, d = value.numerator * 10 ** (2 * digits), value.denominator
     if n < 0:
         raise ValueError("square root of a negative value")
-    m = math.isqrt(n // d)
-    above = 4 * n - (2 * m + 1) ** 2 * d
-    if above > 0 or (above == 0 and m % 2):
-        m += 1
+    q, r = divmod(4 * n, d)
+    s = math.isqrt(q)
+    m = (s + 1) // 2
+    if m % 2 and not r and q % 2 and s * s == q:  # a tie rounded up to an odd m: to even
+        m -= 1
     return DecimalScalar(m, digits)
 
 

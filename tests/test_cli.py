@@ -22,7 +22,6 @@ from mesolabe.cli import (
     main,
     max_work_digits,
 )
-from mesolabe.delian import InstrumentState
 from mesolabe.scalar import DecimalScalar, PrecisionContext, round_to
 
 from oracles import rounded
@@ -217,7 +216,10 @@ class TestMeans:
         assert json.loads(blob)["residual_bound"] == "0"
 
     def test_certification_failure_is_one_line_exit_1(self, capsys, monkeypatch):
-        monkeypatch.setattr(InstrumentState, "residual_compass", lambda self: Fraction(-1))
+        # a bracket that puts every grid point above the root: every sign is
+        # the compass's above-root sign, so certify_bracket finds no sign change
+        seed = delian._seed
+        monkeypatch.setattr(delian, "_seed", lambda a, b, w: (seed(a, b, w)[0], -1, -1))
         code = main(["means", "--a", "1", "--b", "2", "--method", "compass"])
         captured = capsys.readouterr()
         assert code == 1

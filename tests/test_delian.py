@@ -4,6 +4,7 @@ import io
 import math
 import random
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -218,6 +219,114 @@ class TestCertifiedCell:
                 assert 1 <= solve(a, b, ctx).iterations <= 8
 
 
+def _floor_scaled_cbrt(ratio: Fraction, s: int) -> int:
+    """floor(s cbrt(ratio)), from the Newton oracle corrected by exact cubes."""
+    c = math.floor(newton_cbrt(ratio, 2 * len(str(s))) * s)
+    while c**3 > ratio * s**3:
+        c -= 1
+    while (c + 1) ** 3 <= ratio * s**3:
+        c += 1
+    return c
+
+
+def _sign_function(solve, a, b, ctx):
+    """(sign, seed, want_low) that ``solve`` hands to certify_bracket."""
+    seen = []
+
+    def spy(sign, seed, lo, hi, want_low):
+        seen.append((sign, seed, want_low))
+        return certify_bracket(sign, seed, lo, hi, want_low)
+    with mock.patch.object(delian, "certify_bracket", spy):
+        solve(a, b, ctx)
+    (found,) = seen
+    return found
+
+
+def _residual_only(a, b, ctx, method):
+    """(m1, m2, residual, t, iterations) certified with the residual at every sign."""
+    w = ctx.work_digits
+    grid = 10**w
+
+    def sign(g):
+        if method == "instrument" and g == grid:
+            return -1
+        state = InstrumentState(a, b, F(g, grid))
+        return _sign(state.residual_instrument() if method == "instrument"
+                     else state.residual_compass())
+    want_low = 1 if method == "instrument" else -1
+    g, exact, evaluations = certify_bracket(sign, delian._seed(a, b, w)[0], 0, grid, want_low)
+    t = F(g, grid) if exact else F(2 * g + 1, 2 * grid)
+    return (*_result(a, b, t, w), t, evaluations)
+
+
+@contextlib.contextmanager
+def _residual_calls():
+    """A counter of the residual evaluations made inside the block."""
+    calls = collections.Counter()
+
+    def counted(name):
+        original = getattr(InstrumentState, name)
+
+        def wrapper(self):
+            calls[name] += 1
+            return original(self)
+        return mock.patch.object(InstrumentState, name, wrapper)
+    with counted("residual_instrument"), counted("residual_compass"):
+        yield calls
+
+
+class TestSeedBracket:
+    """The seed's bracket on (s t)^2 decides signs that agree with the exact residuals."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(ordered_pairs, st.integers(min_value=1, max_value=60))
+    @example((F(1), F(10**9)), 20)  # X(c) - X(c + 1) is close to 2s when c << s
+    def test_the_bracket_holds_the_root(self, pair, digits):
+        a, b = pair
+        w = digits + 10
+        s = 10 ** (w + 5)
+        c = _floor_scaled_cbrt(a / b, s)
+
+        def x_at(u):  # (s t)^2 where the cosine k is u/s
+            return F(s * s * (s - u), s + u)
+        _, low, high = delian._seed(a, b, w)
+        assert x_at(c + 1) >= low and x_at(c) < high + 1
+
+    @settings(max_examples=60, deadline=None)
+    @given(ordered_pairs, st.integers(min_value=1, max_value=60),
+           st.randoms(use_true_random=False))
+    @example((F(27), F(125)), 10, random.Random(0))  # the seed lands on the root t = 1/2
+    def test_every_sign_is_the_residual_sign(self, pair, digits, rng):
+        a, b = pair
+        ctx = PrecisionContext.for_output(digits)
+        grid = 10**ctx.work_digits
+        for solve in (two_means_instrument, two_means_compass):
+            sign, seed, want_low = _sign_function(solve, a, b, ctx)
+            points = {0, grid - 1, rng.randrange(grid + 1), *range(seed - 50, seed + 51)}
+            for g in sorted(g for g in points if 0 <= g <= grid):
+                assert sign(g) == want_low * _sign(_cube_defect(a, b, F(g, grid)))
+
+    @pytest.mark.parametrize("pair", [(F(27), F(125)), (F(1), 1 + F(1, 10**21)),
+                                      (F(1), 1 + F(1, 10**45))])
+    @pytest.mark.parametrize("digits", [1, 20, 60])
+    def test_solves_that_reach_the_residual_match_residual_only_signs(self, pair, digits):
+        ctx = PrecisionContext.for_output(digits)
+        for solve, method in ((two_means_instrument, "instrument"),
+                              (two_means_compass, "compass")):
+            with _residual_calls() as calls:
+                result = solve(*pair, ctx)
+            assert calls[f"residual_{method}"] >= 1
+            assert (result.m1, result.m2, result.residual, result.theta_param,
+                    result.iterations) == _residual_only(*pair, ctx, method)
+
+    def test_a_root_off_the_grid_needs_no_residual(self):
+        ctx = PrecisionContext.for_output(300)
+        for solve in (two_means_instrument, two_means_compass):
+            with _residual_calls() as calls:
+                assert solve(F(1), F(2), ctx).iterations == 2
+            assert not calls
+
+
 arc_parameters = st.fractions(min_value=0, max_value=1, max_denominator=10**12).filter(
     lambda t: t < 1
 )
@@ -277,11 +386,10 @@ class TestSingleCertification:
                 return original(*args, **kwargs)
             monkeypatch.setattr(owner, name, wrapper)
 
-        for name in ("_seed", "_result"):
+        for name in ("_seed", "_result", "certify_bracket"):
             counted(delian, name)
         counted(cli, "_means_payload")
-        for name in ("residual_instrument", "residual_compass"):
-            counted(InstrumentState, name)
+        counted(InstrumentState, "residual_compass")
         out = io.StringIO()
         with contextlib.redirect_stdout(out):
             code = main(["means", "--a", "1", "--b", "2", "--method", "both", "--digits", "300"])
@@ -289,9 +397,10 @@ class TestSingleCertification:
         iterations = {int(line.split(": ")[1]) for line in out.getvalue().splitlines()
                       if line.startswith("iterations: ")}
         assert len(iterations) == 1
-        assert calls["_seed"] == calls["_result"] == calls["_means_payload"] == 1
+        assert calls["_seed"] == calls["certify_bracket"] == calls["_result"] == 1
+        assert calls["_means_payload"] == 1
         assert calls["residual_compass"] == 0
-        assert calls["residual_instrument"] == iterations.pop() >= 2
+        assert iterations.pop() >= 2
 
     @settings(max_examples=80, deadline=None)
     @given(ordered_pairs, arc_parameters)

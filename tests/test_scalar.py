@@ -317,6 +317,29 @@ class TestSqrt:
         result = sqrt(value, digits)
         assert result.scale == digits and result.as_fraction() == expected
 
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.integers(min_value=0, max_value=10**30),
+        st.integers(min_value=0, max_value=40),
+        st.integers(min_value=0, max_value=6),
+        st.sampled_from((-1, 0, 1)),
+    )
+    @example(0, 1, 0, 0)  # sqrt(0.0025) = 0.05, a tie that goes down to 0.0
+    @example(1, 1, 3, 0)  # sqrt(0.0225) = 0.15, a tie that goes up to 0.2
+    def test_half_unit_ties_in_every_form_match_the_oracle(self, h, digits, zeros, nudge):
+        # the root of ((2h + 1)^2 + nudge) / (4 10^(2 digits)) is (h + 1/2) 10^-digits
+        # when nudge is 0; the decimal form carries ``zeros`` trailing zeros, so
+        # its n/d is not reduced and 4n/d is the odd square only after dividing
+        value = Fraction((2 * h + 1) ** 2 + nudge, 4 * 10 ** (2 * digits))
+        decimal = DecimalScalar.from_fraction(value, 2 * digits + 2 + zeros)
+        assert decimal.as_fraction() == value
+        expected = rounded_sqrt(value, digits)
+        if nudge == 0:
+            assert expected * 10**digits == h + h % 2
+        for form in (value, decimal):
+            result = sqrt(form, digits)
+            assert result.scale == digits and result.as_fraction() == expected
+
     @settings(max_examples=200, deadline=None)
     @given(
         st.fractions(min_value=0, max_value=10**12, max_denominator=10**12),
