@@ -58,6 +58,8 @@ RANDOM_SEED = 0
 #: residuals run: the arc parameter t = 1/2 on the grid (27 : 125, each method) and
 #: b/a = 1 + 10^-21, whose tiny t widens the bracket over many grid points; and
 #: a << b, where the bracket's lower bound lies nearly 2s below its upper one.
+#: Last, the smallest terms the continued-proportion line covers: AD = 4 work units,
+#: and chords and a quad that round to 0 at the work digits.
 FIXED = (
     ("means", "--a", "1", "--b", "1.953125" + "0" * 28 + "46875" + "0" * 30 + "375" + "0" * 32 + "1",
      "--digits", "1"),
@@ -68,6 +70,9 @@ FIXED = (
     ("means", "--a", "27", "--b", "125", "--method", "compass"),
     ("means", "--a", "1", "--b", "1.000000000000000000001"),
     ("means", "--a", "0.000000001", "--b", "1"),
+    ("solve-chords", "--diameter", "0.000004", "--digits", "1", "--guard", "5"),
+    ("solve-chords", "--diameter", "0.0000004", "--digits", "1", "--guard", "5"),
+    ("four-proportionals", "--ac", "0.0000004", "--t", "1/3", "--digits", "1", "--guard", "5"),
 )
 #: The numeric subcommands of the random sweep, drawn with equal weight.
 RANDOM_KINDS = ("solve-chords", "means", "duplicate-cube", "four-proportionals", "pyramid",
@@ -134,7 +139,7 @@ def _random_argv(rng: random.Random) -> list[str]:
         argv += ["--sphere"] * (rng.random() < 0.5)
     elif kind == "pyramid":
         argv = [kind, "--edges", *(_decimal(rng) for _ in range(3))]
-        if rng.random() < 0.5:  # non-negative: argparse reads "-1/3" as a flag
+        if rng.random() < 0.5:  # non-negative: trees before NEGATIVE_NUMBER read "-1/3" as a flag
             argv += ["--cosines", *(f"{rng.randint(0, 9)}/{rng.randint(9, 20)}" for _ in range(3))]
     else:
         fig = rng.randint(1, 7)

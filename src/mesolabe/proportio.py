@@ -313,33 +313,3 @@ def four_proportionals_sphere(ac, t) -> ProportionalsQuad:
     """
     return ProportionalsQuad(*quad_exact(as_rational(ac), as_rational(t)))
 
-
-def verify_continued_proportion(terms, digits: int) -> bool:
-    """Whether ``terms`` run in continued proportion to ``digits`` fractional digits.
-
-    Every adjacent defect |x_i x_(i+2) - x_(i+1)^2|, and for four terms the
-    extremes' defect |x_0 x_3 - x_1 x_2| too, must be at most M 10^-digits,
-    where M is the largest |x_i|; all-zero terms pass.  The rule is relative
-    to the size of the terms, so it holds at any scale.  It runs on the
-    terms' integers X_i at their common scale s: a defect of the X_i is
-    10^2s times the true one and M_X is 10^s M, so the test is
-    max |defect| <= M_X 10^(s - digits).  A common scale below ``digits``
-    raises ValueError.
-
-    It never fails a correct result: if the terms lie on the grid 10^-w,
-    each within c grid units of an exact continued proportion, every defect
-    is at most (4c + 6c^2) M 10^-w (a non-zero M is at least 10^-w).  For
-    c <= 2 that is 32 M 10^-w, below M 10^-digits whenever w exceeds
-    ``digits`` by two or more guard digits.
-    """
-    n = len(terms)
-    if n < 3:
-        raise ValueError("need at least three terms")
-    s = max(x.scale for x in terms)
-    if s < digits:
-        raise ValueError(f"terms carry {s} fractional digits, fewer than the {digits} to verify")
-    xs = [x.unscaled * 10 ** (s - x.scale) for x in terms]
-    defects = [xs[i] * xs[i + 2] - xs[i + 1] * xs[i + 1] for i in range(n - 2)]
-    if n == 4:
-        defects.append(xs[0] * xs[3] - xs[1] * xs[2])
-    return max(map(abs, defects)) <= max(map(abs, xs)) * 10 ** (s - digits)

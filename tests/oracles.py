@@ -125,6 +125,73 @@ def chord_lengths(d: Fraction, digits: int) -> tuple[Fraction, Fraction, Fractio
     return d * r**3, d * r**2, d * r
 
 
+def proportion_defect(terms) -> Fraction:
+    """Largest defect of ``terms`` as a continued proportion x_0 : x_1 = x_1 : x_2 = ...
+
+    The adjacent defects |x_i x_(i+2) - x_(i+1)^2|, and for four terms the
+    extremes' defect |x_0 x_3 - x_1 x_2| too; an exact continued proportion
+    has every defect 0.
+    """
+    n = len(terms)
+    if n < 3:
+        raise ValueError("need at least three terms")
+    defects = [terms[i] * terms[i + 2] - terms[i + 1] ** 2 for i in range(n - 2)]
+    if n == 4:
+        defects.append(terms[0] * terms[3] - terms[1] * terms[2])
+    return max(map(abs, defects))
+
+
+def in_continued_proportion(terms, digits: int) -> bool:
+    """Whether ``terms`` run in continued proportion to ``digits`` fractional digits.
+
+    The rule behind the CLI's ``continued proportion verified: ok``: every
+    defect of :func:`proportion_defect` is at most M 10^-digits, M the
+    largest |x_i|, so it holds at any scale; all-zero terms pass.
+
+    The CLI prints that line without checking it, because it is a theorem.
+    Let the terms lie on the grid u = 10^-w, w = digits + guard with guard
+    at least 5, each within c u of an exact continued proportion y_i.  Then
+    x_i x_(i+2) - x_(i+1)^2 = y_i e_(i+2) + e_i y_(i+2) + e_i e_(i+2)
+    - 2 y_(i+1) e_(i+1) - e_(i+1)^2, and the extremes' defect alike, with
+    |e| <= c u and |y| <= M + c u, so every defect is at most 4 c u M + 6 c^2 u^2 <= (4c + 6c^2) M u, a
+    non-zero M being at least u.  That is 32 M u for c <= 2, below
+    M 10^-digits = M u 10^guard.
+
+    - The four proportionals are each rounded once at w: c = 1/2, so every
+      defect is at most 3.5 M u.
+    - The chords, in units u, with d the diameter, a the root of
+      (d - x)^3 = d^2 x, b = d - a and c* = sqrt(a b) = b^2 / d: AB and AD
+      are rounded once (error 1/2), BD = AD - AB (error 1) and BC is the
+      rounded root of AB BD, so |BC - c*| <= 1/2 + (a + b/2 + 1/2) / c*.
+      With a = 0.3177 d and c* = 0.4656 d that is at most 2 once c* is
+      6.25 units or more.  Below that AD is at most 13 units, and
+      :func:`small_chord_terms` lists every configuration there.
+    """
+    return proportion_defect(terms) <= max(map(abs, terms)) / 10**digits
+
+
+#: The ratio AB / AD of the chord problem, the root of (1 - u)^3 = u, to 9 digits.
+CHORD_RATIO = Fraction(317672196, 10**9)
+
+
+def small_chord_terms(units: int):
+    """Every (AB, BC, BD, AD), in grid units, that a diameter rounding to ``units`` can print.
+
+    AD = ``units``, so the diameter lies within half a unit of it, and AB is
+    the rounding of a root a = 0.3177... d between the ratio (widened by
+    10^-8) times units -+ 1/2.  BD = AD - AB, and BC is the rounded square
+    root of AB BD, which is never a tie (n^2 + n + 1/4 is no integer).
+    """
+    slack = Fraction(1, 10**8)
+    lo = math.ceil((CHORD_RATIO - slack) * (units - Fraction(1, 2)) - Fraction(1, 2))
+    hi = math.floor((CHORD_RATIO + slack) * (units + Fraction(1, 2)) + Fraction(1, 2))
+    for ab in range(max(lo, 0), hi + 1):
+        bd = units - ab
+        root = math.isqrt(ab * bd)
+        bc = root + (ab * bd > root * root + root)
+        yield ab, bc, bd, units
+
+
 def _det3(m) -> Fraction:
     return (
         m[0][0] * (m[1][1] * m[2][2] - m[1][2] * m[2][1])

@@ -20,7 +20,7 @@ from mesolabe.delian import (
     two_means_instrument,
 )
 from mesolabe.euclid import unit_circle_point
-from mesolabe.proportio import four_proportionals_planar, verify_continued_proportion
+from mesolabe.proportio import four_proportionals_planar
 from mesolabe.scalar import (
     CertificationError,
     DecimalScalar,
@@ -29,13 +29,13 @@ from mesolabe.scalar import (
     round_to,
 )
 
-from oracles import _on_unit_circle, newton_cbrt
+from oracles import _on_unit_circle, in_continued_proportion, newton_cbrt
 
 D = DecimalScalar.from_str
 F = Fraction
 
-CTX10 = PrecisionContext.for_output(10)
-CTX20 = PrecisionContext.for_output(20)
+CTX10 = PrecisionContext(10)
+CTX20 = PrecisionContext(20)
 
 
 class TestInstrumentGeometry:
@@ -133,8 +133,8 @@ class TestTwoMeans:
         assert DecimalScalar.from_fraction(quad.ae, w) == result.m1
         assert DecimalScalar.from_fraction(quad.ad, w) == result.m2
         assert abs(quad.af - 1) < F(1, 10**20)
-        terms = [D("1"), result.m1, result.m2, D("2")]
-        assert verify_continued_proportion(terms, 20)
+        terms = [F(1), result.m1.as_fraction(), result.m2.as_fraction(), F(2)]
+        assert in_continued_proportion(terms, 20)
 
 
 class TestDuplicateCube:
@@ -177,7 +177,7 @@ class TestCertifiedCell:
     @given(ordered_pairs, st.integers(min_value=1, max_value=60))
     def test_both_solvers_bracket_the_root(self, pair, digits):
         a, b = pair
-        ctx = PrecisionContext.for_output(digits)
+        ctx = PrecisionContext(digits)
         grid = 10**ctx.work_digits
         for solve in (two_means_instrument, two_means_compass):
             t = solve(a, b, ctx).theta_param
@@ -213,7 +213,7 @@ class TestCertifiedCell:
 
     @pytest.mark.parametrize("digits", [300, 1000])
     def test_sign_evaluations_per_solve_are_few(self, digits):
-        ctx = PrecisionContext.for_output(digits)
+        ctx = PrecisionContext(digits)
         for a, b in ((D("3.217"), D("14.905")), (D("1"), D("1.000001")), (D("19.998"), D("20"))):
             for solve in (two_means_instrument, two_means_compass):
                 assert 1 <= solve(a, b, ctx).iterations <= 8
@@ -298,7 +298,7 @@ class TestSeedBracket:
     @example((F(27), F(125)), 10, random.Random(0))  # the seed lands on the root t = 1/2
     def test_every_sign_is_the_residual_sign(self, pair, digits, rng):
         a, b = pair
-        ctx = PrecisionContext.for_output(digits)
+        ctx = PrecisionContext(digits)
         grid = 10**ctx.work_digits
         for solve in (two_means_instrument, two_means_compass):
             sign, seed, want_low = _sign_function(solve, a, b, ctx)
@@ -310,7 +310,7 @@ class TestSeedBracket:
                                       (F(1), 1 + F(1, 10**45))])
     @pytest.mark.parametrize("digits", [1, 20, 60])
     def test_solves_that_reach_the_residual_match_residual_only_signs(self, pair, digits):
-        ctx = PrecisionContext.for_output(digits)
+        ctx = PrecisionContext(digits)
         for solve, method in ((two_means_instrument, "instrument"),
                               (two_means_compass, "compass")):
             with _residual_calls() as calls:
@@ -320,7 +320,7 @@ class TestSeedBracket:
                     result.iterations) == _residual_only(*pair, ctx, method)
 
     def test_a_root_off_the_grid_needs_no_residual(self):
-        ctx = PrecisionContext.for_output(300)
+        ctx = PrecisionContext(300)
         for solve in (two_means_instrument, two_means_compass):
             with _residual_calls() as calls:
                 assert solve(F(1), F(2), ctx).iterations == 2
@@ -359,7 +359,7 @@ class TestClearedIntegers:
     @given(ordered_pairs, arc_parameters, st.integers(min_value=1, max_value=60))
     def test_result_matches_the_fraction_formulas(self, pair, t, digits):
         a, b = pair
-        ctx = PrecisionContext.for_output(digits)
+        ctx = PrecisionContext(digits)
         w = ctx.work_digits
         k = (1 - t * t) / (1 + t * t)
         m1, m2 = round(b * k * k * 10**w), round(b * k * 10**w)  # half-even

@@ -15,7 +15,6 @@ from mesolabe.proportio import (
     solve_continued_chords,
     sphere_construction,
     true_product_rows,
-    verify_continued_proportion,
 )
 from mesolabe.scalar import (
     DecimalScalar,
@@ -24,13 +23,24 @@ from mesolabe.scalar import (
     sqrt,
 )
 
-from oracles import _cross3, _dot, _on_unit_circle, _sub, chord_lengths
+from oracles import (
+    CHORD_RATIO,
+    _cross3,
+    _dot,
+    _on_unit_circle,
+    _sub,
+    chord_lengths,
+    in_continued_proportion,
+    proportion_defect,
+    rounded,
+    small_chord_terms,
+)
 
 D = DecimalScalar.from_str
 F = Fraction
 
-CTX10 = PrecisionContext.for_output(10)
-CTX20 = PrecisionContext.for_output(20)
+CTX10 = PrecisionContext(10)
+CTX20 = PrecisionContext(20)
 
 
 @pytest.fixture(scope="module")
@@ -63,7 +73,7 @@ class TestChordSolver:
         assert abs((d - x) ** 3 - d * d * x) < F(1, 10**20)
 
     def test_continued_proportion_invariants(self, solved):
-        assert verify_continued_proportion(solved.terms(), 20)
+        assert in_continued_proportion([v.as_fraction() for v in solved.terms()], 20)
 
     def test_uniqueness_bracketing(self, solved):
         # the cubic is strictly decreasing, so the root is the only sign change
@@ -91,7 +101,7 @@ class TestChordSolver:
     def test_random_diameters_pass_checks(self, hundredths):
         d = DecimalScalar(hundredths, 2)
         cfg = solve_continued_chords(d, CTX10)
-        assert verify_continued_proportion(cfg.terms(), 10)
+        assert in_continued_proportion([v.as_fraction() for v in cfg.terms()], 10)
         assert cfg.ab.as_fraction() + cfg.bd.as_fraction() == cfg.ad.as_fraction()
 
     @settings(max_examples=40, deadline=None)
@@ -102,7 +112,7 @@ class TestChordSolver:
     )
     def test_ab_is_the_correctly_rounded_root(self, unscaled, scale, digits):
         d = DecimalScalar(unscaled, scale)
-        ctx = PrecisionContext.for_output(digits)
+        ctx = PrecisionContext(digits)
         w = ctx.work_digits
         # the oracle's error is far below 10^-(w + 20); the root is irrational,
         # so it never sits that close to a rounding midpoint
@@ -122,7 +132,7 @@ class TestChordSolver:
         # diameter comes as a DecimalScalar or as its Fraction, and whether
         # its scale lies below or above the work digits
         d = DecimalScalar(unscaled, scale)
-        ctx = PrecisionContext.for_output(digits)
+        ctx = PrecisionContext(digits)
         assert solve_continued_chords(d, ctx) == solve_continued_chords(d.as_fraction(), ctx)
 
     @pytest.mark.parametrize("digits", [300, 1000])
@@ -136,7 +146,7 @@ class TestChordSolver:
 
         monkeypatch.setattr(proportio, "certify_bracket", counted)
         for d in ("2", "7.31", "19.999", "0.001"):
-            solve_continued_chords(D(d), PrecisionContext.for_output(digits))
+            solve_continued_chords(D(d), PrecisionContext(digits))
         assert len(counts) == 4
         assert all(1 <= n <= 8 for n in counts)
 
@@ -314,8 +324,9 @@ class TestPlanarConstruction:
 
     def test_quad_invariants_at_output_tolerance(self):
         quad = four_proportionals_planar(D("2"), F(2, 7))
-        terms = [DecimalScalar.from_fraction(v, CTX20.work_digits) for v in quad.terms()]
-        assert verify_continued_proportion(terms, 20)
+        terms = [DecimalScalar.from_fraction(v, CTX20.work_digits).as_fraction()
+                 for v in quad.terms()]
+        assert in_continued_proportion(terms, 20)
 
 
 def _oracle_sphere_points(ac: Fraction, t: Fraction) -> dict:
@@ -381,17 +392,14 @@ class TestSphereConstruction:
         assert fg_sq**2 == af_sq * fd_sq
 
 
-def _at(scale: int, *values: int) -> list[DecimalScalar]:
-    """Integer ``values`` as terms of ``scale`` fractional digits."""
-    return [DecimalScalar(v * 10**scale, scale) for v in values]
+class TestContinuedProportionRule:
+    """The rule of ``tests/oracles.py`` behind the printed verdict, and its proof."""
 
-
-class TestVerifyContinuedProportion:
     def test_accepts_true_chain(self):
-        assert verify_continued_proportion(_at(40, 1, 2, 4, 8), 40)
+        assert in_continued_proportion([F(1), F(2), F(4), F(8)], 40)
 
     def test_rejects_broken_chain(self):
-        assert not verify_continued_proportion(_at(2, 1, 2, 4, 9), 2)
+        assert not in_continued_proportion([F(1), F(2), F(4), F(9)], 2)
 
     def test_extremes_identity_checked_for_quads(self):
         # the adjacent defects 100 and 0 sit inside 1020100 * 10^-3, the
@@ -400,17 +408,11 @@ class TestVerifyContinuedProportion:
         chain = [1, 100, 10100, 1020100]
         adjacent = [chain[i] * chain[i + 2] - chain[i + 1] ** 2 for i in (0, 1)]
         assert adjacent == [100, 0] and 10**3 * 100 <= chain[3]
-        assert not verify_continued_proportion(_at(3, *chain), 3)
+        assert not in_continued_proportion([F(x) for x in chain], 3)
 
     def test_short_lists_rejected(self):
         with pytest.raises(ValueError):
-            verify_continued_proportion(_at(0, 1, 2), 0)
-
-    def test_terms_coarser_than_the_digits_rejected(self):
-        # at a common scale below the digits, 10^(s - digits) would be a float
-        with pytest.raises(ValueError, match="fewer than"):
-            verify_continued_proportion([D("1.0"), D("2.00"), D("4.0")], 3)
-        assert verify_continued_proportion([D("1.0"), D("2.000"), D("4.0")], 3)
+            in_continued_proportion([F(1), F(2)], 0)
 
     @settings(max_examples=150, deadline=None)
     @given(
@@ -426,18 +428,44 @@ class TestVerifyContinuedProportion:
     @example(F(5), F(17, 16), 4, 0, 1, 2)  # a defect of 1.66 M 10^-w
     def test_scale_free(self, first, ratio, count, k, digits, guard):
         # an exact continued proportion at any scale, rounded at w digits,
-        # passes at digits = w - guard; moving the term at the far end from
-        # the largest by two output units breaks the defect that pairs it
-        # with the largest, and the rule sees it
+        # keeps every defect within 3.5 M 10^-w and passes at digits = w - guard;
+        # moving the term at the far end from the largest by two output units
+        # breaks the defect that pairs it with the largest, and the rule sees it
         w = digits + guard
-        exact = [first * ratio**i * F(10) ** k for i in range(count)]
-        terms = [DecimalScalar.from_fraction(y, w) for y in exact]
-        assert verify_continued_proportion(terms, digits)
-        largest = max(t.unscaled for t in terms)  # all positive, all at scale w
-        two_units = 2 * 10**guard
+        terms = [rounded(first * ratio**i * F(10) ** k, w) for i in range(count)]
+        largest = max(terms)
+        assert proportion_defect(terms) <= F(7, 2) * largest / 10**w
+        assert in_continued_proportion(terms, digits)
+        two_units = F(2, 10**digits)
         if largest < two_units:
             return
-        far = 0 if terms[-1].unscaled == largest else count - 1
-        terms[far] = DecimalScalar(terms[far].unscaled - two_units, w)
-        assert max(abs(t.unscaled) for t in terms) == largest
-        assert not verify_continued_proportion(terms, digits)
+        far = 0 if terms[-1] == largest else count - 1
+        terms[far] -= two_units
+        assert max(map(abs, terms)) == largest
+        assert not in_continued_proportion(terms, digits)
+
+    def test_chord_terms_stay_within_two_units_from_6_25_units(self):
+        # |BC - c*| <= 1/2 + (a + b/2 + 1/2) / c*, with a = u d, b = (1 - u) d
+        # and c* = (1 - u)^2 d; the ratio's 9 digits are widened by 10^-8
+        for u in (CHORD_RATIO - F(1, 10**8), CHORD_RATIO + F(1, 10**8)):
+            c_star = F(25, 4)
+            d = c_star / (1 - u) ** 2
+            assert F(1, 2) + (u * d + (1 - u) * d / 2 + F(1, 2)) / c_star <= 2
+            assert d < F(27, 2)  # so below c* = 6.25 units AD is at most 13 units
+        assert abs((1 - CHORD_RATIO) ** 3 - CHORD_RATIO) < F(1, 10**9)
+
+    @pytest.mark.parametrize("units", range(15))
+    def test_small_chord_configurations_keep_the_bound(self, units):
+        # below c* = 6.25 units every configuration the CLI can print is listed
+        configurations = list(small_chord_terms(units))
+        assert configurations
+        for terms in configurations:
+            assert proportion_defect(terms) <= 32 * max(terms)
+
+    @pytest.mark.parametrize("quarters", range(1, 59))
+    def test_small_diameters_print_a_listed_configuration(self, quarters):
+        # diameters of 1/4 to 14.5 work units, and the CLI's own solver
+        ctx = PrecisionContext(1, 5)
+        cfg = solve_continued_chords(F(quarters, 4 * 10**6), ctx)
+        terms = tuple(v.unscaled for v in cfg.terms())
+        assert terms in set(small_chord_terms(terms[3]))

@@ -444,9 +444,10 @@ class TestPrecisionContext:
             PrecisionContext(20, 4)
 
     def test_for_output(self):
-        ctx = PrecisionContext.for_output(20)
+        ctx = PrecisionContext(20)
         assert ctx.work_digits == 30
+        assert PrecisionContext.for_output(20) == ctx  # the older trees' name
 
     def test_work_digits_are_output_plus_guard(self):
         ctx = PrecisionContext(7, 5)
-        assert ctx.work_digits == 12 and ctx == PrecisionContext.for_output(7, 5)
+        assert ctx.work_digits == 12 and ctx == PrecisionContext(output_digits=7, guard_digits=5)
