@@ -7,6 +7,9 @@ Rows, each the fastest of ``--repeat`` calls after one warm-up call:
   ``duplicate-cube``, ``pyramid`` and ``four-proportionals --sphere`` at
   ``--digits`` 20, 100, 300, 1000 and the work-digit cap less the 10 default
   guard digits (4190 by default);
+- ``means --a 1 --method instrument`` with b = 1 + 10^-21 at 20 digits and
+  1 + 10^-30 and 1 + 10^-201 at 1000 digits: b/a near 1, where a seed whose
+  precision does not grow with b/(b - a) spends a residual on every sign;
 - ``figure --id 1`` to ``7`` and ``check-props --instances 1000`` at the
   default 20 digits; the ``check-props`` row, a few hundred ms a call, takes
   ``SLOW_REPEAT`` times as many calls, because its fastest call moves with
@@ -93,6 +96,8 @@ SOLVES = (
     ("pyramid", ("pyramid", "--edges", "3", "4", "12")),
     ("four-proportionals sphere", ("four-proportionals", "--ac", "2", "--t", "1/2", "--sphere")),
 )
+#: (k, digits) of the adversarial ``means`` rows, b = 1 + 10^-k against a = 1.
+NEAR_ONE = ((21, 20), (30, 1000), (201, 1000))
 #: The argv of the parser row.
 PARSED = ("means", "--a", "1", "--b", "2", "--method", "both")
 #: The suite's instance generators, each timed 1000 times from one seed.
@@ -189,8 +194,8 @@ def _sign_call(cli, w: int):
 
 #: (row, tree's ``cli`` and work digits -> the call to time) of the kernel rows.
 KERNELS = (
-    ("scalar._icbrt seed radicand",  # delian._seed's, for a/b = 1/2
-     lambda cli, w: partial(cli.delian._icbrt, 10 ** (3 * (w + 5)) // 2)),
+    ("scalar._icbrt seed radicand",  # delian._seed's, for a/b = 1/2 (z = 1)
+     lambda cli, w: partial(cli.delian._icbrt, 10 ** (3 * (w + 6)) // 2)),
     ("proportio._unit_ratio", lambda cli, w: partial(cli.proportio._unit_ratio, w + 5)),
     ("delian._seed", lambda cli, w: partial(cli.delian._seed, Fraction(1), Fraction(2), w)),
     ("delian._result", _result_call),
@@ -207,6 +212,11 @@ def rows(trees: dict) -> list[tuple[str, int | None, int, dict]]:
         for name, argv in SOLVES:
             argv = argv + ("--digits", str(digits))
             out.append((name, digits, 1, {t: op(cli, argv) for t, (cli, _, _) in trees.items()}))
+    for k, digits in NEAR_ONE:
+        argv = ("means", "--a", "1", "--b", "1." + "0" * (k - 1) + "1",
+                "--method", "instrument", "--digits", str(digits))
+        out.append((f"means instrument b = 1 + 10^-{k}", digits, 1,
+                    {t: op(cli, argv) for t, (cli, _, _) in trees.items()}))
     for i in range(1, 8):
         argv = ("figure", "--id", str(i), "--out", "-")
         out.append((f"figure {i}", 20, 1, {t: op(cli, argv) for t, (cli, _, _) in trees.items()}))

@@ -55,9 +55,10 @@ RANDOM_SEED = 0
 #: m1 = 1.25 + 10^-35 (b = m1^3), AD = 0.25 + 10^-15, the doubled edge
 #: 1.2500000000000004..., and the diagonal 0.25 + 4 10^-18.  Each rounds up to 0.3 or 1.3.
 #: Then ``means`` calls whose signs the seed's bracket cannot all decide, so the
-#: residuals run: the arc parameter t = 1/2 on the grid (27 : 125, each method) and
-#: b/a = 1 + 10^-21, whose tiny t widens the bracket over many grid points; and
-#: a << b, where the bracket's lower bound lies nearly 2s below its upper one.
+#: residuals run: the arc parameters t = 1/2 and 1/5 on the grid (27 : 125, each
+#: method, and 1728 : 2197).  Then b/a = 1 + 10^-21, whose tiny t spread the bracket
+#: over many grid points while the seed's precision did not grow with b/(b - a);
+#: and a << b, where the bracket's lower bound lies nearly 2s below its upper one.
 #: Last, the smallest terms the continued-proportion line covers: AD = 4 work units,
 #: and chords and a quad that round to 0 at the work digits.
 FIXED = (
@@ -68,6 +69,7 @@ FIXED = (
     ("pyramid", "--edges", "0.25", "0.000000001", "0.000000001", "--digits", "1"),
     ("means", "--a", "27", "--b", "125", "--method", "instrument"),
     ("means", "--a", "27", "--b", "125", "--method", "compass"),
+    ("means", "--a", "1728", "--b", "2197"),
     ("means", "--a", "1", "--b", "1.000000000000000000001"),
     ("means", "--a", "0.000000001", "--b", "1"),
     ("solve-chords", "--diameter", "0.000004", "--digits", "1", "--guard", "5"),

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import re
 import sys
@@ -23,6 +22,7 @@ from .scalar import (
     CertificationError,
     DecimalScalar,
     PrecisionContext,
+    _decimal_digits,
     parse_int,
     round_to,
     sqrt,
@@ -47,14 +47,6 @@ def max_work_digits() -> int | None:
     """
     limit = sys.get_int_max_str_digits()
     return limit - INT_PART_ROOM if limit else None
-
-
-def _decimal_digits(n: int) -> int:
-    """Decimal digits of a positive int, counted without ``str``."""
-    d = max(1, int((n.bit_length() - 1) * math.log10(2)))  # never above the count
-    while n >= 10**d:
-        d += 1
-    return d
 
 
 def _residual_bound(r: DecimalScalar) -> str:
@@ -244,7 +236,7 @@ def _means_payload(result: delian.MeansResult, ctx: PrecisionContext) -> tuple[d
 
 
 def _cmd_means(args, ctx: PrecisionContext) -> Record:
-    a, b = DecimalScalar.from_str(args.a), DecimalScalar.from_str(args.b)
+    a, b = _parse_rational(args.a), _parse_rational(args.b)
     if args.method == "both":
         # One certification serves both sections.  The compass residual is the
         # instrument's negated at every arc parameter, and certify_bracket with
@@ -285,10 +277,8 @@ def _cmd_duplicate_cube(args, ctx: PrecisionContext) -> Record:
 
 
 def _cmd_four_proportionals(args, ctx: PrecisionContext) -> Record:
-    ac = DecimalScalar.from_str(args.ac)
-    t = _parse_rational(args.t)
     build = proportio.four_proportionals_sphere if args.sphere else proportio.four_proportionals_planar
-    terms = build(ac, t).terms()
+    terms = build(_parse_rational(args.ac), _parse_rational(args.t))
     # each exact term is rounded once to the printed digits and once to the work
     # digits, which keeps the continued proportion (see _cmd_solve_chords)
     full = [DecimalScalar.from_fraction(v, ctx.work_digits) for v in terms]

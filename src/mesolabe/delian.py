@@ -23,7 +23,7 @@ to rounding, and the seed only decides how many signs that takes.
 
 Most signs need no residual.  Both residuals change sign only at the root
 t*, where (1 - t*^2)/(1 + t*^2) = cbrt(a/b), so a sign is known as soon as
-t is known to lie on one side of t*.  With s = 10^(w + 5) and
+t is known to lie on one side of t*.  For any integer s > 0 and
 X(u) = s^2 (s - u)/(s + u), decreasing in u, the root satisfies
 (s t*)^2 = X(s cbrt(a/b)).  The seed computes c = floor(s cbrt(a/b)) and
 q = floor(X(c)) exactly; as c <= s cbrt(a/b) < c + 1 and
@@ -31,14 +31,19 @@ X(c) - X(c + 1) = 2 s^3/((s + c)(s + c + 1)) < 2s,
 
     q - 2s < X(c + 1) < (s t*)^2 <= X(c) < q + 1.
 
-So at a grid point t = g/10^w, x = (s t)^2 = g^2 10^10 > q puts t above the
-root and x <= q - 2s puts it below: one w-digit square decides the sign.
-Only a point whose x falls in that window of width 2s, which spans about
-10^-5/t* grid units around t*, evaluates the mechanism's residual: an arc
-parameter on the grid, as for a : b = 27 : 125, or a root t* so small that
-the window spans grid points, as for b/a = 1 + 10^-21.  The decided signs
-are the residuals' own, so the search visits the same grid points and the
-same cell either way.
+So x = (s t)^2 > q puts t above the root and x <= q - 2s puts it below.
+The seed takes s = 10^(w + 5 + z), with z the decimal digits of
+floor(b/(b - a)) and at most 2w, so x = g^2 10^(10 + 2z) at a grid point
+t = g/10^w, and one w-digit square decides the sign.  z counts the digits
+that 1 - cbrt(a/b) loses when b/a is near 1: below its cap, (t*)^2 is
+at least (b - a)/6b > 10^-z/6, so the window of width 2s spans about
+10^-(5 + z)/t* < 10^-4 grid units around t*.  Only a grid point that falls
+in it evaluates the mechanism's residual: an arc parameter on the grid, as
+for a : b = 27 : 125.  At the cap, where b/a lies within about 10^-2w of 1,
+the root lies in the first grid cells and the window can reach t = 0, so
+the grid point 0 may evaluate its residual too.  The decided signs are the
+residuals' own, so the search visits the same grid points and the same
+cell either way.
 """
 
 from __future__ import annotations
@@ -51,6 +56,7 @@ from .scalar import (
     DecimalScalar,
     PrecisionContext,
     ValueRecord,
+    _decimal_digits,
     _half_even_div,
     _icbrt,
     as_rational,
@@ -154,19 +160,23 @@ def _result(a: Fraction, b: Fraction, t: Fraction,
 
 def _seed(a: Fraction, b: Fraction, w: int) -> tuple[int, int, int]:
     """Grid index at 10^-w just below the closed-form arc parameter, and the
-    root's bracket ``(low, high)`` on x = (s t)^2, s = 10^(w + 5).
+    root's bracket ``(low, high)`` on g^2 for the grid points t = g/10^w.
 
-    k = cbrt(a/b) and t = sqrt((1 - k)/(1 + k)) are taken as floors at
-    w + 5 digits: c = floor(s k) and q = floor(s^2 (s - c)/(s + c)), so
-    t's floor is isqrt(q).  The index only steers the certified search.  The
-    bracket is (q - 2s, q): every x <= q - 2s lies below (s t*)^2 and every
-    x > q above it, as the module docstring proves.
+    With z the decimal digits of floor(b/(b - a)), at most 2w, and
+    s = 10^(w + 5 + z), k = cbrt(a/b) and t = sqrt((1 - k)/(1 + k)) are
+    taken as floors at w + 5 + z digits: c = floor(s k) and
+    q = floor(s^2 (s - c)/(s + c)), so t's floor is isqrt(q).  The index only
+    steers the certified search.  Every x = (s t)^2 <= q - 2s lies below
+    (s t*)^2 and every x > q above it, as the module docstring proves; with
+    x = g^2 u for u = 10^(10 + 2z), that is g^2 <= (q - 2s) // u and
+    g^2 > q // u.
     """
-    scale = 10 ** (w + 5)
-    c = _icbrt(a.numerator * b.denominator * 10 ** (3 * (w + 5))
-               // (a.denominator * b.numerator))
+    pa, qa, pb, qb = a.numerator, a.denominator, b.numerator, b.denominator
+    z = min(_decimal_digits(pb * qa // (pb * qa - pa * qb)), 2 * w)
+    scale, unit = 10 ** (w + 5 + z), 10 ** (5 + z)
+    c = _icbrt(pa * qb * scale**3 // (qa * pb))
     q = (scale - c) * (scale * scale) // (scale + c)
-    return math.isqrt(q) // 10**5, q - 2 * scale, q
+    return math.isqrt(q) // unit, (q - 2 * scale) // (unit * unit), q // (unit * unit)
 
 
 def _solve(a, b, ctx: PrecisionContext, method: str) -> MeansResult:
@@ -189,10 +199,9 @@ def _solve(a, b, ctx: PrecisionContext, method: str) -> MeansResult:
         def sign_at(g: int) -> int:
             if g == grid and instrument:
                 return -1  # cursor crossing runs off to infinity with D at A
-            x = g * g * 10**10  # (s t)^2 at t = g/10^w
-            if x > high:
+            if g * g > high:
                 return -want_low
-            if x <= low:
+            if g * g <= low:
                 return want_low
             state = InstrumentState(af, bf, Fraction(g, grid))
             r = state.residual_instrument() if instrument else state.residual_compass()

@@ -27,7 +27,6 @@ from .scalar import (
     format_grouped,
     round_to,
     sqrt,
-    truncate_to,
 )
 
 
@@ -42,24 +41,19 @@ class ChordConfig(ValueRecord):
     def table_values(self, digits: int) -> "ChordConfig":
         """The values as the 1682 computation reported them.
 
-        Root digits are truncated at ``digits`` (longhand extraction yields
-        floor digits; the printed BC proves the original truncated, since
-        round-to-nearest would end ...4638) and BD is the exact complement
-        AD - AB, which reproduces the printed ...56077.
+        AB and BC keep their first ``digits`` fractional digits, padded with
+        zeros past their own: longhand root extraction yields floor digits
+        (the printed BC proves the original truncated, since round-to-nearest
+        would end ...4638), and neither is negative, so the floor drops the
+        rest.  BD is the exact complement AD - AB, which reproduces the
+        printed ...56077.
         """
-        ab = truncate_to(self.ab, digits)
-        ad = round_to(self.ad, digits)
-        bd = DecimalScalar(ad.unscaled - ab.unscaled, digits)
-        return ChordConfig(ab, truncate_to(self.bc, digits), bd, ad)
-
-
-class ProportionalsQuad(ValueRecord):
-    """The four continued proportionals AF, AE, AD, AC, exact; immutable by convention."""
-
-    __slots__ = ("af", "ae", "ad", "ac")
-
-    def terms(self) -> tuple[Fraction, Fraction, Fraction, Fraction]:
-        return self.af, self.ae, self.ad, self.ac
+        def floor(v: DecimalScalar) -> DecimalScalar:
+            if digits > v.scale:
+                return DecimalScalar(v.unscaled * 10 ** (digits - v.scale), digits)
+            return DecimalScalar(v.unscaled // 10 ** (v.scale - digits), digits)
+        ab, ad = floor(self.ab), round_to(self.ad, digits)
+        return ChordConfig(ab, floor(self.bc), DecimalScalar(ad.unscaled - ab.unscaled, digits), ad)
 
 
 class TableRow(ValueRecord):
@@ -85,6 +79,10 @@ PRINTED_CHORDS = {
     "BC": "93114 24637",
     "BD": "1 36465 56077",
 }
+
+#: The printed chords AB, BC, BD, AD, at their 10 fractional digits.
+_PRINTED_CONFIG = ChordConfig(*(DecimalScalar(n, 10)
+                                for n in (6353443923, 9311424637, 13646556077, 20000000000)))
 
 #: The printed 20-digit product tables, verbatim, misprints included.
 PRINTED_PRODUCTS = {
@@ -174,18 +172,12 @@ def solve_continued_chords(
 
 def chord_table(c: ChordConfig) -> PaperTable:
     """The chord lengths as a grouped table, matched to the printed one when it applies."""
-    canonical = c == _canonical_table_config()
+    canonical = c == _PRINTED_CONFIG
     rows = []
     for label, value in (("AD", c.ad), ("AB", c.ab), ("BC", c.bc), ("BD", c.bd)):
         printed = PRINTED_CHORDS[label] if canonical else None
         rows.append(TableRow(label, value, format_grouped(value), printed, None))
     return PaperTable("successive lines in the semicircle", tuple(rows))
-
-
-def _canonical_table_config() -> ChordConfig:
-    """The printed chords AB, BC, BD, AD, at their 10 fractional digits."""
-    return ChordConfig(*(DecimalScalar(n, 10)
-                         for n in (6353443923, 9311424637, 13646556077, 20000000000)))
 
 
 def _products(c: ChordConfig) -> tuple[tuple[str, DecimalScalar], ...]:
@@ -216,7 +208,7 @@ def reproduce_table(c: ChordConfig) -> PaperTable:
     """
     if any(v.scale != 10 for v in c.terms()):
         raise ValueError("table inputs must carry exactly 10 fractional digits")
-    canonical = c == _canonical_table_config()
+    canonical = c == _PRINTED_CONFIG
     rows = []
     for label, value in _products(c):
         printed = PRINTED_PRODUCTS[label] if canonical else None
@@ -295,21 +287,21 @@ def sphere_construction(ac: Fraction, t: Fraction) -> dict[str, Point3]:
     return pts
 
 
-def four_proportionals_planar(ac, t) -> ProportionalsQuad:
+def four_proportionals_planar(ac, t) -> tuple[Fraction, Fraction, Fraction, Fraction]:
     """The exact quad (AF, AE, AD, AC) of :func:`quad_exact` for a position ``t``.
 
     ``ac`` and ``t`` may be Fractions, ints or DecimalScalars; a caller
     rounds each term once to the digits it prints.
     """
-    return ProportionalsQuad(*quad_exact(as_rational(ac), as_rational(t)))
+    return quad_exact(as_rational(ac), as_rational(t))
 
 
-def four_proportionals_sphere(ac, t) -> ProportionalsQuad:
+def four_proportionals_sphere(ac, t) -> tuple[Fraction, Fraction, Fraction, Fraction]:
     """Same quad read off the spherical-cap construction.
 
     :func:`sphere_construction` realizes AE as the out-of-plane chord AG,
     and AF, AD as the chords of the planar route, so the lengths are
     exactly those of :func:`quad_exact` and are taken from it.
     """
-    return ProportionalsQuad(*quad_exact(as_rational(ac), as_rational(t)))
+    return quad_exact(as_rational(ac), as_rational(t))
 

@@ -28,11 +28,12 @@ def _half_even_div(n: int, d: int) -> int:
     return q
 
 
-def _trunc_div(n: int, d: int) -> int:
-    """n/d (d > 0) rounded toward zero."""
-    if n < 0:
-        return -((-n) // d)
-    return n // d
+def _decimal_digits(n: int) -> int:
+    """Decimal digits of a positive int, counted without ``str``."""
+    d = max(1, int((n.bit_length() - 1) * math.log10(2)))  # never above the count
+    while n >= 10**d:
+        d += 1
+    return d
 
 
 def _icbrt(n: int) -> int:
@@ -272,19 +273,6 @@ def round_to(a: DecimalScalar, digits: int) -> DecimalScalar:
     if digits >= a.scale:
         return DecimalScalar(a.unscaled * 10 ** (digits - a.scale), digits)
     return DecimalScalar(_half_even_div(a.unscaled, 10 ** (a.scale - digits)), digits)
-
-
-def truncate_to(a: DecimalScalar, digits: int) -> DecimalScalar:
-    """Drop fractional digits beyond ``digits`` (round toward zero).
-
-    This is how the 1682 tables were produced: longhand root extraction
-    yields floor digits, not round-to-nearest ones.
-    """
-    if digits < 0:
-        raise ValueError("digits must be non-negative")
-    if digits >= a.scale:
-        return DecimalScalar(a.unscaled * 10 ** (digits - a.scale), digits)
-    return DecimalScalar(_trunc_div(a.unscaled, 10 ** (a.scale - digits)), digits)
 
 
 def sqrt(value, digits: int) -> DecimalScalar:

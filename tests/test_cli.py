@@ -17,12 +17,11 @@ from mesolabe.cli import (
     COMMON_ARGUMENTS,
     INT_PART_ROOM,
     SUBCOMMANDS,
-    _decimal_digits,
     _residual_bound,
     main,
     max_work_digits,
 )
-from mesolabe.scalar import DecimalScalar, PrecisionContext, round_to
+from mesolabe.scalar import DecimalScalar, PrecisionContext, _decimal_digits, round_to
 
 from oracles import in_continued_proportion, proportion_defect, rounded
 
@@ -352,6 +351,35 @@ class TestDuplicateCube:
             assert bound == f"1e-{scale - _decimal_digits(unscaled)}"
 
 
+class TestRatioOperands:
+    """``means --a/--b`` and ``four-proportionals --ac`` read n/d as ``--t`` does."""
+
+    @pytest.mark.parametrize("ratio, decimal", [
+        (("means", "--a", "1/4", "--b", "2", "--method", "both"),
+         ("means", "--a", "0.25", "--b", "2", "--method", "both")),
+        (("means", "--a", "1", "--b", "9/4", "--digits", "30"),
+         ("means", "--a", "1", "--b", "2.25", "--digits", "30")),
+        (("four-proportionals", "--ac", "5/4", "--t", "1/3", "--sphere"),
+         ("four-proportionals", "--ac", "1.25", "--t", "1/3", "--sphere")),
+    ])
+    def test_a_ratio_prints_as_its_decimal(self, capsys, ratio, decimal):
+        for extra in ((), ("--json",)):
+            code, out = run(capsys, *ratio, *extra)
+            assert code == 0
+            assert (code, out) == run(capsys, *decimal, *extra)
+
+    @pytest.mark.parametrize("argv", [
+        ("means", "--a", "1/2/3", "--b", "2"),
+        ("means", "--a", "1", "--b", "x/2"),
+        ("four-proportionals", "--ac", "1.5/2", "--t", "1/2"),
+    ])
+    def test_a_malformed_ratio_is_one_error_line(self, capsys, argv):
+        assert main(list(argv)) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
 class TestFourProportionals:
     def test_planar(self, capsys):
         code, out = run(capsys, "four-proportionals", "--ac", "2", "--t", "1/2",
@@ -533,6 +561,9 @@ class TestFigureCommand:
 
     @pytest.mark.parametrize("argv", [
         ("four-proportionals", "--ac", "2", "--t", "1/0"),
+        ("four-proportionals", "--ac", "3/0", "--t", "1/2"),
+        ("means", "--a", "1/0", "--b", "2"),
+        ("means", "--a", "1", "--b", "2/0"),
         ("figure", "--id", "1", "--edges", "1/0", "1", "1", "--out", "-"),
         ("pyramid", "--edges", "1", "1", "1", "--cosines", "1/2", "1/2", "0/0"),
     ])
@@ -744,7 +775,9 @@ class TestDigitCap:
 
     @pytest.mark.parametrize("argv", [
         ("means", "--a", "1", "--b", "{long}"),
+        ("means", "--a", "1/{long}", "--b", "2"),
         ("duplicate-cube", "--edge", "1.{long}"),
+        ("four-proportionals", "--ac", "{long}/3", "--t", "1/2"),
         ("four-proportionals", "--ac", "2", "--t", "1/{long}"),
         ("figure", "--id", "1", "--edges", "1", "{long}/3", "1", "--out", "-"),
     ])

@@ -128,11 +128,11 @@ class TestTwoMeans:
 
     def test_consistency_with_four_proportionals(self):
         result = two_means_instrument(D("1"), D("2"), CTX20)
-        quad = four_proportionals_planar(D("2"), result.theta_param)
+        af, ae, ad, _ = four_proportionals_planar(D("2"), result.theta_param)
         w = CTX20.work_digits
-        assert DecimalScalar.from_fraction(quad.ae, w) == result.m1
-        assert DecimalScalar.from_fraction(quad.ad, w) == result.m2
-        assert abs(quad.af - 1) < F(1, 10**20)
+        assert DecimalScalar.from_fraction(ae, w) == result.m1
+        assert DecimalScalar.from_fraction(ad, w) == result.m2
+        assert abs(af - 1) < F(1, 10**20)
         terms = [F(1), result.m1.as_fraction(), result.m2.as_fraction(), F(2)]
         assert in_continued_proportion(terms, 20)
 
@@ -282,15 +282,18 @@ class TestSeedBracket:
     @given(ordered_pairs, st.integers(min_value=1, max_value=60))
     @example((F(1), F(10**9)), 20)  # X(c) - X(c + 1) is close to 2s when c << s
     def test_the_bracket_holds_the_root(self, pair, digits):
+        # g^2 <= low puts g/10^w below the root and g^2 > high above it, where
+        # (s t)^2 = g^2 10^(10 + 2z) at s = 10^(w + 5 + z)
         a, b = pair
         w = digits + 10
-        s = 10 ** (w + 5)
+        z = min(len(str(math.floor(b / (b - a)))), 2 * w)
+        s, unit = 10 ** (w + 5 + z), 10 ** (10 + 2 * z)
         c = _floor_scaled_cbrt(a / b, s)
 
         def x_at(u):  # (s t)^2 where the cosine k is u/s
             return F(s * s * (s - u), s + u)
         _, low, high = delian._seed(a, b, w)
-        assert x_at(c + 1) >= low and x_at(c) < high + 1
+        assert low * unit <= x_at(c + 1) and x_at(c) < (high + 1) * unit
 
     @settings(max_examples=60, deadline=None)
     @given(ordered_pairs, st.integers(min_value=1, max_value=60),
@@ -306,8 +309,8 @@ class TestSeedBracket:
             for g in sorted(g for g in points if 0 <= g <= grid):
                 assert sign(g) == want_low * _sign(_cube_defect(a, b, F(g, grid)))
 
-    @pytest.mark.parametrize("pair", [(F(27), F(125)), (F(1), 1 + F(1, 10**21)),
-                                      (F(1), 1 + F(1, 10**45))])
+    # arc parameters on the grid: k = 3/5 gives t = 1/2, and k = 12/13 gives t = 1/5
+    @pytest.mark.parametrize("pair", [(F(27), F(125)), (F(1728), F(2197))])
     @pytest.mark.parametrize("digits", [1, 20, 60])
     def test_solves_that_reach_the_residual_match_residual_only_signs(self, pair, digits):
         ctx = PrecisionContext(digits)
@@ -318,6 +321,21 @@ class TestSeedBracket:
             assert calls[f"residual_{method}"] >= 1
             assert (result.m1, result.m2, result.residual, result.theta_param,
                     result.iterations) == _residual_only(*pair, ctx, method)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.fractions(min_value=F(1, 1000), max_value=1000, max_denominator=1000),
+           st.integers(min_value=1, max_value=60), st.integers(min_value=1, max_value=140))
+    @example(F(1), 20, 60)  # b/a = 1 + 10^-60 at w = 30, where z reaches its cap 2w
+    def test_b_near_a_takes_two_signs(self, a, digits, k):
+        # b = a (1 + 10^-k) for k up to 2w: a k past 2w is taken as 2w
+        ctx = PrecisionContext(digits)
+        b = a * (1 + F(1, 10 ** min(k, 2 * ctx.work_digits)))
+        for solve, method in ((two_means_instrument, "instrument"),
+                              (two_means_compass, "compass")):
+            result = solve(a, b, ctx)
+            assert result.iterations == 2
+            assert (result.m1, result.m2, result.residual, result.theta_param,
+                    result.iterations) == _residual_only(a, b, ctx, method)
 
     def test_a_root_off_the_grid_needs_no_residual(self):
         ctx = PrecisionContext(300)

@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import pytest
@@ -61,6 +62,30 @@ class TestChordSolver:
         assert str(t.bc) == "0.9311424637"
         assert str(t.bd) == "1.3646556077"
         assert str(t.ad) == "2.0000000000"
+
+    def test_table_values_pad_past_the_work_digits(self):
+        # 6 work digits under 10 table digits: the floor keeps every work digit
+        t = solve_continued_chords(D("2"), PrecisionContext(1, 5)).table_values(10)
+        assert (str(t.ab), str(t.bc), str(t.bd), str(t.ad)) == (
+            "0.6353440000", "0.9311420000", "1.3646560000", "2.0000000000")
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.integers(min_value=1, max_value=10**6),
+        st.integers(min_value=0, max_value=4),
+        st.integers(min_value=1, max_value=30),
+        st.integers(min_value=1, max_value=60),
+    )
+    def test_table_values_floor_the_roots(self, unscaled, scale, digits, table_digits):
+        # table digits below, at and above the 6 to 35 work digits
+        full = solve_continued_chords(DecimalScalar(unscaled, scale), PrecisionContext(digits, 5))
+        t = full.table_values(table_digits)
+        unit = 10**table_digits
+        assert all(v.scale == table_digits for v in t.terms())
+        for floored, value in ((t.ab, full.ab), (t.bc, full.bc)):
+            assert floored.as_fraction() == F(math.floor(value.as_fraction() * unit), unit)
+        assert t.ad.as_fraction() == rounded(full.ad.as_fraction(), table_digits)
+        assert t.bd.as_fraction() == t.ad.as_fraction() - t.ab.as_fraction()
 
     def test_complement_is_exact(self, solved):
         ab, bd, ad = (v.as_fraction() for v in (solved.ab, solved.bd, solved.ad))
@@ -299,7 +324,7 @@ class TestPlanarConstruction:
         # t = tan(22.5 deg) = sqrt(2) - 1, taken from the root extraction
         t = sqrt(D("2"), 30).as_fraction() - 1
         quad = four_proportionals_planar(D("2"), t)
-        rounded = [DecimalScalar.from_fraction(v, 10) for v in quad.terms()]
+        rounded = [DecimalScalar.from_fraction(v, 10) for v in quad]
         assert [str(v) for v in rounded] == [
             "0.7071067812",
             "1.0000000000",
@@ -312,20 +337,20 @@ class TestPlanarConstruction:
         for t in (F(1, 10), F(1, 100), F(1, 1000)):
             quad = four_proportionals_planar(D("2"), t)
             if previous is not None:
-                pairs = zip(previous.terms()[:3], quad.terms()[:3])
+                pairs = zip(previous[:3], quad[:3])
                 assert all(small < big for small, big in pairs)
-            assert quad.ac == 2
+            assert quad[3] == 2
             previous = quad
-        assert all(v <= 2 for v in previous.terms())
+        assert all(v <= 2 for v in previous)
 
     def test_quad_is_exact(self):
         quad = four_proportionals_planar(D("2.5"), F(1, 3))
-        assert quad.terms() == quad_exact(F(5, 2), F(1, 3)) == (F(32, 25), F(8, 5), F(2), F(5, 2))
+        assert quad == quad_exact(F(5, 2), F(1, 3)) == (F(32, 25), F(8, 5), F(2), F(5, 2))
 
     def test_quad_invariants_at_output_tolerance(self):
         quad = four_proportionals_planar(D("2"), F(2, 7))
         terms = [DecimalScalar.from_fraction(v, CTX20.work_digits).as_fraction()
-                 for v in quad.terms()]
+                 for v in quad]
         assert in_continued_proportion(terms, 20)
 
 

@@ -11,7 +11,7 @@ from hypothesis import example, given, settings, strategies as st
 
 import mesolabe
 from mesolabe.delian import InstrumentState
-from mesolabe.proportio import ChordConfig, reproduce_table
+from mesolabe.proportio import ChordConfig, reproduce_table, solve_continued_chords
 from mesolabe.scalar import (
     CertificationError,
     DecimalScalar,
@@ -21,7 +21,6 @@ from mesolabe.scalar import (
     format_grouped,
     round_to,
     sqrt,
-    truncate_to,
 )
 
 from oracles import long_multiply, newton_sqrt, rounded_sqrt
@@ -256,8 +255,10 @@ class TestRounding:
     def test_truncation_differs_from_rounding_on_bc(self):
         # the printed BC shows the 1682 root extraction truncated: the true
         # half-chord starts 0.93114246375..., which rounds up but floors down
+        full = solve_continued_chords(D("2"), PrecisionContext(18))
         bc_true = D("0.9311424637535360533134624504")
-        assert truncate_to(bc_true, 10) == D("0.9311424637")
+        assert full.bc == bc_true
+        assert full.table_values(10).bc == D("0.9311424637")
         assert round_to(bc_true, 10) == D("0.9311424638")
 
     @given(scalars(), st.integers(min_value=0, max_value=10))
