@@ -22,10 +22,13 @@ Rows, each the fastest of ``--repeat`` calls after one warm-up call:
   ``PROPOSITION_SUITE`` entry's valid and perturbed function (build one
   instance, run its checker) ``SUITE_CALLS`` times from ``Random(0)``, and
   ``POINTS`` constructions of a ``Point2``, a ``Point3``, a ``DecimalScalar``
-  and an ``InstrumentState``; and the deep-solve kernels at ``--digits`` 100,
-  300, 1000 and 4190, with w = digits + 10 work digits and the operands
-  (a, b) = (1, 2) of the ``means`` row: ``_icbrt`` of ``delian._seed``'s
-  radicand, ``proportio._unit_ratio(w + 5)``, ``delian._seed``,
+  and an ``InstrumentState``; and the deep-solve kernels at ``--digits`` 20,
+  100, 300, 1000 and 4190, with w = digits + 10 work digits, the operands
+  (a, b) = (1, 2) of the ``means`` row and the diameter 2 of the
+  ``solve-chords`` row: ``_icbrt`` of ``delian._seed``'s radicand,
+  ``proportio._unit_ratio`` at the precision the tree's chord solver asks
+  for (10^(w + 5) u in older trees, 2^B u in newer ones),
+  ``proportio.solve_continued_chords``, ``delian._seed``,
   ``delian._result`` at the certified arc parameter and one
   ``residual_instrument`` sign at the seed's grid point;
 - cold starts: the median wall time of ``COLD_STARTS`` interpreter starts
@@ -192,11 +195,23 @@ def _sign_call(cli, w: int):
     return lambda: state(a, b, Fraction(seed, 10**w)).residual_instrument()
 
 
+def _unit_ratio_call(cli, w: int):
+    """The chord solver's constant u for d = 2 at w work digits, as the tree's solver needs it."""
+    unit_ratio = cli.proportio._unit_ratio
+    if unit_ratio.__code__.co_varnames[0] == "digits":  # older trees: 10^(w + 5) u in decimal
+        return partial(unit_ratio, w + 5)
+    # newer trees: 2^B u, with B from the w + 1 digits of floor(2 10^w) + 1
+    return partial(unit_ratio, (w + 1) * 3322 // 1000 + 42)
+
+
 #: (row, tree's ``cli`` and work digits -> the call to time) of the kernel rows.
 KERNELS = (
     ("scalar._icbrt seed radicand",  # delian._seed's, for a/b = 1/2 (z = 1)
      lambda cli, w: partial(cli.delian._icbrt, 10 ** (3 * (w + 6)) // 2)),
-    ("proportio._unit_ratio", lambda cli, w: partial(cli.proportio._unit_ratio, w + 5)),
+    ("proportio._unit_ratio", _unit_ratio_call),
+    ("proportio.solve_continued_chords d = 2",
+     lambda cli, w: partial(cli.proportio.solve_continued_chords, 2,
+                            cli.PrecisionContext.for_output(w - 10, 10))),
     ("delian._seed", lambda cli, w: partial(cli.delian._seed, Fraction(1), Fraction(2), w)),
     ("delian._result", _result_call),
     ("delian residual_instrument sign", _sign_call),
@@ -250,7 +265,7 @@ def rows(trees: dict) -> list[tuple[str, int | None, int, dict]]:
     out.append((f"layer delian.InstrumentState x{POINTS}", None, 1,
                 {t: construct(cli.delian.InstrumentState, state)
                  for t, (cli, _, _) in trees.items()}))
-    for digits in (100, 300, 1000, deepest):
+    for digits in (20, 100, 300, 1000, deepest):
         for name, make in KERNELS:
             out.append((f"layer {name}", digits, 1,
                         {t: make(cli, digits + 10) for t, (cli, _, _) in trees.items()}))

@@ -59,8 +59,13 @@ RANDOM_SEED = 0
 #: method, and 1728 : 2197).  Then b/a = 1 + 10^-21, whose tiny t spread the bracket
 #: over many grid points while the seed's precision did not grow with b/(b - a);
 #: and a << b, where the bracket's lower bound lies nearly 2s below its upper one.
-#: Last, the smallest terms the continued-proportion line covers: AD = 4 work units,
-#: and chords and a quad that round to 0 at the work digits.
+#: Then the smallest terms the continued-proportion line covers: AD = 4 work units,
+#: and chords and a quad that round to 0 at the work digits.  Then diameters beside
+#: a midpoint of AD at ``--digits`` by less than a work unit, which an AD rounded at
+#: the work digits and again at the digits printed one unit low.  Last, diameters
+#: whose AB lies within 10^-20 of a work-grid point or cell midpoint, the first
+#: two at a grid point and the rest at a midpoint, so the chord cubic decides a sign
+#: the bracket on u cannot.  And a malformed ratio, whose one error line names it.
 FIXED = (
     ("means", "--a", "1", "--b", "1.953125" + "0" * 28 + "46875" + "0" * 30 + "375" + "0" * 32 + "1",
      "--digits", "1"),
@@ -75,6 +80,19 @@ FIXED = (
     ("solve-chords", "--diameter", "0.000004", "--digits", "1", "--guard", "5"),
     ("solve-chords", "--diameter", "0.0000004", "--digits", "1", "--guard", "5"),
     ("four-proportionals", "--ac", "0.0000004", "--t", "1/3", "--digits", "1", "--guard", "5"),
+    ("solve-chords", "--diameter", "48275.8500000000001", "--digits", "1", "--guard", "9"),
+    ("solve-chords", "--diameter", "0.250000000000001", "--digits", "1"),
+    ("solve-chords", "--diameter",
+     "1.9999999989172444129330742989553794893227249204131888403923562216799637"),
+    ("solve-chords", "--diameter", "99999999945862220646653714947768974466136246."
+     "0206594420196178110839981838670075378461049650155012880", "--digits", "5"),
+    ("solve-chords", "--diameter", "7.0000003991414320154785413616993437237959199308",
+     "--digits", "1", "--guard", "5"),
+    ("solve-chords", "--diameter",
+     "1.9999999989172444129330742989569534388405773140902019478748217153624221"),
+    ("solve-chords", "--diameter", "0.00000000000000000000000000002999999998375866776794563233"
+     "67243693529483562716915150643", "--digits", "40", "--guard", "5"),
+    ("means", "--a", "1", "--b", "x/2"),
 )
 #: The numeric subcommands of the random sweep, drawn with equal weight.
 RANDOM_KINDS = ("solve-chords", "means", "duplicate-cube", "four-proportionals", "pyramid",

@@ -23,7 +23,9 @@ from .scalar import (
     DecimalScalar,
     PrecisionContext,
     _decimal_digits,
+    grouped_text,
     parse_int,
+    plain_text,
     round_to,
     sqrt,
 )
@@ -62,9 +64,16 @@ def _residual_text(bound: str) -> str:
     return "= 0" if bound == "0" else f"< {bound}"
 
 
+#: A ratio n/d, each side what ``int`` reads in base 10, with spaces around it.
+_RATIO = re.compile(r"\s*([+-]?\d+(?:_\d+)*)\s*/\s*([+-]?\d+(?:_\d+)*)\s*")
+
+
 def _parse_rational(text: str) -> Fraction:
     if "/" in text:
-        num, den = (parse_int(part) for part in text.split("/", 1))
+        ratio = _RATIO.fullmatch(text)
+        if not ratio:
+            raise ValueError(f"not a ratio n/d of two integers: {text!r}")
+        num, den = parse_int(ratio[1]), parse_int(ratio[2])
         if den == 0:
             raise ValueError(f"zero denominator: {text!r}")
         return Fraction(num, den)
@@ -91,14 +100,12 @@ Record = tuple[int, dict | None, list[str]]
 def _cmd_solve_chords(args, ctx: PrecisionContext) -> Record:
     d = DecimalScalar.from_str(args.diameter)
     full = proportio.solve_continued_chords(d, ctx)
-    table_cfg = full.table_values(ctx.output_digits)
-    table = proportio.chord_table(table_cfg)
-    rows = {r.label: r for r in table.rows}
+    texts = proportio.chord_texts(full, ctx.output_digits, d)
+    grouped = {label: grouped_text(shown) for label, (shown, _) in texts.items()}
     shown_d = str(d)
     lines = [f"diameter {shown_d}, {ctx.output_digits} fractional digits", ""]
-    width = max(len(r.grouped) for r in table.rows)
-    for label in ("AD", "AB", "BC", "BD"):
-        lines.append(f"  {label}   {rows[label].grouped:>{width}}")
+    width = max(map(len, grouped.values()))
+    lines += [f"  {label}   {text:>{width}}" for label, text in grouped.items()]
     # Holds by construction, so nothing is checked: each full term lies within two
     # work units of an exact continued proportion (proof in tests/oracles.py).
     lines += ["", "continued proportion verified: ok"]
@@ -107,12 +114,9 @@ def _cmd_solve_chords(args, ctx: PrecisionContext) -> Record:
         "digits": ctx.output_digits,
         "work_digits": ctx.work_digits,
         "chords": {
-            label: {
-                "value": str(rows[label].value),
-                "grouped": rows[label].grouped,
-                "full": str(v),
-            }
-            for label, v in (("AD", full.ad), ("AB", full.ab), ("BC", full.bc), ("BD", full.bd))
+            label: {"value": plain_text(shown), "grouped": grouped[label],
+                    "full": plain_text(parts)}
+            for label, (shown, parts) in texts.items()
         },
         "verified": True,
     }
@@ -123,7 +127,7 @@ def _cmd_verify_table(args, ctx: PrecisionContext) -> Record:
     if ctx.output_digits < 10:
         ctx = PrecisionContext(10, ctx.guard_digits)
     full = proportio.solve_continued_chords(2, ctx)
-    table_cfg = full.table_values(10)
+    table_cfg = full.table_values(10, 2)
     chords = proportio.chord_table(table_cfg)
     products = proportio.reproduce_table(table_cfg)
     contrast = proportio.true_product_rows(full)

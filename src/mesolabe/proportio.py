@@ -7,6 +7,15 @@ pins AB = x as the unique root of (d - x)^3 = d^2 x in (0, d).  The 1682
 tables for d = 2 are reproduced digit for digit, including an annotation
 channel for the original's misprints.
 
+AB = d u for the one constant u in (0, 1) with (1 - u)^3 = u, the root of
+f(x) = x^3 - 3x^2 + 4x - 1.  On [0, 1), f' = 3(1 - x)^2 + 1 >= 1 and
+f'' = 6x - 6 lies in [-6, 0), so f is increasing and concave there: u is
+its only root, and a Newton step never overshoots it.  u is found in
+binary fixed point, U ~ u 2^B, and certified by the exact signs of
+F(U -+ 1), which Taylor's formula gives from one exact F(U) and F'(U)
+because F is a monic cubic; that bracket decides the signs of the chord
+residual at all but the grid points within 2^-40 units of AB.
+
 Positions on the semicircle are parametrized by t = tan(half the inscribed
 angle at A), so every construction has an exact rational witness and no
 trigonometric function is ever evaluated.
@@ -22,6 +31,7 @@ from .scalar import (
     DecimalScalar,
     PrecisionContext,
     ValueRecord,
+    _decimal_digits,
     as_rational,
     certify_bracket,
     format_grouped,
@@ -38,21 +48,28 @@ class ChordConfig(ValueRecord):
     def terms(self) -> tuple[DecimalScalar, DecimalScalar, DecimalScalar, DecimalScalar]:
         return self.ab, self.bc, self.bd, self.ad
 
-    def table_values(self, digits: int) -> "ChordConfig":
+    def table_values(self, digits: int, diameter=None) -> "ChordConfig":
         """The values as the 1682 computation reported them.
 
         AB and BC keep their first ``digits`` fractional digits, padded with
         zeros past their own: longhand root extraction yields floor digits
         (the printed BC proves the original truncated, since round-to-nearest
         would end ...4638), and neither is negative, so the floor drops the
-        rest.  BD is the exact complement AD - AB, which reproduces the
-        printed ...56077.
+        rest.  AD is the exact ``diameter`` rounded half-even once at
+        ``digits``; without it, AD is this AD rounded again, which differs
+        only for a diameter beside a midpoint at ``digits`` by less than a
+        unit of this AD's scale.  BD is the exact complement AD - AB, which
+        reproduces the printed ...56077.
         """
         def floor(v: DecimalScalar) -> DecimalScalar:
             if digits > v.scale:
                 return DecimalScalar(v.unscaled * 10 ** (digits - v.scale), digits)
             return DecimalScalar(v.unscaled // 10 ** (v.scale - digits), digits)
-        ab, ad = floor(self.ab), round_to(self.ad, digits)
+        ab = floor(self.ab)
+        if diameter is None:
+            ad = round_to(self.ad, digits)
+        else:
+            ad = DecimalScalar.from_fraction(as_rational(diameter), digits)
         return ChordConfig(ab, floor(self.bc), DecimalScalar(ad.unscaled - ab.unscaled, digits), ad)
 
 
@@ -107,30 +124,60 @@ _PRODUCT_NOTES = {
 }
 
 
-def _unit_ratio(digits: int) -> int:
-    """10^digits * u, to a few units, for the root u of (1 - u)^3 = u (integer Newton).
+def _unit_cubic(v: int, bits: int) -> tuple[int, int]:
+    """F(v) and F'(v) for F(v) = S^3 f(v / S), f(x) = x^3 - 3x^2 + 4x - 1, S = 2^bits.
 
-    u^3 - 3u^2 + 4u - 1 is increasing (its derivative has no real zero), so
-    Newton from u = 1/3 converges; the last step leaves an error of a few
-    units, which is all a seed needs.  With s = 10^digits the cubic and its
-    derivative are taken in Horner's form, ((u - 3s) u + 4s^2) u - s^3 and
-    (3u - 6s) u + 4s^2, with the powers of s formed once.  Above 40 digits
-    Newton starts from the root at half the digits, found the same way, so
-    about two full-precision steps finish it.
+    F(v) = (v^2 - 3Sv + 4S^2) v - S^3 and F'(v) = 3v^2 - 6Sv + 4S^2, from
+    one square and one product; every power of S is a shift.
     """
-    s = 10**digits
-    if digits <= 40:
-        u = s // 3
-    else:
-        half = digits // 2
-        u = _unit_ratio(half) * 10 ** (digits - half)
-    four_s2, s3 = 4 * s * s, s**3
-    while True:
-        f = ((u - 3 * s) * u + four_s2) * u - s3
-        step = f // ((3 * u - 6 * s) * u + four_s2)
-        u -= step
-        if abs(step) <= 1:
-            return u
+    square = v * v
+    f = (square - (3 * v << bits) + (4 << 2 * bits)) * v - (1 << 3 * bits)
+    return f, 3 * square - (6 * v << bits) + (4 << 2 * bits)
+
+
+def _unit_ratio(bits: int) -> int:
+    """U with |U - u 2^bits| < 1, for the root u of (1 - u)^3 = u (binary Newton).
+
+    f is increasing and concave on [0, 1), with f' >= 1 and f'' >= -6 (see
+    the module docstring).  A Newton step from v therefore lands at
+    x1 = v - f(v) / f'(v) <= u, and u - x1 = |f''(xi)| (v - u)^2 / (2 f'(v))
+    <= 3 (v - u)^2.  At ``bits`` B, U is found at h = (B + 3) // 2 bits, so
+    2h >= B + 2, shifted up by k = B - h and given one integer Newton step
+    U = V - floor(F(V) / F'(V)), which is ceil(x1 2^B).  From |V - u 2^B| <
+    2^k, u 2^B - x1 2^B < 3 2^(B - 2h) <= 3/4, so U lies in
+    [x1 2^B, x1 2^B + 1) within one unit of u 2^B again.  F(V) and F'(V) are
+    F(U_h) 2^(3k) and F'(U_h) 2^(2k) at h bits, so the step is taken there.
+    Below 4 bits U counts up from 0 to the floor of u 2^B.
+    """
+    if bits < 4:
+        u = 0
+        while _unit_cubic(u + 1, bits)[0] < 0:
+            u += 1
+        return u
+    h = (bits + 3) // 2
+    v = _unit_ratio(h)
+    f, slope = _unit_cubic(v, h)
+    k = bits - h
+    return (v << k) - ((f << k) // slope)
+
+
+def _brackets_unit(v: int, bits: int) -> bool:
+    """Whether F(v - 1) < 0 < F(v + 1), that is (v - 1) / 2^bits < u < (v + 1) / 2^bits.
+
+    F is a cubic with leading coefficient 1, so Taylor's formula
+    F(v + e) = F(v) + e F'(v) + e^2 (3v - 3S) + e^3 is exact, and one exact
+    F(v), F'(v) (:func:`_unit_cubic`) gives both signs.  F is increasing,
+    so they bracket its one root u 2^bits.
+    """
+    f, slope = _unit_cubic(v, bits)
+    bend = 3 * v - (3 << bits)
+    return f - slope + bend - 1 < 0 < f + slope + bend + 1
+
+
+def _chord_sign(p: int, q: int, n: int, m: int) -> int:
+    """Sign of the chord residual (d - x)^3 - d^2 x at d = p/q, x = n/m, cleared of denominators."""
+    r = (p * m - n * q) ** 3 - p * p * q * m * m * n
+    return (r > 0) - (r < 0)
 
 
 def solve_continued_chords(
@@ -138,30 +185,55 @@ def solve_continued_chords(
 ) -> ChordConfig:
     """Chord configuration with AB : BC : BD : AD in continued proportion.
 
-    AB = d u with u the root of (1 - u)^3 = u, whose integer Newton value
-    seeds :func:`~mesolabe.scalar.certify_bracket`.  The cubic residual
+    AB = d u with u the root of (1 - u)^3 = u.  The chord residual
     (d - x)^3 - d^2 x is strictly decreasing on [0, d], so exact signs
-    certify the grid cell at 10^-w that holds the root, and one more sign
-    at the cell midpoint rounds AB correctly.  The root is irrational
-    (u^3 - 3u^2 + 4u - 1 has no rational root), so the midpoint is never
-    a tie.
+    certify the grid cell at 10^-w that holds AB, and one more sign at the
+    cell midpoint rounds AB correctly.  The root is irrational
+    (u^3 - 3u^2 + 4u - 1 has no rational root), so no sign is ever 0 and
+    the midpoint is never a tie.
+
+    Most signs come from a bracket on u.  U = :func:`_unit_ratio` at B bits
+    is checked by :func:`_brackets_unit`, whose F(U - 1) < 0 < F(U + 1),
+    from one exact F(U) and F'(U) by Taylor's formula, proves
+    (U - 1) / S < u < (U + 1) / S for S = 2^B.  Then 2 AB 10^w lies
+    strictly between 2p 10^w (U -+ 1) / (q S), and a
+    half-grid point k = 2g or 2g + 1 at or below the floor of the lower
+    end lies below AB (residual positive), one at or above the ceiling of
+    the upper end above it.  The window is 4p 10^w / (q S) < 4 (d 10^w + 1)
+    half-grid units, so B = 3.322 D + 42 bits, D the decimal digits of
+    floor(d 10^w) + 1, keeps it under 2^-40 grid units: only a point that
+    close to AB evaluates the residual, as does every point if the check
+    fails.  :func:`~mesolabe.scalar.certify_bracket` checks its cell
+    against the signs either way.
     """
     df = as_rational(d)
     if not df > 0:
         raise ValueError("diameter must be positive")
     w = ctx.work_digits
     p, q = df.numerator, df.denominator
-
-    def sign(n: int, m: int) -> int:
-        """Sign of the cubic residual at x = n/m, cleared of denominators."""
-        r = (p * m - n * q) ** 3 - p * p * q * m * m * n
-        return (r > 0) - (r < 0)
-
     grid = 10**w
-    seed = p * _unit_ratio(w + 5) // (q * 10**5)
     hi = p * grid // q + 1
-    lo, exact, _ = certify_bracket(lambda g: sign(g, grid), seed, 0, hi, 1)
-    if not exact and sign(2 * lo + 1, 2 * grid) > 0:
+    bits = _decimal_digits(hi) * 3322 // 1000 + 42
+    u = _unit_ratio(bits)
+    twice = 2 * p * grid
+    at_u = twice * u  # 2 AB 10^w q S lies strictly between at_u -+ twice if u brackets
+    seed = (at_u // q) >> (bits + 1)
+    if _brackets_unit(u, bits):
+        below = (at_u - twice) // q >> bits
+        above = -((-at_u - twice) // q >> bits)
+    else:
+        below, above = -1, 2 * hi + 2
+
+    def sign(k: int) -> int:
+        """Sign of the chord residual at the half-grid point x = k / (2 10^w)."""
+        if k <= below:
+            return 1
+        if k >= above:
+            return -1
+        return _chord_sign(p, q, k, 2 * grid)
+
+    lo, exact, _ = certify_bracket(lambda g: sign(2 * g), seed, 0, hi, 1)
+    if not exact and sign(2 * lo + 1) > 0:
         lo += 1
 
     ad = DecimalScalar.from_fraction(df, w)
@@ -178,6 +250,28 @@ def chord_table(c: ChordConfig) -> PaperTable:
         printed = PRINTED_CHORDS[label] if canonical else None
         rows.append(TableRow(label, value, format_grouped(value), printed, None))
     return PaperTable("successive lines in the semicircle", tuple(rows))
+
+
+def chord_texts(full: ChordConfig, digits: int, diameter) -> dict[str, tuple[tuple, tuple]]:
+    """Per chord, in table order, the text parts of its table value and of its full value.
+
+    The table values are ``full.table_values(digits, diameter)``, and each
+    value is converted to text once (:meth:`~DecimalScalar.text_parts`):
+    AB and BC at ``digits`` are the floors of their full values, so their
+    digits are a prefix of the full ones (padded with zeros past them), and
+    only AD and BD are converted apart.
+    """
+    table = full.table_values(digits, diameter)
+    texts = {}
+    for label, shown, value in (("AD", table.ad, full.ad), ("AB", table.ab, full.ab),
+                                ("BC", table.bc, full.bc), ("BD", table.bd, full.bd)):
+        parts = value.text_parts()
+        if label in ("AB", "BC"):
+            sign, whole, frac = parts
+            texts[label] = (sign, whole, frac[:digits].ljust(digits, "0")), parts
+        else:
+            texts[label] = shown.text_parts(), parts
+    return texts
 
 
 def _products(c: ChordConfig) -> tuple[tuple[str, DecimalScalar], ...]:

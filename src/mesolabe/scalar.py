@@ -17,6 +17,8 @@ from collections.abc import Callable
 from fractions import Fraction
 
 _PLAIN_RE = re.compile(r"^([+-]?)(\d+)(?:\.(\d+))?$")
+#: Fractional digits in groups of five, the last one shorter if need be.
+_GROUP_RE = re.compile(r"\d{1,5}")
 
 
 def _half_even_div(n: int, d: int) -> int:
@@ -240,20 +242,21 @@ class DecimalScalar(ValueRecord):
     def as_fraction(self) -> Fraction:
         return Fraction(self.unscaled, 10**self.scale)
 
-    def _digits(self) -> tuple[str, str, str]:
-        """Sign, integer digits, and the ``scale`` fractional digits.
+    def text_parts(self) -> tuple[str, str, str]:
+        """Sign, integer digits, and the ``scale`` fractional digits: the one conversion to text.
 
         The two parts are converted to text apart, so that a value prints
         while each part, rather than the whole digit string, stays within
-        the interpreter's limit on int-to-str conversion.
+        the interpreter's limit on int-to-str conversion.  A caller that
+        prints a value more than one way converts it once and passes the
+        parts to :func:`plain_text` and :func:`grouped_text`.
         """
         whole, frac = divmod(abs(self.unscaled), 10**self.scale)
         sign = "-" if self.unscaled < 0 else ""
         return sign, str(whole), str(frac).zfill(self.scale) if self.scale else ""
 
     def __str__(self) -> str:
-        sign, whole, frac = self._digits()
-        return f"{sign}{whole}.{frac}" if frac else sign + whole
+        return plain_text(self.text_parts())
 
     def __repr__(self) -> str:
         return f"DecimalScalar('{self}')"
@@ -303,7 +306,18 @@ def sqrt(value, digits: int) -> DecimalScalar:
     return DecimalScalar(m, digits)
 
 
+def plain_text(parts: tuple[str, str, str]) -> str:
+    """A value's text, ``-12.5``, from its :meth:`DecimalScalar.text_parts`."""
+    sign, whole, frac = parts
+    return f"{sign}{whole}.{frac}" if frac else sign + whole
+
+
 def format_grouped(a: DecimalScalar) -> str:
+    """Paper-table typography of ``a``: :func:`grouped_text` of its text parts."""
+    return grouped_text(a.text_parts())
+
+
+def grouped_text(parts: tuple[str, str, str]) -> str:
     """Paper-table typography: fractional digits in groups of five.
 
     ``2.0000000000`` renders as ``"2 00000 00000"``, and a zero integer
@@ -312,12 +326,14 @@ def format_grouped(a: DecimalScalar) -> str:
     fractional digits it stays, so ``0.7`` renders as ``"0 7"``.  A
     five-digit leading token therefore always means a fractional group, and
     an integer part of exactly five digits gets one leading zero:
-    ``70000.5`` renders as ``"070000 5"``.
+    ``70000.5`` renders as ``"070000 5"``.  ``parts`` are a value's
+    :meth:`DecimalScalar.text_parts`, so digits already converted are only
+    regrouped.
     """
-    sign, int_part, frac = a._digits()
+    sign, int_part, frac = parts
     if len(int_part) == 5:
         int_part = "0" + int_part
-    groups = [frac[i: i + 5] for i in range(0, len(frac), 5)]
+    groups = _GROUP_RE.findall(frac)
     if int_part == "0" and len(frac) >= 5:
         return sign + " ".join(groups)
     return sign + " ".join([int_part] + groups)

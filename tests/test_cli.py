@@ -82,6 +82,19 @@ class TestSolveChords:
     def test_bad_diameter_is_usage_error(self, capsys):
         assert main(["solve-chords", "--diameter", "-2"]) == 2
 
+    @pytest.mark.parametrize("diameter, guard, grouped, value", [
+        ("48275.8500000000001", "9", "048275 9", "48275.9"),
+        ("0.250000000000001", "10", "0 3", "0.3"),
+    ])
+    def test_ad_is_the_diameter_rounded_once(self, capsys, diameter, guard, grouped, value):
+        # rounded at the work digits, each diameter lands on a midpoint at one digit
+        argv = ("solve-chords", "--diameter", diameter, "--digits", "1", "--guard", guard)
+        code, out = run(capsys, *argv)
+        assert code == 0 and f"  AD   {grouped}\n" in out
+        chords = json.loads(run(capsys, *argv, "--json")[1])["chords"]
+        assert chords["AD"]["value"] == value and chords["AD"]["grouped"] == grouped
+        assert Fraction(chords["BD"]["value"]) == Fraction(value) - Fraction(chords["AB"]["value"])
+
     @pytest.mark.parametrize("diameter", [
         "30000000000", "0.00000000000000000000000000000000001", "70000"])
     def test_verdict_holds_at_any_scale(self, capsys, diameter):
@@ -377,7 +390,8 @@ class TestRatioOperands:
         assert main(list(argv)) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        operand = next(a for a in argv if "/" in a)
+        assert captured.err == f"error: not a ratio n/d of two integers: {operand!r}\n"
 
 
 class TestFourProportionals:

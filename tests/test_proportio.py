@@ -7,6 +7,7 @@ from hypothesis import example, given, settings, strategies as st
 from mesolabe import proportio
 from mesolabe.euclid import Point3, check_19_7, check_20_7, unit_circle_point
 from mesolabe.proportio import (
+    ChordConfig,
     chord_table,
     four_proportionals_planar,
     four_proportionals_sphere,
@@ -86,6 +87,18 @@ class TestChordSolver:
             assert floored.as_fraction() == F(math.floor(value.as_fraction() * unit), unit)
         assert t.ad.as_fraction() == rounded(full.ad.as_fraction(), table_digits)
         assert t.bd.as_fraction() == t.ad.as_fraction() - t.ab.as_fraction()
+        # with the diameter, AD is it rounded once, and the rest is unchanged
+        d = DecimalScalar(unscaled, scale)
+        once = full.table_values(table_digits, d)
+        assert (once.ab, once.bc) == (t.ab, t.bc)
+        assert once.ad.as_fraction() == rounded(d.as_fraction(), table_digits)
+        assert once.bd.as_fraction() == once.ad.as_fraction() - once.ab.as_fraction()
+        # chord_texts converts them once: the table's and the full values' texts
+        texts = proportio.chord_texts(full, table_digits, d)
+        assert list(texts) == ["AD", "AB", "BC", "BD"]
+        for label, shown, value in (("AD", once.ad, full.ad), ("AB", once.ab, full.ab),
+                                    ("BC", once.bc, full.bc), ("BD", once.bd, full.bd)):
+            assert texts[label] == (shown.text_parts(), value.text_parts())
 
     def test_complement_is_exact(self, solved):
         ab, bd, ad = (v.as_fraction() for v in (solved.ab, solved.bd, solved.ad))
@@ -175,33 +188,176 @@ class TestChordSolver:
         assert len(counts) == 4
         assert all(1 <= n <= 8 for n in counts)
 
+
+
+def _unit_f(v: int, bits: int) -> int:
+    """2^(3 bits) (x^3 - 3x^2 + 4x - 1) at x = v / 2^bits: increasing, zero at u."""
+    s = 1 << bits
+    return v**3 - 3 * v * v * s + 4 * v * s * s - s**3
+
+
+def _chords_by_cubic_signs(d: DecimalScalar, ctx: PrecisionContext) -> ChordConfig:
+    """The solver's configuration, with AB bisected on signs of the chord cubic alone."""
+    df = d.as_fraction()
+    p, q, w = df.numerator, df.denominator, ctx.work_digits
+    grid = 10**w
+
+    def positive(n: int, m: int) -> bool:  # (d - x)^3 > d^2 x at x = n/m: x below AB
+        return (p * m - n * q) ** 3 > p * p * q * m * m * n
+
+    lo, hi = 0, p * grid // q + 1  # x = 0 lies below AB, x > d above it
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (mid, hi) if positive(mid, grid) else (lo, mid)
+    lo += positive(2 * lo + 1, 2 * grid)
+    ad = DecimalScalar.from_fraction(df, w)
+    bc = sqrt(DecimalScalar(lo * (ad.unscaled - lo), 2 * w), w)
+    return ChordConfig(DecimalScalar(lo, w), bc, DecimalScalar(ad.unscaled - lo, w), ad)
+
+
+def _diameter(unscaled: int, exponent: int) -> DecimalScalar:
+    """unscaled 10^exponent as a DecimalScalar."""
+    if exponent >= 0:
+        return DecimalScalar(unscaled * 10**exponent, 0)
+    return DecimalScalar(unscaled, -exponent)
+
+
+#: (diameter, digits, guard) whose AB lies within 10^-20 of a work-grid point
+#: (the first and third) or of a cell midpoint (the others): d = N / (u 10^w),
+#: to 40 digits past the work digits, for N an integer or an odd half.
+#: The bracket on u cannot decide the sign there, so the chord cubic runs.
+BESIDE_A_CELL_EDGE = (
+    ("1.9999999989172444129330742989553794893227249204131888403923562216799637", 20, 10),
+    ("1.9999999989172444129330742989569534388405773140902019478748217153624221", 20, 10),
+    ("99999999945862220646653714947768974466136246."
+     "0206594420196178110839981838670075378461049650155012880", 5, 10),
+    ("0.0000000000000000000000000000299999999837586677679456323367243693529483562716915150643",
+     40, 5),
+    ("7.0000003991414320154785413616993437237959199308", 1, 5),
+)
+
+
+def _beside_an_edge(digits: int, guard: int, size: F, half: bool, side: int) -> str:
+    """A diameter near ``size`` whose AB lies 10^-25 grid units to ``side`` of an edge.
+
+    The edge is the grid point (or, with ``half``, the midpoint above it)
+    nearest to size u 10^w; d = (edge + side 10^-25) / (u 10^w), to 45 digits
+    past the work digits, with u from the oracle's ratio-form bisection.
+    """
+    w = digits + guard
+    u = chord_lengths(F(1), w + 90)[0]
+    edge = round(size * CHORD_RATIO * 10**w) + F(half, 2)
+    unscaled = round((edge + F(side, 10**25)) / (u * 10**w) * 10 ** (w + 45))
+    return str(DecimalScalar(unscaled, w + 45))
+
+
+#: More diameters beside an edge: a grid point and a midpoint, below and above
+#: AB, at four precisions and diameters from 10^-29 to 10^44.
+BESIDE_AN_EDGE = tuple(
+    (_beside_an_edge(digits, guard, size, half, side), digits, guard)
+    for digits, guard, size in ((1, 5, F(7)), (20, 10, F(2)), (5, 10, F(10**44)),
+                                (40, 5, F(3, 10**29)))
+    for half in (False, True) for side in (-1, 1))
+
+
+def _cubic(d: F, x: F) -> F:
+    """The chord residual (d - x)^3 - d^2 x: positive below AB, negative above."""
+    return (d - x) ** 3 - d * d * x
+
+
+def _beside_a_cell_edge(test):
+    """``test`` with an ``@example`` (unscaled, exponent, digits, guard) per diameter
+    of :data:`BESIDE_A_CELL_EDGE`."""
+    for diameter, digits, guard in BESIDE_A_CELL_EDGE:
+        d = D(diameter)
+        test = example(d.unscaled, -d.scale, digits, guard)(test)
+    return test
+
+
+class TestUnitBracket:
+    @settings(max_examples=80, deadline=None)
+    @given(st.integers(min_value=1, max_value=14_000))
+    @example(1)
+    @example(3)
+    @example(4)
+    @example(14_000)
+    def test_unit_ratio_brackets_the_root(self, bits):
+        u = proportio._unit_ratio(bits)
+        assert _unit_f(u - 1, bits) < 0 < _unit_f(u + 1, bits)
+
     @settings(max_examples=60, deadline=None)
-    @given(st.integers(min_value=1, max_value=2500))
-    @example(41)
-    def test_unit_ratio_is_within_a_few_units_of_the_root(self, digits):
-        s = 10**digits
-        u = proportio._unit_ratio(digits)
+    @given(
+        st.integers(min_value=1, max_value=10**15 - 1),
+        st.integers(min_value=-45, max_value=30),
+        st.integers(min_value=1, max_value=60),
+        st.integers(min_value=5, max_value=14),
+    )
+    @_beside_a_cell_edge
+    def test_solver_equals_cubic_signs_only(self, unscaled, exponent, digits, guard):
+        # diameters from 10^-45 to under 10^45
+        d = _diameter(unscaled, exponent)
+        ctx = PrecisionContext(digits, guard)
+        assert solve_continued_chords(d, ctx) == _chords_by_cubic_signs(d, ctx)
 
-        def cubic(n):
-            """s^3 (x^3 - 3x^2 + 4x - 1) at x = n/s: increasing, zero at the root."""
-            return n**3 - 3 * n * n * s + 4 * n * s * s - s**3
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(min_value=1, max_value=64), st.integers(min_value=-2, max_value=2**64 + 2))
+    @example(2, 0)
+    @example(2, 1)
+    @example(5, 11)
+    def test_the_taylor_bracket_is_the_direct_one(self, bits, v):
+        v %= (1 << bits) + 3  # 0 to S + 2, where S = 2^bits
+        expected = _unit_f(v - 1, bits) < 0 < _unit_f(v + 1, bits)
+        assert proportio._brackets_unit(v, bits) == expected
+        u = proportio._unit_ratio(bits)
+        assert [proportio._brackets_unit(u + e, bits) for e in (-2, -1, 0, 1, 2)] == [
+            _unit_f(u + e - 1, bits) < 0 < _unit_f(u + e + 1, bits) for e in (-2, -1, 0, 1, 2)]
 
-        assert cubic(u - 3) < 0 < cubic(u + 3)
+    @pytest.mark.parametrize("diameter, digits, guard", BESIDE_A_CELL_EDGE + BESIDE_AN_EDGE)
+    def test_a_root_beside_a_cell_edge_runs_the_cubic(self, diameter, digits, guard, monkeypatch):
+        d, ctx = D(diameter), PrecisionContext(digits, guard)
+        df, grid, near = d.as_fraction(), 10 ** ctx.work_digits, F(1, 10**20)
+        # the nearest grid point or midpoint to AB, and by exact signs within 10^-20 of it
+        edge = F(round(2 * chord_lengths(df, ctx.work_digits + 65)[0] * grid), 2)
+        assert _cubic(df, (edge - near) / grid) > 0 > _cubic(df, (edge + near) / grid)
+        expected = _chords_by_cubic_signs(d, ctx)
+        calls = []
+        real = proportio._chord_sign
+        monkeypatch.setattr(proportio, "_chord_sign", lambda *a: calls.append(a) or real(*a))
+        assert solve_continued_chords(d, ctx) == expected
+        assert calls
+        # U is mostly just above u 2^B; U - 1 then brackets u too, from below, and
+        # U + 1 fails the check: every U the check lets through must serve
+        unit_ratio = proportio._unit_ratio
+        for off in (-1, 1):
+            monkeypatch.setattr(proportio, "_unit_ratio", lambda bits: unit_ratio(bits) + off)
+            assert solve_continued_chords(d, ctx) == expected
 
-    def test_unit_ratio_is_the_expanded_newton(self):
-        # equal seeds, so equal grid points and sign-evaluation counts
-        def expanded(digits):
-            s = 10**digits
-            u = s // 3 if digits <= 40 else expanded(digits // 2) * 10 ** (digits - digits // 2)
-            while True:
-                f = u**3 - 3 * u * u * s + 4 * u * s * s - s**3
-                step = f // (3 * u * u - 6 * u * s + 4 * s * s)
-                u -= step
-                if abs(step) <= 1:
-                    return u
+    @pytest.mark.parametrize("off", [-2, 2, 10**6])
+    @pytest.mark.parametrize("diameter, digits", [("2", 20), ("7.31", 300), ("0.001", 5)])
+    def test_a_failed_bracket_leaves_every_sign_to_the_cubic(self, diameter, digits, off,
+                                                            monkeypatch):
+        d, ctx = D(diameter), PrecisionContext(digits)
+        expected = solve_continued_chords(d, ctx)
+        real = proportio._unit_ratio
+        monkeypatch.setattr(proportio, "_unit_ratio", lambda bits: real(bits) + off)
+        calls, signs = [], []
+        real_sign, real_certify = proportio._chord_sign, proportio.certify_bracket
+        monkeypatch.setattr(proportio, "_chord_sign", lambda *a: calls.append(a) or real_sign(*a))
 
-        for digits in (*range(1, 121), 315, 1015, 4195):
-            assert proportio._unit_ratio(digits) == expanded(digits), digits
+        def counted(*args):
+            result = real_certify(*args)
+            signs.append(result[2])
+            return result
+
+        monkeypatch.setattr(proportio, "certify_bracket", counted)
+        assert solve_continued_chords(d, ctx) == expected
+        assert len(calls) == signs[0] + 1  # every grid point of the search, then the midpoint
+
+    @pytest.mark.parametrize("digits", [20, 300, 1000])
+    def test_the_bracket_decides_ordinary_signs(self, digits, monkeypatch):
+        monkeypatch.setattr(proportio, "_chord_sign", None)  # a call would raise
+        for d in ("2", "7.31", "19.999", "0.001", "1" + "0" * 40):
+            solve_continued_chords(D(d), PrecisionContext(digits))
 
 
 class TestPaperTable:
