@@ -28,9 +28,11 @@ Rows, each the fastest of ``--repeat`` calls after one warm-up call:
   ``solve-chords`` row: ``_icbrt`` of ``delian._seed``'s radicand,
   ``proportio._unit_ratio`` at the precision the tree's chord solver asks
   for (10^(w + 5) u in older trees, 2^B u in newer ones),
-  ``proportio.solve_continued_chords``, ``delian._seed``,
-  ``delian._result`` at the certified arc parameter and one
-  ``residual_instrument`` sign at the seed's grid point;
+  ``proportio.solve_continued_chords``, ``delian._seed`` (newer trees also
+  round m2 from its root), ``delian._result`` (in older trees the means read
+  off the certified arc parameter and their residual, in newer ones the
+  residual of the means alone) and one ``residual_instrument`` sign at the
+  seed's grid point;
 - cold starts: the median wall time of ``COLD_STARTS`` interpreter starts
   that run ``perfbench/run.py``'s cold-start command (import ``mesolabe.cli``,
   run one op) on ``solve-chords --diameter 2`` and on
@@ -170,23 +172,34 @@ def construct(cls, coords):
     return call
 
 
+def _seed_call(cli, w: int):
+    """``delian._seed`` for (a, b) = (1, 2) at w work digits, with the arguments of the tree's seed."""
+    seed = cli.delian._seed
+    if seed.__code__.co_argcount == 4:  # newer trees: it also rounds m2 at the output digits
+        return partial(seed, Fraction(1), Fraction(2), w, w - 10)
+    return partial(seed, Fraction(1), Fraction(2), w)
+
+
 def _means_operands(cli, w: int):
-    """(a, b, seed, t) of ``means --a 1 --b 2`` at w work digits."""
+    """(a, b, seed, result) of ``means --a 1 --b 2`` at w work digits."""
     a, b = Fraction(1), Fraction(2)
     ctx = cli.PrecisionContext.for_output(w - 10, 10)
-    seed = cli.delian._seed(a, b, w)
-    if isinstance(seed, tuple):  # newer trees: (index, bracket low, bracket high)
+    seed = _seed_call(cli, w)()
+    if isinstance(seed, tuple):  # newer trees: (index, bracket low, bracket high[, m2])
         seed = seed[0]
-    return a, b, seed, cli.delian.two_means_instrument(a, b, ctx).theta_param
+    return a, b, seed, cli.delian.two_means_instrument(a, b, ctx)
 
 
 def _result_call(cli, w: int):
-    a, b, _, t = _means_operands(cli, w)
+    a, b, _, solved = _means_operands(cli, w)
     result = cli.delian._result
     if result.__code__.co_argcount == 6:  # older trees: (a, b, t, iterations, method, ctx)
         ctx = cli.PrecisionContext.for_output(w - 10, 10)
-        return lambda: result(a, b, t, 0, "instrument", ctx)
-    return lambda: result(a, b, t, w)
+        return lambda: result(a, b, solved.theta_param, 0, "instrument", ctx)
+    if result.__code__.co_argcount == 4:  # the means read off t, then the residual: (a, b, t, w)
+        return lambda: result(a, b, solved.theta_param, w)
+    # newer trees: the residual of the means rounded from their radicands, (a, b, m1, m2, w)
+    return lambda: result(a, b, solved.m1.unscaled, solved.m2.unscaled, w)
 
 
 def _sign_call(cli, w: int):
@@ -212,7 +225,7 @@ KERNELS = (
     ("proportio.solve_continued_chords d = 2",
      lambda cli, w: partial(cli.proportio.solve_continued_chords, 2,
                             cli.PrecisionContext.for_output(w - 10, 10))),
-    ("delian._seed", lambda cli, w: partial(cli.delian._seed, Fraction(1), Fraction(2), w)),
+    ("delian._seed", _seed_call),
     ("delian._result", _result_call),
     ("delian residual_instrument sign", _sign_call),
 )

@@ -66,6 +66,10 @@ RANDOM_SEED = 0
 #: whose AB lies within 10^-20 of a work-grid point or cell midpoint, the first
 #: two at a grid point and the rest at a midpoint, so the chord cubic decides a sign
 #: the bracket on u cannot.  And a malformed ratio, whose one error line names it.
+#: Then means and doubled edges that a value read off the arc parameter printed
+#: wrong (m1 = 10^13 exactly, and the edge of 10^10), exact ties of the means
+#: (m1 = 1.25 and m2 = 1.5625, to 1.2 and 1.562) and the exact means 2 and 4,
+#: and a ratio with an underscore, refused as a decimal with one is.
 FIXED = (
     ("means", "--a", "1", "--b", "1.953125" + "0" * 28 + "46875" + "0" * 30 + "375" + "0" * 32 + "1",
      "--digits", "1"),
@@ -93,6 +97,12 @@ FIXED = (
     ("solve-chords", "--diameter", "0.00000000000000000000000000002999999998375866776794563233"
      "67243693529483562716915150643", "--digits", "40", "--guard", "5"),
     ("means", "--a", "1", "--b", "x/2"),
+    ("means", "--a", "1", "--b", "1" + "0" * 39),
+    ("duplicate-cube", "--edge", "10000000000"),
+    ("means", "--a", "1", "--b", "1.953125", "--digits", "1", "--guard", "5"),
+    ("means", "--a", "1", "--b", "1.953125", "--digits", "3", "--guard", "5"),
+    ("means", "--a", "1", "--b", "8"),
+    ("means", "--a", "1_000/1", "--b", "2000"),
 )
 #: The numeric subcommands of the random sweep, drawn with equal weight.
 RANDOM_KINDS = ("solve-chords", "means", "duplicate-cube", "four-proportionals", "pyramid",

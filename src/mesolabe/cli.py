@@ -26,7 +26,6 @@ from .scalar import (
     grouped_text,
     parse_int,
     plain_text,
-    round_to,
     sqrt,
 )
 
@@ -64,8 +63,9 @@ def _residual_text(bound: str) -> str:
     return "= 0" if bound == "0" else f"< {bound}"
 
 
-#: A ratio n/d, each side what ``int`` reads in base 10, with spaces around it.
-_RATIO = re.compile(r"\s*([+-]?\d+(?:_\d+)*)\s*/\s*([+-]?\d+(?:_\d+)*)\s*")
+#: A ratio n/d of two signed decimal integers, with spaces around each; no
+#: underscores, as in a decimal operand (``scalar._PLAIN_RE``).
+_RATIO = re.compile(r"\s*([+-]?\d+)\s*/\s*([+-]?\d+)\s*")
 
 
 def _parse_rational(text: str) -> Fraction:
@@ -220,8 +220,8 @@ def _means_payload(result: delian.MeansResult, ctx: PrecisionContext) -> tuple[d
     theta = DecimalScalar.from_fraction(result.theta_param, ctx.work_digits + 1)
     payload = {
         "method": result.method,
-        "m1": str(round_to(result.m1, ctx.output_digits)),
-        "m2": str(round_to(result.m2, ctx.output_digits)),
+        "m1": str(result.m1_shown),
+        "m2": str(result.m2_shown),
         "m1_full": str(result.m1),
         "m2_full": str(result.m2),
         "theta": str(theta),
@@ -260,24 +260,24 @@ def _cmd_means(args, ctx: PrecisionContext) -> Record:
 
 def _cmd_duplicate_cube(args, ctx: PrecisionContext) -> Record:
     edge = DecimalScalar.from_str(args.edge)
-    result = delian.duplicate_cube(edge, ctx)
-    s = max(result.scale, edge.scale)  # r and e as integers at their common scale s
-    r, e = (x.unscaled * 10 ** (s - x.scale) for x in (result, edge))
+    full, shown = delian.duplicate_cube(edge, ctx)
+    s = max(full.scale, edge.scale)  # r and e as integers at their common scale s
+    r, e = (x.unscaled * 10 ** (s - x.scale) for x in (full, edge))
+    # Nothing to check: r lies within half a work unit of r* = cbrt(2) e, so
+    # |r^3 - 2e^3| <= 10^-w (r^2 + r r* + r*^2) / 2 < (r^2 + r e + e^2) 10^-digits,
+    # as r* < 1.26 e gives r^2 + r r* + r*^2 < 1.59 (r^2 + r e + e^2) and w - digits >= 5.
     doubling = abs(r * r * r - 2 * e * e * e)
-    # |r^3 - 2e^3| < (r^2 + r e + e^2) 10^-digits, with both sides times 10^(3s + digits);
-    # r^2 + r e + e^2 <= r^2 + r r* + r*^2 = (r^3 - r*^3) / (r - r*), as r* = cbrt(2) e > e
-    ok = doubling * 10**ctx.output_digits < (r * r + r * e + e * e) * 10**s
     payload = {
         "edge": str(edge),
-        "doubled_edge": str(round_to(result, ctx.output_digits)),
-        "doubled_edge_full": str(result),
+        "doubled_edge": str(shown),
+        "doubled_edge_full": str(full),
         "volume_residual_bound": _residual_bound(DecimalScalar(doubling, 3 * s)),
     }
     lines = [
         f"edge {payload['edge']} -> doubled-volume edge {payload['doubled_edge']}",
         f"cube residual {_residual_text(payload['volume_residual_bound'])}",
     ]
-    return (0 if ok else 1), payload, lines
+    return 0, payload, lines
 
 
 def _cmd_four_proportionals(args, ctx: PrecisionContext) -> Record:

@@ -135,9 +135,15 @@ def _unit_cubic(v: int, bits: int) -> tuple[int, int]:
     return f, 3 * square - (6 * v << bits) + (4 << 2 * bits)
 
 
+#: floor(u 2^64) for the root u of (1 - u)^3 = u.
+_UNIT_64 = 0x5152F70D683B3435
+
+
 def _unit_ratio(bits: int) -> int:
     """U with |U - u 2^bits| < 1, for the root u of (1 - u)^3 = u (binary Newton).
 
+    Up to 64 bits U is floor(u 2^bits), the word :data:`_UNIT_64` shifted
+    down, as floor(floor(u 2^64) / 2^k) = floor(u 2^(64 - k)).  Above,
     f is increasing and concave on [0, 1), with f' >= 1 and f'' >= -6 (see
     the module docstring).  A Newton step from v therefore lands at
     x1 = v - f(v) / f'(v) <= u, and u - x1 = |f''(xi)| (v - u)^2 / (2 f'(v))
@@ -147,13 +153,9 @@ def _unit_ratio(bits: int) -> int:
     2^k, u 2^B - x1 2^B < 3 2^(B - 2h) <= 3/4, so U lies in
     [x1 2^B, x1 2^B + 1) within one unit of u 2^B again.  F(V) and F'(V) are
     F(U_h) 2^(3k) and F'(U_h) 2^(2k) at h bits, so the step is taken there.
-    Below 4 bits U counts up from 0 to the floor of u 2^B.
     """
-    if bits < 4:
-        u = 0
-        while _unit_cubic(u + 1, bits)[0] < 0:
-            u += 1
-        return u
+    if bits <= 64:
+        return _UNIT_64 >> (64 - bits)
     h = (bits + 3) // 2
     v = _unit_ratio(h)
     f, slope = _unit_cubic(v, h)

@@ -2,8 +2,10 @@
 
 A :class:`DecimalScalar` is a signed integer times a negative power of
 ten, kept only to be printed: every computation runs on ``int`` at a known
-scale or on :class:`~fractions.Fraction`.  Rounding to a scale and square
-roots round half-even once, from the exact value, to the digits asked for.
+scale or on :class:`~fractions.Fraction`.  Rounding to a scale, square
+roots and cube roots round half-even once, from the exact value, to the
+digits asked for: every one goes through :func:`_half_even`, from a floor
+and a test of whether that floor is exact.
 Everything is built on Python's arbitrary-precision ``int``, so there is no
 hidden binary floating point anywhere.
 """
@@ -21,13 +23,39 @@ _PLAIN_RE = re.compile(r"^([+-]?)(\d+)(?:\.(\d+))?$")
 _GROUP_RE = re.compile(r"\d{1,5}")
 
 
+def _half_even(f: int, n: int, tie: Callable[[], bool]) -> int:
+    """x rounded to the nearest integer, ties to even, from f = floor(2n x) (n > 0).
+
+    floor(f / n) = floor(2x) =: g, and floor((g + 1) / 2) rounds x half up.
+    That differs from half-even only at a tie 2x = g with g = 2k + 1 and k
+    even, so ``tie()``, which says whether 2n x is exactly f, is called only
+    when n divides f and g = 1 (mod 4); the result is then k.  As
+    floor(floor(y) / N) = floor(y / N) for an integer N > 0, one floor serves
+    several scales: f = floor(2n x) is also floor(2 (n N) (x / N)).
+    """
+    g, r = divmod(f, n)
+    if not r and g % 4 == 1 and tie():
+        return g // 2
+    return (g + 1) // 2
+
+
 def _half_even_div(n: int, d: int) -> int:
-    """Round n/d (d > 0) to the nearest integer, ties to even."""
-    q, r = divmod(n, d)
-    twice = 2 * r
-    if twice > d or (twice == d and q % 2 != 0):
-        q += 1
-    return q
+    """Round n/d (d > 0) to the nearest integer, ties to even.
+
+    2d (n/d) = 2n is an integer, so it is its own floor, exact at a tie.
+    """
+    return _half_even(2 * n, d, lambda: True)
+
+
+def _at_two_scales(f: int, n: int, tie: Callable[[], bool], work: int,
+                   digits: int) -> tuple["DecimalScalar", "DecimalScalar"]:
+    """x rounded half-even at ``work`` and at ``digits`` <= ``work`` fractional digits.
+
+    ``f`` = floor(2n 10^work x) and ``tie()`` says whether that is exact, as
+    for :func:`_half_even`; neither value is rounded from the other.
+    """
+    return (DecimalScalar(_half_even(f, n, tie), work),
+            DecimalScalar(_half_even(f, n * 10 ** (work - digits), tie), digits))
 
 
 def _decimal_digits(n: int) -> int:
@@ -271,24 +299,18 @@ def as_rational(value) -> Fraction:
 
 def round_to(a: DecimalScalar, digits: int) -> DecimalScalar:
     """Round half-even to ``digits`` fractional digits (exact when widening)."""
-    if digits < 0:
-        raise ValueError("digits must be non-negative")
-    if digits >= a.scale:
-        return DecimalScalar(a.unscaled * 10 ** (digits - a.scale), digits)
-    return DecimalScalar(_half_even_div(a.unscaled, 10 ** (a.scale - digits)), digits)
+    return DecimalScalar(_half_even_div(a.unscaled * 10**digits, 10**a.scale), digits)
 
 
 def sqrt(value, digits: int) -> DecimalScalar:
     """Square root of an exact Fraction, int or DecimalScalar, rounded half-even to ``digits``.
 
-    With value 10^(2 digits) = n/d and r its root, s = isqrt(4n // d) is the
-    floor of 2r, so m = (s + 1) // 2 = floor(r + 1/2) rounds r half up.  r
-    lies on a midpoint exactly when 2r is an odd integer: 4n/d is an integer
-    (d divides 4n), odd, and s^2.  Only then is the root squared, and only
-    when m is odd, to step down to the even neighbour; with d = 1, 4n is
-    even and it never is.  For a DecimalScalar, n is its integer times
-    10^(2 digits - scale) when scale <= 2 digits, and else its integer over
-    d = 10^(scale - 2 digits): nothing is reduced.
+    With value 10^(2 digits) = n/d and r its root, f = isqrt(4n // d) is the
+    floor of 2r, and 2r is exactly f when d divides 4n and f^2 = 4n/d.  For
+    a DecimalScalar, n is its integer times 10^(2 digits - scale) when
+    scale <= 2 digits, and else its integer over d = 10^(scale - 2 digits):
+    nothing is reduced.  A negative value raises ``ValueError`` from
+    ``math.isqrt``.
     """
     if isinstance(value, DecimalScalar):
         shift = 2 * digits - value.scale
@@ -296,14 +318,24 @@ def sqrt(value, digits: int) -> DecimalScalar:
     else:
         value = Fraction(value)
         n, d = value.numerator * 10 ** (2 * digits), value.denominator
-    if n < 0:
-        raise ValueError("square root of a negative value")
     q, r = divmod(4 * n, d)
-    s = math.isqrt(q)
-    m = (s + 1) // 2
-    if m % 2 and not r and q % 2 and s * s == q:  # a tie rounded up to an odd m: to even
-        m -= 1
-    return DecimalScalar(m, digits)
+    f = math.isqrt(q)
+    return DecimalScalar(_half_even(f, 1, lambda: not r and f * f == q), digits)
+
+
+def cbrt(value, work: int, digits: int) -> tuple[DecimalScalar, DecimalScalar]:
+    """Cube root of an exact non-negative Fraction or int, rounded half-even at ``work``
+    and at ``digits`` <= ``work`` fractional digits.
+
+    f = floor(cbrt(8 value 10^(3 work))) = floor(2 10^work r) for the root r,
+    and 2 10^work r is exactly f when f^3 = 8 value 10^(3 work); both values
+    round from that one floor (:func:`_at_two_scales`).  A negative value
+    raises ``ValueError`` from :func:`_icbrt`.
+    """
+    value = Fraction(value)
+    n, d = 8 * value.numerator * 10 ** (3 * work), value.denominator
+    f = _icbrt(n // d)
+    return _at_two_scales(f, 1, lambda: f * f * f * d == n, work, digits)
 
 
 def plain_text(parts: tuple[str, str, str]) -> str:

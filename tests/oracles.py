@@ -89,6 +89,33 @@ def rounded_sqrt(value: Fraction, digits: int) -> Fraction:
     return lo * unit
 
 
+def rounded_cbrt(value: Fraction, digits: int) -> Fraction:
+    """cbrt(value) rounded half-even to ``digits`` fractional digits, exactly.
+
+    ``lo`` is the floor of the root on the grid 10^-digits, by bisection on
+    exact cubes; the root lies beyond the midpoint lo + 10^-digits / 2
+    exactly when ``value`` exceeds that midpoint cubed, and on it exactly
+    when ``value`` equals it, a tie that goes to the even neighbour.
+    """
+    if value < 0:
+        raise ValueError("negative")
+    unit = Fraction(1, 10**digits)
+    scaled = value / unit**3
+    lo, hi = 0, 1
+    while hi**3 <= scaled:
+        hi *= 2
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if mid**3 <= scaled:
+            lo = mid
+        else:
+            hi = mid
+    mid = (lo + Fraction(1, 2)) * unit
+    if value > mid**3 or (value == mid**3 and lo % 2 == 1):
+        lo += 1
+    return lo * unit
+
+
 def newton_cbrt(value: Fraction, digits: int) -> Fraction:
     """Float-seeded Newton cube root (sign passes through)."""
     if value == 0:

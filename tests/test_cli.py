@@ -21,7 +21,7 @@ from mesolabe.cli import (
     main,
     max_work_digits,
 )
-from mesolabe.scalar import DecimalScalar, PrecisionContext, _decimal_digits, round_to
+from mesolabe.scalar import DecimalScalar, PrecisionContext, _decimal_digits
 
 from oracles import in_continued_proportion, proportion_defect, rounded
 
@@ -244,19 +244,45 @@ class TestMeans:
     def test_inverted_inputs_usage_error(self, capsys):
         assert main(["means", "--a", "3", "--b", "2"]) == 2
 
-    def test_exact_zero_residual_is_stated_as_zero(self, capsys):
-        code, text = run(capsys, "means", "--a", "1", "--b", "1")
+    @pytest.mark.parametrize("b, m1", [
+        ("1", "1"), ("8", "2"),
+        # m1 = 10^13 exactly, which read off the arc parameter printed as
+        # 10000000000000.00009999999990001000 with a residual below 1e+23
+        ("1" + "0" * 39, "10000000000000"),
+    ])
+    def test_exact_zero_residual_is_stated_as_zero(self, capsys, b, m1):
+        code, text = run(capsys, "means", "--a", "1", "--b", b)
         assert code == 0
+        assert f"\nm1 = {m1}.{'0' * 20}\n" in text
         assert "continued-proportion residual = 0" in text
         assert "residual <" not in text
-        _, blob = run(capsys, "means", "--a", "1", "--b", "1", "--json")
+        _, blob = run(capsys, "means", "--a", "1", "--b", b, "--json")
         assert json.loads(blob)["residual_bound"] == "0"
+
+    @pytest.mark.parametrize("digits, m1, m2", [("1", "1.2", "1.6"), ("3", "1.250", "1.562")])
+    def test_ties_go_to_even(self, capsys, digits, m1, m2):
+        # b = 1.953125 = (5/4)^3: m1 = 1.25 and m2 = 1.5625 exactly
+        code, text = run(capsys, "means", "--a", "1", "--b", "1.953125", "--digits", digits,
+                         "--guard", "5")
+        assert code == 0 and f"\nm1 = {m1}\nm2 = {m2}\n" in text
+
+    def test_a_mean_beside_a_midpoint_is_rounded_once(self, capsys):
+        # b = (1.25 + 10^-35)^3, so m1 = 1.25 + 10^-35, which rounds up
+        m1 = Fraction(5, 4) + Fraction(1, 10**35)
+        whole, frac = divmod((m1**3 * 10**105).numerator, 10**105)
+        code, text = run(capsys, "means", "--a", "1", "--b", f"{whole}.{frac:0105d}",
+                         "--digits", "1")
+        assert code == 0 and "\nm1 = 1.3\n" in text
 
     def test_certification_failure_is_one_line_exit_1(self, capsys, monkeypatch):
         # a bracket that puts every grid point above the root: every sign is
         # the compass's above-root sign, so certify_bracket finds no sign change
         seed = delian._seed
-        monkeypatch.setattr(delian, "_seed", lambda a, b, w: (seed(a, b, w)[0], -1, -1))
+
+        def above(*args):
+            index, _, _, m2 = seed(*args)
+            return index, -1, -1, m2
+        monkeypatch.setattr(delian, "_seed", above)
         code = main(["means", "--a", "1", "--b", "2", "--method", "compass"])
         captured = capsys.readouterr()
         assert code == 1
@@ -309,46 +335,66 @@ class TestDuplicateCube:
         assert code == 0
         assert "1.2599210499" in out
 
-    @pytest.mark.parametrize("edge, digits, exponent, exit_code", [
-        # explicit ids keep the exit code out of the test names
-        pytest.param("10000000000", 20, 1, 1, id="10000000000-20-1"),
-        pytest.param("1000000", 5, 4, 0, id="1000000-5-4"),
+    @pytest.mark.parametrize("edge, digits, shown, bound", [
+        # the doubled edge is 1.2500000000000004..., which rounds up
+        ("0.992125657480125", "1", "1.3", "1e-14"),
+        # 30 work digits on the instrument's arc parameter could not certify it
+        ("10000000000", "20", "12599210498.94873164767210607278", "1e-9"),
     ])
-    def test_bound_of_a_residual_above_one(self, capsys, edge, digits, exponent, exit_code):
-        # the volume residual is compared relative to the squared doubled edge:
-        # 10^6 at 5 digits is right to 6.2e-10 and exits 0, 10^10 at 20 digits
-        # is off by 1.56e-20 and exits 1; the bound they print is well formed and true
-        argv = ["duplicate-cube", "--edge", edge, "--digits", str(digits)]
+    def test_an_edge_is_its_root_rounded_once(self, capsys, edge, digits, shown, bound):
+        code, out = run(capsys, "duplicate-cube", "--edge", edge, "--digits", digits)
+        assert code == 0
+        assert out == f"edge {edge} -> doubled-volume edge {shown}\ncube residual < {bound}\n"
+
+    @pytest.mark.parametrize("edge, digits, exponent", [
+        ("100000000000000000000", 1, 35), ("1000000000000", 1, 19),
+    ])
+    def test_bound_of_a_residual_above_one(self, capsys, edge, digits, exponent):
+        # at 6 work digits the volume residual of a large edge exceeds 1; the
+        # bound printed is well formed and true
+        argv = ["duplicate-cube", "--edge", edge, "--digits", str(digits), "--guard", "5"]
         code, out = run(capsys, *argv)
-        assert code == exit_code
+        assert code == 0
         assert out.splitlines()[1] == f"cube residual < 1e+{exponent}"
-        assert main([*argv, "--json"]) == exit_code
+        assert main([*argv, "--json"]) == 0
         assert json.loads(capsys.readouterr().out)["volume_residual_bound"] == f"1e+{exponent}"
         side = DecimalScalar.from_str(edge)
-        doubled = delian.duplicate_cube(side, PrecisionContext(digits))
+        doubled, _ = delian.duplicate_cube(side, PrecisionContext(digits, 5))
         s = max(doubled.scale, side.scale)
         r, e = doubled.unscaled * 10 ** (s - doubled.scale), side.unscaled * 10 ** (s - side.scale)
         residual = Fraction(abs(r**3 - 2 * e**3), 10 ** (3 * s))
         assert Fraction(10) ** (exponent - 1) <= residual < Fraction(10) ** exponent
 
-    @pytest.mark.parametrize("edge, digits, exit_code", [
-        ("1000000", 20, 0), ("1000000000", 20, 0), ("10000000000", 20, 1),
-        ("1000000000000", 20, 1), ("1", 20, 0), ("1.5", 20, 0), ("0.000000001", 20, 0),
-        ("0.0000000000000000000000000000001", 20, 0), ("3280387013", 20, 0),
-        ("6669465877", 20, 1),
+    @pytest.mark.parametrize("edge", [
+        "1000000", "1000000000", "10000000000", "1000000000000", "1", "1.5", "0.000000001",
+        "0.0000000000000000000000000000001", "3280387013", "6669465877",
     ])
-    def test_certifies_the_edge_relative_to_its_size(self, capsys, edge, digits, exit_code):
-        # exit 0 exactly when the full doubled edge r is within 10^-digits of
-        # cbrt(2) * edge, that is when 2 edge^3 lies strictly between (r - u)^3
-        # and (r + u)^3 for u = 10^-digits; a factor of max(r, e)^2 in place of
-        # r^2 + r e + e^2 fails 3280387013, and (r + e)^2, which exceeds
-        # r^2 + r r* + r*^2, passes 6669465877, whose edge is wrong
-        argv = ["duplicate-cube", "--edge", edge, "--digits", str(digits)]
-        assert run(capsys, *argv)[0] == exit_code
-        side = DecimalScalar.from_str(edge)
-        r = delian.duplicate_cube(side, PrecisionContext(digits)).as_fraction()
-        u, volume = Fraction(1, 10**digits), 2 * side.as_fraction() ** 3
-        assert ((r - u) ** 3 < volume < (r + u) ** 3) == (exit_code == 0)
+    def test_every_edge_exits_0_within_a_unit(self, capsys, edge):
+        # 2 edge^3 lies strictly between (r - u)^3 and (r + u)^3 for u = 10^-digits,
+        # both for the full edge r and the printed one; 10^10, 10^12 and 6669465877
+        # exited 1 when the edge was read off the instrument's arc parameter
+        argv = ["duplicate-cube", "--edge", edge, "--digits", "20", "--json"]
+        code, out = run(capsys, *argv)
+        assert code == 0
+        payload = json.loads(out)
+        u, volume = Fraction(1, 10**20), 2 * Fraction(edge) ** 3
+        for key in ("doubled_edge_full", "doubled_edge"):
+            r = Fraction(payload[key])
+            assert (r - u) ** 3 < volume < (r + u) ** 3
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(min_value=1, max_value=10**15 - 1), st.integers(min_value=-45, max_value=15),
+           st.integers(min_value=1, max_value=60), st.integers(min_value=5, max_value=14))
+    @example(1, 10, 20, 10)  # 10^10, which exited 1 when its edge was read off t
+    @example(1, -30, 1, 5)  # r = 0.000000: the whole volume is the residual
+    def test_the_volume_residual_needs_no_check(self, unscaled, exponent, digits, guard):
+        # the deleted verdict |r^3 - 2e^3| < (r^2 + r e + e^2) 10^-digits holds for
+        # every edge from about 10^-30 to 10^30: r lies within half a work unit of
+        # r* = cbrt(2) e, and r^2 + r r* + r*^2 < 1.59 (r^2 + r e + e^2)
+        e = Fraction(unscaled) * Fraction(10) ** exponent
+        full, _ = delian.duplicate_cube(e, PrecisionContext(digits, guard))
+        r = full.as_fraction()
+        assert abs(r**3 - 2 * e**3) < (r * r + r * e + e * e) / 10**digits
 
     @given(st.integers(min_value=0, max_value=10**40), st.integers(min_value=0, max_value=40))
     def test_residual_bound_is_the_next_power_of_ten(self, unscaled, scale):
@@ -385,6 +431,10 @@ class TestRatioOperands:
         ("means", "--a", "1/2/3", "--b", "2"),
         ("means", "--a", "1", "--b", "x/2"),
         ("four-proportionals", "--ac", "1.5/2", "--t", "1/2"),
+        # underscores are refused, as in a decimal operand ("--a 1_000")
+        ("means", "--a", "1_000/1", "--b", "2000"),
+        ("four-proportionals", "--ac", "2", "--t", "1/1_0"),
+        ("figure", "--id", "1", "--edges", "3", "4_0/10", "12", "--out", "-"),
     ])
     def test_a_malformed_ratio_is_one_error_line(self, capsys, argv):
         assert main(list(argv)) == 2
@@ -754,7 +804,14 @@ class TestDigitCap:
         assert code == 0
         payload = json.loads(out)
         if argv[0] == "means":
-            assert payload["instrument"]["residual_bound"] == f"1e-{cap - 1}"
+            # 1e-4200 at the default limit, 1e-899 at the lowered one: the bound
+            # is the next power of ten above the exact defect of the full means
+            section = payload["instrument"]
+            m1, m2 = Fraction(section["m1_full"]), Fraction(section["m2_full"])
+            defect = max(abs(m2 - m1 * m1), abs(2 * m1 - m2 * m2), abs(2 - m1 * m2))
+            bound = {4300: "1e-4200", 1000: "1e-899"}[str_digits_limit]
+            assert section["residual_bound"] == bound
+            assert Fraction(bound) / 10 <= defect < Fraction(bound)
         code = main([*argv, "--digits", str(cap - 9)])
         captured = capsys.readouterr()
         assert code == 2
@@ -776,16 +833,16 @@ class TestDigitCap:
         assert code == 0
         shown = dict(line.split(" = ") for line in out.splitlines() if " = " in line)
         solved = delian.two_means_instrument(one, big, PrecisionContext(digits))
-        assert self.printed(shown["m1"]) == round_to(solved.m1, digits).as_fraction()
-        assert self.printed(shown["m2"]) == round_to(solved.m2, digits).as_fraction()
+        assert self.printed(shown["m1"]) == solved.m1_shown.as_fraction()
+        assert self.printed(shown["m2"]) == solved.m2_shown.as_fraction()
 
         digits = max_work_digits() - 100
         code = main(["duplicate-cube", "--edge", str(big), "--digits", str(digits)])
         captured = capsys.readouterr()
         assert code != 2 and captured.err == ""
         doubled = captured.out.split("doubled-volume edge ")[1].split()[0]
-        solved = delian.duplicate_cube(big, PrecisionContext(digits))
-        assert self.printed(doubled) == round_to(solved, digits).as_fraction()
+        _, solved = delian.duplicate_cube(big, PrecisionContext(digits))
+        assert self.printed(doubled) == solved.as_fraction()
 
     @pytest.mark.parametrize("argv", [
         ("means", "--a", "1", "--b", "{long}"),

@@ -25,17 +25,32 @@ from mesolabe.scalar import (
     CertificationError,
     DecimalScalar,
     PrecisionContext,
+    _icbrt,
+    cbrt,
     certify_bracket,
-    round_to,
 )
 
-from oracles import _on_unit_circle, in_continued_proportion, newton_cbrt
+from oracles import _on_unit_circle, in_continued_proportion, newton_cbrt, rounded_cbrt
 
 D = DecimalScalar.from_str
 F = Fraction
 
 CTX10 = PrecisionContext(10)
 CTX20 = PrecisionContext(20)
+
+
+@st.composite
+def decimal_values(draw):
+    """A decimal of 1 to 12 significant digits from 10^-12 to 10^12."""
+    size = draw(st.integers(min_value=1, max_value=12))
+    n = draw(st.integers(min_value=10 ** (size - 1), max_value=10**size - 1))
+    return F(n, 10 ** draw(st.integers(min_value=0, max_value=12 + size - 1)))
+
+
+ordered_pairs = st.tuples(
+    st.fractions(min_value=F(1, 1000), max_value=1000, max_denominator=1000),
+    st.fractions(min_value=F(1, 1000), max_value=1000, max_denominator=1000),
+).map(lambda p: (p[0], p[0] + p[1]))
 
 
 class TestInstrumentGeometry:
@@ -66,13 +81,13 @@ class TestTwoMeans:
         result = two_means_instrument(D("1"), D("2"), CTX10)
         m1_expected = DecimalScalar.from_fraction(newton_cbrt(F(2), 30), 10)
         m2_expected = DecimalScalar.from_fraction(newton_cbrt(F(4), 30), 10)
-        assert round_to(result.m1, 10) == m1_expected == D("1.2599210499")
-        assert round_to(result.m2, 10) == m2_expected == D("1.5874010520")
+        assert result.m1_shown == m1_expected == D("1.2599210499")
+        assert result.m2_shown == m2_expected == D("1.5874010520")
 
     def test_powers_of_two_chain(self):
         result = two_means_instrument(D("1"), D("8"), CTX10)
-        assert round_to(result.m1, 10) == D("2.0000000000")
-        assert round_to(result.m2, 10) == D("4.0000000000")
+        assert result.m1_shown == D("2.0000000000")
+        assert result.m2_shown == D("4.0000000000")
 
     def test_compass_agrees_with_instrument(self):
         for a, b in ((F(1), F(2)), (F(2), F(5)), (F(7, 10), F(9))):
@@ -126,34 +141,56 @@ class TestTwoMeans:
             assert abs(m1 * b - m2 * m2) < tol
             assert abs(a * b - m1 * m2) < tol
 
-    def test_consistency_with_four_proportionals(self):
-        result = two_means_instrument(D("1"), D("2"), CTX20)
-        af, ae, ad, _ = four_proportionals_planar(D("2"), result.theta_param)
-        w = CTX20.work_digits
-        assert DecimalScalar.from_fraction(ae, w) == result.m1
-        assert DecimalScalar.from_fraction(ad, w) == result.m2
-        assert abs(af - 1) < F(1, 10**20)
-        terms = [F(1), result.m1.as_fraction(), result.m2.as_fraction(), F(2)]
-        assert in_continued_proportion(terms, 20)
+    @settings(max_examples=40, deadline=None)
+    @given(ordered_pairs, st.integers(min_value=1, max_value=40))
+    @example((F(1), F(2)), 20)
+    @example((F(27), F(125)), 10)  # t = 1/2 on the grid: AE and AD are the means
+    def test_consistency_with_four_proportionals(self, pair, digits):
+        # AE and AD at the ends of t's certified cell bracket m1 and m2, and the
+        # means, rounded from their radicands, keep the continued proportion
+        a, b = pair
+        ctx = PrecisionContext(digits)
+        result = two_means_instrument(a, b, ctx)
+        t, grid = result.theta_param, 10**ctx.work_digits
+        _, ae_low, ad_low, _ = four_proportionals_planar(b, F(math.floor(t * grid), grid))
+        _, ae_high, ad_high, _ = four_proportionals_planar(b, F(math.ceil(t * grid), grid))
+        # AE and AD fall as t rises, so the cell's lower end gives the upper bound
+        assert ae_high**3 <= a * a * b <= ae_low**3
+        assert ad_high**3 <= a * b * b <= ad_low**3
+        terms = [a, result.m1.as_fraction(), result.m2.as_fraction(), b]
+        assert in_continued_proportion(terms, digits)
 
 
 class TestDuplicateCube:
     def test_unit_cube(self):
-        assert round_to(duplicate_cube(D("1"), CTX10), 10) == D("1.2599210499")
+        assert duplicate_cube(D("1"), CTX10)[1] == D("1.2599210499")
 
     def test_doubled_edge_against_oracle(self):
         expected = DecimalScalar.from_fraction(2 * newton_cbrt(F(2), 30), 10)
-        assert round_to(duplicate_cube(D("2"), CTX10), 10) == expected
+        assert duplicate_cube(D("2"), CTX10)[1] == expected
 
     def test_volume_ratio(self):
         edge = D("1.5")
-        result = duplicate_cube(edge, CTX20)
-        ratio_defect = result.as_fraction() ** 3 - 2 * edge.as_fraction() ** 3
+        full, _ = duplicate_cube(edge, CTX20)
+        ratio_defect = full.as_fraction() ** 3 - 2 * edge.as_fraction() ** 3
         assert abs(ratio_defect) < F(1, 10**20)
 
     def test_positive_edge_required(self):
         with pytest.raises(ValueError):
             duplicate_cube(D("0"), CTX10)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.fractions(min_value=F(1, 10**6), max_value=10**6, max_denominator=10**6),
+           st.integers(min_value=1, max_value=40), st.integers(min_value=5, max_value=14))
+    def test_the_edge_is_the_root_rounded_once_without_the_instrument(self, edge, digits, guard):
+        ctx = PrecisionContext(digits, guard)
+        with mock.patch.object(delian, "certify_bracket") as search, \
+                mock.patch.object(delian, "_seed") as seed:
+            full, shown = duplicate_cube(edge, ctx)
+        assert not search.called and not seed.called
+        volume = 2 * edge**3
+        assert full.as_fraction() == rounded_cbrt(volume, ctx.work_digits)
+        assert shown.as_fraction() == rounded_cbrt(volume, digits)
 
 
 def _cube_defect(a: Fraction, b: Fraction, t: Fraction) -> Fraction:
@@ -164,12 +201,6 @@ def _cube_defect(a: Fraction, b: Fraction, t: Fraction) -> Fraction:
 
 def _sign(x: Fraction) -> int:
     return (x > 0) - (x < 0)
-
-
-ordered_pairs = st.tuples(
-    st.fractions(min_value=F(1, 1000), max_value=1000, max_denominator=1000),
-    st.fractions(min_value=F(1, 1000), max_value=1000, max_denominator=1000),
-).map(lambda p: (p[0], p[0] + p[1]))
 
 
 class TestCertifiedCell:
@@ -243,7 +274,7 @@ def _sign_function(solve, a, b, ctx):
 
 
 def _residual_only(a, b, ctx, method):
-    """(m1, m2, residual, t, iterations) certified with the residual at every sign."""
+    """(t, iterations) certified with the residual at every sign."""
     w = ctx.work_digits
     grid = 10**w
 
@@ -254,9 +285,15 @@ def _residual_only(a, b, ctx, method):
         return _sign(state.residual_instrument() if method == "instrument"
                      else state.residual_compass())
     want_low = 1 if method == "instrument" else -1
-    g, exact, evaluations = certify_bracket(sign, delian._seed(a, b, w)[0], 0, grid, want_low)
-    t = F(g, grid) if exact else F(2 * g + 1, 2 * grid)
-    return (*_result(a, b, t, w), t, evaluations)
+    seed = delian._seed(a, b, w, ctx.output_digits)[0]
+    g, exact, evaluations = certify_bracket(sign, seed, 0, grid, want_low)
+    return (F(g, grid) if exact else F(2 * g + 1, 2 * grid)), evaluations
+
+
+def _means_of(a, b, ctx):
+    """(m1, m1_shown, m2, m2_shown): each cube root rounded once, straight from its radicand."""
+    w, digits = ctx.work_digits, ctx.output_digits
+    return (*cbrt(a * a * b, w, digits), *cbrt(a * b * b, w, digits))
 
 
 @contextlib.contextmanager
@@ -283,17 +320,21 @@ class TestSeedBracket:
     @example((F(1), F(10**9)), 20)  # X(c) - X(c + 1) is close to 2s when c << s
     def test_the_bracket_holds_the_root(self, pair, digits):
         # g^2 <= low puts g/10^w below the root and g^2 > high above it, where
-        # (s t)^2 = g^2 10^(10 + 2z) at s = 10^(w + 5 + z)
+        # (s t)^2 = g^2 u^2 at s = u 10^w, for u = 2b M and M the least multiple
+        # of qb / gcd(qb, 2) at or above 10^(5 + z) / (2b)
         a, b = pair
         w = digits + 10
         z = min(len(str(math.floor(b / (b - a)))), 2 * w)
-        s, unit = 10 ** (w + 5 + z), 10 ** (10 + 2 * z)
+        step = b.denominator // math.gcd(b.denominator, 2)
+        unit = 2 * b * step * math.ceil(F(10 ** (5 + z)) / (2 * b * step))
+        assert unit.denominator == 1 and unit >= 10 ** (5 + z)
+        s = int(unit) * 10**w
         c = _floor_scaled_cbrt(a / b, s)
 
         def x_at(u):  # (s t)^2 where the cosine k is u/s
             return F(s * s * (s - u), s + u)
-        _, low, high = delian._seed(a, b, w)
-        assert low * unit <= x_at(c + 1) and x_at(c) < (high + 1) * unit
+        _, low, high, _ = delian._seed(a, b, w, digits)
+        assert low * unit**2 <= x_at(c + 1) and x_at(c) < (high + 1) * unit**2
 
     @settings(max_examples=60, deadline=None)
     @given(ordered_pairs, st.integers(min_value=1, max_value=60),
@@ -319,8 +360,8 @@ class TestSeedBracket:
             with _residual_calls() as calls:
                 result = solve(*pair, ctx)
             assert calls[f"residual_{method}"] >= 1
-            assert (result.m1, result.m2, result.residual, result.theta_param,
-                    result.iterations) == _residual_only(*pair, ctx, method)
+            assert (result.theta_param, result.iterations) == _residual_only(*pair, ctx, method)
+            assert (result.m1, result.m1_shown, result.m2, result.m2_shown) == _means_of(*pair, ctx)
 
     @settings(max_examples=40, deadline=None)
     @given(st.fractions(min_value=F(1, 1000), max_value=1000, max_denominator=1000),
@@ -334,8 +375,30 @@ class TestSeedBracket:
                               (two_means_compass, "compass")):
             result = solve(a, b, ctx)
             assert result.iterations == 2
-            assert (result.m1, result.m2, result.residual, result.theta_param,
-                    result.iterations) == _residual_only(a, b, ctx, method)
+            assert (result.theta_param, result.iterations) == _residual_only(a, b, ctx, method)
+            assert (result.m1, result.m1_shown, result.m2, result.m2_shown) == _means_of(a, b, ctx)
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.one_of(
+        ordered_pairs,
+        st.tuples(decimal_values(), decimal_values()).filter(lambda p: p[0] != p[1]).map(
+            lambda p: tuple(sorted(p))),
+        st.tuples(decimal_values(), st.integers(min_value=1, max_value=140)).map(
+            lambda p: (p[0], p[0] * (1 + F(1, 10 ** p[1])))),
+    ), st.integers(min_value=1, max_value=60))
+    @example((F(1), F(125, 64)), 3)  # m2 = 1.5625: a tie at 3 digits, to 1.562
+    @example((F(1), F(8)), 1)  # m2 = 4 exactly
+    @example((F(7, 4), F(19, 2)), 20)  # the golden corpus's operands
+    def test_m2_is_the_seeds_root(self, pair, digits):
+        # the seed's c rounds m2 as a cube root of its own, from _icbrt of
+        # 8 a b^2 10^(3w), would: at the work digits and at the output digits
+        a, b = pair
+        w = PrecisionContext(digits).work_digits
+        *_, m2 = delian._seed(a, b, w, digits)
+        f = _icbrt(math.floor(8 * a * b * b * 10 ** (3 * w)))  # floor(2 10^w m2)
+        assert m2[0].unscaled in (f // 2, (f + 1) // 2)
+        assert m2 == cbrt(a * b * b, w, digits)
+        assert m2[1].as_fraction() == rounded_cbrt(a * b * b, digits)
 
     def test_a_root_off_the_grid_needs_no_residual(self):
         ctx = PrecisionContext(300)
@@ -374,18 +437,14 @@ class TestClearedIntegers:
             InstrumentState(F(1), F(2), F(1)).residual_instrument()
 
     @settings(max_examples=60, deadline=None)
-    @given(ordered_pairs, arc_parameters, st.integers(min_value=1, max_value=60))
-    def test_result_matches_the_fraction_formulas(self, pair, t, digits):
+    @given(ordered_pairs, st.integers(min_value=1, max_value=60), st.data())
+    def test_result_matches_the_fraction_formulas(self, pair, digits, data):
         a, b = pair
-        ctx = PrecisionContext(digits)
-        w = ctx.work_digits
-        k = (1 - t * t) / (1 + t * t)
-        m1, m2 = round(b * k * k * 10**w), round(b * k * 10**w)  # half-even
+        w = PrecisionContext(digits).work_digits
+        m1, m2 = (data.draw(st.integers(min_value=0, max_value=2000 * 10**w)) for _ in range(2))
         f1, f2 = F(m1, 10**w), F(m2, 10**w)
         defect = max(abs(a * f2 - f1 * f1), abs(f1 * b - f2 * f2), abs(a * b - f1 * f2))
-        r1, r2, residual = _result(a, b, t, w)
-        assert (r1.unscaled, r1.scale) == (m1, w)
-        assert (r2.unscaled, r2.scale) == (m2, w)
+        residual = _result(a, b, m1, m2, w)
         assert residual.scale == 3 * w
         assert residual.unscaled == math.ceil(defect * 10 ** (3 * w))
 

@@ -13,8 +13,9 @@ A second seeded slice calls ``solve-chords``.  AB is the irrational root of
 and BC against the exact BD^2 / AD = (d - AB)^2 / d it implies.
 
 A third calls ``means`` and ``duplicate-cube``.  The means are cbrt(a^2 b)
-and cbrt(a b^2), and the doubled edge cbrt(2 e^3), so exact cubes check
-that each printed value lies within one output unit of its root.
+and cbrt(a b^2), and the doubled edge cbrt(2 e^3), so exact cubes at the
+rounding midpoints check that each printed value, and each full value at
+the work digits, is the half-even rounding of its root.
 """
 
 import contextlib
@@ -27,7 +28,7 @@ import pytest
 
 from mesolabe.cli import main
 
-from oracles import rounded, rounded_sqrt
+from oracles import rounded, rounded_cbrt, rounded_sqrt
 
 SEED = 1682
 CALLS = 50
@@ -220,7 +221,8 @@ def test_printed_chords_match_the_cubic(argv):
 
 
 def _cube_calls() -> list[list[str]]:
-    """Seeded ``means`` calls, each method in turn, then seeded ``duplicate-cube`` calls."""
+    """Seeded ``means`` calls, each method in turn, then seeded ``duplicate-cube`` calls,
+    then calls whose roots lie on or beside a rounding midpoint."""
     rng = random.Random(CUBE_SEED)
     out = []
     for i in range(2 * CUBE_CALLS):
@@ -232,76 +234,53 @@ def _cube_calls() -> list[list[str]]:
         else:
             argv = ["duplicate-cube", "--edge", _decimal(rng)]
         out.append(argv + ["--digits", str(digits), "--guard", str(guard), "--json"])
-    # a mean and a doubled edge of 1.25 + 10^-35 and 1.2500000000000004...: both round to 1.3
-    m1 = Fraction(5, 4) + Fraction(1, 10**35)
-    out.append(["means", "--a", "1", "--b", _literal(m1**3, 105),
-                "--digits", "1", "--guard", "10", "--json"])
-    out.append(["duplicate-cube", "--edge", "0.992125657480125",
-                "--digits", "1", "--guard", "10", "--json"])
-    # m1 = 172527.856437... printed as 172527.862; an edge printed 1.02 units low
-    out.append(["means", "--a", "7729.477006", "--b", "85956250",
-                "--digits", "3", "--guard", "5", "--json"])
-    out.append(["duplicate-cube", "--edge", "368971943.709",
-                "--digits", "23", "--guard", "9", "--json"])
-    return out
+    return out + [list(argv) for argv in BESIDE_A_MIDPOINT]
 
 
-#: Cube-root calls that print a value more than one output unit from its root.
-#: The means are read off the arc parameter's cell on the absolute grid
-#: 10^-(digits + guard), which the means magnify by about b, and the doubled
-#: edge, within a unit at the work digits, is rounded again to the digits.
-MISSED_BY_A_UNIT = {
-    ("means", "--a", "7729.477006", "--b", "85956250",
-     "--digits", "3", "--guard", "5", "--json"),
-    ("duplicate-cube", "--edge", "368971943.709",
-     "--digits", "23", "--guard", "9", "--json"),
-    ("means", "--a", "744211716", "--b", "7686469788", "--method", "compass",
-     "--digits", "20", "--guard", "9", "--json"),
-    ("means", "--a", "0.00000000085287", "--b", "6240159", "--method", "instrument",
-     "--digits", "29", "--guard", "5", "--json"),
-    ("means", "--a", "0.00723081123863", "--b", "600004923386", "--method", "both",
-     "--digits", "29", "--guard", "7", "--json"),
-    ("means", "--a", "8.93", "--b", "6813974.775", "--method", "instrument",
-     "--digits", "25", "--guard", "6", "--json"),
-    ("means", "--a", "0.00000000004", "--b", "80044744.26", "--method", "instrument",
-     "--digits", "10", "--guard", "7", "--json"),
-    ("means", "--a", "9515.96617", "--b", "21740559682", "--method", "both",
-     "--digits", "25", "--guard", "9", "--json"),
-}
+#: Cube roots on or beside a rounding midpoint, and roots that a value read off
+#: the arc parameter t on the absolute grid 10^-(digits + guard), or rounded
+#: again from the work digits, printed wrong: a mean and a doubled edge of
+#: 1.25 + 10^-35 and 1.2500000000000004..., both 1.3; m1 = 172527.856437...;
+#: an edge that was printed 1.02 units low; m1 = 10^13 exactly for b = 10^39;
+#: the edge of 10^10, which 30 work digits on the t grid could not certify.  Then
+#: exact ties: m1 = 1.25 and m2 = 1.5625 for b = 1.953125, which go down to
+#: 1.2 and 1.562, and the exact means 2 and 4 between 1 and 8.
+BESIDE_A_MIDPOINT = (
+    ("means", "--a", "1", "--b", _literal((Fraction(5, 4) + Fraction(1, 10**35)) ** 3, 105),
+     "--digits", "1", "--guard", "10", "--json"),
+    ("duplicate-cube", "--edge", "0.992125657480125", "--digits", "1", "--guard", "10", "--json"),
+    ("means", "--a", "7729.477006", "--b", "85956250", "--digits", "3", "--guard", "5", "--json"),
+    ("duplicate-cube", "--edge", "368971943.709", "--digits", "23", "--guard", "9", "--json"),
+    ("means", "--a", "1", "--b", "1" + "0" * 39, "--digits", "20", "--guard", "10", "--json"),
+    ("duplicate-cube", "--edge", "10000000000", "--digits", "20", "--guard", "10", "--json"),
+    ("means", "--a", "1", "--b", "1.953125", "--digits", "1", "--guard", "5", "--json"),
+    ("means", "--a", "1", "--b", "1.953125", "--digits", "3", "--guard", "5", "--json"),
+    ("means", "--a", "1", "--b", "8", "--digits", "20", "--guard", "10", "--json"),
+)
 
 
-def _cube_params():
-    known = pytest.mark.xfail(strict=True, raises=AssertionError,
-                              reason="read off t on the absolute grid 10^-w, then rounded again")
-    return [pytest.param(argv, marks=known) if tuple(argv) in MISSED_BY_A_UNIT else argv
-            for argv in _cube_calls()]
-
-
-def _assert_within_a_unit(text: str, cube: Fraction, unit: Fraction) -> None:
-    """The printed ``text`` lies within ``unit`` of cbrt(``cube``), by exact cubes."""
-    value = Fraction(text)
-    assert (value - unit) ** 3 < cube < (value + unit) ** 3, (text, float(cube))
-
-
-@pytest.mark.parametrize("argv", _cube_params(), ids=" ".join)
-def test_printed_cube_roots_are_within_a_unit(argv):
+@pytest.mark.parametrize("argv", _cube_calls(), ids=" ".join)
+def test_printed_cube_roots_are_correctly_rounded(argv):
+    # every printed value and every full value is its exact cube root rounded
+    # half-even once, at the digits and at the work digits, by exact cubes at
+    # the midpoints (oracles.rounded_cbrt)
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
         code = main(argv)
+    assert code == 0
     payload = json.loads(out.getvalue())
     opts = _options(argv)
-    unit = Fraction(1, 10 ** int(opts["--digits"][0]))
+    digits, guard = int(opts["--digits"][0]), int(opts["--guard"][0])
     if argv[0] == "means":
-        assert code == 0
         a, b = Fraction(opts["--a"][0]), Fraction(opts["--b"][0])
         both = "instrument" in payload
-        for section in (payload["instrument"], payload["compass"]) if both else (payload,):
-            _assert_within_a_unit(section["m1"], a * a * b, unit)
-            _assert_within_a_unit(section["m2"], a * b * b, unit)
+        roots = {"m1": a * a * b, "m2": a * b * b}
+        sections = (payload["instrument"], payload["compass"]) if both else (payload,)
     else:
-        # exit 1 reports a doubled edge the work digits could not certify
-        assert code in (0, 1)
-        if code == 0:
-            cube = 2 * Fraction(opts["--edge"][0]) ** 3
-            _assert_within_a_unit(payload["doubled_edge_full"], cube, unit)
-            _assert_within_a_unit(payload["doubled_edge"], cube, unit)
+        roots = {"doubled_edge": 2 * Fraction(opts["--edge"][0]) ** 3}
+        sections = (payload,)
+    for section in sections:
+        for key, cube in roots.items():
+            _assert_rounded(section[key], rounded_cbrt(cube, digits), digits)
+            _assert_rounded(section[f"{key}_full"], rounded_cbrt(cube, digits + guard),
+                            digits + guard)

@@ -285,6 +285,14 @@ class TestUnitBracket:
         u = proportio._unit_ratio(bits)
         assert _unit_f(u - 1, bits) < 0 < _unit_f(u + 1, bits)
 
+    def test_the_machine_word_is_the_floor_of_u(self):
+        # F(U) < 0 < F(U + 1) at 64 bits, by direct cubes: U = floor(u 2^64), and
+        # each shorter U, shifted down from it, is the floor at its own bits
+        assert _unit_f(proportio._UNIT_64, 64) < 0 < _unit_f(proportio._UNIT_64 + 1, 64)
+        for bits in range(65):
+            u = proportio._unit_ratio(bits)
+            assert _unit_f(u, bits) < 0 < _unit_f(u + 1, bits)
+
     @settings(max_examples=60, deadline=None)
     @given(
         st.integers(min_value=1, max_value=10**15 - 1),

@@ -16,14 +16,16 @@ from mesolabe.scalar import (
     CertificationError,
     DecimalScalar,
     PrecisionContext,
+    _half_even,
     _icbrt,
+    cbrt,
     certify_bracket,
     format_grouped,
     round_to,
     sqrt,
 )
 
-from oracles import long_multiply, newton_sqrt, rounded_sqrt
+from oracles import long_multiply, newton_sqrt, rounded_cbrt, rounded_sqrt
 
 D = DecimalScalar.from_str
 
@@ -362,6 +364,70 @@ class TestSqrt:
             assert residual < bound
             if a.as_fraction() <= 1:
                 assert residual < tol
+
+
+class TestHalfEven:
+    @settings(max_examples=300, deadline=None)
+    @given(st.fractions(min_value=-10**6, max_value=10**6, max_denominator=10**4),
+           st.integers(min_value=1, max_value=10**4))
+    @example(Fraction(5, 2), 1)  # ties: 2.5 to 2, 3.5 to 4, -2.5 to -2
+    @example(Fraction(7, 2), 3)
+    @example(Fraction(-5, 2), 2)
+    def test_rounds_from_the_floor_and_asks_only_at_a_tie_to_go_down(self, x, n):
+        asked = []
+
+        def tie():
+            asked.append(x)
+            return (2 * n * x).denominator == 1
+        f = math.floor(2 * n * x)
+        assert _half_even(f, n, tie) == round(x)  # round is half-even
+        # asked only when f / n is an integer g = 1 (mod 4)
+        assert bool(asked) == (f % n == 0 and f // n % 4 == 1)
+
+
+class TestCubeRoot:
+    def test_exact_roots_and_their_ties(self):
+        # cbrt(125/64) = 1.25 and cbrt(15625/4096) = 1.5625: ties to even
+        assert cbrt(Fraction(125, 64), 6, 1) == (D("1.250000"), D("1.2"))
+        assert cbrt(Fraction(15625, 4096), 8, 3) == (D("1.56250000"), D("1.562"))
+        assert cbrt(Fraction(3375, 512), 6, 2) == (D("1.875000"), D("1.88"))
+        assert cbrt(8, 5, 1) == (D("2.00000"), D("2.0"))
+        assert cbrt(0, 5, 1) == (D("0.00000"), D("0.0"))
+
+    def test_negative_rejected(self):
+        with pytest.raises(ValueError):
+            cbrt(Fraction(-1, 8), 5, 1)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.integers(min_value=0, max_value=10**20),
+        st.integers(min_value=1, max_value=30),
+        st.integers(min_value=0, max_value=10),
+        st.integers(min_value=1, max_value=30),
+        st.sampled_from((-1, 0, 1)),
+    )
+    @example(2, 1, 5, 1, 0)  # cbrt(0.015625) = 0.25: a tie down to 0.2
+    def test_roots_beside_midpoints_match_the_oracle(self, m, digits, guard, gap, side):
+        # root = (m + 1/2 + side 10^-gap) 10^-digits: on or beside a midpoint at ``digits``
+        root = Fraction(2 * m + 1, 2 * 10**digits) + side * Fraction(1, 10 ** (digits + gap))
+        value = root**3
+        full, shown = cbrt(value, digits + guard, digits)
+        assert shown.scale == digits and shown.as_fraction() == rounded_cbrt(value, digits)
+        assert full.scale == digits + guard
+        assert full.as_fraction() == rounded_cbrt(value, digits + guard)
+        if side == 0:
+            assert shown.unscaled == m + m % 2
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.fractions(min_value=0, max_value=10**12, max_denominator=10**12),
+        st.integers(min_value=1, max_value=40),
+        st.integers(min_value=0, max_value=20),
+    )
+    def test_any_rational_matches_the_oracle(self, value, digits, guard):
+        full, shown = cbrt(value, digits + guard, digits)
+        assert shown.as_fraction() == rounded_cbrt(value, digits)
+        assert full.as_fraction() == rounded_cbrt(value, digits + guard)
 
 
 def sized_integers(max_bits: int):
