@@ -7,9 +7,11 @@ Rows, each the fastest of ``--repeat`` calls after one warm-up call:
   ``duplicate-cube``, ``pyramid`` and ``four-proportionals --sphere`` at
   ``--digits`` 20, 100, 300, 1000 and the work-digit cap less the 10 default
   guard digits (4190 by default);
-- ``means --a 1 --method instrument`` with b = 1 + 10^-21 at 20 digits and
-  1 + 10^-30 and 1 + 10^-201 at 1000 digits: b/a near 1, where a seed whose
-  precision does not grow with b/(b - a) spends a residual on every sign;
+- ``means --a 1 --method instrument`` with b = 1 + 10^-21 and 1 + 10^-4000
+  at 20 digits and 1 + 10^-30 and 1 + 10^-201 at 1000 digits: b/a near 1,
+  where a seed whose precision does not grow with b/(b - a) spends a
+  residual on every sign; and with b = 2.77...7, ``LONG_DIGITS`` sevens, at
+  20 digits: an operand much longer than the work digits;
 - ``figure --id 1`` to ``7`` and ``check-props --instances 1000`` at the
   default 20 digits; the ``check-props`` row, a few hundred ms a call, takes
   ``SLOW_REPEAT`` times as many calls, because its fastest call moves with
@@ -28,11 +30,10 @@ Rows, each the fastest of ``--repeat`` calls after one warm-up call:
   ``solve-chords`` row: ``_icbrt`` of ``delian._seed``'s radicand,
   ``proportio._unit_ratio`` at the precision the tree's chord solver asks
   for (10^(w + 5) u in older trees, 2^B u in newer ones),
-  ``proportio.solve_continued_chords``, ``delian._seed`` (newer trees also
-  round m2 from its root), ``delian._result`` (in older trees the means read
-  off the certified arc parameter and their residual, in newer ones the
-  residual of the means alone) and one ``residual_instrument`` sign at the
-  seed's grid point;
+  ``proportio.solve_continued_chords``, ``delian._seed``,
+  ``delian._result`` (in older trees the means read off the certified arc
+  parameter and their residual, in newer ones the residual of the means
+  alone) and one ``residual_instrument`` sign at the seed's grid point;
 - cold starts: the median wall time of ``COLD_STARTS`` interpreter starts
   that run ``perfbench/run.py``'s cold-start command (import ``mesolabe.cli``,
   run one op) on ``solve-chords --diameter 2`` and on
@@ -102,7 +103,9 @@ SOLVES = (
     ("four-proportionals sphere", ("four-proportionals", "--ac", "2", "--t", "1/2", "--sphere")),
 )
 #: (k, digits) of the adversarial ``means`` rows, b = 1 + 10^-k against a = 1.
-NEAR_ONE = ((21, 20), (30, 1000), (201, 1000))
+NEAR_ONE = ((21, 20), (4000, 20), (30, 1000), (201, 1000))
+#: Fractional digits of the long-operand ``means`` row's b = 2.77...7.
+LONG_DIGITS = 4000
 #: The argv of the parser row.
 PARSED = ("means", "--a", "1", "--b", "2", "--method", "both")
 #: The suite's instance generators, each timed 1000 times from one seed.
@@ -172,20 +175,12 @@ def construct(cls, coords):
     return call
 
 
-def _seed_call(cli, w: int):
-    """``delian._seed`` for (a, b) = (1, 2) at w work digits, with the arguments of the tree's seed."""
-    seed = cli.delian._seed
-    if seed.__code__.co_argcount == 4:  # newer trees: it also rounds m2 at the output digits
-        return partial(seed, Fraction(1), Fraction(2), w, w - 10)
-    return partial(seed, Fraction(1), Fraction(2), w)
-
-
 def _means_operands(cli, w: int):
     """(a, b, seed, result) of ``means --a 1 --b 2`` at w work digits."""
     a, b = Fraction(1), Fraction(2)
     ctx = cli.PrecisionContext.for_output(w - 10, 10)
-    seed = _seed_call(cli, w)()
-    if isinstance(seed, tuple):  # newer trees: (index, bracket low, bracket high[, m2])
+    seed = cli.delian._seed(a, b, w)
+    if isinstance(seed, tuple):  # newer trees: (index, bracket low, bracket high)
         seed = seed[0]
     return a, b, seed, cli.delian.two_means_instrument(a, b, ctx)
 
@@ -225,7 +220,7 @@ KERNELS = (
     ("proportio.solve_continued_chords d = 2",
      lambda cli, w: partial(cli.proportio.solve_continued_chords, 2,
                             cli.PrecisionContext.for_output(w - 10, 10))),
-    ("delian._seed", _seed_call),
+    ("delian._seed", lambda cli, w: partial(cli.delian._seed, Fraction(1), Fraction(2), w)),
     ("delian._result", _result_call),
     ("delian residual_instrument sign", _sign_call),
 )
@@ -245,6 +240,9 @@ def rows(trees: dict) -> list[tuple[str, int | None, int, dict]]:
                 "--method", "instrument", "--digits", str(digits))
         out.append((f"means instrument b = 1 + 10^-{k}", digits, 1,
                     {t: op(cli, argv) for t, (cli, _, _) in trees.items()}))
+    argv = ("means", "--a", "1", "--b", "2." + "7" * LONG_DIGITS, "--method", "instrument")
+    out.append((f"means instrument b = 2.7...7 ({LONG_DIGITS} digits)", 20, 1,
+                {t: op(cli, argv) for t, (cli, _, _) in trees.items()}))
     for i in range(1, 8):
         argv = ("figure", "--id", str(i), "--out", "-")
         out.append((f"figure {i}", 20, 1, {t: op(cli, argv) for t, (cli, _, _) in trees.items()}))

@@ -32,13 +32,11 @@ X(c) - X(c + 1) = 2 s^3/((s + c)(s + c + 1)) < 2s,
     q - 2s < X(c + 1) < (s t*)^2 <= X(c) < q + 1.
 
 So x = (s t)^2 > q puts t above the root and x <= q - 2s puts it below.
-The seed takes s = 2b 10^w M, with z the decimal digits of
-floor(b/(b - a)) and at most 2w, and M the least multiple of qb/gcd(qb, 2)
-(b = pb/qb) at or above 10^(5 + z)/(2b).  Then u = s/10^w = 2b M is an
-integer, so x = g^2 u^2 at a grid point t = g/10^w and one w-digit square
-decides the sign; and s >= 10^(w + 5 + z).  z counts the digits that
-1 - cbrt(a/b) loses when b/a is near 1: below its cap, (t*)^2 is at least
-(b - a)/6b > 10^-z/6, so the window of width 2s spans at most about
+The seed takes s = 10^(w + 5 + z), with z the decimal digits of
+floor(b/(b - a)) and at most 2w, so x = g^2 10^(10 + 2z) at a grid point
+t = g/10^w, and one w-digit square decides the sign.  z counts the digits
+that 1 - cbrt(a/b) loses when b/a is near 1: below its cap, (t*)^2 is
+at least (b - a)/6b > 10^-z/6, so the window of width 2s spans about
 10^-(5 + z)/t* < 10^-4 grid units around t*.  Only a grid point that falls
 in it evaluates the mechanism's residual: an arc parameter on the grid, as
 for a : b = 27 : 125.  At the cap, where b/a lies within about 10^-2w of 1,
@@ -47,13 +45,10 @@ the grid point 0 may evaluate its residual too.  The decided signs are the
 residuals' own, so the search visits the same grid points and the same
 cell either way.
 
-The means are not read off t.  m1 = cbrt(a^2 b) is its own cube root, and
-m2 = cbrt(a b^2) = b k comes from the seed's root: c = floor(s k) =
-floor(2 10^w M m2), so floor(c / M) = floor(2 10^w m2) and
-floor(c / (M 10^(w - digits))) = floor(2 10^digits m2), and each rounds m2
-half-even at its scale, with c^3 = s^3 a/b deciding a tie.  Every printed
-mean is thus its exact root rounded once, at the work digits and at the
-output digits alike.
+The means are not read off t.  m1 = cbrt(a^2 b) and m2 = cbrt(a b^2) are
+each :func:`~mesolabe.scalar.cbrt` of their radicand, so every printed
+mean is its exact root rounded half-even once, at the work digits and at
+the output digits alike.
 """
 
 from __future__ import annotations
@@ -66,7 +61,6 @@ from .scalar import (
     DecimalScalar,
     PrecisionContext,
     ValueRecord,
-    _at_two_scales,
     _decimal_digits,
     _icbrt,
     as_rational,
@@ -166,51 +160,43 @@ def _result(a: Fraction, b: Fraction, m1: int, m2: int, w: int) -> DecimalScalar
     return DecimalScalar(-(-defect * scale // (qa * qb)), 3 * w)
 
 
-def _seed(a: Fraction, b: Fraction, w: int, digits: int) -> tuple[int, int, int, tuple]:
-    """Grid index at 10^-w just below the closed-form arc parameter, the
-    root's bracket ``(low, high)`` on g^2 for the grid points t = g/10^w, and
-    m2 = cbrt(a b^2) rounded half-even at ``w`` and at ``digits``.
+def _seed(a: Fraction, b: Fraction, w: int) -> tuple[int, int, int]:
+    """Grid index at 10^-w just below the closed-form arc parameter, and the
+    root's bracket ``(low, high)`` on g^2 for the grid points t = g/10^w.
 
-    The scale is s = 2b 10^w M, with z the decimal digits of
-    floor(b/(b - a)), at most 2w, and M the least multiple of qb/gcd(qb, 2)
-    at or above 10^(5 + z)/(2b): u = s/10^w = 2b M is an integer and
-    s >= 10^(w + 5 + z).  k = cbrt(a/b) and t = sqrt((1 - k)/(1 + k)) are
-    taken as floors at that scale: c = floor(s k) and
-    q = floor(s^2 (s - c)/(s + c)), so t's floor is isqrt(q).  The index
-    only steers the certified search.  Every x = (s t)^2 <= q - 2s lies below
+    With z the decimal digits of floor(b/(b - a)), at most 2w, and
+    s = 10^(w + 5 + z), k = cbrt(a/b) and t = sqrt((1 - k)/(1 + k)) are
+    taken as floors at w + 5 + z digits: c = floor(s k) and
+    q = floor(s^2 (s - c)/(s + c)), so t's floor is isqrt(q).  The index only
+    steers the certified search.  Every x = (s t)^2 <= q - 2s lies below
     (s t*)^2 and every x > q above it, as the module docstring proves; with
-    x = g^2 u^2 at a grid point, that is g^2 <= (q - 2s) // u^2 and
-    g^2 > q // u^2.  As b k = m2, c = floor(2 10^w M m2): the floor that
-    rounds m2 at both scales, exact when c^3 = s^3 a/b.
+    x = g^2 u for u = 10^(10 + 2z), that is g^2 <= (q - 2s) // u and
+    g^2 > q // u.
     """
     pa, qa, pb, qb = a.numerator, a.denominator, b.numerator, b.denominator
     z = min(_decimal_digits(pb * qa // (pb * qa - pa * qb)), 2 * w)
-    grain = 2 * pb // math.gcd(qb, 2)  # u = 2b M steps by this as M steps by qb / gcd(qb, 2)
-    unit = -(-(10 ** (5 + z)) // grain) * grain
-    scale = unit * 10**w
+    scale, unit = 10 ** (w + 5 + z), 10 ** (5 + z)
     c = _icbrt(pa * qb * scale**3 // (qa * pb))
     q = (scale - c) * (scale * scale) // (scale + c)
-    m2 = _at_two_scales(c, unit * qb // (2 * pb), lambda: c**3 * qa * pb == pa * qb * scale**3,
-                        w, digits)
-    return math.isqrt(q) // unit, (q - 2 * scale) // (unit * unit), q // (unit * unit), m2
+    return math.isqrt(q) // unit, (q - 2 * scale) // (unit * unit), q // (unit * unit)
 
 
 def _solve(a, b, ctx: PrecisionContext, method: str) -> MeansResult:
     """Certify t with ``method``'s own residual signs; the means come from their radicands.
 
     A sign that the seed's bracket decides is the residual's sign without
-    the residual; only a grid point inside the bracket evaluates it.  m1 is
-    cbrt(a^2 b), and m2 comes from the seed's own root (:func:`_seed`).
+    the residual; only a grid point inside the bracket evaluates it.  m1 and
+    m2 are the cube roots of a^2 b and a b^2.
     """
     af, bf = as_rational(a), as_rational(b)
     _validate(af, bf)
     w, digits = ctx.work_digits, ctx.output_digits
-    m1 = cbrt(af * af * bf, w, digits)
+    m1, m2 = cbrt(af**2 * bf, w, digits), cbrt(af * bf**2, w, digits)  # a power takes no gcd
     if af == bf:
-        t, evaluations, m2 = Fraction(0), 0, m1
+        t, evaluations = Fraction(0), 0
     else:
         grid = 10**w
-        seed, low, high, m2 = _seed(af, bf, w, digits)
+        seed, low, high = _seed(af, bf, w)
         instrument = method == "instrument"
         want_low = 1 if instrument else -1  # the sign below the root
 

@@ -4,8 +4,8 @@ A :class:`DecimalScalar` is a signed integer times a negative power of
 ten, kept only to be printed: every computation runs on ``int`` at a known
 scale or on :class:`~fractions.Fraction`.  Rounding to a scale, square
 roots and cube roots round half-even once, from the exact value, to the
-digits asked for: every one goes through :func:`_half_even`, from a floor
-and a test of whether that floor is exact.
+digits asked for, by one rule, :func:`_half_even`: from a floor and a test
+of whether that floor is exact.
 Everything is built on Python's arbitrary-precision ``int``, so there is no
 hidden binary floating point anywhere.
 """
@@ -42,20 +42,11 @@ def _half_even(f: int, n: int, tie: Callable[[], bool]) -> int:
 def _half_even_div(n: int, d: int) -> int:
     """Round n/d (d > 0) to the nearest integer, ties to even.
 
-    2d (n/d) = 2n is an integer, so it is its own floor, exact at a tie.
+    This is :func:`_half_even` with f = 2n and n = d, written out: 2d (n/d) =
+    2n is an integer, so it is its own floor, and a tie needs no test.
     """
-    return _half_even(2 * n, d, lambda: True)
-
-
-def _at_two_scales(f: int, n: int, tie: Callable[[], bool], work: int,
-                   digits: int) -> tuple["DecimalScalar", "DecimalScalar"]:
-    """x rounded half-even at ``work`` and at ``digits`` <= ``work`` fractional digits.
-
-    ``f`` = floor(2n 10^work x) and ``tie()`` says whether that is exact, as
-    for :func:`_half_even`; neither value is rounded from the other.
-    """
-    return (DecimalScalar(_half_even(f, n, tie), work),
-            DecimalScalar(_half_even(f, n * 10 ** (work - digits), tie), digits))
+    g, r = divmod(2 * n, d)
+    return g // 2 if not r and g % 4 == 1 else (g + 1) // 2
 
 
 def _decimal_digits(n: int) -> int:
@@ -328,14 +319,19 @@ def cbrt(value, work: int, digits: int) -> tuple[DecimalScalar, DecimalScalar]:
     and at ``digits`` <= ``work`` fractional digits.
 
     f = floor(cbrt(8 value 10^(3 work))) = floor(2 10^work r) for the root r,
-    and 2 10^work r is exactly f when f^3 = 8 value 10^(3 work); both values
-    round from that one floor (:func:`_at_two_scales`).  A negative value
-    raises ``ValueError`` from :func:`_icbrt`.
+    and 2 10^work r is exactly f when f^3 = 8 value 10^(3 work).  Both values
+    round from that one floor (:func:`_half_even`), so neither is rounded
+    from the other.  A negative value raises ``ValueError`` from
+    :func:`_icbrt`.
     """
-    value = Fraction(value)
     n, d = 8 * value.numerator * 10 ** (3 * work), value.denominator
     f = _icbrt(n // d)
-    return _at_two_scales(f, 1, lambda: f * f * f * d == n, work, digits)
+
+    def tie() -> bool:
+        return f * f * f * d == n
+
+    return (DecimalScalar(_half_even(f, 1, tie), work),
+            DecimalScalar(_half_even(f, 10 ** (work - digits), tie), digits))
 
 
 def plain_text(parts: tuple[str, str, str]) -> str:

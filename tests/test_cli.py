@@ -278,11 +278,7 @@ class TestMeans:
         # a bracket that puts every grid point above the root: every sign is
         # the compass's above-root sign, so certify_bracket finds no sign change
         seed = delian._seed
-
-        def above(*args):
-            index, _, _, m2 = seed(*args)
-            return index, -1, -1, m2
-        monkeypatch.setattr(delian, "_seed", above)
+        monkeypatch.setattr(delian, "_seed", lambda a, b, w: (seed(a, b, w)[0], -1, -1))
         code = main(["means", "--a", "1", "--b", "2", "--method", "compass"])
         captured = capsys.readouterr()
         assert code == 1

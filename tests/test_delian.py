@@ -160,6 +160,32 @@ class TestTwoMeans:
         terms = [a, result.m1.as_fraction(), result.m2.as_fraction(), b]
         assert in_continued_proportion(terms, digits)
 
+    @settings(max_examples=80, deadline=None)
+    @given(st.one_of(
+        ordered_pairs,
+        st.tuples(decimal_values(), decimal_values()).filter(lambda p: p[0] != p[1]).map(
+            lambda p: tuple(sorted(p))),
+        st.tuples(decimal_values(), st.integers(min_value=1, max_value=140)).map(
+            lambda p: (p[0], p[0] * (1 + F(1, 10 ** p[1])))),
+    ), st.integers(min_value=1, max_value=60))
+    @example((F(1), F(125, 64)), 3)  # m2 = 1.5625: a tie at 3 digits, to 1.562
+    @example((F(1), F(8)), 1)  # m2 = 4 exactly
+    @example((F(7, 4), F(19, 2)), 20)  # the golden corpus's operands
+    def test_the_means_are_their_roots_rounded_once(self, pair, digits):
+        # m1 and m2 at the work digits and at the output digits are the exact
+        # roots rounded half-even, each straight from its radicand; the work
+        # digits' m2 is one of the two roundings of f = _icbrt(8 a b^2 10^(3w))
+        a, b = pair
+        ctx = PrecisionContext(digits)
+        w = ctx.work_digits
+        result = two_means_compass(a, b, ctx)
+        f = _icbrt(math.floor(8 * a * b * b * 10 ** (3 * w)))  # floor(2 10^w m2)
+        assert result.m2.unscaled in (f // 2, (f + 1) // 2)
+        for radicand, full, shown in ((a * a * b, result.m1, result.m1_shown),
+                                      (a * b * b, result.m2, result.m2_shown)):
+            assert full.as_fraction() == rounded_cbrt(radicand, w)
+            assert shown.as_fraction() == rounded_cbrt(radicand, digits)
+
 
 class TestDuplicateCube:
     def test_unit_cube(self):
@@ -285,7 +311,7 @@ def _residual_only(a, b, ctx, method):
         return _sign(state.residual_instrument() if method == "instrument"
                      else state.residual_compass())
     want_low = 1 if method == "instrument" else -1
-    seed = delian._seed(a, b, w, ctx.output_digits)[0]
+    seed = delian._seed(a, b, w)[0]
     g, exact, evaluations = certify_bracket(sign, seed, 0, grid, want_low)
     return (F(g, grid) if exact else F(2 * g + 1, 2 * grid)), evaluations
 
@@ -320,21 +346,17 @@ class TestSeedBracket:
     @example((F(1), F(10**9)), 20)  # X(c) - X(c + 1) is close to 2s when c << s
     def test_the_bracket_holds_the_root(self, pair, digits):
         # g^2 <= low puts g/10^w below the root and g^2 > high above it, where
-        # (s t)^2 = g^2 u^2 at s = u 10^w, for u = 2b M and M the least multiple
-        # of qb / gcd(qb, 2) at or above 10^(5 + z) / (2b)
+        # (s t)^2 = g^2 10^(10 + 2z) at s = 10^(w + 5 + z)
         a, b = pair
         w = digits + 10
         z = min(len(str(math.floor(b / (b - a)))), 2 * w)
-        step = b.denominator // math.gcd(b.denominator, 2)
-        unit = 2 * b * step * math.ceil(F(10 ** (5 + z)) / (2 * b * step))
-        assert unit.denominator == 1 and unit >= 10 ** (5 + z)
-        s = int(unit) * 10**w
+        s, unit = 10 ** (w + 5 + z), 10 ** (10 + 2 * z)
         c = _floor_scaled_cbrt(a / b, s)
 
         def x_at(u):  # (s t)^2 where the cosine k is u/s
             return F(s * s * (s - u), s + u)
-        _, low, high, _ = delian._seed(a, b, w, digits)
-        assert low * unit**2 <= x_at(c + 1) and x_at(c) < (high + 1) * unit**2
+        _, low, high = delian._seed(a, b, w)
+        assert low * unit <= x_at(c + 1) and x_at(c) < (high + 1) * unit
 
     @settings(max_examples=60, deadline=None)
     @given(ordered_pairs, st.integers(min_value=1, max_value=60),
@@ -377,28 +399,6 @@ class TestSeedBracket:
             assert result.iterations == 2
             assert (result.theta_param, result.iterations) == _residual_only(a, b, ctx, method)
             assert (result.m1, result.m1_shown, result.m2, result.m2_shown) == _means_of(a, b, ctx)
-
-    @settings(max_examples=80, deadline=None)
-    @given(st.one_of(
-        ordered_pairs,
-        st.tuples(decimal_values(), decimal_values()).filter(lambda p: p[0] != p[1]).map(
-            lambda p: tuple(sorted(p))),
-        st.tuples(decimal_values(), st.integers(min_value=1, max_value=140)).map(
-            lambda p: (p[0], p[0] * (1 + F(1, 10 ** p[1])))),
-    ), st.integers(min_value=1, max_value=60))
-    @example((F(1), F(125, 64)), 3)  # m2 = 1.5625: a tie at 3 digits, to 1.562
-    @example((F(1), F(8)), 1)  # m2 = 4 exactly
-    @example((F(7, 4), F(19, 2)), 20)  # the golden corpus's operands
-    def test_m2_is_the_seeds_root(self, pair, digits):
-        # the seed's c rounds m2 as a cube root of its own, from _icbrt of
-        # 8 a b^2 10^(3w), would: at the work digits and at the output digits
-        a, b = pair
-        w = PrecisionContext(digits).work_digits
-        *_, m2 = delian._seed(a, b, w, digits)
-        f = _icbrt(math.floor(8 * a * b * b * 10 ** (3 * w)))  # floor(2 10^w m2)
-        assert m2[0].unscaled in (f // 2, (f + 1) // 2)
-        assert m2 == cbrt(a * b * b, w, digits)
-        assert m2[1].as_fraction() == rounded_cbrt(a * b * b, digits)
 
     def test_a_root_off_the_grid_needs_no_residual(self):
         ctx = PrecisionContext(300)

@@ -17,6 +17,7 @@ from mesolabe.scalar import (
     DecimalScalar,
     PrecisionContext,
     _half_even,
+    _half_even_div,
     _icbrt,
     cbrt,
     certify_bracket,
@@ -383,6 +384,8 @@ class TestHalfEven:
         assert _half_even(f, n, tie) == round(x)  # round is half-even
         # asked only when f / n is an integer g = 1 (mod 4)
         assert bool(asked) == (f % n == 0 and f // n % 4 == 1)
+        # the same rule written out for a quotient
+        assert _half_even_div(x.numerator, x.denominator) == round(x)
 
 
 class TestCubeRoot:
