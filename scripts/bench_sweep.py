@@ -27,10 +27,13 @@ Rows, each the fastest of ``--repeat`` calls after one warm-up call:
   and an ``InstrumentState``; and the deep-solve kernels at ``--digits`` 20,
   100, 300, 1000 and 4190, with w = digits + 10 work digits, the operands
   (a, b) = (1, 2) of the ``means`` row and the diameter 2 of the
-  ``solve-chords`` row: ``_icbrt`` of ``delian._seed``'s radicand,
+  ``solve-chords`` row: ``_icbrt`` of the radicand of the solve's one cube
+  root (the seed's, at s = 10^(w + 6) in older trees, and ``delian._root``'s,
+  at S = 10^(w + 7) with b's one integer digit, in newer ones),
   ``proportio._unit_ratio`` at the precision the tree's chord solver asks
   for (10^(w + 5) u in older trees, 2^B u in newer ones),
-  ``proportio.solve_continued_chords``, ``delian._seed``,
+  ``proportio.solve_continued_chords``, ``delian._seed`` with its root
+  (``delian._root`` then ``delian._seed`` in newer trees),
   ``delian._result`` (in older trees the means read off the certified arc
   parameter and their residual, in newer ones the residual of the means
   alone) and one ``residual_instrument`` sign at the seed's grid point;
@@ -175,14 +178,30 @@ def construct(cls, coords):
     return call
 
 
+def _seed_of(cli, a: Fraction, b: Fraction, w: int):
+    """The tree's seed for (a, b) at w work digits, with the cube root it is taken from."""
+    delian = cli.delian
+    if not hasattr(delian, "_root"):  # older trees: _seed(a, b, w) takes its own root
+        return delian._seed(a, b, w)
+    c, z, e = delian._root(a, b, w)  # newer trees: the solve's one root, 10^e times wider
+    return delian._seed(c // 10**e, z, w)
+
+
 def _means_operands(cli, w: int):
     """(a, b, seed, result) of ``means --a 1 --b 2`` at w work digits."""
     a, b = Fraction(1), Fraction(2)
     ctx = cli.PrecisionContext.for_output(w - 10, 10)
-    seed = cli.delian._seed(a, b, w)
+    seed = _seed_of(cli, a, b, w)
     if isinstance(seed, tuple):  # newer trees: (index, bracket low, bracket high)
         seed = seed[0]
     return a, b, seed, cli.delian.two_means_instrument(a, b, ctx)
+
+
+def _root_radicand_call(cli, w: int):
+    """``_icbrt`` of the radicand of the solve's one root for a/b = 1/2 (z = 1), in which
+    newer trees widen the seed's scale by b's one integer digit (e = 1)."""
+    e = 1 if hasattr(cli.delian, "_root") else 0
+    return partial(cli.delian._icbrt, 10 ** (3 * (w + 6 + e)) // 2)
 
 
 def _result_call(cli, w: int):
@@ -214,13 +233,12 @@ def _unit_ratio_call(cli, w: int):
 
 #: (row, tree's ``cli`` and work digits -> the call to time) of the kernel rows.
 KERNELS = (
-    ("scalar._icbrt seed radicand",  # delian._seed's, for a/b = 1/2 (z = 1)
-     lambda cli, w: partial(cli.delian._icbrt, 10 ** (3 * (w + 6)) // 2)),
+    ("scalar._icbrt seed radicand", _root_radicand_call),
     ("proportio._unit_ratio", _unit_ratio_call),
     ("proportio.solve_continued_chords d = 2",
      lambda cli, w: partial(cli.proportio.solve_continued_chords, 2,
                             cli.PrecisionContext.for_output(w - 10, 10))),
-    ("delian._seed", lambda cli, w: partial(cli.delian._seed, Fraction(1), Fraction(2), w)),
+    ("delian._seed", lambda cli, w: partial(_seed_of, cli, Fraction(1), Fraction(2), w)),
     ("delian._result", _result_call),
     ("delian residual_instrument sign", _sign_call),
 )

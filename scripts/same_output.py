@@ -69,7 +69,12 @@ RANDOM_SEED = 0
 #: Then means and doubled edges that a value read off the arc parameter printed
 #: wrong (m1 = 10^13 exactly, and the edge of 10^10), exact ties of the means
 #: (m1 = 1.25 and m2 = 1.5625, to 1.2 and 1.562) and the exact means 2 and 4,
-#: and a ratio with an underscore, refused as a decimal with one is.
+#: and a ratio with an underscore, refused as a decimal with one is.  Last, means that
+#: the seed's root C = floor(S k) leaves to an exact cube: 1 : 27 and 0.0000015 : 0.0000405,
+#: exact means with k = 1/3 off the root's grid (the second's m2 is 13.5 work units, a
+#: tie that only the cube's floor 27 rounds up), and m2 just below the work midpoint
+#: 0.9999995; then exact means whose window starts at its floor: a = 10^-12 against
+#: b = 10^12, a == b, and 27 : 125 at 1000 digits.
 FIXED = (
     ("means", "--a", "1", "--b", "1.953125" + "0" * 28 + "46875" + "0" * 30 + "375" + "0" * 32 + "1",
      "--digits", "1"),
@@ -103,6 +108,13 @@ FIXED = (
     ("means", "--a", "1", "--b", "1.953125", "--digits", "3", "--guard", "5"),
     ("means", "--a", "1", "--b", "8"),
     ("means", "--a", "1_000/1", "--b", "2000"),
+    ("means", "--a", "1", "--b", "27"),
+    ("means", "--a", "0.0000015", "--b", "0.0000405", "--digits", "1", "--guard", "5"),
+    ("means", "--a", "0.9999985000007499998749999999999999999999", "--b", "1",
+     "--digits", "1", "--guard", "5"),
+    ("means", "--a", "0.000000000001", "--b", "1000000000000"),
+    ("means", "--a", "3", "--b", "3", "--digits", "300"),
+    ("means", "--a", "27", "--b", "125", "--digits", "1000", "--method", "both"),
 )
 #: The numeric subcommands of the random sweep, drawn with equal weight.
 RANDOM_KINDS = ("solve-chords", "means", "duplicate-cube", "four-proportionals", "pyramid",

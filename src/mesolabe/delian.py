@@ -45,24 +45,43 @@ the grid point 0 may evaluate its residual too.  The decided signs are the
 residuals' own, so the search visits the same grid points and the same
 cell either way.
 
-The means are not read off t.  m1 = cbrt(a^2 b) and m2 = cbrt(a b^2) are
-each :func:`~mesolabe.scalar.cbrt` of their radicand, so every printed
-mean is its exact root rounded half-even once, at the work digits and at
-the output digits alike.
+The means are not read off t: they come from the seed's root, the only
+cube root a solve takes.  It is C = floor(S k) at S = 10^e s, with e the
+decimal digits of ceil(b), and the seed's c is C // 10^e, exactly
+floor(s k) since floor(floor(y) / N) = floor(y / N).  With b = pb/qb,
+S = 10^w v for v = 10^(5 + z + e), m2 = b k and m1 = b k^2, the bounds
+C <= S k < C + 1 give
+
+    2 pb C / (qb v) <= 2 10^w m2 < 2 pb (C + 1) / (qb v),
+    2 pb C^2 / (qb 10^w v^2) <= 2 10^w m1 < 2 pb (C + 1)^2 / (qb 10^w v^2).
+
+As b <= ceil(b) < 10^e, the first window is 2b/v < 2 10^-(5 + z) wide,
+and as C <= S (a <= b) the second is 2b (2C + 1)/(10^w v^2) <= 6b/v
+< 6 10^-(5 + z): both are narrower than 10^-4.  So floor(2 10^w m) is the
+floor g of the window's lower end, unless g + 1 lies below its upper end;
+then one exact cube decides, (g + 1)^3 d <= n for the radicand
+(2 10^w m)^3 = n/d, 8 10^(3w) a^2 b or 8 10^(3w) a b^2.  That floor rounds
+half-even once, at the work digits and at the output digits alike, as
+:func:`~mesolabe.scalar.cbrt` rounds the doubled cube's edge, so every
+printed mean is its exact root rounded once.  e follows b's size, not the
+length of its numerator, so a long operand does not widen the root.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from fractions import Fraction
 
 from .scalar import (
     DEFAULT_CONTEXT,
+    CertificationError,
     DecimalScalar,
     PrecisionContext,
     ValueRecord,
     _decimal_digits,
     _icbrt,
+    _rounded_cbrt,
     as_rational,
     cbrt,
     certify_bracket,
@@ -125,9 +144,10 @@ class InstrumentState(ValueRecord):
 class MeansResult(ValueRecord):
     """Solved means with the arc parameter and an exact residual bound.
 
-    ``m1`` and ``m2`` are cbrt(a^2 b) and cbrt(a b^2) rounded half-even at
-    the work digits, ``m1_shown`` and ``m2_shown`` the same roots rounded at
-    the output digits.  ``iterations`` counts the grid points whose exact
+    ``m1`` and ``m2`` are b k^2 = cbrt(a^2 b) and b k = cbrt(a b^2), from
+    the seed's root C = floor(S k), rounded half-even at the work digits,
+    and ``m1_shown`` and ``m2_shown`` the same roots rounded at the output
+    digits.  ``iterations`` counts the grid points whose exact
     sign certified the arc parameter, decided by the seed's bracket or by
     the residual (0 when a == b needs none).  Immutable by convention.
     """
@@ -160,43 +180,81 @@ def _result(a: Fraction, b: Fraction, m1: int, m2: int, w: int) -> DecimalScalar
     return DecimalScalar(-(-defect * scale // (qa * qb)), 3 * w)
 
 
-def _seed(a: Fraction, b: Fraction, w: int) -> tuple[int, int, int]:
+def _root(a: Fraction, b: Fraction, w: int) -> tuple[int, int, int]:
+    """(C, z, e): the solve's one cube root C = floor(S cbrt(a/b)) at
+    S = 10^(w + 5 + z + e).
+
+    z is the decimal digits of floor(b/(b - a)), at most 2w, and 0 when
+    a == b needs no seed; e is the decimal digits of ceil(b).
+    """
+    pa, qa, pb, qb = a.numerator, a.denominator, b.numerator, b.denominator
+    z = min(_decimal_digits(pb * qa // (pb * qa - pa * qb)), 2 * w) if a != b else 0
+    e = _decimal_digits(-(-pb // qb))
+    scale = 10 ** (w + 5 + z + e)
+    return _icbrt(pa * qb * scale**3 // (qa * pb)), z, e
+
+
+def _seed(c: int, z: int, w: int) -> tuple[int, int, int]:
     """Grid index at 10^-w just below the closed-form arc parameter, and the
     root's bracket ``(low, high)`` on g^2 for the grid points t = g/10^w.
 
-    With z the decimal digits of floor(b/(b - a)), at most 2w, and
-    s = 10^(w + 5 + z), k = cbrt(a/b) and t = sqrt((1 - k)/(1 + k)) are
-    taken as floors at w + 5 + z digits: c = floor(s k) and
-    q = floor(s^2 (s - c)/(s + c)), so t's floor is isqrt(q).  The index only
-    steers the certified search.  Every x = (s t)^2 <= q - 2s lies below
-    (s t*)^2 and every x > q above it, as the module docstring proves; with
-    x = g^2 u for u = 10^(10 + 2z), that is g^2 <= (q - 2s) // u and
-    g^2 > q // u.
+    With s = 10^(w + 5 + z) and c = floor(s k), k = cbrt(a/b), the arc
+    parameter t = sqrt((1 - k)/(1 + k)) is taken as a floor at w + 5 + z
+    digits: q = floor(s^2 (s - c)/(s + c)), so t's floor is isqrt(q).  The
+    index only steers the certified search.  Every x = (s t)^2 <= q - 2s
+    lies below (s t*)^2 and every x > q above it, as the module docstring
+    proves; with x = g^2 u for u = 10^(10 + 2z), that is
+    g^2 <= (q - 2s) // u and g^2 > q // u.
     """
-    pa, qa, pb, qb = a.numerator, a.denominator, b.numerator, b.denominator
-    z = min(_decimal_digits(pb * qa // (pb * qa - pa * qb)), 2 * w)
     scale, unit = 10 ** (w + 5 + z), 10 ** (5 + z)
-    c = _icbrt(pa * qb * scale**3 // (qa * pb))
     q = (scale - c) * (scale * scale) // (scale + c)
     return math.isqrt(q) // unit, (q - 2 * scale) // (unit * unit), q // (unit * unit)
 
 
+def _mean(low: int, high: int, unit: int, radicand, w: int, digits: int
+          ) -> tuple[DecimalScalar, DecimalScalar]:
+    """A mean m rounded half-even at ``w`` and at ``digits`` fractional digits,
+    where low/unit <= 2 10^w m < high/unit and ``radicand()`` is (n, d) with
+    (2 10^w m)^3 = n/d.
+
+    The window must be narrower than a unit, as the module docstring proves
+    it is; then floor(2 10^w m) is g = low // unit, or g + 1 when g + 1 lies
+    inside the window and (g + 1)^3 d <= n.  n and d are formed at most
+    once, and only for that test or a tie.
+    """
+    if high - low >= unit:
+        raise CertificationError("the window of a mean is not narrower than a unit")
+    g = low // unit
+    radicand = functools.cache(radicand)
+    if (g + 1) * unit < high:
+        n, d = radicand()
+        if (g + 1) ** 3 * d <= n:
+            g += 1
+    return _rounded_cbrt(g, radicand, w, digits)
+
+
 def _solve(a, b, ctx: PrecisionContext, method: str) -> MeansResult:
-    """Certify t with ``method``'s own residual signs; the means come from their radicands.
+    """Certify t with ``method``'s own residual signs; the means come from the seed's root.
 
     A sign that the seed's bracket decides is the residual's sign without
-    the residual; only a grid point inside the bracket evaluates it.  m1 and
-    m2 are the cube roots of a^2 b and a b^2.
+    the residual; only a grid point inside the bracket evaluates it.
     """
     af, bf = as_rational(a), as_rational(b)
     _validate(af, bf)
     w, digits = ctx.work_digits, ctx.output_digits
-    m1, m2 = cbrt(af**2 * bf, w, digits), cbrt(af * bf**2, w, digits)  # a power takes no gcd
+    big_c, z, e = _root(af, bf, w)
+    pa, qa, pb, qb = af.numerator, af.denominator, bf.numerator, bf.denominator
+    v, m2_low = 10 ** (5 + z + e), 2 * pb * big_c
+    m1_low = m2_low * big_c
+    m1 = _mean(m1_low, m1_low + 2 * m2_low + 2 * pb, qb * 10**w * v * v,
+               lambda: (8 * 10 ** (3 * w) * pa * pa * pb, qa * qa * qb), w, digits)
+    m2 = _mean(m2_low, m2_low + 2 * pb, qb * v,
+               lambda: (8 * 10 ** (3 * w) * pa * pb * pb, qa * qb * qb), w, digits)
     if af == bf:
         t, evaluations = Fraction(0), 0
     else:
         grid = 10**w
-        seed, low, high = _seed(af, bf, w)
+        seed, low, high = _seed(big_c // 10**e, z, w)
         instrument = method == "instrument"
         want_low = 1 if instrument else -1  # the sign below the root
 

@@ -137,12 +137,13 @@ class ValueRecord:
 class CertificationError(ArithmeticError):
     """A solver could not certify its root.
 
-    Raised only by :func:`certify_bracket`, when the exact residual signs
-    do not bracket a root on the grid; a Euclid checker reports a failed
-    claim as a non-zero residual or False instead.  It is not a
-    ``ValueError``, so the CLI reports it as a failed verification (exit 1),
-    never as a usage error; it is raised explicitly, so ``python -O`` keeps
-    it.
+    Raised by :func:`certify_bracket`, when the exact residual signs do not
+    bracket a root on the grid, and by :mod:`~mesolabe.delian` when the
+    window that brackets a mean is not narrower than a unit; a Euclid
+    checker reports a failed claim as a non-zero residual or False instead.
+    It is not a ``ValueError``, so the CLI reports it as a failed
+    verification (exit 1), never as a usage error; it is raised explicitly,
+    so ``python -O`` keeps it.
     """
 
 
@@ -314,24 +315,35 @@ def sqrt(value, digits: int) -> DecimalScalar:
     return DecimalScalar(_half_even(f, 1, lambda: not r and f * f == q), digits)
 
 
+def _rounded_cbrt(
+    f: int, radicand: Callable[[], tuple[int, int]], work: int, digits: int
+) -> tuple[DecimalScalar, DecimalScalar]:
+    """A cube root r rounded half-even at ``work`` and at ``digits`` <= ``work``
+    fractional digits, from f = floor(2 10^work r).
+
+    ``radicand()`` is (n, d) with (2 10^work r)^3 = n/d, so 2 10^work r is
+    exactly f when f^3 d = n; it is called only for that tie test.  Both
+    values round from the one floor (:func:`_half_even`), so neither is
+    rounded from the other.
+    """
+    def tie() -> bool:
+        n, d = radicand()
+        return f * f * f * d == n
+
+    return (DecimalScalar(_half_even(f, 1, tie), work),
+            DecimalScalar(_half_even(f, 10 ** (work - digits), tie), digits))
+
+
 def cbrt(value, work: int, digits: int) -> tuple[DecimalScalar, DecimalScalar]:
     """Cube root of an exact non-negative Fraction or int, rounded half-even at ``work``
     and at ``digits`` <= ``work`` fractional digits.
 
     f = floor(cbrt(8 value 10^(3 work))) = floor(2 10^work r) for the root r,
-    and 2 10^work r is exactly f when f^3 = 8 value 10^(3 work).  Both values
-    round from that one floor (:func:`_half_even`), so neither is rounded
-    from the other.  A negative value raises ``ValueError`` from
-    :func:`_icbrt`.
+    and :func:`_rounded_cbrt` rounds both values from it.  A negative value
+    raises ``ValueError`` from :func:`_icbrt`.
     """
     n, d = 8 * value.numerator * 10 ** (3 * work), value.denominator
-    f = _icbrt(n // d)
-
-    def tie() -> bool:
-        return f * f * f * d == n
-
-    return (DecimalScalar(_half_even(f, 1, tie), work),
-            DecimalScalar(_half_even(f, 10 ** (work - digits), tie), digits))
+    return _rounded_cbrt(_icbrt(n // d), lambda: (n, d), work, digits)
 
 
 def plain_text(parts: tuple[str, str, str]) -> str:

@@ -278,7 +278,7 @@ class TestMeans:
         # a bracket that puts every grid point above the root: every sign is
         # the compass's above-root sign, so certify_bracket finds no sign change
         seed = delian._seed
-        monkeypatch.setattr(delian, "_seed", lambda a, b, w: (seed(a, b, w)[0], -1, -1))
+        monkeypatch.setattr(delian, "_seed", lambda c, z, w: (seed(c, z, w)[0], -1, -1))
         code = main(["means", "--a", "1", "--b", "2", "--method", "compass"])
         captured = capsys.readouterr()
         assert code == 1

@@ -25,7 +25,6 @@ from mesolabe.scalar import (
     CertificationError,
     DecimalScalar,
     PrecisionContext,
-    _icbrt,
     cbrt,
     certify_bracket,
 )
@@ -51,6 +50,36 @@ ordered_pairs = st.tuples(
     st.fractions(min_value=F(1, 1000), max_value=1000, max_denominator=1000),
     st.fractions(min_value=F(1, 1000), max_value=1000, max_denominator=1000),
 ).map(lambda p: (p[0], p[0] + p[1]))
+
+
+@st.composite
+def exact_means_off_the_root_grid(draw):
+    """(a, b) = (beta p^3, beta q^3), p < q coprime, q with a prime factor other than 2
+    and 5, and beta of at most 6 decimals: the means beta p^2 q and beta p q^2 are exact
+    at 6 or more work digits, while S k = S p/q is never an integer."""
+    q = draw(st.sampled_from([3, 6, 7, 9, 11, 12, 13, 21, 27, 120]))
+    p = draw(st.integers(min_value=1, max_value=q - 1).filter(lambda p: math.gcd(p, q) == 1))
+    beta = F(draw(st.integers(min_value=1, max_value=10**6)),
+             10 ** draw(st.integers(min_value=0, max_value=6)))
+    return beta * p**3, beta * q**3
+
+
+@contextlib.contextmanager
+def _radicand_calls():
+    """Per ``delian._mean`` call, in order, how often it formed the radicand."""
+    calls = []
+    mean = delian._mean
+
+    def counted(low, high, unit, radicand, w, digits):
+        k = len(calls)
+        calls.append(0)
+
+        def formed():
+            calls[k] += 1
+            return radicand()
+        return mean(low, high, unit, formed, w, digits)
+    with mock.patch.object(delian, "_mean", counted):
+        yield calls
 
 
 class TestInstrumentGeometry:
@@ -163,28 +192,75 @@ class TestTwoMeans:
     @settings(max_examples=80, deadline=None)
     @given(st.one_of(
         ordered_pairs,
+        exact_means_off_the_root_grid(),
         st.tuples(decimal_values(), decimal_values()).filter(lambda p: p[0] != p[1]).map(
             lambda p: tuple(sorted(p))),
         st.tuples(decimal_values(), st.integers(min_value=1, max_value=140)).map(
             lambda p: (p[0], p[0] * (1 + F(1, 10 ** p[1])))),
-    ), st.integers(min_value=1, max_value=60))
-    @example((F(1), F(125, 64)), 3)  # m2 = 1.5625: a tie at 3 digits, to 1.562
-    @example((F(1), F(8)), 1)  # m2 = 4 exactly
-    @example((F(7, 4), F(19, 2)), 20)  # the golden corpus's operands
-    def test_the_means_are_their_roots_rounded_once(self, pair, digits):
+    ), st.integers(min_value=1, max_value=60), st.integers(min_value=5, max_value=14))
+    @example((F(1), F(125, 64)), 3, 10)  # m2 = 1.5625: a tie at 3 digits, to 1.562
+    @example((F(1), F(125, 64)), 1, 5)  # m1 = 1.25: a tie at 1 digit, to 1.2
+    @example((F(1), F(8)), 1, 10)  # m2 = 4 exactly, and S k on the root's grid
+    @example((F(27), F(125)), 1000, 10)  # 27 : 45 : 75 : 125
+    @example((F(3), F(3)), 300, 10)  # a == b
+    @example((F(1, 10**12), F(10**12)), 20, 10)  # e = 13
+    @example((F(7, 4), F(19, 2)), 20, 10)  # the golden corpus's operands
+    # b of 4000 digits: near 1 from above and below, and 2.77...7
+    @example((F(1), 1 + F(1, 10**4000)), 20, 10)
+    @example((1 - F(1, 10**4000), F(1)), 20, 10)
+    @example((F(1), 2 + F(7, 9) * (1 - F(1, 10**4000))), 20, 10)
+    # an exact m2 of 13.5 work units, off the root's grid (k = 1/3): only the
+    # cube test finds the floor 27 that rounds the tie up to 14
+    @example((F(15, 10**7), F(405, 10**7)), 1, 5)
+    # m2 just below 0.9999995, a midpoint at 6 work digits: the window's upper
+    # end is the odd 1999999 units, one above the floor
+    @example((F(9999995, 10**7) ** 3 - F(1, 10**40), F(1)), 1, 5)
+    def test_the_means_are_their_roots_rounded_once(self, pair, digits, guard):
         # m1 and m2 at the work digits and at the output digits are the exact
-        # roots rounded half-even, each straight from its radicand; the work
-        # digits' m2 is one of the two roundings of f = _icbrt(8 a b^2 10^(3w))
+        # roots rounded half-even, from the seed's one root, with each radicand
+        # formed at most once; t and iterations are the residual-only search's
         a, b = pair
-        ctx = PrecisionContext(digits)
+        ctx = PrecisionContext(digits, guard)
         w = ctx.work_digits
-        result = two_means_compass(a, b, ctx)
-        f = _icbrt(math.floor(8 * a * b * b * 10 ** (3 * w)))  # floor(2 10^w m2)
-        assert result.m2.unscaled in (f // 2, (f + 1) // 2)
-        for radicand, full, shown in ((a * a * b, result.m1, result.m1_shown),
-                                      (a * b * b, result.m2, result.m2_shown)):
-            assert full.as_fraction() == rounded_cbrt(radicand, w)
-            assert shown.as_fraction() == rounded_cbrt(radicand, digits)
+        for solve, method in ((two_means_instrument, "instrument"),
+                              (two_means_compass, "compass")):
+            with _radicand_calls() as calls:
+                result = solve(a, b, ctx)
+            assert all(n <= 1 for n in calls)
+            for radicand, full, shown in ((a * a * b, result.m1, result.m1_shown),
+                                          (a * b * b, result.m2, result.m2_shown)):
+                assert full.as_fraction() == rounded_cbrt(radicand, w)
+                assert shown.as_fraction() == rounded_cbrt(radicand, digits)
+            expected = (F(0), 0) if a == b else _residual_only(a, b, ctx, method)
+            assert (result.theta_param, result.iterations) == expected
+
+    @settings(max_examples=30, deadline=None)
+    @given(exact_means_off_the_root_grid(), st.integers(min_value=1, max_value=60))
+    @example((F(1), F(27)), 20)
+    def test_exact_means_off_the_root_grid_take_the_cube_test(self, pair, digits):
+        # 2 10^w m is an integer strictly inside its window: each mean forms
+        # its radicand once, for the cube test
+        with _radicand_calls() as calls:
+            result = two_means_instrument(*pair, PrecisionContext(digits))
+        assert calls == [1, 1]
+        a, b = pair
+        assert result.m1.as_fraction() ** 3 == a * a * b
+        assert result.m2.as_fraction() ** 3 == a * b * b
+
+    def test_one_solve_takes_one_cube_root(self):
+        for argv in (["--a", "1", "--b", "2", "--method", "both", "--digits", "300"],
+                     ["--a", "3", "--b", "3"], ["--a", "1", "--b", "27"]):
+            with mock.patch.object(delian, "_icbrt", wraps=delian._icbrt) as root, \
+                    mock.patch.object(delian, "cbrt") as other_root, \
+                    contextlib.redirect_stdout(io.StringIO()):
+                assert main(["means", *argv]) == 0
+            assert root.call_count == 1 and not other_root.called
+
+    def test_a_window_of_a_unit_or_more_raises(self):
+        # the premise that decides the floor is checked, with python -O as without
+        with pytest.raises(CertificationError, match="narrower than a unit"):
+            delian._mean(0, 10, 10, lambda: (1, 1), 6, 1)
+        assert delian._mean(0, 9, 10, lambda: (1, 1), 6, 1)[0] == DecimalScalar(0, 6)
 
 
 class TestDuplicateCube:
@@ -311,7 +387,8 @@ def _residual_only(a, b, ctx, method):
         return _sign(state.residual_instrument() if method == "instrument"
                      else state.residual_compass())
     want_low = 1 if method == "instrument" else -1
-    seed = delian._seed(a, b, w)[0]
+    c, z, e = delian._root(a, b, w)
+    seed = delian._seed(c // 10**e, z, w)[0]
     g, exact, evaluations = certify_bracket(sign, seed, 0, grid, want_low)
     return (F(g, grid) if exact else F(2 * g + 1, 2 * grid)), evaluations
 
@@ -355,7 +432,9 @@ class TestSeedBracket:
 
         def x_at(u):  # (s t)^2 where the cosine k is u/s
             return F(s * s * (s - u), s + u)
-        _, low, high = delian._seed(a, b, w)
+        big_c, root_z, e = delian._root(a, b, w)
+        assert (big_c // 10**e, root_z) == (c, z)
+        _, low, high = delian._seed(c, z, w)
         assert low * unit <= x_at(c + 1) and x_at(c) < (high + 1) * unit
 
     @settings(max_examples=60, deadline=None)
