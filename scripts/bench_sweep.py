@@ -63,6 +63,7 @@ import contextlib
 import importlib
 import io
 import json
+import math
 import os
 import platform
 import random
@@ -192,8 +193,10 @@ def _means_operands(cli, w: int):
     a, b = Fraction(1), Fraction(2)
     ctx = cli.PrecisionContext.for_output(w - 10, 10)
     seed = _seed_of(cli, a, b, w)
-    if isinstance(seed, tuple):  # newer trees: (index, bracket low, bracket high)
+    if isinstance(seed, tuple) and len(seed) == 3:  # (index, bracket low, bracket high)
         seed = seed[0]
+    elif isinstance(seed, tuple):  # newest trees: the bracket (low, high) on g^2 alone
+        seed = math.isqrt(seed[1])
     return a, b, seed, cli.delian.two_means_instrument(a, b, ctx)
 
 

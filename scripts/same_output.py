@@ -74,7 +74,9 @@ RANDOM_SEED = 0
 #: exact means with k = 1/3 off the root's grid (the second's m2 is 13.5 work units, a
 #: tie that only the cube's floor 27 rounds up), and m2 just below the work midpoint
 #: 0.9999995; then exact means whose window starts at its floor: a = 10^-12 against
-#: b = 10^12, a == b, and 27 : 125 at 1000 digits.
+#: b = 10^12, a == b, and 27 : 125 at 1000 digits.  Last, chords that a root rounded
+#: at the work digits misprinted: AB = 0.09999975..., floored from its rounded 0.100000
+#: to 0 1, and a full BC one work unit high and one low, as the root of AB BD rounded.
 FIXED = (
     ("means", "--a", "1", "--b", "1.953125" + "0" * 28 + "46875" + "0" * 30 + "375" + "0" * 32 + "1",
      "--digits", "1"),
@@ -115,6 +117,9 @@ FIXED = (
     ("means", "--a", "0.000000000001", "--b", "1000000000000"),
     ("means", "--a", "3", "--b", "3", "--digits", "300"),
     ("means", "--a", "27", "--b", "125", "--digits", "1000", "--method", "both"),
+    ("solve-chords", "--diameter", "0.31478911659571980921", "--digits", "1", "--guard", "5"),
+    ("solve-chords", "--diameter", "279268.774747711", "--digits", "1", "--guard", "8"),
+    ("solve-chords", "--diameter", "34036.903816624", "--digits", "9", "--guard", "7"),
 )
 #: The numeric subcommands of the random sweep, drawn with equal weight.
 RANDOM_KINDS = ("solve-chords", "means", "duplicate-cube", "four-proportionals", "pyramid",

@@ -100,7 +100,7 @@ Record = tuple[int, dict | None, list[str]]
 def _cmd_solve_chords(args, ctx: PrecisionContext) -> Record:
     d = DecimalScalar.from_str(args.diameter)
     full = proportio.solve_continued_chords(d, ctx)
-    texts = proportio.chord_texts(full, ctx.output_digits, d)
+    texts = proportio.chord_texts(full, ctx.output_digits)
     grouped = {label: grouped_text(shown) for label, (shown, _) in texts.items()}
     shown_d = str(d)
     lines = [f"diameter {shown_d}, {ctx.output_digits} fractional digits", ""]
@@ -127,7 +127,7 @@ def _cmd_verify_table(args, ctx: PrecisionContext) -> Record:
     if ctx.output_digits < 10:
         ctx = PrecisionContext(10, ctx.guard_digits)
     full = proportio.solve_continued_chords(2, ctx)
-    table_cfg = full.table_values(10, 2)
+    table_cfg = full.table_values(10)
     chords = proportio.chord_table(table_cfg)
     products = proportio.reproduce_table(table_cfg)
     contrast = proportio.true_product_rows(full)
@@ -243,11 +243,11 @@ def _cmd_means(args, ctx: PrecisionContext) -> Record:
     a, b = _parse_rational(args.a), _parse_rational(args.b)
     if args.method == "both":
         # One certification serves both sections.  The compass residual is the
-        # instrument's negated at every arc parameter, and certify_bracket with
-        # the sign negated and want_low flipped visits the same grid cells, so
-        # the compass certifies the same t in as many signs and reads the same
-        # means off it: its section differs only in the method, and the two
-        # parameters cannot disagree.
+        # instrument's negated at every arc parameter, and t's cell step with
+        # the sign negated and want_low flipped evaluates the same grid point
+        # and certifies the same cell, so the compass finds the same t in as
+        # many signs, and its means come from the same root: its section
+        # differs only in the method, and the two parameters cannot disagree.
         p1, l1 = _means_payload(delian.two_means_instrument(a, b, ctx), ctx)
         p2, l2 = dict(p1, method="compass"), ["method: compass", *l1[1:]]
         payload = {"instrument": p1, "compass": p2, "parameters_agree": True}

@@ -13,17 +13,16 @@ the motion, so each solver certifies its root with its own residual:
 
 Both residuals vanish exactly when AF = b k^3 equals a (k the cosine of
 the inscribed angle at A), which interposes AE = b k^2 and AD = b k
-between a and b.  The closed form k = cbrt(a/b) seeds the arc parameter,
-and :func:`~mesolabe.scalar.certify_bracket` then finds the grid cell at
-10^-w where the mechanism's residual changes sign.  Arc positions use the
-rational tangent-half-angle parameter t = n/m, so k = (m^2 - n^2)/(m^2 + n^2)
-and every residual, multiplied by a positive factor that clears its
-denominators, is an exact integer: the certified cell can never be lost
-to rounding, and the seed only decides how many signs that takes.
+between a and b.  Arc positions use the rational tangent-half-angle
+parameter t = n/m, so k = (m^2 - n^2)/(m^2 + n^2) and every residual,
+multiplied by a positive factor that clears its denominators, is an exact
+integer.  The solver certifies the grid cell at 10^-w where the
+mechanism's residual changes sign, and the closed form k = cbrt(a/b)
+decides all but at most one of the grid points' signs.
 
-Most signs need no residual.  Both residuals change sign only at the root
-t*, where (1 - t*^2)/(1 + t*^2) = cbrt(a/b), so a sign is known as soon as
-t is known to lie on one side of t*.  For any integer s > 0 and
+Both residuals change sign only at the root t*, where
+(1 - t*^2)/(1 + t*^2) = cbrt(a/b), so a sign is known as soon as t is
+known to lie on one side of t*.  For any integer s > 0 and
 X(u) = s^2 (s - u)/(s + u), decreasing in u, the root satisfies
 (s t*)^2 = X(s cbrt(a/b)).  The seed computes c = floor(s cbrt(a/b)) and
 q = floor(X(c)) exactly; as c <= s cbrt(a/b) < c + 1 and
@@ -37,13 +36,14 @@ floor(b/(b - a)) and at most 2w, so x = g^2 10^(10 + 2z) at a grid point
 t = g/10^w, and one w-digit square decides the sign.  z counts the digits
 that 1 - cbrt(a/b) loses when b/a is near 1: below its cap, (t*)^2 is
 at least (b - a)/6b > 10^-z/6, so the window of width 2s spans about
-10^-(5 + z)/t* < 10^-4 grid units around t*.  Only a grid point that falls
-in it evaluates the mechanism's residual: an arc parameter on the grid, as
-for a : b = 27 : 125.  At the cap, where b/a lies within about 10^-2w of 1,
-the root lies in the first grid cells and the window can reach t = 0, so
-the grid point 0 may evaluate its residual too.  The decided signs are the
-residuals' own, so the search visits the same grid points and the same
-cell either way.
+10^-(5 + z)/t* < 10^-4 grid units around t*.  At the cap, where b/a lies
+within about 10^-2w of 1, the window on g^2 is 2s/10^(10 + 2z) < 1 wide,
+so it too holds at most one square, and it can reach t = 0.  So t's cell
+is the largest g whose g^2 the window puts below the root, unless the one
+grid point the window leaves open evaluates the mechanism's residual and
+lies below it too: an arc parameter on the grid, as for a : b = 27 : 125,
+is such a point.  The cell's two ends are checked against their signs,
+decided or evaluated, so a failed premise raises instead of printing.
 
 The means are not read off t: they come from the seed's root, the only
 cube root a solve takes.  It is C = floor(S k) at S = 10^e s, with e the
@@ -71,6 +71,7 @@ from __future__ import annotations
 
 import functools
 import math
+from collections.abc import Callable
 from fractions import Fraction
 
 from .scalar import (
@@ -84,7 +85,7 @@ from .scalar import (
     _rounded_cbrt,
     as_rational,
     cbrt,
-    certify_bracket,
+    window_floor,
 )
 
 
@@ -194,21 +195,51 @@ def _root(a: Fraction, b: Fraction, w: int) -> tuple[int, int, int]:
     return _icbrt(pa * qb * scale**3 // (qa * pb)), z, e
 
 
-def _seed(c: int, z: int, w: int) -> tuple[int, int, int]:
-    """Grid index at 10^-w just below the closed-form arc parameter, and the
-    root's bracket ``(low, high)`` on g^2 for the grid points t = g/10^w.
+def _seed(c: int, z: int, w: int) -> tuple[int, int]:
+    """The root's bracket ``(low, high)`` on g^2 for the grid points t = g/10^w.
 
     With s = 10^(w + 5 + z) and c = floor(s k), k = cbrt(a/b), the arc
     parameter t = sqrt((1 - k)/(1 + k)) is taken as a floor at w + 5 + z
-    digits: q = floor(s^2 (s - c)/(s + c)), so t's floor is isqrt(q).  The
-    index only steers the certified search.  Every x = (s t)^2 <= q - 2s
+    digits: q = floor(s^2 (s - c)/(s + c)).  Every x = (s t)^2 <= q - 2s
     lies below (s t*)^2 and every x > q above it, as the module docstring
     proves; with x = g^2 u for u = 10^(10 + 2z), that is
     g^2 <= (q - 2s) // u and g^2 > q // u.
     """
-    scale, unit = 10 ** (w + 5 + z), 10 ** (5 + z)
+    scale, unit = 10 ** (w + 5 + z), 10 ** (10 + 2 * z)
     q = (scale - c) * (scale * scale) // (scale + c)
-    return math.isqrt(q) // unit, (q - 2 * scale) // (unit * unit), q // (unit * unit)
+    return (q - 2 * scale) // unit, q // unit
+
+
+def _cell(low: int, high: int, grid: int, sign: Callable[[int], int], want_low: int
+          ) -> tuple[int, bool]:
+    """(g, exact): t's cell on the grid 1/``grid`` from the bracket ``(low, high)``
+    on g^2, with ``sign(g)`` the residual's exact sign at t = g/grid.
+
+    The residual's sign is ``want_low`` below the root and -``want_low``
+    above it.  Grid points with g^2 <= low lie below the root, and those
+    with g^2 > high or g >= grid (t = 1, as the root is below 1) above it,
+    so the cell is g = isqrt(low) unless g + 1, the one point the bracket
+    leaves open, evaluates ``sign``: 0 is an exact hit, returned as
+    ``(g + 1, True)``, and ``want_low`` moves the cell up to it.  The result
+    satisfies sign(g) = want_low and sign(g + 1) = -want_low, or
+    sign(g) = 0 if exact, by decided or evaluated signs; otherwise it
+    raises :class:`CertificationError`.
+    """
+    def open_point(g: int) -> bool:
+        return g < grid and g * g <= high
+
+    g = math.isqrt(low) if low >= 0 else -1
+    if open_point(g + 1):
+        r = sign(g + 1)
+        if r == 0:
+            return g + 1, True
+        if r == want_low and not open_point(g + 2):
+            g += 1
+        elif r != -want_low:
+            raise CertificationError(f"the signs at grid point {g + 1} do not bracket the root")
+    if g < 0:
+        raise CertificationError("no grid point lies below the root")
+    return g, False
 
 
 def _mean(low: int, high: int, unit: int, radicand, w: int, digits: int
@@ -217,27 +248,23 @@ def _mean(low: int, high: int, unit: int, radicand, w: int, digits: int
     where low/unit <= 2 10^w m < high/unit and ``radicand()`` is (n, d) with
     (2 10^w m)^3 = n/d.
 
-    The window must be narrower than a unit, as the module docstring proves
-    it is; then floor(2 10^w m) is g = low // unit, or g + 1 when g + 1 lies
-    inside the window and (g + 1)^3 d <= n.  n and d are formed at most
-    once, and only for that test or a tie.
+    floor(2 10^w m) is the :func:`~mesolabe.scalar.window_floor` of that
+    window, whose one exact test is (g + 1)^3 d <= n.  n and d are formed at
+    most once, and only for that test or a tie.
     """
-    if high - low >= unit:
-        raise CertificationError("the window of a mean is not narrower than a unit")
-    g = low // unit
     radicand = functools.cache(radicand)
-    if (g + 1) * unit < high:
+
+    def at_or_below(g: int) -> bool:
         n, d = radicand()
-        if (g + 1) ** 3 * d <= n:
-            g += 1
-    return _rounded_cbrt(g, radicand, w, digits)
+        return g**3 * d <= n
+    return _rounded_cbrt(window_floor(low, high, unit, at_or_below), radicand, w, digits)
 
 
 def _solve(a, b, ctx: PrecisionContext, method: str) -> MeansResult:
     """Certify t with ``method``'s own residual signs; the means come from the seed's root.
 
-    A sign that the seed's bracket decides is the residual's sign without
-    the residual; only a grid point inside the bracket evaluates it.
+    The seed's bracket decides every grid point's sign but at most one, and
+    only that one evaluates the residual (:func:`_cell`).
     """
     af, bf = as_rational(a), as_rational(b)
     _validate(af, bf)
@@ -254,22 +281,15 @@ def _solve(a, b, ctx: PrecisionContext, method: str) -> MeansResult:
         t, evaluations = Fraction(0), 0
     else:
         grid = 10**w
-        seed, low, high = _seed(big_c // 10**e, z, w)
         instrument = method == "instrument"
-        want_low = 1 if instrument else -1  # the sign below the root
 
-        def sign_at(g: int) -> int:
-            if g == grid and instrument:
-                return -1  # cursor crossing runs off to infinity with D at A
-            if g * g > high:
-                return -want_low
-            if g * g <= low:
-                return want_low
+        def sign(g: int) -> int:
             state = InstrumentState(af, bf, Fraction(g, grid))
             r = state.residual_instrument() if instrument else state.residual_compass()
             return (r > 0) - (r < 0)
-        g, exact, evaluations = certify_bracket(sign_at, seed, 0, grid, want_low)
-        t = Fraction(g, grid) if exact else Fraction(2 * g + 1, 2 * grid)
+        # the sign below the root is 1 for the instrument and -1 for the compass
+        g, exact = _cell(*_seed(big_c // 10**e, z, w), grid, sign, 1 if instrument else -1)
+        t, evaluations = (Fraction(g, grid), 1) if exact else (Fraction(2 * g + 1, 2 * grid), 2)
     residual = _result(af, bf, m1[0].unscaled, m2[0].unscaled, w)
     return MeansResult(*m1, *m2, t, evaluations, residual, method)
 

@@ -144,7 +144,7 @@ def _box_figure(spec: FigureSpec, defaults) -> str:
 def _fig_chords(spec: FigureSpec) -> str:
     df = as_rational(spec.params.get("diameter", 2))
     ctx = spec.params.get("ctx", DEFAULT_CONTEXT)
-    cfg = proportio.solve_continued_chords(df, ctx).table_values(10, df)
+    cfg = proportio.solve_continued_chords(df, ctx).table_values(10)
     ab, bc = cfg.ab.as_fraction(), cfg.bc.as_fraction()
     a, dd, b, c = (Fraction(0), Fraction(0)), (df, Fraction(0)), (ab, Fraction(0)), (ab, bc)
     cv = _Canvas([0, df], [0, df / 2])

@@ -13,8 +13,10 @@ f'' = 6x - 6 lies in [-6, 0), so f is increasing and concave there: u is
 its only root, and a Newton step never overshoots it.  u is found in
 binary fixed point, U ~ u 2^B, and certified by the exact signs of
 F(U -+ 1), which Taylor's formula gives from one exact F(U) and F'(U)
-because F is a monic cubic; that bracket decides the signs of the chord
-residual at all but the grid points within 2^-40 units of AB.
+because F is a monic cubic.  BD = d (1 - u) and BC = sqrt(AB BD) =
+d (1 - u)^2, as v = 1 - u solves v^3 + v = 1, so that one bracket puts AB
+and BC each in a window far narrower than a grid unit, and every chord is
+its exact value rounded or floored once.
 
 Positions on the semicircle are parametrized by t = tan(half the inscribed
 angle at A), so every construction has an exact rational witness and no
@@ -28,49 +30,55 @@ from fractions import Fraction
 from .euclid import Point3, unit_circle_point
 from .scalar import (
     DEFAULT_CONTEXT,
+    CertificationError,
     DecimalScalar,
     PrecisionContext,
     ValueRecord,
     _decimal_digits,
     as_rational,
-    certify_bracket,
     format_grouped,
     round_to,
-    sqrt,
+    window_floor,
 )
 
 
 class ChordConfig(ValueRecord):
-    """The collinear/chordal lengths AB, BC, BD, AD with AB + BD = AD; immutable by convention."""
+    """The collinear/chordal lengths AB, BC, BD, AD with AB + BD = AD; immutable by convention.
 
-    __slots__ = ("ab", "bc", "bd", "ad")
+    A solved configuration keeps ``roots``: its exact diameter d and
+    f = floor(2 10^w x) for x = AB and for x = BC at its w work digits, the
+    floors that its values and its :meth:`table_values` round or floor
+    once.  Values given as they are have none.
+    """
+
+    __slots__ = ("ab", "bc", "bd", "ad", "roots")
+
+    def __init__(self, ab, bc, bd, ad, roots=None):
+        self.ab, self.bc, self.bd, self.ad, self.roots = ab, bc, bd, ad, roots
 
     def terms(self) -> tuple[DecimalScalar, DecimalScalar, DecimalScalar, DecimalScalar]:
         return self.ab, self.bc, self.bd, self.ad
 
-    def table_values(self, digits: int, diameter=None) -> "ChordConfig":
-        """The values as the 1682 computation reported them.
+    def table_values(self, digits: int) -> "ChordConfig":
+        """The values as the 1682 computation reported them, from a solved configuration.
 
-        AB and BC keep their first ``digits`` fractional digits, padded with
-        zeros past their own: longhand root extraction yields floor digits
-        (the printed BC proves the original truncated, since round-to-nearest
-        would end ...4638), and neither is negative, so the floor drops the
-        rest.  AD is the exact ``diameter`` rounded half-even once at
-        ``digits``; without it, AD is this AD rounded again, which differs
-        only for a diameter beside a midpoint at ``digits`` by less than a
-        unit of this AD's scale.  BD is the exact complement AD - AB, which
-        reproduces the printed ...56077.
+        AB and BC are the floors of the exact roots at ``digits``: longhand
+        root extraction yields floor digits (the printed BC proves the
+        original truncated, since round-to-nearest would end ...4638).  As
+        floor(floor(y) / N) = floor(y / N), each is its floor f divided by
+        2 10^(w - digits); past the w work digits, the floor at w is padded
+        with zeros.  AD is the exact diameter rounded half-even once at
+        ``digits``, and BD the exact complement AD - AB, which reproduces
+        the printed ...56077.
         """
-        def floor(v: DecimalScalar) -> DecimalScalar:
-            if digits > v.scale:
-                return DecimalScalar(v.unscaled * 10 ** (digits - v.scale), digits)
-            return DecimalScalar(v.unscaled // 10 ** (v.scale - digits), digits)
-        ab = floor(self.ab)
-        if diameter is None:
-            ad = round_to(self.ad, digits)
-        else:
-            ad = DecimalScalar.from_fraction(as_rational(diameter), digits)
-        return ChordConfig(ab, floor(self.bc), DecimalScalar(ad.unscaled - ab.unscaled, digits), ad)
+        d, twice_ab, twice_bc = self.roots
+        w = self.ab.scale
+        kept = min(digits, w)
+
+        def floor(f: int) -> DecimalScalar:
+            return DecimalScalar(f // (2 * 10 ** (w - kept)) * 10 ** (digits - kept), digits)
+        ab, ad = floor(twice_ab), DecimalScalar.from_fraction(d, digits)
+        return ChordConfig(ab, floor(twice_bc), DecimalScalar(ad.unscaled - ab.unscaled, digits), ad)
 
 
 class TableRow(ValueRecord):
@@ -176,72 +184,58 @@ def _brackets_unit(v: int, bits: int) -> bool:
     return f - slope + bend - 1 < 0 < f + slope + bend + 1
 
 
-def _chord_sign(p: int, q: int, n: int, m: int) -> int:
-    """Sign of the chord residual (d - x)^3 - d^2 x at d = p/q, x = n/m, cleared of denominators."""
-    r = (p * m - n * q) ** 3 - p * p * q * m * m * n
-    return (r > 0) - (r < 0)
-
-
 def solve_continued_chords(
     d: DecimalScalar, ctx: PrecisionContext = DEFAULT_CONTEXT
 ) -> ChordConfig:
     """Chord configuration with AB : BC : BD : AD in continued proportion.
 
-    AB = d u with u the root of (1 - u)^3 = u.  The chord residual
-    (d - x)^3 - d^2 x is strictly decreasing on [0, d], so exact signs
-    certify the grid cell at 10^-w that holds AB, and one more sign at the
-    cell midpoint rounds AB correctly.  The root is irrational
-    (u^3 - 3u^2 + 4u - 1 has no rational root), so no sign is ever 0 and
-    the midpoint is never a tie.
+    AB = d u with u the root of (1 - u)^3 = u, and BC = d (1 - u)^2.  U =
+    :func:`_unit_ratio` at B bits is checked by :func:`_brackets_unit`,
+    whose F(U - 1) < 0 < F(U + 1), from one exact F(U) and F'(U) by
+    Taylor's formula, proves (U - 1) / S < u < (U + 1) / S for S = 2^B; a
+    failed check raises :class:`~mesolabe.scalar.CertificationError`.  With
+    d = p/q, T = 2p 10^w and V = S - U, that puts
 
-    Most signs come from a bracket on u.  U = :func:`_unit_ratio` at B bits
-    is checked by :func:`_brackets_unit`, whose F(U - 1) < 0 < F(U + 1),
-    from one exact F(U) and F'(U) by Taylor's formula, proves
-    (U - 1) / S < u < (U + 1) / S for S = 2^B.  Then 2 AB 10^w lies
-    strictly between 2p 10^w (U -+ 1) / (q S), and a
-    half-grid point k = 2g or 2g + 1 at or below the floor of the lower
-    end lies below AB (residual positive), one at or above the ceiling of
-    the upper end above it.  The window is 4p 10^w / (q S) < 4 (d 10^w + 1)
-    half-grid units, so B = 3.322 D + 42 bits, D the decimal digits of
-    floor(d 10^w) + 1, keeps it under 2^-40 grid units: only a point that
-    close to AB evaluates the residual, as does every point if the check
-    fails.  :func:`~mesolabe.scalar.certify_bracket` checks its cell
-    against the signs either way.
+        T (U - 1) / (q S) < 2 10^w AB < T (U + 1) / (q S),
+        T (V - 1)^2 / (q S^2) < 2 10^w BC < T (V + 1)^2 / (q S^2),
+
+    windows of width 2T / (q S) and 4T V / (q S^2) < 4T / (q S).  B = 3.322 D
+    + 42 bits, D the decimal digits of floor(d 10^w) + 1, makes S exceed
+    2^41 d 10^w, so both are under 2^-38 units, and
+    :func:`~mesolabe.scalar.window_floor` takes each floor, its powers of
+    two as shifts, with at most one exact test of X = x / (2 10^w), N = x q:
+
+    - X <= AB exactly when the chord residual (d - X)^3 - d^2 X, strictly
+      decreasing, is positive: (T - N)^3 > T^2 N;
+    - X <= BC exactly when y = X / d has y (y + 1)^2 <= 1, since
+      s = (1 - u)^2 solves s (s + 1)^2 = 1: N (N + T)^2 <= T^3.
+
+    u is irrational (f has no rational root), and so are AB and BC, so no
+    test is ever an equality and no value a tie: each full value is its
+    floor rounded half up, the exact root rounded half-even once.  AD is
+    the diameter rounded once and BD = AD - AB, the 1682 complement.
     """
     df = as_rational(d)
     if not df > 0:
         raise ValueError("diameter must be positive")
     w = ctx.work_digits
     p, q = df.numerator, df.denominator
-    grid = 10**w
-    hi = p * grid // q + 1
-    bits = _decimal_digits(hi) * 3322 // 1000 + 42
+    twice = 2 * p * 10**w
+    bits = _decimal_digits(twice // (2 * q) + 1) * 3322 // 1000 + 42
     u = _unit_ratio(bits)
-    twice = 2 * p * grid
-    at_u = twice * u  # 2 AB 10^w q S lies strictly between at_u -+ twice if u brackets
-    seed = (at_u // q) >> (bits + 1)
-    if _brackets_unit(u, bits):
-        below = (at_u - twice) // q >> bits
-        above = -((-at_u - twice) // q >> bits)
-    else:
-        below, above = -1, 2 * hi + 2
-
-    def sign(k: int) -> int:
-        """Sign of the chord residual at the half-grid point x = k / (2 10^w)."""
-        if k <= below:
-            return 1
-        if k >= above:
-            return -1
-        return _chord_sign(p, q, k, 2 * grid)
-
-    lo, exact, _ = certify_bracket(lambda g: sign(2 * g), seed, 0, hi, 1)
-    if not exact and sign(2 * lo + 1) > 0:
-        lo += 1
-
+    if not _brackets_unit(u, bits):
+        raise CertificationError(f"the ratio of AB to AD is not bracketed at {bits} bits")
+    at_u = twice * u
+    twice_v = (twice << bits) - at_u  # T V
+    twice_vv = twice_v * ((1 << bits) - u)
+    twice_ab = window_floor(at_u - twice, at_u + twice, q,
+                            lambda x: (twice - x * q) ** 3 > twice * twice * x * q, bits)
+    twice_bc = window_floor(twice_vv - 2 * twice_v + twice, twice_vv + 2 * twice_v + twice, q,
+                            lambda x: x * q * (x * q + twice) ** 2 <= twice**3, 2 * bits)
+    ab, bc = (twice_ab + 1) // 2, (twice_bc + 1) // 2
     ad = DecimalScalar.from_fraction(df, w)
-    bd = ad.unscaled - lo
-    bc = sqrt(DecimalScalar(lo * bd, 2 * w), w)
-    return ChordConfig(DecimalScalar(lo, w), bc, DecimalScalar(bd, w), ad)
+    return ChordConfig(DecimalScalar(ab, w), DecimalScalar(bc, w),
+                       DecimalScalar(ad.unscaled - ab, w), ad, (df, twice_ab, twice_bc))
 
 
 def chord_table(c: ChordConfig) -> PaperTable:
@@ -254,25 +248,30 @@ def chord_table(c: ChordConfig) -> PaperTable:
     return PaperTable("successive lines in the semicircle", tuple(rows))
 
 
-def chord_texts(full: ChordConfig, digits: int, diameter) -> dict[str, tuple[tuple, tuple]]:
+def chord_texts(full: ChordConfig, digits: int) -> dict[str, tuple[tuple, tuple]]:
     """Per chord, in table order, the text parts of its table value and of its full value.
 
-    The table values are ``full.table_values(digits, diameter)``, and each
-    value is converted to text once (:meth:`~DecimalScalar.text_parts`):
-    AB and BC at ``digits`` are the floors of their full values, so their
-    digits are a prefix of the full ones (padded with zeros past them), and
-    only AD and BD are converted apart.
+    The table values are ``full.table_values(digits)``, and each value is
+    converted to text once (:meth:`~DecimalScalar.text_parts`).  AB and BC
+    at ``digits`` floor the same f = floor(2 10^w x) that their full values
+    round half up, so their digits are the full value's first ``digits``
+    (padded with zeros past them), unless f is odd and the full value rounded
+    up onto a multiple of 10^(w - digits); only then, and for AD and BD, is
+    the table value converted apart.
     """
-    table = full.table_values(digits, diameter)
+    table = full.table_values(digits)
+    _, twice_ab, twice_bc = full.roots
     texts = {}
-    for label, shown, value in (("AD", table.ad, full.ad), ("AB", table.ab, full.ab),
-                                ("BC", table.bc, full.bc), ("BD", table.bd, full.bd)):
+    for label, shown, value, twice in (("AD", table.ad, full.ad, None),
+                                       ("AB", table.ab, full.ab, twice_ab),
+                                       ("BC", table.bc, full.bc, twice_bc),
+                                       ("BD", table.bd, full.bd, None)):
         parts = value.text_parts()
-        if label in ("AB", "BC"):
-            sign, whole, frac = parts
-            texts[label] = (sign, whole, frac[:digits].ljust(digits, "0")), parts
-        else:
+        sign, whole, frac = parts
+        if twice is None or twice % 2 and not frac[digits:].strip("0"):
             texts[label] = shown.text_parts(), parts
+        else:
+            texts[label] = (sign, whole, frac[:digits].ljust(digits, "0")), parts
     return texts
 
 

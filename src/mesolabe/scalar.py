@@ -137,9 +137,10 @@ class ValueRecord:
 class CertificationError(ArithmeticError):
     """A solver could not certify its root.
 
-    Raised by :func:`certify_bracket`, when the exact residual signs do not
-    bracket a root on the grid, and by :mod:`~mesolabe.delian` when the
-    window that brackets a mean is not narrower than a unit; a Euclid
+    Raised by :func:`window_floor` when a window is not narrower than a
+    unit, by :mod:`~mesolabe.proportio` when the bracket on its constant u
+    fails its check, and by :mod:`~mesolabe.delian` when the exact signs at
+    the ends of the arc parameter's cell do not bracket the root; a Euclid
     checker reports a failed claim as a non-zero residual or False instead.
     It is not a ``ValueError``, so the CLI reports it as a failed
     verification (exit 1), never as a usage error; it is raised explicitly,
@@ -147,50 +148,24 @@ class CertificationError(ArithmeticError):
     """
 
 
-def certify_bracket(
-    sign: Callable[[int], int], seed: int, lo: int, hi: int, want_low: int
-) -> tuple[int, bool, int]:
-    """Grid cell around the unique sign change of ``sign`` on ``[lo, hi]``.
+def window_floor(low: int, high: int, unit: int, at_or_below: Callable[[int], bool],
+                 shift: int = 0) -> int:
+    """floor(x) for a value x known to lie in [low/n, high/n), n = unit 2^shift
+    (unit > 0), a window narrower than a unit.
 
-    ``sign(g)`` is the exact sign of a residual at grid point ``g``: it is
-    ``want_low`` below the root and ``-want_low`` above it.  The search
-    gallops out from ``seed`` with doubling steps until the sign change is
-    bracketed, then bisects, so a seed in the right cell costs two signs and
-    a poor one costs only time.  Returns ``(g, exact, evaluations)`` with
-    ``sign(g) == 0`` if ``exact``, else ``sign(g) == want_low`` and
-    ``sign(g + 1) == -want_low``.  That postcondition is checked against
-    the evaluated signs, and it or a search reaching ``lo`` or ``hi``
-    without a sign change raises :class:`CertificationError`.
+    The floor is g = low // n, or g + 1 when g + 1 lies inside the window and
+    ``at_or_below(g + 1)``, an exact test of g + 1 <= x, says so; no other
+    test is made.  g is taken as (low >> shift) // unit, since
+    floor(floor(y) / N) = floor(y / N), so a power of two in n costs a shift
+    instead of a long division.  A window that is empty or not narrower than
+    a unit raises :class:`CertificationError`.
     """
-    signs: dict[int, int] = {}
-
-    def at(g: int) -> int:
-        if g not in signs:
-            signs[g] = sign(g)
-        return signs[g]
-
-    below = above = min(max(seed, lo), hi - 1)
-    step = 1
-    while at(below) == -want_low:
-        if below == lo:
-            raise CertificationError(f"no sign change down to grid point {lo}")
-        above, below, step = below, max(below - step, lo), 2 * step
-    while at(above) == want_low:
-        if above == hi:
-            raise CertificationError(f"no sign change up to grid point {hi}")
-        below, above, step = above, min(above + step, hi), 2 * step
-    while above - below > 1 and at(below) and at(above):
-        mid = (below + above) // 2
-        if at(mid) == want_low:
-            below = mid
-        else:
-            above = mid
-    for g in (below, above):
-        if at(g) == 0:
-            return g, True, len(signs)
-    if above != below + 1 or at(below) != want_low or at(above) != -want_low:
-        raise CertificationError(f"grid cell {below} does not bracket the root")
-    return below, False, len(signs)
+    if not 0 < high - low < unit << shift:
+        raise CertificationError("the window of a root is not narrower than a unit")
+    g = (low >> shift) // unit
+    if (g + 1) * unit << shift < high and at_or_below(g + 1):
+        g += 1
+    return g
 
 
 class PrecisionContext(ValueRecord):

@@ -152,6 +152,33 @@ def chord_lengths(d: Fraction, digits: int) -> tuple[Fraction, Fraction, Fractio
     return d * r**3, d * r**2, d * r
 
 
+def chord_digits(d: Fraction, power: int, digits: int) -> tuple[Fraction, Fraction]:
+    """(floor, nearest) of d r^power at ``digits`` fractional digits, r = BD/AD the
+    root of r^3 + r = 1: AB for power 3, BC for 2 and BD for 1.
+
+    r is bracketed by bisection on the sign of r^3 + r - 1 over a grid of
+    10^-n, with n grown until d r^power 10^digits at both ends of the bracket
+    has the same floor and the same nearest integer.  d r^power is
+    irrational for d > 0 (r is a cubic irrational, and so are r^2 and r^3),
+    so that happens, and the nearest integer is never a tie.
+    """
+    scale = 10**digits
+    n = digits + 10
+    while True:
+        grid = 10**n
+        lo, hi = 0, grid
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            if mid**3 + mid * grid * grid < grid**3:
+                lo = mid
+            else:
+                hi = mid
+        low, high = (d * Fraction(x, grid) ** power * scale for x in (lo, hi))
+        if math.floor(low) == math.floor(high) and round(low) == round(high):
+            return Fraction(math.floor(low), scale), Fraction(round(low), scale)
+        n *= 2
+
+
 def proportion_defect(terms) -> Fraction:
     """Largest defect of ``terms`` as a continued proportion x_0 : x_1 = x_1 : x_2 = ...
 
@@ -186,13 +213,11 @@ def in_continued_proportion(terms, digits: int) -> bool:
 
     - The four proportionals are each rounded once at w: c = 1/2, so every
       defect is at most 3.5 M u.
-    - The chords, in units u, with d the diameter, a the root of
-      (d - x)^3 = d^2 x, b = d - a and c* = sqrt(a b) = b^2 / d: AB and AD
-      are rounded once (error 1/2), BD = AD - AB (error 1) and BC is the
-      rounded root of AB BD, so |BC - c*| <= 1/2 + (a + b/2 + 1/2) / c*.
-      With a = 0.3177 d and c* = 0.4656 d that is at most 2 once c* is
-      6.25 units or more.  Below that AD is at most 13 units, and
-      :func:`small_chord_terms` lists every configuration there.
+    - The chords: AB, BC and AD are each their exact value rounded once
+      (error 1/2) and BD = AD - AB (error 1), so c = 1 and every defect is
+      at most 10 M u.  :func:`small_chord_terms` lists, for AD of a few
+      units, every configuration a diameter can print, to check the bound
+      where the terms are smallest.
     """
     return proportion_defect(terms) <= max(map(abs, terms)) / 10**digits
 
@@ -204,19 +229,22 @@ CHORD_RATIO = Fraction(317672196, 10**9)
 def small_chord_terms(units: int):
     """Every (AB, BC, BD, AD), in grid units, that a diameter rounding to ``units`` can print.
 
-    AD = ``units``, so the diameter lies within half a unit of it, and AB is
-    the rounding of a root a = 0.3177... d between the ratio (widened by
-    10^-8) times units -+ 1/2.  BD = AD - AB, and BC is the rounded square
-    root of AB BD, which is never a tie (n^2 + n + 1/4 is no integer).
+    AD = ``units``, so the diameter d lies within half a unit of it.  AB is
+    the rounding of u d and BC of (1 - u)^2 d, for u = 0.3177... the ratio
+    AB / AD, each taken between its factor (from the ratio widened by 10^-8)
+    times units -+ 1/2, and BD = AD - AB.  Every pair of the two ranges is
+    listed, so the list holds more configurations than a diameter prints.
     """
-    slack = Fraction(1, 10**8)
-    lo = math.ceil((CHORD_RATIO - slack) * (units - Fraction(1, 2)) - Fraction(1, 2))
-    hi = math.floor((CHORD_RATIO + slack) * (units + Fraction(1, 2)) + Fraction(1, 2))
-    for ab in range(max(lo, 0), hi + 1):
-        bd = units - ab
-        root = math.isqrt(ab * bd)
-        bc = root + (ab * bd > root * root + root)
-        yield ab, bc, bd, units
+    slack, half = Fraction(1, 10**8), Fraction(1, 2)
+
+    def rounded_range(low: Fraction, high: Fraction) -> range:
+        lo = math.ceil(low * (units - half) - half)
+        return range(max(lo, 0), math.floor(high * (units + half) + half) + 1)
+
+    low, high = CHORD_RATIO - slack, CHORD_RATIO + slack
+    for ab in rounded_range(low, high):
+        for bc in rounded_range((1 - high) ** 2, (1 - low) ** 2):
+            yield ab, bc, units - ab, units
 
 
 def _det3(m) -> Fraction:

@@ -275,10 +275,9 @@ class TestMeans:
         assert code == 0 and "\nm1 = 1.3\n" in text
 
     def test_certification_failure_is_one_line_exit_1(self, capsys, monkeypatch):
-        # a bracket that puts every grid point above the root: every sign is
-        # the compass's above-root sign, so certify_bracket finds no sign change
-        seed = delian._seed
-        monkeypatch.setattr(delian, "_seed", lambda c, z, w: (seed(c, z, w)[0], -1, -1))
+        # a bracket that puts every grid point above the root, t = 0 too: no grid
+        # point has the compass's below-root sign, so t's cell step finds no cell
+        monkeypatch.setattr(delian, "_seed", lambda c, z, w: (-1, -1))
         code = main(["means", "--a", "1", "--b", "2", "--method", "compass"])
         captured = capsys.readouterr()
         assert code == 1

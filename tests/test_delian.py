@@ -26,7 +26,6 @@ from mesolabe.scalar import (
     DecimalScalar,
     PrecisionContext,
     cbrt,
-    certify_bracket,
 )
 
 from oracles import _on_unit_circle, in_continued_proportion, newton_cbrt, rounded_cbrt
@@ -286,10 +285,10 @@ class TestDuplicateCube:
            st.integers(min_value=1, max_value=40), st.integers(min_value=5, max_value=14))
     def test_the_edge_is_the_root_rounded_once_without_the_instrument(self, edge, digits, guard):
         ctx = PrecisionContext(digits, guard)
-        with mock.patch.object(delian, "certify_bracket") as search, \
+        with mock.patch.object(delian, "_cell") as cell, \
                 mock.patch.object(delian, "_seed") as seed:
             full, shown = duplicate_cube(edge, ctx)
-        assert not search.called and not seed.called
+        assert not cell.called and not seed.called
         volume = 2 * edge**3
         assert full.as_fraction() == rounded_cbrt(volume, ctx.work_digits)
         assert shown.as_fraction() == rounded_cbrt(volume, digits)
@@ -324,17 +323,18 @@ class TestCertifiedCell:
     @settings(max_examples=40, deadline=None)
     @given(ordered_pairs, st.integers(min_value=1, max_value=30), st.randoms(use_true_random=False))
     def test_cell_does_not_depend_on_the_seed(self, pair, digits, rng):
+        # a search on the cube defect's signs alone finds the solver's cell from any seed
         a, b = pair
-        grid = 10**digits
+        ctx = PrecisionContext(digits)
+        grid = 10**ctx.work_digits
 
         def sign(g):
             return _sign(_cube_defect(a, b, F(g, grid)))
 
-        cells = {
-            certify_bracket(sign, seed, 0, grid, 1)[:2]
-            for seed in (0, grid - 1, rng.randrange(grid))
-        }
-        assert len(cells) == 1
+        t = two_means_instrument(a, b, ctx).theta_param
+        cell = (math.floor(t * grid), (t * grid).denominator == 1)
+        for seed in (0, grid - 1, rng.randrange(grid)):
+            assert _search(sign, seed, 0, grid, 1)[:2] == cell
 
     def test_exact_grid_root_is_hit(self):
         # 27 : 45 : 75 : 125, so k = 3/5 and t = 1/2 lies on the grid
@@ -362,21 +362,39 @@ def _floor_scaled_cbrt(ratio: Fraction, s: int) -> int:
     return c
 
 
-def _sign_function(solve, a, b, ctx):
-    """(sign, seed, want_low) that ``solve`` hands to certify_bracket."""
-    seen = []
+def _search(sign, seed: int, lo: int, hi: int, want_low: int) -> tuple[int, bool, int]:
+    """(g, exact, signs evaluated): the cell of the one sign change of ``sign`` on [lo, hi].
 
-    def spy(sign, seed, lo, hi, want_low):
-        seen.append((sign, seed, want_low))
-        return certify_bracket(sign, seed, lo, hi, want_low)
-    with mock.patch.object(delian, "certify_bracket", spy):
-        solve(a, b, ctx)
-    (found,) = seen
-    return found
+    A reference independent of the solver's cell step: it gallops out from
+    ``seed`` with doubling steps until the change is bracketed, then bisects,
+    so a seed in the right cell costs two signs, or one on an exact hit.
+    """
+    signs: dict[int, int] = {}
+
+    def at(g: int) -> int:
+        if g not in signs:
+            signs[g] = sign(g)
+        return signs[g]
+
+    below = above = min(max(seed, lo), hi - 1)
+    step = 1
+    while at(below) == -want_low and below > lo:
+        above, below, step = below, max(below - step, lo), 2 * step
+    while at(above) == want_low and above < hi:
+        below, above, step = above, min(above + step, hi), 2 * step
+    while above - below > 1 and at(below) and at(above):
+        mid = (below + above) // 2
+        below, above = (mid, above) if at(mid) == want_low else (below, mid)
+    exact = [g for g in (below, above) if at(g) == 0]
+    assert exact or (above == below + 1 and at(below) == want_low == -at(above))
+    return (exact[0], True, len(signs)) if exact else (below, False, len(signs))
 
 
 def _residual_only(a, b, ctx, method):
-    """(t, iterations) certified with the residual at every sign."""
+    """(t, iterations) certified with the residual at every sign, by :func:`_search`
+    from the seed's index isqrt(high) = floor(s t) // 10^(5 + z) at the s of the bracket."""
+    if a == b:
+        return F(0), 0
     w = ctx.work_digits
     grid = 10**w
 
@@ -388,8 +406,8 @@ def _residual_only(a, b, ctx, method):
                      else state.residual_compass())
     want_low = 1 if method == "instrument" else -1
     c, z, e = delian._root(a, b, w)
-    seed = delian._seed(c // 10**e, z, w)[0]
-    g, exact, evaluations = certify_bracket(sign, seed, 0, grid, want_low)
+    seed = math.isqrt(delian._seed(c // 10**e, z, w)[1])
+    g, exact, evaluations = _search(sign, seed, 0, grid, want_low)
     return (F(g, grid) if exact else F(2 * g + 1, 2 * grid)), evaluations
 
 
@@ -434,7 +452,7 @@ class TestSeedBracket:
             return F(s * s * (s - u), s + u)
         big_c, root_z, e = delian._root(a, b, w)
         assert (big_c // 10**e, root_z) == (c, z)
-        _, low, high = delian._seed(c, z, w)
+        low, high = delian._seed(c, z, w)
         assert low * unit <= x_at(c + 1) and x_at(c) < (high + 1) * unit
 
     @settings(max_examples=60, deadline=None)
@@ -442,14 +460,25 @@ class TestSeedBracket:
            st.randoms(use_true_random=False))
     @example((F(27), F(125)), 10, random.Random(0))  # the seed lands on the root t = 1/2
     def test_every_sign_is_the_residual_sign(self, pair, digits, rng):
+        # a grid point with g^2 <= low lies below the root and one with g^2 > high
+        # above it, by the cube defect's exact sign; at most one lies in between
         a, b = pair
-        ctx = PrecisionContext(digits)
-        grid = 10**ctx.work_digits
-        for solve in (two_means_instrument, two_means_compass):
-            sign, seed, want_low = _sign_function(solve, a, b, ctx)
-            points = {0, grid - 1, rng.randrange(grid + 1), *range(seed - 50, seed + 51)}
-            for g in sorted(g for g in points if 0 <= g <= grid):
-                assert sign(g) == want_low * _sign(_cube_defect(a, b, F(g, grid)))
+        w = PrecisionContext(digits).work_digits
+        grid = 10**w
+        c, z, e = delian._root(a, b, w)
+        low, high = delian._seed(c // 10**e, z, w)
+        seed = math.isqrt(high)
+        points = {0, grid - 1, rng.randrange(grid + 1), *range(seed - 50, seed + 51)}
+        open_points = 0
+        for g in sorted(g for g in points if 0 <= g <= grid):
+            defect = _sign(_cube_defect(a, b, F(g, grid)))
+            if g * g <= low:
+                assert defect == 1
+            elif g * g > high:
+                assert defect == -1
+            else:
+                open_points += 1
+        assert open_points <= 1
 
     # arc parameters on the grid: k = 3/5 gives t = 1/2, and k = 12/13 gives t = 1/5
     @pytest.mark.parametrize("pair", [(F(27), F(125)), (F(1728), F(2197))])
@@ -478,6 +507,47 @@ class TestSeedBracket:
             assert result.iterations == 2
             assert (result.theta_param, result.iterations) == _residual_only(a, b, ctx, method)
             assert (result.m1, result.m1_shown, result.m2, result.m2_shown) == _means_of(a, b, ctx)
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.one_of(
+        ordered_pairs,
+        # arc parameters on the grid: t = 1/2, 1/5 and 1/4
+        st.tuples(st.sampled_from([(27, 125), (1728, 2197), (3375, 4913)]), decimal_values()).map(
+            lambda p: (p[1] * p[0][0], p[1] * p[0][1])),
+        # b = a (1 + 10^-k) and a = b (1 - 10^-k), to the cap of 2w and past it
+        st.tuples(decimal_values(), st.integers(min_value=1, max_value=200), st.booleans()).map(
+            lambda p: (p[0], p[0] * (1 + F(1, 10 ** p[1]))) if p[2]
+            else (p[0] * (1 - F(1, 10 ** p[1])), p[0])),
+        decimal_values().map(lambda a: (a, a)),
+    ), st.integers(min_value=1, max_value=60), st.integers(min_value=5, max_value=14))
+    @example((F(27), F(125)), 10, 10)
+    @example((F(1728), F(2197)), 1, 5)
+    @example((F(1), 1 + F(1, 10**60)), 20, 10)  # z at its cap 2w = 60
+    @example((1 - F(1, 10**200), F(1)), 1, 5)  # past the cap
+    @example((F(1, 10**12), F(10**12)), 20, 10)  # t within 10^-8 of 1
+    @example((F(3), F(3)), 20, 10)
+    def test_t_and_iterations_are_the_residual_only_search(self, pair, digits, guard):
+        a, b = pair
+        ctx = PrecisionContext(digits, guard)
+        for solve, method in ((two_means_instrument, "instrument"),
+                              (two_means_compass, "compass")):
+            result = solve(a, b, ctx)
+            assert (result.theta_param, result.iterations) == _residual_only(a, b, ctx, method)
+
+    def test_a_lying_residual_is_refused(self):
+        # the cell's two ends are checked against their signs, decided or evaluated;
+        # with (low, high) = (99, 100), 10 is the one grid point the bracket leaves open
+        assert delian._cell(99, 100, 100, lambda g: 0, 1) == (10, True)
+        assert delian._cell(99, 100, 100, lambda g: 1, 1) == (10, False)
+        assert delian._cell(99, 100, 100, lambda g: -1, 1) == (9, False)
+        with pytest.raises(CertificationError, match="do not bracket"):
+            delian._cell(99, 100, 100, lambda g: 2, 1)
+        with pytest.raises(CertificationError, match="do not bracket"):
+            delian._cell(80, 130, 100, lambda g: 1, 1)  # 9 and 10 open, 9 below the root
+        with pytest.raises(CertificationError, match="below the root"):
+            delian._cell(-1, -1, 100, lambda g: 1, 1)  # every grid point above the root
+        with pytest.raises(CertificationError, match="below the root"):
+            delian._cell(-1, 0, 100, lambda g: -1, 1)  # t = 0 above the root
 
     def test_a_root_off_the_grid_needs_no_residual(self):
         ctx = PrecisionContext(300)
@@ -542,7 +612,7 @@ class TestSingleCertification:
                 return original(*args, **kwargs)
             monkeypatch.setattr(owner, name, wrapper)
 
-        for name in ("_seed", "_result", "certify_bracket"):
+        for name in ("_seed", "_result", "_cell"):
             counted(delian, name)
         counted(cli, "_means_payload")
         counted(InstrumentState, "residual_compass")
@@ -553,7 +623,7 @@ class TestSingleCertification:
         iterations = {int(line.split(": ")[1]) for line in out.getvalue().splitlines()
                       if line.startswith("iterations: ")}
         assert len(iterations) == 1
-        assert calls["_seed"] == calls["certify_bracket"] == calls["_result"] == 1
+        assert calls["_seed"] == calls["_cell"] == calls["_result"] == 1
         assert calls["_means_payload"] == 1
         assert calls["residual_compass"] == 0
         assert iterations.pop() >= 2
@@ -571,21 +641,24 @@ class TestSingleCertification:
     @settings(max_examples=200, deadline=None)
     @given(st.lists(st.sampled_from([-1, 0, 1]), min_size=2, max_size=40), st.data())
     def test_negated_signs_visit_the_same_cells(self, signs, data):
-        lo = data.draw(st.integers(0, len(signs) - 2))
-        hi = data.draw(st.integers(lo + 1, len(signs) - 1))
-        seed = data.draw(st.integers(-1, len(signs)))
+        # any bracket and any signs, lying ones too: the cell step visits the same
+        # grid points and returns or refuses the same cell with the signs negated
+        grid = len(signs)
+        low = data.draw(st.integers(-2, grid * grid))
+        high = data.draw(st.integers(low, grid * grid + 2))
         want_low = data.draw(st.sampled_from([-1, 1]))
 
-        def search(flip):
+        def cell(flip):
             visited = []
 
             def sign(g):
                 visited.append(g)
                 return flip * signs[g]
             try:
-                outcome = certify_bracket(sign, seed, lo, hi, flip * want_low)
+                outcome = delian._cell(low, high, grid, sign, flip * want_low)
             except CertificationError as exc:
                 outcome = str(exc)
             return outcome, visited
 
-        assert search(1) == search(-1)
+        assert cell(1) == cell(-1)
+        assert len(cell(1)[1]) <= 1

@@ -9,8 +9,10 @@ and the printed digits must be its half-even rounding.  Some operands are drawn
 at or beside rounding midpoints, where a value rounded twice goes wrong.
 
 A second seeded slice calls ``solve-chords``.  AB is the irrational root of
-(d - x)^3 = d^2 x, so its digits are checked by exact signs of that cubic,
-and BC against the exact BD^2 / AD = (d - AB)^2 / d it implies.
+(d - x)^3 = d^2 x, so its digits are checked by exact signs of that cubic:
+at ``--digits`` the floor, and at the work digits the root rounded once.  BC
+is d r^2 for r = BD/AD, the root of r^3 + r = 1, and ``oracles.chord_digits``
+brackets r to check its floor and its full value rounded once.
 
 A third calls ``means`` and ``duplicate-cube``.  The means are cbrt(a^2 b)
 and cbrt(a b^2), and the doubled edge cbrt(2 e^3), so exact cubes at the
@@ -28,7 +30,7 @@ import pytest
 
 from mesolabe.cli import main
 
-from oracles import rounded, rounded_cbrt, rounded_sqrt
+from oracles import chord_digits, rounded, rounded_cbrt, rounded_sqrt
 
 SEED = 1682
 CALLS = 50
@@ -183,9 +185,21 @@ DOUBLE_ROUNDED_AD = (
 )
 
 
+#: Chord calls whose values a root rounded at the work digits misprinted: AB =
+#: 0.09999975... printed 0 1 (its full value 0.100000 floored), and BD 0 2; and a
+#: full BC one work unit high (...4840074... printed ...484008) and one low
+#: (...029369503... printed ...029369), as the root of AB BD rounded.
+MISROUNDED_CHORDS = (
+    ["solve-chords", "--diameter", "0.31478911659571980921", "--digits", "1", "--guard", "5",
+     "--json"],
+    ["solve-chords", "--diameter", "279268.774747711", "--digits", "1", "--guard", "8", "--json"],
+    ["solve-chords", "--diameter", "34036.903816624", "--digits", "9", "--guard", "7", "--json"],
+)
+
+
 def _chord_params():
     calls = _chord_calls()
-    return calls + [argv for argv in DOUBLE_ROUNDED_AD if argv not in calls]
+    return calls + [argv for argv in DOUBLE_ROUNDED_AD + MISROUNDED_CHORDS if argv not in calls]
 
 
 def _cubic(d: Fraction, x: Fraction) -> Fraction:
@@ -207,17 +221,15 @@ def test_printed_chords_match_the_cubic(argv):
     value = {label: Fraction(chord["value"]) for label, chord in chords.items()}
     assert all(len(chord["value"].partition(".")[2]) == digits for chord in chords.values())
     assert value["AD"] == rounded(d, digits)
-    # the full AB lies within half a work unit of the root
+    # the full AB lies within half a work unit of the root, and the printed AB
+    # is the root's floor at the digits, by the cubic's exact signs
     ab = Fraction(chords["AB"]["full"])
-    lo, hi = ab - half_work, ab + half_work
-    assert _cubic(d, lo) > 0 > _cubic(d, hi)
-    # the printed AB is the root's floor at the digits, or one unit above it,
-    # as a root rounded at the work digits and then truncated can be
-    assert _cubic(d, value["AB"] - unit) > 0 > _cubic(d, value["AB"] + unit)
+    assert _cubic(d, ab - half_work) > 0 > _cubic(d, ab + half_work)
+    assert _cubic(d, value["AB"]) > 0 > _cubic(d, value["AB"] + unit)
     assert value["BD"] == value["AD"] - value["AB"]
-    # BC = sqrt(AB BD) = BD^2 / AD, which falls as the root rises
-    bc_low, bc_high = (d - hi) ** 2 / d, (d - lo) ** 2 / d
-    assert value["BC"] - unit < bc_low and bc_high < value["BC"] + unit
+    # BC = d r^2: the printed value is its floor and the full value it rounded once
+    assert value["BC"] == chord_digits(d, 2, digits)[0]
+    assert Fraction(chords["BC"]["full"]) == chord_digits(d, 2, digits + guard)[1]
 
 
 def _cube_calls() -> list[list[str]]:

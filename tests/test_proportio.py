@@ -1,4 +1,3 @@
-import math
 from fractions import Fraction
 
 import pytest
@@ -18,10 +17,11 @@ from mesolabe.proportio import (
     sphere_construction,
     true_product_rows,
 )
+from mesolabe.cli import main
 from mesolabe.scalar import (
+    CertificationError,
     DecimalScalar,
     PrecisionContext,
-    certify_bracket,
     sqrt,
 )
 
@@ -31,6 +31,7 @@ from oracles import (
     _dot,
     _on_unit_circle,
     _sub,
+    chord_digits,
     chord_lengths,
     in_continued_proportion,
     proportion_defect,
@@ -77,27 +78,25 @@ class TestChordSolver:
         st.integers(min_value=1, max_value=30),
         st.integers(min_value=1, max_value=60),
     )
+    @example(31478911659571980921, 20, 1, 1)  # AB = 0.09999975..., its full value 0.100000
     def test_table_values_floor_the_roots(self, unscaled, scale, digits, table_digits):
-        # table digits below, at and above the 6 to 35 work digits
-        full = solve_continued_chords(DecimalScalar(unscaled, scale), PrecisionContext(digits, 5))
-        t = full.table_values(table_digits)
-        unit = 10**table_digits
-        assert all(v.scale == table_digits for v in t.terms())
-        for floored, value in ((t.ab, full.ab), (t.bc, full.bc)):
-            assert floored.as_fraction() == F(math.floor(value.as_fraction() * unit), unit)
-        assert t.ad.as_fraction() == rounded(full.ad.as_fraction(), table_digits)
-        assert t.bd.as_fraction() == t.ad.as_fraction() - t.ab.as_fraction()
-        # with the diameter, AD is it rounded once, and the rest is unchanged
+        # table digits below, at and above the 6 to 35 work digits: AB and BC are
+        # the exact roots floored, at most at the work digits and padded past them
         d = DecimalScalar(unscaled, scale)
-        once = full.table_values(table_digits, d)
-        assert (once.ab, once.bc) == (t.ab, t.bc)
-        assert once.ad.as_fraction() == rounded(d.as_fraction(), table_digits)
-        assert once.bd.as_fraction() == once.ad.as_fraction() - once.ab.as_fraction()
+        full = solve_continued_chords(d, PrecisionContext(digits, 5))
+        w, df = full.ab.scale, d.as_fraction()
+        t = full.table_values(table_digits)
+        kept = min(table_digits, w)
+        assert all(v.scale == table_digits for v in t.terms())
+        for floored, power in ((t.ab, 3), (t.bc, 2)):
+            assert floored.as_fraction() == chord_digits(df, power, kept)[0]
+        assert t.ad.as_fraction() == rounded(df, table_digits)
+        assert t.bd.as_fraction() == t.ad.as_fraction() - t.ab.as_fraction()
         # chord_texts converts them once: the table's and the full values' texts
-        texts = proportio.chord_texts(full, table_digits, d)
+        texts = proportio.chord_texts(full, table_digits)
         assert list(texts) == ["AD", "AB", "BC", "BD"]
-        for label, shown, value in (("AD", once.ad, full.ad), ("AB", once.ab, full.ab),
-                                    ("BC", once.bc, full.bc), ("BD", once.bd, full.bd)):
+        for label, shown, value in (("AD", t.ad, full.ad), ("AB", t.ab, full.ab),
+                                    ("BC", t.bc, full.bc), ("BD", t.bd, full.bd)):
             assert texts[label] == (shown.text_parts(), value.text_parts())
 
     def test_complement_is_exact(self, solved):
@@ -175,18 +174,12 @@ class TestChordSolver:
 
     @pytest.mark.parametrize("digits", [300, 1000])
     def test_sign_evaluations_per_solve_are_few(self, digits, monkeypatch):
-        counts = []
-
-        def counted(*args):
-            cell, exact, evaluations = certify_bracket(*args)
-            counts.append(evaluations)
-            return cell, exact, evaluations
-
-        monkeypatch.setattr(proportio, "certify_bracket", counted)
+        # two windows per solve, AB's and BC's, and at most one exact test each
+        windows, tests = _counted_windows(monkeypatch)
         for d in ("2", "7.31", "19.999", "0.001"):
             solve_continued_chords(D(d), PrecisionContext(digits))
-        assert len(counts) == 4
-        assert all(1 <= n <= 8 for n in counts)
+        assert len(windows) == 8
+        assert len(tests) <= 8
 
 
 
@@ -197,22 +190,45 @@ def _unit_f(v: int, bits: int) -> int:
 
 
 def _chords_by_cubic_signs(d: DecimalScalar, ctx: PrecisionContext) -> ChordConfig:
-    """The solver's configuration, with AB bisected on signs of the chord cubic alone."""
+    """The solver's configuration, with floor(2 10^w AB) and floor(2 10^w BC) bisected
+    on exact signs alone: the chord cubic for AB, and for BC = (d - AB)^2 / d the
+    test X (X + d)^2 <= d^3 of X <= BC."""
     df = d.as_fraction()
     p, q, w = df.numerator, df.denominator, ctx.work_digits
-    grid = 10**w
+    m = 2 * 10**w  # x/m = X on the half-grid
 
-    def positive(n: int, m: int) -> bool:  # (d - x)^3 > d^2 x at x = n/m: x below AB
-        return (p * m - n * q) ** 3 > p * p * q * m * m * n
+    def below_ab(x: int) -> bool:  # (d - X)^3 > d^2 X: X below AB
+        return (p * m - x * q) ** 3 > p * p * q * m * m * x
 
-    lo, hi = 0, p * grid // q + 1  # x = 0 lies below AB, x > d above it
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        lo, hi = (mid, hi) if positive(mid, grid) else (lo, mid)
-    lo += positive(2 * lo + 1, 2 * grid)
+    def below_bc(x: int) -> bool:  # X (X + d)^2 <= d^3, cleared of m and q
+        return x * q * (x * q + p * m) ** 2 <= (p * m) ** 3
+
+    def floor(below) -> int:
+        lo, hi = 0, p * m // q + 1  # X = 0 lies below AB and BC, X > d above them
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            lo, hi = (mid, hi) if below(mid) else (lo, mid)
+        return lo
+
+    twice_ab, twice_bc = floor(below_ab), floor(below_bc)
+    ab, bc = (twice_ab + 1) // 2, (twice_bc + 1) // 2
     ad = DecimalScalar.from_fraction(df, w)
-    bc = sqrt(DecimalScalar(lo * (ad.unscaled - lo), 2 * w), w)
-    return ChordConfig(DecimalScalar(lo, w), bc, DecimalScalar(ad.unscaled - lo, w), ad)
+    return ChordConfig(DecimalScalar(ab, w), DecimalScalar(bc, w),
+                       DecimalScalar(ad.unscaled - ab, w), ad, (df, twice_ab, twice_bc))
+
+
+def _counted_windows(monkeypatch):
+    """Lists of the windows ``proportio.window_floor`` takes and of the exact tests it
+    makes, each test as (the index of its window, the integer tested)."""
+    windows, tests = [], []
+    real = proportio.window_floor
+
+    def counted(low, high, unit, at_or_below, shift=0):
+        windows.append((low, high, unit, shift))
+        k = len(windows) - 1
+        return real(low, high, unit, lambda g: tests.append((k, g)) or at_or_below(g), shift)
+    monkeypatch.setattr(proportio, "window_floor", counted)
+    return windows, tests
 
 
 def _diameter(unscaled: int, exponent: int) -> DecimalScalar:
@@ -237,17 +253,21 @@ BESIDE_A_CELL_EDGE = (
 )
 
 
-def _beside_an_edge(digits: int, guard: int, size: F, half: bool, side: int) -> str:
-    """A diameter near ``size`` whose AB lies 10^-25 grid units to ``side`` of an edge.
+def _beside_an_edge(digits: int, guard: int, size: F, half: bool, side: int,
+                    chord: int = 0) -> str:
+    """A diameter near ``size`` whose AB (``chord`` 0) or BC (``chord`` 1) lies
+    10^-25 grid units to ``side`` of an edge.
 
     The edge is the grid point (or, with ``half``, the midpoint above it)
-    nearest to size u 10^w; d = (edge + side 10^-25) / (u 10^w), to 45 digits
-    past the work digits, with u from the oracle's ratio-form bisection.
+    nearest to size c 10^w, for c = u = AB / AD or c = (1 - u)^2 = BC / AD;
+    d = (edge + side 10^-25) / (c 10^w), to 45 digits past the work digits,
+    with c from the oracle's ratio-form bisection.
     """
     w = digits + guard
-    u = chord_lengths(F(1), w + 90)[0]
-    edge = round(size * CHORD_RATIO * 10**w) + F(half, 2)
-    unscaled = round((edge + F(side, 10**25)) / (u * 10**w) * 10 ** (w + 45))
+    c = chord_lengths(F(1), w + 90)[chord]
+    ratio = (CHORD_RATIO, (1 - CHORD_RATIO) ** 2)[chord]
+    edge = round(size * ratio * 10**w) + F(half, 2)
+    unscaled = round((edge + F(side, 10**25)) / (c * 10**w) * 10 ** (w + 45))
     return str(DecimalScalar(unscaled, w + 45))
 
 
@@ -255,6 +275,12 @@ def _beside_an_edge(digits: int, guard: int, size: F, half: bool, side: int) -> 
 #: AB, at four precisions and diameters from 10^-29 to 10^44.
 BESIDE_AN_EDGE = tuple(
     (_beside_an_edge(digits, guard, size, half, side), digits, guard)
+    for digits, guard, size in ((1, 5, F(7)), (20, 10, F(2)), (5, 10, F(10**44)),
+                                (40, 5, F(3, 10**29)))
+    for half in (False, True) for side in (-1, 1))
+#: The same for BC, whose window then holds the edge, so its exact test runs.
+BC_BESIDE_AN_EDGE = tuple(
+    (_beside_an_edge(digits, guard, size, half, side, 1), digits, guard)
     for digits, guard, size in ((1, 5, F(7)), (20, 10, F(2)), (5, 10, F(10**44)),
                                 (40, 5, F(3, 10**29)))
     for half in (False, True) for side in (-1, 1))
@@ -328,44 +354,61 @@ class TestUnitBracket:
         edge = F(round(2 * chord_lengths(df, ctx.work_digits + 65)[0] * grid), 2)
         assert _cubic(df, (edge - near) / grid) > 0 > _cubic(df, (edge + near) / grid)
         expected = _chords_by_cubic_signs(d, ctx)
-        calls = []
-        real = proportio._chord_sign
-        monkeypatch.setattr(proportio, "_chord_sign", lambda *a: calls.append(a) or real(*a))
+        windows, tests = _counted_windows(monkeypatch)
         assert solve_continued_chords(d, ctx) == expected
-        assert calls
+        assert [k for k, _ in tests] == [0]  # AB's window holds the edge
         # U is mostly just above u 2^B; U - 1 then brackets u too, from below, and
-        # U + 1 fails the check: every U the check lets through must serve
+        # U + 1 fails the check: every U the check lets through must serve, and
+        # one it refuses raises
         unit_ratio = proportio._unit_ratio
         for off in (-1, 1):
-            monkeypatch.setattr(proportio, "_unit_ratio", lambda bits: unit_ratio(bits) + off)
-            assert solve_continued_chords(d, ctx) == expected
+            given = []  # (bits, U) per call, the solver's own call last
+
+            def shifted(bits):
+                given.append((bits, unit_ratio(bits) + off))
+                return given[-1][1]
+            monkeypatch.setattr(proportio, "_unit_ratio", shifted)
+            try:
+                assert solve_continued_chords(d, ctx) == expected
+            except CertificationError:
+                bits, u = given[-1]
+                assert not proportio._brackets_unit(u, bits)
+
+    @pytest.mark.parametrize("diameter, digits, guard", BC_BESIDE_AN_EDGE)
+    def test_a_bc_beside_a_cell_edge_runs_its_test(self, diameter, digits, guard, monkeypatch):
+        d, ctx = D(diameter), PrecisionContext(digits, guard)
+        df, grid, near = d.as_fraction(), 10 ** ctx.work_digits, F(1, 10**20)
+        # BC within 10^-20 of the edge, by the signs of X (X + d)^2 - d^3, rising in X
+        edge = F(round(2 * chord_lengths(df, ctx.work_digits + 65)[1] * grid), 2)
+        low, high = (edge - near) / grid, (edge + near) / grid
+        assert low * (low + df) ** 2 < df**3 < high * (high + df) ** 2
+        windows, tests = _counted_windows(monkeypatch)
+        assert solve_continued_chords(d, ctx) == _chords_by_cubic_signs(d, ctx)
+        assert [k for k, _ in tests] == [1]  # BC's window holds the edge, AB's does not
 
     @pytest.mark.parametrize("off", [-2, 2, 10**6])
     @pytest.mark.parametrize("diameter, digits", [("2", 20), ("7.31", 300), ("0.001", 5)])
-    def test_a_failed_bracket_leaves_every_sign_to_the_cubic(self, diameter, digits, off,
-                                                            monkeypatch):
-        d, ctx = D(diameter), PrecisionContext(digits)
-        expected = solve_continued_chords(d, ctx)
+    def test_a_failed_bracket_raises(self, diameter, digits, off, monkeypatch, capsys):
+        # a U two units or more off u 2^B fails its check: no chord is printed,
+        # and the CLI reports a failed certification in one line, exit 1
         real = proportio._unit_ratio
         monkeypatch.setattr(proportio, "_unit_ratio", lambda bits: real(bits) + off)
-        calls, signs = [], []
-        real_sign, real_certify = proportio._chord_sign, proportio.certify_bracket
-        monkeypatch.setattr(proportio, "_chord_sign", lambda *a: calls.append(a) or real_sign(*a))
-
-        def counted(*args):
-            result = real_certify(*args)
-            signs.append(result[2])
-            return result
-
-        monkeypatch.setattr(proportio, "certify_bracket", counted)
-        assert solve_continued_chords(d, ctx) == expected
-        assert len(calls) == signs[0] + 1  # every grid point of the search, then the midpoint
+        windows, _ = _counted_windows(monkeypatch)
+        with pytest.raises(CertificationError, match="not bracketed"):
+            solve_continued_chords(D(diameter), PrecisionContext(digits))
+        assert not windows
+        assert main(["solve-chords", "--diameter", diameter, "--digits", str(digits)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
 
     @pytest.mark.parametrize("digits", [20, 300, 1000])
     def test_the_bracket_decides_ordinary_signs(self, digits, monkeypatch):
-        monkeypatch.setattr(proportio, "_chord_sign", None)  # a call would raise
+        # two windows per solve and no exact test
+        windows, tests = _counted_windows(monkeypatch)
         for d in ("2", "7.31", "19.999", "0.001", "1" + "0" * 40):
             solve_continued_chords(D(d), PrecisionContext(digits))
+        assert len(windows) == 10 and not tests
 
 
 class TestPaperTable:
@@ -633,15 +676,12 @@ class TestContinuedProportionRule:
         assert max(map(abs, terms)) == largest
         assert not in_continued_proportion(terms, digits)
 
-    def test_chord_terms_stay_within_two_units_from_6_25_units(self):
-        # |BC - c*| <= 1/2 + (a + b/2 + 1/2) / c*, with a = u d, b = (1 - u) d
-        # and c* = (1 - u)^2 d; the ratio's 9 digits are widened by 10^-8
-        for u in (CHORD_RATIO - F(1, 10**8), CHORD_RATIO + F(1, 10**8)):
-            c_star = F(25, 4)
-            d = c_star / (1 - u) ** 2
-            assert F(1, 2) + (u * d + (1 - u) * d / 2 + F(1, 2)) / c_star <= 2
-            assert d < F(27, 2)  # so below c* = 6.25 units AD is at most 13 units
-        assert abs((1 - CHORD_RATIO) ** 3 - CHORD_RATIO) < F(1, 10**9)
+    def test_chord_ratio_brackets_the_root(self):
+        # small_chord_terms widens the ratio by 10^-8 on each side: u lies
+        # inside, by the signs of the increasing x^3 - 3x^2 + 4x - 1
+        def f(x):
+            return x**3 - 3 * x * x + 4 * x - 1
+        assert f(CHORD_RATIO - F(1, 10**8)) < 0 < f(CHORD_RATIO + F(1, 10**8))
 
     @pytest.mark.parametrize("units", range(15))
     def test_small_chord_configurations_keep_the_bound(self, units):

@@ -20,10 +20,10 @@ from mesolabe.scalar import (
     _half_even_div,
     _icbrt,
     cbrt,
-    certify_bracket,
     format_grouped,
     round_to,
     sqrt,
+    window_floor,
 )
 
 from oracles import long_multiply, newton_sqrt, rounded_cbrt, rounded_sqrt
@@ -155,38 +155,76 @@ class TestGroupedFormat:
         assert parse_grouped(format_grouped(value)) == value
 
 
-#: Sign functions that break the contract of certify_bracket on [0, 100].
+#: (low, high, unit) windows that break the contract of window_floor.
 LIARS = {
-    "never changes sign": lambda g: 1,
-    "always past the root": lambda g: -1,
-    "changes sign only below the seed": lambda g: 1 if g < 30 or g >= 60 else -1,
-    "answers outside -1, 0, 1": lambda g: 2,
+    "a unit wide": (40, 50, 10),
+    "wider than a unit": (0, 25, 10),
+    "empty": (42, 42, 10),
+    "inverted": (47, 43, 10),
 }
 
 
-class TestCertifyBracket:
-    def test_finds_the_cell_from_any_seed(self):
-        for seed in (0, 41, 42, 43, 99, -5, 500):
-            assert certify_bracket(lambda g: (g < 42) - (g > 42), seed, 0, 100, 1)[:2] == (42, True)
-            assert certify_bracket(lambda g: 1 if 2 * g < 85 else -1, seed, 0, 100, 1)[:2] == (42, False)
-            assert certify_bracket(lambda g: -1 if 2 * g < 85 else 1, seed, 0, 100, -1)[:2] == (42, False)
+def _below(n: int, m: int):
+    """The exact test of window_floor for x = n/m, counting its calls."""
+    calls = []
 
-    def test_good_seed_costs_two_signs(self):
-        assert certify_bracket(lambda g: 1 if 2 * g < 85 else -1, 42, 0, 100, 1) == (42, False, 2)
+    def at_or_below(g: int) -> bool:
+        calls.append(g)
+        return g * m <= n
+    return at_or_below, calls
+
+
+class TestWindowFloor:
+    @settings(max_examples=200)
+    @given(st.integers(min_value=-10**6, max_value=10**6), st.integers(min_value=1, max_value=50),
+           st.integers(min_value=2, max_value=10**4), st.sampled_from([0, 1, 5]), st.data())
+    @example(85, 2, 10, 0, None)  # x = 42.5
+    @example(84, 2, 10, 0, None)  # x = 42, an integer: the window's lower end or inside it
+    @example(85, 2, 3, 2, None)  # the unit 12 as 3 shifted by 2
+    def test_finds_the_floor_anywhere_in_the_window(self, n, m, unit, shift, data):
+        # every window [low/u, high/u), u = unit 2^shift, narrower than a unit that
+        # holds x = n/m gives floor(x), with one exact test at most, made only on an
+        # integer inside it
+        x, whole = Fraction(n, m), unit << shift
+        top = math.floor(x * whole)  # low/u <= x < high/u for low <= top < high
+        if data is None:
+            windows = [(top - k, top + j) for k in range(whole) for j in range(1, whole - k)]
+        else:
+            low = data.draw(st.integers(min_value=top - whole + 2, max_value=top))
+            windows = [(low, data.draw(st.integers(min_value=top + 1, max_value=low + whole - 1)))]
+        for low, high in windows:
+            assert Fraction(low, whole) <= x < Fraction(high, whole)
+            at_or_below, calls = _below(n, m)
+            assert window_floor(low, high, unit, at_or_below, shift) == math.floor(x)
+            inside = [g for g in range(low // whole, high // whole + 2)
+                      if Fraction(low, whole) < g < Fraction(high, whole)]
+            assert calls == inside
+
+    def test_a_window_without_an_integer_makes_no_test(self):
+        at_or_below, calls = _below(85, 2)
+        assert window_floor(421, 428, 10, at_or_below) == 42 and calls == []
+        assert window_floor(85, 86, 2, at_or_below) == 42 and calls == []
+        assert window_floor(85, 86, 1, at_or_below, 1) == 42 and calls == []
 
     @pytest.mark.parametrize("liar", LIARS)
     def test_lying_sign_is_refused(self, liar):
-        with pytest.raises(CertificationError):
-            certify_bracket(LIARS[liar], 70, 0, 100, 1)
+        # the window's premise is checked before its floor is taken
+        at_or_below, calls = _below(85, 2)
+        with pytest.raises(CertificationError, match="narrower than a unit"):
+            window_floor(*LIARS[liar], at_or_below)
+        low, high, unit = LIARS[liar]
+        with pytest.raises(CertificationError, match="narrower than a unit"):
+            window_floor(4 * low, 4 * high, unit, at_or_below, 2)
+        assert calls == []
 
     def test_lying_sign_is_refused_without_asserts(self):
         # python -O strips assert statements; the certificate must not need them
         code = (
-            "from mesolabe.scalar import CertificationError, certify_bracket\n"
+            "from mesolabe.scalar import CertificationError, window_floor\n"
             "print('debug', __debug__)\n"
-            "for liar in (lambda g: 1, lambda g: -1, lambda g: 2):\n"
+            f"for window in {list(LIARS.values())!r}:\n"
             "    try:\n"
-            "        certify_bracket(liar, 70, 0, 100, 1)\n"
+            "        window_floor(*window, lambda g: True)\n"
             "        print('accepted')\n"
             "    except CertificationError:\n"
             "        print('refused')\n"
@@ -196,7 +234,7 @@ class TestCertifyBracket:
             [sys.executable, "-O", "-c", code], capture_output=True, text=True, check=True,
             env={**os.environ, "PYTHONPATH": src},
         ).stdout
-        assert out.split("\n") == ["debug False", "refused", "refused", "refused", ""]
+        assert out.split("\n") == ["debug False", *["refused"] * len(LIARS), ""]
 
 
 def ten_digit_values():
@@ -492,9 +530,10 @@ class TestValueRecord:
 
     def test_fields_are_given_in_order(self):
         config = ChordConfig(1, 2, 3, 4)
-        assert (config.ab, config.bc, config.bd, config.ad) == (1, 2, 3, 4)
-        for values in ((1, 2, 3), (1, 2, 3, 4, 5)):
-            with pytest.raises(TypeError, match="ChordConfig takes 4 values"):
+        assert (config.ab, config.bc, config.bd, config.ad, config.roots) == (1, 2, 3, 4, None)
+        assert ChordConfig(1, 2, 3, 4, 5).roots == 5
+        for values in ((1, 2, 3), (1, 2, 3, 4, 5, 6)):
+            with pytest.raises(TypeError, match="ChordConfig"):
                 ChordConfig(*values)
 
     def test_slots_only(self):
