@@ -16,9 +16,8 @@ Rows, each the fastest of ``--repeat`` calls after one warm-up call:
   default 20 digits; the ``check-props`` row, a few hundred ms a call, takes
   ``SLOW_REPEAT`` times as many calls, because its fastest call moves with
   the host's load more than the short rows' do;
-- the layers under them: parsing ``PARSED`` as ``cli.main`` does (with
-  ``cli._parse`` where the tree has it, else with the full tree from
-  ``cli._build_parser()``), ``figures.render`` for each figure,
+- the layers under them: parsing ``PARSED`` as ``cli.main`` does
+  (``cli._parse``), ``figures.render`` for each figure,
   ``euclid.run_proposition_suite(1, 40)`` (an oracle-suite op without the
   CLI), each ``euclid.rand_*`` generator 1000 times from ``Random(0)``, each
   ``PROPOSITION_SUITE`` entry's valid and perturbed function (build one
@@ -28,15 +27,11 @@ Rows, each the fastest of ``--repeat`` calls after one warm-up call:
   100, 300, 1000 and 4190, with w = digits + 10 work digits, the operands
   (a, b) = (1, 2) of the ``means`` row and the diameter 2 of the
   ``solve-chords`` row: ``_icbrt`` of the radicand of the solve's one cube
-  root (the seed's, at s = 10^(w + 6) in older trees, and ``delian._root``'s,
-  at S = 10^(w + 7) with b's one integer digit, in newer ones),
-  ``proportio._unit_ratio`` at the precision the tree's chord solver asks
-  for (10^(w + 5) u in older trees, 2^B u in newer ones),
+  root (``delian._root``'s, at S = 10^(w + 7) with b's one integer digit),
+  ``proportio._unit_ratio`` at the B bits the chord solver asks for (2^B u),
   ``proportio.solve_continued_chords``, ``delian._seed`` with its root
-  (``delian._root`` then ``delian._seed`` in newer trees),
-  ``delian._result`` (in older trees the means read off the certified arc
-  parameter and their residual, in newer ones the residual of the means
-  alone) and one ``residual_instrument`` sign at the seed's grid point;
+  (``delian._root`` then ``delian._seed``), ``delian._result`` (the residual
+  of the means) and one ``residual_instrument`` sign at the seed's grid point;
 - cold starts: the median wall time of ``COLD_STARTS`` interpreter starts
   that run ``perfbench/run.py``'s cold-start command (import ``mesolabe.cli``,
   run one op) on ``solve-chords --diameter 2`` and on
@@ -44,11 +39,12 @@ Rows, each the fastest of ``--repeat`` calls after one warm-up call:
   without ``__pycache__``, with bytecode writing off, so every start compiles
   it as a fresh checkout does.
 
-Each ``--tree NAME=SRC`` names a directory holding a ``mesolabe`` package;
-without one, the sweep times this checkout's ``src``.  The trees are loaded
-side by side and every row alternates between them call by call (start by
-start for the cold starts), so a host whose speed drifts over minutes slows
-them alike::
+Each ``--tree NAME=SRC`` names a directory holding a ``mesolabe`` package
+whose kernels have this checkout's signatures (a tree as new as the one
+whose chords take one window floor each); without one, the sweep times this
+checkout's ``src``.  The trees are loaded side by side and every row
+alternates between them call by call (start by start for the cold starts),
+so a host whose speed drifts over minutes slows them alike::
 
     python3 scripts/bench_sweep.py --tree before=path/to/other/src \\
         --tree after=src --out BENCH.json
@@ -141,9 +137,7 @@ def op(cli, argv):
 
 def parse(cli, argv):
     """The parse ``cli.main`` makes of a valid ``argv``."""
-    if hasattr(cli, "_parse"):
-        return lambda: cli._parse(list(argv))
-    return lambda: cli._build_parser().parse_args(list(argv))
+    return lambda: cli._parse(list(argv))
 
 
 def generate(euclid, name: str):
@@ -180,43 +174,29 @@ def construct(cls, coords):
 
 
 def _seed_of(cli, a: Fraction, b: Fraction, w: int):
-    """The tree's seed for (a, b) at w work digits, with the cube root it is taken from."""
-    delian = cli.delian
-    if not hasattr(delian, "_root"):  # older trees: _seed(a, b, w) takes its own root
-        return delian._seed(a, b, w)
-    c, z, e = delian._root(a, b, w)  # newer trees: the solve's one root, 10^e times wider
-    return delian._seed(c // 10**e, z, w)
+    """The seed's bracket (low, high) on g^2 for (a, b) at w work digits, taken from the
+    solve's one cube root, which is 10^e times wider."""
+    c, z, e = cli.delian._root(a, b, w)
+    return cli.delian._seed(c // 10**e, z, w)
 
 
 def _means_operands(cli, w: int):
-    """(a, b, seed, result) of ``means --a 1 --b 2`` at w work digits."""
+    """(a, b, seed index, result) of ``means --a 1 --b 2`` at w work digits."""
     a, b = Fraction(1), Fraction(2)
-    ctx = cli.PrecisionContext.for_output(w - 10, 10)
-    seed = _seed_of(cli, a, b, w)
-    if isinstance(seed, tuple) and len(seed) == 3:  # (index, bracket low, bracket high)
-        seed = seed[0]
-    elif isinstance(seed, tuple):  # newest trees: the bracket (low, high) on g^2 alone
-        seed = math.isqrt(seed[1])
-    return a, b, seed, cli.delian.two_means_instrument(a, b, ctx)
+    seed = math.isqrt(_seed_of(cli, a, b, w)[1])
+    return a, b, seed, cli.delian.two_means_instrument(a, b, cli.PrecisionContext(w - 10, 10))
 
 
 def _root_radicand_call(cli, w: int):
-    """``_icbrt`` of the radicand of the solve's one root for a/b = 1/2 (z = 1), in which
-    newer trees widen the seed's scale by b's one integer digit (e = 1)."""
-    e = 1 if hasattr(cli.delian, "_root") else 0
-    return partial(cli.delian._icbrt, 10 ** (3 * (w + 6 + e)) // 2)
+    """``_icbrt`` of the radicand of the solve's one root for a/b = 1/2 (z = 1), whose
+    scale b's one integer digit widens (e = 1)."""
+    return partial(cli.delian._icbrt, 10 ** (3 * (w + 7)) // 2)
 
 
 def _result_call(cli, w: int):
+    """The residual of the means rounded from their radicands, (a, b, m1, m2, w)."""
     a, b, _, solved = _means_operands(cli, w)
-    result = cli.delian._result
-    if result.__code__.co_argcount == 6:  # older trees: (a, b, t, iterations, method, ctx)
-        ctx = cli.PrecisionContext.for_output(w - 10, 10)
-        return lambda: result(a, b, solved.theta_param, 0, "instrument", ctx)
-    if result.__code__.co_argcount == 4:  # the means read off t, then the residual: (a, b, t, w)
-        return lambda: result(a, b, solved.theta_param, w)
-    # newer trees: the residual of the means rounded from their radicands, (a, b, m1, m2, w)
-    return lambda: result(a, b, solved.m1.unscaled, solved.m2.unscaled, w)
+    return partial(cli.delian._result, a, b, solved.m1.unscaled, solved.m2.unscaled, w)
 
 
 def _sign_call(cli, w: int):
@@ -226,12 +206,9 @@ def _sign_call(cli, w: int):
 
 
 def _unit_ratio_call(cli, w: int):
-    """The chord solver's constant u for d = 2 at w work digits, as the tree's solver needs it."""
-    unit_ratio = cli.proportio._unit_ratio
-    if unit_ratio.__code__.co_varnames[0] == "digits":  # older trees: 10^(w + 5) u in decimal
-        return partial(unit_ratio, w + 5)
-    # newer trees: 2^B u, with B from the w + 1 digits of floor(2 10^w) + 1
-    return partial(unit_ratio, (w + 1) * 3322 // 1000 + 42)
+    """The chord solver's constant 2^B u for d = 2 at w work digits, with B from the
+    w + 1 digits of floor(2 10^w) + 1."""
+    return partial(cli.proportio._unit_ratio, (w + 1) * 3322 // 1000 + 42)
 
 
 #: (row, tree's ``cli`` and work digits -> the call to time) of the kernel rows.
@@ -240,7 +217,7 @@ KERNELS = (
     ("proportio._unit_ratio", _unit_ratio_call),
     ("proportio.solve_continued_chords d = 2",
      lambda cli, w: partial(cli.proportio.solve_continued_chords, 2,
-                            cli.PrecisionContext.for_output(w - 10, 10))),
+                            cli.PrecisionContext(w - 10, 10))),
     ("delian._seed", lambda cli, w: partial(_seed_of, cli, Fraction(1), Fraction(2), w)),
     ("delian._result", _result_call),
     ("delian residual_instrument sign", _sign_call),

@@ -77,6 +77,9 @@ RANDOM_SEED = 0
 #: b = 10^12, a == b, and 27 : 125 at 1000 digits.  Last, chords that a root rounded
 #: at the work digits misprinted: AB = 0.09999975..., floored from its rounded 0.100000
 #: to 0 1, and a full BC one work unit high and one low, as the root of AB BD rounded.
+#: Last, fixed-digit outputs that a solve at the run's precision printed wrong: the
+#: 20-digit contrast rows of ``verify-table`` at 20 work digits (BC^2 and AD BC one unit
+#: low) and at 15, figure 6 one hundredth off at 10 work digits, and figure 4's B at 6.
 FIXED = (
     ("means", "--a", "1", "--b", "1.953125" + "0" * 28 + "46875" + "0" * 30 + "375" + "0" * 32 + "1",
      "--digits", "1"),
@@ -120,6 +123,10 @@ FIXED = (
     ("solve-chords", "--diameter", "0.31478911659571980921", "--digits", "1", "--guard", "5"),
     ("solve-chords", "--diameter", "279268.774747711", "--digits", "1", "--guard", "8"),
     ("solve-chords", "--diameter", "34036.903816624", "--digits", "9", "--guard", "7"),
+    ("verify-table", "--digits", "10", "--guard", "10"),
+    ("verify-table", "--digits", "1", "--guard", "5"),
+    ("figure", "--id", "6", "--a", "4394/997", "--b", "7861/997", "--digits", "1", "--guard", "9"),
+    ("figure", "--id", "4", "--diameter", "0.79158", "--digits", "1", "--guard", "5"),
 )
 #: The numeric subcommands of the random sweep, drawn with equal weight.
 RANDOM_KINDS = ("solve-chords", "means", "duplicate-cube", "four-proportionals", "pyramid",

@@ -12,7 +12,7 @@ from fractions import Fraction
 
 from . import delian, proportio, pyramid
 from .euclid import Point2, Point3, unit_circle_point
-from .scalar import DEFAULT_CONTEXT, DecimalScalar, ValueRecord, _half_even_div, as_rational
+from .scalar import DecimalScalar, ValueRecord, _half_even_div, as_rational
 
 _OBLIQUE_X = Fraction(2, 5)
 _OBLIQUE_Y = Fraction(1, 5)
@@ -103,6 +103,12 @@ class _Canvas:
             f'<text x="{_fmt((xn + dx * xd, xd))}" y="{_fmt((yn + dy * yd, yd))}">{text}</text>'
         )
 
+    def marks(self, named: dict, dy=-5):
+        """A dot and then its label at each point of ``named`` (label -> point), in order."""
+        for text, p in named.items():
+            self.dot(p)
+            self.label(p, text, dy=dy)
+
     def document(self) -> str:
         body = "\n".join("    " + e for e in self.elements)
         return (
@@ -135,16 +141,18 @@ def _box_figure(spec: FigureSpec, defaults) -> str:
     for p, q in [("A", "B"), ("B", "C"), ("C", "A")]:
         cv.line(pts[p], pts[q], dashed=True)
     cv.line(pts["A"], pts["E"], dashed=True)  # the diagonal the theorem is about
-    for name in "DABCFGE":
-        cv.dot(pts[name])
-        cv.label(pts[name], name)
+    cv.marks({name: pts[name] for name in "DABCFGE"})
     return cv.document()
 
 
 def _fig_chords(spec: FigureSpec) -> str:
+    """The semicircle on AD with B at AB and C above it, from the 10-digit table values.
+
+    The chords are solved at the default context, whose 30 work digits cover
+    the table's 10, so the drawing is the same at every ``--digits``.
+    """
     df = as_rational(spec.params.get("diameter", 2))
-    ctx = spec.params.get("ctx", DEFAULT_CONTEXT)
-    cfg = proportio.solve_continued_chords(df, ctx).table_values(10)
+    cfg = proportio.solve_continued_chords(df).table_values(10)
     ab, bc = cfg.ab.as_fraction(), cfg.bc.as_fraction()
     a, dd, b, c = (Fraction(0), Fraction(0)), (df, Fraction(0)), (ab, Fraction(0)), (ab, bc)
     cv = _Canvas([0, df], [0, df / 2])
@@ -153,9 +161,9 @@ def _fig_chords(spec: FigureSpec) -> str:
     cv.line(b, c)
     cv.line(c, a, dashed=True)
     cv.line(c, dd, dashed=True)
-    for p, name, dy in ((a, "A", 14), (b, "B", 14), (c, "C", -6), (dd, "D", 14)):
-        cv.dot(p)
-        cv.label(p, name, dy=dy)
+    cv.marks({"A": a, "B": b}, dy=14)
+    cv.marks({"C": c}, dy=-6)
+    cv.marks({"D": dd}, dy=14)
     return cv.document()
 
 
@@ -189,31 +197,36 @@ def _fig_sphere(spec: FigureSpec) -> str:
     cv.line(flat["A"], flat["G"], dashed=True)
     cv.line(flat["D"], flat["G"], dashed=True)
     cv.polyline(cap_flat, dashed=True)
-    for name in ("A", "C", "D", "E", "F", "G", "H"):
-        cv.dot(flat[name])
-        cv.label(flat[name], name)
+    cv.marks({name: flat[name] for name in "ACDEFGH"})
     return cv.document()
 
 
 def _instrument_scene(spec: FigureSpec, method: str):
+    """a, b and the points of figures 6 and 7: A, C, D, E, F at the solved arc
+    parameter, the ruler's end Z and the cursor's end Y.
+
+    The arc parameter is solved at the default context: a drawing at SVG
+    hundredths prints none of the run's digits.
+    """
     a = as_rational(spec.params.get("a", 1))
     b = as_rational(spec.params.get("b", 2))
-    ctx = spec.params.get("ctx", DEFAULT_CONTEXT)
     solve = delian.two_means_instrument if method == "instrument" else delian.two_means_compass
-    t = solve(a, b, ctx).theta_param
-    pts = proportio.planar_construction(b, t)
-    return a, b, unit_circle_point(t), {name: (p.x, p.y) for name, p in pts.items()}
+    t = solve(a, b).theta_param
+    u = unit_circle_point(t)
+    k, s = u.x, u.y
+    pts = {name: (p.x, p.y) for name, p in proportio.planar_construction(b, t).items()}
+    F = pts["F"]
+    pts["Z"] = (b * Fraction(11, 10) * k, b * Fraction(11, 10) * s)
+    # cursor through F, perpendicular to the ruler; it passes through E when solved
+    pts["Y"] = (F[0] - b * Fraction(1, 5) * s, F[1] + b * Fraction(1, 5) * k)
+    return a, b, pts
 
 
 def _fig_plumbline(spec: FigureSpec) -> str:
-    a, b, u, pts = _instrument_scene(spec, "instrument")
-    k, s = u.x, u.y
-    A, C, D, E, F = (pts[name] for name in "ACDEF")
-    Z = (b * Fraction(11, 10) * k, b * Fraction(11, 10) * s)
+    a, b, pts = _instrument_scene(spec, "instrument")
+    A, C, D, E, Y, Z = (pts[name] for name in "ACDEYZ")
     S = (D[0] + Fraction(3, 10) * (D[0] - b / 2), D[1] + Fraction(3, 10) * D[1])
     X = (E[0], -b * Fraction(3, 25))
-    # cursor through F, perpendicular to the ruler; it passes through E when solved
-    Y = (F[0] - b * Fraction(1, 5) * s, F[1] + b * Fraction(1, 5) * k)
     given_y = b * Fraction(13, 20)
     given_a = (-b * Fraction(3, 20), given_y)
     given_b = (-b * Fraction(3, 20) + a, given_y)
@@ -226,24 +239,18 @@ def _fig_plumbline(spec: FigureSpec) -> str:
     cv.line(D, S)
     cv.line(given_a, given_b)
     cv.circle(X, Fraction(1, 50) * b)
-    for p, name in ((A, "A"), (C, "C"), (D, "D"), (E, "E"), (F, "F"),
-                    (S, "S"), (X, "X"), (Y, "Y"), (Z, "Z"), (given_b, "B")):
-        cv.dot(p)
-        cv.label(p, name)
+    cv.marks({name: pts[name] for name in "ACDEF"} | {"S": S, "X": X, "Y": Y, "Z": Z, "B": given_b})
     return cv.document()
 
 
 def _fig_compass(spec: FigureSpec) -> str:
-    a, b, u, pts = _instrument_scene(spec, "compass")
-    k, s = u.x, u.y
-    A, C, D, E, F = (pts[name] for name in "ACDEF")
+    _, b, pts = _instrument_scene(spec, "compass")
+    A, C, D, E, Y, Z = (pts[name] for name in "ACDEYZ")
     O = (b / 2, Fraction(0))
-    Z = (b * Fraction(11, 10) * k, b * Fraction(11, 10) * s)
     rail_x = -b * Fraction(3, 20)
     top = b * Fraction(4, 5)
     K, L = (rail_x, Fraction(0)), (rail_x, top)
     M, N = (D[0], top), (D[0], Fraction(0))
-    Y = (F[0] - b * Fraction(1, 5) * s, F[1] + b * Fraction(1, 5) * k)
     cv = _Canvas([rail_x, b, Z[0]], [Fraction(0), top, Z[1]])
     cv.arc_semicircle(A, C)
     cv.line(A, C)
@@ -253,10 +260,8 @@ def _fig_compass(spec: FigureSpec) -> str:
     cv.line(M, N)
     cv.line(O, D, dashed=True)
     cv.line(Y, E)
-    for p, name in ((A, "A"), (C, "C"), (D, "D"), (E, "E"), (F, "F"), (K, "K"),
-                    (L, "L"), (M, "M"), (N, "N"), (O, "O"), (Y, "Y"), (Z, "Z")):
-        cv.dot(p)
-        cv.label(p, name)
+    cv.marks({name: pts[name] for name in "ACDEF"} | {"K": K, "L": L, "M": M, "N": N, "O": O,
+                                                      "Y": Y, "Z": Z})
     return cv.document()
 
 

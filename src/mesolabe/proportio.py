@@ -66,17 +66,18 @@ class ChordConfig(ValueRecord):
         root extraction yields floor digits (the printed BC proves the
         original truncated, since round-to-nearest would end ...4638).  As
         floor(floor(y) / N) = floor(y / N), each is its floor f divided by
-        2 10^(w - digits); past the w work digits, the floor at w is padded
-        with zeros.  AD is the exact diameter rounded half-even once at
-        ``digits``, and BD the exact complement AD - AB, which reproduces
-        the printed ...56077.
+        2 10^(w - digits).  AD is the exact diameter rounded half-even once
+        at ``digits``, and BD the exact complement AD - AB, which reproduces
+        the printed ...56077.  ``digits`` above the w work digits raise
+        ValueError: the floor at w padded with zeros is not the floor there.
         """
         d, twice_ab, twice_bc = self.roots
         w = self.ab.scale
-        kept = min(digits, w)
+        if digits > w:
+            raise ValueError(f"table digits {digits} exceed the {w} work digits solved")
 
         def floor(f: int) -> DecimalScalar:
-            return DecimalScalar(f // (2 * 10 ** (w - kept)) * 10 ** (digits - kept), digits)
+            return DecimalScalar(f // (2 * 10 ** (w - digits)), digits)
         ab, ad = floor(twice_ab), DecimalScalar.from_fraction(d, digits)
         return ChordConfig(ab, floor(twice_bc), DecimalScalar(ad.unscaled - ab.unscaled, digits), ad)
 
@@ -251,13 +252,13 @@ def chord_table(c: ChordConfig) -> PaperTable:
 def chord_texts(full: ChordConfig, digits: int) -> dict[str, tuple[tuple, tuple]]:
     """Per chord, in table order, the text parts of its table value and of its full value.
 
-    The table values are ``full.table_values(digits)``, and each value is
-    converted to text once (:meth:`~DecimalScalar.text_parts`).  AB and BC
-    at ``digits`` floor the same f = floor(2 10^w x) that their full values
-    round half up, so their digits are the full value's first ``digits``
-    (padded with zeros past them), unless f is odd and the full value rounded
-    up onto a multiple of 10^(w - digits); only then, and for AD and BD, is
-    the table value converted apart.
+    The table values are ``full.table_values(digits)``, so ``digits`` is at
+    most the work digits, and each value is converted to text once
+    (:meth:`~DecimalScalar.text_parts`).  AB and BC at ``digits`` floor the
+    same f = floor(2 10^w x) that their full values round half up, so their
+    digits are the full value's first ``digits``, unless f is odd and the
+    full value rounded up onto a multiple of 10^(w - digits); only then, and
+    for AD and BD, is the table value converted apart.
     """
     table = full.table_values(digits)
     _, twice_ab, twice_bc = full.roots
@@ -271,7 +272,7 @@ def chord_texts(full: ChordConfig, digits: int) -> dict[str, tuple[tuple, tuple]
         if twice is None or twice % 2 and not frac[digits:].strip("0"):
             texts[label] = shown.text_parts(), parts
         else:
-            texts[label] = (sign, whole, frac[:digits].ljust(digits, "0")), parts
+            texts[label] = (sign, whole, frac[:digits]), parts
     return texts
 
 

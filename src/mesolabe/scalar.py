@@ -191,8 +191,7 @@ class PrecisionContext(ValueRecord):
     @classmethod
     def for_output(cls, output_digits: int, guard_digits: int = 10) -> "PrecisionContext":
         """The constructor, under the name it had when ``__init__`` took the work
-        digits first; the frozen acceptance criteria call it, and so does
-        ``scripts/bench_sweep.py``, which also times trees of that age."""
+        digits first; it stays because the frozen acceptance criteria call it."""
         return cls(output_digits, guard_digits)
 
 

@@ -21,11 +21,12 @@ from mesolabe.cli import (
     main,
     max_work_digits,
 )
-from mesolabe.scalar import DecimalScalar, PrecisionContext, _decimal_digits
+from mesolabe.scalar import DecimalScalar, PrecisionContext, _decimal_digits, format_grouped
 
-from oracles import in_continued_proportion, proportion_defect, rounded
+from oracles import chord_lengths, in_continued_proportion, proportion_defect, rounded
 
 SRC = Path(__file__).resolve().parent.parent / "src"
+GOLDEN = Path(__file__).resolve().parent / "golden"
 
 
 def run(capsys, *argv):
@@ -143,6 +144,31 @@ class TestVerifyTable:
         chords = json.loads(out)["chords"]
         assert {row["label"]: row["as_printed"] for row in chords} == proportio.PRINTED_CHORDS
         assert all(row["as_computed"] == row["as_printed"] for row in chords)
+
+    def test_every_precision_prints_the_golden_table(self):
+        # the tables print fixed digits, so --digits and --guard change no byte;
+        # 10/10 printed BC^2 and ADBC one unit low when the solve took the run's precision
+        golden = [(GOLDEN / f"verify-table.{ext}").read_text(encoding="utf-8")
+                  for ext in ("txt", "json")]
+        for digits in range(1, 31):
+            for guard in range(5, 20):
+                argv = ("verify-table", "--digits", str(digits), "--guard", str(guard))
+                assert [_run_quiet(*argv), _run_quiet(*argv, "--json")] == [
+                    (0, text) for text in golden], argv
+
+    @pytest.mark.parametrize("precision", [(), ("--digits", "10", "--guard", "10")])
+    def test_contrast_rows_are_the_exact_products_rounded_once(self, capsys, precision):
+        ab, bc, bd = chord_lengths(Fraction(2), 60)
+        products = {"DAB": 2 * ab, "CBD": bc * bd, "BC^2": bc * bc,
+                    "ABD": ab * bd, "BD^2": bd * bd, "ADBC": 2 * bc}
+        expected = {label: format_grouped(DecimalScalar.from_fraction(rounded(v, 20), 20))
+                    for label, v in products.items()}
+        code, out = run(capsys, "verify-table", *precision, "--json")
+        rows = json.loads(out)["unrounded_products"]
+        assert {row["label"]: row["as_computed"] for row in rows} == expected
+        # BC^2 = AB BD and BD^2 = AD BC exactly
+        assert expected["BC^2"] == expected["ABD"] == "86702 62878 05005 20285"
+        assert expected["BD^2"].endswith("10663") and expected["ADBC"].endswith("10663")
 
     @pytest.mark.parametrize("diameter", ["2", "2.0", "2.000000000000000"])
     def test_solved_chords_match_the_print_at_any_diameter_scale(self, capsys, diameter):
@@ -639,6 +665,33 @@ class TestFigureCommand:
         assert halves[0][0] == 0 and halves[0][1].startswith("<svg")
         assert halves.count(halves[0]) == 4
         assert run(capsys, "figure", "--id", "4", "--diameter", "2/1") == run(capsys, "figure", "--id", "4")
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data(), st.sampled_from((4, 6, 7)), st.integers(min_value=1, max_value=40),
+           st.integers(min_value=5, max_value=19))
+    @example(data=None, figure_id=6, digits=1, guard=9)  # x2="313.79" if solved at 10 digits
+    @example(data=None, figure_id=4, digits=1, guard=5)  # B at x1="160.71" if solved at 6
+    def test_every_precision_draws_the_same_figure(self, data, figure_id, digits, guard):
+        # a drawing at SVG hundredths prints none of the run's digits
+        line = None
+        if data is None:  # each with a line a solve at the run's precision drew one hundredth off
+            operands, line = {
+                4: (("--diameter", "0.79158"),
+                    '<line x1="160.72" y1="320.00" x2="160.72" y2="143.08"/>'),
+                6: (("--a", "4394/997", "--b", "7861/997"),
+                    '<line x1="204.24" y1="121.19" x2="313.78" y2="280.35"/>'),
+            }[figure_id]
+        elif figure_id == 4:
+            operands = ("--diameter", data.draw(_positive_decimals()))
+        else:
+            a, b = sorted((data.draw(_positive_decimals()), data.draw(_positive_decimals())),
+                          key=Fraction)
+            operands = ("--a", a, "--b", b)
+        argv = ("figure", "--id", str(figure_id), *operands)
+        code, svg = _run_quiet(*argv)
+        assert code == 0 and svg.startswith("<svg")
+        assert line is None or f"\n    {line}\n" in svg
+        assert _run_quiet(*argv, "--digits", str(digits), "--guard", str(guard)) == (code, svg)
 
     def test_svg_is_text_under_json(self, capsys, tmp_path):
         assert run(capsys, "figure", "--id", "4", "--json") == run(capsys, "figure", "--id", "4")

@@ -1,7 +1,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from mesolabe import proportio
 from mesolabe.euclid import Point3, check_19_7, check_20_7, unit_circle_point
@@ -65,31 +65,33 @@ class TestChordSolver:
         assert str(t.bd) == "1.3646556077"
         assert str(t.ad) == "2.0000000000"
 
-    def test_table_values_pad_past_the_work_digits(self):
-        # 6 work digits under 10 table digits: the floor keeps every work digit
-        t = solve_continued_chords(D("2"), PrecisionContext(1, 5)).table_values(10)
-        assert (str(t.ab), str(t.bc), str(t.bd), str(t.ad)) == (
-            "0.6353440000", "0.9311420000", "1.3646560000", "2.0000000000")
+    def test_table_values_refuse_digits_past_the_work_digits(self):
+        # 6 work digits: the floor at 6 digits padded with zeros is not the floor at 7
+        full = solve_continued_chords(D("2"), PrecisionContext(1, 5))
+        assert str(full.table_values(6).ab) == "0.635344"
+        for digits in (7, 10):
+            with pytest.raises(ValueError, match="exceed the 6 work digits"):
+                full.table_values(digits)
 
     @settings(max_examples=40, deadline=None)
     @given(
         st.integers(min_value=1, max_value=10**6),
         st.integers(min_value=0, max_value=4),
         st.integers(min_value=1, max_value=30),
-        st.integers(min_value=1, max_value=60),
+        st.integers(min_value=1, max_value=35),
     )
     @example(31478911659571980921, 20, 1, 1)  # AB = 0.09999975..., its full value 0.100000
+    @example(2, 0, 1, 6)  # table digits at the 6 work digits
     def test_table_values_floor_the_roots(self, unscaled, scale, digits, table_digits):
-        # table digits below, at and above the 6 to 35 work digits: AB and BC are
-        # the exact roots floored, at most at the work digits and padded past them
+        # table digits up to the 6 to 35 work digits: AB and BC are the exact roots floored
+        assume(table_digits <= digits + 5)
         d = DecimalScalar(unscaled, scale)
         full = solve_continued_chords(d, PrecisionContext(digits, 5))
-        w, df = full.ab.scale, d.as_fraction()
+        df = d.as_fraction()
         t = full.table_values(table_digits)
-        kept = min(table_digits, w)
         assert all(v.scale == table_digits for v in t.terms())
         for floored, power in ((t.ab, 3), (t.bc, 2)):
-            assert floored.as_fraction() == chord_digits(df, power, kept)[0]
+            assert floored.as_fraction() == chord_digits(df, power, table_digits)[0]
         assert t.ad.as_fraction() == rounded(df, table_digits)
         assert t.bd.as_fraction() == t.ad.as_fraction() - t.ab.as_fraction()
         # chord_texts converts them once: the table's and the full values' texts
