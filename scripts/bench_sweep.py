@@ -21,11 +21,13 @@ Rows, each the fastest of ``--repeat`` calls after one warm-up call:
   ``euclid.run_proposition_suite(1, 40)`` (an oracle-suite op without the
   CLI), each ``euclid.rand_*`` generator 1000 times from ``Random(0)``, each
   ``PROPOSITION_SUITE`` entry's valid and perturbed function (build one
-  instance, run its checker) ``SUITE_CALLS`` times from ``Random(0)``, and
+  instance, run its checker) ``SUITE_CALLS`` times from ``Random(0)``,
   ``POINTS`` constructions of a ``Point2``, a ``Point3``, a ``DecimalScalar``
-  and an ``InstrumentState``; and the deep-solve kernels at ``--digits`` 20,
-  100, 300, 1000 and 4190, with w = digits + 10 work digits, the operands
-  (a, b) = (1, 2) of the ``means`` row and the diameter 2 of the
+  and an ``InstrumentState``, and ``POINTS`` comparisons of two equal
+  ``Point2``s, ``Point3``s and ``ChordConfig``s solved for diameter 2; and the
+  deep-solve kernels at ``--digits`` 20, 100, 300, 1000 and 4190, with
+  w = digits + 10 work digits, the operands (a, b) = (1, 2) of the ``means``
+  row and the diameter 2 of the
   ``solve-chords`` row: ``_icbrt`` of the radicand of the solve's one cube
   root (``delian._root``'s, at S = 10^(w + 7) with b's one integer digit),
   ``proportio._unit_ratio`` at the B bits the chord solver asks for (2^B u),
@@ -76,7 +78,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 #: Repeat multiplier of the ``check-props --instances 1000`` row.
 SLOW_REPEAT = 4
-#: Constructions per call of the point and record rows.
+#: Constructions or comparisons per call of the point and record rows.
 POINTS = 10_000
 #: Calls per row of a proposition-suite entry.
 SUITE_CALLS = 1000
@@ -170,6 +172,14 @@ def construct(cls, coords):
     def call():
         for _ in range(POINTS):
             cls(*coords)
+    return call
+
+
+def compare(a, b):
+    """``POINTS`` comparisons ``a == b`` of two records, none of them kept."""
+    def call():
+        for _ in range(POINTS):
+            a == b
     return call
 
 
@@ -268,6 +278,12 @@ def rows(trees: dict) -> list[tuple[str, int | None, int, dict]]:
         out.append((f"layer euclid.{cls} x{POINTS}", None, 1,
                     {t: construct(getattr(euclid, cls), coords)
                      for t, (_, _, euclid) in trees.items()}))
+        out.append((f"layer euclid.{cls} == x{POINTS}", None, 1,
+                    {t: compare(getattr(euclid, cls)(*coords), getattr(euclid, cls)(*coords))
+                     for t, (_, _, euclid) in trees.items()}))
+    out.append((f"layer proportio.ChordConfig == x{POINTS}", None, 1,
+                {t: compare(*(cli.proportio.solve_continued_chords(2) for _ in "ab"))
+                 for t, (cli, _, _) in trees.items()}))
     out.append((f"layer scalar.DecimalScalar x{POINTS}", None, 1,
                 {t: construct(cli.DecimalScalar, (12345, 3)) for t, (cli, _, _) in trees.items()}))
     state = (Fraction(1), Fraction(2), Fraction(1, 3))

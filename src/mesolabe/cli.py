@@ -19,6 +19,7 @@ from fractions import Fraction
 
 from . import delian, euclid, figures, proportio, pyramid
 from .scalar import (
+    DEFAULT_CONTEXT,
     CertificationError,
     DecimalScalar,
     PrecisionContext,
@@ -340,9 +341,11 @@ def _cmd_figure(args, ctx: PrecisionContext) -> Record:
 #: Options every subcommand takes, as (flag, keyword arguments).
 COMMON_ARGUMENTS = [
     ("--digits", {"type": int, "default": None,
-                  "help": f"output fractional digits (default 20, or ${ENV_DIGITS})"}),
+                  "help": f"output fractional digits (default {DEFAULT_CONTEXT.output_digits}, "
+                          f"or ${ENV_DIGITS})"}),
     ("--guard", {"type": int, "default": None,
-                 "help": f"guard digits beyond output (default 10, or ${ENV_GUARD})"}),
+                 "help": f"guard digits beyond output (default {DEFAULT_CONTEXT.guard_digits}, "
+                         f"or ${ENV_GUARD})"}),
     ("--json", {"action": "store_true", "help": "JSON instead of text"}),
 ]
 
@@ -437,8 +440,8 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:
-        digits = _setting(args.digits, ENV_DIGITS, 20)
-        guard = _setting(args.guard, ENV_GUARD, 10)
+        digits = _setting(args.digits, ENV_DIGITS, DEFAULT_CONTEXT.output_digits)
+        guard = _setting(args.guard, ENV_GUARD, DEFAULT_CONTEXT.guard_digits)
         if digits < 1:
             raise ValueError("precision must be at least one digit")
         cap = max_work_digits()

@@ -35,12 +35,6 @@ class Point2(ValueRecord):
     def __init__(self, x: Fraction, y: Fraction):
         self.x, self.y = x, y
 
-    def __eq__(self, other):
-        return type(other) is Point2 and (self.x, self.y) == (other.x, other.y)
-
-    def __hash__(self):
-        return hash((self.x, self.y))
-
     def __sub__(self, other: "Point2") -> "Point2":
         return Point2(self.x - other.x, self.y - other.y)
 
@@ -67,12 +61,6 @@ class Point3(ValueRecord):
 
     def __init__(self, x: Fraction, y: Fraction, z: Fraction):
         self.x, self.y, self.z = x, y, z
-
-    def __eq__(self, other):
-        return type(other) is Point3 and (self.x, self.y, self.z) == (other.x, other.y, other.z)
-
-    def __hash__(self):
-        return hash((self.x, self.y, self.z))
 
     def __sub__(self, other: "Point3") -> "Point3":
         return Point3(self.x - other.x, self.y - other.y, self.z - other.z)
@@ -507,8 +495,8 @@ def _nudge(rng: random.Random) -> tuple[int, int]:
     return _randint(rng, 1, 7), _randint(rng, 89, 127)
 
 
-def _detects(fn) -> bool:
-    result = fn()
+def _detects(result) -> bool:
+    """Whether a checker's result on a perturbed instance reports the defect."""
     if result is True:
         return False
     if result is False:
@@ -525,7 +513,7 @@ def _pert_47_1(rng):
     u, _ = t.legs()
     n, m = _nudge(rng)
     bad = Triangle(t.a.scaled(m), t.b.scaled(m), t.c.scaled(m) + u.scaled(n))  # breaks the right angle
-    return _detects(lambda: check_47_1(bad))
+    return _detects(check_47_1(bad))
 
 
 def _valid_12_13_2(rng):
@@ -537,7 +525,7 @@ def _valid_12_13_2(rng):
 def _pert_12_13_2(rng):
     t, kind = rand_classified_triangle(rng)
     wrong = check_12_2 if kind > 0 else check_13_2
-    return _detects(lambda: wrong(t))
+    return _detects(wrong(t))
 
 
 def _valid_3_3(rng):
@@ -548,7 +536,7 @@ def _pert_3_3(rng):
     center, (p, q) = rand_chord_setup(rng)
     n, m = _nudge(rng)
     off = center.scaled(m) + (q - center).scaled(m + n)  # leaves the circle radially
-    return _detects(lambda: check_3_3(center.scaled(m), (p.scaled(m), off)))
+    return _detects(check_3_3(center.scaled(m), (p.scaled(m), off)))
 
 
 def _valid_8_6(rng):
@@ -560,7 +548,7 @@ def _pert_8_6(rng):
     u, _ = t.legs()
     n, m = _nudge(rng)
     bad = Triangle(t.a.scaled(m) + u.scaled(n), t.b.scaled(m), t.c.scaled(m))
-    return _detects(lambda: check_8_6_corollary(bad))
+    return _detects(check_8_6_corollary(bad))
 
 
 def _valid_31_6(rng):
@@ -575,7 +563,7 @@ def _pert_31_6(rng):
     _, v = t.legs()
     n, m = _nudge(rng)
     bad = Triangle(t.a.scaled(m), t.b.scaled(m) + v.scaled(n), t.c.scaled(m))
-    return _detects(lambda: check_31_6(bad, 2))  # the aspect 2/3, times 3
+    return _detects(check_31_6(bad, 2))  # the aspect 2/3, times 3
 
 
 # 19.7 and 20.7: moving the last term by any non-zero amount breaks the
@@ -591,7 +579,7 @@ def _valid_19_7(rng):
 def _pert_19_7(rng):
     a, b, c, d = rand_proportional_quad(rng)
     n, m = _nudge(rng)
-    return _detects(lambda: check_19_7(a * m, b * m, c * m, d * m + n))
+    return _detects(check_19_7(a * m, b * m, c * m, d * m + n))
 
 
 def _valid_20_7(rng):
@@ -601,7 +589,7 @@ def _valid_20_7(rng):
 def _pert_20_7(rng):
     a, b, c = rand_proportional_triple(rng)
     n, m = _nudge(rng)
-    return _detects(lambda: check_20_7(a * m, b * m, c * m + n))
+    return _detects(check_20_7(a * m, b * m, c * m + n))
 
 
 def _uv_pair(rng):
@@ -619,7 +607,7 @@ def _valid_4_11(rng):
 def _pert_4_11(rng):
     u, v = _uv_pair(rng)
     skew = u.cross(v) + u
-    return _detects(lambda: check_4_11(skew, u, v))
+    return _detects(check_4_11(skew, u, v))
 
 
 def _valid_7_12(rng):
@@ -634,7 +622,7 @@ def _pert_7_12(rng):
     shift = offset.scaled(m)
     # stretching one lateral edge turns the prism into a frustum-like solid
     top = (a + shift, b + shift, c + offset.scaled(m + n))
-    return _detects(lambda: check_7_12((a, b, c), top))
+    return _detects(check_7_12((a, b, c), top))
 
 
 def _valid_pappus(rng):
@@ -646,7 +634,7 @@ def _valid_pappus(rng):
 def _pert_pappus(rng):
     t, _ = rand_classified_triangle(rng)
     u, v = rand_pappus_offsets(rng, t)
-    return _detects(lambda: check_pappus(t, Point2(-u.x, -u.y), v))
+    return _detects(check_pappus(t, Point2(-u.x, -u.y), v))
 
 
 def _clavius_instance(rng: random.Random) -> tuple[Point2, Point2, Point2]:
@@ -667,7 +655,7 @@ def _pert_clavius(rng):
     n, m = _nudge(rng)
     v = v.scaled(m)
     bad = r.scaled(m + n)  # radially off the circle
-    return _detects(lambda: check_clavius_31_3(v, Point2(-v.x, -v.y), bad))
+    return _detects(check_clavius_31_3(v, Point2(-v.x, -v.y), bad))
 
 
 PROPOSITION_SUITE: tuple[tuple[str, object, object], ...] = (

@@ -12,7 +12,7 @@ from fractions import Fraction
 
 from . import delian, proportio, pyramid
 from .euclid import Point2, Point3, unit_circle_point
-from .scalar import DecimalScalar, ValueRecord, _half_even_div, as_rational
+from .scalar import DecimalScalar, ValueRecord, _half_even, as_rational
 
 _OBLIQUE_X = Fraction(2, 5)
 _OBLIQUE_Y = Fraction(1, 5)
@@ -34,7 +34,7 @@ class FigureSpec(ValueRecord):
 def _fmt(value: tuple[int, int]) -> str:
     """``n/d`` (d > 0) rounded half-even to hundredths, as ``from_fraction`` rounds."""
     n, d = value
-    return str(DecimalScalar(_half_even_div(100 * n, d), 2))
+    return str(DecimalScalar(_half_even(200 * n, d), 2))
 
 
 class _Canvas:

@@ -98,15 +98,8 @@ class PaperTable(ValueRecord):
     __slots__ = ("title", "rows")
 
 
-#: The printed 10-digit chord table for diameter 2.
-PRINTED_CHORDS = {
-    "AD": "2 00000 00000",
-    "AB": "63534 43923",
-    "BC": "93114 24637",
-    "BD": "1 36465 56077",
-}
-
-#: The printed chords AB, BC, BD, AD, at their 10 fractional digits.
+#: The printed 10-digit chord table for diameter 2: AB, BC, BD, AD, whose
+#: :func:`format_grouped` texts are the print byte for byte.
 _PRINTED_CONFIG = ChordConfig(*(DecimalScalar(n, 10)
                                 for n in (6353443923, 9311424637, 13646556077, 20000000000)))
 
@@ -240,12 +233,16 @@ def solve_continued_chords(
 
 
 def chord_table(c: ChordConfig) -> PaperTable:
-    """The chord lengths as a grouped table, matched to the printed one when it applies."""
+    """The chord lengths as a grouped table.
+
+    When ``c`` is the printed configuration, each row's printed text is its
+    grouped text, which is the print; for any other, it is None.
+    """
     canonical = c == _PRINTED_CONFIG
     rows = []
     for label, value in (("AD", c.ad), ("AB", c.ab), ("BC", c.bc), ("BD", c.bd)):
-        printed = PRINTED_CHORDS[label] if canonical else None
-        rows.append(TableRow(label, value, format_grouped(value), printed, None))
+        grouped = format_grouped(value)
+        rows.append(TableRow(label, value, grouped, grouped if canonical else None, None))
     return PaperTable("successive lines in the semicircle", tuple(rows))
 
 

@@ -27,6 +27,9 @@ from oracles import chord_lengths, in_continued_proportion, proportion_defect, r
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 GOLDEN = Path(__file__).resolve().parent / "golden"
+#: The 10-digit chord table for diameter 2 as printed in 1682.
+PRINTED_CHORDS = {"AD": "2 00000 00000", "AB": "63534 43923", "BC": "93114 24637",
+                  "BD": "1 36465 56077"}
 
 
 def run(capsys, *argv):
@@ -142,8 +145,22 @@ class TestVerifyTable:
         code, out = run(capsys, "verify-table", "--json")
         assert code == 0
         chords = json.loads(out)["chords"]
-        assert {row["label"]: row["as_printed"] for row in chords} == proportio.PRINTED_CHORDS
+        assert {row["label"]: row["as_printed"] for row in chords} == PRINTED_CHORDS
         assert all(row["as_computed"] == row["as_printed"] for row in chords)
+
+    def test_a_solver_off_the_print_fails_the_verdict(self, capsys, monkeypatch):
+        # the verdict checks the solver against the print: chords solved for
+        # diameter 3 match no printed row, so no product is flagged either
+        solve = proportio.solve_continued_chords
+        monkeypatch.setattr(proportio, "solve_continued_chords", lambda d, *ctx: solve(3, *ctx))
+        code, out = run(capsys, "verify-table")
+        assert code == 1
+        assert "table verification: FAILED" in out
+        assert "MISPRINT" not in out
+        code, out = run(capsys, "verify-table", "--json")
+        payload = json.loads(out)
+        assert code == 1 and payload["verified"] is False
+        assert not any(row["misprint"] for row in payload["products"])
 
     def test_every_precision_prints_the_golden_table(self):
         # the tables print fixed digits, so --digits and --guard change no byte;
@@ -177,7 +194,7 @@ class TestVerifyTable:
         code, out = run(capsys, "solve-chords", "--diameter", diameter, "--digits", "10")
         assert code == 0
         shown = dict(line.split(None, 1) for line in out.splitlines()[2:6])
-        assert shown == proportio.PRINTED_CHORDS
+        assert shown == PRINTED_CHORDS
         full = proportio.solve_continued_chords(DecimalScalar.from_str(diameter),
                                                 PrecisionContext(10))
         table = proportio.chord_table(full.table_values(10))

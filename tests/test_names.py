@@ -1,7 +1,8 @@
 """Every name the benchmark tracer wraps exists, every imported name is used,
 every name of the package is bound only in its own module,
-``import mesolabe.cli`` loads what the tracer needs and no more, and
-``DecimalScalar`` stays a record to print, not a second number type.
+``import mesolabe.cli`` loads what the tracer needs and no more,
+``DecimalScalar`` stays a record to print, not a second number type, and
+records compare and hash by the one rule of ``ValueRecord``.
 
 ``perfbench/spans.py`` wraps functions and methods of the package by name
 for ``perfbench/run.py --trace 1``.  Its smoke test runs outside the default
@@ -129,3 +130,18 @@ def test_decimal_scalar_is_a_print_record():
     defined = {name for cls in scalar.DecimalScalar.__mro__[:-1] for name in vars(cls)}
     assert not defined & NUMBER_METHODS, sorted(defined & NUMBER_METHODS)
     assert not hasattr(scalar, "ulp")
+
+
+def test_only_value_record_compares_and_hashes():
+    # every record compares and hashes its __slots__ by ValueRecord's rule,
+    # so no class of the package keeps a second one
+    defined = []
+    for path in sorted((ROOT / "src" / "mesolabe").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ClassDef) and node.name != "ValueRecord":
+                names = {item.name for item in node.body if isinstance(item, ast.FunctionDef)}
+                names |= {target.id for item in node.body if isinstance(item, ast.Assign)
+                          for target in item.targets if isinstance(target, ast.Name)}
+                defined += [f"{path.name}: {node.name}.{name}"
+                            for name in sorted(names & {"__eq__", "__hash__"})]
+    assert not defined, defined

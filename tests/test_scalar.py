@@ -10,14 +10,15 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import mesolabe
+from mesolabe import figures
 from mesolabe.delian import InstrumentState
+from mesolabe.euclid import Point2, Point3, Triangle
 from mesolabe.proportio import ChordConfig, reproduce_table, solve_continued_chords
 from mesolabe.scalar import (
     CertificationError,
     DecimalScalar,
     PrecisionContext,
     _half_even,
-    _half_even_div,
     _icbrt,
     cbrt,
     format_grouped,
@@ -422,8 +423,29 @@ class TestHalfEven:
         assert _half_even(f, n, tie) == round(x)  # round is half-even
         # asked only when f / n is an integer g = 1 (mod 4)
         assert bool(asked) == (f % n == 0 and f // n % 4 == 1)
-        # the same rule written out for a quotient
-        assert _half_even_div(x.numerator, x.denominator) == round(x)
+        # a quotient p/q is its own floor at f = 2p, n = q, so it needs no tie test
+        assert _half_even(2 * x.numerator, x.denominator) == round(x)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(-10**9, 10**9), st.integers(1, 10**4), st.integers(0, 6),
+           st.integers(0, 6), st.booleans())
+    @example(2, 1, 2, 1, True)  # 0.025 to 0.02 at 2 digits, 0.25 to 0.2 at 1
+    @example(1, 1, 2, 1, True)  # 0.015 to 0.02, 0.15 to 0.2
+    @example(-1, 1, 2, 1, True)  # -0.005 to 0.00, -0.05 to 0.0
+    def test_every_rounding_is_pythons_round(self, k, q, scale, digits, tie):
+        # from_fraction, round_to and the figures' coordinates all round by
+        # _half_even; round is half-even on the exact value, ties included
+        p = 2 * k + 1 if tie else k
+        if tie:  # p/q halfway between two values at scale
+            q = 2 * 10**scale
+        x = Fraction(p, q)
+        value = DecimalScalar.from_fraction(x, scale)
+        assert value == DecimalScalar(round(x * 10**scale), scale)
+        if tie and digits < scale:  # a value halfway between two at digits
+            value = DecimalScalar(p * 5 * 10 ** (scale - digits - 1), scale)
+        assert round_to(value, digits) == DecimalScalar(
+            round(value.as_fraction() * 10**digits), digits)
+        assert figures._fmt((p, q)) == str(DecimalScalar(round(x * 100), 2))
 
 
 class TestCubeRoot:
@@ -514,7 +536,37 @@ class TestRationalExactness:
         assert total.denominator > 0
 
 
+#: Per record class: how many small ints make one, and a one-to-one maker.
+RECORD_MAKERS = {
+    "Point2": (2, Point2),
+    "Point3": (3, Point3),
+    "Triangle": (6, lambda *v: Triangle(Point2(*v[:2]), Point2(*v[2:4]), Point2(*v[4:]))),
+    "DecimalScalar": (2, DecimalScalar),
+    "ChordConfig": (2, lambda d, w: solve_continued_chords(d + 1, PrecisionContext(w + 1))),
+}
+
+
 class TestValueRecord:
+    @settings(max_examples=200, deadline=None)
+    @given(st.sampled_from(sorted(RECORD_MAKERS)), st.data())
+    def test_records_are_equal_exactly_when_their_fields_are(self, name, data):
+        arity, make = RECORD_MAKERS[name]
+        fields = st.tuples(*[st.integers(0, 1)] * arity)
+        u, v = data.draw(fields), data.draw(fields)
+        a, b = make(*u), make(*v)
+        assert a is not b
+        assert (a == b) == (u == v) == (a.as_dict() == b.as_dict()) != (a != b)
+        if a == b:
+            assert hash(a) == hash(b) and len({a, b}) == 1
+
+    @given(st.fractions(), st.integers(0, 5))
+    def test_records_of_two_classes_with_the_same_fields_are_unequal(self, x, n):
+        for a, b in ((DecimalScalar(1, 2), Point2(1, 2)), (DecimalScalar(n, n), Point2(n, n)),
+                     (PrecisionContext(n + 1, n + 5), DecimalScalar(n + 1, n + 5)),
+                     (Point3(x, x, x), Triangle(x, x, x))):
+            assert tuple(a.as_dict().values()) == tuple(b.as_dict().values())
+            assert a != b and b != a and not a == b
+
     def test_records_compare_hash_and_print_by_value(self):
         ctx = PrecisionContext(30, 10)
         same = PrecisionContext(30, 10)
