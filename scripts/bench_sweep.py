@@ -23,8 +23,10 @@ Rows, each the fastest of ``--repeat`` calls after one warm-up call:
   ``PROPOSITION_SUITE`` entry's valid and perturbed function (build one
   instance, run its checker) ``SUITE_CALLS`` times from ``Random(0)``,
   ``POINTS`` constructions of a ``Point2``, a ``Point3``, a ``DecimalScalar``
-  and an ``InstrumentState``, and ``POINTS`` comparisons of two equal
-  ``Point2``s, ``Point3``s and ``ChordConfig``s solved for diameter 2; and the
+  and an ``InstrumentState``, ``POINTS`` comparisons of two equal
+  ``Point2``s, ``Point3``s and ``ChordConfig``s solved for diameter 2,
+  ``POINTS`` groupings (``scalar.grouped_text``) of a value with 20, 300 and
+  1000 fractional digits; and the
   deep-solve kernels at ``--digits`` 20, 100, 300, 1000 and 4190, with
   w = digits + 10 work digits, the operands (a, b) = (1, 2) of the ``means``
   row and the diameter 2 of the
@@ -183,6 +185,16 @@ def compare(a, b):
     return call
 
 
+def group(cli, digits: int):
+    """``POINTS`` groupings of the text parts of a value with ``digits`` fractional digits."""
+    parts = ("", "1", str(7 ** (4 * digits))[:digits])
+
+    def call():
+        for _ in range(POINTS):
+            cli.grouped_text(parts)
+    return call
+
+
 def _seed_of(cli, a: Fraction, b: Fraction, w: int):
     """The seed's bracket (low, high) on g^2 for (a, b) at w work digits, taken from the
     solve's one cube root, which is 10^e times wider."""
@@ -286,6 +298,9 @@ def rows(trees: dict) -> list[tuple[str, int | None, int, dict]]:
                  for t, (cli, _, _) in trees.items()}))
     out.append((f"layer scalar.DecimalScalar x{POINTS}", None, 1,
                 {t: construct(cli.DecimalScalar, (12345, 3)) for t, (cli, _, _) in trees.items()}))
+    for digits in (20, 300, 1000):
+        out.append((f"layer scalar.grouped_text x{POINTS}", digits, 1,
+                    {t: group(cli, digits) for t, (cli, _, _) in trees.items()}))
     state = (Fraction(1), Fraction(2), Fraction(1, 3))
     out.append((f"layer delian.InstrumentState x{POINTS}", None, 1,
                 {t: construct(cli.delian.InstrumentState, state)

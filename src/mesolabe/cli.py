@@ -27,6 +27,7 @@ from .scalar import (
     grouped_text,
     parse_int,
     plain_text,
+    shown_parts,
     sqrt,
 )
 
@@ -215,15 +216,16 @@ def _cmd_pyramid(args, ctx: PrecisionContext) -> Record:
     return (0 if prism_ok else 1), payload, lines
 
 
-def _means_payload(result: delian.MeansResult, ctx: PrecisionContext) -> tuple[dict, list[str]]:
-    theta = DecimalScalar.from_fraction(result.theta_param, ctx.work_digits + 1)
+def _means_payload(result: delian.MeansResult) -> tuple[dict, list[str]]:
+    # one conversion per mean: the shown text is read off the full one
+    m1, m2 = result.m1.text_parts(), result.m2.text_parts()
     payload = {
         "method": result.method,
-        "m1": str(result.m1_shown),
-        "m2": str(result.m2_shown),
-        "m1_full": str(result.m1),
-        "m2_full": str(result.m2),
-        "theta": str(theta),
+        "m1": plain_text(shown_parts(m1, result.m1_shown)),
+        "m2": plain_text(shown_parts(m2, result.m2_shown)),
+        "m1_full": plain_text(m1),
+        "m2_full": plain_text(m2),
+        "theta": str(result.theta),
         "iterations": result.iterations,
         "residual_bound": _residual_bound(result.residual),
     }
@@ -247,13 +249,13 @@ def _cmd_means(args, ctx: PrecisionContext) -> Record:
         # and certifies the same cell, so the compass finds the same t in as
         # many signs, and its means come from the same root: its section
         # differs only in the method, and the two parameters cannot disagree.
-        p1, l1 = _means_payload(delian.two_means_instrument(a, b, ctx), ctx)
+        p1, l1 = _means_payload(delian.two_means_instrument(a, b, ctx))
         p2, l2 = dict(p1, method="compass"), ["method: compass", *l1[1:]]
         payload = {"instrument": p1, "compass": p2, "parameters_agree": True}
         return 0, payload, l1 + [""] + l2 + ["", "solver parameters agree: ok"]
     solver = delian.two_means_instrument if args.method == "instrument" else delian.two_means_compass
     result = solver(a, b, ctx)
-    payload, lines = _means_payload(result, ctx)
+    payload, lines = _means_payload(result)
     return 0, payload, lines
 
 
@@ -266,10 +268,11 @@ def _cmd_duplicate_cube(args, ctx: PrecisionContext) -> Record:
     # |r^3 - 2e^3| <= 10^-w (r^2 + r r* + r*^2) / 2 < (r^2 + r e + e^2) 10^-digits,
     # as r* < 1.26 e gives r^2 + r r* + r*^2 < 1.59 (r^2 + r e + e^2) and w - digits >= 5.
     doubling = abs(r * r * r - 2 * e * e * e)
+    full_parts = full.text_parts()  # both round one root, as the means do
     payload = {
         "edge": str(edge),
-        "doubled_edge": str(shown),
-        "doubled_edge_full": str(full),
+        "doubled_edge": plain_text(shown_parts(full_parts, shown)),
+        "doubled_edge_full": plain_text(full_parts),
         "volume_residual_bound": _residual_bound(DecimalScalar(doubling, 3 * s)),
     }
     lines = [

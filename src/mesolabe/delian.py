@@ -146,15 +146,28 @@ class MeansResult(ValueRecord):
     """Solved means with the arc parameter and an exact residual bound.
 
     ``m1`` and ``m2`` are b k^2 = cbrt(a^2 b) and b k = cbrt(a b^2), from
-    the seed's root C = floor(S k), rounded half-even at the work digits,
+    the seed's root C = floor(S k), rounded half-even at the w work digits,
     and ``m1_shown`` and ``m2_shown`` the same roots rounded at the output
-    digits.  ``iterations`` counts the grid points whose exact
-    sign certified the arc parameter, decided by the seed's bracket or by
-    the residual (0 when a == b needs none).  Immutable by convention.
+    digits.  A shown mean's integer S is q = floor(F / N) or q + 1, for its
+    full value's integer F and N = 10^(w - digits): both round one root x
+    to nearest, so |F - 10^w x| <= 1/2 and |S N - 10^w x| <= N/2, and with
+    F = qN + r, 0 <= r < N, S N - qN = (S N - 10^w x) + (10^w x - F) + r
+    lies between -N/2 - 1/2 and 3N/2 - 1/2, strictly between -N and 2N.  So
+    its text is the full text's prefix, with a carry when S = q + 1
+    (:func:`~mesolabe.scalar.shown_parts`).  ``theta`` is the certified arc
+    parameter, exact at w + 1 fractional digits: 10 g + 5 for the cell
+    (g, g + 1) on the grid 10^-w, 10 g on an exact hit and 0 when a == b.
+    ``iterations`` counts the grid points whose exact sign certified it,
+    decided by the seed's bracket or by the residual (0 when a == b needs
+    none).  Immutable by convention.
     """
 
-    __slots__ = ("m1", "m1_shown", "m2", "m2_shown", "theta_param", "iterations", "residual",
-                 "method")
+    __slots__ = ("m1", "m1_shown", "m2", "m2_shown", "theta", "iterations", "residual", "method")
+
+    @property
+    def theta_param(self) -> Fraction:
+        """The arc parameter as a Fraction: the cell's midpoint (2g + 1) / (2 10^w), or g / 10^w."""
+        return self.theta.as_fraction()
 
 
 def _validate(a: Fraction, b: Fraction) -> None:
@@ -242,11 +255,11 @@ def _cell(low: int, high: int, grid: int, sign: Callable[[int], int], want_low: 
     return g, False
 
 
-def _mean(low: int, high: int, unit: int, radicand, w: int, digits: int
+def _mean(low: int, high: int, unit: int, radicand, w: int, digits: int, shift: int
           ) -> tuple[DecimalScalar, DecimalScalar]:
     """A mean m rounded half-even at ``w`` and at ``digits`` fractional digits,
-    where low/unit <= 2 10^w m < high/unit and ``radicand()`` is (n, d) with
-    (2 10^w m)^3 = n/d.
+    where low/n <= 2 10^w m < high/n for n = unit 2^shift and ``radicand()``
+    is (n, d) with (2 10^w m)^3 = n/d.
 
     floor(2 10^w m) is the :func:`~mesolabe.scalar.window_floor` of that
     window, whose one exact test is (g + 1)^3 d <= n.  n and d are formed at
@@ -257,7 +270,7 @@ def _mean(low: int, high: int, unit: int, radicand, w: int, digits: int
     def at_or_below(g: int) -> bool:
         n, d = radicand()
         return g**3 * d <= n
-    return _rounded_cbrt(window_floor(low, high, unit, at_or_below), radicand, w, digits)
+    return _rounded_cbrt(window_floor(low, high, unit, at_or_below, shift), radicand, w, digits)
 
 
 def _solve(a, b, ctx: PrecisionContext, method: str) -> MeansResult:
@@ -271,14 +284,16 @@ def _solve(a, b, ctx: PrecisionContext, method: str) -> MeansResult:
     w, digits = ctx.work_digits, ctx.output_digits
     big_c, z, e = _root(af, bf, w)
     pa, qa, pb, qb = af.numerator, af.denominator, bf.numerator, bf.denominator
-    v, m2_low = 10 ** (5 + z + e), 2 * pb * big_c
+    # the units qb v = qb 10^k and qb 10^w v^2 = qb 10^(w + 2k), k = 5 + z + e, as
+    # qb 5^k and qb 5^(w + 2k) shifted, since 10^k = 5^k 2^k
+    k, m2_low = 5 + z + e, 2 * pb * big_c
     m1_low = m2_low * big_c
-    m1 = _mean(m1_low, m1_low + 2 * m2_low + 2 * pb, qb * 10**w * v * v,
-               lambda: (8 * 10 ** (3 * w) * pa * pa * pb, qa * qa * qb), w, digits)
-    m2 = _mean(m2_low, m2_low + 2 * pb, qb * v,
-               lambda: (8 * 10 ** (3 * w) * pa * pb * pb, qa * qb * qb), w, digits)
+    m1 = _mean(m1_low, m1_low + 2 * m2_low + 2 * pb, qb * 5 ** (w + 2 * k),
+               lambda: (8 * 10 ** (3 * w) * pa * pa * pb, qa * qa * qb), w, digits, w + 2 * k)
+    m2 = _mean(m2_low, m2_low + 2 * pb, qb * 5**k,
+               lambda: (8 * 10 ** (3 * w) * pa * pb * pb, qa * qb * qb), w, digits, k)
     if af == bf:
-        t, evaluations = Fraction(0), 0
+        theta, evaluations = 0, 0
     else:
         grid = 10**w
         instrument = method == "instrument"
@@ -289,9 +304,9 @@ def _solve(a, b, ctx: PrecisionContext, method: str) -> MeansResult:
             return (r > 0) - (r < 0)
         # the sign below the root is 1 for the instrument and -1 for the compass
         g, exact = _cell(*_seed(big_c // 10**e, z, w), grid, sign, 1 if instrument else -1)
-        t, evaluations = (Fraction(g, grid), 1) if exact else (Fraction(2 * g + 1, 2 * grid), 2)
+        theta, evaluations = (10 * g, 1) if exact else (10 * g + 5, 2)
     residual = _result(af, bf, m1[0].unscaled, m2[0].unscaled, w)
-    return MeansResult(*m1, *m2, t, evaluations, residual, method)
+    return MeansResult(*m1, *m2, DecimalScalar(theta, w + 1), evaluations, residual, method)
 
 
 def two_means_instrument(a, b, ctx: PrecisionContext = DEFAULT_CONTEXT) -> MeansResult:

@@ -38,6 +38,7 @@ from .scalar import (
     as_rational,
     format_grouped,
     round_to,
+    shown_parts,
     window_floor,
 )
 
@@ -250,26 +251,23 @@ def chord_texts(full: ChordConfig, digits: int) -> dict[str, tuple[tuple, tuple]
     """Per chord, in table order, the text parts of its table value and of its full value.
 
     The table values are ``full.table_values(digits)``, so ``digits`` is at
-    most the work digits, and each value is converted to text once
-    (:meth:`~DecimalScalar.text_parts`).  AB and BC at ``digits`` floor the
-    same f = floor(2 10^w x) that their full values round half up, so their
-    digits are the full value's first ``digits``, unless f is odd and the
-    full value rounded up onto a multiple of 10^(w - digits); only then, and
-    for AD and BD, is the table value converted apart.
+    most the work digits, and each full value is converted to text once
+    (:meth:`~DecimalScalar.text_parts`); each table value is read off it
+    (:func:`~mesolabe.scalar.shown_parts`).  For that a table value's
+    integer S lies within 2 of q = floor(F / N), for the full value's
+    integer F = qN + r and N = 10^(w - digits), since S - q = (S N - F + r) / N
+    with 0 <= r < N.  AB's and BC's full values round the root x that their
+    table values floor, so S N - F lies in (-N - 1/2, 1/2] and S is q - 1
+    or q; AD's both round d, so S N - F lies within N/2 + 1/2 of 0 and S is
+    q or q + 1; and BD is AD - AB at both scales, so S N - F lies in
+    [-N/2 - 1, 3N/2 + 1) and S is q, q + 1 or q + 2.
     """
     table = full.table_values(digits)
-    _, twice_ab, twice_bc = full.roots
     texts = {}
-    for label, shown, value, twice in (("AD", table.ad, full.ad, None),
-                                       ("AB", table.ab, full.ab, twice_ab),
-                                       ("BC", table.bc, full.bc, twice_bc),
-                                       ("BD", table.bd, full.bd, None)):
+    for label, shown, value in (("AD", table.ad, full.ad), ("AB", table.ab, full.ab),
+                                ("BC", table.bc, full.bc), ("BD", table.bd, full.bd)):
         parts = value.text_parts()
-        sign, whole, frac = parts
-        if twice is None or twice % 2 and not frac[digits:].strip("0"):
-            texts[label] = shown.text_parts(), parts
-        else:
-            texts[label] = (sign, whole, frac[:digits]), parts
+        texts[label] = shown_parts(parts, shown), parts
     return texts
 
 

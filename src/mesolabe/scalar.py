@@ -20,8 +20,6 @@ from collections.abc import Callable
 from fractions import Fraction
 
 _PLAIN_RE = re.compile(r"^([+-]?)(\d+)(?:\.(\d+))?$")
-#: Fractional digits in groups of five, the last one shorter if need be.
-_GROUP_RE = re.compile(r"\d{1,5}")
 
 
 def _half_even(f: int, n: int, tie: Callable[[], bool] | None = None) -> int:
@@ -327,6 +325,31 @@ def plain_text(parts: tuple[str, str, str]) -> str:
     return f"{sign}{whole}.{frac}" if frac else sign + whole
 
 
+def shown_parts(full: tuple[str, str, str], shown: DecimalScalar) -> tuple[str, str, str]:
+    """The :meth:`~DecimalScalar.text_parts` of ``shown``, read off ``full``: the
+    text parts of a value F with n >= ``shown.scale`` fractional digits.
+
+    With N = 10^(n - ``shown.scale``), the digits of q = floor(|F| / N) are
+    ``full``'s integer part and its first ``shown.scale`` fractional digits.
+    The caller guarantees |S| - q in [-8, 8] for ``shown``'s integer S, so
+    |S| - q is 0 or 1 exactly when (|S| - q) mod 10 is, which |S| mod 10 and
+    q's last digit give.  At 0 the digits are that prefix, and at 1 the
+    prefix with a carry into its last digit; any other S, and a carry
+    through every fractional digit, is converted apart.  So a value printed
+    at two precisions takes one ``str(int)``, not two, but in those cases.
+    """
+    _, whole, frac = full
+    head = frac[:shown.scale]
+    step = (abs(shown.unscaled) - int((head or whole)[-1])) % 10
+    sign = "-" if shown.unscaled < 0 else ""
+    if step == 0:
+        return sign, whole, head
+    kept = head.rstrip("9")
+    if step == 1 and kept:
+        return sign, whole, kept[:-1] + str(int(kept[-1]) + 1) + "0" * (len(head) - len(kept))
+    return shown.text_parts()
+
+
 def format_grouped(a: DecimalScalar) -> str:
     """Paper-table typography of ``a``: :func:`grouped_text` of its text parts."""
     return grouped_text(a.text_parts())
@@ -343,12 +366,18 @@ def grouped_text(parts: tuple[str, str, str]) -> str:
     an integer part of exactly five digits gets one leading zero:
     ``70000.5`` renders as ``"070000 5"``.  ``parts`` are a value's
     :meth:`DecimalScalar.text_parts`, so digits already converted are only
-    regrouped.
+    regrouped, with no object per group: the j-th digit of every group is
+    every fifth digit from the j-th, and one slice assignment per j puts
+    them at every sixth byte of a buffer of spaces, one space before each
+    group.
     """
     sign, int_part, frac = parts
     if len(int_part) == 5:
         int_part = "0" + int_part
-    groups = _GROUP_RE.findall(frac)
+    spaced = bytearray(b" " * (len(frac) + (len(frac) + 4) // 5))
+    digits = frac.encode()
+    for j in range(5):
+        spaced[j + 1::6] = digits[j::5]
     if int_part == "0" and len(frac) >= 5:
-        return sign + " ".join(groups)
-    return sign + " ".join([int_part] + groups)
+        return sign + spaced[1:].decode()
+    return sign + int_part + spaced.decode()

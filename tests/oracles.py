@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 import random
+import re
 from fractions import Fraction
 
 
@@ -48,6 +49,21 @@ def long_multiply(a: str, b: str) -> str:
         text = digits.lstrip("0") or "0"
     sign = "-" if (neg_a != neg_b) and any(out) else ""
     return sign + text
+
+
+def grouped_digits(sign: str, int_part: str, frac: str) -> str:
+    """Paper-table typography by regular expression: the fractional digits in
+    groups of five, one string per group.
+
+    An integer part of exactly five digits gets one leading zero, and a zero
+    integer part is left out when a full five-digit group follows.
+    """
+    if len(int_part) == 5:
+        int_part = "0" + int_part
+    groups = re.findall(r"\d{1,5}", frac)
+    if int_part == "0" and len(frac) >= 5:
+        return sign + " ".join(groups)
+    return sign + " ".join([int_part] + groups)
 
 
 def newton_sqrt(value: Fraction, digits: int) -> Fraction:

@@ -8,6 +8,7 @@ import sys
 from contextlib import redirect_stdout
 from fractions import Fraction
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -23,7 +24,7 @@ from mesolabe.cli import (
 )
 from mesolabe.scalar import DecimalScalar, PrecisionContext, _decimal_digits, format_grouped
 
-from oracles import chord_lengths, in_continued_proportion, proportion_defect, rounded
+from oracles import chord_lengths, in_continued_proportion, proportion_defect, rounded, rounded_cbrt
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -85,6 +86,13 @@ class TestSolveChords:
 
     def test_bad_diameter_is_usage_error(self, capsys):
         assert main(["solve-chords", "--diameter", "-2"]) == 2
+
+    def test_one_conversion_per_printed_number(self, capsys):
+        # the diameter and the four full values: each table value is read off its full one
+        with mock.patch.object(DecimalScalar, "text_parts", autospec=True,
+                               side_effect=DecimalScalar.text_parts) as converted:
+            code, _ = run(capsys, "solve-chords", "--diameter", "2", "--digits", "300", "--json")
+        assert code == 0 and converted.call_count == 5
 
     @pytest.mark.parametrize("diameter, guard, grouped, value", [
         ("48275.8500000000001", "9", "048275 9", "48275.9"),
@@ -316,6 +324,39 @@ class TestMeans:
         code, text = run(capsys, "means", "--a", "1", "--b", f"{whole}.{frac:0105d}",
                          "--digits", "1")
         assert code == 0 and "\nm1 = 1.3\n" in text
+
+    def test_a_shown_mean_carries_into_the_integer_part(self, capsys):
+        # m2 = 7.99966665... rounds up past every fractional digit at 3 digits
+        code, text = run(capsys, "means", "--a", "7.999", "--b", "8", "--digits", "3")
+        assert code == 0 and "\nm1 = 7.999\nm2 = 8.000\n" in text
+        _, blob = run(capsys, "means", "--a", "7.999", "--b", "8", "--digits", "3", "--json")
+        payload = json.loads(blob)
+        assert (payload["m2"], payload["m2_full"]) == ("8.000", "7.9996666527768")
+        assert (payload["m1"], payload["m1_full"]) == ("7.999", "7.9993333194437")
+
+    def test_a_shown_mean_carries_through_trailing_nines(self, capsys):
+        # m1 = cbrt(2.69^2 7) = 3.69999269... rounds up through three nines at 4
+        # digits, and the integer part stays (found with oracles.rounded_cbrt)
+        assert rounded(Fraction("3.69999269538368"), 4) == rounded_cbrt(Fraction("2.69") ** 2 * 7, 4)
+        code, text = run(capsys, "means", "--a", "2.69", "--b", "7", "--digits", "4")
+        assert code == 0 and "\nm1 = 3.7000\nm2 = 5.0892\n" in text
+        _, blob = run(capsys, "means", "--a", "2.69", "--b", "7", "--digits", "4", "--json")
+        payload = json.loads(blob)
+        assert (payload["m1"], payload["m1_full"]) == ("3.7000", "3.69999269538368")
+        assert (payload["m2"], payload["m2_full"]) == ("5.0892", "5.08919923639130")
+
+    @pytest.mark.parametrize("argv, conversions", [
+        # the two full means and the arc parameter
+        (("--a", "1", "--b", "2", "--digits", "300"), 3),
+        (("--a", "2.69", "--b", "7", "--digits", "4"), 3),
+        # the carry into m2's integer part converts the shown m2 apart
+        (("--a", "7.999", "--b", "8", "--digits", "3"), 4),
+    ])
+    def test_one_conversion_per_printed_number(self, capsys, argv, conversions):
+        with mock.patch.object(DecimalScalar, "text_parts", autospec=True,
+                               side_effect=DecimalScalar.text_parts) as converted:
+            code, _ = run(capsys, "means", *argv, "--method", "both")
+        assert code == 0 and converted.call_count == conversions
 
     def test_certification_failure_is_one_line_exit_1(self, capsys, monkeypatch):
         # a bracket that puts every grid point above the root, t = 0 too: no grid

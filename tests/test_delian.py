@@ -1,6 +1,7 @@
 import collections
 import contextlib
 import io
+import json
 import math
 import random
 from fractions import Fraction
@@ -69,14 +70,14 @@ def _radicand_calls():
     calls = []
     mean = delian._mean
 
-    def counted(low, high, unit, radicand, w, digits):
+    def counted(low, high, unit, radicand, w, digits, shift):
         k = len(calls)
         calls.append(0)
 
         def formed():
             calls[k] += 1
             return radicand()
-        return mean(low, high, unit, formed, w, digits)
+        return mean(low, high, unit, formed, w, digits, shift)
     with mock.patch.object(delian, "_mean", counted):
         yield calls
 
@@ -258,8 +259,8 @@ class TestTwoMeans:
     def test_a_window_of_a_unit_or_more_raises(self):
         # the premise that decides the floor is checked, with python -O as without
         with pytest.raises(CertificationError, match="narrower than a unit"):
-            delian._mean(0, 10, 10, lambda: (1, 1), 6, 1)
-        assert delian._mean(0, 9, 10, lambda: (1, 1), 6, 1)[0] == DecimalScalar(0, 6)
+            delian._mean(0, 10, 10, lambda: (1, 1), 6, 1, 0)
+        assert delian._mean(0, 9, 10, lambda: (1, 1), 6, 1, 0)[0] == DecimalScalar(0, 6)
 
 
 class TestDuplicateCube:
@@ -533,6 +534,27 @@ class TestSeedBracket:
                               (two_means_compass, "compass")):
             result = solve(a, b, ctx)
             assert (result.theta_param, result.iterations) == _residual_only(a, b, ctx, method)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.one_of(ordered_pairs, decimal_values().map(lambda a: (a, a))),
+           st.integers(min_value=1, max_value=60), st.sampled_from(["instrument", "compass"]))
+    @example((F(27), F(125)), 10, "instrument")  # an exact hit: t = 1/2 on the grid
+    @example((F(27), F(125)), 1, "compass")
+    @example((F(3), F(3)), 20, "instrument")  # a == b: t = 0
+    def test_printed_theta_is_the_arc_parameter_rounded(self, pair, digits, method):
+        # t printed from its cell's integer is t rounded at w + 1 digits, as when
+        # it was printed from the Fraction of the residual-only search
+        a, b = pair
+        ctx = PrecisionContext(digits)
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert main(["means", "--a", str(a), "--b", str(b), "--method", method,
+                         "--digits", str(digits), "--json"]) == 0
+        printed = json.loads(out.getvalue())["theta"]
+        t, _ = _residual_only(a, b, ctx, method)
+        assert printed == str(DecimalScalar.from_fraction(t, ctx.work_digits + 1))
+        solved = two_means_instrument(a, b, ctx)
+        assert printed == str(DecimalScalar.from_fraction(solved.theta_param, ctx.work_digits + 1))
 
     def test_a_lying_residual_is_refused(self):
         # the cell's two ends are checked against their signs, decided or evaluated;

@@ -82,6 +82,8 @@ class TestChordSolver:
     )
     @example(31478911659571980921, 20, 1, 1)  # AB = 0.09999975..., its full value 0.100000
     @example(2, 0, 1, 6)  # table digits at the 6 work digits
+    @example(129996, 5, 1, 4)  # AD = 1.3000, read off 1.299960 through its nines
+    @example(99996, 5, 1, 4)  # AD = 1.0000, whose carry reaches the integer part
     def test_table_values_floor_the_roots(self, unscaled, scale, digits, table_digits):
         # table digits up to the 6 to 35 work digits: AB and BC are the exact roots floored
         assume(table_digits <= digits + 5)

@@ -22,12 +22,14 @@ from mesolabe.scalar import (
     _icbrt,
     cbrt,
     format_grouped,
+    grouped_text,
     round_to,
+    shown_parts,
     sqrt,
     window_floor,
 )
 
-from oracles import long_multiply, newton_sqrt, rounded_cbrt, rounded_sqrt
+from oracles import grouped_digits, long_multiply, newton_sqrt, rounded_cbrt, rounded_sqrt
 
 D = DecimalScalar.from_str
 
@@ -131,6 +133,29 @@ class TestGroupedFormat:
         assert format_grouped(D("13")) == "13"
         assert format_grouped(D("-0.50000")) == "-50000"
 
+    #: Integer parts of every kind: zero, 1-4 digits, exactly 5 (which gets a
+    #: leading zero) and 6-7 digits.
+    INT_PARTS = st.one_of(st.just("0"), st.integers(min_value=1, max_value=7).flatmap(
+        lambda n: st.integers(min_value=10 ** (n - 1), max_value=10**n - 1).map(str)))
+
+    @settings(max_examples=300)
+    @given(st.sampled_from(["", "-"]), INT_PARTS, st.integers(min_value=0, max_value=2000),
+           st.randoms(use_true_random=False))
+    @example("", "0", 5, random.Random(0))
+    @example("-", "12345", 0, random.Random(0))
+    def test_grouping_is_the_regex_grouping(self, sign, int_part, length, rng):
+        frac = str(rng.randrange(10**length)).zfill(length) if length else ""
+        assert grouped_text((sign, int_part, frac)) == grouped_digits(sign, int_part, frac)
+
+    def test_every_short_length_is_the_regex_grouping(self):
+        # one code path for every length: each group boundary up to 12 groups
+        for length in range(60):
+            frac = "".join(str((7 * i + length) % 10) for i in range(length))
+            for sign in ("", "-"):
+                for int_part in ("0", "7", "1234", "12345", "123456", "1234567"):
+                    parts = (sign, int_part, frac)
+                    assert grouped_text(parts) == grouped_digits(*parts)
+
     def test_ambiguous_integer_part_rejected(self):
         # the ambiguous form is never printed: a five-digit integer part gets
         # one leading zero, and six characters read as an integer part
@@ -173,6 +198,32 @@ def _below(n: int, m: int):
         calls.append(g)
         return g * m <= n
     return at_or_below, calls
+
+
+class TestShownParts:
+    """A value's text read off the text of a value at more fractional digits."""
+
+    @settings(max_examples=400)
+    @given(st.integers(min_value=0, max_value=10**30), st.integers(min_value=0, max_value=12),
+           st.integers(min_value=0, max_value=25), st.integers(min_value=1, max_value=25),
+           st.integers(min_value=0, max_value=10**25), st.integers(min_value=-8, max_value=8),
+           st.sampled_from([1, -1]), st.sampled_from([1, -1]))
+    @example(7, 3, 3, 10, 0, 1, 1, 1)  # 7.999 + 1 unit carries into the integer part
+    @example(36, 3, 4, 10, 0, 1, 1, 1)  # 3.6999 + 1 unit carries through three nines
+    @example(0, 0, 0, 2, 99, 0, -1, 1)  # -0.99 shown at 0 digits as 0
+    def test_is_the_shown_values_text(self, head, nines, scale, extra, rest, step, sign, shown_sign):
+        # q ends in ``nines`` nines; the full value is q 10^extra + r at scale + extra
+        q = head * 10**nines + 10**nines - 1
+        unit = 10**extra
+        full = DecimalScalar(sign * (q * unit + rest % unit), scale + extra)
+        shown = DecimalScalar(shown_sign * max(q + step, 0), scale)
+        assert shown_parts(full.text_parts(), shown) == shown.text_parts()
+
+    def test_a_carry_reads_no_more_digits(self):
+        full = D("3.69999269538368").text_parts()
+        assert shown_parts(full, D("3.7000")) == ("", "3", "7000")
+        assert shown_parts(full, D("3.6999")) == ("", "3", "6999")
+        assert shown_parts(D("-12.3456").text_parts(), D("-12.35")) == ("-", "12", "35")
 
 
 class TestWindowFloor:
