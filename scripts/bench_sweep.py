@@ -25,8 +25,8 @@ Rows, each the fastest of ``--repeat`` calls after one warm-up call:
   ``POINTS`` constructions of a ``Point2``, a ``Point3``, a ``DecimalScalar``
   and an ``InstrumentState``, ``POINTS`` comparisons of two equal
   ``Point2``s, ``Point3``s and ``ChordConfig``s solved for diameter 2,
-  ``POINTS`` groupings (``scalar.grouped_text``) of a value with 20, 300 and
-  1000 fractional digits; and the
+  ``POINTS`` conversions to grouped text (``scalar.format_grouped``, a name
+  every tree has) of a value with 20, 300 and 1000 fractional digits; and the
   deep-solve kernels at ``--digits`` 20, 100, 300, 1000 and 4190, with
   w = digits + 10 work digits, the operands (a, b) = (1, 2) of the ``means``
   row and the diameter 2 of the
@@ -186,12 +186,13 @@ def compare(a, b):
 
 
 def group(cli, digits: int):
-    """``POINTS`` groupings of the text parts of a value with ``digits`` fractional digits."""
-    parts = ("", "1", str(7 ** (4 * digits))[:digits])
+    """``POINTS`` conversions to grouped text of a value with ``digits`` fractional digits."""
+    value = cli.DecimalScalar(int("1" + str(7 ** (4 * digits))[:digits]), digits)
+    format_grouped = cli.proportio.format_grouped
 
     def call():
         for _ in range(POINTS):
-            cli.grouped_text(parts)
+            format_grouped(value)
     return call
 
 
@@ -299,7 +300,7 @@ def rows(trees: dict) -> list[tuple[str, int | None, int, dict]]:
     out.append((f"layer scalar.DecimalScalar x{POINTS}", None, 1,
                 {t: construct(cli.DecimalScalar, (12345, 3)) for t, (cli, _, _) in trees.items()}))
     for digits in (20, 300, 1000):
-        out.append((f"layer scalar.grouped_text x{POINTS}", digits, 1,
+        out.append((f"layer scalar.format_grouped x{POINTS}", digits, 1,
                     {t: group(cli, digits) for t, (cli, _, _) in trees.items()}))
     state = (Fraction(1), Fraction(2), Fraction(1, 3))
     out.append((f"layer delian.InstrumentState x{POINTS}", None, 1,

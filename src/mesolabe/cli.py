@@ -24,10 +24,10 @@ from .scalar import (
     DecimalScalar,
     PrecisionContext,
     _decimal_digits,
+    fraction_text,
     grouped_text,
+    pair_texts,
     parse_int,
-    plain_text,
-    shown_parts,
     sqrt,
 )
 
@@ -37,7 +37,10 @@ ENV_GUARD = "MESOLABE_GUARD"
 #: Digits kept free of the work digits under the interpreter's limit on
 #: int-to-str conversion.  The fractional digits of a printed value (at most
 #: the work digits, and one more for the arc parameter) go through one
-#: ``str(int)``; its integer part is converted apart and needs none of it.
+#: ``str(int)``, which this room keeps within the limit.  Its integer part
+#: goes through another, which no room can bound: an integer part that
+#: outgrows the limit, as the doubled edge of a cube with a 4300-digit edge
+#: does, gets a one-line error, as an operand past the limit does.
 INT_PART_ROOM = 100
 
 
@@ -116,9 +119,8 @@ def _cmd_solve_chords(args, ctx: PrecisionContext) -> Record:
         "digits": ctx.output_digits,
         "work_digits": ctx.work_digits,
         "chords": {
-            label: {"value": plain_text(shown), "grouped": grouped[label],
-                    "full": plain_text(parts)}
-            for label, (shown, parts) in texts.items()
+            label: {"value": shown, "grouped": grouped[label], "full": text}
+            for label, (shown, text) in texts.items()
         },
         "verified": True,
     }
@@ -183,7 +185,7 @@ def _cmd_pyramid(args, ctx: PrecisionContext) -> Record:
         payload = {
             "edges": args.edges,
             "cosines": args.cosines,
-            "diagonal_sq": str(dsq),
+            "diagonal_sq": fraction_text(dsq),
             "diagonal": str(sqrt(dsq, ctx.output_digits)),
         }
         lines = [
@@ -217,14 +219,14 @@ def _cmd_pyramid(args, ctx: PrecisionContext) -> Record:
 
 
 def _means_payload(result: delian.MeansResult) -> tuple[dict, list[str]]:
-    # one conversion per mean: the shown text is read off the full one
-    m1, m2 = result.m1.text_parts(), result.m2.text_parts()
+    m1_shown, m1 = pair_texts(result.m1, result.m1_shown)
+    m2_shown, m2 = pair_texts(result.m2, result.m2_shown)
     payload = {
         "method": result.method,
-        "m1": plain_text(shown_parts(m1, result.m1_shown)),
-        "m2": plain_text(shown_parts(m2, result.m2_shown)),
-        "m1_full": plain_text(m1),
-        "m2_full": plain_text(m2),
+        "m1": m1_shown,
+        "m2": m2_shown,
+        "m1_full": m1,
+        "m2_full": m2,
         "theta": str(result.theta),
         "iterations": result.iterations,
         "residual_bound": _residual_bound(result.residual),
@@ -268,11 +270,11 @@ def _cmd_duplicate_cube(args, ctx: PrecisionContext) -> Record:
     # |r^3 - 2e^3| <= 10^-w (r^2 + r r* + r*^2) / 2 < (r^2 + r e + e^2) 10^-digits,
     # as r* < 1.26 e gives r^2 + r r* + r*^2 < 1.59 (r^2 + r e + e^2) and w - digits >= 5.
     doubling = abs(r * r * r - 2 * e * e * e)
-    full_parts = full.text_parts()  # both round one root, as the means do
+    shown_text, full_text = pair_texts(full, shown)  # both round one root
     payload = {
         "edge": str(edge),
-        "doubled_edge": plain_text(shown_parts(full_parts, shown)),
-        "doubled_edge_full": plain_text(full_parts),
+        "doubled_edge": shown_text,
+        "doubled_edge_full": full_text,
         "volume_residual_bound": _residual_bound(DecimalScalar(doubling, 3 * s)),
     }
     lines = [
@@ -286,11 +288,12 @@ def _cmd_four_proportionals(args, ctx: PrecisionContext) -> Record:
     build = proportio.four_proportionals_sphere if args.sphere else proportio.four_proportionals_planar
     terms = build(_parse_rational(args.ac), _parse_rational(args.t))
     # each exact term is rounded once to the printed digits and once to the work
-    # digits, which keeps the continued proportion (see _cmd_solve_chords)
-    full = [DecimalScalar.from_fraction(v, ctx.work_digits) for v in terms]
-    labels = ("AF", "AE", "AD", "AC")
-    shown = {k: str(DecimalScalar.from_fraction(v, ctx.output_digits))
-             for k, v in zip(labels, terms)}
+    # digits, which keeps the continued proportion (see _cmd_solve_chords), and
+    # converted once: both round one value
+    texts = {k: pair_texts(DecimalScalar.from_fraction(v, ctx.work_digits),
+                           DecimalScalar.from_fraction(v, ctx.output_digits))
+             for k, v in zip(("AF", "AE", "AD", "AC"), terms)}
+    shown = {k: s for k, (s, _) in texts.items()}
     lines = [f"{'spherical' if args.sphere else 'planar'} construction, t = {args.t}"]
     lines += [f"  {label} = {value}" for label, value in shown.items()]
     lines += ["", "continued proportion verified: ok"]
@@ -298,7 +301,7 @@ def _cmd_four_proportionals(args, ctx: PrecisionContext) -> Record:
         "construction": "sphere" if args.sphere else "planar",
         "t": args.t,
         "quad": shown,
-        "quad_full": {k: str(v) for k, v in zip(labels, full)},
+        "quad_full": {k: f for k, (_, f) in texts.items()},
         "verified": True,
     }
     return 0, payload, lines

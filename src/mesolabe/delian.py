@@ -148,15 +148,11 @@ class MeansResult(ValueRecord):
     ``m1`` and ``m2`` are b k^2 = cbrt(a^2 b) and b k = cbrt(a b^2), from
     the seed's root C = floor(S k), rounded half-even at the w work digits,
     and ``m1_shown`` and ``m2_shown`` the same roots rounded at the output
-    digits.  A shown mean's integer S is q = floor(F / N) or q + 1, for its
-    full value's integer F and N = 10^(w - digits): both round one root x
-    to nearest, so |F - 10^w x| <= 1/2 and |S N - 10^w x| <= N/2, and with
-    F = qN + r, 0 <= r < N, S N - qN = (S N - 10^w x) + (10^w x - F) + r
-    lies between -N/2 - 1/2 and 3N/2 - 1/2, strictly between -N and 2N.  So
-    its text is the full text's prefix, with a carry when S = q + 1
-    (:func:`~mesolabe.scalar.shown_parts`).  ``theta`` is the certified arc
-    parameter, exact at w + 1 fractional digits: 10 g + 5 for the cell
-    (g, g + 1) on the grid 10^-w, 10 g on an exact hit and 0 when a == b.
+    digits.  Both round one root, so a shown mean's text is read off its
+    full one (:func:`~mesolabe.scalar.pair_texts`).  ``theta`` is the
+    certified arc parameter, exact at w + 1 fractional digits: 10 g + 5 for
+    the cell (g, g + 1) on the grid 10^-w, 10 g on an exact hit and 0 when
+    a == b.
     ``iterations`` counts the grid points whose exact sign certified it,
     decided by the seed's bracket or by the residual (0 when a == b needs
     none).  Immutable by convention.

@@ -37,8 +37,8 @@ from .scalar import (
     _decimal_digits,
     as_rational,
     format_grouped,
+    pair_texts,
     round_to,
-    shown_parts,
     window_floor,
 )
 
@@ -247,28 +247,23 @@ def chord_table(c: ChordConfig) -> PaperTable:
     return PaperTable("successive lines in the semicircle", tuple(rows))
 
 
-def chord_texts(full: ChordConfig, digits: int) -> dict[str, tuple[tuple, tuple]]:
-    """Per chord, in table order, the text parts of its table value and of its full value.
+def chord_texts(full: ChordConfig, digits: int) -> dict[str, tuple[str, str]]:
+    """Per chord, in table order, the text of its table value and of its full value.
 
     The table values are ``full.table_values(digits)``, so ``digits`` is at
-    most the work digits, and each full value is converted to text once
-    (:meth:`~DecimalScalar.text_parts`); each table value is read off it
-    (:func:`~mesolabe.scalar.shown_parts`).  For that a table value's
-    integer S lies within 2 of q = floor(F / N), for the full value's
-    integer F = qN + r and N = 10^(w - digits), since S - q = (S N - F + r) / N
-    with 0 <= r < N.  AB's and BC's full values round the root x that their
-    table values floor, so S N - F lies in (-N - 1/2, 1/2] and S is q - 1
-    or q; AD's both round d, so S N - F lies within N/2 + 1/2 of 0 and S is
-    q or q + 1; and BD is AD - AB at both scales, so S N - F lies in
-    [-N/2 - 1, 3N/2 + 1) and S is q, q + 1 or q + 2.
+    most the work digits, and each full value is converted to text once;
+    each table value is read off it (:func:`~mesolabe.scalar.pair_texts`).
+    For that a table value's integer S lies within 2 of q = floor(F / N), for
+    the full value's integer F = qN + r and N = 10^(w - digits), since
+    S - q = (S N - F + r) / N with 0 <= r < N.  AB's and BC's full values
+    round the root x that their table values floor, so S N - F lies in
+    (-N - 1/2, 1/2] and S is q - 1 or q; AD's both round d, so S N - F lies
+    within N/2 + 1/2 of 0 and S is q or q + 1; and BD is AD - AB at both
+    scales, so S N - F lies in [-N/2 - 1, 3N/2 + 1) and S is q, q + 1 or q + 2.
     """
     table = full.table_values(digits)
-    texts = {}
-    for label, shown, value in (("AD", table.ad, full.ad), ("AB", table.ab, full.ab),
-                                ("BC", table.bc, full.bc), ("BD", table.bd, full.bd)):
-        parts = value.text_parts()
-        texts[label] = shown_parts(parts, shown), parts
-    return texts
+    return {label: pair_texts(getattr(full, label.lower()), getattr(table, label.lower()))
+            for label in ("AD", "AB", "BC", "BD")}
 
 
 def _products(c: ChordConfig) -> tuple[tuple[str, DecimalScalar], ...]:

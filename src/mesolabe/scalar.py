@@ -235,21 +235,26 @@ class DecimalScalar(ValueRecord):
     def as_fraction(self) -> Fraction:
         return Fraction(self.unscaled, 10**self.scale)
 
-    def text_parts(self) -> tuple[str, str, str]:
-        """Sign, integer digits, and the ``scale`` fractional digits: the one conversion to text.
+    def __str__(self) -> str:
+        """The value's text, ``-12.5``: the one conversion to text.
 
-        The two parts are converted to text apart, so that a value prints
-        while each part, rather than the whole digit string, stays within
-        the interpreter's limit on int-to-str conversion.  A caller that
-        prints a value more than one way converts it once and passes the
-        parts to :func:`plain_text` and :func:`grouped_text`.
+        The integer part and the ``scale`` fractional digits are converted
+        apart, so that a value prints while each part, rather than the whole
+        digit string, stays within the interpreter's limit on int-to-str
+        conversion; a part past it raises a one-line ``ValueError``.  A
+        caller that prints a value two ways converts it once and passes the
+        text to :func:`grouped_text` or :func:`pair_texts`.
         """
         whole, frac = divmod(abs(self.unscaled), 10**self.scale)
         sign = "-" if self.unscaled < 0 else ""
-        return sign, str(whole), str(frac).zfill(self.scale) if self.scale else ""
-
-    def __str__(self) -> str:
-        return plain_text(self.text_parts())
+        try:
+            return f"{sign}{whole}.{str(frac).zfill(self.scale)}" if self.scale else sign + str(whole)
+        except ValueError:  # in parse_int's words, naming the part past the limit
+            digits, part = _decimal_digits(whole), "integer"
+            if digits <= sys.get_int_max_str_digits():
+                digits, part = self.scale, "fractional"
+            raise ValueError(f"a result of {digits} {part} digits exceeds the limit of "
+                             f"{sys.get_int_max_str_digits()} digits") from None
 
     def __repr__(self) -> str:
         return f"DecimalScalar('{self}')"
@@ -270,19 +275,13 @@ def round_to(a: DecimalScalar, digits: int) -> DecimalScalar:
 def sqrt(value, digits: int) -> DecimalScalar:
     """Square root of an exact Fraction, int or DecimalScalar, rounded half-even to ``digits``.
 
-    With value 10^(2 digits) = n/d and r its root, f = isqrt(4n // d) is the
-    floor of 2r, and 2r is exactly f when d divides 4n and f^2 = 4n/d.  For
-    a DecimalScalar, n is its integer times 10^(2 digits - scale) when
-    scale <= 2 digits, and else its integer over d = 10^(scale - 2 digits):
-    nothing is reduced.  A negative value raises ``ValueError`` from
+    With value 10^(2 digits) = n/d (:func:`as_rational`) and r its root,
+    f = isqrt(4n // d) is the floor of 2r, and 2r is exactly f when d
+    divides 4n and f^2 = 4n/d.  A negative value raises ``ValueError`` from
     ``math.isqrt``.
     """
-    if isinstance(value, DecimalScalar):
-        shift = 2 * digits - value.scale
-        n, d = (value.unscaled * 10**shift, 1) if shift >= 0 else (value.unscaled, 10**-shift)
-    else:
-        value = Fraction(value)
-        n, d = value.numerator * 10 ** (2 * digits), value.denominator
+    value = as_rational(value)
+    n, d = value.numerator * 10 ** (2 * digits), value.denominator
     q, r = divmod(4 * n, d)
     f = math.isqrt(q)
     return DecimalScalar(_half_even(f, 1, lambda: not r and f * f == q), digits)
@@ -319,43 +318,47 @@ def cbrt(value, work: int, digits: int) -> tuple[DecimalScalar, DecimalScalar]:
     return _rounded_cbrt(_icbrt(n // d), lambda: (n, d), work, digits)
 
 
-def plain_text(parts: tuple[str, str, str]) -> str:
-    """A value's text, ``-12.5``, from its :meth:`DecimalScalar.text_parts`."""
-    sign, whole, frac = parts
-    return f"{sign}{whole}.{frac}" if frac else sign + whole
+def fraction_text(value: Fraction) -> str:
+    """``str(value)``, ``n/d`` or ``n``, each integer converted as a DecimalScalar is, so
+    that one past the interpreter's int-to-str limit raises its one-line error."""
+    text = str(DecimalScalar(value.numerator))
+    return text if value.denominator == 1 else f"{text}/{DecimalScalar(value.denominator)}"
 
 
-def shown_parts(full: tuple[str, str, str], shown: DecimalScalar) -> tuple[str, str, str]:
-    """The :meth:`~DecimalScalar.text_parts` of ``shown``, read off ``full``: the
-    text parts of a value F with n >= ``shown.scale`` fractional digits.
+def pair_texts(full: DecimalScalar, shown: DecimalScalar) -> tuple[str, str]:
+    """``(str(shown), str(full))``, with ``full`` converted once and ``shown`` read off it.
 
-    With N = 10^(n - ``shown.scale``), the digits of q = floor(|F| / N) are
-    ``full``'s integer part and its first ``shown.scale`` fractional digits.
-    The caller guarantees |S| - q in [-8, 8] for ``shown``'s integer S, so
-    |S| - q is 0 or 1 exactly when (|S| - q) mod 10 is, which |S| mod 10 and
-    q's last digit give.  At 0 the digits are that prefix, and at 1 the
-    prefix with a carry into its last digit; any other S, and a carry
-    through every fractional digit, is converted apart.  So a value printed
-    at two precisions takes one ``str(int)``, not two, but in those cases.
+    ``full`` has n >= ``shown.scale`` fractional digits.  With
+    N = 10^(n - ``shown.scale``), ``full``'s text up to its
+    ``shown.scale``-th fractional digit spells q = floor(|F| / N), for
+    ``full``'s integer F.  When both round one value x to nearest, as the
+    means, the doubled edge and the quad do, ``shown``'s integer S has
+    |S| = q or q + 1: |F| and |S| N lie within 1/2 and N/2 of 10^n |x|, so
+    with |F| = qN + r, 0 <= r < N, |S| N - qN lies between -N/2 - 1/2 and
+    3N/2 - 1/2, strictly between -N and 2N.  For any |S| - q in [-8, 8],
+    |S| - q is 0 or 1 exactly when it is so mod 10, which |S| mod 10 and
+    q's last digit give.  At 0 ``shown``'s text is that prefix, and at 1 the
+    prefix with a carry, the nines it passes turned to zeros; a carry
+    through every digit, and any other S, is converted apart.
     """
-    _, whole, frac = full
-    head = frac[:shown.scale]
-    step = (abs(shown.unscaled) - int((head or whole)[-1])) % 10
+    text = str(full)
+    head = text[:len(text) - full.scale + shown.scale].rstrip(".").lstrip("-")
+    step = (abs(shown.unscaled) - int(head[-1])) % 10
     sign = "-" if shown.unscaled < 0 else ""
     if step == 0:
-        return sign, whole, head
-    kept = head.rstrip("9")
+        return sign + head, text
+    kept = head.rstrip("9.")
     if step == 1 and kept:
-        return sign, whole, kept[:-1] + str(int(kept[-1]) + 1) + "0" * (len(head) - len(kept))
-    return shown.text_parts()
+        return sign + kept[:-1] + str(int(kept[-1]) + 1) + head[len(kept):].replace("9", "0"), text
+    return str(shown), text
 
 
 def format_grouped(a: DecimalScalar) -> str:
-    """Paper-table typography of ``a``: :func:`grouped_text` of its text parts."""
-    return grouped_text(a.text_parts())
+    """Paper-table typography of ``a``: :func:`grouped_text` of its text."""
+    return grouped_text(str(a))
 
 
-def grouped_text(parts: tuple[str, str, str]) -> str:
+def grouped_text(text: str) -> str:
     """Paper-table typography: fractional digits in groups of five.
 
     ``2.0000000000`` renders as ``"2 00000 00000"``, and a zero integer
@@ -364,14 +367,14 @@ def grouped_text(parts: tuple[str, str, str]) -> str:
     fractional digits it stays, so ``0.7`` renders as ``"0 7"``.  A
     five-digit leading token therefore always means a fractional group, and
     an integer part of exactly five digits gets one leading zero:
-    ``70000.5`` renders as ``"070000 5"``.  ``parts`` are a value's
-    :meth:`DecimalScalar.text_parts`, so digits already converted are only
-    regrouped, with no object per group: the j-th digit of every group is
-    every fifth digit from the j-th, and one slice assignment per j puts
-    them at every sixth byte of a buffer of spaces, one space before each
-    group.
+    ``70000.5`` renders as ``"070000 5"``.  ``text`` is a value's
+    ``str``, so digits already converted are only regrouped, with no
+    object per group: the j-th digit of every group is every fifth digit
+    from the j-th, and one slice assignment per j puts them at every sixth
+    byte of a buffer of spaces, one space before each group.
     """
-    sign, int_part, frac = parts
+    sign = "-" if text.startswith("-") else ""
+    int_part, _, frac = text[len(sign):].partition(".")
     if len(int_part) == 5:
         int_part = "0" + int_part
     spaced = bytearray(b" " * (len(frac) + (len(frac) + 4) // 5))

@@ -89,8 +89,8 @@ class TestSolveChords:
 
     def test_one_conversion_per_printed_number(self, capsys):
         # the diameter and the four full values: each table value is read off its full one
-        with mock.patch.object(DecimalScalar, "text_parts", autospec=True,
-                               side_effect=DecimalScalar.text_parts) as converted:
+        with mock.patch.object(DecimalScalar, "__str__", autospec=True,
+                               side_effect=DecimalScalar.__str__) as converted:
             code, _ = run(capsys, "solve-chords", "--diameter", "2", "--digits", "300", "--json")
         assert code == 0 and converted.call_count == 5
 
@@ -349,12 +349,14 @@ class TestMeans:
         # the two full means and the arc parameter
         (("--a", "1", "--b", "2", "--digits", "300"), 3),
         (("--a", "2.69", "--b", "7", "--digits", "4"), 3),
-        # the carry into m2's integer part converts the shown m2 apart
-        (("--a", "7.999", "--b", "8", "--digits", "3"), 4),
+        # a carry into m2's integer part, 7.999 to 8.000, is read off the full text too
+        (("--a", "7.999", "--b", "8", "--digits", "3"), 3),
+        # a carry through every digit, 9.999 to 10.000, converts the shown m2 apart
+        (("--a", "9.999", "--b", "10", "--digits", "3"), 4),
     ])
     def test_one_conversion_per_printed_number(self, capsys, argv, conversions):
-        with mock.patch.object(DecimalScalar, "text_parts", autospec=True,
-                               side_effect=DecimalScalar.text_parts) as converted:
+        with mock.patch.object(DecimalScalar, "__str__", autospec=True,
+                               side_effect=DecimalScalar.__str__) as converted:
             code, _ = run(capsys, "means", *argv, "--method", "both")
         assert code == 0 and converted.call_count == conversions
 
@@ -578,6 +580,28 @@ class TestFourProportionals:
                 text = payload[key][name]
                 assert len(text.partition(".")[2]) == scale
                 assert Fraction(text) == rounded(term, scale)
+
+    @pytest.mark.parametrize("ac, shown", [
+        ("0.9999996", "1.000"),  # the carry reaches the integer part
+        ("2.0015", "2.002"),  # a tie, whose half-even rounding carries into the last digit
+    ])
+    def test_a_carry_is_read_off_the_full_term(self, capsys, ac, shown):
+        argv = ["four-proportionals", "--ac", ac, "--t", "1/2", "--digits", "3"]
+        code, out = run(capsys, *argv)
+        assert code == 0 and f"\n  AC = {shown}\n" in out
+        code, out = run(capsys, *argv, "--json")
+        payload = json.loads(out)
+        assert code == 0 and payload["quad"]["AC"] == shown
+        assert payload["quad_full"]["AC"] == ac + "0" * (13 - len(ac.partition(".")[2]))
+
+    @pytest.mark.parametrize("sphere", [False, True])
+    def test_one_conversion_per_term(self, capsys, sphere):
+        # each shown term is read off its full one
+        argv = ["four-proportionals", "--ac", "2", "--t", "1/3", "--digits", "300"]
+        with mock.patch.object(DecimalScalar, "__str__", autospec=True,
+                               side_effect=DecimalScalar.__str__) as converted:
+            code, _ = run(capsys, *argv, *["--sphere"] * sphere, "--json")
+        assert code == 0 and converted.call_count == 4
 
     def test_verdict_holds_at_a_large_diameter(self, capsys):
         code, out = run(capsys, "four-proportionals", "--ac", "10000000000", "--t", "2/5")
@@ -967,6 +991,24 @@ class TestDigitCap:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == (f"error: operand of {digits} digits exceeds "
+                                f"the limit of {str_digits_limit} digits\n")
+
+    @pytest.mark.parametrize("argv, part", [
+        (("duplicate-cube", "--edge", "{nines}", "--digits", "1"), "integer"),
+        (("pyramid", "--edges", "{half}", "1", "1"), "integer"),
+        (("pyramid", "--edges", "{half}", "1", "1", "--cosines", "0", "0", "0"), "integer"),
+        (("pyramid", "--edges", "0.{half}", "1", "1"), "fractional"),
+    ])
+    def test_result_past_the_limit_is_usage_error(self, capsys, str_digits_limit, argv, part):
+        # operands within the limit whose result is not: the doubled edge of
+        # limit nines has one integer digit more, and the squared diagonal of
+        # half the limit and 50 nines has twice their integer or fractional digits
+        nines, half = "9" * str_digits_limit, "9" * (str_digits_limit // 2 + 50)
+        digits = str_digits_limit + 1 if argv[0] == "duplicate-cube" else 2 * len(half)
+        assert main([a.format(nines=nines, half=half) for a in argv]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"error: a result of {digits} {part} digits exceeds "
                                 f"the limit of {str_digits_limit} digits\n")
 
     def test_operand_at_the_limit_is_read(self, str_digits_limit):

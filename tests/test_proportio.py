@@ -101,7 +101,7 @@ class TestChordSolver:
         assert list(texts) == ["AD", "AB", "BC", "BD"]
         for label, shown, value in (("AD", t.ad, full.ad), ("AB", t.ab, full.ab),
                                     ("BC", t.bc, full.bc), ("BD", t.bd, full.bd)):
-            assert texts[label] == (shown.text_parts(), value.text_parts())
+            assert texts[label] == (str(shown), str(value))
 
     def test_complement_is_exact(self, solved):
         ab, bd, ad = (v.as_fraction() for v in (solved.ab, solved.bd, solved.ad))

@@ -5,6 +5,7 @@ import subprocess
 import sys
 from fractions import Fraction
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -23,8 +24,8 @@ from mesolabe.scalar import (
     cbrt,
     format_grouped,
     grouped_text,
+    pair_texts,
     round_to,
-    shown_parts,
     sqrt,
     window_floor,
 )
@@ -54,6 +55,11 @@ def scalars(max_scale=12):
         st.integers(min_value=-(10**18), max_value=10**18),
         st.integers(min_value=0, max_value=max_scale),
     )
+
+
+def _text(sign: str, int_part: str, frac: str) -> str:
+    """The text of a value with these parts, as ``str`` of a DecimalScalar writes it."""
+    return f"{sign}{int_part}.{frac}" if frac else sign + int_part
 
 
 def parse_grouped(text: str) -> DecimalScalar:
@@ -145,7 +151,7 @@ class TestGroupedFormat:
     @example("-", "12345", 0, random.Random(0))
     def test_grouping_is_the_regex_grouping(self, sign, int_part, length, rng):
         frac = str(rng.randrange(10**length)).zfill(length) if length else ""
-        assert grouped_text((sign, int_part, frac)) == grouped_digits(sign, int_part, frac)
+        assert grouped_text(_text(sign, int_part, frac)) == grouped_digits(sign, int_part, frac)
 
     def test_every_short_length_is_the_regex_grouping(self):
         # one code path for every length: each group boundary up to 12 groups
@@ -153,8 +159,8 @@ class TestGroupedFormat:
             frac = "".join(str((7 * i + length) % 10) for i in range(length))
             for sign in ("", "-"):
                 for int_part in ("0", "7", "1234", "12345", "123456", "1234567"):
-                    parts = (sign, int_part, frac)
-                    assert grouped_text(parts) == grouped_digits(*parts)
+                    text = _text(sign, int_part, frac)
+                    assert grouped_text(text) == grouped_digits(sign, int_part, frac)
 
     def test_ambiguous_integer_part_rejected(self):
         # the ambiguous form is never printed: a five-digit integer part gets
@@ -200,7 +206,7 @@ def _below(n: int, m: int):
     return at_or_below, calls
 
 
-class TestShownParts:
+class TestPairTexts:
     """A value's text read off the text of a value at more fractional digits."""
 
     @settings(max_examples=400)
@@ -210,6 +216,7 @@ class TestShownParts:
            st.sampled_from([1, -1]), st.sampled_from([1, -1]))
     @example(7, 3, 3, 10, 0, 1, 1, 1)  # 7.999 + 1 unit carries into the integer part
     @example(36, 3, 4, 10, 0, 1, 1, 1)  # 3.6999 + 1 unit carries through three nines
+    @example(0, 3, 2, 10, 0, 1, 1, 1)  # 9.99 + 1 unit carries through every digit
     @example(0, 0, 0, 2, 99, 0, -1, 1)  # -0.99 shown at 0 digits as 0
     def test_is_the_shown_values_text(self, head, nines, scale, extra, rest, step, sign, shown_sign):
         # q ends in ``nines`` nines; the full value is q 10^extra + r at scale + extra
@@ -217,13 +224,20 @@ class TestShownParts:
         unit = 10**extra
         full = DecimalScalar(sign * (q * unit + rest % unit), scale + extra)
         shown = DecimalScalar(shown_sign * max(q + step, 0), scale)
-        assert shown_parts(full.text_parts(), shown) == shown.text_parts()
+        assert pair_texts(full, shown) == (str(shown), str(full))
 
     def test_a_carry_reads_no_more_digits(self):
-        full = D("3.69999269538368").text_parts()
-        assert shown_parts(full, D("3.7000")) == ("", "3", "7000")
-        assert shown_parts(full, D("3.6999")) == ("", "3", "6999")
-        assert shown_parts(D("-12.3456").text_parts(), D("-12.35")) == ("-", "12", "35")
+        full = D("3.69999269538368")
+        assert pair_texts(full, D("3.7000")) == ("3.7000", "3.69999269538368")
+        assert pair_texts(full, D("3.6999")) == ("3.6999", "3.69999269538368")
+        assert pair_texts(D("-12.3456"), D("-12.35")) == ("-12.35", "-12.3456")
+        with mock.patch.object(DecimalScalar, "__str__", autospec=True,
+                               side_effect=DecimalScalar.__str__) as converted:
+            # a carry into the integer part is read off too, one through every digit is not
+            assert pair_texts(D("7.9996"), D("8.000")) == ("8.000", "7.9996")
+            assert converted.call_count == 1
+            assert pair_texts(D("9.9996"), D("10.000")) == ("10.000", "9.9996")
+            assert converted.call_count == 3
 
 
 class TestWindowFloor:
