@@ -19,7 +19,8 @@ Rows, each the fastest of ``--repeat`` calls after one warm-up call:
 - the layers under them: parsing ``PARSED`` as ``cli.main`` does
   (``cli._parse``), ``figures.render`` for each figure,
   ``euclid.run_proposition_suite(1, 40)`` (an oracle-suite op without the
-  CLI), each ``euclid.rand_*`` generator 1000 times from ``Random(0)``, each
+  CLI), each ``euclid.rand_*`` generator and the suite's ``_uv_pair`` and
+  ``_clavius_instance`` 1000 times from ``Random(0)``, each
   ``PROPOSITION_SUITE`` entry's valid and perturbed function (build one
   instance, run its checker) ``SUITE_CALLS`` times from ``Random(0)``,
   ``POINTS`` constructions of a ``Point2``, a ``Point3``, a ``DecimalScalar``
@@ -116,6 +117,7 @@ PARSED = ("means", "--a", "1", "--b", "2", "--method", "both")
 GENERATORS = (
     "rand_right_triangle", "rand_classified_triangle", "rand_proportional_quad",
     "rand_proportional_triple", "rand_prism", "rand_chord_setup", "rand_pappus_offsets",
+    "_uv_pair", "_clavius_instance",
 )
 
 

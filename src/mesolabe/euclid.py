@@ -124,7 +124,7 @@ def check_47_1(t: Triangle) -> Fraction:
     right.
     """
     u, v = t.legs()
-    _require(not t.is_degenerate(), "degenerate triangle")
+    _require(u.cross(v) != 0, "degenerate triangle")
     return (t.c - t.b).norm_sq() - u.norm_sq() - v.norm_sq()
 
 
@@ -327,7 +327,10 @@ def check_7_12(
 # denominators of small random fractions (numerators in [-8, 8], or [1, 8]
 # with a random sign, over denominators in [1, 9]) and returns the rational
 # instance they define times the product of its denominators, a positive
-# integer, so its coordinates are ints.
+# integer, so its coordinates are ints.  The private lattice helpers work on
+# plain int tuples, a point's coordinates followed by its scale, and combine
+# scales on ints; every rejection test runs on those ints, and a generator
+# builds a Point only for each point it returns.
 
 
 def unit_circle_point(t: Fraction) -> Point2:
@@ -368,47 +371,47 @@ def _draw(rng: random.Random) -> tuple[int, int]:
 
 
 def _draw_nonzero(rng: random.Random) -> tuple[int, int]:
-    """Numerator in +-[1, 8] and denominator in [1, 9] of a random fraction."""
-    n, d = _randint(rng, 1, 8), _randint(rng, 1, 9)
-    return (-n if rng.random() < 0.5 else n), d
+    """Numerator in +-[1, 8] and denominator in [1, 9], drawn as :func:`_draw` draws."""
+    bits = rng.getrandbits
+    n = bits(4)
+    while n >= 8:
+        n = bits(4)
+    d = bits(4)
+    while d >= 9:
+        d = bits(4)
+    return (-n - 1 if rng.random() < 0.5 else n + 1), d + 1
 
 
-def _lattice_point2(rng: random.Random) -> tuple[Point2, int]:
-    """A random point times the returned positive scale, on the integer lattice."""
+def _lattice_point2(rng: random.Random) -> tuple[int, int, int]:
+    """``(x, y, k)``: a random point times the positive scale k, on the integer lattice."""
     (x, dx), (y, dy) = _draw(rng), _draw(rng)
-    return Point2(x * dy, y * dx), dx * dy
+    return x * dy, y * dx, dx * dy
 
 
-def _lattice_point3(rng: random.Random) -> tuple[Point3, int]:
+def _lattice_point3(rng: random.Random) -> tuple[int, int, int, int]:
     (x, dx), (y, dy), (z, dz) = _draw(rng), _draw(rng), _draw(rng)
-    return Point3(x * dy * dz, y * dx * dz, z * dx * dy), dx * dy * dz
+    return x * dy * dz, y * dx * dz, z * dx * dy, dx * dy * dz
 
 
-def _common_lattice(scaled_points: list) -> list:
-    """``(point, scale)`` pairs brought to the product of all their scales."""
-    total = math.prod(k for _, k in scaled_points)
-    return [p.scaled(total // k) for p, k in scaled_points]
-
-
-def _circle_vector(rng: random.Random, radius: int) -> tuple[Point2, int]:
-    """``radius`` times :func:`unit_circle_point` of a random fraction, times the scale."""
+def _circle_vector(rng: random.Random, radius: int) -> tuple[int, int, int]:
+    """``(x, y, k)``: ``radius`` times :func:`unit_circle_point` of a random fraction, times k."""
     n, d = _draw(rng)
-    return Point2((d * d - n * n) * radius, 2 * n * d * radius), n * n + d * d
+    return (d * d - n * n) * radius, 2 * n * d * radius, n * n + d * d
 
 
-def _two_on_circle(rng: random.Random) -> tuple[Point2, Point2, int]:
-    """Two random points of a random circle about the origin, times the scale."""
+def _two_on_circle(rng: random.Random) -> tuple[int, int, int, int, int]:
+    """``(ux, uy, vx, vy, k)``: two random points of a random circle about the origin, times k."""
     r, dr = _draw_nonzero(rng)
-    (u, ku), (v, kv) = _circle_vector(rng, abs(r)), _circle_vector(rng, abs(r))
-    return u.scaled(kv), v.scaled(ku), dr * ku * kv
+    (ux, uy, ku), (vx, vy, kv) = _circle_vector(rng, abs(r)), _circle_vector(rng, abs(r))
+    return ux * kv, uy * kv, vx * ku, vy * ku, dr * ku * kv
 
 
-def _circle_setup(rng: random.Random) -> tuple[Point2, Point2, Point2]:
-    """A random centre and two points on a random circle about it, on one lattice."""
-    center, kc = _lattice_point2(rng)
-    u, v, k = _two_on_circle(rng)
-    center = center.scaled(k)
-    return center, center + u.scaled(kc), center + v.scaled(kc)
+def _circle_setup(rng: random.Random) -> tuple[int, int, int, int, int, int]:
+    """``(cx, cy, px, py, qx, qy)``: a centre and two points of a circle about it, one lattice."""
+    cx, cy, kc = _lattice_point2(rng)
+    ux, uy, vx, vy, k = _two_on_circle(rng)
+    cx, cy = cx * k, cy * k
+    return cx, cy, cx + ux * kc, cy + uy * kc, cx + vx * kc, cy + vy * kc
 
 
 def rand_right_triangle(rng: random.Random) -> Triangle:
@@ -417,24 +420,24 @@ def rand_right_triangle(rng: random.Random) -> Triangle:
     The legs are non-zero multiples of two perpendicular unit vectors, so
     the triangle is never degenerate.
     """
-    u, ku = _circle_vector(rng, 1)
+    ux, uy, ku = _circle_vector(rng, 1)
     (p, dp), (q, dq) = _draw_nonzero(rng), _draw_nonzero(rng)
-    a, ka = _lattice_point2(rng)
-    a = a.scaled(ku * dp * dq)
-    v = Point2(-u.y, u.x)
-    return Triangle(a, a + u.scaled(p * dq * ka), a + v.scaled(q * dp * ka))
+    ax, ay, ka = _lattice_point2(rng)
+    ax, ay = ax * ku * dp * dq, ay * ku * dp * dq
+    p, q = p * dq * ka, q * dp * ka
+    return Triangle(Point2(ax, ay), Point2(ax + ux * p, ay + uy * p), Point2(ax - uy * q, ay + ux * q))
 
 
 def rand_classified_triangle(rng: random.Random) -> tuple[Triangle, int]:
     """Random non-degenerate triangle with the sign of the angle dot at ``a``."""
     while True:
-        a, b, c = _common_lattice([_lattice_point2(rng), _lattice_point2(rng), _lattice_point2(rng)])
-        u, v = b - a, c - a
-        if u.cross(v) == 0:
-            continue
-        d = u.dot(v)
-        if d != 0:
-            return Triangle(a, b, c), (1 if d > 0 else -1)
+        (ax, ay, ka), (bx, by, kb), (cx, cy, kc) = (_lattice_point2(rng) for _ in "abc")
+        ax, ay, bx, by = ax * kb * kc, ay * kb * kc, bx * ka * kc, by * ka * kc
+        cx, cy = cx * ka * kb, cy * ka * kb
+        ux, uy, vx, vy = bx - ax, by - ay, cx - ax, cy - ay
+        d = ux * vx + uy * vy
+        if d and ux * vy != uy * vx:
+            return Triangle(Point2(ax, ay), Point2(bx, by), Point2(cx, cy)), (1 if d > 0 else -1)
 
 
 def rand_proportional_quad(rng: random.Random) -> tuple[int, int, int, int]:
@@ -451,17 +454,22 @@ def rand_proportional_triple(rng: random.Random) -> tuple[int, int, int]:
 
 def rand_prism(rng: random.Random) -> tuple[tuple[Point3, Point3, Point3], Point3]:
     while True:
-        a, b, c, offset = _common_lattice([_lattice_point3(rng) for _ in range(4)])
-        if (b - a).cross(c - a).dot(offset) != 0:
-            return (a, b, c), offset
+        points = [_lattice_point3(rng) for _ in range(4)]
+        total = math.prod(k for *_, k in points)
+        (ax, ay, az), (bx, by, bz), (cx, cy, cz), (ox, oy, oz) = (
+            (x * s, y * s, z * s) for x, y, z, k in points for s in (total // k,)
+        )
+        ux, uy, uz, vx, vy, vz = bx - ax, by - ay, bz - az, cx - ax, cy - ay, cz - az
+        if (uy * vz - uz * vy) * ox + (uz * vx - ux * vz) * oy + (ux * vy - uy * vx) * oz:
+            return (Point3(ax, ay, az), Point3(bx, by, bz), Point3(cx, cy, cz)), Point3(ox, oy, oz)
 
 
 def rand_chord_setup(rng: random.Random) -> tuple[Point2, tuple[Point2, Point2]]:
     """Centre plus a non-central chord with both ends on a rational circle."""
     while True:
-        center, p, q = _circle_setup(rng)
-        if p != q and (q - p).cross(center - p) != 0:
-            return center, (p, q)
+        cx, cy, px, py, qx, qy = _circle_setup(rng)
+        if (qx - px) * (cy - py) != (qy - py) * (cx - px):  # also rejects p == q
+            return Point2(cx, cy), (Point2(px, py), Point2(qx, qy))
 
 
 def rand_pappus_offsets(rng: random.Random, t: Triangle) -> tuple[Point2, Point2]:
@@ -469,14 +477,16 @@ def rand_pappus_offsets(rng: random.Random, t: Triangle) -> tuple[Point2, Point2
 
     The two offsets share one integer lattice of their own; the triangle
     keeps its scale, which changes no verdict, because the Pappus residual
-    is homogeneous in the triangle and in the offsets separately.
+    is homogeneous in the triangle and in the offsets separately.  Each
+    offset's side is tested before the lattice, whose positive scale keeps
+    every sign.
     """
     ab, ac = t.legs()
     orientation = ab.cross(ac)
     while True:
-        u, v = _common_lattice([_lattice_point2(rng), _lattice_point2(rng)])
-        if ab.cross(u) * orientation < 0 and ac.cross(v) * orientation > 0:
-            return u, v
+        (ux, uy, ku), (vx, vy, kv) = _lattice_point2(rng), _lattice_point2(rng)
+        if (ab.x * uy - ab.y * ux) * orientation < 0 and (ac.x * vy - ac.y * vx) * orientation > 0:
+            return Point2(ux * kv, uy * kv), Point2(vx * ku, vy * ku)
 
 
 # -- runnable proposition suite -------------------------------------------------
@@ -593,10 +603,10 @@ def _pert_20_7(rng):
 
 
 def _uv_pair(rng):
-    while True:
-        u, v = _common_lattice([_lattice_point3(rng), _lattice_point3(rng)])
-        if u.cross(v).norm_sq() != 0:
-            return u, v
+    while True:  # parallel or not before the lattice, whose positive scales keep it
+        (ux, uy, uz, ku), (vx, vy, vz, kv) = _lattice_point3(rng), _lattice_point3(rng)
+        if uy * vz != uz * vy or uz * vx != ux * vz or ux * vy != uy * vx:
+            return Point3(ux * kv, uy * kv, uz * kv), Point3(vx * ku, vy * ku, vz * ku)
 
 
 def _valid_4_11(rng):
@@ -640,10 +650,10 @@ def _pert_pappus(rng):
 def _clavius_instance(rng: random.Random) -> tuple[Point2, Point2, Point2]:
     """Ends ``p, q`` of a diameter and a third point ``r`` of the same circle."""
     while True:
-        center, p, r = _circle_setup(rng)
-        q = center.scaled(2) - p
-        if r != p and r != q:
-            return p, q, r
+        cx, cy, px, py, rx, ry = _circle_setup(rng)
+        qx, qy = 2 * cx - px, 2 * cy - py
+        if (rx, ry) != (px, py) and (rx, ry) != (qx, qy):
+            return Point2(px, py), Point2(qx, qy), Point2(rx, ry)
 
 
 def _valid_clavius(rng):
@@ -651,11 +661,10 @@ def _valid_clavius(rng):
 
 
 def _pert_clavius(rng):
-    v, r, _ = _two_on_circle(rng)  # about the origin
+    vx, vy, rx, ry, _ = _two_on_circle(rng)  # about the origin
     n, m = _nudge(rng)
-    v = v.scaled(m)
-    bad = r.scaled(m + n)  # radially off the circle
-    return _detects(check_clavius_31_3(v, Point2(-v.x, -v.y), bad))
+    bad = Point2(rx * (m + n), ry * (m + n))  # radially off the circle
+    return _detects(check_clavius_31_3(Point2(vx * m, vy * m), Point2(-vx * m, -vy * m), bad))
 
 
 PROPOSITION_SUITE: tuple[tuple[str, object, object], ...] = (
