@@ -74,6 +74,7 @@ import math
 from collections.abc import Callable
 from fractions import Fraction
 
+from .euclid import unit_circle_ints
 from .scalar import (
     DEFAULT_CONTEXT,
     CertificationError,
@@ -94,8 +95,8 @@ def _cleared_k(t: Fraction) -> tuple[int, int]:
 
     k is the x of :func:`~mesolabe.euclid.unit_circle_point` at ``t``.
     """
-    n, m = t.numerator, t.denominator
-    return m * m - n * n, m * m + n * n
+    big_k, _, big_s = unit_circle_ints(t.numerator, t.denominator)
+    return big_k, big_s
 
 
 class InstrumentState(ValueRecord):

@@ -333,10 +333,19 @@ def check_7_12(
 # builds a Point only for each point it returns.
 
 
+def unit_circle_ints(n: int, d: int) -> tuple[int, int, int]:
+    """``(d^2 - n^2, 2nd, d^2 + n^2)``: the unit-circle point of t = n/d times d^2 + n^2.
+
+    The point is ((1-t^2)/(1+t^2), 2t/(1+t^2)), so the scale is positive
+    for d != 0.
+    """
+    return d * d - n * n, 2 * n * d, d * d + n * n
+
+
 def unit_circle_point(t: Fraction) -> Point2:
     """Rational point ((1-t^2)/(1+t^2), 2t/(1+t^2)) on the unit circle."""
-    d = 1 + t * t
-    return Point2((1 - t * t) / d, 2 * t / d)
+    x, y, w = unit_circle_ints(t.numerator, t.denominator)
+    return Point2(Fraction(x, w), Fraction(y, w))
 
 
 def _randint(rng: random.Random, lo: int, hi: int) -> int:
@@ -383,20 +392,57 @@ def _draw_nonzero(rng: random.Random) -> tuple[int, int]:
 
 
 def _lattice_point2(rng: random.Random) -> tuple[int, int, int]:
-    """``(x, y, k)``: a random point times the positive scale k, on the integer lattice."""
-    (x, dx), (y, dy) = _draw(rng), _draw(rng)
-    return x * dy, y * dx, dx * dy
+    """``(x, y, k)``: a random point times the positive scale k, on the integer lattice.
+
+    Each coordinate is drawn as :func:`_draw` draws it, inlined: the suite
+    takes most of its draws here and in :func:`_lattice_point3`.
+    """
+    bits = rng.getrandbits
+    x = bits(5)
+    while x >= 17:
+        x = bits(5)
+    dx = bits(4)
+    while dx >= 9:
+        dx = bits(4)
+    y = bits(5)
+    while y >= 17:
+        y = bits(5)
+    dy = bits(4)
+    while dy >= 9:
+        dy = bits(4)
+    dx, dy = dx + 1, dy + 1
+    return (x - 8) * dy, (y - 8) * dx, dx * dy
 
 
 def _lattice_point3(rng: random.Random) -> tuple[int, int, int, int]:
-    (x, dx), (y, dy), (z, dz) = _draw(rng), _draw(rng), _draw(rng)
-    return x * dy * dz, y * dx * dz, z * dx * dy, dx * dy * dz
+    """``(x, y, z, k)``, drawn as :func:`_lattice_point2` draws."""
+    bits = rng.getrandbits
+    x = bits(5)
+    while x >= 17:
+        x = bits(5)
+    dx = bits(4)
+    while dx >= 9:
+        dx = bits(4)
+    y = bits(5)
+    while y >= 17:
+        y = bits(5)
+    dy = bits(4)
+    while dy >= 9:
+        dy = bits(4)
+    z = bits(5)
+    while z >= 17:
+        z = bits(5)
+    dz = bits(4)
+    while dz >= 9:
+        dz = bits(4)
+    dx, dy, dz = dx + 1, dy + 1, dz + 1
+    return (x - 8) * dy * dz, (y - 8) * dx * dz, (z - 8) * dx * dy, dx * dy * dz
 
 
 def _circle_vector(rng: random.Random, radius: int) -> tuple[int, int, int]:
     """``(x, y, k)``: ``radius`` times :func:`unit_circle_point` of a random fraction, times k."""
-    n, d = _draw(rng)
-    return (d * d - n * n) * radius, 2 * n * d * radius, n * n + d * d
+    x, y, k = unit_circle_ints(*_draw(rng))
+    return x * radius, y * radius, k
 
 
 def _two_on_circle(rng: random.Random) -> tuple[int, int, int, int, int]:

@@ -1,23 +1,31 @@
 """Deterministic SVG renderings of the seven construction figures.
 
-All geometry arrives as exact rationals from the solver modules; the only
-lossy step is quantizing coordinates to hundredths of an SVG unit, with
-half-even rounding, so identical inputs always produce identical bytes.
-Solid projections use a fixed oblique projector with rational coefficients.
+All geometry arrives as exact rationals from the solver modules.  Each figure
+clears its points once, to ints over one positive common denominator, and
+works on ``int`` from there: projection, derived points, the canvas's fit and
+its map.  The only lossy step is quantizing coordinates to hundredths of an
+SVG unit, with half-even rounding, so identical inputs always produce
+identical bytes.  Solids are drawn in the oblique projection (x + 2z/5, y + z/5).
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 from . import delian, proportio, pyramid
-from .euclid import Point2, Point3, unit_circle_point
-from .scalar import DecimalScalar, ValueRecord, _half_even, as_rational
+from .euclid import unit_circle_ints
+from .scalar import ValueRecord, _half_even, as_rational
 
-_OBLIQUE_X = Fraction(2, 5)
-_OBLIQUE_Y = Fraction(1, 5)
 #: SVG viewport size and the blank margin around the drawing, in SVG units.
 _WIDTH, _HEIGHT, _MARGIN = 460, 360, 40
+_DASH = ' stroke-dasharray="4 3"'
+#: The sphere cap's samples, the unit-circle points (x, y, w) of t = i/8 for i = 0..8:
+#: (w + x, w - x, y) / 2w, times ``_CAP_SCALE``, the least multiple that makes each an int.
+_CAP_POINTS = [unit_circle_ints(i, 8) for i in range(9)]
+_CAP_SCALE = math.lcm(*(2 * w for *_, w in _CAP_POINTS))
+_CAP = [((w + x) * _CAP_SCALE // (2 * w), (w - x) * _CAP_SCALE // (2 * w), y * _CAP_SCALE // (2 * w))
+        for x, y, w in _CAP_POINTS]
 
 
 class FigureSpec(ValueRecord):
@@ -33,62 +41,66 @@ class FigureSpec(ValueRecord):
 
 def _fmt(value: tuple[int, int]) -> str:
     """``n/d`` (d > 0) rounded half-even to hundredths, as ``from_fraction`` rounds."""
-    n, d = value
-    return str(DecimalScalar(_half_even(200 * n, d), 2))
+    u = _half_even(200 * value[0], value[1])
+    if u < 0:
+        return "-%d.%02d" % divmod(-u, 100)
+    return "%d.%02d" % divmod(u, 100)
+
+
+def _cleared(values) -> tuple[list[int], int]:
+    """Each rational of ``values`` times q, their least common denominator, and q."""
+    q = math.lcm(*(v.denominator for v in values))
+    return [v.numerator * (q // v.denominator) for v in values], q
+
+
+def _project(x: int, y: int, z: int) -> tuple[int, int]:
+    """The oblique projection of a cleared point, times 5."""
+    return 5 * x + 2 * z, 5 * y + z
 
 
 class _Canvas:
-    """Maps model-space rational points into the SVG viewport (y up).
+    """Maps cleared model points, pairs of ints over ``den`` > 0, into the SVG viewport (y up).
 
-    A mapped coordinate is an unreduced ``(numerator, denominator)`` pair of
-    ints: the affine map is cleared of the denominators of the scale, of the
-    origin and of the point, so no gcd is taken until :func:`_fmt` rounds it.
+    The scale ``(sn, sd)`` is SVG units per lattice unit: the largest that
+    fits both extents into the viewport less its margins, where a zero extent
+    fits at 1 per model unit.  A mapped coordinate is an unreduced
+    ``(numerator, denominator)`` pair, so no gcd is taken until :func:`_fmt`.
     """
 
-    def __init__(self, xs, ys):
-        xmin, xmax = min(xs), max(xs)
-        ymin, ymax = min(ys), max(ys)
-        sx = Fraction(_WIDTH - 2 * _MARGIN) / (xmax - xmin) if xmax > xmin else Fraction(1)
-        sy = Fraction(_HEIGHT - 2 * _MARGIN) / (ymax - ymin) if ymax > ymin else Fraction(1)
-        self.scale = min(sx, sy)
-        sn, sd = self.scale.as_integer_ratio()
-        # margin + (x - xmin)·scale and height - margin - (y - ymin)·scale,
-        # each as (u·n + v·d) / (w·d) for a coordinate n/d
-        wx, wy = xmin.denominator * sd, ymin.denominator * sd
-        self._x = (xmin.denominator * sn, _MARGIN * wx - xmin.numerator * sn, wx)
-        self._y = (-ymin.denominator * sn, (_HEIGHT - _MARGIN) * wy + ymin.numerator * sn, wy)
+    def __init__(self, xs, ys, den: int):
+        xmin, ymin = min(xs), min(ys)
+        w, h = max(xs) - xmin, max(ys) - ymin
+        sx = (_WIDTH - 2 * _MARGIN, w) if w else (1, den)
+        sy = (_HEIGHT - 2 * _MARGIN, h) if h else (1, den)
+        sn, sd = sx if sx[0] * sy[1] <= sy[0] * sx[1] else sy
+        self.scale = sn, sd
+        # margin + (x - xmin) sn/sd and height - margin - (y - ymin) sn/sd, over sd
+        self._x0 = _MARGIN * sd - xmin * sn
+        self._y0 = (_HEIGHT - _MARGIN) * sd + ymin * sn
         self.elements: list[str] = []
 
     def map(self, p) -> tuple[tuple[int, int], tuple[int, int]]:
-        x, y = p
-        (ux, vx, wx), (uy, vy, wy) = self._x, self._y
-        return (
-            (ux * x.numerator + vx * x.denominator, wx * x.denominator),
-            (uy * y.numerator + vy * y.denominator, wy * y.denominator),
-        )
+        sn, sd = self.scale
+        return (sn * p[0] + self._x0, sd), (self._y0 - sn * p[1], sd)
 
     def line(self, p, q, dashed=False):
         (x1, y1), (x2, y2) = self.map(p), self.map(q)
-        dash = ' stroke-dasharray="4 3"' if dashed else ""
-        self.elements.append(
-            f'<line x1="{_fmt(x1)}" y1="{_fmt(y1)}" x2="{_fmt(x2)}" y2="{_fmt(y2)}"{dash}/>'
-        )
+        self.elements.append(f'<line x1="{_fmt(x1)}" y1="{_fmt(y1)}" x2="{_fmt(x2)}" '
+                             f'y2="{_fmt(y2)}"{_DASH if dashed else ""}/>')
 
     def polyline(self, points, dashed=False):
         coords = " ".join(f"{_fmt(x)},{_fmt(y)}" for x, y in map(self.map, points))
-        dash = ' stroke-dasharray="4 3"' if dashed else ""
-        self.elements.append(f'<polyline points="{coords}"{dash}/>')
+        self.elements.append(f'<polyline points="{coords}"{_DASH if dashed else ""}/>')
 
-    def circle(self, center, radius: Fraction, dashed=False):
+    def circle(self, center, radius: int):
         cx, cy = self.map(center)
-        r = _fmt((radius * self.scale).as_integer_ratio())
-        dash = ' stroke-dasharray="4 3"' if dashed else ""
-        self.elements.append(f'<circle cx="{_fmt(cx)}" cy="{_fmt(cy)}" r="{r}"{dash}/>')
+        r = _fmt((radius * self.scale[0], self.scale[1]))
+        self.elements.append(f'<circle cx="{_fmt(cx)}" cy="{_fmt(cy)}" r="{r}"/>')
 
     def arc_semicircle(self, left, right):
         """Upper semicircle from ``left`` to ``right`` on the segment as diameter."""
         (x1, y1), (x2, y2) = self.map(left), self.map(right)
-        r = _fmt(((right[0] - left[0]) * self.scale / 2).as_integer_ratio())
+        r = _fmt(((right[0] - left[0]) * self.scale[0], 2 * self.scale[1]))
         self.elements.append(
             f'<path d="M {_fmt(x1)} {_fmt(y1)} A {r} {r} 0 0 1 {_fmt(x2)} {_fmt(y2)}"/>'
         )
@@ -109,6 +121,11 @@ class _Canvas:
             self.dot(p)
             self.label(p, text, dy=dy)
 
+    def lines(self, pts: dict, pairs: str):
+        """A line between the points of each pair of names in ``pairs``; a trailing ``-`` dashes it."""
+        for pair in pairs.split():
+            self.line(pts[pair[0]], pts[pair[1]], dashed=pair.endswith("-"))
+
     def document(self) -> str:
         body = "\n".join("    " + e for e in self.elements)
         return (
@@ -121,26 +138,17 @@ class _Canvas:
         )
 
 
-def _project(p3) -> tuple[Fraction, Fraction]:
-    return (p3.x + _OBLIQUE_X * p3.z, p3.y + _OBLIQUE_Y * p3.z)
-
-
 def _box_figure(spec: FigureSpec, defaults) -> str:
     edges = [spec.params.get(k, v) for k, v in zip(("da", "db", "dc"), defaults)]
-    d, a, b, c = pyramid.RightPyramid(*edges).vertices()
-    corners = {"D": d, "A": a, "B": b, "C": c, "F": a + c, "G": a + b, "E": b + c, "_": a + b + c}
-    pts = {k: _project(v) for k, v in corners.items()}
-    cv = _Canvas([p[0] for p in pts.values()], [p[1] for p in pts.values()])
-    box_edges = [
-        ("D", "A"), ("D", "B"), ("D", "C"),
-        ("A", "F"), ("A", "G"), ("C", "F"), ("C", "E"),
-        ("B", "G"), ("B", "E"), ("F", "_"), ("G", "_"), ("E", "_"),
-    ]
-    for p, q in box_edges:
-        cv.line(pts[p], pts[q])
-    for p, q in [("A", "B"), ("B", "C"), ("C", "A")]:
-        cv.line(pts[p], pts[q], dashed=True)
-    cv.line(pts["A"], pts["E"], dashed=True)  # the diagonal the theorem is about
+    vertices = pyramid.RightPyramid(*edges).vertices()
+    coords, q = _cleared([c for v in vertices for c in (v.x, v.y, v.z)])
+    d, a, b, c = (_project(*coords[i:i + 3]) for i in range(0, 12, 3))
+    (ax, ay), (bx, by), (cx, cy) = a, b, c  # D is the origin
+    pts = {"D": d, "A": a, "B": b, "C": c, "F": (ax + cx, ay + cy), "G": (ax + bx, ay + by),
+           "E": (bx + cx, by + cy), "_": (ax + bx + cx, ay + by + cy)}
+    cv = _Canvas([x for x, _ in pts.values()], [y for _, y in pts.values()], 5 * q)
+    cv.lines(pts, "DA DB DC AF AG CF CE BG BE F_ G_ E_ AB- BC- CA-")
+    cv.lines(pts, "AE-")  # the diagonal the theorem is about
     cv.marks({name: pts[name] for name in "DABCFGE"})
     return cv.document()
 
@@ -153,17 +161,14 @@ def _fig_chords(spec: FigureSpec) -> str:
     """
     df = as_rational(spec.params.get("diameter", 2))
     cfg = proportio.solve_continued_chords(df).table_values(10)
-    ab, bc = cfg.ab.as_fraction(), cfg.bc.as_fraction()
-    a, dd, b, c = (Fraction(0), Fraction(0)), (df, Fraction(0)), (ab, Fraction(0)), (ab, bc)
-    cv = _Canvas([0, df], [0, df / 2])
-    cv.arc_semicircle(a, dd)
-    cv.line(a, dd)
-    cv.line(b, c)
-    cv.line(c, a, dashed=True)
-    cv.line(c, dd, dashed=True)
-    cv.marks({"A": a, "B": b}, dy=14)
-    cv.marks({"C": c}, dy=-6)
-    cv.marks({"D": dd}, dy=14)
+    (r, ab, bc), q = _cleared([df / 2, cfg.ab.as_fraction(), cfg.bc.as_fraction()])
+    pts = {"A": (0, 0), "D": (2 * r, 0), "B": (ab, 0), "C": (ab, bc)}
+    cv = _Canvas([0, 2 * r], [0, r], q)
+    cv.arc_semicircle(pts["A"], pts["D"])
+    cv.lines(pts, "AD BC CA- CD-")
+    cv.marks({"A": pts["A"], "B": pts["B"]}, dy=14)
+    cv.marks({"C": pts["C"]}, dy=-6)
+    cv.marks({"D": pts["D"]}, dy=14)
     return cv.document()
 
 
@@ -171,97 +176,75 @@ def _fig_sphere(spec: FigureSpec) -> str:
     ac = as_rational(spec.params.get("ac", 2))
     t = as_rational(spec.params.get("t", Fraction(1, 2)))
     pts3 = proportio.sphere_construction(ac, t)
-    mid = pts3["D"].scaled(Fraction(1, 2))  # centre of AD, as A is the origin
-    r = ac * unit_circle_point(t).x / 2  # half of AD = AC k
-
-    def cap_point(p: Point2) -> Point3:
-        """Cap over AD at unit-circle position ``p``: x along AD, y up from z = 0."""
-        return Point3(mid.x * (1 + p.x), mid.y * (1 + p.x), r * p.y)
-
-    quarter = [unit_circle_point(Fraction(i, 8)) for i in range(9)]
-    samples = [cap_point(p) for p in quarter]  # from the D end up to the apex
-    samples += [cap_point(Point2(-p.x, p.y)) for p in reversed(quarter[:-1])]  # down to A
-    cap_flat = [_project(p) for p in samples]
-    flat = {name: _project(p) for name, p in pts3.items()}
-    flat["H"] = cap_flat[len(quarter) - 1]  # the apex
-    center = (ac / 2, Fraction(0))
-    all_x = [p[0] for p in flat.values()] + [p[0] for p in cap_flat] + [Fraction(0), ac]
-    all_y = [p[1] for p in flat.values()] + [p[1] for p in cap_flat] + [-ac / 2, ac / 2]
-    cv = _Canvas(all_x, all_y)
-    cv.circle(center, ac / 2)
-    cv.line(flat["A"], flat["C"])
-    cv.line(flat["D"], flat["E"])
-    cv.line(flat["E"], flat["F"], dashed=True)
-    cv.line(flat["A"], flat["D"])
-    cv.line(flat["F"], flat["G"])
-    cv.line(flat["A"], flat["G"], dashed=True)
-    cv.line(flat["D"], flat["G"], dashed=True)
-    cv.polyline(cap_flat, dashed=True)
+    k, _, w = unit_circle_ints(t.numerator, t.denominator)
+    (half, ad, *coords), q = _cleared(
+        [ac / 2, ac * k / w, *(c for p in pts3.values() for c in (p.x, p.y, p.z))]
+    )
+    it, m = iter(coords), _CAP_SCALE  # every point times m, the lattice of the cap's samples
+    cleared = {name: (x, y, z) for name, x, y, z in zip(pts3, it, it, it)}
+    flat = {name: _project(m * x, m * y, m * z) for name, (x, y, z) in cleared.items()}
+    # The cap over AD at unit-circle position (x, y) is (D (1 + x) / 2, AD y / 2), with
+    # z up from the plane of AD: from the D end up to the apex H, then at (-x, y) down to A.
+    dx, dy, _ = cleared["D"]
+    cap = [_project(dx * f, dy * f, ad * u) for f, _, u in _CAP]
+    cap += [_project(dx * g, dy * g, ad * u) for _, g, u in reversed(_CAP[:-1])]
+    flat["H"] = cap[len(_CAP) - 1]
+    r = 5 * m * half  # AC/2, projected
+    all_x = [p[0] for p in flat.values()] + [p[0] for p in cap] + [0, 2 * r]
+    all_y = [p[1] for p in flat.values()] + [p[1] for p in cap] + [-r, r]
+    cv = _Canvas(all_x, all_y, 5 * m * q)
+    cv.circle((r, 0), r)
+    cv.lines(flat, "AC DE EF- AD FG AG- DG-")
+    cv.polyline(cap, dashed=True)
     cv.marks({name: flat[name] for name in "ACDEFGH"})
     return cv.document()
 
 
 def _instrument_scene(spec: FigureSpec, method: str):
-    """a, b and the points of figures 6 and 7: A, C, D, E, F at the solved arc
-    parameter, the ruler's end Z and the cursor's end Y.
+    """a, h = b/100, the points of figures 6 and 7 and their common denominator, cleared.
 
-    The arc parameter is solved at the default context: a drawing at SVG
-    hundredths prints none of the run's digits.
+    The points are A, C, D, E, F at the arc parameter solved at the default
+    context (the drawing prints none of the run's digits), the ruler's end Z
+    and the cursor's end Y.
     """
-    a = as_rational(spec.params.get("a", 1))
-    b = as_rational(spec.params.get("b", 2))
+    a, b = (as_rational(spec.params.get(name, v)) for name, v in (("a", 1), ("b", 2)))
     solve = delian.two_means_instrument if method == "instrument" else delian.two_means_compass
     t = solve(a, b).theta_param
-    u = unit_circle_point(t)
-    k, s = u.x, u.y
-    pts = {name: (p.x, p.y) for name, p in proportio.planar_construction(b, t).items()}
-    F = pts["F"]
-    pts["Z"] = (b * Fraction(11, 10) * k, b * Fraction(11, 10) * s)
+    k, s, w = unit_circle_ints(t.numerator, t.denominator)  # the ruler's direction, times w
+    named = proportio.planar_construction(b, t)
+    (aq, bq, *coords), q = _cleared([a, b, *(c for p in named.values() for c in (p.x, p.y))])
+    it = iter(coords)  # every coordinate times 100 w, so that b/100 is h = bq w
+    pts = {name: (100 * w * x, 100 * w * y) for name, x, y in zip(named, it, it)}
+    fx, fy = pts["F"]
+    pts["Z"] = (110 * bq * k, 110 * bq * s)  # 11/10 b along the ruler
     # cursor through F, perpendicular to the ruler; it passes through E when solved
-    pts["Y"] = (F[0] - b * Fraction(1, 5) * s, F[1] + b * Fraction(1, 5) * k)
-    return a, b, pts
+    pts["Y"] = (fx - 20 * bq * s, fy + 20 * bq * k)
+    return 100 * w * aq, w * bq, pts, 100 * w * q
 
 
 def _fig_plumbline(spec: FigureSpec) -> str:
-    a, b, pts = _instrument_scene(spec, "instrument")
-    A, C, D, E, Y, Z = (pts[name] for name in "ACDEYZ")
-    S = (D[0] + Fraction(3, 10) * (D[0] - b / 2), D[1] + Fraction(3, 10) * D[1])
-    X = (E[0], -b * Fraction(3, 25))
-    given_y = b * Fraction(13, 20)
-    given_a = (-b * Fraction(3, 20), given_y)
-    given_b = (-b * Fraction(3, 20) + a, given_y)
-    cv = _Canvas([given_a[0], b, Z[0]], [X[1], Z[1], b / 2])
-    cv.arc_semicircle(A, C)
-    cv.line(A, C)
-    cv.line(A, Z)
-    cv.line(Y, E)
-    cv.line(D, X, dashed=True)
-    cv.line(D, S)
-    cv.line(given_a, given_b)
-    cv.circle(X, Fraction(1, 50) * b)
-    cv.marks({name: pts[name] for name in "ACDEF"} | {"S": S, "X": X, "Y": Y, "Z": Z, "B": given_b})
+    a, h, pts, den = _instrument_scene(spec, "instrument")
+    D, E = pts["D"], pts["E"]
+    # S = D + 3/10 (D - O) for O = (50h, 0): exact, as D and 50h are multiples of 10
+    pts["S"] = (D[0] + 3 * (D[0] - 50 * h) // 10, D[1] + 3 * D[1] // 10)
+    pts["X"] = X = (E[0], -12 * h)
+    pts["_"], pts["B"] = (-15 * h, 65 * h), (-15 * h + a, 65 * h)  # the given segment a
+    cv = _Canvas([-15 * h, 100 * h, pts["Z"][0]], [X[1], pts["Z"][1], 50 * h], den)
+    cv.arc_semicircle(pts["A"], pts["C"])
+    cv.lines(pts, "AC AZ YE DX- DS _B")
+    cv.circle(X, 2 * h)
+    cv.marks({name: pts[name] for name in "ACDEFSXYZB"})
     return cv.document()
 
 
 def _fig_compass(spec: FigureSpec) -> str:
-    _, b, pts = _instrument_scene(spec, "compass")
-    A, C, D, E, Y, Z = (pts[name] for name in "ACDEYZ")
-    O = (b / 2, Fraction(0))
-    rail_x = -b * Fraction(3, 20)
-    top = b * Fraction(4, 5)
-    K, L = (rail_x, Fraction(0)), (rail_x, top)
-    M, N = (D[0], top), (D[0], Fraction(0))
-    cv = _Canvas([rail_x, b, Z[0]], [Fraction(0), top, Z[1]])
-    cv.arc_semicircle(A, C)
-    cv.line(A, C)
-    cv.line(A, Z)
-    cv.line(K, L)
-    cv.line(L, M, dashed=True)
-    cv.line(M, N)
-    cv.line(O, D, dashed=True)
-    cv.line(Y, E)
-    cv.marks({name: pts[name] for name in "ACDEF"} | {"K": K, "L": L, "M": M, "N": N, "O": O,
-                                                      "Y": Y, "Z": Z})
+    _, h, pts, den = _instrument_scene(spec, "compass")
+    x, top = pts["D"][0], 80 * h
+    pts |= {"K": (-15 * h, 0), "L": (-15 * h, top), "M": (x, top), "N": (x, 0), "O": (50 * h, 0)}
+    cv = _Canvas([-15 * h, 100 * h, pts["Z"][0]], [0, top, pts["Z"][1]], den)
+    cv.arc_semicircle(pts["A"], pts["C"])
+    cv.lines(pts, "AC AZ KL LM- MN OD- YE")
+    cv.marks({name: pts[name] for name in "ACDEFKLMNOYZ"})
     return cv.document()
 
 

@@ -1,7 +1,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from mesolabe.figures import FigureSpec, _Canvas, _fmt, render
 from mesolabe.scalar import DecimalScalar
@@ -46,11 +46,8 @@ def hundredth_ties():
     )
 
 
-#: Model coordinates: Fractions, and the ints some figures place points at.
-rationals = st.one_of(
-    st.fractions(max_denominator=10**6).filter(lambda q: abs(q) < 10**6),
-    st.integers(min_value=-(10**6), max_value=10**6),
-)
+#: Cleared coordinates: ints over a figure's common denominator.
+lattice = st.integers(min_value=-(10**12), max_value=10**12)
 
 
 class TestCanvas:
@@ -63,14 +60,22 @@ class TestCanvas:
         n, d = pair
         assert _fmt(pair) == str(DecimalScalar.from_fraction(Fraction(n, d), 2))
 
-    @given(st.lists(st.tuples(rationals, rationals), min_size=1, max_size=6))
-    def test_map_is_the_affine_map(self, points):
+    @given(st.lists(st.tuples(lattice, lattice), min_size=1, max_size=6),
+           st.integers(min_value=1, max_value=10**9))
+    @example([(7, -3)], 5)  # a single point: both extents zero
+    @example([(0, 5), (12, 5)], 4)  # a zero y extent: 1 SVG unit per model unit fits
+    @example([(4, 0), (4, 8)], 16)  # a zero x extent: 1 per model unit fits
+    def test_map_is_the_affine_map(self, points, den):
         xs, ys = [x for x, _ in points], [y for _, y in points]
-        cv = _Canvas(xs, ys)
+        cv = _Canvas(xs, ys, den)
+        # the model points p / den, fitted and mapped in Fractions
+        xmin, ymin = F(min(xs), den), F(min(ys), den)
+        spans = F(max(xs), den) - xmin, F(max(ys), den) - ymin
+        scale = min(F(room) / span if span else F(1) for room, span in zip((380, 280), spans))
         for x, y in points:
             mx, my = cv.map((x, y))
-            assert Fraction(*mx) == 40 + (x - min(xs)) * cv.scale
-            assert Fraction(*my) == 360 - 40 - (y - min(ys)) * cv.scale
+            assert F(*mx) == 40 + (F(x, den) - xmin) * scale
+            assert F(*my) == 360 - 40 - (F(y, den) - ymin) * scale
             assert mx[1] > 0 and my[1] > 0
 
 
