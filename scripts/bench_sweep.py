@@ -23,6 +23,9 @@ Rows, each the fastest of ``--repeat`` calls after one warm-up call:
   ``_clavius_instance`` 1000 times from ``Random(0)``, each
   ``PROPOSITION_SUITE`` entry's valid and perturbed function (build one
   instance, run its checker) ``SUITE_CALLS`` times from ``Random(0)``,
+  each public ``euclid.check_*`` checker alone on ``CHECKER_CALLS`` valid
+  instances drawn from ``Random(0)`` before the timing, so a checker's
+  kernel shows apart from the draws,
   ``POINTS`` constructions of a ``Point2``, a ``Point3``, a ``DecimalScalar``
   and an ``InstrumentState``, ``POINTS`` comparisons of two equal
   ``Point2``s, ``Point3``s and ``ChordConfig``s solved for diameter 2,
@@ -85,6 +88,8 @@ SLOW_REPEAT = 4
 POINTS = 10_000
 #: Calls per row of a proposition-suite entry.
 SUITE_CALLS = 1000
+#: Instances, one call each, per row of a checker alone.
+CHECKER_CALLS = 1000
 #: Interpreter starts per tree of a cold-start row, after one untimed start.
 COLD_STARTS = 21
 #: ``perfbench/run.py``'s ``_COLD_START``: the package directory, then the argv.
@@ -119,6 +124,39 @@ GENERATORS = (
     "rand_proportional_triple", "rand_prism", "rand_chord_setup", "rand_pappus_offsets",
     "_uv_pair", "_clavius_instance",
 )
+
+
+def _pappus_args(euclid, rng):
+    t, _ = euclid.rand_classified_triangle(rng)
+    return (t, *euclid.rand_pappus_offsets(rng, t))
+
+
+def _4_11_args(euclid, rng):
+    u, v = euclid._uv_pair(rng)
+    return u.cross(v), u, v
+
+
+def _7_12_args(euclid, rng):
+    base, offset = euclid.rand_prism(rng)
+    return base, tuple(p + offset for p in base)
+
+
+#: Public checker -> (its tree's ``euclid``, rng) -> the arguments of one valid
+#: instance, drawn by the suite's generators.
+CHECKER_ARGS = {
+    "check_47_1": lambda euclid, rng: (euclid.rand_right_triangle(rng),),
+    "check_pappus": _pappus_args,
+    "check_12_2": lambda euclid, rng: (euclid.rand_classified_triangle(rng)[0],),
+    "check_13_2": lambda euclid, rng: (euclid.rand_classified_triangle(rng)[0],),
+    "check_3_3": lambda euclid, rng: euclid.rand_chord_setup(rng),
+    "check_clavius_31_3": lambda euclid, rng: euclid._clavius_instance(rng),
+    "check_8_6_corollary": lambda euclid, rng: (euclid.rand_right_triangle(rng),),
+    "check_31_6": lambda euclid, rng: (euclid.rand_right_triangle(rng), 2),
+    "check_19_7": lambda euclid, rng: euclid.rand_proportional_quad(rng),
+    "check_20_7": lambda euclid, rng: euclid.rand_proportional_triple(rng),
+    "check_4_11": _4_11_args,
+    "check_7_12": _7_12_args,
+}
 
 
 def load(src: str):
@@ -168,6 +206,18 @@ def suite_entry(euclid, name: str, perturbed: bool):
         rng = random.Random(0)
         for _ in range(SUITE_CALLS):
             fn(rng)
+    return call
+
+
+def check(euclid, name: str):
+    """One call of ``euclid.<name>`` on each of ``CHECKER_CALLS`` instances built beforehand."""
+    rng = random.Random(0)
+    instances = [CHECKER_ARGS[name](euclid, rng) for _ in range(CHECKER_CALLS)]
+    checker = getattr(euclid, name)
+
+    def call():
+        for args in instances:
+            checker(*args)
     return call
 
 
@@ -289,6 +339,9 @@ def rows(trees: dict) -> list[tuple[str, int | None, int, dict]]:
             out.append((f"layer euclid suite {name} {kind} x{SUITE_CALLS}", None, 1,
                         {t: suite_entry(euclid, name, kind == "perturbed")
                          for t, (_, _, euclid) in trees.items()}))
+    for name in CHECKER_ARGS:
+        out.append((f"layer euclid.{name} x{CHECKER_CALLS}", None, 1,
+                    {t: check(euclid, name) for t, (_, _, euclid) in trees.items()}))
     for cls, coords in (("Point2", (3, -4)), ("Point3", (3, -4, 12))):
         out.append((f"layer euclid.{cls} x{POINTS}", None, 1,
                     {t: construct(getattr(euclid, cls), coords)

@@ -11,8 +11,11 @@ polynomial identity, so its verdict is unchanged when the instance is scaled
 by a positive integer.  The seeded suite behind ``check-props`` relies on
 that: it builds every instance on the integer lattice, as the rational
 instance times its common denominator, and runs on ``int`` throughout.
-There are no epsilon comparisons in this module, which is what lets the rest
-of the package use these checkers as its oracle layer.
+Each checker reads its points' coordinates once and evaluates its residual
+as one polynomial in them, literal to the proposition, with no intermediate
+point or vector record.  There are no epsilon comparisons in this module,
+which is what lets the rest of the package use these checkers as its oracle
+layer.
 
 Conventions: a :class:`Triangle` carries its designated vertex first, so a
 "right angle at the designated vertex" means the angle at ``t.a``.
@@ -43,15 +46,6 @@ class Point2(ValueRecord):
 
     def scaled(self, k: Fraction) -> "Point2":
         return Point2(self.x * k, self.y * k)
-
-    def dot(self, other: "Point2") -> Fraction:
-        return self.x * other.x + self.y * other.y
-
-    def cross(self, other: "Point2") -> Fraction:
-        return self.x * other.y - self.y * other.x
-
-    def norm_sq(self) -> Fraction:
-        return self.dot(self)
 
 
 class Point3(ValueRecord):
@@ -99,10 +93,6 @@ class Triangle(ValueRecord):
     def legs(self) -> tuple[Point2, Point2]:
         return self.b - self.a, self.c - self.a
 
-    def is_degenerate(self) -> bool:
-        u, v = self.legs()
-        return u.cross(v) == 0
-
 
 def _require(condition: bool, message: str) -> None:
     if not condition:
@@ -123,9 +113,10 @@ def check_47_1(t: Triangle) -> Fraction:
     The residual is -2 AB . AC, so it is 0 exactly when the angle at a is
     right.
     """
-    u, v = t.legs()
-    _require(u.cross(v) != 0, "degenerate triangle")
-    return (t.c - t.b).norm_sq() - u.norm_sq() - v.norm_sq()
+    ax, ay, bx, by, cx, cy = t.a.x, t.a.y, t.b.x, t.b.y, t.c.x, t.c.y
+    ux, uy, vx, vy, wx, wy = bx - ax, by - ay, cx - ax, cy - ay, cx - bx, cy - by
+    _require(ux * vy - uy * vx != 0, "degenerate triangle")
+    return wx * wx + wy * wy - (ux * ux + uy * uy) - (vx * vx + vy * vy)
 
 
 def check_pappus(t: Triangle, offset_ab: Point2, offset_ac: Point2) -> Fraction:
@@ -139,18 +130,21 @@ def check_pappus(t: Triangle, offset_ab: Point2, offset_ac: Point2) -> Fraction:
     configuration the proposition describes.  The residual is homogeneous
     of degree one in the triangle and of degree one in the two offsets.
     """
-    ab, ac = t.legs()
-    den = ab.cross(ac)
+    ax, ay, bx, by, cx, cy = t.a.x, t.a.y, t.b.x, t.b.y, t.c.x, t.c.y
+    ux, uy, vx, vy = offset_ab.x, offset_ab.y, offset_ac.x, offset_ac.y
+    abx, aby, acx, acy = bx - ax, by - ay, cx - ax, cy - ay
+    den = abx * acy - aby * acx
     _require(den != 0, "degenerate triangle")
-    _require(ab.cross(offset_ab) != 0, "parallelogram on AB is flat")
-    _require(ac.cross(offset_ac) != 0, "parallelogram on AC is flat")
+    on_ab, on_ac = abx * uy - aby * ux, acx * vy - acy * vx
+    _require(on_ab != 0, "parallelogram on AB is flat")
+    _require(on_ac != 0, "parallelogram on AC is flat")
     # H = A + offset_ab + s*AB with s = num/den solves
-    # A + offset_ab + s*AB = A + offset_ac + r*AC; ``ha`` is den * (H - A).
-    num = (offset_ac - offset_ab).cross(ac)
-    ha = offset_ab.scaled(den) + ab.scaled(num)
+    # A + offset_ab + s*AB = A + offset_ac + r*AC; (hx, hy) is den * (H - A).
+    num = (vx - ux) * acy - (vy - uy) * acx
+    hx, hy = ux * den + abx * num, uy * den + aby * num
     k = abs(den)
-    areas = abs(ab.cross(offset_ab)) + abs(ac.cross(offset_ac))
-    return _uncleared(areas * k - abs((t.c - t.b).cross(ha)), k)
+    areas = abs(on_ab) + abs(on_ac)
+    return _uncleared(areas * k - abs((cx - bx) * hy - (cy - by) * hx), k)
 
 
 # -- book II -----------------------------------------------------------------
@@ -164,8 +158,9 @@ def check_12_2(t: Triangle) -> Fraction:
     ``|AB . AC|`` without extracting any root.  The residual is
     -2 (AB . AC + |AB . AC|): 0 unless the angle at a is acute.
     """
-    u, v = t.legs()
-    return (t.c - t.b).norm_sq() - (u.norm_sq() + v.norm_sq() + 2 * abs(u.dot(v)))
+    ax, ay, bx, by, cx, cy = t.a.x, t.a.y, t.b.x, t.b.y, t.c.x, t.c.y
+    ux, uy, vx, vy, wx, wy = bx - ax, by - ay, cx - ax, cy - ay, cx - bx, cy - by
+    return wx * wx + wy * wy - (ux * ux + uy * uy + vx * vx + vy * vy + 2 * abs(ux * vx + uy * vy))
 
 
 def check_13_2(t: Triangle) -> Fraction:
@@ -174,8 +169,9 @@ def check_13_2(t: Triangle) -> Fraction:
     The residual is 2 (|AB . AC| - AB . AC): 0 unless the angle at a is
     obtuse.
     """
-    u, v = t.legs()
-    return (t.c - t.b).norm_sq() - (u.norm_sq() + v.norm_sq() - 2 * abs(u.dot(v)))
+    ax, ay, bx, by, cx, cy = t.a.x, t.a.y, t.b.x, t.b.y, t.c.x, t.c.y
+    ux, uy, vx, vy, wx, wy = bx - ax, by - ay, cx - ax, cy - ay, cx - bx, cy - by
+    return wx * wx + wy * wy - (ux * ux + uy * uy + vx * vx + vy * vy - 2 * abs(ux * vx + uy * vy))
 
 
 # -- book III ----------------------------------------------------------------
@@ -190,11 +186,12 @@ def check_3_3(center: Point2, chord: tuple[Point2, Point2]) -> bool:
     ``(p + q - 2 * center) . (q - p) = 0``, which is evaluated once.  With
     the ends at unequal distances from the centre it is False.
     """
-    p, q = chord
-    _require(p != q, "degenerate chord")
-    along = q - p
-    _require(along.cross(center - p) != 0, "chord passes through the centre")
-    return (p + q - center.scaled(2)).dot(along) == 0
+    (p, q), cx, cy = chord, center.x, center.y
+    px, py, qx, qy = p.x, p.y, q.x, q.y
+    _require(px != qx or py != qy, "degenerate chord")
+    alx, aly = qx - px, qy - py
+    _require(alx * (cy - py) - aly * (cx - px) != 0, "chord passes through the centre")
+    return (px + qx - cx * 2) * alx + (py + qy - cy * 2) * aly == 0
 
 
 def check_clavius_31_3(p: Point2, q: Point2, r: Point2) -> bool:
@@ -204,8 +201,9 @@ def check_clavius_31_3(p: Point2, q: Point2, r: Point2) -> bool:
     on ``pq`` as diameter passes through ``r``:
     |2r - p - q|^2 - |q - p|^2 = 4 (r - p) . (r - q).
     """
-    _require(p != q, "degenerate diameter")
-    return (r - p).dot(r - q) == 0
+    px, py, qx, qy, rx, ry = p.x, p.y, q.x, q.y, r.x, r.y
+    _require(px != qx or py != qy, "degenerate diameter")
+    return (rx - px) * (rx - qx) + (ry - py) * (ry - qy) == 0
 
 
 # -- book VI -----------------------------------------------------------------
@@ -220,11 +218,12 @@ def check_8_6_corollary(t: Triangle) -> Fraction:
     ``den^2``.  The residual is AB . AC, so it is 0 exactly when the angle
     at a is right.
     """
-    _require(not t.is_degenerate(), "degenerate triangle")
-    base = t.c - t.b
-    ba = t.a - t.b
-    num, den = ba.dot(base), base.norm_sq()
-    altitude_sq = (ba.scaled(den) - base.scaled(num)).norm_sq()
+    ax, ay, bx, by, cx, cy = t.a.x, t.a.y, t.b.x, t.b.y, t.c.x, t.c.y
+    _require((bx - ax) * (cy - ay) - (by - ay) * (cx - ax) != 0, "degenerate triangle")
+    wx, wy, bax, bay = cx - bx, cy - by, ax - bx, ay - by  # BC and BA
+    num, den = bax * wx + bay * wy, wx * wx + wy * wy
+    hx, hy = bax * den - wx * num, bay * den - wy * num
+    altitude_sq = hx * hx + hy * hy
     segments_product = num * (den - num) * den
     return _uncleared(altitude_sq - segments_product, den * den)
 
@@ -239,8 +238,9 @@ def check_31_6(t: Triangle, aspect: Fraction) -> Fraction:
     a is right.
     """
     _require(aspect > 0, "aspect ratio must be positive")
-    u, v = t.legs()
-    return aspect * (t.c - t.b).norm_sq() - aspect * u.norm_sq() - aspect * v.norm_sq()
+    ax, ay, bx, by, cx, cy = t.a.x, t.a.y, t.b.x, t.b.y, t.c.x, t.c.y
+    ux, uy, vx, vy, wx, wy = bx - ax, by - ay, cx - ax, cy - ay, cx - bx, cy - by
+    return aspect * (wx * wx + wy * wy) - aspect * (ux * ux + uy * uy) - aspect * (vx * vx + vy * vy)
 
 
 # -- book VII ----------------------------------------------------------------
@@ -271,8 +271,10 @@ def check_4_11(line_dir: Point3, u: Point3, v: Point3) -> bool:
     Checking ``u`` and ``v`` is conclusive: by bilinearity
     ``line_dir . (alpha*u + beta*v) = alpha*(line_dir . u) + beta*(line_dir . v)``.
     """
-    _require(u.cross(v).norm_sq() != 0, "u and v are parallel")
-    return line_dir.dot(u) == 0 and line_dir.dot(v) == 0
+    ux, uy, uz, vx, vy, vz = u.x, u.y, u.z, v.x, v.y, v.z
+    _require(uy * vz != uz * vy or uz * vx != ux * vz or ux * vy != uy * vx, "u and v are parallel")
+    lx, ly, lz = line_dir.x, line_dir.y, line_dir.z
+    return lx * ux + ly * uy + lz * uz == 0 and lx * vx + ly * vy + lz * vz == 0
 
 
 # -- book XII ----------------------------------------------------------------
@@ -280,7 +282,10 @@ def check_4_11(line_dir: Point3, u: Point3, v: Point3) -> bool:
 
 def _six_volume(p0: Point3, p1: Point3, p2: Point3, p3: Point3) -> Fraction:
     """Six times the volume of the tetrahedron: its absolute triple product."""
-    return abs((p1 - p0).cross(p2 - p0).dot(p3 - p0))
+    x, y, z = p0.x, p0.y, p0.z
+    ux, uy, uz, vx, vy, vz = p1.x - x, p1.y - y, p1.z - z, p2.x - x, p2.y - y, p2.z - z
+    wx, wy, wz = p3.x - x, p3.y - y, p3.z - z
+    return abs((uy * vz - uz * vy) * wx + (uz * vx - ux * vz) * wy + (ux * vy - uy * vx) * wz)
 
 
 def _split_six_volumes(
@@ -527,11 +532,12 @@ def rand_pappus_offsets(rng: random.Random, t: Triangle) -> tuple[Point2, Point2
     offset's side is tested before the lattice, whose positive scale keeps
     every sign.
     """
-    ab, ac = t.legs()
-    orientation = ab.cross(ac)
+    ax, ay = t.a.x, t.a.y
+    abx, aby, acx, acy = t.b.x - ax, t.b.y - ay, t.c.x - ax, t.c.y - ay
+    orientation = abx * acy - aby * acx
     while True:
         (ux, uy, ku), (vx, vy, kv) = _lattice_point2(rng), _lattice_point2(rng)
-        if (ab.x * uy - ab.y * ux) * orientation < 0 and (ac.x * vy - ac.y * vx) * orientation > 0:
+        if (abx * uy - aby * ux) * orientation < 0 and (acx * vy - acy * vx) * orientation > 0:
             return Point2(ux * kv, uy * kv), Point2(vx * ku, vy * ku)
 
 

@@ -346,7 +346,11 @@ def planar_construction(ac: Fraction, t: Fraction) -> dict[str, Point3]:
     if not 0 <= t <= 1:
         raise ValueError("arc parameter must lie in [0, 1]")
     u = unit_circle_point(t)
-    k, s = u.x, u.y
+    return _planar_points(ac, u.x, u.y)
+
+
+def _planar_points(ac: Fraction, k: Fraction, s: Fraction) -> dict[str, Point3]:
+    """A, C, D, E, F of :func:`planar_construction` for the unit-circle point (k, s)."""
     zero = Fraction(0)
     return {
         "A": Point3(zero, zero, zero),
@@ -367,9 +371,10 @@ def sphere_construction(ac: Fraction, t: Fraction) -> dict[str, Point3]:
     left here to check at run time.
     """
     _require_interior(ac, t)
-    pts = planar_construction(ac, t)
+    u = unit_circle_point(t)
+    pts = _planar_points(ac, u.x, u.y)
     f = pts["F"]
-    pts["G"] = Point3(f.x, f.y, pts["E"].x * unit_circle_point(t).y)  # FG = AC k^2 s
+    pts["G"] = Point3(f.x, f.y, pts["E"].x * u.y)  # FG = AC k^2 s
     return pts
 
 

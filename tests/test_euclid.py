@@ -7,7 +7,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 import mesolabe
 from mesolabe import euclid
@@ -393,6 +393,180 @@ class TestSecondEvaluationsAgree:
         assert six_volumes == {_six_volume(a, b, c, _add(a, offset))}
         base, top = (tuple(Point3(*p) for p in face) for face in ((a, b, c), (a2, b2, c2)))
         assert check_7_12(base, top) == 0
+
+
+def _require(condition, message):
+    if not condition:
+        raise ValueError(message)
+
+
+def _uncleared(residual, k):
+    return Fraction(residual, k) if residual else residual
+
+
+def _sq(v):
+    return _dot(v, v)
+
+
+def _vector_47_1(a, b, c):
+    u, v = _sub(b, a), _sub(c, a)
+    _require(_cross2(u, v) != 0, "degenerate triangle")
+    return _sq(_sub(c, b)) - _sq(u) - _sq(v)
+
+
+def _vector_12_2(a, b, c):
+    u, v = _sub(b, a), _sub(c, a)
+    return _sq(_sub(c, b)) - (_sq(u) + _sq(v) + 2 * abs(_dot(u, v)))
+
+
+def _vector_13_2(a, b, c):
+    u, v = _sub(b, a), _sub(c, a)
+    return _sq(_sub(c, b)) - (_sq(u) + _sq(v) - 2 * abs(_dot(u, v)))
+
+
+def _vector_8_6(a, b, c):
+    _require(_cross2(_sub(b, a), _sub(c, a)) != 0, "degenerate triangle")
+    base, ba = _sub(c, b), _sub(a, b)
+    num, den = _dot(ba, base), _sq(base)
+    altitude_sq = _sq(_sub(_mul(ba, den), _mul(base, num)))
+    return _uncleared(altitude_sq - num * (den - num) * den, den * den)
+
+
+def _vector_31_6(a, b, c, aspect):
+    _require(aspect > 0, "aspect ratio must be positive")
+    u, v = _sub(b, a), _sub(c, a)
+    return aspect * _sq(_sub(c, b)) - aspect * _sq(u) - aspect * _sq(v)
+
+
+def _vector_pappus(a, b, c, offset_ab, offset_ac):
+    ab, ac = _sub(b, a), _sub(c, a)
+    den = _cross2(ab, ac)
+    _require(den != 0, "degenerate triangle")
+    _require(_cross2(ab, offset_ab) != 0, "parallelogram on AB is flat")
+    _require(_cross2(ac, offset_ac) != 0, "parallelogram on AC is flat")
+    num = _cross2(_sub(offset_ac, offset_ab), ac)
+    ha = _add(_mul(offset_ab, den), _mul(ab, num))
+    areas = abs(_cross2(ab, offset_ab)) + abs(_cross2(ac, offset_ac))
+    return _uncleared(areas * abs(den) - abs(_cross2(_sub(c, b), ha)), abs(den))
+
+
+def _vector_3_3(center, p, q):
+    _require(p != q, "degenerate chord")
+    along = _sub(q, p)
+    _require(_cross2(along, _sub(center, p)) != 0, "chord passes through the centre")
+    return _dot(_sub(_add(p, q), _mul(center, 2)), along) == 0
+
+
+def _vector_clavius(p, q, r):
+    _require(p != q, "degenerate diameter")
+    return _dot(_sub(r, p), _sub(r, q)) == 0
+
+
+def _vector_4_11(line_dir, u, v):
+    _require(_sq(_cross3(u, v)) != 0, "u and v are parallel")
+    return _dot(line_dir, u) == 0 and _dot(line_dir, v) == 0
+
+
+def _outcome(fn, *args):
+    """What ``fn(*args)`` gives: its result with the result's type, or the ValueError text."""
+    try:
+        result = fn(*args)
+    except ValueError as exc:
+        return ValueError, str(exc)
+    if isinstance(result, tuple):
+        return [(type(r), r) for r in result]
+    return type(result), result
+
+
+INTS = st.integers(min_value=-60, max_value=60)
+
+
+def _points(*dims):
+    """Points of the given dimensions, their coordinates all ints or all Fractions."""
+    return st.one_of(*(st.tuples(*(st.tuples(*[c] * d) for d in dims)) for c in (INTS, RATIONALS)))
+
+
+def _plane(points):
+    return [Point2(*p) for p in points]
+
+
+FLAT = ((0, 0), (2, 1), (-4, -2))
+FLAT_F = tuple((F(x, 3), F(y, 3)) for x, y in FLAT)
+
+
+class TestCoordinateFormsAgree:
+    """Each checker equals its residual in vector form, computed on tuples.
+
+    The same value of the same type comes out, or the same ValueError text:
+    int coordinates give an int residual, Fraction ones a Fraction, and a
+    residual cleared by a denominator is a Fraction unless it is 0.
+    """
+
+    @pytest.mark.parametrize("checker, vector", [
+        (check_47_1, _vector_47_1), (check_12_2, _vector_12_2), (check_13_2, _vector_13_2),
+        (check_8_6_corollary, _vector_8_6),
+    ])
+    @given(tri=_points(2, 2, 2))
+    @example(tri=FLAT)
+    @example(tri=FLAT_F)
+    @example(tri=((0, 0), (3, 0), (0, 4)))
+    def test_triangle_checkers(self, checker, vector, tri):
+        assert _outcome(checker, Triangle(*_plane(tri))) == _outcome(vector, *tri)
+
+    @given(tri=_points(2, 2, 2), aspect=st.one_of(INTS, RATIONALS))
+    @example(tri=((0, 0), (3, 0), (0, 4)), aspect=0)
+    @example(tri=FLAT_F, aspect=F(-1, 2))
+    def test_31_6(self, tri, aspect):
+        expected = _outcome(_vector_31_6, *tri, aspect)
+        assert _outcome(check_31_6, Triangle(*_plane(tri)), aspect) == expected
+
+    @given(pts=_points(2, 2, 2, 2, 2))
+    @example(pts=(*FLAT, (0, 1), (1, 0)))
+    @example(pts=((0, 0), (1, 0), (0, 1), (3, 0), (-1, 0)))  # the one on AB is flat
+    @example(pts=((0, 0), (1, 0), (0, 1), (0, -1), (0, 2)))  # the one on AC is flat
+    @example(pts=((0, 0), (1, 0), (0, 1), (0, -1), (-1, 0)))  # squares on the legs
+    def test_pappus(self, pts):
+        a, b, c, u, v = pts
+        assert _outcome(check_pappus, Triangle(*_plane((a, b, c))), *_plane((u, v))) == (
+            _outcome(_vector_pappus, a, b, c, u, v)
+        )
+
+    @given(pts=_points(2, 2, 2))
+    @example(pts=((0, 0), (3, 4), (3, 4)))  # p == q
+    @example(pts=((0, 0), (1, 0), (-1, 0)))  # a central chord
+    @example(pts=((0, 0), (3, 4), (3, -4)))
+    @example(pts=((F(0), F(0)), (F(3), F(4)), (F(117, 25), F(44, 25))))  # along is (3, -4) times 14/25
+    def test_3_3(self, pts):
+        center, p, q = pts
+        center_, p_, q_ = _plane(pts)
+        assert _outcome(check_3_3, center_, (p_, q_)) == _outcome(_vector_3_3, center, p, q)
+
+    @given(pts=_points(2, 2, 2))
+    @example(pts=((F(1, 2), F(0)), (F(1, 2), F(0)), (F(0), F(1))))  # p == q
+    @example(pts=((-1, 0), (1, 0), (0, 1)))
+    def test_clavius_31_3(self, pts):
+        assert _outcome(check_clavius_31_3, *_plane(pts)) == _outcome(_vector_clavius, *pts)
+
+    @given(pts=_points(3, 3, 3), on_normal=st.booleans())
+    @example(pts=((0, 0, 1), (1, 0, 0), (2, 0, 0)), on_normal=False)  # u and v parallel
+    @example(pts=((F(0),) * 3, (F(1, 3), F(1), F(2)), (F(2, 3), F(2), F(4))), on_normal=False)
+    def test_4_11(self, pts, on_normal):
+        line_dir, u, v = pts
+        if on_normal:
+            line_dir = _cross3(u, v)
+        expected = _outcome(_vector_4_11, line_dir, u, v)
+        assert _outcome(check_4_11, *(Point3(*p) for p in (line_dir, u, v))) == expected
+
+    @given(pts=_points(3, 3, 3, 3, 3, 3))
+    @example(pts=((0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 0, 1), (0, 1, 2)))
+    def test_prism_volumes(self, pts):
+        a, b, c, a2, b2, c2 = pts
+        six = _six_volume(a, b, c, c2), _six_volume(a, b, b2, c2), _six_volume(a, a2, b2, c2)
+        base, top = (tuple(Point3(*p) for p in face) for face in (pts[:3], pts[3:]))
+        expected = _outcome(lambda: tuple(_uncleared(v, 6) for v in six))
+        assert _outcome(prism_split_volumes, base, top) == expected
+        expected = _outcome(lambda: _uncleared(max(six) - min(six), 6))
+        assert _outcome(check_7_12, base, top) == expected
 
 
 class TestLyingChecker:
