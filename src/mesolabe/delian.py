@@ -90,15 +90,6 @@ from .scalar import (
 )
 
 
-def _cleared_k(t: Fraction) -> tuple[int, int]:
-    """(K, S) = (m^2 - n^2, m^2 + n^2) for t = n/m, so that k = K/S.
-
-    k is the x of :func:`~mesolabe.euclid.unit_circle_point` at ``t``.
-    """
-    big_k, _, big_s = unit_circle_ints(t.numerator, t.denominator)
-    return big_k, big_s
-
-
 class InstrumentState(ValueRecord):
     """Arc parameter ``t`` with target AF = a against diameter AC = b.
 
@@ -120,10 +111,11 @@ class InstrumentState(ValueRecord):
         distance a/k from A; at the stopping position that is exactly the
         perpendicular foot E.  The residual b k^2 - a/k is decreasing in t
         and positive at t = 0 for a < b.  With a = pa/qa, b = pb/qb and
-        k = K/S, this returns it times the positive factor qa qb K S^2:
+        k = K/S, the x of :func:`~mesolabe.euclid.unit_circle_ints` (K, _, S)
+        at t, this returns it times the positive factor qa qb K S^2:
         pb qa K^3 - pa qb S^3, an int with the residual's exact sign.
         """
-        big_k, big_s = _cleared_k(self.t)
+        big_k, _, big_s = unit_circle_ints(self.t.numerator, self.t.denominator)
         if big_k == 0:
             raise ZeroDivisionError("cursor line is parallel to AC at t = 1")
         return (self.b.numerator * self.a.denominator * big_k**3
@@ -138,7 +130,7 @@ class InstrumentState(ValueRecord):
         a < b.  This returns it times the positive factor qa qb S^3:
         pa qb S^3 - pb qa K^3, an int with the residual's exact sign.
         """
-        big_k, big_s = _cleared_k(self.t)
+        big_k, _, big_s = unit_circle_ints(self.t.numerator, self.t.denominator)
         return (self.a.numerator * self.b.denominator * big_s**3
                 - self.b.numerator * self.a.denominator * big_k**3)
 

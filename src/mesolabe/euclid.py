@@ -38,15 +38,6 @@ class Point2(ValueRecord):
     def __init__(self, x: Fraction, y: Fraction):
         self.x, self.y = x, y
 
-    def __sub__(self, other: "Point2") -> "Point2":
-        return Point2(self.x - other.x, self.y - other.y)
-
-    def __add__(self, other: "Point2") -> "Point2":
-        return Point2(self.x + other.x, self.y + other.y)
-
-    def scaled(self, k: Fraction) -> "Point2":
-        return Point2(self.x * k, self.y * k)
-
 
 class Point3(ValueRecord):
     """A space point or vector; immutable by convention, like :class:`Point2`."""
@@ -90,9 +81,6 @@ class Triangle(ValueRecord):
     def __init__(self, a: Point2, b: Point2, c: Point2):
         self.a, self.b, self.c = a, b, c
 
-    def legs(self) -> tuple[Point2, Point2]:
-        return self.b - self.a, self.c - self.a
-
 
 def _require(condition: bool, message: str) -> None:
     if not condition:
@@ -123,12 +111,14 @@ def check_pappus(t: Triangle, offset_ab: Point2, offset_ac: Point2) -> Fraction:
     """Pappus' parallelogram generalization of 47.1.
 
     ``offset_ab``/``offset_ac`` are the side vectors of the parallelograms
-    erected outward on AB and AC.  Their outer sides are extended to meet
-    at H; the parallelogram on BC with side equal and parallel to HA then
-    matches the other two in combined area.  Returns
-    area(on AB) + area(on AC) - area(on BC), exact, zero for the outward
-    configuration the proposition describes.  The residual is homogeneous
-    of degree one in the triangle and of degree one in the two offsets.
+    erected on AB and AC.  Their outer sides are extended to meet at H; the
+    parallelogram on BC with side equal and parallel to HA then matches the
+    other two in combined area.  Returns
+    area(on AB) + area(on AC) - area(on BC), exact.  It is zero for the
+    outward configuration the proposition describes, and also when both
+    parallelograms are erected inward, since negating both offsets leaves
+    it unchanged.  The residual is homogeneous of degree one in the
+    triangle and of degree one in the two offsets.
     """
     ax, ay, bx, by, cx, cy = t.a.x, t.a.y, t.b.x, t.b.y, t.c.x, t.c.y
     ux, uy, vx, vy = offset_ab.x, offset_ab.y, offset_ac.x, offset_ac.y
@@ -288,26 +278,6 @@ def _six_volume(p0: Point3, p1: Point3, p2: Point3, p3: Point3) -> Fraction:
     return abs((uy * vz - uz * vy) * wx + (uz * vx - ux * vz) * wy + (ux * vy - uy * vx) * wz)
 
 
-def _split_six_volumes(
-    base: tuple[Point3, Point3, Point3], top: tuple[Point3, Point3, Point3]
-) -> tuple[Fraction, Fraction, Fraction]:
-    a, b, c = base
-    a2, b2, c2 = top
-    return (
-        _six_volume(a, b, c, c2),
-        _six_volume(a, b, b2, c2),
-        _six_volume(a, a2, b2, c2),
-    )
-
-
-def prism_split_volumes(
-    base: tuple[Point3, Point3, Point3], top: tuple[Point3, Point3, Point3]
-) -> tuple[Fraction, Fraction, Fraction]:
-    """Volumes of the canonical three-tetrahedron split of a (claimed) prism."""
-    v1, v2, v3 = _split_six_volumes(base, top)
-    return _uncleared(v1, 6), _uncleared(v2, 6), _uncleared(v3, 6)
-
-
 def check_7_12(
     base: tuple[Point3, Point3, Point3], top: tuple[Point3, Point3, Point3]
 ) -> Fraction:
@@ -319,7 +289,8 @@ def check_7_12(
     ``top`` is ``base`` translated.  The volumes are compared as six times
     the volume, scalar triple products.
     """
-    six_volumes = _split_six_volumes(base, top)
+    (a, b, c), (a2, b2, c2) = base, top
+    six_volumes = _six_volume(a, b, c, c2), _six_volume(a, b, b2, c2), _six_volume(a, a2, b2, c2)
     return _uncleared(max(six_volumes) - min(six_volumes), 6)
 
 
@@ -566,16 +537,28 @@ def _detects(result) -> bool:
     return result != 0
 
 
+def _pert_right(rng: random.Random, vertex: int, leg: int) -> Triangle:
+    """A right triangle times m, with one vertex moved by n times one leg, for the nudge n/m.
+
+    ``vertex`` 0, 1 or 2 is a, b or c, and ``leg`` 0 or 1 is AB or AC.  The
+    triangle is drawn before the nudge.
+    """
+    t = rand_right_triangle(rng)
+    n, m = _nudge(rng)
+    points = [(p.x, p.y) for p in (t.a, t.b, t.c)]
+    (ax, ay), (ex, ey) = points[0], points[leg + 1]
+    moved = [(x * m, y * m) for x, y in points]
+    x, y = moved[vertex]
+    moved[vertex] = x + (ex - ax) * n, y + (ey - ay) * n
+    return Triangle(*(Point2(x, y) for x, y in moved))
+
+
 def _valid_47_1(rng):
     return check_47_1(rand_right_triangle(rng)) == 0
 
 
 def _pert_47_1(rng):
-    t = rand_right_triangle(rng)
-    u, _ = t.legs()
-    n, m = _nudge(rng)
-    bad = Triangle(t.a.scaled(m), t.b.scaled(m), t.c.scaled(m) + u.scaled(n))  # breaks the right angle
-    return _detects(check_47_1(bad))
+    return _detects(check_47_1(_pert_right(rng, 2, 0)))  # C moved along AB breaks the right angle
 
 
 def _valid_12_13_2(rng):
@@ -597,8 +580,10 @@ def _valid_3_3(rng):
 def _pert_3_3(rng):
     center, (p, q) = rand_chord_setup(rng)
     n, m = _nudge(rng)
-    off = center.scaled(m) + (q - center).scaled(m + n)  # leaves the circle radially
-    return _detects(check_3_3(center.scaled(m), (p.scaled(m), off)))
+    cx, cy = center.x, center.y
+    # q moved radially off the circle: the centre plus (m + n) times its radius
+    off = Point2(cx * m + (q.x - cx) * (m + n), cy * m + (q.y - cy) * (m + n))
+    return _detects(check_3_3(Point2(cx * m, cy * m), (Point2(p.x * m, p.y * m), off)))
 
 
 def _valid_8_6(rng):
@@ -606,11 +591,7 @@ def _valid_8_6(rng):
 
 
 def _pert_8_6(rng):
-    t = rand_right_triangle(rng)
-    u, _ = t.legs()
-    n, m = _nudge(rng)
-    bad = Triangle(t.a.scaled(m) + u.scaled(n), t.b.scaled(m), t.c.scaled(m))
-    return _detects(check_8_6_corollary(bad))
+    return _detects(check_8_6_corollary(_pert_right(rng, 0, 0)))
 
 
 def _valid_31_6(rng):
@@ -621,11 +602,7 @@ def _valid_31_6(rng):
 
 
 def _pert_31_6(rng):
-    t = rand_right_triangle(rng)
-    _, v = t.legs()
-    n, m = _nudge(rng)
-    bad = Triangle(t.a.scaled(m), t.b.scaled(m) + v.scaled(n), t.c.scaled(m))
-    return _detects(check_31_6(bad, 2))  # the aspect 2/3, times 3
+    return _detects(check_31_6(_pert_right(rng, 1, 1), 2))  # the aspect 2/3, times 3
 
 
 # 19.7 and 20.7: moving the last term by any non-zero amount breaks the

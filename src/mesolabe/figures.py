@@ -140,10 +140,11 @@ class _Canvas:
 
 def _box_figure(spec: FigureSpec, defaults) -> str:
     edges = [spec.params.get(k, v) for k, v in zip(("da", "db", "dc"), defaults)]
-    vertices = pyramid.RightPyramid(*edges).vertices()
-    coords, q = _cleared([c for v in vertices for c in (v.x, v.y, v.z)])
-    d, a, b, c = (_project(*coords[i:i + 3]) for i in range(0, 12, 3))
-    (ax, ay), (bx, by), (cx, cy) = a, b, c  # D is the origin
+    p = pyramid.RightPyramid(*edges)
+    (da, db, dc), q = _cleared([p.da, p.db, p.dc])
+    # D at the origin and A, B and C on the axes, as RightPyramid.vertices places them
+    d, a, b, c = _project(0, 0, 0), _project(da, 0, 0), _project(0, db, 0), _project(0, 0, dc)
+    (ax, ay), (bx, by), (cx, cy) = a, b, c
     pts = {"D": d, "A": a, "B": b, "C": c, "F": (ax + cx, ay + cy), "G": (ax + bx, ay + by),
            "E": (bx + cx, by + cy), "_": (ax + bx + cx, ay + by + cy)}
     cv = _Canvas([x for x, _ in pts.values()], [y for _, y in pts.values()], 5 * q)

@@ -14,13 +14,12 @@ from mesolabe import cli, delian
 from mesolabe.cli import main
 from mesolabe.delian import (
     InstrumentState,
-    _cleared_k,
     _result,
     duplicate_cube,
     two_means_compass,
     two_means_instrument,
 )
-from mesolabe.euclid import unit_circle_point
+from mesolabe.euclid import unit_circle_ints
 from mesolabe.proportio import four_proportionals_planar
 from mesolabe.scalar import (
     CertificationError,
@@ -84,14 +83,10 @@ def _radicand_calls():
 
 class TestInstrumentGeometry:
     @given(st.fractions(min_value=0, max_value=1))
-    def test_cleared_k_is_the_circle_parameter(self, t):
-        assert Fraction(*_cleared_k(t)) == unit_circle_point(t).x
-
-    @given(st.fractions(min_value=0, max_value=1))
-    def test_cleared_k_stays_on_the_circle(self, t):
+    def test_unit_circle_ints_stay_on_the_circle(self, t):
         # (K/S, 2nm/S) lies on the unit circle for every t = n/m, so D never
         # leaves the semicircle and the solvers need not check it
-        big_k, big_s = _cleared_k(t)
+        big_k, _, big_s = unit_circle_ints(t.numerator, t.denominator)
         assert big_k**2 + (2 * t.numerator * t.denominator) ** 2 == big_s**2
 
     def test_residuals_have_one_sign_change(self):

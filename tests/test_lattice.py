@@ -44,7 +44,7 @@ CHECKERS = {
     "19.7": ([euclid.check_19_7],) * 2,
     "20.7": ([euclid.check_20_7],) * 2,
     "4.11": ([euclid.check_4_11],) * 2,
-    "7.12": ([euclid.check_7_12, euclid.prism_split_volumes],) * 2,
+    "7.12": ([euclid.check_7_12],) * 2,
     "Pappus on 47.1": ([euclid.check_pappus],) * 2,
     "Clavius on 31.3": ([euclid.check_clavius_31_3],) * 2,
 }
@@ -91,6 +91,18 @@ def test_classified_triangle_and_pappus_offsets(seed):
     offsets = euclid.rand_pappus_offsets(rng, t)
     _assert_positive_multiple(offsets, oracles.pappus_offsets(ref_rng, ref_t))
     assert rng.getstate() == ref_rng.getstate()
+
+
+@settings(max_examples=60, deadline=None)
+@given(SEEDS)
+def test_right_triangle_perturbation_scales_the_fraction_one(seed):
+    # every vertex moved along every leg, not only the three the suite uses
+    for vertex in range(3):
+        for leg in range(2):
+            rng, ref_rng = random.Random(seed), random.Random(seed)
+            moved = euclid._pert_right(rng, vertex, leg)
+            _assert_positive_multiple(moved, oracles._pert_right(ref_rng, vertex, leg))
+            assert rng.getstate() == ref_rng.getstate()
 
 
 @settings(max_examples=60, deadline=None)

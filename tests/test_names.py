@@ -1,8 +1,9 @@
 """Every name the benchmark tracer wraps exists, every imported name is used,
 every name of the package is bound only in its own module,
 ``import mesolabe.cli`` loads what the tracer needs and no more,
-``DecimalScalar`` stays a record to print, not a second number type, and
-records compare and hash by the one rule of ``ValueRecord``.
+``DecimalScalar`` stays a record to print, not a second number type,
+records compare and hash by the one rule of ``ValueRecord``, and no function
+or class of the package exists only for the tests.
 
 ``perfbench/spans.py`` wraps functions and methods of the package by name
 for ``perfbench/run.py --trace 1``.  Its smoke test runs outside the default
@@ -145,3 +146,30 @@ def test_only_value_record_compares_and_hashes():
                 defined += [f"{path.name}: {node.name}.{name}"
                             for name in sorted(names & {"__eq__", "__hash__"})]
     assert not defined, defined
+
+
+def _read(node: ast.AST) -> set[str]:
+    """Names ``node`` reads: loaded names and attributes."""
+    return {n.id for n in ast.walk(node) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)} | {
+        n.attr for n in ast.walk(node) if isinstance(n, ast.Attribute)}
+
+
+def test_no_name_exists_only_for_the_tests():
+    # A module-level function or class of the package is read in src/ outside
+    # its own definition, starts a traced path, is imported by the acceptance
+    # suite, or is the CLI's entry point; anything else serves only the tests.
+    package = ROOT / "src" / "mesolabe"
+    trees = {path.stem: ast.parse(path.read_text(encoding="utf-8")) for path in package.glob("*.py")}
+    defined, read = [], set()
+    for stem, tree in trees.items():
+        for node in tree.body:
+            own = {node.name} if isinstance(node, (ast.FunctionDef, ast.ClassDef)) else set()
+            defined += [(stem, name) for name in own]
+            read |= {(other, name) for other in trees for name in _read(node)} - {(stem, n) for n in own}
+    traced = {(module.rsplit(".", 1)[1], path.split(".")[0]) for module, path, _ in _traced()}
+    acceptance = ast.parse((ROOT / "tests" / "test_acceptance.py").read_text(encoding="utf-8"))
+    imported = {(node.module.rsplit(".", 1)[1], alias.name) for node in ast.walk(acceptance)
+                if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("mesolabe.")
+                for alias in node.names}
+    test_only = set(defined) - read - traced - imported - {("cli", "main")}
+    assert not test_only, sorted(f"{stem}.{name}" for stem, name in test_only)
