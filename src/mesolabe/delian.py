@@ -94,7 +94,7 @@ class InstrumentState(ValueRecord):
     """Arc parameter ``t`` with target AF = a against diameter AC = b.
 
     It carries only the stopping residuals; the scene's points come from
-    :func:`~mesolabe.proportio.planar_construction`.  Immutable by convention.
+    :func:`~mesolabe.proportio.arc_points`.  Immutable by convention.
     """
 
     __slots__ = ("a", "b", "t")
@@ -262,12 +262,31 @@ def _mean(low: int, high: int, unit: int, radicand, w: int, digits: int, shift: 
     return _rounded_cbrt(window_floor(low, high, unit, at_or_below, shift), radicand, w, digits)
 
 
-def _solve(a, b, ctx: PrecisionContext, method: str) -> MeansResult:
-    """Certify t with ``method``'s own residual signs; the means come from the seed's root.
+def _theta(a, b, w: int, big_c: int, z: int, e: int, method: str) -> tuple[int, int]:
+    """(theta, evaluations): t certified with ``method``'s own residual signs, as
+    10 g + 5 for the cell (g, g + 1) on the grid 10^-w, 10 g on an exact hit and 0
+    when a == b, from the root (C, z, e) of :func:`_root`.
 
     The seed's bracket decides every grid point's sign but at most one, and
     only that one evaluates the residual (:func:`_cell`).
     """
+    if a == b:
+        return 0, 0
+    grid = 10**w
+    instrument = method == "instrument"
+
+    def sign(g: int) -> int:
+        state = InstrumentState(a, b, Fraction(g, grid))
+        r = state.residual_instrument() if instrument else state.residual_compass()
+        return (r > 0) - (r < 0)
+    # the sign below the root is 1 for the instrument and -1 for the compass
+    g, exact = _cell(*_seed(big_c // 10**e, z, w), grid, sign, 1 if instrument else -1)
+    return (10 * g, 1) if exact else (10 * g + 5, 2)
+
+
+def _solve(a, b, ctx: PrecisionContext, method: str) -> MeansResult:
+    """Certify t with ``method``'s own residual signs (:func:`_theta`); the means come
+    from the seed's root."""
     af, bf = as_rational(a), as_rational(b)
     _validate(af, bf)
     w, digits = ctx.work_digits, ctx.output_digits
@@ -281,21 +300,23 @@ def _solve(a, b, ctx: PrecisionContext, method: str) -> MeansResult:
                lambda: (8 * 10 ** (3 * w) * pa * pa * pb, qa * qa * qb), w, digits, w + 2 * k)
     m2 = _mean(m2_low, m2_low + 2 * pb, qb * 5**k,
                lambda: (8 * 10 ** (3 * w) * pa * pb * pb, qa * qb * qb), w, digits, k)
-    if af == bf:
-        theta, evaluations = 0, 0
-    else:
-        grid = 10**w
-        instrument = method == "instrument"
-
-        def sign(g: int) -> int:
-            state = InstrumentState(af, bf, Fraction(g, grid))
-            r = state.residual_instrument() if instrument else state.residual_compass()
-            return (r > 0) - (r < 0)
-        # the sign below the root is 1 for the instrument and -1 for the compass
-        g, exact = _cell(*_seed(big_c // 10**e, z, w), grid, sign, 1 if instrument else -1)
-        theta, evaluations = (10 * g, 1) if exact else (10 * g + 5, 2)
+    theta, evaluations = _theta(af, bf, w, big_c, z, e, method)
     residual = _result(af, bf, m1[0].unscaled, m2[0].unscaled, w)
     return MeansResult(*m1, *m2, DecimalScalar(theta, w + 1), evaluations, residual, method)
+
+
+def arc_parameter(a, b, method: str) -> Fraction:
+    """The certified arc parameter t of :func:`two_means_instrument` or
+    :func:`two_means_compass` (``method``) at the default context, without the means.
+
+    It equals the solve's ``theta_param``: the same root and the same cell,
+    with no mean rounded and no residual bound taken.
+    """
+    af, bf = as_rational(a), as_rational(b)
+    _validate(af, bf)
+    w = DEFAULT_CONTEXT.work_digits
+    theta, _ = _theta(af, bf, w, *_root(af, bf, w), method)
+    return Fraction(theta, 10 ** (w + 1))
 
 
 def two_means_instrument(a, b, ctx: PrecisionContext = DEFAULT_CONTEXT) -> MeansResult:

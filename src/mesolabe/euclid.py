@@ -318,12 +318,6 @@ def unit_circle_ints(n: int, d: int) -> tuple[int, int, int]:
     return d * d - n * n, 2 * n * d, d * d + n * n
 
 
-def unit_circle_point(t: Fraction) -> Point2:
-    """Rational point ((1-t^2)/(1+t^2), 2t/(1+t^2)) on the unit circle."""
-    x, y, w = unit_circle_ints(t.numerator, t.denominator)
-    return Point2(Fraction(x, w), Fraction(y, w))
-
-
 def _randint(rng: random.Random, lo: int, hi: int) -> int:
     """``rng.randint(lo, hi)``: the same value, leaving ``rng`` in the same state.
 
@@ -416,7 +410,8 @@ def _lattice_point3(rng: random.Random) -> tuple[int, int, int, int]:
 
 
 def _circle_vector(rng: random.Random, radius: int) -> tuple[int, int, int]:
-    """``(x, y, k)``: ``radius`` times :func:`unit_circle_point` of a random fraction, times k."""
+    """``(x, y, k)``: ``radius`` times the point of :func:`unit_circle_ints` of a random
+    fraction, times its scale k."""
     x, y, k = unit_circle_ints(*_draw(rng))
     return x * radius, y * radius, k
 

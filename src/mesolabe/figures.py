@@ -1,9 +1,9 @@
 """Deterministic SVG renderings of the seven construction figures.
 
-All geometry arrives as exact rationals from the solver modules.  Each figure
-clears its points once, to ints over one positive common denominator, and
-works on ``int`` from there: projection, derived points, the canvas's fit and
-its map.  The only lossy step is quantizing coordinates to hundredths of an
+All geometry arrives exact from the solver modules, as ints over one positive
+common denominator: figures 1-4 clear their rationals once, and figures 5-7
+read :func:`~mesolabe.proportio.arc_points`.  Each works on ``int`` from
+there: projection, derived points, the canvas's fit and its map.  The only lossy step is quantizing coordinates to hundredths of an
 SVG unit, with half-even rounding, so identical inputs always produce
 identical bytes.  Solids are drawn in the oblique projection (x + 2z/5, y + z/5).
 """
@@ -176,14 +176,14 @@ def _fig_chords(spec: FigureSpec) -> str:
 def _fig_sphere(spec: FigureSpec) -> str:
     ac = as_rational(spec.params.get("ac", 2))
     t = as_rational(spec.params.get("t", Fraction(1, 2)))
-    pts3 = proportio.sphere_construction(ac, t)
-    k, _, w = unit_circle_ints(t.numerator, t.denominator)
-    (half, ad, *coords), q = _cleared(
-        [ac / 2, ac * k / w, *(c for p in pts3.values() for c in (p.x, p.y, p.z))]
-    )
-    it, m = iter(coords), _CAP_SCALE  # every point times m, the lattice of the cap's samples
-    cleared = {name: (x, y, z) for name, x, y, z in zip(pts3, it, it, it)}
-    flat = {name: _project(m * x, m * y, m * z) for name, (x, y, z) in cleared.items()}
+    proportio._require_interior(ac, t)
+    points, q = proportio.arc_points(ac, t)
+    x, _, w = unit_circle_ints(t.numerator, t.denominator)
+    # every point times 2, over 2q, so that AC/2 (C's x) and AD = AC x/w = 2 p x w^3 are ints
+    half, ad = points["C"][0], 2 * ac.numerator * x * w**3
+    cleared = {name: (2 * px, 2 * py, 2 * pz) for name, (px, py, pz) in points.items()}
+    m = _CAP_SCALE  # every point times m, the lattice of the cap's samples
+    flat = {name: _project(m * px, m * py, m * pz) for name, (px, py, pz) in cleared.items()}
     # The cap over AD at unit-circle position (x, y) is (D (1 + x) / 2, AD y / 2), with
     # z up from the plane of AD: from the D end up to the apex H, then at (-x, y) down to A.
     dx, dy, _ = cleared["D"]
@@ -193,7 +193,7 @@ def _fig_sphere(spec: FigureSpec) -> str:
     r = 5 * m * half  # AC/2, projected
     all_x = [p[0] for p in flat.values()] + [p[0] for p in cap] + [0, 2 * r]
     all_y = [p[1] for p in flat.values()] + [p[1] for p in cap] + [-r, r]
-    cv = _Canvas(all_x, all_y, 5 * m * q)
+    cv = _Canvas(all_x, all_y, 10 * m * q)
     cv.circle((r, 0), r)
     cv.lines(flat, "AC DE EF- AD FG AG- DG-")
     cv.polyline(cap, dashed=True)
@@ -204,23 +204,22 @@ def _fig_sphere(spec: FigureSpec) -> str:
 def _instrument_scene(spec: FigureSpec, method: str):
     """a, h = b/100, the points of figures 6 and 7 and their common denominator, cleared.
 
-    The points are A, C, D, E, F at the arc parameter solved at the default
-    context (the drawing prints none of the run's digits), the ruler's end Z
-    and the cursor's end Y.
+    The points are those of :func:`~mesolabe.proportio.arc_points` at the arc
+    parameter certified at the default context (the drawing prints none of the
+    run's digits), the ruler's end Z and the cursor's end Y.
     """
     a, b = (as_rational(spec.params.get(name, v)) for name, v in (("a", 1), ("b", 2)))
-    solve = delian.two_means_instrument if method == "instrument" else delian.two_means_compass
-    t = solve(a, b).theta_param
+    t = delian.arc_parameter(a, b, method)
     k, s, w = unit_circle_ints(t.numerator, t.denominator)  # the ruler's direction, times w
-    named = proportio.planar_construction(b, t)
-    (aq, bq, *coords), q = _cleared([a, b, *(c for p in named.values() for c in (p.x, p.y))])
-    it = iter(coords)  # every coordinate times 100 w, so that b/100 is h = bq w
-    pts = {name: (100 * w * x, 100 * w * y) for name, x, y in zip(named, it, it)}
+    points, q = proportio.arc_points(b, t)
+    qa = a.denominator  # the points over qa q, times 100 w, so that b/100 is h = bq w
+    aq, bq, m = a.numerator * q, qa * points["C"][0], 100 * w * qa
+    pts = {name: (m * x, m * y) for name, (x, y, _) in points.items()}
     fx, fy = pts["F"]
     pts["Z"] = (110 * bq * k, 110 * bq * s)  # 11/10 b along the ruler
     # cursor through F, perpendicular to the ruler; it passes through E when solved
     pts["Y"] = (fx - 20 * bq * s, fy + 20 * bq * k)
-    return 100 * w * aq, w * bq, pts, 100 * w * q
+    return 100 * w * aq, w * bq, pts, m * q
 
 
 def _fig_plumbline(spec: FigureSpec) -> str:

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .euclid import Point3, unit_circle_point
+from .euclid import Point3, unit_circle_ints
 from .scalar import (
     DEFAULT_CONTEXT,
     CertificationError,
@@ -328,54 +328,47 @@ def quad_exact(ac: Fraction, t: Fraction) -> tuple[Fraction, Fraction, Fraction,
     """Exact (AF, AE, AD, AC) for diameter ``ac`` and parameter ``t``.
 
     With k = cos of the inscribed angle at A, the chain is AD = AC*k,
-    AE = AC*k^2, AF = AC*k^3; t = tan(angle/2) makes k the rational x of
-    :func:`~mesolabe.euclid.unit_circle_point`, so the whole quad is rational.
+    AE = AC*k^2, AF = AC*k^3; t = tan(angle/2) makes k the rational x/w of
+    :func:`~mesolabe.euclid.unit_circle_ints`, so the whole quad is rational.
     """
     _require_interior(ac, t)
-    k = unit_circle_point(t).x
+    x, _, w = unit_circle_ints(t.numerator, t.denominator)
+    k = Fraction(x, w)
     return ac * k**3, ac * k**2, ac * k, ac
 
 
-def planar_construction(ac: Fraction, t: Fraction) -> dict[str, Point3]:
-    """Exact coordinates of A, C, D, E, F in the great-circle plane z = 0.
+def arc_points(ac: Fraction, t: Fraction) -> tuple[dict[str, tuple[int, int, int]], int]:
+    """A, C, D, E, F and G as int triples, and their one positive denominator.
 
-    D = AC k (k, s) for (k, s) = :func:`~mesolabe.euclid.unit_circle_point`
-    of ``t``, E is its foot on AC and F the foot of the perpendicular from
-    E on AD.  ``t`` may be 0 (D at C) or 1 (D at A).
+    With (x, y, w) = :func:`~mesolabe.euclid.unit_circle_ints` of ``t``,
+    k = x/w and s = y/w, D = AC k (k, s) lies on the semicircle over AC in
+    the great-circle plane z = 0, E is its foot on AC and F = AC k^3 (k, s)
+    the foot of the perpendicular from E on AD.  G lies above F, in the
+    plane through AD perpendicular to z = 0, at FG = AC k^2 s.  For
+    ``ac`` = p/q the denominator is q w^4, so every coordinate is an int.
+    ``t`` may be 0 (D at C) or 1 (D at A).
     """
     if not 0 <= t <= 1:
         raise ValueError("arc parameter must lie in [0, 1]")
-    u = unit_circle_point(t)
-    return _planar_points(ac, u.x, u.y)
-
-
-def _planar_points(ac: Fraction, k: Fraction, s: Fraction) -> dict[str, Point3]:
-    """A, C, D, E, F of :func:`planar_construction` for the unit-circle point (k, s)."""
-    zero = Fraction(0)
-    return {
-        "A": Point3(zero, zero, zero),
-        "C": Point3(ac, zero, zero),
-        "D": Point3(ac * k * k, ac * k * s, zero),
-        "E": Point3(ac * k * k, zero, zero),
-        "F": Point3(ac * k**4, ac * k**3 * s, zero),
-    }
+    x, y, w = unit_circle_ints(t.numerator, t.denominator)
+    p, ww = ac.numerator, w * w
+    d, f = (p * x * x * ww, p * x * y * ww, 0), (p * x**4, p * x**3 * y, 0)
+    return {"A": (0, 0, 0), "C": (p * ww * ww, 0, 0), "D": d, "E": (d[0], 0, 0), "F": f,
+            "G": (f[0], f[1], p * x * x * y * w)}, ac.denominator * ww * ww
 
 
 def sphere_construction(ac: Fraction, t: Fraction) -> dict[str, Point3]:
-    """Planar points plus G lifted into the plane through AD perpendicular to z = 0.
+    """The points of :func:`arc_points` as Fractions, for ``t`` strictly inside the arc.
 
-    G sits on the semicircle with diameter AD in that perpendicular plane,
-    above the foot F, so FG^2 = AF * FD and AG doubles AE as the second
-    proportional.  That plane is perpendicular to z = 0 and AG = AE for
-    every ``t``: both are identities of the parametrization, so nothing is
-    left here to check at run time.
+    G sits on the semicircle with diameter AD in the plane through AD
+    perpendicular to z = 0, above the foot F, so FG^2 = AF * FD and AG
+    doubles AE as the second proportional.  That plane is perpendicular to
+    z = 0 and AG = AE for every ``t``: both are identities of the
+    parametrization, so nothing is left here to check at run time.
     """
     _require_interior(ac, t)
-    u = unit_circle_point(t)
-    pts = _planar_points(ac, u.x, u.y)
-    f = pts["F"]
-    pts["G"] = Point3(f.x, f.y, pts["E"].x * u.y)  # FG = AC k^2 s
-    return pts
+    points, den = arc_points(ac, t)
+    return {name: Point3(*(Fraction(c, den) for c in p)) for name, p in points.items()}
 
 
 def four_proportionals_planar(ac, t) -> tuple[Fraction, Fraction, Fraction, Fraction]:

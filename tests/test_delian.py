@@ -10,7 +10,7 @@ from unittest import mock
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from mesolabe import cli, delian
+from mesolabe import cli, delian, figures
 from mesolabe.cli import main
 from mesolabe.delian import (
     InstrumentState,
@@ -22,6 +22,7 @@ from mesolabe.delian import (
 from mesolabe.euclid import unit_circle_ints
 from mesolabe.proportio import four_proportionals_planar
 from mesolabe.scalar import (
+    DEFAULT_CONTEXT,
     CertificationError,
     DecimalScalar,
     PrecisionContext,
@@ -429,6 +430,19 @@ def _residual_calls():
         yield calls
 
 
+residual_only_pairs = st.one_of(
+    ordered_pairs,
+    # arc parameters on the grid: t = 1/2, 1/5 and 1/4
+    st.tuples(st.sampled_from([(27, 125), (1728, 2197), (3375, 4913)]), decimal_values()).map(
+        lambda p: (p[1] * p[0][0], p[1] * p[0][1])),
+    # b = a (1 + 10^-k) and a = b (1 - 10^-k), to the cap of 2w and past it
+    st.tuples(decimal_values(), st.integers(min_value=1, max_value=200), st.booleans()).map(
+        lambda p: (p[0], p[0] * (1 + F(1, 10 ** p[1]))) if p[2]
+        else (p[0] * (1 - F(1, 10 ** p[1])), p[0])),
+    decimal_values().map(lambda a: (a, a)),
+)
+
+
 class TestSeedBracket:
     """The seed's bracket on (s t)^2 decides signs that agree with the exact residuals."""
 
@@ -505,17 +519,8 @@ class TestSeedBracket:
             assert (result.m1, result.m1_shown, result.m2, result.m2_shown) == _means_of(a, b, ctx)
 
     @settings(max_examples=80, deadline=None)
-    @given(st.one_of(
-        ordered_pairs,
-        # arc parameters on the grid: t = 1/2, 1/5 and 1/4
-        st.tuples(st.sampled_from([(27, 125), (1728, 2197), (3375, 4913)]), decimal_values()).map(
-            lambda p: (p[1] * p[0][0], p[1] * p[0][1])),
-        # b = a (1 + 10^-k) and a = b (1 - 10^-k), to the cap of 2w and past it
-        st.tuples(decimal_values(), st.integers(min_value=1, max_value=200), st.booleans()).map(
-            lambda p: (p[0], p[0] * (1 + F(1, 10 ** p[1]))) if p[2]
-            else (p[0] * (1 - F(1, 10 ** p[1])), p[0])),
-        decimal_values().map(lambda a: (a, a)),
-    ), st.integers(min_value=1, max_value=60), st.integers(min_value=5, max_value=14))
+    @given(residual_only_pairs, st.integers(min_value=1, max_value=60),
+           st.integers(min_value=5, max_value=14))
     @example((F(27), F(125)), 10, 10)
     @example((F(1728), F(2197)), 1, 5)
     @example((F(1), 1 + F(1, 10**60)), 20, 10)  # z at its cap 2w = 60
@@ -572,6 +577,42 @@ class TestSeedBracket:
             with _residual_calls() as calls:
                 assert solve(F(1), F(2), ctx).iterations == 2
             assert not calls
+
+
+class TestArcParameter:
+    """``arc_parameter`` certifies the solves' t alone, and figures 6 and 7 read only it."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(residual_only_pairs, st.sampled_from(["instrument", "compass"]))
+    @example((F(27), F(125)), "instrument")  # an exact hit: t = 1/2 on the grid
+    @example((F(1728), F(2197)), "compass")
+    @example((F(1), 1 + F(1, 10**60)), "instrument")  # z at its cap 2w = 60
+    @example((1 - F(1, 10**200), F(1)), "compass")  # past the cap
+    @example((F(3), F(3)), "compass")  # a == b: t = 0
+    def test_the_parameter_is_the_residual_only_search(self, pair, method):
+        a, b = pair
+        t = delian.arc_parameter(a, b, method)
+        assert t == _residual_only(a, b, DEFAULT_CONTEXT, method)[0]
+        solve = two_means_instrument if method == "instrument" else two_means_compass
+        assert t == solve(a, b).theta_param
+
+    @given(st.fractions(max_value=0), st.fractions(), st.sampled_from(["instrument", "compass"]))
+    def test_a_non_positive_target_is_refused(self, a, b, method):
+        with pytest.raises(ValueError, match="must be positive"):
+            delian.arc_parameter(a, b, method)
+
+    @given(ordered_pairs, st.sampled_from(["instrument", "compass"]))
+    def test_a_target_past_the_diameter_is_refused(self, pair, method):
+        b, a = pair
+        with pytest.raises(ValueError, match="must not exceed the diameter"):
+            delian.arc_parameter(a, b, method)
+
+    @pytest.mark.parametrize("figure_id", [6, 7])
+    def test_figures_round_no_mean(self, figure_id):
+        for params in ({}, {"a": F(27), "b": F(125)}, {"a": F(1, 3), "b": F(7, 2)}):
+            with _radicand_calls() as calls:
+                figures.render(figures.FigureSpec(figure_id, params))
+            assert calls == []
 
 
 arc_parameters = st.fractions(min_value=0, max_value=1, max_denominator=10**12).filter(

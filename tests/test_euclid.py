@@ -34,7 +34,7 @@ from mesolabe.euclid import (
     rand_proportional_quad,
     rand_right_triangle,
     run_proposition_suite,
-    unit_circle_point,
+    unit_circle_ints,
 )
 
 from oracles import _add, _cross2, _cross3, _dot, _mul, _sub
@@ -223,8 +223,9 @@ class TestPappus:
 class TestRationalParametrizations:
     @given(st.fractions(max_denominator=200))
     def test_circle_points_on_unit_circle(self, t):
-        p = unit_circle_point(t)
-        assert p.x * p.x + p.y * p.y == 1
+        x, y, w = unit_circle_ints(t.numerator, t.denominator)
+        assert x * x + y * y == w * w
+        assert w > 0
 
 
 class TestValueSemantics:

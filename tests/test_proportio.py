@@ -4,13 +4,13 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from mesolabe import proportio
-from mesolabe.euclid import Point3, check_19_7, check_20_7, unit_circle_point
+from mesolabe.euclid import Point3, check_19_7, check_20_7, unit_circle_ints
 from mesolabe.proportio import (
     ChordConfig,
+    arc_points,
     chord_table,
     four_proportionals_planar,
     four_proportionals_sphere,
-    planar_construction,
     quad_exact,
     reproduce_table,
     solve_continued_chords,
@@ -490,10 +490,16 @@ class TestQuadExact:
         assert check_20_7(ae, ad, ac)
 
 
+def _divided_out(ac: Fraction, t: Fraction) -> dict:
+    """The points of :func:`arc_points` as Fraction points."""
+    points, den = arc_points(ac, t)
+    return {name: Point3(*(F(c, den) for c in p)) for name, p in points.items()}
+
+
 class TestPlanarConstruction:
     @given(st.fractions(min_value=F(1, 40), max_value=F(39, 40), max_denominator=40))
     def test_feet_are_exact_perpendicular_projections(self, t):
-        pts = planar_construction(F(2), t)
+        pts = _divided_out(F(2), t)
         a, c, d, e, f = pts["A"], pts["C"], pts["D"], pts["E"], pts["F"]
         # D on the circle with diameter AC
         center = type(a)(F(1), F(0), F(0))
@@ -505,7 +511,7 @@ class TestPlanarConstruction:
 
     def test_scene_is_exact(self):
         b, t = F(2), F(1, 3)
-        pts = planar_construction(b, t)
+        pts = _divided_out(b, t)
         a, c, d, e, f = pts["A"], pts["C"], pts["D"], pts["E"], pts["F"]
         assert (a, c) == (Point3(F(0), F(0), F(0)), Point3(b, F(0), F(0)))
         # D on the semicircle over AC
@@ -514,19 +520,19 @@ class TestPlanarConstruction:
         assert e.x == d.x and e.y == 0
         assert (f - e).dot(d) == 0
         assert f.cross(d).norm_sq() == 0
-        k = unit_circle_point(t).x
-        assert f.norm_sq() == (b * k**3) ** 2
+        x, _, w = unit_circle_ints(t.numerator, t.denominator)
+        assert f.norm_sq() == (b * F(x, w) ** 3) ** 2
 
     def test_af_strictly_decreasing_along_arc(self):
-        values = [planar_construction(F(2), F(i, 20))["F"].norm_sq() for i in range(0, 21)]
+        values = [_divided_out(F(2), F(i, 20))["F"].norm_sq() for i in range(0, 21)]
         assert all(a > b for a, b in zip(values, values[1:]))
 
     def test_arc_ends_are_in_range(self):
-        assert planar_construction(F(2), F(0))["D"] == Point3(F(2), F(0), F(0))
-        assert planar_construction(F(2), F(1))["D"] == Point3(F(0), F(0), F(0))
-        for bad in (F(-1, 2), F(3, 2)):
-            with pytest.raises(ValueError):
-                planar_construction(F(2), bad)
+        assert _divided_out(F(2), F(0))["D"] == Point3(F(2), F(0), F(0))
+        assert _divided_out(F(2), F(1))["D"] == Point3(F(0), F(0), F(0))
+        for bad in (F(-1, 2), F(3, 2), F(-1, 10**9), 1 + F(1, 10**9)):
+            with pytest.raises(ValueError, match=r"^arc parameter must lie in \[0, 1\]$"):
+                _divided_out(F(2), bad)
         for bad in (F(0), F(1)):
             with pytest.raises(ValueError):
                 sphere_construction(F(2), bad)
@@ -613,6 +619,16 @@ class TestSphereConstruction:
         assert sphere_construction(ac, t) == {
             name: Point3(*p) for name, p in _oracle_sphere_points(ac, t).items()
         }
+
+    @settings(max_examples=60, deadline=None)
+    @given(positive_fractions, st.fractions(min_value=0, max_value=1, max_denominator=10**6))
+    @example(F(2), F(0))  # D at C
+    @example(F(7, 3), F(1))  # D at A
+    def test_arc_points_match_the_oracle_construction_on_the_closed_arc(self, ac, t):
+        points, den = arc_points(ac, t)
+        assert den > 0 and all(type(c) is int for p in points.values() for c in p)
+        assert {name: tuple(F(c, den) for c in p) for name, p in points.items()} == (
+            _oracle_sphere_points(ac, t))
 
     @settings(max_examples=60, deadline=None)
     @given(positive_fractions, interior_parameters)
