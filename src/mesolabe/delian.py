@@ -305,17 +305,18 @@ def _solve(a, b, ctx: PrecisionContext, method: str) -> MeansResult:
     return MeansResult(*m1, *m2, DecimalScalar(theta, w + 1), evaluations, residual, method)
 
 
-def arc_parameter(a, b, method: str) -> Fraction:
-    """The certified arc parameter t of :func:`two_means_instrument` or
-    :func:`two_means_compass` (``method``) at the default context, without the means.
+def arc_parameter(a, b) -> Fraction:
+    """The certified arc parameter t of :func:`two_means_instrument` and
+    :func:`two_means_compass` at the default context, without the means.
 
-    It equals the solve's ``theta_param``: the same root and the same cell,
-    with no mean rounded and no residual bound taken.
+    It equals either solve's ``theta_param``: the same root and the same cell,
+    with no mean rounded and no residual bound taken.  The compass residual is
+    the instrument residual negated, so both certify the same t.
     """
     af, bf = as_rational(a), as_rational(b)
     _validate(af, bf)
     w = DEFAULT_CONTEXT.work_digits
-    theta, _ = _theta(af, bf, w, *_root(af, bf, w), method)
+    theta, _ = _theta(af, bf, w, *_root(af, bf, w), "instrument")
     return Fraction(theta, 10 ** (w + 1))
 
 

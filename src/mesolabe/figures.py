@@ -3,9 +3,10 @@
 All geometry arrives exact from the solver modules, as ints over one positive
 common denominator: figures 1-4 clear their rationals once, and figures 5-7
 read :func:`~mesolabe.proportio.arc_points`.  Each works on ``int`` from
-there: projection, derived points, the canvas's fit and its map.  The only lossy step is quantizing coordinates to hundredths of an
-SVG unit, with half-even rounding, so identical inputs always produce
-identical bytes.  Solids are drawn in the oblique projection (x + 2z/5, y + z/5).
+there: projection, derived points, the canvas's fit and its map.  The only
+lossy step is quantizing coordinates to hundredths of an SVG unit, with
+half-even rounding, so identical inputs always produce identical bytes.
+Solids are drawn in the oblique projection (x + 2z/5, y + z/5).
 """
 
 from __future__ import annotations
@@ -176,11 +177,10 @@ def _fig_chords(spec: FigureSpec) -> str:
 def _fig_sphere(spec: FigureSpec) -> str:
     ac = as_rational(spec.params.get("ac", 2))
     t = as_rational(spec.params.get("t", Fraction(1, 2)))
-    proportio._require_interior(ac, t)
+    ad = proportio.quad_exact(ac, t)[2]  # refuses t off the open arc before arc_points
     points, q = proportio.arc_points(ac, t)
-    x, _, w = unit_circle_ints(t.numerator, t.denominator)
-    # every point times 2, over 2q, so that AC/2 (C's x) and AD = AC x/w = 2 p x w^3 are ints
-    half, ad = points["C"][0], 2 * ac.numerator * x * w**3
+    # every point times 2, over 2q, so that AC/2 (C's x) and AD = 2 p x w^3 are ints
+    half, ad = points["C"][0], int(2 * q * ad)
     cleared = {name: (2 * px, 2 * py, 2 * pz) for name, (px, py, pz) in points.items()}
     m = _CAP_SCALE  # every point times m, the lattice of the cap's samples
     flat = {name: _project(m * px, m * py, m * pz) for name, (px, py, pz) in cleared.items()}
@@ -201,7 +201,7 @@ def _fig_sphere(spec: FigureSpec) -> str:
     return cv.document()
 
 
-def _instrument_scene(spec: FigureSpec, method: str):
+def _instrument_scene(spec: FigureSpec):
     """a, h = b/100, the points of figures 6 and 7 and their common denominator, cleared.
 
     The points are those of :func:`~mesolabe.proportio.arc_points` at the arc
@@ -209,7 +209,7 @@ def _instrument_scene(spec: FigureSpec, method: str):
     run's digits), the ruler's end Z and the cursor's end Y.
     """
     a, b = (as_rational(spec.params.get(name, v)) for name, v in (("a", 1), ("b", 2)))
-    t = delian.arc_parameter(a, b, method)
+    t = delian.arc_parameter(a, b)
     k, s, w = unit_circle_ints(t.numerator, t.denominator)  # the ruler's direction, times w
     points, q = proportio.arc_points(b, t)
     qa = a.denominator  # the points over qa q, times 100 w, so that b/100 is h = bq w
@@ -223,7 +223,7 @@ def _instrument_scene(spec: FigureSpec, method: str):
 
 
 def _fig_plumbline(spec: FigureSpec) -> str:
-    a, h, pts, den = _instrument_scene(spec, "instrument")
+    a, h, pts, den = _instrument_scene(spec)
     D, E = pts["D"], pts["E"]
     # S = D + 3/10 (D - O) for O = (50h, 0): exact, as D and 50h are multiples of 10
     pts["S"] = (D[0] + 3 * (D[0] - 50 * h) // 10, D[1] + 3 * D[1] // 10)
@@ -238,7 +238,7 @@ def _fig_plumbline(spec: FigureSpec) -> str:
 
 
 def _fig_compass(spec: FigureSpec) -> str:
-    _, h, pts, den = _instrument_scene(spec, "compass")
+    _, h, pts, den = _instrument_scene(spec)
     x, top = pts["D"][0], 80 * h
     pts |= {"K": (-15 * h, 0), "L": (-15 * h, top), "M": (x, top), "N": (x, 0), "O": (50 * h, 0)}
     cv = _Canvas([-15 * h, 100 * h, pts["Z"][0]], [0, top, pts["Z"][1]], den)

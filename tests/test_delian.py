@@ -583,29 +583,30 @@ class TestArcParameter:
     """``arc_parameter`` certifies the solves' t alone, and figures 6 and 7 read only it."""
 
     @settings(max_examples=80, deadline=None)
-    @given(residual_only_pairs, st.sampled_from(["instrument", "compass"]))
-    @example((F(27), F(125)), "instrument")  # an exact hit: t = 1/2 on the grid
-    @example((F(1728), F(2197)), "compass")
-    @example((F(1), 1 + F(1, 10**60)), "instrument")  # z at its cap 2w = 60
-    @example((1 - F(1, 10**200), F(1)), "compass")  # past the cap
-    @example((F(3), F(3)), "compass")  # a == b: t = 0
-    def test_the_parameter_is_the_residual_only_search(self, pair, method):
+    @given(residual_only_pairs)
+    @example((F(27), F(125)))  # an exact hit: t = 1/2 on the grid
+    @example((F(1728), F(2197)))
+    @example((F(1), 1 + F(1, 10**60)))  # z at its cap 2w = 60
+    @example((1 - F(1, 10**200), F(1)))  # past the cap
+    @example((F(3), F(3)))  # a == b: t = 0
+    def test_the_parameter_is_the_residual_only_search(self, pair):
         a, b = pair
-        t = delian.arc_parameter(a, b, method)
-        assert t == _residual_only(a, b, DEFAULT_CONTEXT, method)[0]
-        solve = two_means_instrument if method == "instrument" else two_means_compass
-        assert t == solve(a, b).theta_param
+        t = delian.arc_parameter(a, b)
+        for solve, method in ((two_means_instrument, "instrument"),
+                              (two_means_compass, "compass")):
+            assert t == _residual_only(a, b, DEFAULT_CONTEXT, method)[0]
+            assert t == solve(a, b).theta_param
 
-    @given(st.fractions(max_value=0), st.fractions(), st.sampled_from(["instrument", "compass"]))
-    def test_a_non_positive_target_is_refused(self, a, b, method):
+    @given(st.fractions(max_value=0), st.fractions())
+    def test_a_non_positive_target_is_refused(self, a, b):
         with pytest.raises(ValueError, match="must be positive"):
-            delian.arc_parameter(a, b, method)
+            delian.arc_parameter(a, b)
 
-    @given(ordered_pairs, st.sampled_from(["instrument", "compass"]))
-    def test_a_target_past_the_diameter_is_refused(self, pair, method):
+    @given(ordered_pairs)
+    def test_a_target_past_the_diameter_is_refused(self, pair):
         b, a = pair
         with pytest.raises(ValueError, match="must not exceed the diameter"):
-            delian.arc_parameter(a, b, method)
+            delian.arc_parameter(a, b)
 
     @pytest.mark.parametrize("figure_id", [6, 7])
     def test_figures_round_no_mean(self, figure_id):
