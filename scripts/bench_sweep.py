@@ -26,9 +26,9 @@ Rows, each the fastest of ``--repeat`` calls after one warm-up call:
   each public ``euclid.check_*`` checker alone on ``CHECKER_CALLS`` valid
   instances drawn from ``Random(0)`` before the timing, so a checker's
   kernel shows apart from the draws,
-  ``POINTS`` constructions of a ``Point2``, a ``Point3``, a ``DecimalScalar``
+  ``POINTS`` constructions of a ``pyramid.Point3``, a ``DecimalScalar``
   and an ``InstrumentState``, ``POINTS`` comparisons of two equal
-  ``Point2``s, ``Point3``s and ``ChordConfig``s solved for diameter 2,
+  ``Point3``s and of two ``ChordConfig``s solved for diameter 2,
   ``POINTS`` conversions to grouped text (``scalar.format_grouped``, a name
   every tree has) of a value with 20, 300 and 1000 fractional digits; and the
   deep-solve kernels at ``--digits`` 20, 100, 300, 1000 and 4190, with
@@ -133,12 +133,16 @@ def _pappus_args(euclid, rng):
 
 def _4_11_args(euclid, rng):
     u, v = euclid._uv_pair(rng)
-    return u.cross(v), u, v
+    if isinstance(u, tuple):
+        return euclid._cross(u, v), u, v
+    return u.cross(v), u, v  # a tree whose space points are Point3 records
 
 
 def _7_12_args(euclid, rng):
     base, offset = euclid.rand_prism(rng)
-    return base, tuple(p + offset for p in base)
+    if isinstance(offset, tuple):
+        return base, tuple(tuple(x + o for x, o in zip(p, offset)) for p in base)
+    return base, tuple(p + offset for p in base)  # Point3 records, as for 4.11
 
 
 #: Public checker -> (its tree's ``euclid``, rng) -> the arguments of one valid
@@ -342,13 +346,12 @@ def rows(trees: dict) -> list[tuple[str, int | None, int, dict]]:
     for name in CHECKER_ARGS:
         out.append((f"layer euclid.{name} x{CHECKER_CALLS}", None, 1,
                     {t: check(euclid, name) for t, (_, _, euclid) in trees.items()}))
-    for cls, coords in (("Point2", (3, -4)), ("Point3", (3, -4, 12))):
-        out.append((f"layer euclid.{cls} x{POINTS}", None, 1,
-                    {t: construct(getattr(euclid, cls), coords)
-                     for t, (_, _, euclid) in trees.items()}))
-        out.append((f"layer euclid.{cls} == x{POINTS}", None, 1,
-                    {t: compare(getattr(euclid, cls)(*coords), getattr(euclid, cls)(*coords))
-                     for t, (_, _, euclid) in trees.items()}))
+    coords = (3, -4, 12)
+    out.append((f"layer pyramid.Point3 x{POINTS}", None, 1,
+                {t: construct(cli.pyramid.Point3, coords) for t, (cli, _, _) in trees.items()}))
+    out.append((f"layer pyramid.Point3 == x{POINTS}", None, 1,
+                {t: compare(cli.pyramid.Point3(*coords), cli.pyramid.Point3(*coords))
+                 for t, (cli, _, _) in trees.items()}))
     out.append((f"layer proportio.ChordConfig == x{POINTS}", None, 1,
                 {t: compare(*(cli.proportio.solve_continued_chords(2) for _ in "ab"))
                  for t, (cli, _, _) in trees.items()}))

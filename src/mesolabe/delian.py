@@ -74,7 +74,6 @@ import math
 from collections.abc import Callable
 from fractions import Fraction
 
-from .euclid import unit_circle_ints
 from .scalar import (
     DEFAULT_CONTEXT,
     CertificationError,
@@ -86,6 +85,7 @@ from .scalar import (
     _rounded_cbrt,
     as_rational,
     cbrt,
+    unit_circle_ints,
     window_floor,
 )
 
@@ -111,7 +111,7 @@ class InstrumentState(ValueRecord):
         distance a/k from A; at the stopping position that is exactly the
         perpendicular foot E.  The residual b k^2 - a/k is decreasing in t
         and positive at t = 0 for a < b.  With a = pa/qa, b = pb/qb and
-        k = K/S, the x of :func:`~mesolabe.euclid.unit_circle_ints` (K, _, S)
+        k = K/S, the x of :func:`~mesolabe.scalar.unit_circle_ints` (K, _, S)
         at t, this returns it times the positive factor qa qb K S^2:
         pb qa K^3 - pa qb S^3, an int with the residual's exact sign.
         """

@@ -17,8 +17,10 @@ point or vector record.  There are no epsilon comparisons in this module,
 which is what lets the rest of the package use these checkers as its oracle
 layer.
 
-Conventions: a :class:`Triangle` carries its designated vertex first, so a
-"right angle at the designated vertex" means the angle at ``t.a``.
+Conventions: a plane point is a tuple ``(x, y)`` and a space point a tuple
+``(x, y, z)``; a triangle is a tuple ``(a, b, c)`` of plane points with its
+designated vertex first, so a "right angle at the designated vertex" means
+the angle at ``a``.
 """
 
 from __future__ import annotations
@@ -27,59 +29,7 @@ import math
 import random
 from fractions import Fraction
 
-from .scalar import ValueRecord
-
-
-class Point2(ValueRecord):
-    """A plane point or vector, compared and hashed by value; immutable by convention."""
-
-    __slots__ = ("x", "y")
-
-    def __init__(self, x: Fraction, y: Fraction):
-        self.x, self.y = x, y
-
-
-class Point3(ValueRecord):
-    """A space point or vector; immutable by convention, like :class:`Point2`."""
-
-    __slots__ = ("x", "y", "z")
-
-    def __init__(self, x: Fraction, y: Fraction, z: Fraction):
-        self.x, self.y, self.z = x, y, z
-
-    def __sub__(self, other: "Point3") -> "Point3":
-        return Point3(self.x - other.x, self.y - other.y, self.z - other.z)
-
-    def __add__(self, other: "Point3") -> "Point3":
-        return Point3(self.x + other.x, self.y + other.y, self.z + other.z)
-
-    def scaled(self, k: Fraction) -> "Point3":
-        return Point3(self.x * k, self.y * k, self.z * k)
-
-    def dot(self, other: "Point3") -> Fraction:
-        return self.x * other.x + self.y * other.y + self.z * other.z
-
-    def cross(self, other: "Point3") -> "Point3":
-        return Point3(
-            self.y * other.z - self.z * other.y,
-            self.z * other.x - self.x * other.z,
-            self.x * other.y - self.y * other.x,
-        )
-
-    def norm_sq(self) -> Fraction:
-        return self.dot(self)
-
-
-class Triangle(ValueRecord):
-    """Vertices ``a, b, c``; ``a`` is the designated angle vertex.
-
-    Immutable by convention, like :class:`Point2`.
-    """
-
-    __slots__ = ("a", "b", "c")
-
-    def __init__(self, a: Point2, b: Point2, c: Point2):
-        self.a, self.b, self.c = a, b, c
+from .scalar import ValueRecord, unit_circle_ints
 
 
 def _require(condition: bool, message: str) -> None:
@@ -95,19 +45,19 @@ def _uncleared(residual: Fraction, k: Fraction) -> Fraction:
 # -- book I ------------------------------------------------------------------
 
 
-def check_47_1(t: Triangle) -> Fraction:
+def check_47_1(t: tuple) -> Fraction:
     """Square on the hypotenuse minus the squares on the legs, angle at a.
 
     The residual is -2 AB . AC, so it is 0 exactly when the angle at a is
     right.
     """
-    ax, ay, bx, by, cx, cy = t.a.x, t.a.y, t.b.x, t.b.y, t.c.x, t.c.y
+    (ax, ay), (bx, by), (cx, cy) = t
     ux, uy, vx, vy, wx, wy = bx - ax, by - ay, cx - ax, cy - ay, cx - bx, cy - by
     _require(ux * vy - uy * vx != 0, "degenerate triangle")
     return wx * wx + wy * wy - (ux * ux + uy * uy) - (vx * vx + vy * vy)
 
 
-def check_pappus(t: Triangle, offset_ab: Point2, offset_ac: Point2) -> Fraction:
+def check_pappus(t: tuple, offset_ab: tuple, offset_ac: tuple) -> Fraction:
     """Pappus' parallelogram generalization of 47.1.
 
     ``offset_ab``/``offset_ac`` are the side vectors of the parallelograms
@@ -120,8 +70,8 @@ def check_pappus(t: Triangle, offset_ab: Point2, offset_ac: Point2) -> Fraction:
     it unchanged.  The residual is homogeneous of degree one in the
     triangle and of degree one in the two offsets.
     """
-    ax, ay, bx, by, cx, cy = t.a.x, t.a.y, t.b.x, t.b.y, t.c.x, t.c.y
-    ux, uy, vx, vy = offset_ab.x, offset_ab.y, offset_ac.x, offset_ac.y
+    (ax, ay), (bx, by), (cx, cy) = t
+    (ux, uy), (vx, vy) = offset_ab, offset_ac
     abx, aby, acx, acy = bx - ax, by - ay, cx - ax, cy - ay
     den = abx * acy - aby * acx
     _require(den != 0, "degenerate triangle")
@@ -140,7 +90,7 @@ def check_pappus(t: Triangle, offset_ab: Point2, offset_ac: Point2) -> Fraction:
 # -- book II -----------------------------------------------------------------
 
 
-def check_12_2(t: Triangle) -> Fraction:
+def check_12_2(t: tuple) -> Fraction:
     """Obtuse case: BC^2 - (AB^2 + AC^2 + 2 * rectangle) with the angle at a.
 
     The rectangle is one side about the obtuse angle times the stretch cut
@@ -148,18 +98,18 @@ def check_12_2(t: Triangle) -> Fraction:
     ``|AB . AC|`` without extracting any root.  The residual is
     -2 (AB . AC + |AB . AC|): 0 unless the angle at a is acute.
     """
-    ax, ay, bx, by, cx, cy = t.a.x, t.a.y, t.b.x, t.b.y, t.c.x, t.c.y
+    (ax, ay), (bx, by), (cx, cy) = t
     ux, uy, vx, vy, wx, wy = bx - ax, by - ay, cx - ax, cy - ay, cx - bx, cy - by
     return wx * wx + wy * wy - (ux * ux + uy * uy + vx * vx + vy * vy + 2 * abs(ux * vx + uy * vy))
 
 
-def check_13_2(t: Triangle) -> Fraction:
+def check_13_2(t: tuple) -> Fraction:
     """Acute case: BC^2 - (AB^2 + AC^2 - 2 * rectangle) with the angle at a.
 
     The residual is 2 (|AB . AC| - AB . AC): 0 unless the angle at a is
     obtuse.
     """
-    ax, ay, bx, by, cx, cy = t.a.x, t.a.y, t.b.x, t.b.y, t.c.x, t.c.y
+    (ax, ay), (bx, by), (cx, cy) = t
     ux, uy, vx, vy, wx, wy = bx - ax, by - ay, cx - ax, cy - ay, cx - bx, cy - by
     return wx * wx + wy * wy - (ux * ux + uy * uy + vx * vx + vy * vy - 2 * abs(ux * vx + uy * vy))
 
@@ -167,7 +117,7 @@ def check_13_2(t: Triangle) -> Fraction:
 # -- book III ----------------------------------------------------------------
 
 
-def check_3_3(center: Point2, chord: tuple[Point2, Point2]) -> bool:
+def check_3_3(center: tuple, chord: tuple) -> bool:
     """A diameter bisects a non-central chord iff it meets it at right angles.
 
     The diameter through the chord's midpoint is perpendicular to the chord
@@ -176,22 +126,21 @@ def check_3_3(center: Point2, chord: tuple[Point2, Point2]) -> bool:
     ``(p + q - 2 * center) . (q - p) = 0``, which is evaluated once.  With
     the ends at unequal distances from the centre it is False.
     """
-    (p, q), cx, cy = chord, center.x, center.y
-    px, py, qx, qy = p.x, p.y, q.x, q.y
+    (cx, cy), ((px, py), (qx, qy)) = center, chord
     _require(px != qx or py != qy, "degenerate chord")
     alx, aly = qx - px, qy - py
     _require(alx * (cy - py) - aly * (cx - px) != 0, "chord passes through the centre")
     return (px + qx - cx * 2) * alx + (py + qy - cy * 2) * aly == 0
 
 
-def check_clavius_31_3(p: Point2, q: Point2, r: Point2) -> bool:
+def check_clavius_31_3(p: tuple, q: tuple, r: tuple) -> bool:
     """Clavius' scholium: the arc holding a right angle is a semicircle.
 
     True iff the angle at ``r`` is right, which is exactly when the circle
     on ``pq`` as diameter passes through ``r``:
     |2r - p - q|^2 - |q - p|^2 = 4 (r - p) . (r - q).
     """
-    px, py, qx, qy, rx, ry = p.x, p.y, q.x, q.y, r.x, r.y
+    (px, py), (qx, qy), (rx, ry) = p, q, r
     _require(px != qx or py != qy, "degenerate diameter")
     return (rx - px) * (rx - qx) + (ry - py) * (ry - qy) == 0
 
@@ -199,16 +148,16 @@ def check_clavius_31_3(p: Point2, q: Point2, r: Point2) -> bool:
 # -- book VI -----------------------------------------------------------------
 
 
-def check_8_6_corollary(t: Triangle) -> Fraction:
+def check_8_6_corollary(t: tuple) -> Fraction:
     """Altitude from the right angle squared minus the base-segment rectangle.
 
-    Right angle at ``t.a``; the altitude foot divides BC into segments whose
+    Right angle at ``a``; the altitude foot divides BC into segments whose
     product is computed exactly from the projection parameter ``num/den``,
     so no length ever leaves the rationals.  Both terms are evaluated times
     ``den^2``.  The residual is AB . AC, so it is 0 exactly when the angle
     at a is right.
     """
-    ax, ay, bx, by, cx, cy = t.a.x, t.a.y, t.b.x, t.b.y, t.c.x, t.c.y
+    (ax, ay), (bx, by), (cx, cy) = t
     _require((bx - ax) * (cy - ay) - (by - ay) * (cx - ax) != 0, "degenerate triangle")
     wx, wy, bax, bay = cx - bx, cy - by, ax - bx, ay - by  # BC and BA
     num, den = bax * wx + bay * wy, wx * wx + wy * wy
@@ -218,7 +167,7 @@ def check_8_6_corollary(t: Triangle) -> Fraction:
     return _uncleared(altitude_sq - segments_product, den * den)
 
 
-def check_31_6(t: Triangle, aspect: Fraction) -> Fraction:
+def check_31_6(t: tuple, aspect: Fraction) -> Fraction:
     """Similar figures on the sides of a right triangle (rectangles of one aspect).
 
     Similar-figure areas scale with the squares of the sides, so rectangles
@@ -228,7 +177,7 @@ def check_31_6(t: Triangle, aspect: Fraction) -> Fraction:
     a is right.
     """
     _require(aspect > 0, "aspect ratio must be positive")
-    ax, ay, bx, by, cx, cy = t.a.x, t.a.y, t.b.x, t.b.y, t.c.x, t.c.y
+    (ax, ay), (bx, by), (cx, cy) = t
     ux, uy, vx, vy, wx, wy = bx - ax, by - ay, cx - ax, cy - ay, cx - bx, cy - by
     return aspect * (wx * wx + wy * wy) - aspect * (ux * ux + uy * uy) - aspect * (vx * vx + vy * vy)
 
@@ -255,32 +204,29 @@ def check_20_7(a: Fraction, b: Fraction, c: Fraction) -> bool:
 # -- book XI -----------------------------------------------------------------
 
 
-def check_4_11(line_dir: Point3, u: Point3, v: Point3) -> bool:
+def check_4_11(line_dir: tuple, u: tuple, v: tuple) -> bool:
     """A line orthogonal to two crossing lines is orthogonal to their plane.
 
     Checking ``u`` and ``v`` is conclusive: by bilinearity
     ``line_dir . (alpha*u + beta*v) = alpha*(line_dir . u) + beta*(line_dir . v)``.
     """
-    ux, uy, uz, vx, vy, vz = u.x, u.y, u.z, v.x, v.y, v.z
+    (lx, ly, lz), (ux, uy, uz), (vx, vy, vz) = line_dir, u, v
     _require(uy * vz != uz * vy or uz * vx != ux * vz or ux * vy != uy * vx, "u and v are parallel")
-    lx, ly, lz = line_dir.x, line_dir.y, line_dir.z
     return lx * ux + ly * uy + lz * uz == 0 and lx * vx + ly * vy + lz * vz == 0
 
 
 # -- book XII ----------------------------------------------------------------
 
 
-def _six_volume(p0: Point3, p1: Point3, p2: Point3, p3: Point3) -> Fraction:
+def _six_volume(p0: tuple, p1: tuple, p2: tuple, p3: tuple) -> Fraction:
     """Six times the volume of the tetrahedron: its absolute triple product."""
-    x, y, z = p0.x, p0.y, p0.z
-    ux, uy, uz, vx, vy, vz = p1.x - x, p1.y - y, p1.z - z, p2.x - x, p2.y - y, p2.z - z
-    wx, wy, wz = p3.x - x, p3.y - y, p3.z - z
+    (x, y, z), (x1, y1, z1), (x2, y2, z2), (x3, y3, z3) = p0, p1, p2, p3
+    ux, uy, uz, vx, vy, vz = x1 - x, y1 - y, z1 - z, x2 - x, y2 - y, z2 - z
+    wx, wy, wz = x3 - x, y3 - y, z3 - z
     return abs((uy * vz - uz * vy) * wx + (uz * vx - ux * vz) * wy + (ux * vy - uy * vx) * wz)
 
 
-def check_7_12(
-    base: tuple[Point3, Point3, Point3], top: tuple[Point3, Point3, Point3]
-) -> Fraction:
+def check_7_12(base: tuple, top: tuple) -> Fraction:
     """A triangular prism splits into three equal tetrahedra.
 
     ``top`` is the claimed top face, vertex for vertex over ``base``.
@@ -306,16 +252,7 @@ def check_7_12(
 # integer, so its coordinates are ints.  The private lattice helpers work on
 # plain int tuples, a point's coordinates followed by its scale, and combine
 # scales on ints; every rejection test runs on those ints, and a generator
-# builds a Point only for each point it returns.
-
-
-def unit_circle_ints(n: int, d: int) -> tuple[int, int, int]:
-    """``(d^2 - n^2, 2nd, d^2 + n^2)``: the unit-circle point of t = n/d times d^2 + n^2.
-
-    The point is ((1-t^2)/(1+t^2), 2t/(1+t^2)), so the scale is positive
-    for d != 0.
-    """
-    return d * d - n * n, 2 * n * d, d * d + n * n
+# returns its points as coordinate tuples, as the checkers take them.
 
 
 def _randint(rng: random.Random, lo: int, hi: int) -> int:
@@ -431,7 +368,7 @@ def _circle_setup(rng: random.Random) -> tuple[int, int, int, int, int, int]:
     return cx, cy, cx + ux * kc, cy + uy * kc, cx + vx * kc, cy + vy * kc
 
 
-def rand_right_triangle(rng: random.Random) -> Triangle:
+def rand_right_triangle(rng: random.Random) -> tuple:
     """Right angle at the designated vertex, rational by a rotated frame.
 
     The legs are non-zero multiples of two perpendicular unit vectors, so
@@ -442,10 +379,10 @@ def rand_right_triangle(rng: random.Random) -> Triangle:
     ax, ay, ka = _lattice_point2(rng)
     ax, ay = ax * ku * dp * dq, ay * ku * dp * dq
     p, q = p * dq * ka, q * dp * ka
-    return Triangle(Point2(ax, ay), Point2(ax + ux * p, ay + uy * p), Point2(ax - uy * q, ay + ux * q))
+    return (ax, ay), (ax + ux * p, ay + uy * p), (ax - uy * q, ay + ux * q)
 
 
-def rand_classified_triangle(rng: random.Random) -> tuple[Triangle, int]:
+def rand_classified_triangle(rng: random.Random) -> tuple[tuple, int]:
     """Random non-degenerate triangle with the sign of the angle dot at ``a``."""
     while True:
         (ax, ay, ka), (bx, by, kb), (cx, cy, kc) = (_lattice_point2(rng) for _ in "abc")
@@ -454,7 +391,7 @@ def rand_classified_triangle(rng: random.Random) -> tuple[Triangle, int]:
         ux, uy, vx, vy = bx - ax, by - ay, cx - ax, cy - ay
         d = ux * vx + uy * vy
         if d and ux * vy != uy * vx:
-            return Triangle(Point2(ax, ay), Point2(bx, by), Point2(cx, cy)), (1 if d > 0 else -1)
+            return ((ax, ay), (bx, by), (cx, cy)), (1 if d > 0 else -1)
 
 
 def rand_proportional_quad(rng: random.Random) -> tuple[int, int, int, int]:
@@ -469,7 +406,7 @@ def rand_proportional_triple(rng: random.Random) -> tuple[int, int, int]:
     return p * dk * dk, p * k * dk, p * k * k
 
 
-def rand_prism(rng: random.Random) -> tuple[tuple[Point3, Point3, Point3], Point3]:
+def rand_prism(rng: random.Random) -> tuple[tuple, tuple]:
     while True:
         points = [_lattice_point3(rng) for _ in range(4)]
         total = math.prod(k for *_, k in points)
@@ -478,18 +415,18 @@ def rand_prism(rng: random.Random) -> tuple[tuple[Point3, Point3, Point3], Point
         )
         ux, uy, uz, vx, vy, vz = bx - ax, by - ay, bz - az, cx - ax, cy - ay, cz - az
         if (uy * vz - uz * vy) * ox + (uz * vx - ux * vz) * oy + (ux * vy - uy * vx) * oz:
-            return (Point3(ax, ay, az), Point3(bx, by, bz), Point3(cx, cy, cz)), Point3(ox, oy, oz)
+            return ((ax, ay, az), (bx, by, bz), (cx, cy, cz)), (ox, oy, oz)
 
 
-def rand_chord_setup(rng: random.Random) -> tuple[Point2, tuple[Point2, Point2]]:
+def rand_chord_setup(rng: random.Random) -> tuple[tuple, tuple]:
     """Centre plus a non-central chord with both ends on a rational circle."""
     while True:
         cx, cy, px, py, qx, qy = _circle_setup(rng)
         if (qx - px) * (cy - py) != (qy - py) * (cx - px):  # also rejects p == q
-            return Point2(cx, cy), (Point2(px, py), Point2(qx, qy))
+            return (cx, cy), ((px, py), (qx, qy))
 
 
-def rand_pappus_offsets(rng: random.Random, t: Triangle) -> tuple[Point2, Point2]:
+def rand_pappus_offsets(rng: random.Random, t: tuple) -> tuple[tuple, tuple]:
     """Outward parallelogram side vectors for :func:`check_pappus`.
 
     The two offsets share one integer lattice of their own; the triangle
@@ -498,13 +435,13 @@ def rand_pappus_offsets(rng: random.Random, t: Triangle) -> tuple[Point2, Point2
     offset's side is tested before the lattice, whose positive scale keeps
     every sign.
     """
-    ax, ay = t.a.x, t.a.y
-    abx, aby, acx, acy = t.b.x - ax, t.b.y - ay, t.c.x - ax, t.c.y - ay
+    (ax, ay), (bx, by), (cx, cy) = t
+    abx, aby, acx, acy = bx - ax, by - ay, cx - ax, cy - ay
     orientation = abx * acy - aby * acx
     while True:
         (ux, uy, ku), (vx, vy, kv) = _lattice_point2(rng), _lattice_point2(rng)
         if (abx * uy - aby * ux) * orientation < 0 and (acx * vy - acy * vx) * orientation > 0:
-            return Point2(ux * kv, uy * kv), Point2(vx * ku, vy * ku)
+            return (ux * kv, uy * kv), (vx * ku, vy * ku)
 
 
 # -- runnable proposition suite -------------------------------------------------
@@ -532,7 +469,7 @@ def _detects(result) -> bool:
     return result != 0
 
 
-def _pert_right(rng: random.Random, vertex: int, leg: int) -> Triangle:
+def _pert_right(rng: random.Random, vertex: int, leg: int) -> tuple:
     """A right triangle times m, with one vertex moved by n times one leg, for the nudge n/m.
 
     ``vertex`` 0, 1 or 2 is a, b or c, and ``leg`` 0 or 1 is AB or AC.  The
@@ -540,12 +477,11 @@ def _pert_right(rng: random.Random, vertex: int, leg: int) -> Triangle:
     """
     t = rand_right_triangle(rng)
     n, m = _nudge(rng)
-    points = [(p.x, p.y) for p in (t.a, t.b, t.c)]
-    (ax, ay), (ex, ey) = points[0], points[leg + 1]
-    moved = [(x * m, y * m) for x, y in points]
+    (ax, ay), (ex, ey) = t[0], t[leg + 1]
+    moved = [(x * m, y * m) for x, y in t]
     x, y = moved[vertex]
     moved[vertex] = x + (ex - ax) * n, y + (ey - ay) * n
-    return Triangle(*(Point2(x, y) for x, y in moved))
+    return tuple(moved)
 
 
 def _valid_47_1(rng):
@@ -573,12 +509,11 @@ def _valid_3_3(rng):
 
 
 def _pert_3_3(rng):
-    center, (p, q) = rand_chord_setup(rng)
+    (cx, cy), ((px, py), (qx, qy)) = rand_chord_setup(rng)
     n, m = _nudge(rng)
-    cx, cy = center.x, center.y
     # q moved radially off the circle: the centre plus (m + n) times its radius
-    off = Point2(cx * m + (q.x - cx) * (m + n), cy * m + (q.y - cy) * (m + n))
-    return _detects(check_3_3(Point2(cx * m, cy * m), (Point2(p.x * m, p.y * m), off)))
+    off = cx * m + (qx - cx) * (m + n), cy * m + (qy - cy) * (m + n)
+    return _detects(check_3_3((cx * m, cy * m), ((px * m, py * m), off)))
 
 
 def _valid_8_6(rng):
@@ -630,33 +565,39 @@ def _uv_pair(rng):
     while True:  # parallel or not before the lattice, whose positive scales keep it
         (ux, uy, uz, ku), (vx, vy, vz, kv) = _lattice_point3(rng), _lattice_point3(rng)
         if uy * vz != uz * vy or uz * vx != ux * vz or ux * vy != uy * vx:
-            return Point3(ux * kv, uy * kv, uz * kv), Point3(vx * ku, vy * ku, vz * ku)
+            return (ux * kv, uy * kv, uz * kv), (vx * ku, vy * ku, vz * ku)
+
+
+def _cross(u: tuple, v: tuple) -> tuple:
+    """The cross product u x v of two space vectors."""
+    (ux, uy, uz), (vx, vy, vz) = u, v
+    return uy * vz - uz * vy, uz * vx - ux * vz, ux * vy - uy * vx
 
 
 def _valid_4_11(rng):
     u, v = _uv_pair(rng)
-    return check_4_11(u.cross(v), u, v)
+    return check_4_11(_cross(u, v), u, v)
 
 
 def _pert_4_11(rng):
     u, v = _uv_pair(rng)
-    skew = u.cross(v) + u
-    return _detects(check_4_11(skew, u, v))
+    (nx, ny, nz), (ux, uy, uz) = _cross(u, v), u
+    return _detects(check_4_11((nx + ux, ny + uy, nz + uz), u, v))
 
 
 def _valid_7_12(rng):
-    base, offset = rand_prism(rng)
-    return check_7_12(base, tuple(p + offset for p in base)) == 0
+    base, (ox, oy, oz) = rand_prism(rng)
+    return check_7_12(base, tuple((x + ox, y + oy, z + oz) for x, y, z in base)) == 0
 
 
 def _pert_7_12(rng):
-    base, offset = rand_prism(rng)
+    base, (ox, oy, oz) = rand_prism(rng)
     n, m = _nudge(rng)
-    a, b, c = (p.scaled(m) for p in base)
-    shift = offset.scaled(m)
-    # stretching one lateral edge turns the prism into a frustum-like solid
-    top = (a + shift, b + shift, c + offset.scaled(m + n))
-    return _detects(check_7_12((a, b, c), top))
+    moved = tuple((x * m, y * m, z * m) for x, y, z in base)
+    # stretching one lateral edge turns the prism into a frustum-like solid:
+    # a and b move by m times the offset, c by m + n times it
+    top = tuple((x + ox * s, y + oy * s, z + oz * s) for (x, y, z), s in zip(moved, (m, m, m + n)))
+    return _detects(check_7_12(moved, top))
 
 
 def _valid_pappus(rng):
@@ -667,17 +608,17 @@ def _valid_pappus(rng):
 
 def _pert_pappus(rng):
     t, _ = rand_classified_triangle(rng)
-    u, v = rand_pappus_offsets(rng, t)
-    return _detects(check_pappus(t, Point2(-u.x, -u.y), v))
+    (ux, uy), v = rand_pappus_offsets(rng, t)
+    return _detects(check_pappus(t, (-ux, -uy), v))
 
 
-def _clavius_instance(rng: random.Random) -> tuple[Point2, Point2, Point2]:
+def _clavius_instance(rng: random.Random) -> tuple[tuple, tuple, tuple]:
     """Ends ``p, q`` of a diameter and a third point ``r`` of the same circle."""
     while True:
         cx, cy, px, py, rx, ry = _circle_setup(rng)
         qx, qy = 2 * cx - px, 2 * cy - py
         if (rx, ry) != (px, py) and (rx, ry) != (qx, qy):
-            return Point2(px, py), Point2(qx, qy), Point2(rx, ry)
+            return (px, py), (qx, qy), (rx, ry)
 
 
 def _valid_clavius(rng):
@@ -687,8 +628,8 @@ def _valid_clavius(rng):
 def _pert_clavius(rng):
     vx, vy, rx, ry, _ = _two_on_circle(rng)  # about the origin
     n, m = _nudge(rng)
-    bad = Point2(rx * (m + n), ry * (m + n))  # radially off the circle
-    return _detects(check_clavius_31_3(Point2(vx * m, vy * m), Point2(-vx * m, -vy * m), bad))
+    bad = rx * (m + n), ry * (m + n)  # radially off the circle
+    return _detects(check_clavius_31_3((vx * m, vy * m), (-vx * m, -vy * m), bad))
 
 
 PROPOSITION_SUITE: tuple[tuple[str, object, object], ...] = (

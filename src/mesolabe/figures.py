@@ -15,8 +15,7 @@ import math
 from fractions import Fraction
 
 from . import delian, proportio, pyramid
-from .euclid import unit_circle_ints
-from .scalar import ValueRecord, _half_even, as_rational
+from .scalar import ValueRecord, _half_even, as_rational, unit_circle_ints
 
 #: SVG viewport size and the blank margin around the drawing, in SVG units.
 _WIDTH, _HEIGHT, _MARGIN = 460, 360, 40

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .euclid import Point3, unit_circle_ints
+from .pyramid import Point3
 from .scalar import (
     DEFAULT_CONTEXT,
     CertificationError,
@@ -39,6 +39,7 @@ from .scalar import (
     format_grouped,
     pair_texts,
     round_to,
+    unit_circle_ints,
     window_floor,
 )
 
@@ -329,7 +330,7 @@ def quad_exact(ac: Fraction, t: Fraction) -> tuple[Fraction, Fraction, Fraction,
 
     With k = cos of the inscribed angle at A, the chain is AD = AC*k,
     AE = AC*k^2, AF = AC*k^3; t = tan(angle/2) makes k the rational x/w of
-    :func:`~mesolabe.euclid.unit_circle_ints`, so the whole quad is rational.
+    :func:`~mesolabe.scalar.unit_circle_ints`, so the whole quad is rational.
     """
     _require_interior(ac, t)
     x, _, w = unit_circle_ints(t.numerator, t.denominator)
@@ -340,7 +341,7 @@ def quad_exact(ac: Fraction, t: Fraction) -> tuple[Fraction, Fraction, Fraction,
 def arc_points(ac: Fraction, t: Fraction) -> tuple[dict[str, tuple[int, int, int]], int]:
     """A, C, D, E, F and G as int triples, and their one positive denominator.
 
-    With (x, y, w) = :func:`~mesolabe.euclid.unit_circle_ints` of ``t``,
+    With (x, y, w) = :func:`~mesolabe.scalar.unit_circle_ints` of ``t``,
     k = x/w and s = y/w, D = AC k (k, s) lies on the semicircle over AC in
     the great-circle plane z = 0, E is its foot on AC and F = AC k^3 (k, s)
     the foot of the perpendicular from E on AD.  G lies above F, in the

@@ -2,18 +2,45 @@
 
 A pyramid is stored by its three edge lengths at the right-angle vertex;
 coordinate realizations (vertex at the origin, edges on the axes) are built
-on demand when a check needs actual points.  Lengths are exact Fractions
-or ints.
+on demand, as :class:`Point3` records, when a check needs actual points.
+Lengths are exact Fractions or ints.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from .euclid import Point3
 from .scalar import ValueRecord
 
 Length = Fraction | int
+
+
+class Point3(ValueRecord):
+    """A space point or vector, compared and hashed by value; immutable by convention."""
+
+    __slots__ = ("x", "y", "z")
+
+    def __init__(self, x: Fraction, y: Fraction, z: Fraction):
+        self.x, self.y, self.z = x, y, z
+
+    def __sub__(self, other: "Point3") -> "Point3":
+        return Point3(self.x - other.x, self.y - other.y, self.z - other.z)
+
+    def __add__(self, other: "Point3") -> "Point3":
+        return Point3(self.x + other.x, self.y + other.y, self.z + other.z)
+
+    def dot(self, other: "Point3") -> Fraction:
+        return self.x * other.x + self.y * other.y + self.z * other.z
+
+    def cross(self, other: "Point3") -> "Point3":
+        return Point3(
+            self.y * other.z - self.z * other.y,
+            self.z * other.x - self.x * other.z,
+            self.x * other.y - self.y * other.x,
+        )
+
+    def norm_sq(self) -> Fraction:
+        return self.dot(self)
 
 
 class RightPyramid(ValueRecord):

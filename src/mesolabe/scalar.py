@@ -84,6 +84,15 @@ def _icbrt(n: int) -> int:
     return x
 
 
+def unit_circle_ints(n: int, d: int) -> tuple[int, int, int]:
+    """``(d^2 - n^2, 2nd, d^2 + n^2)``: the unit-circle point of t = n/d times d^2 + n^2.
+
+    The point is ((1-t^2)/(1+t^2), 2t/(1+t^2)), so the scale is positive
+    for d != 0.
+    """
+    return d * d - n * n, 2 * n * d, d * d + n * n
+
+
 def parse_int(literal: str) -> int:
     """``int(literal)``, or a one-line error past the interpreter's int-to-str digit limit."""
     limit = sys.get_int_max_str_digits()

@@ -19,7 +19,6 @@ from mesolabe.delian import (
     two_means_compass,
     two_means_instrument,
 )
-from mesolabe.euclid import unit_circle_ints
 from mesolabe.proportio import four_proportionals_planar
 from mesolabe.scalar import (
     DEFAULT_CONTEXT,
@@ -27,6 +26,7 @@ from mesolabe.scalar import (
     DecimalScalar,
     PrecisionContext,
     cbrt,
+    unit_circle_ints,
 )
 
 from oracles import _on_unit_circle, in_continued_proportion, newton_cbrt, rounded_cbrt

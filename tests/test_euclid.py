@@ -12,9 +12,6 @@ from hypothesis import example, given, strategies as st
 import mesolabe
 from mesolabe import euclid
 from mesolabe.euclid import (
-    Point2,
-    Point3,
-    Triangle,
     check_3_3,
     check_4_11,
     check_7_12,
@@ -34,8 +31,9 @@ from mesolabe.euclid import (
     rand_proportional_quad,
     rand_right_triangle,
     run_proposition_suite,
-    unit_circle_ints,
 )
+from mesolabe.pyramid import Point3
+from mesolabe.scalar import unit_circle_ints
 
 from oracles import _add, _cross2, _cross3, _dot, _mul, _sub
 
@@ -43,23 +41,23 @@ F = Fraction
 
 
 def pt(x, y):
-    return Point2(F(x), F(y))
+    return F(x), F(y)
 
 
 def pt3(x, y, z):
-    return Point3(F(x), F(y), F(z))
+    return F(x), F(y), F(z)
 
 
 class TestPythagoras:
     def test_3_4_5(self):
-        assert check_47_1(Triangle(pt(0, 0), pt(3, 0), pt(0, 4))) == 0
+        assert check_47_1((pt(0, 0), pt(3, 0), pt(0, 4))) == 0
 
     def test_unit_legs(self):
-        assert check_47_1(Triangle(pt(0, 0), pt(1, 0), pt(0, 1))) == 0
+        assert check_47_1((pt(0, 0), pt(1, 0), pt(0, 1))) == 0
 
     def test_rejects_non_right(self):
         # the residual is -2 AB . AC = -2 * 2
-        assert check_47_1(Triangle(pt(0, 0), pt(2, 0), pt(1, 3))) == -4
+        assert check_47_1((pt(0, 0), pt(2, 0), pt(1, 3))) == -4
 
     def test_generated_right_triangles(self):
         rng = random.Random(47)
@@ -69,15 +67,15 @@ class TestPythagoras:
 
 class TestObtuseAcute:
     def test_obtuse_example(self):
-        assert check_12_2(Triangle(pt(0, 0), pt(2, 0), pt(-1, 1))) == 0
+        assert check_12_2((pt(0, 0), pt(2, 0), pt(-1, 1))) == 0
 
     def test_acute_example(self):
-        assert check_13_2(Triangle(pt(0, 0), pt(2, 0), pt(1, 2))) == 0
+        assert check_13_2((pt(0, 0), pt(2, 0), pt(1, 2))) == 0
 
     def test_wrong_class_rejected(self):
         # the wrong checker gives -4 AB . AC, here with AB . AC = 2 and -2
-        assert check_12_2(Triangle(pt(0, 0), pt(2, 0), pt(1, 2))) == -8
-        assert check_13_2(Triangle(pt(0, 0), pt(2, 0), pt(-1, 1))) == 8
+        assert check_12_2((pt(0, 0), pt(2, 0), pt(1, 2))) == -8
+        assert check_13_2((pt(0, 0), pt(2, 0), pt(-1, 1))) == 8
 
     def test_500_random_classified_dispatch(self):
         rng = random.Random(1213)
@@ -111,12 +109,12 @@ class TestCircle:
 class TestMeanProportional:
     def test_3_4_5_altitude(self):
         # altitude 12/5 over segments 9/5 and 16/5 of the hypotenuse
-        t = Triangle(pt(0, 0), pt(3, 0), pt(0, 4))
+        t = (pt(0, 0), pt(3, 0), pt(0, 4))
         assert check_8_6_corollary(t) == 0
         assert F(12, 5) ** 2 == F(9, 5) * F(16, 5)
 
     def test_isosceles_right(self):
-        t = Triangle(pt(0, 0), pt(1, 0), pt(0, 1))
+        t = (pt(0, 0), pt(1, 0), pt(0, 1))
         assert check_8_6_corollary(t) == 0
 
     def test_random_right_triangles(self):
@@ -127,12 +125,12 @@ class TestMeanProportional:
 
 class TestSimilarFigures:
     def test_rectangles_on_3_4_5(self):
-        t = Triangle(pt(0, 0), pt(3, 0), pt(0, 4))
+        t = (pt(0, 0), pt(3, 0), pt(0, 4))
         assert check_31_6(t, F(2, 3)) == 0
 
     def test_aspect_must_be_positive(self):
         with pytest.raises(ValueError):
-            check_31_6(Triangle(pt(0, 0), pt(3, 0), pt(0, 4)), F(0))
+            check_31_6((pt(0, 0), pt(3, 0), pt(0, 4)), F(0))
 
 
 class TestNumberProportions:
@@ -156,9 +154,9 @@ class TestNumberProportions:
 class TestPlanePerpendicular:
     def test_cross_product_direction(self):
         u, v = pt3(1, 2, 0), pt3(0, 1, 3)
-        n = u.cross(v)
+        n = _cross3(u, v)
         assert check_4_11(n, u, v)
-        assert not check_4_11(n + u, u, v)
+        assert not check_4_11(_add(n, u), u, v)
 
     def test_parallel_rejected(self):
         with pytest.raises(ValueError):
@@ -168,7 +166,7 @@ class TestPlanePerpendicular:
 class TestPrism:
     def test_unit_prism(self):
         base = (pt3(0, 0, 0), pt3(1, 0, 0), pt3(0, 1, 0))
-        top = tuple(p + pt3(0, 0, 1) for p in base)
+        top = tuple(_add(p, pt3(0, 0, 1)) for p in base)
         assert check_7_12(base, top) == 0
 
     def test_degenerate_zero_height(self):
@@ -179,7 +177,7 @@ class TestPrism:
         rng = random.Random(712)
         for _ in range(200):
             base, offset = rand_prism(rng)
-            assert check_7_12(base, tuple(p + offset for p in base)) == 0
+            assert check_7_12(base, tuple(_add(p, offset) for p in base)) == 0
 
     def test_claimed_top_that_is_no_translate_fails(self):
         # the top vertex over c is lifted twice as high: the split volumes
@@ -191,7 +189,7 @@ class TestPrism:
 
 class TestPappus:
     def test_squares_reduce_to_pythagoras(self):
-        t = Triangle(pt(0, 0), pt(1, 0), pt(0, 1))
+        t = (pt(0, 0), pt(1, 0), pt(0, 1))
         residual = check_pappus(t, pt(0, -1), pt(-1, 0))
         assert residual == 0
 
@@ -203,7 +201,7 @@ class TestPappus:
             assert check_pappus(t, u, v) == 0
 
     def test_inward_orientation_detected(self):
-        t = Triangle(pt(0, 0), pt(1, 0), pt(0, 1))
+        t = (pt(0, 0), pt(1, 0), pt(0, 1))
         assert check_pappus(t, pt(0, 1), pt(-1, 0)) != 0
 
     def test_random_offsets_point_away_from_the_opposite_vertex(self):
@@ -213,11 +211,11 @@ class TestPappus:
         for _ in range(200):
             t, _ = rand_classified_triangle(rng)
             u, v = rand_pappus_offsets(rng, t)
-            a, b, c = ((p.x, p.y) for p in (t.a, t.b, t.c))
+            a, b, c = t
             ab, ac = _sub(b, a), _sub(c, a)
-            assert _cross2(ab, (u.x, u.y)) * _cross2(ab, ac) < 0
-            assert _cross2(ac, (v.x, v.y)) * _cross2(ac, ab) < 0
-            assert check_pappus(t, Point2(-u.x, -u.y), Point2(-v.x, -v.y)) == 0
+            assert _cross2(ab, u) * _cross2(ab, ac) < 0
+            assert _cross2(ac, v) * _cross2(ac, ab) < 0
+            assert check_pappus(t, _mul(u, -1), _mul(v, -1)) == 0
 
 
 class TestRationalParametrizations:
@@ -234,40 +232,22 @@ class TestValueSemantics:
     @given(st.fractions(), st.fractions(), st.fractions())
     def test_equal_coordinates_give_equal_objects(self, x, y, z):
         # an integral Fraction equals, and hashes as, the int it stands for
-        same = [(Point2(x, y), Point2(F(x), F(y))), (Point3(x, y, z), Point3(F(x), F(y), F(z)))]
+        same = [(Point3(x, y, z), Point3(F(x), F(y), F(z)))]
         if x.denominator == y.denominator == z.denominator == 1:
-            same += [(Point2(x, y), Point2(int(x), int(y))),
-                     (Point3(x, y, z), Point3(int(x), int(y), int(z)))]
+            same += [(Point3(x, y, z), Point3(int(x), int(y), int(z)))]
         for p, q in same:
             assert p is not q and p == q and hash(p) == hash(q)
             assert len({p, q}) == 1 and {p: 1}[q] == 1
-        assert Point2(x, y) != Point2(x, y + 1) and Point3(x, y, z) != Point3(x, y, z + 1)
+        assert Point3(x, y, z) != Point3(x, y, z + 1)
 
     def test_points_as_set_members_and_dict_keys(self):
-        points = [Point2(i % 3, i % 2) for i in range(12)]
-        assert len(set(points)) == 6
-        seen = {}
-        for p in points:
-            seen[p] = seen.get(p, 0) + 1
-        assert seen[Point2(F(2), F(0))] == 2 and Point2(1, 1) in seen
         assert {Point3(1, 2, 3), Point3(F(1), 2, 3)} == {Point3(1, 2, 3)}
 
     def test_repr(self):
-        assert repr(Point2(1, 2)) == "Point2(x=1, y=2)"
         assert repr(Point3(F(1, 2), -3, 0)) == "Point3(x=Fraction(1, 2), y=-3, z=0)"
-        assert repr(Triangle(Point2(0, 0), Point2(1, 0), Point2(0, 1))) == (
-            "Triangle(a=Point2(x=0, y=0), b=Point2(x=1, y=0), c=Point2(x=0, y=1))"
-        )
 
     def test_different_classes_are_unequal(self):
-        assert Point2(1, 2) != Point3(1, 2, 0)
-        assert Point2(1, 2) != (1, 2) and Point3(1, 2, 0) != (1, 2, 0)
-
-    def test_triangle_of_equal_points_equals_the_original(self):
-        t = rand_right_triangle(random.Random(5))
-        copy = Triangle(*(Point2(F(p.x), F(p.y)) for p in (t.a, t.b, t.c)))
-        assert copy is not t and copy == t and hash(copy) == hash(t)
-        assert copy != Triangle(t.a, t.c, t.b)
+        assert Point3(1, 2, 0) != (1, 2, 0)
 
 
 #: Every (lo, hi) the suite draws from, then n = 1 and n a power of two.
@@ -332,7 +312,7 @@ class TestSuiteRunner:
             assert all(perturbed(rng) for _ in range(20))
 
     def test_precondition_rejection_is_not_a_detection(self):
-        flat = Triangle(pt(0, 0), pt(1, 0), pt(2, 0))
+        flat = (pt(0, 0), pt(1, 0), pt(2, 0))
         with pytest.raises(ValueError):
             euclid._detects(check_47_1(flat))
 
@@ -360,7 +340,7 @@ class TestSecondEvaluationsAgree:
         power = _dot(twice_off, twice_off) - _dot(_sub(q, p), _sub(q, p))
         assert power == 4 * _dot(_sub(r, p), _sub(r, q))
         if p != q:
-            assert check_clavius_31_3(Point2(*p), Point2(*q), Point2(*r)) is (power == 0)
+            assert check_clavius_31_3(p, q, r) is (power == 0)
 
     @given(PLANE, PLANE, PLANE, PLANE, st.booleans())
     def test_3_3_foot_of_perpendicular_is_the_bisection(self, center, p, other, mirror, on_circle):
@@ -375,7 +355,7 @@ class TestSecondEvaluationsAgree:
         # the foot p + s*along, s = num/den, is the midpoint (p + q)/2
         s = Fraction(_dot(_sub(center, p), along), _dot(along, along))
         foot_is_midpoint = all(a + s * d == (a + b) / 2 for a, b, d in zip(p, q, along))
-        assert check_3_3(Point2(*center), (Point2(*p), Point2(*q))) is foot_is_midpoint
+        assert check_3_3(center, (p, q)) is foot_is_midpoint
         if on_circle and any(mirror):
             assert foot_is_midpoint
 
@@ -402,8 +382,7 @@ class TestSecondEvaluationsAgree:
         a2, b2, c2 = (_add(p, offset) for p in (a, b, c))
         six_volumes = {_six_volume(a, b, c, c2), _six_volume(a, b, b2, c2), _six_volume(a, a2, b2, c2)}
         assert six_volumes == {_six_volume(a, b, c, _add(a, offset))}
-        base, top = (tuple(Point3(*p) for p in face) for face in ((a, b, c), (a2, b2, c2)))
-        assert check_7_12(base, top) == 0
+        assert check_7_12((a, b, c), (a2, b2, c2)) == 0
 
 
 def _require(condition, message):
@@ -497,10 +476,6 @@ def _points(*dims):
     return st.one_of(*(st.tuples(*(st.tuples(*[c] * d) for d in dims)) for c in (INTS, RATIONALS)))
 
 
-def _plane(points):
-    return [Point2(*p) for p in points]
-
-
 FLAT = ((0, 0), (2, 1), (-4, -2))
 FLAT_F = tuple((F(x, 3), F(y, 3)) for x, y in FLAT)
 
@@ -522,14 +497,14 @@ class TestCoordinateFormsAgree:
     @example(tri=FLAT_F)
     @example(tri=((0, 0), (3, 0), (0, 4)))
     def test_triangle_checkers(self, checker, vector, tri):
-        assert _outcome(checker, Triangle(*_plane(tri))) == _outcome(vector, *tri)
+        assert _outcome(checker, tri) == _outcome(vector, *tri)
 
     @given(tri=_points(2, 2, 2), aspect=st.one_of(INTS, RATIONALS))
     @example(tri=((0, 0), (3, 0), (0, 4)), aspect=0)
     @example(tri=FLAT_F, aspect=F(-1, 2))
     def test_31_6(self, tri, aspect):
         expected = _outcome(_vector_31_6, *tri, aspect)
-        assert _outcome(check_31_6, Triangle(*_plane(tri)), aspect) == expected
+        assert _outcome(check_31_6, tri, aspect) == expected
 
     @given(pts=_points(2, 2, 2, 2, 2))
     @example(pts=(*FLAT, (0, 1), (1, 0)))
@@ -538,9 +513,7 @@ class TestCoordinateFormsAgree:
     @example(pts=((0, 0), (1, 0), (0, 1), (0, -1), (-1, 0)))  # squares on the legs
     def test_pappus(self, pts):
         a, b, c, u, v = pts
-        assert _outcome(check_pappus, Triangle(*_plane((a, b, c))), *_plane((u, v))) == (
-            _outcome(_vector_pappus, a, b, c, u, v)
-        )
+        assert _outcome(check_pappus, (a, b, c), u, v) == _outcome(_vector_pappus, a, b, c, u, v)
 
     @given(pts=_points(2, 2, 2))
     @example(pts=((0, 0), (3, 4), (3, 4)))  # p == q
@@ -549,14 +522,13 @@ class TestCoordinateFormsAgree:
     @example(pts=((F(0), F(0)), (F(3), F(4)), (F(117, 25), F(44, 25))))  # along is (3, -4) times 14/25
     def test_3_3(self, pts):
         center, p, q = pts
-        center_, p_, q_ = _plane(pts)
-        assert _outcome(check_3_3, center_, (p_, q_)) == _outcome(_vector_3_3, center, p, q)
+        assert _outcome(check_3_3, center, (p, q)) == _outcome(_vector_3_3, center, p, q)
 
     @given(pts=_points(2, 2, 2))
     @example(pts=((F(1, 2), F(0)), (F(1, 2), F(0)), (F(0), F(1))))  # p == q
     @example(pts=((-1, 0), (1, 0), (0, 1)))
     def test_clavius_31_3(self, pts):
-        assert _outcome(check_clavius_31_3, *_plane(pts)) == _outcome(_vector_clavius, *pts)
+        assert _outcome(check_clavius_31_3, *pts) == _outcome(_vector_clavius, *pts)
 
     @given(pts=_points(3, 3, 3), on_normal=st.booleans())
     @example(pts=((0, 0, 1), (1, 0, 0), (2, 0, 0)), on_normal=False)  # u and v parallel
@@ -566,16 +538,15 @@ class TestCoordinateFormsAgree:
         if on_normal:
             line_dir = _cross3(u, v)
         expected = _outcome(_vector_4_11, line_dir, u, v)
-        assert _outcome(check_4_11, *(Point3(*p) for p in (line_dir, u, v))) == expected
+        assert _outcome(check_4_11, line_dir, u, v) == expected
 
     @given(pts=_points(3, 3, 3, 3, 3, 3))
     @example(pts=((0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 0, 1), (0, 1, 2)))
     def test_prism_volumes(self, pts):
         a, b, c, a2, b2, c2 = pts
         six = _six_volume(a, b, c, c2), _six_volume(a, b, b2, c2), _six_volume(a, a2, b2, c2)
-        base, top = (tuple(Point3(*p) for p in face) for face in (pts[:3], pts[3:]))
         expected = _outcome(lambda: _uncleared(max(six) - min(six), 6))
-        assert _outcome(check_7_12, base, top) == expected
+        assert _outcome(check_7_12, pts[:3], pts[3:]) == expected
 
 
 class TestLyingChecker:
@@ -585,7 +556,7 @@ class TestLyingChecker:
         volumes = itertools.count()
         monkeypatch.setattr(euclid, "_six_volume", lambda *points: next(volumes))
         base = (pt3(0, 0, 0), pt3(1, 0, 0), pt3(0, 1, 0))
-        top = tuple(p + pt3(0, 0, 1) for p in base)
+        top = tuple(_add(p, pt3(0, 0, 1)) for p in base)
         assert check_7_12(base, top) != 0
         assert euclid._detects(check_7_12(base, top))
 

@@ -29,7 +29,6 @@ import pytest
 
 from mesolabe import euclid
 from mesolabe.cli import main
-from mesolabe.euclid import Point2, Point3, Triangle
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -95,13 +94,11 @@ RESIDUALS = GOLDEN / "euclid-residuals.json"
 
 
 def _decode(value):
-    """JSON argument -> Fraction, Point2, Point3, Triangle or tuple of those."""
+    """JSON argument -> Fraction, or a point, triangle or face: a tuple of those."""
     if isinstance(value, str):
         return Fraction(value)
     if isinstance(value, dict):
-        return Triangle(*(_decode(v) for v in value["triangle"]))
-    if all(isinstance(v, str) for v in value):
-        return (Point2 if len(value) == 2 else Point3)(*(Fraction(v) for v in value))
+        value = value["triangle"]
     return tuple(_decode(v) for v in value)
 
 

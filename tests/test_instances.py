@@ -16,7 +16,6 @@ import random
 import pytest
 
 from mesolabe import euclid
-from mesolabe.euclid import Point2, Point3, Triangle
 
 SEEDS = (0, 20240601)
 DRAWS = 20
@@ -36,12 +35,6 @@ CHECKERS = (
 
 
 def _ints(x) -> list[int]:
-    if isinstance(x, Triangle):
-        return _ints((x.a, x.b, x.c))
-    if isinstance(x, Point2):
-        return [x.x, x.y]
-    if isinstance(x, Point3):
-        return [x.x, x.y, x.z]
     if isinstance(x, tuple):
         return [v for item in x for v in _ints(item)]
     assert type(x) is int, x

@@ -19,7 +19,6 @@ from hypothesis import given, settings, strategies as st
 
 import oracles
 from mesolabe import euclid
-from mesolabe.euclid import Point2, Point3, Triangle
 
 SEEDS = st.integers(min_value=0, max_value=2**64)
 
@@ -51,12 +50,6 @@ CHECKERS = {
 
 
 def _flat(x) -> list:
-    if isinstance(x, Triangle):
-        return _flat((x.a, x.b, x.c))
-    if isinstance(x, Point2):
-        return [x.x, x.y]
-    if isinstance(x, Point3):
-        return [x.x, x.y, x.z]
     if isinstance(x, (tuple, list)):
         return [v for item in x for v in _flat(item)]
     return [x]
@@ -122,19 +115,14 @@ def test_suite_entries_draw_like_the_fraction_builders(seed):
 
 
 def _to_checker_args(x, scale=None):
-    """Oracle tuples -> Point2, Point3, Triangle; scaled to ints if ``scale``."""
+    """An oracle argument as it is, or scaled to ints if ``scale``."""
+    if scale is None:
+        return x
     if isinstance(x, Fraction):
-        if scale is None:
-            return x
         v = x * scale
         assert v.denominator == 1
         return v.numerator
-    parts = [_to_checker_args(v, scale) for v in x]
-    if all(not isinstance(v, (tuple, Point2, Point3)) for v in parts):
-        return (Point2 if len(parts) == 2 else Point3)(*parts)
-    if len(parts) == 3 and all(isinstance(v, Point2) for v in parts):
-        return Triangle(*parts)
-    return tuple(parts)
+    return tuple(_to_checker_args(v, scale) for v in x)
 
 
 def _verdict(fn, args):

@@ -1,6 +1,7 @@
 """Every name the benchmark tracer wraps exists, every imported name is used,
 every name of the package is bound only in its own module,
-``import mesolabe.cli`` loads what the tracer needs and no more,
+``import mesolabe.cli`` loads what the tracer needs and no more, only the
+CLI loads ``mesolabe.euclid``,
 ``DecimalScalar`` stays a record to print, not a second number type,
 records compare and hash by the one rule of ``ValueRecord``, and no function
 or class of the package exists only for the tests.
@@ -68,6 +69,19 @@ def test_cli_import_set():
     assert "mesolabe.cli" in loaded
     assert not {"dataclasses", "inspect"} & loaded
     assert {module for module, _, _ in _traced()} <= loaded
+
+
+def test_only_the_cli_loads_euclid():
+    # euclid is the Elements oracle behind check-props; the solvers, the
+    # pyramid and the figures take nothing from it
+    modules = ("delian", "proportio", "pyramid", "figures")
+    code = (f"import sys; sys.path.insert(0, {str(ROOT / 'src')!r}); "
+            + "".join(f"import mesolabe.{m}; " for m in modules) + "print(*sorted(sys.modules))")
+    run = subprocess.run([sys.executable, "-I", "-S", "-c", code],
+                         capture_output=True, text=True, check=True)
+    loaded = set(run.stdout.split())
+    assert {f"mesolabe.{m}" for m in modules} <= loaded
+    assert "mesolabe.euclid" not in loaded
 
 
 def _imported(tree: ast.Module) -> dict[str, int]:

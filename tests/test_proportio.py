@@ -4,7 +4,7 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from mesolabe import proportio
-from mesolabe.euclid import Point3, check_19_7, check_20_7, unit_circle_ints
+from mesolabe.euclid import check_19_7, check_20_7
 from mesolabe.proportio import (
     ChordConfig,
     arc_points,
@@ -17,12 +17,14 @@ from mesolabe.proportio import (
     sphere_construction,
     true_product_rows,
 )
+from mesolabe.pyramid import Point3
 from mesolabe.cli import main
 from mesolabe.scalar import (
     CertificationError,
     DecimalScalar,
     PrecisionContext,
     sqrt,
+    unit_circle_ints,
 )
 
 from oracles import (
@@ -515,7 +517,7 @@ class TestPlanarConstruction:
         a, c, d, e, f = pts["A"], pts["C"], pts["D"], pts["E"], pts["F"]
         assert (a, c) == (Point3(F(0), F(0), F(0)), Point3(b, F(0), F(0)))
         # D on the semicircle over AC
-        assert (d - (a + c).scaled(F(1, 2))).norm_sq() == (b / 2) ** 2 and d.y > 0
+        assert (d + d - (a + c)).norm_sq() == b * b and d.y > 0
         # E under D, EF perpendicular to the ruler AD, F on the ruler
         assert e.x == d.x and e.y == 0
         assert (f - e).dot(d) == 0
