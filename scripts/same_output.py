@@ -17,6 +17,10 @@ The calls:
   ratios n/d, ``--digits`` 1 to 40, ``--guard`` 5 to 14, half of them with
   ``--json``.  A few draws are out of range on purpose (a > b, t outside
   (0, 1), cosines with no realization), so usage errors are compared too.
+  Half the random calls give their options in a shuffled order, and one in
+  ten has one form ``cli._plain`` leaves to argparse (an abbreviated flag,
+  ``--flag=value`` or a repeated flag), so both of ``cli``'s parse paths
+  are compared.
 
 Each ``--tree NAME=SRC`` names a directory holding a ``mesolabe`` package;
 give exactly two.  Each tree runs every call in-process, in a process of its
@@ -176,39 +180,62 @@ def _parameter(rng: random.Random) -> str:
     return f"{milli // 1000}.{milli % 1000:03d}"
 
 
+def _irregular(rng: random.Random, groups: list[list[str]]) -> None:
+    """Put one form ``cli._plain`` declines into ``groups``, each a flag and its values.
+
+    An abbreviated flag (one letter short, which no two flags share), ``--flag=value``
+    or a repeated flag, so that argparse parses the call.
+    """
+    form = rng.choice(("abbreviated", "equals", "repeated"))
+    if form == "abbreviated":
+        i = rng.choice([i for i, group in enumerate(groups) if len(group[0]) > 4])
+        groups[i] = [groups[i][0][:-1], *groups[i][1:]]
+    elif form == "equals":
+        i = rng.choice([i for i, group in enumerate(groups) if len(group) == 2])
+        groups[i] = ["=".join(groups[i])]
+    else:
+        groups.append(list(rng.choice(groups)))
+
+
 def _random_argv(rng: random.Random) -> list[str]:
     kind = rng.choice(RANDOM_KINDS)
     if kind == "solve-chords":
-        argv = [kind, "--diameter", _decimal(rng)]
+        groups = [["--diameter", _decimal(rng)]]
     elif kind == "means":
         a, b = sorted((_decimal(rng), _decimal(rng)), key=Fraction)
         if rng.random() < 0.05:
             a, b = b, a
-        argv = [kind, "--a", a, "--b", b, "--method",
-                rng.choice(("instrument", "compass", "both"))]
+        groups = [["--a", a], ["--b", b],
+                  ["--method", rng.choice(("instrument", "compass", "both"))]]
     elif kind == "duplicate-cube":
-        argv = [kind, "--edge", _decimal(rng)]
+        groups = [["--edge", _decimal(rng)]]
     elif kind == "four-proportionals":
-        argv = [kind, "--ac", _decimal(rng), "--t", _parameter(rng)]
-        argv += ["--sphere"] * (rng.random() < 0.5)
+        groups = [["--ac", _decimal(rng)], ["--t", _parameter(rng)]]
+        groups += [["--sphere"]] * (rng.random() < 0.5)
     elif kind == "pyramid":
-        argv = [kind, "--edges", *(_decimal(rng) for _ in range(3))]
+        groups = [["--edges", *(_decimal(rng) for _ in range(3))]]
         if rng.random() < 0.5:  # non-negative: trees before NEGATIVE_NUMBER read "-1/3" as a flag
-            argv += ["--cosines", *(f"{rng.randint(0, 9)}/{rng.randint(9, 20)}" for _ in range(3))]
+            groups.append(["--cosines", *(f"{rng.randint(0, 9)}/{rng.randint(9, 20)}"
+                                          for _ in range(3))])
     else:
         fig = rng.randint(1, 7)
-        argv = [kind, "--id", str(fig), "--out", "-"]
+        groups = [["--id", str(fig)], ["--out", "-"]]
         if fig <= 3:
-            argv += ["--edges", *(_ratio(rng) for _ in range(3))]
+            groups.append(["--edges", *(_ratio(rng) for _ in range(3))])
         elif fig == 4:
-            argv += ["--diameter", _decimal(rng)]
+            groups.append(["--diameter", _decimal(rng)])
         elif fig == 5:
-            argv += ["--ac", _decimal(rng), "--t", _parameter(rng)]
+            groups += [["--ac", _decimal(rng)], ["--t", _parameter(rng)]]
         else:
             a, b = sorted((_decimal(rng), _decimal(rng)), key=Fraction)
-            argv += ["--a", a, "--b", b]
-    argv += ["--digits", str(rng.randint(1, 40)), "--guard", str(rng.randint(5, 14))]
-    return argv + ["--json"] * (rng.random() < 0.5)
+            groups += [["--a", a], ["--b", b]]
+    groups += [["--digits", str(rng.randint(1, 40))], ["--guard", str(rng.randint(5, 14))]]
+    groups += [["--json"]] * (rng.random() < 0.5)
+    if rng.random() < 0.1:
+        _irregular(rng, groups)
+    if rng.random() < 0.5:
+        rng.shuffle(groups)
+    return [kind, *(token for group in groups for token in group)]
 
 
 def calls(seeds: list[int], random_calls: int) -> list[list[str]]:

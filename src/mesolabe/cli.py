@@ -10,12 +10,12 @@ the seed) are byte-identical.
 
 from __future__ import annotations
 
-import argparse
 import json
 import os
 import re
 import sys
 from fractions import Fraction
+from types import SimpleNamespace
 
 from . import delian, euclid, figures, proportio, pyramid
 from .scalar import (
@@ -402,7 +402,7 @@ SUBCOMMANDS = {
 NEGATIVE_NUMBER = re.compile(r"^-\d+$|^-\d*\.\d+$|^-\d+/\d+$")
 
 
-def _with_options(parser: argparse.ArgumentParser, name: str) -> argparse.ArgumentParser:
+def _with_options(parser, name: str):
     """``parser`` with the options of subcommand ``name`` and its handler as ``func``."""
     func, _, arguments = SUBCOMMANDS[name]
     parser._negative_number_matcher = NEGATIVE_NUMBER
@@ -412,7 +412,10 @@ def _with_options(parser: argparse.ArgumentParser, name: str) -> argparse.Argume
     return parser
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser():
+    """The full tree: the top-level ``ArgumentParser`` with a subparser per subcommand."""
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="mesolabe",
         description="Continued proportions, right-pyramid diagonals, and two mean "
@@ -424,15 +427,68 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _parse(argv: list[str]) -> argparse.Namespace:
-    """Parse with the named subcommand's parser alone; the full tree only for its own text.
+def _plain(argv: list[str]) -> SimpleNamespace | None:
+    """The namespace the subcommand's parser builds from a plain ``argv``, else None.
 
-    The one parser has the prog, options and help of the tree's subparser, so
-    it parses, and fails, as the tree does.  Leftover arguments, and an argv
-    that does not start with a subcommand, go to the tree, whose usage line
-    the error then shows.
+    A plain argv names a subcommand none of whose options takes ``nargs``,
+    then gives each flag at most once, spelled in full, with its value, if
+    it takes one, as the next argument.  The value is converted by the
+    option's ``type`` and must lie in its ``choices``; one that argparse
+    would read as a flag (it starts with ``-`` but is not ``-`` or a
+    ``NEGATIVE_NUMBER``) is not plain.  Every required flag must be given.
+    Anything else, help and ``--`` included, gets None, and argparse
+    decides it with its own text.
     """
+    if not argv or argv[0] not in SUBCOMMANDS:
+        return None
+    func, _, arguments = SUBCOMMANDS[argv[0]]
+    options = dict(COMMON_ARGUMENTS + arguments)
+    if any("nargs" in kwargs for kwargs in options.values()):
+        return None
+    given = {}
+    tokens = iter(argv[1:])
+    for flag in tokens:
+        kwargs = options.get(flag)
+        if kwargs is None or flag in given:
+            return None
+        if kwargs.get("action") == "store_true":
+            given[flag] = True
+            continue
+        value = next(tokens, None)
+        if value is None or value[:1] == "-" and value != "-" and not NEGATIVE_NUMBER.match(value):
+            return None
+        try:
+            value = kwargs.get("type", str)(value)
+        except ValueError:
+            return None
+        if "choices" in kwargs and value not in kwargs["choices"]:
+            return None
+        given[flag] = value
+    args = SimpleNamespace(func=func)
+    for flag, kwargs in options.items():
+        if flag not in given and kwargs.get("required"):
+            return None
+        default = False if kwargs.get("action") == "store_true" else kwargs.get("default")
+        setattr(args, flag[2:].replace("-", "_"), given.get(flag, default))
+    return args
+
+
+def _parse(argv: list[str]):
+    """Read a plain argv by :func:`_plain`; else parse with argparse.
+
+    argparse parses with the named subcommand's parser alone, and builds
+    the full tree only for its own text.  The one parser has the prog,
+    options and help of the tree's subparser, so it parses, and fails, as
+    the tree does.  Leftover arguments, and an argv that does not start
+    with a subcommand, go to the tree, whose usage line the error then
+    shows.  Only this fallback imports argparse.
+    """
+    args = _plain(argv)
+    if args is not None:
+        return args
     if argv and argv[0] in SUBCOMMANDS:
+        import argparse
+
         parser = _with_options(argparse.ArgumentParser(prog=f"mesolabe {argv[0]}"), argv[0])
         args, extra = parser.parse_known_args(argv[1:])
         if not extra:

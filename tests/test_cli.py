@@ -5,7 +5,7 @@ import json
 import os
 import subprocess
 import sys
-from contextlib import redirect_stdout
+from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 from pathlib import Path
 from unittest import mock
@@ -1091,6 +1091,7 @@ def test_one_parser_parses_as_the_tree(capsys, monkeypatch, argv):
 
 
 def test_a_valid_call_builds_one_parser(capsys, monkeypatch):
+    """At most one: none for a plain call, the subcommand's own for one ``_plain`` declines."""
     built = []
     init = argparse.ArgumentParser.__init__
 
@@ -1100,4 +1101,85 @@ def test_a_valid_call_builds_one_parser(capsys, monkeypatch):
 
     monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
     assert main(["means", "--a", "1", "--b", "2"]) == 0
+    assert built == []
+    assert main(["means", "--a", "3", "--b", "2", "--a", "1"]) == 0
     assert built == ["mesolabe means"]
+    built.clear()
+    assert main(["pyramid", "--edges", "3", "4", "12"]) == 0
+    assert built == ["mesolabe pyramid"]
+
+
+#: Values beside the valid ones: not an integer, outside every ``choices``, ``-``,
+#: empty, negative-looking, flag-like, and with a space.
+ODD_VALUES = ("x", "bogus", "1.5", "-", "", "-3", "-0.5", "-1/3", "-x", "--", "-1 2", "3 4")
+#: Tokens that are no option's value: help, ``--``, an unknown flag, a leftover,
+#: another subcommand, and a flag-like token.
+JUNK = ("-h", "--help", "--", "--bogus", "extra", "means", "-x", "-1")
+
+
+def _rare(draw) -> bool:
+    """True one draw in eight: each irregular form is rare, so many argvs stay plain."""
+    return draw(st.sampled_from((False,) * 7 + (True,)))
+
+
+@st.composite
+def _option_tokens(draw, flag: str, kwargs: dict) -> list[str]:
+    """One option, spelled in full, abbreviated or as ``--flag=value``, with its values.
+
+    A value is valid for the option's ``choices`` or ``type``, or odd; one may be missing.
+    """
+    if "choices" in kwargs:
+        valid = st.sampled_from(kwargs["choices"])
+    elif kwargs.get("type") is int:
+        valid = st.integers(min_value=-5, max_value=50).map(str)
+    else:
+        valid = st.sampled_from(("2", "1/3", "0.25", "7"))
+    count = 0 if kwargs.get("action") == "store_true" else kwargs.get("nargs", 1)
+    if _rare(draw):
+        count -= 1
+    values = [draw(st.sampled_from(ODD_VALUES) if _rare(draw) else valid) for _ in range(count)]
+    form = draw(st.sampled_from(("abbreviated", "equals"))) if _rare(draw) else "full"
+    if form == "abbreviated" and len(flag) > 3:
+        return [flag[:draw(st.integers(min_value=3, max_value=len(flag) - 1))], *values]
+    if form == "equals" and values:
+        return [f"{flag}={values[0]}", *values[1:]]
+    return [flag, *values]
+
+
+@st.composite
+def _argvs(draw) -> list[str]:
+    """A subcommand, its required options and others, one maybe repeated, and junk, in any order."""
+    name = draw(st.sampled_from(list(SUBCOMMANDS)))
+    options = COMMON_ARGUMENTS + SUBCOMMANDS[name][2]
+    chosen = [(flag, kwargs) for flag, kwargs in options if kwargs.get("required") and not _rare(draw)]
+    others = [option for option in options if option not in chosen]
+    chosen += draw(st.lists(st.sampled_from(others), max_size=3, unique_by=lambda option: option[0]))
+    if chosen and _rare(draw):
+        chosen.append(draw(st.sampled_from(chosen)))
+    parts = [draw(_option_tokens(flag, kwargs)) for flag, kwargs in chosen]
+    if _rare(draw):
+        parts.append([draw(st.sampled_from(JUNK))])
+    return [name, *(token for part in draw(st.permutations(parts)) for token in part)]
+
+
+@given(_argvs())
+@settings(max_examples=300, deadline=None)
+@example(["means", "--b", "-2", "--a", "-", "--method", "both", "--json", "--digits", "-3"])
+@example(["four-proportionals", "--t", "1/2", "--ac", "", "--sphere"])
+@example(["check-props", "--seed", "-3"])
+@example(["check-props", "--seed", "1.5"])
+@example(["means", "--a", "1", "--b", "2", "--method", "bogus"])
+def test_plain_parses_as_the_tree(argv):
+    """``_plain`` declines, or gives the tree's namespace; it declines every ``nargs`` subcommand."""
+    plain = cli._plain(argv)
+    if argv[0] in ("pyramid", "figure"):
+        assert plain is None
+    with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+        try:
+            tree = vars(cli._build_parser().parse_args(argv))
+        except SystemExit:
+            tree = None
+    if plain is not None:
+        assert tree is not None
+        tree.pop("subcommand")
+        assert vars(plain) == tree

@@ -60,14 +60,15 @@ def test_cli_import_set():
     # The tracer looks each module of TRACED up in sys.modules after a pass
     # that may not have run it, so every one must load with the CLI; the
     # records are plain classes, so neither dataclasses nor the inspect module
-    # it imports is loaded at start-up.  -I -S keep site imports out.
+    # it imports is loaded at start-up, and only a call that a plain argv
+    # does not make loads argparse.  -I -S keep site imports out.
     code = (f"import sys; sys.path.insert(0, {str(ROOT / 'src')!r}); import mesolabe.cli; "
             "print(*sorted(sys.modules))")
     run = subprocess.run([sys.executable, "-I", "-S", "-c", code],
                          capture_output=True, text=True, check=True)
     loaded = set(run.stdout.split())
     assert "mesolabe.cli" in loaded
-    assert not {"dataclasses", "inspect"} & loaded
+    assert not {"argparse", "dataclasses", "inspect"} & loaded
     assert {module for module, _, _ in _traced()} <= loaded
 
 
